@@ -8,6 +8,7 @@
 package bits
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -23,20 +24,32 @@ type Writer struct {
 }
 
 // WriteBits appends the low n bits of v to the stream, most significant of
-// those n bits first. n must be in [0, 64].
+// those n bits first; bits of v above n are ignored. n must be in [0, 64].
+// It tops up the partial last byte, then appends the rest as whole bytes.
 func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bits: WriteBits width %d > 64", n))
 	}
-	for i := int(n) - 1; i >= 0; i-- {
-		bitPos := w.nbit & 7
-		if bitPos == 0 {
-			w.buf = append(w.buf, 0)
+	if n < 64 {
+		v &= 1<<n - 1
+	}
+	free := uint(-w.nbit & 7) // unwritten low bits of the last byte
+	w.nbit += uint64(n)
+	if free > 0 {
+		last := &w.buf[len(w.buf)-1]
+		if n <= free {
+			*last |= byte(v << (free - n))
+			return
 		}
-		if v>>uint(i)&1 != 0 {
-			w.buf[len(w.buf)-1] |= 0x80 >> bitPos
-		}
-		w.nbit++
+		n -= free
+		*last |= byte(v >> n)
+	}
+	if n > 0 {
+		// Left-align what remains and append it as one big-endian word;
+		// the bytes past the last one that holds a bit are zero, and are
+		// cut off again.
+		k := len(w.buf) + int(n+7)/8
+		w.buf = binary.BigEndian.AppendUint64(w.buf, v<<(64-n))[:k]
 	}
 }
 
@@ -91,7 +104,9 @@ func NewReaderBits(buf []byte, n uint64) *Reader {
 }
 
 // ReadBits consumes n bits and returns them in the low bits of the result,
-// in the order they were written. n must be in [0, 64].
+// in the order they were written. n must be in [0, 64]. A read past the
+// end fails without consuming anything. It takes the rest of the current
+// byte, then a whole byte per step.
 func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if n > 64 {
 		panic(fmt.Sprintf("bits: ReadBits width %d > 64", n))
@@ -99,13 +114,22 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if r.pos+uint64(n) > r.nbit {
 		return 0, ErrUnderflow
 	}
-	var v uint64
-	for i := uint(0); i < n; i++ {
-		byteIdx := r.pos >> 3
-		bitPos := r.pos & 7
-		bit := r.buf[byteIdx] >> (7 - bitPos) & 1
-		v = v<<1 | uint64(bit)
-		r.pos++
+	if n == 0 {
+		return 0, nil
+	}
+	i, off := r.pos>>3, uint(r.pos&7)
+	r.pos += uint64(n)
+	avail := 8 - off // unread bits of the current byte
+	v := uint64(r.buf[i] & (0xFF >> off))
+	if n <= avail {
+		return v >> (avail - n), nil
+	}
+	for n -= avail; n >= 8; n -= 8 {
+		i++
+		v = v<<8 | uint64(r.buf[i])
+	}
+	if n > 0 {
+		v = v<<n | uint64(r.buf[i+1]>>(8-n))
 	}
 	return v, nil
 }

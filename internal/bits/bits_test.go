@@ -157,13 +157,3 @@ func TestPropertyLenMatchesBytes(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkWriteBits(b *testing.B) {
-	var w Writer
-	for i := 0; i < b.N; i++ {
-		if w.Len() > 1<<23 {
-			w.Reset()
-		}
-		w.WriteBits(uint64(i), 13)
-	}
-}

@@ -97,7 +97,9 @@ func (c *Config) fillDefaults() {
 }
 
 // TraceEntry is one committed instruction's identity in a verification
-// trace: its PC and a hash of the full register file afterwards.
+// trace: its PC and a hash of the full register file afterwards. The
+// recorder always fills RegHash; replay leaves it zero except under
+// VerifyReplay, the one reader of it.
 type TraceEntry struct {
 	PC      uint32
 	RegHash uint32

@@ -51,8 +51,13 @@ type Replayer struct {
 	img  *asm.Image
 	logs []*fll.Ref
 
-	// TraceDepth mirrors the recorder option for divergence checking.
+	// TraceDepth mirrors the recorder option: a ring of the last
+	// TraceDepth committed PCs, for backtraces and divergence checking.
 	TraceDepth int
+	// verifyRegs fills TraceEntry.RegHash as the recorder does. Only
+	// VerifyReplay compares register hashes; backtraces read PCs, and
+	// hashing 32 registers per instruction was half of replay's time.
+	verifyRegs bool
 	// MaxPages, when positive, caps the pages replay memory may map.
 	// Untrusted logs control the replayed register state, so without a
 	// cap a crafted report could drive unbounded allocation through
@@ -190,7 +195,13 @@ func (st *state) next() bool {
 	st.cur = l
 	st.idx++
 	st.executed = 0
-	st.d = dict.NewWithOptions(int(st.cur.DictSize), st.r.DictOptions)
+	// Every interval starts from an empty dictionary; the state's table is
+	// private to it (snapshots hold clones), so one table serves them all.
+	if st.d != nil && st.d.Size() == int(st.cur.DictSize) {
+		st.d.Reset()
+	} else {
+		st.d = dict.NewWithOptions(int(st.cur.DictSize), st.r.DictOptions)
+	}
 	st.reader = fll.NewReader(st.cur, st.d)
 	st.c.Restore(st.cur.State)
 	st.c.Halted = false
@@ -297,7 +308,11 @@ func (st *state) onLoggable(wordAddr uint32, isWrite bool) {
 // code-load injection under the self-modifying-code extension.
 func (st *state) onFetch(pc uint32) {
 	if st.trace != nil {
-		st.trace.push(TraceEntry{PC: pc, RegHash: hashRegs(&st.c.Regs)})
+		e := TraceEntry{PC: pc}
+		if st.r.verifyRegs {
+			e.RegHash = hashRegs(&st.c.Regs)
+		}
+		st.trace.push(e)
 	}
 	if st.r.LogCodeLoads {
 		wordAddr := pc &^ 3

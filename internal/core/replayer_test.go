@@ -470,3 +470,44 @@ main:   la t0, tbl
 }
 
 var _ = fll.EndExit // used in sibling test files
+
+// TestReplayHashesRegistersOnlyUnderVerify: a replay's trace ring carries
+// the same PCs either way, but the per-instruction register hash is paid
+// only by VerifyReplay's replays — backtraces read PCs.
+func TestReplayHashesRegistersOnlyUnderVerify(t *testing.T) {
+	img, err := asm.Assemble("rr.s", sumProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, rec := Record(img, kernel.Config{}, Config{IntervalLength: 500, Cache: tinyCache(), TraceDepth: 64})
+	if err := VerifyReplay(img, rec); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	run := func(verify bool) []TraceEntry {
+		r := NewReplayer(img, rep.FLLs[0])
+		r.TraceDepth = 64
+		r.verifyRegs = verify
+		res, err := r.Run()
+		if err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		return res.Trace
+	}
+	plain, hashed := run(false), run(true)
+	if len(plain) != 64 || len(hashed) != 64 {
+		t.Fatalf("trace lengths %d, %d; want full rings", len(plain), len(hashed))
+	}
+	recTrace := rec.Trace(0)
+	for i := range plain {
+		if plain[i].PC != hashed[i].PC || plain[i].RegHash != 0 {
+			t.Fatalf("entry %d: plain %+v, hashed %+v", i, plain[i], hashed[i])
+		}
+		if hashed[i].RegHash == 0 {
+			t.Fatalf("entry %d: verifying replay left the register hash empty", i)
+		}
+	}
+	if got, want := hashed[63], recTrace[len(recTrace)-1]; got != want {
+		// sumProgram exits by syscall: no faulting fetch or sentinel to drop.
+		t.Errorf("last replayed entry %+v; recorder saw %+v", got, want)
+	}
+}

@@ -259,8 +259,8 @@ func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 	}
 	s.known = m.known.Clone()
 	s.bytes = s.mem.Footprint() + s.known.SizeBytes() + 512
-	if st.d != nil {
-		s.bytes += int64(st.d.Size()) * 8
+	if s.reader != nil {
+		s.bytes += s.reader.Dict().SizeBytes()
 	}
 	if s.trace != nil {
 		s.bytes += int64(len(s.trace.buf)) * 12

@@ -27,6 +27,7 @@ func VerifyReplay(img *asm.Image, rec *Recorder) error {
 		}
 		r := NewReplayer(img, logs)
 		r.TraceDepth = rec.cfg.TraceDepth
+		r.verifyRegs = true
 		r.LogCodeLoads = rec.cfg.LogCodeLoads
 		r.DictOptions = rec.cfg.DictOptions
 		res, err := r.Run()

@@ -30,11 +30,6 @@ const DefaultSize = 64
 // defaultCounterBits is the paper's saturating-counter width.
 const defaultCounterBits = 3
 
-type entry struct {
-	val   uint32
-	count uint8
-}
-
 // Stats counts dictionary activity across interval boundaries. Figure 5 of
 // the paper reports Hits/Lookups for various table sizes.
 type Stats struct {
@@ -64,14 +59,44 @@ type Options struct {
 
 // Table is the dictionary table. It is not safe for concurrent use; each
 // simulated processor owns one.
+//
+// The hardware answers a lookup in one CAM cycle; this emulation must not
+// charge a 64-entry scan for it. Values and counters live in parallel
+// arrays so the match scan is a tight loop over uint32s, and index counts,
+// per hash bucket, how many table values fall there: a zero bucket proves a
+// miss with no scan at all. The index is derived state — ranks, counters
+// and every encoded bit are those of the plain scan-based table, which the
+// package's tests keep as a reference model.
 type Table struct {
-	entries    []entry
+	vals   []uint32 // values in rank order; vals[:used] are live
+	counts []uint32 // saturating counters, parallel to vals in one backing array
+	// index[bucket(v)] is the number of live values in v's bucket. It is
+	// built at the first search, so a Clone copies values and counters
+	// only and a checkpoint that is never resumed never carries one.
+	index      []uint16
+	shift      uint // bucket keeps the hash's top 32-shift bits
 	used       int
 	bits       uint
-	counterMax uint8
+	counterMax uint32
 	insertTop  bool
 	stats      Stats
 }
+
+// indexShift is log2 of the index buckets per table entry: at 8 buckets a
+// full table leaves seven in eight empty, so that share of misses is
+// proven by one load.
+const indexShift = 3
+
+// hashMul is the odd multiplier of bucket's hash.
+const hashMul = 0x9E3779B1
+
+// bucket hashes v to its index bucket. Both steps (xor-shift, odd
+// multiply) are bijections on uint32, so every bucket has exactly
+// 2^32/len(index) preimages; table values are distinct, so a bucket counts
+// at most min(Size, 2^32/len(index)) <= 32768 of them for every size New
+// accepts: a uint16 bucket is exact, never saturating. The xor-shift keeps
+// strided values (pointers, multiples of the multiplier) from piling up.
+func (t *Table) bucket(v uint32) uint32 { return (v ^ v>>15) * hashMul >> t.shift }
 
 // New returns an empty table with the given size, which must be a power of
 // two between 2 and 65536 so ranks have a fixed bit width.
@@ -94,16 +119,31 @@ func NewWithOptions(size int, opts Options) *Table {
 	for 1<<bits < size {
 		bits++
 	}
-	return &Table{
-		entries:    make([]entry, size),
+	t := &Table{
+		shift:      32 - bits - indexShift,
 		bits:       bits,
-		counterMax: uint8(1<<opts.CounterBits - 1),
+		counterMax: 1<<opts.CounterBits - 1,
 		insertTop:  opts.InsertAtTop,
 	}
+	t.setEntries(make([]uint32, 2*size))
+	return t
+}
+
+// setEntries points vals and counts at the halves of one backing array;
+// vals keeps counts within its capacity so Clone copies both at once.
+func (t *Table) setEntries(buf []uint32) {
+	n := len(buf) / 2
+	t.vals, t.counts = buf[:n], buf[n:]
 }
 
 // Size returns the table capacity.
-func (t *Table) Size() int { return len(t.entries) }
+func (t *Table) Size() int { return len(t.vals) }
+
+// SizeBytes returns the heap bytes the table's arrays occupy, for
+// checkpoint budgets that hold clones.
+func (t *Table) SizeBytes() int64 {
+	return int64(len(t.vals)+len(t.counts))*4 + int64(len(t.index))*2
+}
 
 // IndexBits returns the width of an encoded rank: log2(Size).
 func (t *Table) IndexBits() uint { return t.bits }
@@ -111,21 +151,44 @@ func (t *Table) IndexBits() uint { return t.bits }
 // Reset empties the table, as required at the start of each checkpoint
 // interval. Statistics are preserved across resets.
 func (t *Table) Reset() {
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	clear(t.vals)
+	clear(t.counts)
+	clear(t.index)
 	t.used = 0
+}
+
+// buildIndex counts the live values into a fresh index.
+func (t *Table) buildIndex() {
+	t.index = make([]uint16, len(t.vals)<<indexShift)
+	for _, x := range t.vals[:t.used] {
+		t.index[t.bucket(x)]++
+	}
+}
+
+// find returns v's rank, or -1. The index proves most misses without
+// touching the values.
+func (t *Table) find(v uint32) int {
+	if t.index == nil {
+		t.buildIndex()
+	}
+	if t.index[t.bucket(v)] == 0 {
+		return -1
+	}
+	for i, x := range t.vals[:t.used] {
+		if x == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // Lookup searches for v and returns its current rank. It counts toward
 // statistics but does not modify the table; callers follow it with Update.
 func (t *Table) Lookup(v uint32) (rank int, hit bool) {
 	t.stats.Lookups++
-	for i := 0; i < t.used; i++ {
-		if t.entries[i].val == v {
-			t.stats.Hits++
-			return i, true
-		}
+	if i := t.find(v); i >= 0 {
+		t.stats.Hits++
+		return i, true
 	}
 	return 0, false
 }
@@ -136,49 +199,79 @@ func (t *Table) ValueAt(rank int) (uint32, error) {
 	if rank < 0 || rank >= t.used {
 		return 0, fmt.Errorf("dict: rank %d out of range (used %d)", rank, t.used)
 	}
-	return t.entries[rank].val, nil
+	return t.vals[rank], nil
 }
 
 // Update applies the paper's table-update rule for an executed load of
 // value v. It must be called exactly once per executed loggable operation,
 // in both recording and replay, to keep the two table states identical.
 func (t *Table) Update(v uint32) {
-	for i := 0; i < t.used; i++ {
-		if t.entries[i].val != v {
-			continue
-		}
-		if t.entries[i].count < t.counterMax {
-			t.entries[i].count++
-		}
-		if i > 0 && t.entries[i].count >= t.entries[i-1].count {
-			t.entries[i], t.entries[i-1] = t.entries[i-1], t.entries[i]
-		}
-		return
+	if i := t.find(v); i >= 0 {
+		t.promote(i)
+	} else {
+		t.insert(v)
 	}
-	// Miss: fill a free slot, else replace the smallest counter (ties
-	// toward the bottom of the table).
-	if t.used < len(t.entries) {
-		t.entries[t.used] = entry{val: v, count: 1}
+}
+
+// LookupUpdate is Lookup followed by Update with one search: it returns
+// v's rank before the update, as the recorder encodes it, and counts as
+// one lookup. The FLL writer calls it for every logged value.
+func (t *Table) LookupUpdate(v uint32) (rank int, hit bool) {
+	if rank, hit = t.Lookup(v); hit {
+		t.promote(rank)
+	} else {
+		t.insert(v)
+	}
+	return rank, hit
+}
+
+// promote is the hit half of the update rule: bump the counter at rank i
+// and swap with the entry above once it has caught up.
+func (t *Table) promote(i int) {
+	c := t.counts[i]
+	if c < t.counterMax {
+		c++
+		t.counts[i] = c
+	}
+	if i > 0 && c >= t.counts[i-1] {
+		t.vals[i], t.vals[i-1] = t.vals[i-1], t.vals[i]
+		t.counts[i], t.counts[i-1] = t.counts[i-1], t.counts[i]
+	}
+}
+
+// insert is the miss half: fill a free slot, else replace the smallest
+// counter.
+func (t *Table) insert(v uint32) {
+	i := t.used
+	if i < len(t.vals) {
 		t.used++
-		return
+	} else {
+		i = t.victim()
+		t.index[t.bucket(t.vals[i])]--
 	}
-	victim := 0
-	for i := 1; i < len(t.entries); i++ {
-		if t.entries[i].count >= t.entries[victim].count {
-			continue
+	t.vals[i], t.counts[i] = v, 1
+	t.index[t.bucket(v)]++
+}
+
+// victim picks the entry a miss replaces in a full table: the smallest
+// counter, ties toward the bottom of the table (the paper's rule) or
+// toward the top (InsertAtTop). Walking from that end and keeping only
+// strictly smaller counters finds it; every entry of a full table counts
+// at least 1, so the walk stops at the first 1 — on a miss-heavy stream
+// that is the first entry it looks at.
+func (t *Table) victim() int {
+	c := t.counts
+	i, step := len(c)-1, -1
+	if t.insertTop {
+		i, step = 0, 1
+	}
+	best := i
+	for ; uint(i) < uint(len(c)) && c[best] > 1; i += step {
+		if c[i] < c[best] {
+			best = i
 		}
-		victim = i
 	}
-	if !t.insertTop {
-		// The paper's rule: the lowest-positioned entry among ties.
-		for i := len(t.entries) - 1; i > victim; i-- {
-			if t.entries[i].count == t.entries[victim].count {
-				victim = i
-				break
-			}
-		}
-	}
-	t.entries[victim] = entry{val: v, count: 1}
+	return best
 }
 
 // Clone returns a deep copy of the table — contents, ordering, counters and
@@ -186,7 +279,8 @@ func (t *Table) Update(v uint32) {
 // decodes ranks against the exact mid-interval dictionary state.
 func (t *Table) Clone() *Table {
 	cp := *t
-	cp.entries = append([]entry(nil), t.entries...)
+	cp.setEntries(append([]uint32(nil), t.vals[:2*len(t.vals)]...))
+	cp.index = nil
 	return &cp
 }
 
@@ -196,24 +290,20 @@ func (t *Table) Stats() Stats { return t.stats }
 // ResetStats zeroes the cumulative statistics.
 func (t *Table) ResetStats() { t.stats = Stats{} }
 
-// Snapshot returns the current (value, counter) contents in rank order, for
-// tests and debugging tools.
+// Snapshot returns the current values in rank order (counters are not
+// included), for tests and debugging tools.
 func (t *Table) Snapshot() []uint32 {
-	out := make([]uint32, t.used)
-	for i := 0; i < t.used; i++ {
-		out[i] = t.entries[i].val
-	}
-	return out
+	return append([]uint32(nil), t.vals[:t.used]...)
 }
 
 // Equal reports whether two tables hold identical contents and ordering —
 // the invariant linking recorder and replayer.
 func (t *Table) Equal(o *Table) bool {
-	if len(t.entries) != len(o.entries) || t.used != o.used {
+	if len(t.vals) != len(o.vals) || t.used != o.used {
 		return false
 	}
-	for i := 0; i < t.used; i++ {
-		if t.entries[i] != o.entries[i] {
+	for i, v := range t.vals[:t.used] {
+		if v != o.vals[i] || t.counts[i] != o.counts[i] {
 			return false
 		}
 	}

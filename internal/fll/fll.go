@@ -136,7 +136,22 @@ func (m *Meta) SizeBytes() int64 {
 	return HeaderBytes + int64((m.EntryBits+7)/8) + trailer
 }
 
-// bitsFor returns the width needed to represent values in [0, n].
+// maxIntervalLimit keeps the full L-Count at 63 bits or fewer, so a type
+// bit and the count beside it always fit one 64-bit write or read.
+const maxIntervalLimit = 1<<63 - 1
+
+// checkGeometry panics unless hdr and d can open an interval.
+func checkGeometry(hdr *Header, d *dict.Table) {
+	if hdr.IntervalLimit == 0 || hdr.IntervalLimit > maxIntervalLimit {
+		panic("fll: IntervalLimit must be in [1, 2^63)")
+	}
+	if d == nil || d.Size() != int(hdr.DictSize) {
+		panic("fll: dictionary geometry does not match header")
+	}
+}
+
+// bitsFor returns the width needed to represent values in [0, n], for n up
+// to maxIntervalLimit.
 func bitsFor(n uint64) uint {
 	w := uint(1)
 	for 1<<w <= n {
@@ -162,28 +177,18 @@ type Writer struct {
 // NewWriter starts an FLL for the interval described by hdr. The dictionary
 // must be empty (interval start) and is owned by the writer until Close.
 func NewWriter(hdr Header, d *dict.Table) *Writer {
-	if hdr.IntervalLimit == 0 {
-		panic("fll: IntervalLimit must be positive")
-	}
-	if d == nil || d.Size() != int(hdr.DictSize) {
-		panic("fll: dictionary geometry does not match header")
-	}
+	checkGeometry(&hdr, d)
 	return &Writer{hdr: hdr, dict: d, fullLCBits: bitsFor(hdr.IntervalLimit)}
 }
 
 // Reset re-opens the writer for a new interval described by hdr, reusing
 // the entry-stream buffer so continuous recording stops re-growing one
 // per interval. Like NewWriter, the dictionary must be empty and match
-// the header's geometry. Reset must not be used after Close (whose
-// returned log owns a copy of the bytes, so CloseEncoded callers are the
-// intended users).
+// the header's geometry. Reset may follow either finalizer: Close's log
+// owns a copy of the entry bytes and CloseEncoded's wire encoding is a
+// fresh buffer, so neither result aliases the stream Reset rewinds.
 func (w *Writer) Reset(hdr Header, d *dict.Table) {
-	if hdr.IntervalLimit == 0 {
-		panic("fll: IntervalLimit must be positive")
-	}
-	if d == nil || d.Size() != int(hdr.DictSize) {
-		panic("fll: dictionary geometry does not match header")
-	}
+	checkGeometry(&hdr, d)
 	w.hdr = hdr
 	w.dict = d
 	w.w.Reset()
@@ -203,26 +208,20 @@ func (w *Writer) Op(value uint32, logged bool) {
 		w.dict.Update(value)
 		return
 	}
-	// L-Count field.
+	// Each type bit goes out in the same write as the field it selects.
+	lc := uint(shortLCBits)
 	if w.skip <= shortLCMax {
-		w.w.WriteBit(false)
-		w.w.WriteBits(w.skip, shortLCBits)
-		w.uncBits += 1 + shortLCBits
+		w.w.WriteBits(w.skip, 1+lc) // LC-Type 0 is the leading bit
 	} else {
-		w.w.WriteBit(true)
-		w.w.WriteBits(w.skip, w.fullLCBits)
-		w.uncBits += 1 + uint64(w.fullLCBits)
+		lc = w.fullLCBits
+		w.w.WriteBits(1<<lc|w.skip&(1<<lc-1), 1+lc)
 	}
-	// Value field.
-	if rank, hit := w.dict.Lookup(value); hit {
-		w.w.WriteBit(false)
-		w.w.WriteBits(uint64(rank), w.dict.IndexBits())
+	if rank, hit := w.dict.LookupUpdate(value); hit {
+		w.w.WriteBits(uint64(rank), 1+w.dict.IndexBits()) // LV-Type 0 leads
 	} else {
-		w.w.WriteBit(true)
-		w.w.WriteBits(uint64(value), 32)
+		w.w.WriteBits(1<<32|uint64(value), 1+32)
 	}
-	w.uncBits += 32
-	w.dict.Update(value)
+	w.uncBits += 1 + uint64(lc) + 32
 	w.skip = 0
 	w.entries++
 }
@@ -314,35 +313,25 @@ func (r *Reader) loadEntry() {
 	if longLC {
 		width = r.fullLCBits
 	}
-	skip, err := r.r.ReadBits(width)
+	// The LV-Type bit comes in the same read as the L-Count before it.
+	skip, err := r.r.ReadBits(width + 1)
 	if err != nil {
 		r.err = fmt.Errorf("fll: truncated L-Count in entry %d: %w", r.consumed, err)
 		return
 	}
-	fullValue, err := r.r.ReadBit()
+	r.pendingIsRank = skip&1 == 0
+	width = 32
+	if r.pendingIsRank {
+		width = r.dict.IndexBits()
+	}
+	v, err := r.r.ReadBits(width)
 	if err != nil {
-		r.err = fmt.Errorf("fll: truncated LV-Type in entry %d: %w", r.consumed, err)
+		r.err = fmt.Errorf("fll: truncated value in entry %d: %w", r.consumed, err)
 		return
 	}
-	if fullValue {
-		v, err := r.r.ReadBits(32)
-		if err != nil {
-			r.err = fmt.Errorf("fll: truncated value in entry %d: %w", r.consumed, err)
-			return
-		}
-		r.pendingRaw = uint32(v)
-		r.pendingIsRank = false
-	} else {
-		rank, err := r.r.ReadBits(r.dict.IndexBits())
-		if err != nil {
-			r.err = fmt.Errorf("fll: truncated rank in entry %d: %w", r.consumed, err)
-			return
-		}
-		r.pendingRaw = uint32(rank)
-		r.pendingIsRank = true
-	}
+	r.pendingRaw = uint32(v)
 	r.pendingValid = true
-	r.pendingSkip = skip
+	r.pendingSkip = skip >> 1
 	r.consumed++
 }
 
@@ -553,7 +542,7 @@ func parse(data []byte) (Meta, []byte, error) {
 		return m, nil, ErrBadFormat
 	}
 	entries := data[pos : pos+int(n)]
-	if m.EntryBits > n*8 {
+	if m.EntryBits > n*8 || m.IntervalLimit > maxIntervalLimit {
 		return m, nil, ErrBadFormat
 	}
 	return m, entries, nil

@@ -289,12 +289,3 @@ func TestReaderErrTruncatedStream(t *testing.T) {
 		t.Error("truncated stream produced no error")
 	}
 }
-
-func BenchmarkWriterOp(b *testing.B) {
-	d := dict.New(64)
-	w := NewWriter(testHeader(64), d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Op(uint32(i&63), i&7 == 0)
-	}
-}

@@ -1,0 +1,158 @@
+package fll
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"bugnet/internal/bits"
+	"bugnet/internal/dict"
+)
+
+// refEncode is the field-at-a-time encoder Writer.Op started as: one write
+// per type bit and per field, Lookup and Update as separate calls. Writer
+// fuses those host-side; the stream must not move by a bit.
+func refEncode(hdr Header, ops []uint32, logged []bool) (stream []byte, nbits, uncBits uint64) {
+	var w bits.Writer
+	d := dict.New(int(hdr.DictSize))
+	full := bitsFor(hdr.IntervalLimit)
+	skip := uint64(0)
+	for i, v := range ops {
+		if !logged[i] {
+			skip++
+			d.Update(v)
+			continue
+		}
+		width := uint(shortLCBits)
+		if skip > shortLCMax {
+			width = full
+		}
+		w.WriteBit(skip > shortLCMax)
+		w.WriteBits(skip, width)
+		rank, hit := d.Lookup(v)
+		w.WriteBit(!hit)
+		if hit {
+			w.WriteBits(uint64(rank), d.IndexBits())
+		} else {
+			w.WriteBits(uint64(v), 32)
+		}
+		d.Update(v)
+		uncBits += 1 + uint64(width) + 32
+		skip = 0
+	}
+	return w.Bytes(), w.Len(), uncBits
+}
+
+// TestWriterMatchesFieldAtATimeEncoding covers short L-Counts and long ones
+// up to the widest (63 bits, where type bit and count fill the word), and
+// checks Reader and DumpEntries decode what Writer fused.
+func TestWriterMatchesFieldAtATimeEncoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, limit := range []uint64{4000, 10_000_000, maxIntervalLimit} {
+		for _, dictSize := range []uint32{2, 64, 1024} {
+			hdr := testHeader(dictSize)
+			hdr.IntervalLimit = limit
+			ops, logged := make([]uint32, 4000), make([]bool, 4000)
+			logEvery := 1 + rng.Intn(60) // long L-Counts when sparse
+			for i := range ops {
+				ops[i] = uint32(rng.Intn(3 * int(dictSize)))
+				if rng.Intn(8) == 0 {
+					ops[i] = rng.Uint32()
+				}
+				logged[i] = rng.Intn(logEvery) == 0
+			}
+			w := NewWriter(hdr, dict.New(int(dictSize)))
+			for i, v := range ops {
+				w.Op(v, logged[i])
+			}
+			log := w.Close(4000, EndIntervalFull, nil)
+			stream, nbits, unc := refEncode(hdr, ops, logged)
+			if log.EntryBits != nbits || log.UncompressedBits != unc || !bytes.Equal(log.Entries, stream) {
+				t.Fatalf("limit %d dict %d: entry stream differs from the field-at-a-time encoding", limit, dictSize)
+			}
+			if _, err := log.DumpEntries(0); err != nil {
+				t.Fatalf("limit %d dict %d: structural decode: %v", limit, dictSize, err)
+			}
+			r := NewReader(log, dict.New(int(dictSize)))
+			for i, v := range ops {
+				mem := v
+				if logged[i] {
+					mem = ^v
+				}
+				got, injected, err := r.Op(mem)
+				if err != nil || got != v || injected != logged[i] {
+					t.Fatalf("limit %d dict %d op %d: replayed (%#x, %v, %v); recorded (%#x, %v)",
+						limit, dictSize, i, got, injected, err, v, logged[i])
+				}
+			}
+			if !r.Exhausted() {
+				t.Fatalf("limit %d dict %d: reader not exhausted", limit, dictSize)
+			}
+		}
+	}
+}
+
+// TestIntervalLimitBound: a limit of 2^63 or more would need a 64-bit
+// L-Count; writers refuse it and a serialized log claiming one is malformed.
+func TestIntervalLimitBound(t *testing.T) {
+	hdr := testHeader(8)
+	log := NewWriter(hdr, dict.New(8)).Close(0, EndExit, nil)
+	log.IntervalLimit = maxIntervalLimit + 1
+	if _, err := Unmarshal(log.Marshal()); err == nil {
+		t.Error("Unmarshal accepted an interval limit of 2^63")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewWriter accepted an interval limit of 2^63")
+		}
+	}()
+	NewWriter(log.Header, dict.New(8))
+}
+
+func TestWriterOpDoesNotAllocate(t *testing.T) {
+	d := dict.New(64)
+	w := NewWriter(testHeader(64), d)
+	feed := func() {
+		for i := uint32(0); i < 2000; i++ {
+			w.Op(i*2654435761>>uint(i&3*8), i%3 != 0)
+		}
+	}
+	feed() // grow the entry buffer once
+	if n := testing.AllocsPerRun(20, func() {
+		d.Reset()
+		w.Reset(testHeader(64), d)
+		feed()
+	}); n != 0 {
+		t.Errorf("Writer.Op allocates %v times per interval once the buffer has grown; want 0", n)
+	}
+}
+
+func BenchmarkWriterOp(b *testing.B) {
+	// Values and first-load verdicts are drawn before the clock starts;
+	// the writer is rewound every 64K ops, as an interval end would.
+	run := func(name string, val func(i uint32) uint32, logged func(i uint32) bool) {
+		b.Run(name, func(b *testing.B) {
+			const n = 1 << 16
+			vals, logs := make([]uint32, n), make([]bool, n)
+			for i := range vals {
+				vals[i], logs[i] = val(uint32(i)), logged(uint32(i))
+			}
+			d := dict.New(dict.DefaultSize)
+			w := NewWriter(testHeader(dict.DefaultSize), d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i&(n-1) == 0 {
+					d.Reset()
+					w.Reset(testHeader(dict.DefaultSize), d)
+				}
+				w.Op(vals[i&(n-1)], logs[i&(n-1)])
+			}
+		})
+	}
+	always := func(uint32) bool { return true }
+	run("miss_heavy", func(i uint32) uint32 { return i * 2654435761 }, always)
+	run("hit_heavy", func(i uint32) uint32 { return i * 2654435761 >> 29 }, always)
+	run("skip_heavy", func(i uint32) uint32 { return i * 2654435761 >> 27 },
+		func(i uint32) bool { return i%50 == 0 })
+}
