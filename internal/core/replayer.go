@@ -113,7 +113,7 @@ func WrapFLLs(logs []*fll.Log) []*fll.Ref {
 // through the predecoded block engine (cpu.Run); the per-instruction hooks
 // fire exactly as they do under single-stepping.
 func (r *Replayer) Run() (*ReplayResult, error) {
-	st := r.newState()
+	st := r.newState(nil)
 	for st.next() {
 		for !st.intervalDone() {
 			if _, err := st.runBatch(st.cur.Length - st.executed); err != nil {
@@ -148,9 +148,13 @@ type state struct {
 	injected uint64
 	trace    *traceRing
 	err      error
+
+	// known is the §7.1 known-memory set, nil unless a ReplayMachine tracks
+	// it; the hooks insert into it directly.
+	known *mem.KnownSet
 }
 
-func (r *Replayer) newState() *state {
+func (r *Replayer) newState(known *mem.KnownSet) *state {
 	m := mem.New()
 	if len(r.img.Text) > 0 {
 		m.Map(r.img.TextBase, uint32(len(r.img.Text)))
@@ -166,13 +170,13 @@ func (r *Replayer) newState() *state {
 		// mapped above is a property of the binary, not the logs.
 		m.MapLimit = r.MaxPages + m.MappedPages()
 	}
-	st := &state{r: r, mem: m, c: c, logs: r.logs}
+	st := &state{r: r, mem: m, c: c, logs: r.logs, known: known}
 	if r.TraceDepth > 0 {
 		st.trace = newTraceRing(r.TraceDepth)
 	}
 	c.OnLoggable = st.onLoggable
-	if r.OnAccess != nil {
-		c.OnWordStore = func(wordAddr uint32) { r.OnAccess(c.PC, wordAddr, true) }
+	if known != nil || r.OnAccess != nil {
+		c.OnWordStore = st.onWordStore
 	}
 	if st.trace != nil || r.LogCodeLoads {
 		c.OnFetch = st.onFetch
@@ -279,8 +283,23 @@ func (st *state) fail(err error) {
 	st.c.Stop()
 }
 
+// onWordStore records a replayed word store for the known set and the
+// user's hook; onLoggable ends the same way, spelled out in both so plain
+// replay pays two nil checks per access, not a call.
+func (st *state) onWordStore(wordAddr uint32) {
+	if st.known != nil {
+		st.known.Add(wordAddr)
+	}
+	if st.r.OnAccess != nil {
+		st.r.OnAccess(st.c.PC, wordAddr, true)
+	}
+}
+
 // onLoggable injects logged first-load values before each loggable
-// operation.
+// operation. It stores only a value that differs from the word replay
+// memory already holds: contents are the same either way, and a load that
+// merely confirms memory leaves its page shared with the checkpoints
+// instead of copy-on-write faulting it.
 func (st *state) onLoggable(wordAddr uint32, isWrite bool) {
 	cur, err := st.mem.LoadWord(wordAddr)
 	if err != nil {
@@ -294,10 +313,15 @@ func (st *state) onLoggable(wordAddr uint32, isWrite bool) {
 	}
 	if injected {
 		st.injected++
-		if err := st.mem.StoreWord(wordAddr, v); err != nil {
-			st.fail(fmt.Errorf("%w: inject at %#x: %v", ErrDiverged, wordAddr, err))
-			return
+		if v != cur {
+			if err := st.mem.StoreWord(wordAddr, v); err != nil {
+				st.fail(fmt.Errorf("%w: inject at %#x: %v", ErrDiverged, wordAddr, err))
+				return
+			}
 		}
+	}
+	if st.known != nil {
+		st.known.Add(wordAddr)
 	}
 	if st.r.OnAccess != nil {
 		st.r.OnAccess(st.c.PC, wordAddr, isWrite)
@@ -330,8 +354,10 @@ func (st *state) onFetch(pc uint32) {
 		}
 		if injected {
 			st.injected++
-			st.mem.StoreWord(wordAddr, v)
-			st.c.InvalidateFetchCache()
+			if v != cur { // the guest really modified this code word
+				st.mem.StoreWord(wordAddr, v)
+				st.c.InvalidateFetchCache()
+			}
 		}
 	}
 }

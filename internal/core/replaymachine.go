@@ -1,6 +1,8 @@
 package core
 
 import (
+	"unsafe"
+
 	"bugnet/internal/cpu"
 	"bugnet/internal/fll"
 	"bugnet/internal/mem"
@@ -25,17 +27,16 @@ type MachineOptions struct {
 // multithreaded replayer, and — via snapshots — any future parallel
 // interval replay.
 //
-// The machine takes ownership of the Replayer it is built from: Machine
-// installs an access hook wrapper (chaining any hook already set, as the
-// multithreaded replayer's race detector relies on), and the Replayer must
-// not be mutated or reused afterwards.
+// The machine takes ownership of the Replayer it is built from (an
+// OnAccess hook already set keeps firing after the known-set insert, as
+// the multithreaded replayer's race detector relies on), and the Replayer
+// must not be mutated or reused afterwards.
 type ReplayMachine struct {
 	r     *Replayer
-	st    *state
+	st    *state // st.known is the known-memory set, nil unless TrackKnown
 	pos   uint64
 	total uint64
 	done  bool
-	known *mem.KnownSet // nil unless TrackKnown
 }
 
 // Machine wraps the replayer in an incremental stepping engine positioned
@@ -45,17 +46,11 @@ func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
 	for _, l := range r.logs {
 		m.total += l.Length
 	}
+	var known *mem.KnownSet
 	if opts.TrackKnown {
-		m.known = mem.NewKnownSet()
-		user := r.OnAccess
-		r.OnAccess = func(pc uint32, wordAddr uint32, isWrite bool) {
-			m.known.Add(wordAddr)
-			if user != nil {
-				user(pc, wordAddr, isWrite)
-			}
-		}
+		known = mem.NewKnownSet()
 	}
-	m.st = r.newState()
+	m.st = r.newState(known)
 	m.done = !m.st.next()
 	return m
 }
@@ -63,10 +58,11 @@ func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
 // Reset rewinds the machine to the start of the window, re-deriving all
 // replay state (including the known-memory set) from the logs.
 func (m *ReplayMachine) Reset() {
-	if m.known != nil {
-		m.known.Reset()
+	known := m.st.known
+	if known != nil {
+		known.Reset()
 	}
-	m.st = m.r.newState()
+	m.st = m.r.newState(known)
 	m.pos = 0
 	m.done = !m.st.next()
 }
@@ -156,15 +152,15 @@ func (m *ReplayMachine) StepN(n uint64) (uint64, error) {
 // Known reports whether the recorded window has touched addr's word so
 // far. Always false when the machine was built without TrackKnown.
 func (m *ReplayMachine) Known(addr uint32) bool {
-	return m.known != nil && m.known.Has(addr)
+	return m.st.known != nil && m.st.known.Has(addr)
 }
 
 // KnownWords returns the touched word addresses in ascending order.
 func (m *ReplayMachine) KnownWords() []uint32 {
-	if m.known == nil {
+	if m.st.known == nil {
 		return []uint32{}
 	}
-	return m.known.Words()
+	return m.st.known.Words()
 }
 
 // ReadWord inspects replayed memory under the paper's §7.1 semantics:
@@ -173,7 +169,7 @@ func (m *ReplayMachine) KnownWords() []uint32 {
 // always known (the developer has the binary). Requires TrackKnown.
 func (m *ReplayMachine) ReadWord(addr uint32) (value uint32, known bool) {
 	wordAddr := addr &^ 3
-	if m.known == nil || !m.known.Has(wordAddr) {
+	if m.st.known == nil || !m.st.known.Has(wordAddr) {
 		img := m.r.img
 		if wordAddr >= img.TextBase && int(wordAddr-img.TextBase)+4 <= len(img.Text) {
 			if v, err := m.st.mem.LoadWord(wordAddr); err == nil {
@@ -218,26 +214,55 @@ type ReplaySnapshot struct {
 	err      error
 
 	known *mem.KnownSet
-	bytes int64
+	added mem.Delta
+	fixed int64
 }
 
 // Pos returns the instruction position the snapshot was taken at.
 func (s *ReplaySnapshot) Pos() uint64 { return s.pos }
 
-// SizeBytes estimates the snapshot's worst-case memory footprint, for
-// checkpoint byte budgets: the dominant terms are the memory pages and
-// the known-memory bitmap. Copy-on-write sharing usually makes the real
-// marginal cost of a snapshot far smaller; budgets deliberately charge
-// the conservative unshared figure, since every shared page may end up
-// privately copied once the machine runs on.
-func (s *ReplaySnapshot) SizeBytes() int64 { return s.bytes }
+// Added names the pages, known bitmaps and table leaves the machine copied
+// or created between its previous share (Snapshot or Restore) and this
+// snapshot: the parts this snapshot holds that no earlier one does.
+// Everything else it references, the snapshot or restore before it already
+// holds. Callers must not modify the result.
+func (s *ReplaySnapshot) Added() mem.Delta { return s.added }
+
+// SizeBytes returns the heap bytes the snapshot added when it was taken,
+// for checkpoint byte budgets: the parts Added names plus what every
+// snapshot owns outright — the two table directories, the dictionary and
+// trace-ring clones, the cursor.
+func (s *ReplaySnapshot) SizeBytes() int64 { return s.fixed + s.added.Bytes() }
+
+// Parts visits every table part the snapshot references (see
+// mem.Memory.Parts); accounting tests compare identities across snapshots.
+func (s *ReplaySnapshot) Parts(fn func(key uint32, part any)) {
+	s.mem.Parts(true, fn)
+	s.known.Parts(true, fn)
+}
+
+// Parts visits every table part the live machine references.
+func (m *ReplayMachine) Parts(fn func(key uint32, part any)) {
+	m.st.mem.Parts(true, fn)
+	m.st.known.Parts(true, fn)
+}
+
+// private names the table parts the state owns alone.
+func (st *state) private() (d mem.Delta) {
+	own := func(key uint32, _ any) { d = append(d, key) }
+	st.mem.Parts(false, own)
+	st.known.Parts(false, own)
+	return d
+}
 
 // Snapshot captures the machine's complete replay state.
 func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 	st := m.st
 	s := &ReplaySnapshot{
-		pos:      m.pos,
-		done:     m.done,
+		pos:  m.pos,
+		done: m.done,
+		// Sharing clears what the tables own alone: read that first.
+		added:    st.private(),
 		mem:      st.mem.Snapshot(),
 		regs:     st.c.State(),
 		ic:       st.c.IC,
@@ -257,13 +282,16 @@ func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 		d := st.d.Clone()
 		s.reader = st.reader.Clone(d)
 	}
-	s.known = m.known.Clone()
-	s.bytes = s.mem.Footprint() + s.known.SizeBytes() + 512
+	s.known = st.known.Clone()
+	s.fixed = int64(unsafe.Sizeof(*s)) + 4*int64(cap(s.added)) + mem.DirBytes
+	if s.known != nil {
+		s.fixed += mem.DirBytes
+	}
 	if s.reader != nil {
-		s.bytes += s.reader.Dict().SizeBytes()
+		s.fixed += int64(unsafe.Sizeof(*s.reader)) + s.reader.Dict().SizeBytes()
 	}
 	if s.trace != nil {
-		s.bytes += int64(len(s.trace.buf)) * 12
+		s.fixed += int64(len(s.trace.buf)) * int64(unsafe.Sizeof(TraceEntry{}))
 	}
 	return s
 }
@@ -307,10 +335,10 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	}
 	m.pos = s.pos
 	m.done = s.done
-	if m.known != nil {
-		m.known = s.known.Clone()
-		if m.known == nil { // snapshot of a machine without tracking
-			m.known = mem.NewKnownSet()
+	if st.known != nil {
+		st.known = s.known.Clone()
+		if st.known == nil { // snapshot of a machine without tracking
+			st.known = mem.NewKnownSet()
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"bugnet/internal/asm"
+	"bugnet/internal/cpu/cputest"
 	"bugnet/internal/isa"
 	"bugnet/internal/mem"
 )
@@ -146,103 +147,8 @@ func twinTest(t *testing.T, src string, total, batch uint64, hooks bool) {
 	}
 }
 
-var twinPrograms = map[string]string{
-	"arith-loop": `
-        li   a0, 0
-        li   t0, 0
-        li   t1, 100
-loop:   add  a0, a0, t0
-        mul  a1, a0, t0
-        xor  a2, a2, a1
-        addi t0, t0, 1
-        blt  t0, t1, loop
-        syscall
-`,
-	"mem-mix": `
-        .data
-buf:    .space 64
-        .text
-        la   t0, buf
-        li   t1, 0x1234
-        sw   t1, 0(t0)
-        sh   t1, 8(t0)
-        sb   t1, 13(t0)
-        lw   a0, 0(t0)
-        lh   a1, 8(t0)
-        lhu  a2, 8(t0)
-        lb   a3, 13(t0)
-        lbu  a4, 13(t0)
-        li   t2, 7
-        amoswap a5, t0, t2
-        amoadd  a6, t0, t2
-        syscall
-`,
-	"call-ret": `
-main:   li   a0, 5
-        jal  double
-        jal  double
-        syscall
-double: add  a0, a0, a0
-        jalr zero, ra, 0
-`,
-	"div-zero": `
-        li   a0, 9
-        li   a1, 0
-        div  a2, a0, a1
-        syscall
-`,
-	"misaligned-load": `
-        la   t0, word
-        lw   a0, 1(t0)
-        syscall
-        .data
-word:   .word 42
-`,
-	"unmapped-load": `
-        lui  t0, 0x7f00
-        lw   a0, 0(t0)
-        syscall
-`,
-	"break-trap": `
-        li   a0, 1
-        break
-        li   a0, 2
-`,
-	"invalid-word": `
-        li   a0, 3
-        .word 0xffffffff
-        li   a0, 4
-`,
-	"jalr-misaligned": `
-        li   t0, 0x1001
-        jalr ra, t0, 0
-        syscall
-`,
-	"syscalls-interleaved": `
-        li   a0, 1
-        syscall
-        addi a0, a0, 1
-        syscall
-        addi a0, a0, 1
-        syscall
-`,
-	"sub-word-rmw": `
-        .data
-arr:    .space 16
-        .text
-        la   t0, arr
-        li   t1, 0
-loop:   sb   t1, 0(t0)
-        addi t0, t0, 1
-        addi t1, t1, 1
-        slti t2, t1, 16
-        bne  t2, zero, loop
-        syscall
-`,
-}
-
 func TestRunMatchesStep(t *testing.T) {
-	for name, src := range twinPrograms {
+	for name, src := range cputest.TwinPrograms {
 		for _, batch := range []uint64{1, 3, 1 << 20} {
 			t.Run(fmt.Sprintf("%s/batch=%d", name, batch), func(t *testing.T) {
 				twinTest(t, src, 2000, batch, true)
@@ -252,7 +158,7 @@ func TestRunMatchesStep(t *testing.T) {
 }
 
 func TestRunMatchesStepNoHooks(t *testing.T) {
-	for name, src := range twinPrograms {
+	for name, src := range cputest.TwinPrograms {
 		t.Run(name, func(t *testing.T) {
 			twinTest(t, src, 2000, 1<<20, false)
 		})
@@ -282,7 +188,7 @@ loop:   addi a0, a0, 1
 }
 
 func TestRunWatchParity(t *testing.T) {
-	src := twinPrograms["arith-loop"]
+	src := cputest.TwinPrograms["arith-loop"]
 	img := asm.MustAssemble("w.s", src)
 	cs, cr := load(img), load(img)
 	watched := []uint32{img.Entry + 12, img.Entry + 24, img.Entry + 12} // incl. a duplicate
@@ -306,7 +212,7 @@ func TestRunWatchParity(t *testing.T) {
 }
 
 func TestRunWatchAddedAfterDecode(t *testing.T) {
-	img := asm.MustAssemble("w2.s", twinPrograms["arith-loop"])
+	img := asm.MustAssemble("w2.s", cputest.TwinPrograms["arith-loop"])
 	c := load(img)
 	// Warm the block cache over the loop, then add a watch: predecoded
 	// blocks must be re-resolved so the watch still counts hits.

@@ -197,6 +197,16 @@ func (c *CPU) InvalidateFetchCache() {
 	}
 }
 
+// BlockFlushes returns how many times the predecoded block cache has been
+// flushed — by InvalidateFetchCache, a range invalidation that hit code, a
+// new watch, or a guest store into decoded text.
+func (c *CPU) BlockFlushes() uint64 {
+	if c.bc == nil {
+		return 0
+	}
+	return c.bc.epoch
+}
+
 // fault stops the core.
 func (c *CPU) fault(cause FaultCause, pc, addr uint32) Event {
 	c.Fault = &FaultInfo{Cause: cause, PC: pc, Addr: addr, IC: c.IC}

@@ -12,7 +12,7 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"bugnet/internal/asm"
+	"bugnet/internal/cpu/cputest"
 	"bugnet/internal/isa"
 	"bugnet/internal/mem"
 )
@@ -54,26 +54,15 @@ func buildFuzzCPU(words []uint32) *CPU {
 func FuzzBlockVsSwitch(f *testing.F) {
 	// Seed with the structured twin programs plus raw tails that decode
 	// into interesting shapes.
-	for _, src := range twinPrograms {
-		if img, err := asm.Assemble("seed.s", src); err == nil {
-			f.Add(img.Text)
-		}
+	for _, seed := range cputest.FuzzSeeds() {
+		f.Add(seed)
 	}
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
-	f.Add(make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		n := len(data) / 4
-		if n > int(mem.PageSize/4) {
-			n = int(mem.PageSize / 4)
-		}
-		words := make([]uint32, n)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint32(data[4*i:])
-		}
+		words := cputest.FuzzWords(data)
 		// Derive a batch size from the input so the fuzzer also explores
 		// batch-boundary interactions.
 		batch := uint64(data[0]%63) + 1

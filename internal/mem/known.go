@@ -92,17 +92,6 @@ func (k *KnownSet) Words() []uint32 {
 	return out
 }
 
-// SizeBytes estimates the set's worst-case memory footprint for checkpoint
-// byte budgets: the page bitmaps plus table overhead. Copy-on-write
-// sharing can make the marginal cost of a clone far smaller; budgets use
-// the conservative unshared figure.
-func (k *KnownSet) SizeBytes() int64 {
-	if k == nil {
-		return 0
-	}
-	return int64(k.tab.count)*int64(len(knownBits{})*8) + 64
-}
-
 // forEachPage visits every touched page's bitmap in ascending page order
 // (the codec's iteration order).
 func (k *KnownSet) forEachPage(fn func(pageNum uint32, b *knownBits)) {

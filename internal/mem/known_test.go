@@ -59,9 +59,7 @@ func TestKnownSetCloneIsolation(t *testing.T) {
 	if nilSet.Clone() != nil {
 		t.Error("nil clone must be nil")
 	}
-	if nilSet.SizeBytes() != 0 {
-		t.Error("nil SizeBytes must be 0")
-	}
+	nilSet.Parts(true, func(uint32, any) { t.Error("nil set must have no parts") })
 }
 
 // TestKnownSetVsMapParity drives the bitmap and the reference

@@ -88,6 +88,18 @@ func (t *table[T]) mutableLeaf(di uint32) *leaf[T] {
 	return cp
 }
 
+// privatize replaces the shared payload in slot si of l — a leaf t already
+// owns — with a private copy. The original stays with the tables that
+// still reference it; pointers handed out for it are stale in t, so gen
+// moves.
+func (t *table[T]) privatize(l *leaf[T], si uint32) {
+	cp := new(T)
+	*cp = *l.slots[si]
+	l.slots[si] = cp
+	l.shared[si>>6] &^= 1 << (si & 63)
+	t.gen++
+}
+
 // mutable returns the payload at idx for writing, or nil if absent,
 // copying shared structure as needed (copy-on-write).
 func (t *table[T]) mutable(idx uint32) *T {
@@ -104,11 +116,7 @@ func (t *table[T]) mutable(idx uint32) *T {
 		l = t.mutableLeaf(di)
 	}
 	if l.shared[si>>6]&(1<<(si&63)) != 0 {
-		cp := new(T)
-		*cp = *l.slots[si]
-		l.slots[si] = cp
-		l.shared[si>>6] &^= 1 << (si & 63)
-		t.gen++
+		t.privatize(l, si)
 	}
 	return l.slots[si]
 }
@@ -133,11 +141,7 @@ func (t *table[T]) ensure(idx uint32) *T {
 		return l.slots[si]
 	}
 	if l.shared[si>>6]&(1<<(si&63)) != 0 {
-		cp := new(T)
-		*cp = *l.slots[si]
-		l.slots[si] = cp
-		l.shared[si>>6] &^= 1 << (si & 63)
-		t.gen++
+		t.privatize(l, si)
 	}
 	return l.slots[si]
 }
@@ -200,6 +204,27 @@ func (t *table[T]) forEach(fn func(idx uint32, p *T)) {
 		for si := 0; si < leafSlots; si++ {
 			if p := l.slots[si]; p != nil {
 				fn(uint32(di)<<leafBits|uint32(si), p)
+			}
+		}
+	}
+}
+
+// walk visits t's leaves and payloads in ascending key order (see Delta
+// for the key layout), a leaf before its payloads. With all unset it
+// visits only what t owns alone: the leaves, and within them the payloads,
+// it copied or created since it last shared (shareInto, in either
+// direction) — O(directory + private leaves), so a snapshot can afford it.
+func (t *table[T]) walk(all bool, fn func(key uint32, part any)) {
+	for di, l := range t.dir {
+		own := t.dirShared[di>>6]&(1<<(di&63)) == 0
+		if l == nil || !(all || own) {
+			continue
+		}
+		base := uint32(di) << deltaLeafShift
+		fn(base, l)
+		for si, p := range l.slots {
+			if p != nil && (all || l.shared[si>>6]&(1<<(si&63)) == 0) {
+				fn(base|uint32(si+1), p)
 			}
 		}
 	}

@@ -20,6 +20,7 @@ package timetravel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,7 @@ import (
 	"bugnet/internal/cpu"
 	"bugnet/internal/dict"
 	"bugnet/internal/fll"
+	"bugnet/internal/mem"
 )
 
 // Config parameterizes an Engine.
@@ -42,10 +44,12 @@ type Config struct {
 	// coverage gap is evicted (never the window-start anchor, never the
 	// newest), so dense recent history thins toward sparse old history and
 	// the reverse-step bound degrades gracefully to the widest surviving
-	// gap. Checkpoints are copy-on-write (see core.ReplaySnapshot): each
-	// is budgeted at its conservative unshared size, while its real cost
-	// is the pages the replay dirties between neighboring checkpoints, so
-	// the budget is an upper bound, not an exact occupancy. Default 64 MB.
+	// gap. Checkpoints are copy-on-write (see core.ReplaySnapshot) and
+	// each is charged what it adds to the heap: the pages, known bitmaps
+	// and table leaves the replay copied or created since the checkpoint
+	// before it, plus its own directories and cursor. The occupancy is
+	// never less than the bytes the checkpoints retain, and exactly those
+	// bytes on a forward pass over the window. Default 64 MB.
 	CheckpointBudget int64
 	// TraceDepth is the backtrace ring length carried through replay and
 	// checkpoints. Default 16.
@@ -128,6 +132,12 @@ type watchVal struct {
 type checkpoint struct {
 	pos  uint64
 	snap *core.ReplaySnapshot
+	// added names the table parts this checkpoint may hold in a version
+	// the checkpoint before it does not: every other part the two share.
+	// It starts as snap.Added and grows by inheritance as predecessors are
+	// evicted. The checkpoint is charged fixed + added.Bytes().
+	added mem.Delta
+	fixed int64
 }
 
 // Engine is a time-travel debugger over one thread's retained logs:
@@ -147,6 +157,12 @@ type Engine struct {
 	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the pos-0 anchor
 	ckptBytes  int64
 	nextCkptAt uint64
+	// carry names the parts in which the machine's shared state may differ
+	// from the checkpoint at or before its position, beyond what it has
+	// copied since: the machine re-executed past that checkpoint sharing
+	// with an older one, or the one it shared with was evicted. The next
+	// checkpoint answers for them; a restore clears them.
+	carry mem.Delta
 
 	breaks     map[uint32]bool
 	watchAddrs []uint32 // sorted word addresses, for deterministic reporting
@@ -180,8 +196,7 @@ func NewEngine(img *asm.Image, logs []*fll.Ref, cfg Config) (*Engine, error) {
 		watchVals: make(map[uint32]watchVal),
 	}
 	// The window-start anchor: every backward seek has somewhere to land.
-	e.ckpts = append(e.ckpts, &checkpoint{pos: 0, snap: e.m.Snapshot()})
-	e.ckptBytes = e.ckpts[0].snap.SizeBytes()
+	e.ckpts = append(e.ckpts, e.snapshot())
 	e.nextCkptAt = cfg.CheckpointEvery
 	return e, nil
 }
@@ -292,7 +307,8 @@ func (e *Engine) Watches() []uint32 {
 	return append([]uint32(nil), e.watchAddrs...)
 }
 
-// Checkpoints reports the live checkpoint count and their byte footprint.
+// Checkpoints reports the live checkpoint count and the bytes they are
+// charged: what they retain on the heap (see Config.CheckpointBudget).
 func (e *Engine) Checkpoints() (count int, bytes int64) {
 	return len(e.ckpts), e.ckptBytes
 }
@@ -353,15 +369,34 @@ func (e *Engine) maybeCheckpoint() {
 	}
 	e.nextCkptAt = pos + e.cfg.CheckpointEvery
 	i := e.ckptIndexAtOrBefore(pos)
-	if e.ckpts[i].pos == pos {
-		return // already have one here (re-execution after a restore)
+	if c := e.ckpts[i]; c.pos == pos {
+		// Already have one here (re-execution after a restore). The machine
+		// still shares with the checkpoint it was restored from, which
+		// differs from this one wherever this one's gap changed state.
+		e.carry.Absorb(c.added)
+		return
 	}
-	c := &checkpoint{pos: pos, snap: e.m.Snapshot()}
-	e.ckpts = append(e.ckpts, nil)
-	copy(e.ckpts[i+2:], e.ckpts[i+1:])
-	e.ckpts[i+1] = c
-	e.ckptBytes += c.snap.SizeBytes()
+	e.ckpts = slices.Insert(e.ckpts, i+1, e.snapshot())
 	e.evict()
+}
+
+// snapshot checkpoints the machine where it stands and charges the
+// occupancy what that adds.
+func (e *Engine) snapshot() *checkpoint {
+	snap := e.m.Snapshot()
+	c := &checkpoint{pos: e.m.Pos(), snap: snap, added: snap.Added()}
+	c.fixed = snap.SizeBytes() - c.added.Bytes()
+	c.added.Absorb(e.carry)
+	e.carry = nil
+	e.ckptBytes += c.fixed + c.added.Bytes()
+	return c
+}
+
+// restore rewinds the machine to c and re-aligns the checkpoint grid.
+func (e *Engine) restore(c *checkpoint) {
+	e.m.Restore(c.snap)
+	e.carry = nil
+	e.nextCkptAt = c.pos + e.cfg.CheckpointEvery
 }
 
 // evict thins checkpoints until the byte budget is met: repeatedly drop
@@ -377,9 +412,23 @@ func (e *Engine) evict() {
 				best, bestGap = i, gap
 			}
 		}
-		e.ckptBytes -= e.ckpts[best].snap.SizeBytes()
-		e.ckpts = append(e.ckpts[:best], e.ckpts[best+1:]...)
+		e.drop(best)
 	}
+}
+
+// drop removes the interior checkpoint at index i. Its successor inherits
+// its added set: parts named by both are versions only the dropped
+// checkpoint held (the successor's gap replaced them) and leave the
+// occupancy with its fixed cost; the rest the successor still shares and
+// now answers for. So does the machine, when the checkpoint it shares with
+// is the one dropped.
+func (e *Engine) drop(i int) {
+	c := e.ckpts[i]
+	e.ckptBytes -= c.fixed + e.ckpts[i+1].added.Absorb(c.added)
+	if i == e.ckptIndexAtOrBefore(e.m.Pos()) {
+		e.carry.Absorb(c.added)
+	}
+	e.ckpts = slices.Delete(e.ckpts, i, i+1)
 }
 
 // forwardOne executes one instruction and handles checkpointing.
@@ -475,8 +524,7 @@ func (e *Engine) SeekTo(target uint64) error {
 		target = e.m.Window()
 	}
 	if c := e.ckpts[e.ckptIndexAtOrBefore(target)]; target < e.m.Pos() || c.pos > e.m.Pos() {
-		e.m.Restore(c.snap)
-		e.nextCkptAt = c.pos + e.cfg.CheckpointEvery
+		e.restore(c)
 	}
 	// Breakpoints and watchpoints never fire during a seek, so the
 	// re-execution runs batched through the block engine.
@@ -545,8 +593,7 @@ func (e *Engine) ReverseContinue() (StopReason, error) {
 			// scan is the one before it.
 			c = e.ckpts[i-1]
 		}
-		e.m.Restore(c.snap)
-		e.nextCkptAt = c.pos + e.cfg.CheckpointEvery
+		e.restore(c)
 		e.primeWatches()
 
 		g := scanGap(e.m, e.breaks, e.watchAddrs, e.watchVals, limit, e.forwardOne, nil)
@@ -712,8 +759,7 @@ func (e *Engine) reverseContinueParallel() (StopReason, error) {
 				// Only reachable if the canceller's own result left the
 				// merge undecided — it cannot, but a wrong stop position
 				// would be silent, so rescan this gap sequentially.
-				e.m.Restore(batch[k].ck.snap)
-				e.nextCkptAt = batch[k].ck.pos + e.cfg.CheckpointEvery
+				e.restore(batch[k].ck)
 				e.primeWatches()
 				g = scanGap(e.m, e.breaks, e.watchAddrs, e.watchVals, batch[k].limit, e.forwardOne, nil)
 			}

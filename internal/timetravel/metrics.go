@@ -57,12 +57,12 @@ func observeCommand(verb string, start time.Time) {
 	h.Since(start)
 }
 
-// registerOccupancy publishes the manager's aggregate checkpoint-byte
-// footprint as a scrape-time gauge. Sessions mid-command are skipped
+// registerOccupancy publishes the heap the manager's sessions retain in
+// checkpoints (the engines' budget occupancy) as a scrape-time gauge. Sessions mid-command are skipped
 // (TryLock) so a scrape never waits behind a reverse-continue.
 func (m *Manager) registerOccupancy() {
 	obs.Default.GaugeFunc("bugnet_debug_checkpoint_bytes",
-		"Checkpoint bytes held by open debug sessions (busy sessions excluded).",
+		"Heap bytes retained by the checkpoints of open debug sessions: copy-on-write pages, bitmaps, leaves and directories, shared parts counted once (busy sessions excluded).",
 		func() float64 {
 			m.mu.Lock()
 			sessions := make([]*Session, 0, len(m.sessions))

@@ -114,14 +114,16 @@ func (s *Session) close() {
 
 // SessionInfo is the externally visible session state.
 type SessionInfo struct {
-	ID          string  `json:"id"`
-	Report      string  `json:"report"`
-	TID         int     `json:"tid"`
-	Window      uint64  `json:"window"`
-	Pos         uint64  `json:"pos"`
-	Checkpoints int     `json:"checkpoints"`
-	CkptBytes   int64   `json:"checkpoint_bytes"`
-	IdleSec     float64 `json:"idle_seconds"`
+	ID          string `json:"id"`
+	Report      string `json:"report"`
+	TID         int    `json:"tid"`
+	Window      uint64 `json:"window"`
+	Pos         uint64 `json:"pos"`
+	Checkpoints int    `json:"checkpoints"`
+	// CkptBytes is the heap the checkpoints retain (what the engine's
+	// CheckpointBudget counts), not the unshared size of their images.
+	CkptBytes int64   `json:"checkpoint_bytes"`
+	IdleSec   float64 `json:"idle_seconds"`
 	// Busy marks a session observed mid-command; the engine-derived
 	// fields (Window, Pos, ...) are omitted rather than waiting on it.
 	Busy  bool       `json:"busy,omitempty"`
