@@ -20,7 +20,10 @@
 // Data values live in the authoritative mem.Memory.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // maxWordsPerBlock bounds block size so FL bits fit a uint64 per line.
 const maxWordsPerBlock = 64
@@ -76,87 +79,74 @@ type Stats struct {
 	Invalidations uint64 // external (coherence/DMA) block invalidations that hit
 }
 
-type line struct {
-	tag   uint32
-	valid bool
-	fl    uint64 // first-load bits, one per word in the block
-	tick  uint64 // LRU timestamp
-}
-
+// level is one cache level. A line is a slot in flat parallel arrays, way w
+// of set s at slot s*assoc+w, so a lookup compares assoc adjacent keys and
+// ClearAllFL is one clear of fl. The hardware keeps the FL bits beside the
+// tags the same way (paper §4.3).
 type level struct {
-	cfg       LevelConfig
-	sets      [][]line
-	setMask   uint32
-	blockMask uint32
-	wordBits  uint // log2(words per block)
+	cfg LevelConfig
+	// keys holds block|1 for a valid line and 0 for an invalid one: block
+	// addresses are multiples of at least 4, so bit 0 is free to carry
+	// the valid bit and no block's key is 0.
+	keys    []uint32
+	fl      []uint64 // first-load bits, one per word in the block
+	ticks   []uint64 // LRU timestamps; an invalidated line keeps its last one
+	setMask uint32
 }
 
-func newLevel(cfg LevelConfig) *level {
-	l := &level{cfg: cfg}
-	n := cfg.Sets()
-	l.sets = make([][]line, n)
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Assoc)
+func newLevel(cfg LevelConfig) level {
+	n := cfg.Sets() * cfg.Assoc
+	return level{
+		cfg:     cfg,
+		keys:    make([]uint32, n),
+		fl:      make([]uint64, n),
+		ticks:   make([]uint64, n),
+		setMask: uint32(cfg.Sets() - 1),
 	}
-	l.setMask = uint32(n - 1)
-	l.blockMask = ^uint32(cfg.BlockBytes - 1)
-	for w := cfg.BlockBytes / 4; w > 1; w >>= 1 {
-		l.wordBits++
-	}
-	return l
 }
 
-func (l *level) index(addr uint32) (set uint32, tag uint32) {
-	block := addr & l.blockMask
-	set = (block / uint32(l.cfg.BlockBytes)) & l.setMask
-	return set, block
-}
-
-// find returns the way holding addr's block, or -1.
-func (l *level) find(addr uint32) (uint32, int) {
-	set, tag := l.index(addr)
-	for w := range l.sets[set] {
-		if l.sets[set][w].valid && l.sets[set][w].tag == tag {
-			return set, w
+// find returns the slot holding the block with the given key in the set
+// whose first slot is base, or -1.
+func (l *level) find(base int, key uint32) int {
+	for w, k := range l.keys[base : base+l.cfg.Assoc] {
+		if k == key {
+			return base + w
 		}
 	}
-	return set, -1
+	return -1
 }
 
-// victim returns the LRU way of the set.
-func (l *level) victim(set uint32) int {
-	ways := l.sets[set]
+// victim returns the slot a fill replaces in the set whose first slot is
+// base: the first invalid way after way 0, else the least recently used.
+// Way 0 is never preferred for being invalid, and an invalidated way still
+// competes with the tick it had when it was dropped. Logged bits depend on
+// which line goes, so this order is part of the log format (see DESIGN §2).
+func (l *level) victim(base int) int {
+	keys, ticks := l.keys[base:base+l.cfg.Assoc], l.ticks[base:base+l.cfg.Assoc]
 	v := 0
-	for w := 1; w < len(ways); w++ {
-		if !ways[w].valid {
-			return w
+	for w := 1; w < len(keys); w++ {
+		if keys[w] == 0 {
+			return base + w
 		}
-		if ways[w].tick < ways[v].tick {
+		if ticks[w] < ticks[v] {
 			v = w
 		}
 	}
-	return v
-}
-
-// wordBit returns the FL bit mask of addr's word within its block.
-func (l *level) wordBit(addr uint32) uint64 {
-	word := (addr &^ l.blockMask) >> 2
-	return 1 << word
-}
-
-func (l *level) clearAllFL() {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			l.sets[s][w].fl = 0
-		}
-	}
+	return base + v
 }
 
 // Hierarchy is one processor's private L1+L2 with FL-bit tracking.
 type Hierarchy struct {
-	l1, l2 *level
-	tick   uint64
-	stats  Stats
+	l1, l2 level
+	// l2slot[s] is the L2 slot holding the copy of the block in L1 slot s.
+	// A valid L1 line's L2 copy never moves or leaves before the L1 line
+	// does: only evictL2 and InvalidateBlock remove an L2 line, and both
+	// drop the L1 copy with it.
+	l2slot     []uint32
+	blockShift uint   // log2(block bytes)
+	blockMask  uint32 // clears the offset within a block
+	tick       uint64
+	stats      Stats
 }
 
 // New builds a hierarchy. It panics on invalid geometry (configuration is a
@@ -172,7 +162,14 @@ func New(cfg Config) *Hierarchy {
 	if cfg.L1.BlockBytes != cfg.L2.BlockBytes {
 		panic("cache: L1 and L2 block sizes must match for FL-bit transfer")
 	}
-	return &Hierarchy{l1: newLevel(cfg.L1), l2: newLevel(cfg.L2)}
+	h := &Hierarchy{
+		l1:         newLevel(cfg.L1),
+		l2:         newLevel(cfg.L2),
+		blockShift: uint(bits.TrailingZeros(uint(cfg.L1.BlockBytes))),
+		blockMask:  ^uint32(cfg.L1.BlockBytes - 1),
+	}
+	h.l2slot = make([]uint32, len(h.l1.keys))
+	return h
 }
 
 // BlockBytes returns the block size shared by both levels.
@@ -181,63 +178,71 @@ func (h *Hierarchy) BlockBytes() int { return h.l1.cfg.BlockBytes }
 // Stats returns the event counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
+// locate returns the key of addr's block and the first slot of its set in
+// each level.
+func (h *Hierarchy) locate(addr uint32) (key uint32, base1, base2 int) {
+	set := addr >> h.blockShift
+	return addr&h.blockMask | 1, int(set&h.l1.setMask) * h.l1.cfg.Assoc, int(set&h.l2.setMask) * h.l2.cfg.Assoc
+}
+
+// wordBit returns the FL bit mask of addr's word within its block.
+func (h *Hierarchy) wordBit(addr uint32) uint64 {
+	return 1 << ((addr &^ h.blockMask) >> 2)
+}
+
 // touch brings addr's block into L1 (and L2, by inclusion), returning the
-// set and way of the L1 line. This is the access path shared by loads and
-// stores.
-func (h *Hierarchy) touch(addr uint32) (set uint32, way int) {
+// slot of the L1 line. This is the access path shared by loads and stores.
+func (h *Hierarchy) touch(addr uint32) int {
 	h.tick++
-	set, way = h.l1.find(addr)
-	if way >= 0 {
+	key, base1, base2 := h.locate(addr)
+	if s1 := h.l1.find(base1, key); s1 >= 0 {
 		h.stats.L1Hits++
-		h.l1.sets[set][way].tick = h.tick
-		return set, way
+		h.l1.ticks[s1] = h.tick
+		return s1
 	}
 	h.stats.L1Misses++
 
 	// L2 lookup.
-	s2, w2 := h.l2.find(addr)
-	if w2 >= 0 {
+	s2 := h.l2.find(base2, key)
+	if s2 >= 0 {
 		h.stats.L2Hits++
-		h.l2.sets[s2][w2].tick = h.tick
 	} else {
 		h.stats.L2Misses++
-		w2 = h.l2.victim(s2)
-		if h.l2.sets[s2][w2].valid {
-			h.evictL2(s2, w2)
+		s2 = h.l2.victim(base2)
+		if h.l2.keys[s2] != 0 {
+			h.evictL2(s2)
 		}
-		_, tag := h.l2.index(addr)
-		h.l2.sets[s2][w2] = line{tag: tag, valid: true, tick: h.tick}
+		h.l2.keys[s2], h.l2.fl[s2] = key, 0
 	}
+	h.l2.ticks[s2] = h.tick
 
 	// Fill L1, copying the L2 block's FL bits.
-	way = h.l1.victim(set)
-	if h.l1.sets[set][way].valid {
-		h.evictL1(set, way)
+	s1 := h.l1.victim(base1)
+	if h.l1.keys[s1] != 0 {
+		h.evictL1(s1)
 	}
-	_, tag := h.l1.index(addr)
-	h.l1.sets[set][way] = line{tag: tag, valid: true, fl: h.l2.sets[s2][w2].fl, tick: h.tick}
-	return set, way
+	h.l1.keys[s1], h.l1.fl[s1], h.l1.ticks[s1] = key, h.l2.fl[s2], h.tick
+	h.l2slot[s1] = uint32(s2)
+	return s1
 }
 
 // evictL1 writes the line's FL bits back to its L2 copy and drops it.
-func (h *Hierarchy) evictL1(set uint32, way int) {
+func (h *Hierarchy) evictL1(s1 int) {
 	h.stats.L1Evictions++
-	ln := &h.l1.sets[set][way]
-	if s2, w2 := h.l2.find(ln.tag); w2 >= 0 {
-		h.l2.sets[s2][w2].fl = ln.fl
-	}
-	ln.valid = false
+	h.l2.fl[h.l2slot[s1]] = h.l1.fl[s1]
+	h.l1.keys[s1] = 0
 }
 
 // evictL2 drops an L2 line, losing its FL bits, and invalidates the L1 copy
 // to preserve inclusion.
-func (h *Hierarchy) evictL2(set uint32, way int) {
+func (h *Hierarchy) evictL2(s2 int) {
 	h.stats.L2Evictions++
-	ln := &h.l2.sets[set][way]
-	if s1, w1 := h.l1.find(ln.tag); w1 >= 0 {
-		h.l1.sets[s1][w1].valid = false
+	key := h.l2.keys[s2]
+	_, base1, _ := h.locate(key)
+	if s1 := h.l1.find(base1, key); s1 >= 0 {
+		h.l1.keys[s1] = 0
 	}
-	ln.valid = false
+	h.l2.keys[s2] = 0
 }
 
 // LoadTestAndSetFL performs the first-load check for a loggable operation
@@ -245,11 +250,10 @@ func (h *Hierarchy) evictL2(set uint32, way int) {
 // word's FL bit was already set, and sets it. A false result means "this is
 // a first load — log the word's value".
 func (h *Hierarchy) LoadTestAndSetFL(addr uint32) (wasSet bool) {
-	set, way := h.touch(addr)
-	ln := &h.l1.sets[set][way]
-	bit := h.l1.wordBit(addr)
-	wasSet = ln.fl&bit != 0
-	ln.fl |= bit
+	fl := &h.l1.fl[h.touch(addr)]
+	bit := h.wordBit(addr)
+	wasSet = *fl&bit != 0
+	*fl |= bit
 	return wasSet
 }
 
@@ -257,8 +261,7 @@ func (h *Hierarchy) LoadTestAndSetFL(addr uint32) (wasSet bool) {
 // block in and set the word's FL bit without logging (the stored value is
 // regenerated by replay).
 func (h *Hierarchy) StoreSetFL(addr uint32) {
-	set, way := h.touch(addr)
-	h.l1.sets[set][way].fl |= h.l1.wordBit(addr)
+	h.l1.fl[h.touch(addr)] |= h.wordBit(addr)
 }
 
 // InvalidateBlock removes the block containing addr from both levels,
@@ -266,13 +269,14 @@ func (h *Hierarchy) StoreSetFL(addr uint32) {
 // so externally modified words are re-logged on next access (paper §4.5,
 // §4.6). It reports whether any copy was present.
 func (h *Hierarchy) InvalidateBlock(addr uint32) bool {
+	key, base1, base2 := h.locate(addr)
 	present := false
-	if s, w := h.l1.find(addr); w >= 0 {
-		h.l1.sets[s][w].valid = false
+	if s := h.l1.find(base1, key); s >= 0 {
+		h.l1.keys[s] = 0
 		present = true
 	}
-	if s, w := h.l2.find(addr); w >= 0 {
-		h.l2.sets[s][w].valid = false
+	if s := h.l2.find(base2, key); s >= 0 {
+		h.l2.keys[s] = 0
 		present = true
 	}
 	if present {
@@ -301,30 +305,35 @@ func (h *Hierarchy) InvalidateRange(addr, size uint32) {
 // The recorder calls this at each checkpoint-interval start (paper §4.3:
 // "At the start of a checkpoint interval all these bits will be cleared").
 func (h *Hierarchy) ClearAllFL() {
-	h.l1.clearAllFL()
-	h.l2.clearAllFL()
+	clear(h.l1.fl)
+	clear(h.l2.fl)
+}
+
+// flWord returns the FL bits of addr's block, from L1 if it is there, else
+// from L2, and whether either level holds the block.
+func (h *Hierarchy) flWord(addr uint32) (fl uint64, present bool) {
+	key, base1, base2 := h.locate(addr)
+	if s := h.l1.find(base1, key); s >= 0 {
+		return h.l1.fl[s], true
+	}
+	if s := h.l2.find(base2, key); s >= 0 {
+		return h.l2.fl[s], true
+	}
+	return 0, false
 }
 
 // FLSet reports whether the FL bit for addr's word is currently set,
 // without touching LRU state. Intended for tests and debugging.
 func (h *Hierarchy) FLSet(addr uint32) bool {
-	if s, w := h.l1.find(addr); w >= 0 {
-		return h.l1.sets[s][w].fl&h.l1.wordBit(addr) != 0
-	}
-	if s, w := h.l2.find(addr); w >= 0 {
-		return h.l2.sets[s][w].fl&h.l2.wordBit(addr) != 0
-	}
-	return false
+	fl, _ := h.flWord(addr)
+	return fl&h.wordBit(addr) != 0
 }
 
 // Present reports whether addr's block is cached at either level. Intended
 // for tests.
 func (h *Hierarchy) Present(addr uint32) bool {
-	if _, w := h.l1.find(addr); w >= 0 {
-		return true
-	}
-	_, w := h.l2.find(addr)
-	return w >= 0
+	_, present := h.flWord(addr)
+	return present
 }
 
 // FLBitsStorageBytes returns the SRAM cost of the FL bits across both

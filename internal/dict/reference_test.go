@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"bugnet/internal/workload/accesstest"
 )
 
 // refTable is the scan-based table this package started with, kept as the
@@ -132,18 +134,24 @@ func (p *diffPair) check() {
 	if p.tb.Stats() != p.ref.stats {
 		p.t.Fatalf("op %d: stats %+v; reference %+v", p.n, p.tb.Stats(), p.ref.stats)
 	}
-	// The index is derived state: once built (a fresh clone has none yet)
-	// it must count exactly the live values. Rebuilding it costs more than
-	// the rest of the check, so sample it.
+	// The index and the counter classes are derived state: once built (a
+	// fresh clone has neither yet) the index must count exactly the live
+	// values and each class hold exactly the ranks with its counter.
+	// Rebuilding them costs more than the rest of the check, so sample it.
 	if p.n%61 != 0 || p.tb.index == nil {
 		return
 	}
 	want := make([]uint16, len(p.tb.index))
-	for _, v := range p.ref.vals {
+	classes := make([]uint64, len(p.tb.classes))
+	for i, v := range p.ref.vals {
 		want[p.tb.bucket(v)]++
+		classes[int(p.ref.counts[i])*p.tb.words+i/64] |= 1 << (i % 64)
 	}
 	if !slices.Equal(p.tb.index, want) {
 		p.t.Fatalf("op %d: presence index out of step with the table", p.n)
+	}
+	if !slices.Equal(p.tb.classes, classes) {
+		p.t.Fatalf("op %d: counter classes out of step with the table", p.n)
 	}
 }
 
@@ -225,6 +233,96 @@ func TestDictVsReferenceSaturated(t *testing.T) {
 	}
 }
 
+// noOnes fills p's table and counts every entry up to 2, the state a full
+// table is in under gzip's values: a miss finds no counter 1 to stop at.
+func noOnes(p *diffPair) {
+	for round := 0; round < 2; round++ {
+		for v := 0; v < p.tb.Size(); v++ {
+			p.step(0, uint32(v))
+		}
+	}
+}
+
+// TestDictVsReferenceNoOnes is the regime a counter scan that stops at the
+// first 1 pays most for: a full table with no counter 1, under a stream
+// whose every new value misses and is then hit once, so the next miss
+// again finds no 1. Size 128 spreads a class over two words.
+func TestDictVsReferenceNoOnes(t *testing.T) {
+	for _, size := range []int{2, 64, 128} {
+		for _, opts := range []Options{{}, {InsertAtTop: true}, {CounterBits: 1}, {CounterBits: 8}, {CounterBits: 8, InsertAtTop: true}} {
+			p := newPair(t, size, opts)
+			noOnes(p)
+			if opts.CounterBits != 1 && slices.Contains(p.tb.counts, 1) {
+				t.Fatalf("size %d %+v: warm-up left a counter 1", size, opts)
+			}
+			for i := 0; i < 40*size; i++ {
+				p.step(i%3%2*2, uint32(size+i/2)) // a miss, then its hit; Update and LookupUpdate by turns
+				if i == 20*size {
+					p.step(3, 0) // Reset mid-stream, then the same regime again
+					noOnes(p)
+				}
+			}
+		}
+	}
+}
+
+// TestLargestTableNoOnes is the same regime at the largest size, 1024 words
+// to a class. Counting 65536 entries up through the table's own linear
+// match scan would take seconds, so the table starts in the state a Clone
+// of such a table is in: values and counters set, derived state not yet
+// built.
+func TestLargestTableNoOnes(t *testing.T) {
+	const size = 1 << 16
+	for _, top := range []bool{false, true} {
+		p := newPair(t, size, Options{InsertAtTop: top})
+		for i := range p.tb.vals {
+			p.tb.vals[i], p.tb.counts[i] = uint32(i), 2
+		}
+		p.tb.used = size
+		p.ref.vals, p.ref.counts = p.tb.Snapshot(), slices.Clone(p.tb.counts)
+		for i := 0; i < 244; i++ {
+			p.step(i%3%2*2, uint32(size+i/2))
+		}
+	}
+}
+
+// TestCloneDropsDerivedState clones a table mid-stream and drives the two
+// copies apart: the clone starts without index or classes, rebuilds both at
+// its first search, and each copy keeps matching its own reference.
+func TestCloneDropsDerivedState(t *testing.T) {
+	for _, size := range []int{2, 64, 128} {
+		for _, top := range []bool{false, true} {
+			a := newPair(t, size, Options{InsertAtTop: top})
+			noOnes(a)
+			rng := rand.New(rand.NewSource(int64(size)))
+			for i := 0; i < 10*size; i++ {
+				a.step(rng.Intn(3), uint32(rng.Intn(3*size)))
+			}
+			built := a.tb.SizeBytes()
+			b := &diffPair{t: t, tb: a.tb.Clone(), ref: a.ref.clone()}
+			if b.tb.index != nil || b.tb.classes != nil {
+				t.Fatal("clone carries derived state")
+			}
+			if got, want := b.tb.SizeBytes(), int64(8*size); got != want {
+				t.Errorf("fresh clone SizeBytes = %d; want %d (values and counters only)", got, want)
+			}
+			for i := 0; i < 40*size; i++ {
+				a.step(rng.Intn(3), uint32(rng.Intn(2*size)))
+				b.step(rng.Intn(3), uint32(size+rng.Intn(4*size)))
+			}
+			a.n, b.n = 61, 61 // a last check that includes the derived state
+			a.check()
+			b.check()
+			if got := b.tb.SizeBytes(); got != built {
+				t.Errorf("clone SizeBytes after its first search = %d; the original's is %d", got, built)
+			}
+			if want := int64(8*size + 2*len(b.tb.index) + 8*len(b.tb.classes)); built != want || len(b.tb.classes) == 0 {
+				t.Errorf("SizeBytes = %d; want %d, counting index and %d class words", built, want, len(b.tb.classes))
+			}
+		}
+	}
+}
+
 // TestLargestTable builds the largest size New accepts, fills it and
 // overfills it; the index must still count every live value.
 func TestLargestTable(t *testing.T) {
@@ -261,6 +359,7 @@ func FuzzDictVsReference(f *testing.F) {
 
 func TestUpdateDoesNotAllocate(t *testing.T) {
 	tb := New(DefaultSize)
+	tb.Update(0) // the first search builds the derived state, once per table
 	v := uint32(0)
 	if n := testing.AllocsPerRun(1000, func() {
 		tb.Update(v % 200)
@@ -282,7 +381,7 @@ func BenchmarkTableUpdate(b *testing.B) {
 					tb.Update(v)
 				}
 			}
-			tb.Lookup(0) // builds the index outside the timed loop
+			tb.Lookup(0) // builds the derived state outside the timed loop
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -297,10 +396,32 @@ func BenchmarkTableUpdate(b *testing.B) {
 		}
 	}
 	run("miss", false, func(_ *Table, i int) uint32 { return uint32(i) })
+	// Every new value misses a full table that holds no counter 1, then is
+	// hit once, so the next miss finds none either (gzip's regime; see
+	// victim).
+	run("miss_no_ones", true, func(_ *Table, i int) uint32 { return uint32(DefaultSize + i/2) })
 	run("hit_rank0", true, at(0))
 	// The bottom value swaps up one rank per hit, so the next bottom
 	// value is again a full-depth scan.
 	run("hit_deep", true, at(DefaultSize-1))
+
+	// The values gzip's loggable operations carry, the table emptied where
+	// a 10 K-instruction interval would end.
+	b.Run("gzip_stream", func(b *testing.B) {
+		stream := accesstest.Loggable(accesstest.Capture("gzip", 200_000))
+		tb := New(DefaultSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
+			if k == len(stream) {
+				k = 0
+			}
+			if stream[k].NewInterval {
+				tb.Reset()
+			}
+			tb.Update(stream[k].Val)
+		}
+	})
 }
 
 func BenchmarkTableClone(b *testing.B) {

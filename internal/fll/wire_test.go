@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"bugnet/internal/bits"
+	"bugnet/internal/cache"
 	"bugnet/internal/dict"
+	"bugnet/internal/workload/accesstest"
 )
 
 // refEncode is the field-at-a-time encoder Writer.Op started as: one write
@@ -155,4 +157,38 @@ func BenchmarkWriterOp(b *testing.B) {
 	run("hit_heavy", func(i uint32) uint32 { return i * 2654435761 >> 29 }, always)
 	run("skip_heavy", func(i uint32) uint32 { return i * 2654435761 >> 27 },
 		func(i uint32) bool { return i%50 == 0 })
+
+	// gzip's loggable operations with the first-load verdicts the default
+	// cache gives them, the writer rewound where a 10 K-instruction
+	// interval would end.
+	b.Run("gzip_stream", func(b *testing.B) {
+		stream := accesstest.Capture("gzip", 200_000)
+		ops := accesstest.Loggable(stream)
+		logs := make([]bool, 0, len(ops))
+		h := cache.New(cache.DefaultConfig())
+		for _, a := range stream {
+			if a.NewInterval {
+				h.ClearAllFL()
+			}
+			if a.WordStore {
+				h.StoreSetFL(a.Addr)
+			} else {
+				logs = append(logs, !h.LoadTestAndSetFL(a.Addr))
+			}
+		}
+		d := dict.New(dict.DefaultSize)
+		w := NewWriter(testHeader(dict.DefaultSize), d)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
+			if k == len(ops) {
+				k = 0
+			}
+			if ops[k].NewInterval {
+				d.Reset()
+				w.Reset(testHeader(dict.DefaultSize), d)
+			}
+			w.Op(ops[k].Val, logs[k])
+		}
+	})
 }
