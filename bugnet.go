@@ -26,6 +26,7 @@ import (
 	"bugnet/internal/core"
 	"bugnet/internal/cpu"
 	"bugnet/internal/kernel"
+	"bugnet/internal/timetravel"
 	"bugnet/internal/workload"
 )
 
@@ -54,10 +55,11 @@ type (
 	// TraceEntry is one instruction of a verification trace.
 	TraceEntry = core.TraceEntry
 	// Debugger navigates a recorded window interactively: breakpoints,
-	// stepping, time travel, and inspection of touched memory.
-	Debugger = core.Debugger
+	// watchpoints, stepping, checkpointed time travel (SeekTo,
+	// ReverseStep, ReverseContinue), and inspection of touched memory.
+	Debugger = timetravel.Engine
 	// StopReason tells why the debugger returned control.
-	StopReason = core.StopReason
+	StopReason = timetravel.StopReason
 
 	// Image is an assembled guest program.
 	Image = asm.Image
@@ -83,11 +85,13 @@ type (
 // ErrDiverged reports that a replay failed to reproduce its recording.
 var ErrDiverged = core.ErrDiverged
 
-// Debugger stop reasons.
+// Debugger stop reasons. With watchpoints set or when moving backwards a
+// Debugger also stops for "watchpoint" and "start-of-window"; those two
+// are told apart by StopReason.String.
 const (
-	StopStep  = core.StopStep  // requested step count exhausted
-	StopBreak = core.StopBreak // hit a breakpoint
-	StopEnd   = core.StopEnd   // reached the end of the recorded window
+	StopStep  = timetravel.StopStep  // requested step count exhausted
+	StopBreak = timetravel.StopBreak // hit a breakpoint
+	StopEnd   = timetravel.StopEnd   // reached the end of the recorded window
 )
 
 // Assemble builds a guest program from assembly source. The name is used
@@ -150,11 +154,14 @@ func VerifyReplay(img *Image, rec *Recorder) error {
 // reports and verified before replay.
 func IdentifyBinary(img *Image) BinaryID { return core.IdentifyBinary(img) }
 
-// NewDebugger opens one thread's logs for interactive deterministic
-// replay: breakpoints, stepping, backwards time travel, and inspection of
-// every memory location the recorded window touched.
-func NewDebugger(img *Image, logs []*FLLRef) (*Debugger, error) {
-	return core.NewDebugger(img, logs)
+// NewDebugger opens one thread of a crash report for interactive
+// deterministic replay: breakpoints, stepping, backwards time travel, and
+// inspection of every memory location the recorded window touched. The
+// replay adopts the recording options the report carries (LogCodeLoads,
+// DictOptions); tid < 0 selects the crashing thread.
+func NewDebugger(img *Image, report *CrashReport, tid int) (*Debugger, error) {
+	d, _, err := timetravel.NewEngineForThread(img, report, tid, timetravel.Config{})
+	return d, err
 }
 
 // SPECWorkloads returns the seven SPEC 2000 analogues used by the paper's

@@ -104,3 +104,34 @@ func TestWorkloadAccessors(t *testing.T) {
 		t.Error("bug workload count")
 	}
 }
+
+// TestDebuggerAdoptsRecordingOptions: the debugger replays with the
+// options the report was recorded under, so a LogCodeLoads window — whose
+// logs also carry instruction fetches — debugs to the crash with no
+// further set-up.
+func TestDebuggerAdoptsRecordingOptions(t *testing.T) {
+	img, _ := Assemble("demo.s", demoSource)
+	res, rep, _ := Record(img, MachineConfig{}, Config{IntervalLength: 8, LogCodeLoads: true})
+	if res.Crash == nil {
+		t.Fatal("demo program did not crash")
+	}
+	// The window does not replay under the default options.
+	if _, err := NewReplayer(img, rep.FLLs[res.Crash.TID]).Run(); err == nil {
+		t.Fatal("a LogCodeLoads window replayed without LogCodeLoads")
+	}
+	d, err := NewDebugger(img, rep, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := img.MustSymbol("boom")
+	d.AddBreak(boom)
+	if reason, err := d.Continue(); err != nil || reason != StopBreak || d.PC() != boom {
+		t.Fatalf("continue to the crash: %v, %v at %#x", reason, err, d.PC())
+	}
+	if !d.Done() || d.Fault() == nil || d.Fault().PC != boom {
+		t.Fatalf("done=%v fault=%+v", d.Done(), d.Fault())
+	}
+	if s0 := d.Registers().Regs[8]; s0 != 15 { // 3+5+7
+		t.Fatalf("s0 at the crash = %d, want 15", s0)
+	}
+}

@@ -1,8 +1,5 @@
 // Command bugnet-bench regenerates the tables and figures of the paper's
-// evaluation (§6), and runs the hot-path microbenchmark suite behind the
-// CI benchmark gate.
-//
-// Experiment mode (default):
+// evaluation (§6).
 //
 //	bugnet-bench [-experiment id] [-scale N]
 //
@@ -14,35 +11,15 @@
 // minutes of runtime); the default 100 preserves every relative result at
 // laptop speed.
 //
-// Microbenchmark mode:
-//
-//	bugnet-bench -json BENCH.json [-bench-iters N] [-bench-rounds N]
-//	             [-baseline OLD.json] [-gate-pct 20] [-require-speedup 2]
-//
-// runs the internal/bench microbenchmarks (hot-path record/replay
-// bookkeeping, snapshot/restore, the end-to-end record window), writes
-// the results as JSON, and — when -baseline is given — exits nonzero if
-// any benchmark regressed more than -gate-pct percent in ns/op or
-// allocs/op against the baseline file. ns/op comparisons are normalized
-// by the -gate-norm yardstick benchmark (default RecordHotPath/map, the
-// frozen map-based reference): both sides divide by their own yardstick
-// ns, so a CI runner that is uniformly faster or slower than the machine
-// that produced the committed baseline neither masks nor fakes a
-// regression. -require-speedup additionally asserts that each */paged
-// (or */machine) variant beats its */map reference by at least the given
-// factor on this machine — also runner-speed independent.
-// -gate-pct-overrides tightens (or loosens) the regression limit for
-// individual benchmarks — CI holds RecordPerInstr, the per-instruction
-// recording cost the whole paper rests on, to 5% while the rest of the
-// suite gets the default 20%.
+// Performance is measured elsewhere: `bash benchmark/run.sh` (see
+// benchmark/README.md and BENCHMARK.json) is the repository's one
+// benchmark.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -52,34 +29,7 @@ import (
 func main() {
 	experiment := flag.String("experiment", "all", "experiment id: "+strings.Join(bench.IDs(), " "))
 	scale := flag.Int("scale", bench.DefaultScale, "divide the paper's instruction counts by this factor (1 = paper scale)")
-	jsonOut := flag.String("json", "", "run the microbenchmark suite and write results to this file instead of running experiments")
-	benchIters := flag.Int("bench-iters", 100, "iterations per microbenchmark round")
-	benchRounds := flag.Int("bench-rounds", 3, "rounds per microbenchmark (fastest wins)")
-	baseline := flag.String("baseline", "", "baseline JSON to gate against (with -json)")
-	gatePct := flag.Float64("gate-pct", 20, "max allowed regression in percent vs the baseline")
-	gateNorm := flag.String("gate-norm", "RecordHotPath/map", "yardstick benchmark that normalizes ns/op comparisons for machine speed (empty = raw ns)")
-	requireSpeedup := flag.Float64("require-speedup", 0, "minimum live-vs-reference speedup factor to assert for every paired benchmark (0 = off)")
-	speedupFloors := flag.String("speedup-floors", "", "per-benchmark overrides of -require-speedup, as name=factor[,name=factor...] (e.g. StepVsRun/blocks=1.5)")
-	gateOverrides := flag.String("gate-pct-overrides", "", "per-benchmark overrides of -gate-pct, as name=pct[,name=pct...] (e.g. RecordPerInstr=5)")
 	flag.Parse()
-
-	if *jsonOut != "" {
-		floors, err := parseFloors(*speedupFloors)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		pcts, err := parsePcts(*gateOverrides)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if len(pcts) > 0 && *baseline == "" {
-			fmt.Fprintln(os.Stderr, "gate: -gate-pct-overrides without -baseline gates nothing")
-			os.Exit(2)
-		}
-		os.Exit(runMicros(*jsonOut, *benchIters, *benchRounds, *baseline, *gatePct, *gateNorm, *requireSpeedup, floors, pcts))
-	}
 
 	start := time.Now()
 	tables, err := bench.ByID(*experiment, *scale)
@@ -92,224 +42,4 @@ func main() {
 		fmt.Println(t)
 	}
 	fmt.Printf("completed %s at scale 1/%d in %v\n", *experiment, *scale, time.Since(start).Round(time.Millisecond))
-}
-
-// benchFile is the JSON schema of an exported run: benchmark name →
-// measurement. It is the format of the committed BENCH_PR5.json baseline
-// (and its BENCH_PR4.json predecessor).
-type benchFile struct {
-	Benchmarks map[string]bench.MicroResult `json:"benchmarks"`
-}
-
-// parseFloors parses the -speedup-floors override list. Parsing is
-// strict — trailing garbage in a factor or a malformed entry is an error,
-// not a silently weakened gate; unknown benchmark names are caught after
-// the run (see runMicros), when the suite's names are at hand.
-func parseFloors(s string) (map[string]float64, error) {
-	floors := make(map[string]float64)
-	if s == "" {
-		return floors, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("gate: -speedup-floors entry %q is not name=factor", part)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("gate: -speedup-floors factor %q: %v", val, err)
-		}
-		if f <= 0 {
-			// A zero/negative floor would override -require-speedup into
-			// gating nothing for the pair.
-			return nil, fmt.Errorf("gate: -speedup-floors %s=%g: factor must be positive", name, f)
-		}
-		floors[name] = f
-	}
-	return floors, nil
-}
-
-// parsePcts parses the -gate-pct-overrides list with the same strictness
-// as parseFloors. A zero pct is legal — it pins a benchmark to "no
-// regression at all beyond normalization noise" — but negatives are not.
-func parsePcts(s string) (map[string]float64, error) {
-	pcts := make(map[string]float64)
-	if s == "" {
-		return pcts, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("gate: -gate-pct-overrides entry %q is not name=pct", part)
-		}
-		p, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("gate: -gate-pct-overrides pct %q: %v", val, err)
-		}
-		if p < 0 {
-			return nil, fmt.Errorf("gate: -gate-pct-overrides %s=%g: pct must be non-negative", name, p)
-		}
-		pcts[name] = p
-	}
-	return pcts, nil
-}
-
-func runMicros(out string, iters, rounds int, baseline string, gatePct float64, gateNorm string, requireSpeedup float64, floors, pctOverrides map[string]float64) int {
-	defer bench.ReleaseResources()
-	results, err := bench.RunMicros(iters, rounds)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	file := benchFile{Benchmarks: make(map[string]bench.MicroResult, len(results))}
-	for _, r := range results {
-		file.Benchmarks[r.Name] = r
-		fmt.Printf("%-28s %12.0f ns/op %10.0f B/op %8.1f allocs/op\n",
-			r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-	}
-	data, err := json.MarshalIndent(&file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	failed := false
-	if requireSpeedup > 0 || len(floors) > 0 {
-		// A floor naming no paired benchmark in this run would silently
-		// gate nothing — a typo or a stale name after a rename must fail
-		// loudly instead of shipping a green gate.
-		for name := range floors {
-			if _, isPair := pairedReference(name); !isPair {
-				fmt.Fprintf(os.Stderr, "gate: -speedup-floors %q is not a paired benchmark\n", name)
-				failed = true
-				continue
-			}
-			if _, ok := file.Benchmarks[name]; !ok {
-				fmt.Fprintf(os.Stderr, "gate: -speedup-floors %q did not run in this suite\n", name)
-				failed = true
-			}
-		}
-		for name, r := range file.Benchmarks {
-			ref, isPair := pairedReference(name)
-			if !isPair {
-				continue
-			}
-			required := requireSpeedup
-			if f, ok := floors[name]; ok {
-				required = f // parseFloors guarantees f > 0
-			}
-			if required <= 0 {
-				continue
-			}
-			refRes, ok := file.Benchmarks[ref]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "gate: %s has no %s reference in this run\n", name, ref)
-				failed = true
-				continue
-			}
-			speedup := refRes.NsPerOp / r.NsPerOp
-			fmt.Printf("speedup %s vs %s: %.2fx (required %.2fx)\n", name, ref, speedup, required)
-			if speedup < required {
-				fmt.Fprintf(os.Stderr, "gate: %s is only %.2fx faster than %s (need %.2fx)\n",
-					name, speedup, ref, required)
-				failed = true
-			}
-		}
-	}
-	if baseline != "" {
-		old, err := readBaseline(baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		// Machine-speed normalization: divide each side's ns by its own
-		// run of the yardstick benchmark, so the comparison is a ratio of
-		// ratios and absolute runner speed cancels out. The yardstick
-		// itself (frozen reference code) is then exempt from the ns gate
-		// but still alloc-gated.
-		curNorm, prevNorm := 1.0, 1.0
-		if gateNorm != "" {
-			c, okC := file.Benchmarks[gateNorm]
-			p, okP := old.Benchmarks[gateNorm]
-			if okC && okP && c.NsPerOp > 0 && p.NsPerOp > 0 {
-				curNorm, prevNorm = c.NsPerOp, p.NsPerOp
-			} else {
-				fmt.Fprintf(os.Stderr, "gate: yardstick %s missing; falling back to raw ns comparison\n", gateNorm)
-			}
-		}
-		// An override naming a benchmark absent from the baseline would
-		// silently gate nothing — same loud-failure policy as the floors.
-		for name := range pctOverrides {
-			if _, ok := old.Benchmarks[name]; !ok {
-				fmt.Fprintf(os.Stderr, "gate: -gate-pct-overrides %q is not in the baseline\n", name)
-				failed = true
-			}
-		}
-		for name, prev := range old.Benchmarks {
-			cur, ok := file.Benchmarks[name]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "gate: baseline benchmark %s missing from this run\n", name)
-				failed = true
-				continue
-			}
-			pct := gatePct
-			if p, ok := pctOverrides[name]; ok {
-				pct = p
-			}
-			limit := 1 + pct/100
-			curNs, prevNs := cur.NsPerOp/curNorm, prev.NsPerOp/prevNorm
-			if prevNs > 0 && curNs > prevNs*limit {
-				fmt.Fprintf(os.Stderr, "gate: %s regressed: %.0f ns/op (%.3f normalized) vs baseline %.0f (%.3f), +%.1f%% over the %.0f%% limit\n",
-					name, cur.NsPerOp, curNs, prev.NsPerOp, prevNs, 100*(curNs/prevNs-1), pct)
-				failed = true
-			}
-			// Allocation counts are near-deterministic; allow the same
-			// relative slack plus one alloc of absolute headroom.
-			if cur.AllocsPerOp > prev.AllocsPerOp*limit+1 {
-				fmt.Fprintf(os.Stderr, "gate: %s alloc regression: %.1f allocs/op vs baseline %.1f\n",
-					name, cur.AllocsPerOp, prev.AllocsPerOp)
-				failed = true
-			}
-		}
-	}
-	if failed {
-		return 1
-	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", out, len(file.Benchmarks))
-	return 0
-}
-
-// pairedReference maps a live-design benchmark name to its in-repo
-// reference twin (the pre-refactor map structures, the preserved switch
-// interpreter, or the sequential replay pass behind the parallel
-// interval fan-out).
-func pairedReference(name string) (ref string, ok bool) {
-	switch {
-	case strings.HasSuffix(name, "/paged"):
-		return strings.TrimSuffix(name, "/paged") + "/map", true
-	case strings.HasSuffix(name, "/machine"):
-		return strings.TrimSuffix(name, "/machine") + "/map", true
-	case strings.HasSuffix(name, "/blocks"):
-		return strings.TrimSuffix(name, "/blocks") + "/switch", true
-	case name == "ParallelReplay":
-		return "ParallelReplay/seq", true
-	}
-	return "", false
-}
-
-func readBaseline(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("gate: reading baseline: %w", err)
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("gate: parsing baseline %s: %w", path, err)
-	}
-	return &f, nil
 }

@@ -24,7 +24,7 @@ func main() {
 	}
 	fmt.Printf("crash recorded: %v\n\n", res.Crash.Fault)
 
-	d, err := bugnet.NewDebugger(bug.Image, report.FLLs[res.Crash.TID])
+	d, err := bugnet.NewDebugger(bug.Image, report, res.Crash.TID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,9 @@ func main() {
 
 	// Time travel: go back and stop right before the 34th store — the one
 	// that turns the descriptor's base pointer into a small integer.
-	d.Reset()
+	if err := d.SeekTo(0); err != nil {
+		log.Fatal(err)
+	}
 	for i := 0; i < 34; i++ {
 		if _, err := d.Continue(); err != nil {
 			log.Fatal(err)

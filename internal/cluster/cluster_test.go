@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -57,6 +58,17 @@ func post(t *testing.T, url string, blob []byte) *http.Response {
 		t.Fatal(err)
 	}
 	return resp
+}
+
+// eventually spins until cond holds, for state a background goroutine (a
+// request handler, the anti-entropy sweeper) is on its way to.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func decodeEnvelope(t *testing.T, resp *http.Response) httpjson.ErrorBody {
@@ -312,6 +324,12 @@ func TestClusterAdmissionHTTP(t *testing.T) {
 	if _, err := pw.Write(blob[:len(blob)/2]); err != nil {
 		t.Fatal(err)
 	}
+	// The write returning means the client transport took the bytes, not
+	// that the handler ran: wait for the reservation itself.
+	eventually(t, "the held upload to reserve its admission budget", func() bool {
+		reserved, _ := node.Node.admission.Occupancy()
+		return reserved == DefaultReservation
+	})
 
 	// A second chunked upload would reserve another DefaultReservation —
 	// over budget, shed.

@@ -58,7 +58,7 @@ type LocalNode struct {
 }
 
 // LocalCluster is a set of in-process nodes sharing one static ring.
-// Used by the e2e tests, the ClusterIngest benchmark, and
+// Used by the e2e tests, the chaos harness, benchmark/'s fleet stage and
 // bugnet-loadgen's self-hosted mode.
 type LocalCluster struct {
 	Nodes []*LocalNode

@@ -6,7 +6,7 @@ import "bugnet/internal/obs"
 // handles updated in batches: the per-instruction hooks (loggable, fetch)
 // touch only the recorder's plain uint64 tallies, and commit() exports
 // the deltas once per interval batch. Nothing here runs per instruction,
-// which is what keeps the RecordPerInstr bench gate honest.
+// so none of it shows in the benchmark's record_ns_per_instr.
 var (
 	mRecordIntervals = obs.Default.Counter("bugnet_record_intervals_total",
 		"Checkpoint intervals committed to the log stores.")

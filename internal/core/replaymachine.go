@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"unsafe"
 
+	"bugnet/internal/asm"
 	"bugnet/internal/cpu"
 	"bugnet/internal/fll"
 	"bugnet/internal/mem"
@@ -22,10 +24,9 @@ type MachineOptions struct {
 // ReplayMachine is the incremental single-thread replay engine: the replay
 // state machine of Replayer, advanced one instruction at a time with
 // interval transitions handled internally, plus full-state snapshot and
-// restore. It is the shared substrate of the local debugger
-// (core.Debugger), the time-travel subsystem (internal/timetravel), the
-// multithreaded replayer, and — via snapshots — any future parallel
-// interval replay.
+// restore. It is the shared substrate of the time-travel debugger
+// (internal/timetravel, which the bugnet façade, bugnet-debug, the HTTP
+// sessions and the gdb stub all drive) and the multithreaded replayer.
 //
 // The machine takes ownership of the Replayer it is built from (an
 // OnAccess hook already set keeps firing after the known-set insert, as
@@ -341,4 +342,24 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 			st.known = mem.NewKnownSet()
 		}
 	}
+}
+
+// SymbolAt renders pc as the closest preceding symbol plus offset, falling
+// back to the bare address.
+func SymbolAt(img *asm.Image, pc uint32) string {
+	bestName := ""
+	bestAddr := uint32(0)
+	for name, addr := range img.Symbols {
+		if addr <= pc && (bestName == "" || addr > bestAddr ||
+			(addr == bestAddr && name < bestName)) {
+			bestName, bestAddr = name, addr
+		}
+	}
+	if bestName == "" {
+		return fmt.Sprintf("%#x", pc)
+	}
+	if bestAddr == pc {
+		return bestName
+	}
+	return fmt.Sprintf("%s+%#x", bestName, pc-bestAddr)
 }

@@ -7,6 +7,26 @@ import (
 	"bugnet/internal/kernel"
 )
 
+// debugProgram: a crash with an identifiable history — i counts up, each
+// value is stored to a slot, the crash dereferences a corrupted pointer.
+const debugProgram = `
+        .data
+slots:  .space 64
+ptr:    .word 0
+        .text
+main:   li   s0, 0
+        la   s1, slots
+fill:   slli t0, s0, 2
+        add  t0, s1, t0
+mark:   sw   s0, (t0)
+        addi s0, s0, 1
+        li   t1, 16
+        blt  s0, t1, fill
+        la   t2, ptr
+        lw   t3, (t2)
+boom:   lw   a0, (t3)
+`
+
 // machineOver records debugProgram and returns a tracking machine over the
 // crashing thread's logs.
 func machineOver(t *testing.T, traceDepth int) (*ReplayMachine, *asm.Image) {

@@ -86,11 +86,11 @@ func TestHistogramNegativeClampsToZero(t *testing.T) {
 	}
 }
 
-// TestHotPathIncrementsAreAllocFree is the recorder-wire-path guard the
-// bench gates rely on: the metric operations instrumentation puts on hot
-// loops — counter increments, gauge moves, histogram observations — must
-// allocate zero bytes per call, or the RecordPerInstr allocs/op gate
-// would charge instrumentation against the zero-alloc steady-state goal.
+// TestHotPathIncrementsAreAllocFree is the recorder-wire-path guard: the
+// metric operations instrumentation puts on hot loops — counter
+// increments, gauge moves, histogram observations — must allocate zero
+// bytes per call, or the benchmark's record_alloc_bytes_per_kinstr would
+// charge instrumentation against the zero-alloc steady-state goal.
 func TestHotPathIncrementsAreAllocFree(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("hot_total", "")

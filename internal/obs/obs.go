@@ -6,7 +6,7 @@
 // structured logger the daemons and CLIs share.
 //
 // The package is dependency-free (standard library only) so any layer —
-// including the recorder wire path under the ns/instr bench gates — can
+// including the recorder wire path the benchmark times per instruction — can
 // import it. Every metric handle is preallocated at registration:
 // incrementing a Counter or observing a Histogram is a handful of atomic
 // operations and provably allocation-free (see the AllocsPerRun guard in

@@ -165,33 +165,6 @@ func BenchmarkReverseStep(b *testing.B) {
 	}
 }
 
-// BenchmarkReverseStepLinear is the pre-checkpoint baseline: core.Debugger
-// travels backward by re-executing from the window start, so one reverse
-// step costs O(window).
-func BenchmarkReverseStepLinear(b *testing.B) {
-	for _, window := range []uint64{40_000, 80_000, 160_000} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			rep, img := benchWindow(b, window)
-			d, err := core.NewDebugger(img, rep.FLLs[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := d.Continue(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.Goto(d.Pos() - 1); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := d.Step(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSeek measures random absolute seeks across a warmed window:
 // restore nearest checkpoint + at most CheckpointEvery forward steps.
 func BenchmarkSeek(b *testing.B) {

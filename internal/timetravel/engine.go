@@ -495,8 +495,8 @@ func (e *Engine) Step(n uint64) (StopReason, error) {
 			e.lastWatch = hit
 			return StopWatch, nil
 		}
-		// Breakpoint before end-of-window, as in core.Debugger: the final
-		// PC is the faulting instruction and a breakpoint there must hit.
+		// Breakpoint before end-of-window: the final PC is the faulting
+		// instruction and a breakpoint there must hit.
 		if e.breaks[e.m.PC()] {
 			return StopBreak, nil
 		}

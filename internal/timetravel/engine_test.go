@@ -67,25 +67,73 @@ func newTestEngine(t testing.TB, ckptEvery uint64) (*Engine, *asm.Image) {
 
 func TestEngineForwardAndBreak(t *testing.T) {
 	eng, img := newTestEngine(t, 8)
+	if eng.Pos() != 0 || eng.Done() || eng.PC() != img.Entry || eng.Window() == 0 {
+		t.Fatalf("fresh engine: pos=%d done=%v pc=%#x window=%d", eng.Pos(), eng.Done(), eng.PC(), eng.Window())
+	}
+	if reason, err := eng.Step(2); err != nil || reason != StopStep || eng.Pos() != 2 {
+		t.Fatalf("step 2: %v, %v, pos %d", reason, err, eng.Pos())
+	}
 	store := img.MustSymbol("store")
 	eng.AddBreak(store)
-	reason, err := eng.Continue()
-	if err != nil || reason != StopBreak {
-		t.Fatalf("continue: %v, %v", reason, err)
+	for hit := uint32(0); hit < 2; hit++ {
+		reason, err := eng.Continue()
+		if err != nil || reason != StopBreak {
+			t.Fatalf("continue: %v, %v", reason, err)
+		}
+		if eng.PC() != store {
+			t.Fatalf("stopped at %#x, want %#x", eng.PC(), store)
+		}
+		if s0 := eng.Registers().Regs[isa.RegS0]; s0 != hit {
+			t.Fatalf("s0 at store hit %d = %d", hit, s0)
+		}
 	}
-	if eng.PC() != store {
-		t.Fatalf("stopped at %#x, want %#x", eng.PC(), store)
-	}
-	if s0 := eng.Registers().Regs[isa.RegS0]; s0 != 0 {
-		t.Fatalf("s0 at first store = %d", s0)
+	if got := eng.Breakpoints(); len(got) != 1 || got[0] != store {
+		t.Fatalf("breakpoints = %#x", got)
 	}
 	// Run to the end: the faulting instruction is next.
 	eng.ClearBreak(store)
-	if reason, err = eng.Continue(); err != nil || reason != StopEnd {
+	reason, err := eng.Continue()
+	if err != nil || reason != StopEnd {
 		t.Fatalf("continue to end: %v, %v", reason, err)
 	}
-	if f := eng.Fault(); f == nil || f.PC != img.MustSymbol("boom") {
+	boom := img.MustSymbol("boom")
+	if f := eng.Fault(); f == nil || f.PC != boom {
 		t.Fatalf("fault = %+v", eng.Fault())
+	}
+	// The corrupted pointer the crash dereferences is in t3.
+	if t3 := eng.Registers().Regs[isa.RegT3]; t3 != 8 {
+		t.Fatalf("t3 at the crash = %#x, want 8", t3)
+	}
+
+	// §7.1: only what the window touched is known. The stored slots hold
+	// their values, text is always known (the developer has the binary),
+	// an address the program never reached is not.
+	buf := img.MustSymbol("buf")
+	for i := uint32(0); i < 8; i++ {
+		if v, known := eng.ReadWord(buf + i*4); !known || v != i {
+			t.Fatalf("buf[%d] = %d (known %v), want %d", i, v, known, i)
+		}
+	}
+	if _, known := eng.ReadWord(img.Entry); !known {
+		t.Error("text reported unknown")
+	}
+	if _, known := eng.ReadWord(0x30000000); known {
+		t.Error("untouched memory reported known")
+	}
+
+	for _, tc := range []struct {
+		pc   uint32
+		want string
+	}{{store, "store"}, {store + 4, "store+0x4"}} {
+		if got := eng.SymbolAt(tc.pc); got != tc.want {
+			t.Errorf("SymbolAt(%#x) = %q, want %q", tc.pc, got, tc.want)
+		}
+	}
+	if got := eng.Disasm(boom); got != "lw a0, 0(t3)" {
+		t.Errorf("Disasm(boom) = %q", got)
+	}
+	if got := eng.Disasm(4); got != "<outside text>" {
+		t.Errorf("Disasm(4) = %q", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -948,64 +949,8 @@ func (s *Service) WaitIdle() {
 
 // Buckets returns all buckets, most-populated first (ties by key).
 func (s *Service) Buckets() []Bucket {
-	b, _ := s.BucketsPage(0, 0)
-	return b
-}
-
-// BucketsPage returns one page of the bucket listing (most-populated
-// first, ties by key) plus the total bucket count. limit <= 0 means "the
-// rest"; a large store's HTTP listing always pages.
-func (s *Service) BucketsPage(offset, limit int) ([]Bucket, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	all := make([]*Bucket, 0, len(s.buckets))
-	for _, b := range s.buckets {
-		all = append(all, b)
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Key < all[j].Key
-	})
-	total := len(all)
-	all = page(all, offset, limit)
-	out := make([]Bucket, 0, len(all))
-	for _, b := range all {
-		cp := *b
-		cp.ReportIDs = append([]string(nil), b.ReportIDs...)
-		if b.Verdict != nil {
-			v := *b.Verdict
-			cp.Verdict = &v
-		}
-		out = append(out, cp)
-	}
-	return out, total
-}
-
-// ReportsPage returns one page of stored-report metadata (ordered by id,
-// which is stable under concurrent ingest) plus the total count.
-func (s *Service) ReportsPage(offset, limit int) ([]ReportMeta, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.reports))
-	for id := range s.reports {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	total := len(ids)
-	ids = page(ids, offset, limit)
-	out := make([]ReportMeta, 0, len(ids))
-	for _, id := range ids {
-		m := s.reports[id]
-		cp := *m
-		if m.Verdict != nil {
-			v := *m.Verdict
-			cp.Verdict = &v
-		}
-		out = append(out, cp)
-	}
-	return out, total
+	all, _ := s.BucketsCursor(0, "", false, math.MaxInt)
+	return all
 }
 
 // ReportsCursor returns up to limit stored-report metas with id strictly
@@ -1084,21 +1029,6 @@ func (s *Service) BucketsCursor(afterCount int, afterKey string, haveAfter bool,
 		items = append(items, cp)
 	}
 	return items, more
-}
-
-// page slices a window out of a listing.
-func page[T any](all []T, offset, limit int) []T {
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > len(all) {
-		offset = len(all)
-	}
-	all = all[offset:]
-	if limit > 0 && limit < len(all) {
-		all = all[:limit]
-	}
-	return all
 }
 
 // Bucket returns one bucket by key.
