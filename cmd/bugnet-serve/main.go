@@ -122,6 +122,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	obs.SetLogger(logger) // verdict lines from the replay workers and the cluster layer
 	cli.StartPprof(*pprofAddr)
 
 	reg := triage.NewImageRegistry()

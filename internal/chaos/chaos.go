@@ -83,12 +83,13 @@ type Report struct {
 
 // metricFamilies are the observability series a storm must leave behind
 // in a /metrics scrape — proof the retry, breaker, and fault planes all
-// actually engaged.
+// actually engaged, and that verdicts travelled between owners.
 var metricFamilies = []string{
 	"bugnet_retry_total",
 	"bugnet_breaker_state",
 	"bugnet_faults_injected_total",
 	"bugnet_cluster_repairs_total",
+	"bugnet_cluster_verdict_push_total",
 }
 
 // Run executes one storm and returns its report. The error return is for

@@ -16,10 +16,14 @@ import (
 // bounded — at the bound new tasks are dropped with a counter rather than
 // growing without limit, because a down node's debt is rediscoverable
 // later via read-repair.
+//
+// The same sweep settles the other debt a node can be owed: verdicts it
+// awaits from the owner that replays an archive (sweepAwaited).
 type antiEntropy struct {
 	n           *Node
 	interval    time.Duration
 	maxAttempts int
+	now         func() time.Time // the wait clock of sweepAwaited
 
 	mu      sync.Mutex
 	pending map[repairTask]int // task -> attempts so far
@@ -54,6 +58,7 @@ func newAntiEntropy(n *Node, interval time.Duration, maxAttempts int) *antiEntro
 		n:           n,
 		interval:    interval,
 		maxAttempts: maxAttempts,
+		now:         time.Now,
 		pending:     make(map[repairTask]int),
 		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
@@ -124,8 +129,14 @@ func (ae *antiEntropy) run() {
 	}
 }
 
-// sweep attempts every pending task once.
+// sweep is one anti-entropy round: every owed replica write is attempted
+// once, then every awaited verdict is looked after.
 func (ae *antiEntropy) sweep() {
+	ae.sweepRepairs()
+	ae.sweepAwaited()
+}
+
+func (ae *antiEntropy) sweepRepairs() {
 	ae.mu.Lock()
 	tasks := make([]repairTask, 0, len(ae.pending))
 	for t := range ae.pending {
@@ -175,7 +186,9 @@ func (ae *antiEntropy) hasDebtLocked(id string) bool {
 // repair pays one debt: push id to node from the best available source.
 func (ae *antiEntropy) repair(t repairTask) bool {
 	n := ae.n
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	// One clock for the whole repair: the same bound every peer call in it
+	// already carries.
+	ctx, cancel := context.WithTimeout(context.Background(), n.client.timeout)
 	defer cancel()
 
 	// Skip the push if the owner already caught up (read-repair beat us —
@@ -195,7 +208,7 @@ func (ae *antiEntropy) repair(t repairTask) bool {
 		mRepairErr.Inc()
 		return false
 	}
-	if _, err := n.putReplicaFile(ctx, t.node, t.id, src, fi.Size()); err != nil {
+	if _, err := n.putReplicaFile(ctx, t.node, t.id, src, fi.Size(), n.replayer(t.id, n.owners(t.id))); err != nil {
 		mRepairErr.Inc()
 		return false
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -137,35 +138,104 @@ func joinURL(base, path string) string {
 	return strings.TrimRight(base, "/") + path
 }
 
+// replayerHeader marks a replica write whose archive the named node
+// replays: the receiving owner stores it and awaits that node's verdict.
+const replayerHeader = "X-Bugnet-Replayer"
+
+// maxVerdictBytes bounds the body of a pushed verdict.
+const maxVerdictBytes = 1 << 20
+
+// newPeerRequest builds one request to a peer's route. Every peer hop
+// goes through it, so the id of the request being served — or of the
+// upload a background push or pull works for — reaches the peer's own
+// middleware and one upload reads as one id in every node's log.
+func newPeerRequest(ctx context.Context, method, node, path string, body io.Reader) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(ctx, method, joinURL(node, path), body)
+	if err != nil {
+		return nil, err
+	}
+	if id := httpjson.RequestID(ctx); id != "" {
+		req.Header.Set("X-Request-ID", id)
+	}
+	return req, nil
+}
+
+// send runs one breaker-guarded, deadline-bounded call and reports the
+// outcome to the peer's breaker. prepare (optional) finishes the request
+// before it goes out. The response comes back whatever its status; on
+// success the caller owns both it and cancel.
+func (c *peerClient) send(ctx context.Context, method, node, path string, body io.Reader, prepare func(*http.Request)) (*http.Response, context.CancelFunc, error) {
+	cctx, cancel, err := c.start(ctx, node)
+	if err != nil {
+		return nil, nil, err
+	}
+	req, err := newPeerRequest(cctx, method, node, path, body)
+	if err != nil {
+		cancel()
+		return nil, nil, err
+	}
+	if prepare != nil {
+		prepare(req)
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		c.observe(node, err)
+		cancel()
+		return nil, nil, err
+	}
+	return resp, cancel, nil
+}
+
+// expect turns a response into an error unless its status is one of ok,
+// and tells the breaker which it was.
+func (c *peerClient) expect(node string, resp *http.Response, ok ...int) error {
+	for _, code := range ok {
+		if resp.StatusCode == code {
+			c.observe(node, nil)
+			return nil
+		}
+	}
+	err := c.decodeFailure(resp)
+	c.observe(node, err)
+	return err
+}
+
 // putReplica streams one blob to a peer's local-only replica endpoint.
 // The peer verifies the content hash against id and ingests locally; the
-// returned body is the peer's IngestResult JSON.
-func (c *peerClient) putReplica(ctx context.Context, node, id string, body io.Reader, size int64) ([]byte, error) {
-	cctx, cancel, err := c.start(ctx, node)
+// returned body is the peer's IngestResult JSON. A non-empty replayer
+// marks the write (replayerHeader).
+func (c *peerClient) putReplica(ctx context.Context, node, id string, body io.Reader, size int64, replayer string) ([]byte, error) {
+	resp, cancel, err := c.send(ctx, http.MethodPut, node, "/internal/v1/replicas/"+id, body, func(req *http.Request) {
+		req.ContentLength = size
+		req.Header.Set("Content-Type", "application/octet-stream")
+		if replayer != "" {
+			req.Header.Set(replayerHeader, replayer)
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPut,
-		joinURL(node, "/internal/v1/replicas/"+id), body)
-	if err != nil {
-		return nil, err
-	}
-	req.ContentLength = size
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.observe(node, err)
-		return nil, err
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		ferr := c.decodeFailure(resp)
-		c.observe(node, ferr)
-		return nil, ferr
+	if err := c.expect(node, resp, http.StatusOK, http.StatusCreated); err != nil {
+		return nil, err
 	}
-	c.observe(node, nil)
 	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+}
+
+// putVerdict pushes the verdict of id (its JSON) to a peer that stores
+// the archive and may be waiting for it.
+func (c *peerClient) putVerdict(ctx context.Context, node, id string, verdict []byte) error {
+	resp, cancel, err := c.send(ctx, http.MethodPut, node, "/internal/v1/verdicts/"+id, bytes.NewReader(verdict), func(req *http.Request) {
+		req.Header.Set("Content-Type", "application/json")
+	})
+	if err != nil {
+		return err
+	}
+	defer cancel()
+	defer resp.Body.Close()
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	return c.expect(node, resp, http.StatusNoContent)
 }
 
 // cancelBody keeps a streamed response's context deadline alive until
@@ -185,90 +255,46 @@ func (b *cancelBody) Close() error {
 // caller must close the returned body; the client deadline covers the
 // whole stream, so a peer dying mid-body unblocks the reader.
 func (c *peerClient) getReplica(ctx context.Context, node, id string) (io.ReadCloser, int64, error) {
-	cctx, cancel, err := c.start(ctx, node)
+	resp, cancel, err := c.send(ctx, http.MethodGet, node, "/internal/v1/replicas/"+id, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet,
-		joinURL(node, "/internal/v1/replicas/"+id), nil)
-	if err != nil {
-		cancel()
-		return nil, 0, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.observe(node, err)
-		cancel()
-		return nil, 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		ferr := c.decodeFailure(resp)
-		c.observe(node, ferr)
+	if err := c.expect(node, resp, http.StatusOK); err != nil {
 		resp.Body.Close()
 		cancel()
-		return nil, 0, ferr
+		return nil, 0, err
 	}
-	c.observe(node, nil)
 	return &cancelBody{ReadCloser: resp.Body, cancel: cancel}, resp.ContentLength, nil
 }
 
 // hasReplica asks a peer whether it locally holds id, without the bytes.
 func (c *peerClient) hasReplica(ctx context.Context, node, id string) (bool, error) {
-	cctx, cancel, err := c.start(ctx, node)
+	resp, cancel, err := c.send(ctx, http.MethodHead, node, "/internal/v1/replicas/"+id, nil, nil)
 	if err != nil {
 		return false, err
 	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodHead,
-		joinURL(node, "/internal/v1/replicas/"+id), nil)
-	if err != nil {
-		return false, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.observe(node, err)
-		return false, err
-	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, resp.Body)
-	c.observe(node, nil)
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return true, nil
-	case http.StatusNotFound:
-		return false, nil
+	if err := c.expect(node, resp, http.StatusOK, http.StatusNotFound); err != nil {
+		return false, err
 	}
-	perr := &peerError{status: resp.StatusCode, code: httpjson.CodeForStatus(resp.StatusCode)}
-	if perr.status >= 500 {
-		c.observe(node, perr)
-	}
-	return false, perr
+	return resp.StatusCode == http.StatusOK, nil
 }
 
-// getMeta proxies one report-metadata read from a peer's local state.
+// getMeta reads one report's metadata — its verdict included — from a
+// peer's local state: the proxy read, and the pull half of verdict
+// adoption.
 func (c *peerClient) getMeta(ctx context.Context, node, id string) ([]byte, error) {
-	cctx, cancel, err := c.start(ctx, node)
+	resp, cancel, err := c.send(ctx, http.MethodGet, node, "/internal/v1/reports/"+id, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet,
-		joinURL(node, "/internal/v1/reports/"+id), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.observe(node, err)
-		return nil, err
-	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		ferr := c.decodeFailure(resp)
-		c.observe(node, ferr)
-		return nil, ferr
+	if err := c.expect(node, resp, http.StatusOK); err != nil {
+		return nil, err
 	}
-	c.observe(node, nil)
 	return io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 }
 
@@ -278,7 +304,7 @@ func (c *peerClient) getMeta(ctx context.Context, node, id string) ([]byte, erro
 func (c *peerClient) health(ctx context.Context, node string) error {
 	ctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, joinURL(node, "/healthz"), nil)
+	req, err := newPeerRequest(ctx, http.MethodGet, node, "/healthz", nil)
 	if err != nil {
 		return err
 	}

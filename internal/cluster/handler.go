@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -39,6 +40,7 @@ func quorumFailed(msg string) *ingestError {
 //	GET  /api/v1/reports/{id}         — local, else proxy to an owner + read-repair
 //	GET  /api/v1/cluster              — membership, ring, per-node health, admission occupancy
 //	PUT  /internal/v1/replicas/{id}   — owner-local write (hash-verified), never forwards
+//	PUT  /internal/v1/verdicts/{id}   — the replayer's done verdict, adopted through the verdict cache
 //	GET  /internal/v1/replicas/{id}   — owner-local blob read, never forwards
 //	GET  /internal/v1/reports/{id}    — owner-local metadata read, never forwards
 //
@@ -58,6 +60,7 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("PUT /internal/v1/replicas/{id}", n.handleReplicaPut)
 	mux.HandleFunc("GET /internal/v1/replicas/{id}", n.handleReplicaGet)
 	mux.HandleFunc("GET /internal/v1/reports/{id}", n.handleLocalMeta)
+	mux.HandleFunc("PUT /internal/v1/verdicts/{id}", n.handleVerdictPut)
 
 	mux.Handle("/", n.cfg.Inner)
 	return mux
@@ -222,7 +225,8 @@ func (n *Node) proxyGetReport(w http.ResponseWriter, r *http.Request, id string,
 
 // handleReplicaPut is the owner-side half of a coordinated write:
 // admission-bounded spool, content-hash verification against {id}, local
-// adoption. Never forwards.
+// adoption. A write marked with another member as the replayer is stored
+// and left awaiting that node's verdict. Never forwards.
 func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 	if n.shedDegraded(w, r) {
 		return
@@ -247,7 +251,12 @@ func (n *Node) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 			"content hash mismatch: body is "+gotID)
 		return
 	}
-	res, err := n.cfg.Service.IngestFile(id, path, size)
+	from := triage.Origin{RequestID: httpjson.RequestID(r.Context())}
+	if mark := r.Header.Get(replayerHeader); mark != n.self && n.ring.Has(mark) {
+		// Only a member can be waited for: the sweep will call this URL.
+		from.Replayer = mark
+	}
+	res, err := n.cfg.Service.IngestFile(id, path, size, from)
 	if !triage.WriteIngestError(w, r, err) {
 		return
 	}
@@ -273,6 +282,33 @@ func (n *Node) handleLocalMeta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	httpjson.Write(w, http.StatusOK, m)
+}
+
+// handleVerdictPut takes the verdict the replayer of {id} pushes to the
+// other owners. It is trusted as far as a replica write is — the route is
+// internal — and checked as far as it can be: bounded, well-formed, done.
+func (n *Node) handleVerdictPut(w http.ResponseWriter, r *http.Request) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxVerdictBytes))
+	dec.DisallowUnknownFields()
+	var v triage.Verdict
+	err := dec.Decode(&v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data after the verdict object")
+	}
+	if err != nil {
+		code, status := httpjson.CodeBadRequest, http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code, status = httpjson.CodeTooLarge, http.StatusRequestEntityTooLarge
+		}
+		httpjson.Fail(w, r, status, code, "verdict: "+err.Error())
+		return
+	}
+	if _, err := n.cfg.Service.AdoptVerdict(r.PathValue("id"), &v); err != nil {
+		httpjson.Fail(w, r, http.StatusBadRequest, httpjson.CodeBadRequest, err.Error())
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // NodeHealth is one member's probed state in the /api/v1/cluster view.

@@ -28,6 +28,14 @@ var (
 	mAEDropQueueFull = aeDrops.With("queue_full")
 	mAEDropGaveUp    = aeDrops.With("gave_up")
 
+	pushResults = obs.Default.CounterVec("bugnet_cluster_verdict_push_total",
+		"Verdicts this node replayed and offered to another owner, by outcome (dropped: the push queue was full).", "result")
+	mPushOK          = pushResults.With("ok")
+	mPushErr         = pushResults.With("error")
+	mPushDropped     = pushResults.With("dropped")
+	mFallbackReplays = obs.Default.Counter("bugnet_cluster_verdict_fallback_replays_total",
+		"Archives replayed here after the wait for their replayer's verdict was given up.")
+
 	mHintsQuarantined = obs.Default.Counter("bugnet_cluster_hints_quarantined_total",
 		"Hint files moved aside because their name or content could not be trusted.")
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"bugnet/internal/faultinject"
+	"bugnet/internal/httpjson"
 	"bugnet/internal/retry"
 	"bugnet/internal/triage"
 )
@@ -95,6 +96,7 @@ type Node struct {
 	fsys      *faultinject.FS
 	hintDir   string
 	ae        *antiEntropy
+	pusher    *verdictPusher
 
 	// fanout retries one replica write inside the coordinator's quorum
 	// window; fetch retries one read-repair pull. Both are short — the
@@ -186,16 +188,20 @@ func New(cfg Config) (*Node, error) {
 	}
 	mRingNodes.Set(int64(ring.Len()))
 	n.ae = newAntiEntropy(n, cfg.RetryInterval, cfg.MaxRepairAttempts)
+	n.pusher = newVerdictPusher(n)
+	cfg.Service.SetVerdictHook(n.pusher.offer)
 	n.recoverHints()
 	return n, nil
 }
 
-// Close stops the anti-entropy worker and drops the peer transport's
-// idle connections (their reader goroutines would otherwise outlive the
-// node). Pending repair tasks are dropped from memory; their hint files
-// survive for the next start.
+// Close stops the anti-entropy worker and the verdict pusher and drops
+// the peer transport's idle connections (their reader goroutines would
+// otherwise outlive the node). Pending repair tasks and unsent verdicts
+// are dropped from memory; hint files survive for the next start, and
+// the peers' own sweeps fetch what was not pushed.
 func (n *Node) Close() {
 	n.ae.close()
+	n.pusher.close()
 	n.client.closeIdle()
 }
 
@@ -214,6 +220,32 @@ func (n *Node) RepairDebt() int { return n.ae.depth() }
 
 // owners returns the owner set of one report id.
 func (n *Node) owners(id string) []string { return n.ring.Owners(id, n.replicas) }
+
+// replayer names the one owner that replays id; every other owner
+// stores the archive and adopts that node's verdict. This node, when it
+// is an owner — unless it is itself waiting for the verdict, in which
+// case whoever it waits for (a duplicate upload must not start a second
+// replay); the ring's first owner otherwise.
+func (n *Node) replayer(id string, owners []string) string {
+	for _, o := range owners {
+		if o == n.self {
+			if awaited, ok := n.cfg.Service.Awaiting(id); ok {
+				return awaited
+			}
+			return n.self
+		}
+	}
+	return owners[0]
+}
+
+// markFor is the replayer mark a replica write to node carries: empty
+// for the replayer itself, which must replay, not wait.
+func markFor(node, replayer string) string {
+	if node == replayer {
+		return ""
+	}
+	return replayer
+}
 
 // recoverHints re-files the replication debt recorded by hint files from
 // a previous run. A hint is trusted only after its content re-hashes to
@@ -306,8 +338,9 @@ type forwardResult struct {
 
 // putReplicaFile pushes one spooled blob to a peer under the fan-out
 // retry policy, re-opening the file per attempt so a half-sent body is
-// never resumed mid-stream.
-func (n *Node) putReplicaFile(ctx context.Context, node, id, path string, size int64) ([]byte, error) {
+// never resumed mid-stream. The write is marked with id's replayer
+// unless node is that replayer.
+func (n *Node) putReplicaFile(ctx context.Context, node, id, path string, size int64, replayer string) ([]byte, error) {
 	var respBody []byte
 	err := n.fanout.Do(ctx, func(ctx context.Context) error {
 		f, err := os.Open(path)
@@ -315,7 +348,7 @@ func (n *Node) putReplicaFile(ctx context.Context, node, id, path string, size i
 			return retry.Permanent(err) // local spool gone; retrying cannot help
 		}
 		defer f.Close()
-		body, err := n.client.putReplica(ctx, node, id, f, size)
+		body, err := n.client.putReplica(ctx, node, id, f, size, markFor(node, replayer))
 		if err == nil {
 			respBody = body
 		}
@@ -325,9 +358,9 @@ func (n *Node) putReplicaFile(ctx context.Context, node, id, path string, size i
 }
 
 // ingest is the coordinator path behind POST /api/v1/reports: spool +
-// hash the upload, place it on the ring, write to every owner (local
-// adoption for self, streaming PUT for remotes), succeed at quorum, and
-// hand the stragglers to anti-entropy.
+// hash the upload, place it on the ring, name the one owner that replays
+// it, write to every owner (local adoption for self, streaming PUT for
+// remotes), succeed at quorum, and hand the stragglers to anti-entropy.
 func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult, *ingestError) {
 	path, id, size, err := n.spoolBody(body)
 	if err != nil {
@@ -345,6 +378,7 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 			remotes = append(remotes, o)
 		}
 	}
+	replayer := n.replayer(id, owners)
 
 	// Remote replicas first — they stream from the spool file, which the
 	// local adoption below consumes.
@@ -354,7 +388,7 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 		wg.Add(1)
 		go func(i int, node string) {
 			defer wg.Done()
-			respBody, err := n.putReplicaFile(ctx, node, id, path, size)
+			respBody, err := n.putReplicaFile(ctx, node, id, path, size, replayer)
 			results[i] = forwardResult{node: node, body: respBody, err: err}
 			if err != nil {
 				mForwardErr.Inc()
@@ -381,7 +415,8 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 		}
 	}
 	if selfOwner {
-		local, err := n.cfg.Service.IngestFile(id, path, size)
+		local, err := n.cfg.Service.IngestFile(id, path, size,
+			triage.Origin{RequestID: httpjson.RequestID(ctx), Replayer: markFor(n.self, replayer)})
 		if err != nil {
 			failed = append(failed, n.self)
 		} else {
@@ -462,7 +497,10 @@ func (n *Node) readRepairLocal(ctx context.Context, id string) bool {
 				mRepairErr.Inc()
 				return retry.Permanent(fmt.Errorf("cluster: replica %s from %s hashed to %s", id, o, gotID))
 			}
-			if _, err := n.cfg.Service.IngestFile(id, path, gotSize); err != nil {
+			// Nobody named a replayer for a write this node missed: it
+			// replays the archive itself unless the verdict is cached.
+			if _, err := n.cfg.Service.IngestFile(id, path, gotSize,
+				triage.Origin{RequestID: httpjson.RequestID(ctx)}); err != nil {
 				os.Remove(path)
 				mRepairErr.Inc()
 				return err

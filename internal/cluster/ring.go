@@ -98,6 +98,12 @@ func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
 
+// Has reports whether node is a member.
+func (r *Ring) Has(node string) bool {
+	i := sort.SearchStrings(r.nodes, node)
+	return i < len(r.nodes) && r.nodes[i] == node
+}
+
 // Len returns the number of distinct nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
 

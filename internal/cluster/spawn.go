@@ -12,6 +12,7 @@ import (
 	"bugnet/internal/asm"
 	"bugnet/internal/core"
 	"bugnet/internal/faultinject"
+	"bugnet/internal/httpjson"
 	"bugnet/internal/triage"
 )
 
@@ -157,7 +158,9 @@ func (ln *LocalNode) start(lis net.Listener) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	ln.lis = lis
-	ln.srv = &http.Server{Handler: ln.Node.Handler()}
+	// The request-id middleware sits where bugnet-serve puts it, so an
+	// upload's id crosses peer hops here as it does in a deployed fleet.
+	ln.srv = &http.Server{Handler: httpjson.Instrument(ln.Node.Handler(), nil)}
 	go ln.srv.Serve(lis)
 }
 

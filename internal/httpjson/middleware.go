@@ -30,6 +30,13 @@ func RequestID(ctx context.Context) string {
 	return id
 }
 
+// WithRequestID returns ctx carrying id as its request id — for work that
+// outlives the request it came from (a replay job, a verdict push) and
+// still makes peer calls on its behalf.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey, id)
+}
+
 // statusWriter captures the response code for the metrics label and the
 // access log line.
 type statusWriter struct {
@@ -63,7 +70,7 @@ func Instrument(next http.Handler, logger *slog.Logger) http.Handler {
 		w.Header().Set("X-Request-ID", id)
 		sw := &statusWriter{ResponseWriter: w}
 		mInFlight.Inc()
-		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), requestIDKey, id)))
+		next.ServeHTTP(sw, r.WithContext(WithRequestID(r.Context(), id)))
 		mInFlight.Dec()
 		if sw.code == 0 {
 			sw.code = http.StatusOK

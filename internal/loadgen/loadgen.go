@@ -61,8 +61,11 @@ type Result struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// AchievedRPS is accepted uploads (created+duplicate) per second.
 	AchievedRPS float64 `json:"achieved_rps"`
-	// Verdicts is the replay-verdict delta across the run (drained).
+	// Verdicts is the replay-verdict delta across the run (drained):
+	// archives a node replayed. Adopted is the verdicts the other owners
+	// took from the node that did.
 	Verdicts       int64   `json:"verdicts"`
+	Adopted        int64   `json:"adopted"`
 	VerdictsPerSec float64 `json:"verdicts_per_sec"`
 }
 
@@ -70,10 +73,10 @@ func (r *Result) String() string {
 	return fmt.Sprintf(
 		"sent=%d created=%d dup=%d shed=%d 4xx=%d 5xx=%d transport=%d cancelled=%d\n"+
 			"ingest p50=%s p99=%s max=%s achieved=%.1f rps\n"+
-			"verdicts=%d (%.1f/s) over %s",
+			"verdicts=%d adopted=%d (%.1f/s) over %s",
 		r.Sent, r.Created, r.Duplicate, r.Shed, r.Errors4xx, r.Errors5xx, r.TransportErrors, r.Cancelled,
 		r.P50, r.P99, r.Max, r.AchievedRPS,
-		r.Verdicts, r.VerdictsPerSec, r.Elapsed.Round(time.Millisecond))
+		r.Verdicts, r.Adopted, r.VerdictsPerSec, r.Elapsed.Round(time.Millisecond))
 }
 
 // Run drives the corpus at the configured rate until Duration elapses or
@@ -109,6 +112,7 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	}
 
 	verdictsBefore, _ := scrapeSum(client, scrape, "bugnet_triage_verdicts_total")
+	adoptedBefore, _ := scrapeSum(client, scrape, "bugnet_triage_verdicts_adopted_total")
 
 	res := &Result{}
 	var mu sync.Mutex
@@ -204,6 +208,9 @@ pace:
 		if secs := time.Since(start).Seconds(); secs > 0 {
 			res.VerdictsPerSec = float64(res.Verdicts) / secs
 		}
+	}
+	if adoptedAfter, err := scrapeSum(client, scrape, "bugnet_triage_verdicts_adopted_total"); err == nil {
+		res.Adopted = adoptedAfter - adoptedBefore
 	}
 	return res, nil
 }

@@ -75,6 +75,11 @@ func TestRunAgainstLocalCluster(t *testing.T) {
 	if res.Created == 0 || res.Duplicate == 0 {
 		t.Fatalf("expected both creates and duplicates: %+v", res)
 	}
+	// Each archive is replayed by one of its two owners and adopted by the
+	// other, however many times it was sent.
+	if n := int64(len(corpus)); res.Verdicts <= 0 || res.Verdicts > n || res.Adopted <= 0 || res.Adopted > n {
+		t.Fatalf("verdicts=%d adopted=%d for %d distinct archives on 2 owners", res.Verdicts, res.Adopted, n)
+	}
 	if res.P50 <= 0 || res.P99 < res.P50 {
 		t.Fatalf("latency quantiles inconsistent: p50=%v p99=%v", res.P50, res.P99)
 	}

@@ -25,6 +25,10 @@ import (
 // Only completed verdicts are cached: a failure can be transient (the
 // binary registry may learn the image later, the disk may recover), and
 // caching it would pin the failure past its cause.
+//
+// The same purity makes the cache the one door for a verdict computed
+// elsewhere (Service.AdoptVerdict): whichever node replayed the bytes,
+// the entry is the one a replay here would have written.
 type verdictCache struct {
 	mu  sync.Mutex
 	cap int
@@ -68,16 +72,17 @@ func (c *verdictCache) get(id string) (*Verdict, bool) {
 	return &v, true
 }
 
-// put caches a copy of v under id, evicting the least-recently-used entry
-// (and its file) when the bound is exceeded.
-func (c *verdictCache) put(id string, v *Verdict) {
+// put caches a copy of v under id unless an entry is already there — an
+// id names its verdict, so the first one in is as good as any later one —
+// and reports whether it did. The least-recently-used entry (and its file)
+// is evicted when the bound is exceeded.
+func (c *verdictCache) put(id string, v *Verdict) bool {
 	cp := *v
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.ids[id]; ok {
-		e.Value.(*cacheEntry).v = &cp
 		c.lru.MoveToFront(e)
-		return
+		return false
 	}
 	c.ids[id] = c.lru.PushFront(&cacheEntry{id: id, v: &cp})
 	c.persist(id, &cp)
@@ -89,6 +94,7 @@ func (c *verdictCache) put(id string, v *Verdict) {
 		c.unpersist(ent.id)
 		mCacheEvictions.Inc()
 	}
+	return true
 }
 
 // len returns the live entry count.

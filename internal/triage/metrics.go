@@ -29,6 +29,10 @@ var (
 	mVerdictFailed = verdictResults.With(VerdictFailed)
 	mReplayInstr   = obs.Default.Counter("bugnet_triage_replay_instructions_total",
 		"Instructions executed by triage replays.")
+	mVerdictAdopted = obs.Default.Counter("bugnet_triage_verdicts_adopted_total",
+		"Verdicts taken from the node that replayed the archive instead of replaying it here.")
+	mAwaited = obs.Default.Gauge("bugnet_triage_verdicts_awaited",
+		"Stored archives whose verdict another node owes this one.")
 
 	cacheLookups = obs.Default.CounterVec("bugnet_triage_verdict_cache_total",
 		"Verdict-cache lookups by outcome.", "result")
@@ -40,7 +44,7 @@ var (
 		"Verdicts currently cached.")
 
 	mQueueDepth = obs.Default.Gauge("bugnet_triage_queue_depth",
-		"Replays queued or running in the worker pool.")
+		"Verdicts owed: replays queued or running in the worker pool plus verdicts awaited from another node.")
 	mBuckets = obs.Default.Gauge("bugnet_triage_buckets",
 		"Live crash buckets.")
 

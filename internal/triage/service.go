@@ -17,6 +17,7 @@ import (
 	"bugnet/internal/core"
 	"bugnet/internal/cpu"
 	"bugnet/internal/faultinject"
+	"bugnet/internal/obs"
 	"bugnet/internal/parreplay"
 	"bugnet/internal/report"
 	"bugnet/internal/timetravel"
@@ -179,6 +180,7 @@ type IngestResult struct {
 type job struct {
 	id        string
 	bucketKey string
+	requestID string
 }
 
 // Service is the ingestion and triage pipeline: content-addressed storage,
@@ -196,8 +198,15 @@ type Service struct {
 	// evictedEarly holds blob ids evicted between their store.Put and
 	// their metadata creation (see onEvict in New).
 	evictedEarly map[string]bool
-	pending      int
-	closed       bool
+	// awaited holds the archives ingested with Origin.Replayer set whose
+	// verdict has not arrived. Each counts once in pending. The set is
+	// memory only: a restart forgets it, and recovery replays whatever it
+	// finds without a cached verdict.
+	awaited map[string]Awaited
+	// onVerdict, when set, receives every done verdict a worker completes.
+	onVerdict func(id string, v *Verdict, requestID string)
+	pending   int
+	closed    bool
 
 	jobs      chan job
 	wg        sync.WaitGroup
@@ -270,6 +279,7 @@ func New(cfg Config) (*Service, error) {
 		buckets:      make(map[string]*Bucket),
 		reports:      make(map[string]*ReportMeta),
 		evictedEarly: make(map[string]bool),
+		awaited:      make(map[string]Awaited),
 		jobs:         make(chan job, cfg.MaxQueue),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -499,7 +509,7 @@ func (s *Service) IngestReader(r io.Reader) (res *IngestResult, err error) {
 		defer a.Close()
 		return SignatureOf(a.Report()), nil
 	}
-	return s.ingestCore(id, size, put, sig, false)
+	return s.ingestCore(id, size, put, sig, Origin{}, false)
 }
 
 // IngestFile adopts an already-spooled upload whose content address the
@@ -507,8 +517,9 @@ func (s *Service) IngestReader(r io.Reader) (res *IngestResult, err error) {
 // file's bytes, like Store.PutWithID's contract). The cluster layer uses
 // it to ingest the coordinator's spool file without a second disk copy:
 // the file is consumed on success (renamed into the store, or deleted
-// when the content already existed).
-func (s *Service) IngestFile(id, path string, size int64) (res *IngestResult, err error) {
+// when the content already existed). from says which request brought the
+// archive and whether another node replays it (see Origin).
+func (s *Service) IngestFile(id, path string, size int64, from Origin) (res *IngestResult, err error) {
 	start := time.Now()
 	defer func() { observeIngest(start, size, res, err, false) }()
 	if err := s.begin(); err != nil {
@@ -525,7 +536,7 @@ func (s *Service) IngestFile(id, path string, size int64) (res *IngestResult, er
 		defer a.Close()
 		return SignatureOf(a.Report()), nil
 	}
-	return s.ingestCore(id, size, put, sig, false)
+	return s.ingestCore(id, size, put, sig, from, false)
 }
 
 func (s *Service) ingestBytes(data []byte, recovered bool) (res *IngestResult, err error) {
@@ -550,13 +561,13 @@ func (s *Service) ingestBytes(data []byte, recovered bool) (res *IngestResult, e
 		}
 		return SignatureOf(a.Report()), nil
 	}
-	return s.ingestCore(id, int64(len(data)), put, sig, recovered)
+	return s.ingestCore(id, int64(len(data)), put, sig, Origin{}, recovered)
 }
 
 // ingestCore is the shared accounting behind both ingest paths. put
 // stores the blob under id (reporting whether the content already
 // existed); sig validates the archive and derives its bucket signature.
-func (s *Service) ingestCore(id string, size int64, put func() (bool, error), getSig func() (Signature, error), recovered bool) (*IngestResult, error) {
+func (s *Service) ingestCore(id string, size int64, put func() (bool, error), getSig func() (Signature, error), from Origin, recovered bool) (*IngestResult, error) {
 	// Fast path for the flood case the subsystem exists for: a
 	// byte-identical re-upload of known content needs one hash and a
 	// bucket increment, not a full archive decode. Known content was
@@ -578,7 +589,7 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 		if _, err := put(); err != nil {
 			return nil, err
 		}
-		enqueue := false
+		var owed *job
 		s.mu.Lock()
 		if b := s.buckets[key]; b != nil {
 			b.Count++
@@ -593,9 +604,7 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 			// The earlier copy aged out before its replay ran; the bytes
 			// are back now, so give triage its shot.
 			m.Verdict = &Verdict{State: VerdictPending}
-			s.pending++
-			mQueueDepth.Set(int64(s.pending))
-			enqueue = true
+			owed = s.oweLocked(id, key, from)
 		case !ok:
 			// The blob (and its metadata) was evicted between the check
 			// and the re-store; the re-stored bytes need their metadata
@@ -605,14 +614,14 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 			if b := s.buckets[key]; b != nil && len(b.ReportIDs) < maxExemplars {
 				b.ReportIDs = append(b.ReportIDs, id)
 			}
-			s.pending++
-			mQueueDepth.Set(int64(s.pending))
-			enqueue = true
+			owed = s.oweLocked(id, key, from)
+		case from.Replayer == "":
+			// Known and, if awaited, sent again with nobody else named to
+			// replay it: the wait turns into a replay here.
+			owed = s.takeOverLocked(id, from)
 		}
 		s.mu.Unlock()
-		if enqueue {
-			s.jobs <- job{id: id, bucketKey: key}
-		}
+		s.settle(id, owed, from)
 		return &IngestResult{ID: id, BucketKey: key, Duplicate: !recovered}, nil
 	}
 
@@ -651,7 +660,7 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 	// ago — then the blob is indexed and its replay already queued.
 	meta := s.reports[id]
 	known = meta != nil
-	enqueue := false
+	var owed *job
 	if meta == nil {
 		meta = &ReportMeta{ID: id, Bytes: size, BucketKey: key,
 			Verdict: &Verdict{State: VerdictPending}}
@@ -659,16 +668,30 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 		if len(b.ReportIDs) < maxExemplars {
 			b.ReportIDs = append(b.ReportIDs, id)
 		}
-		enqueue = true
-		s.pending++
-		mQueueDepth.Set(int64(s.pending))
+		owed = s.oweLocked(id, key, from)
+	} else if from.Replayer == "" {
+		owed = s.takeOverLocked(id, from)
 	}
 	s.mu.Unlock()
 
-	if enqueue {
-		s.jobs <- job{id: id, bucketKey: key}
-	}
+	s.settle(id, owed, from)
 	return &IngestResult{ID: id, BucketKey: key, Duplicate: (existed || known) && !recovered}, nil
+}
+
+// recordVerdictLocked attaches a final verdict to its report and bucket
+// and retires it from pending. The bucket is found by key, not through the
+// metadata: that may have been evicted while the verdict was owed, and the
+// outcome should still reach the aggregate. Caller holds s.mu.
+func (s *Service) recordVerdictLocked(id, bucketKey string, v *Verdict) {
+	if m := s.reports[id]; m != nil {
+		m.Verdict = v
+	}
+	if b := s.buckets[bucketKey]; b != nil && (b.Verdict == nil || b.Verdict.State != VerdictDone) {
+		b.Verdict = v
+	}
+	s.pending--
+	mQueueDepth.Set(int64(s.pending))
+	s.cond.Broadcast()
 }
 
 // bucketLocked finds or creates the bucket for key, evicting the
@@ -729,19 +752,16 @@ func (s *Service) worker() {
 			mVerdictFailed.Inc()
 		}
 		s.mu.Lock()
-		if m := s.reports[j.id]; m != nil {
-			m.Verdict = v
-		}
-		// Attach to the bucket via the job's own key: the metadata may
-		// have been evicted while the job waited, and the replay effort
-		// (and its outcome) should still reach the aggregate.
-		if b := s.buckets[j.bucketKey]; b != nil && (b.Verdict == nil || b.Verdict.State != VerdictDone) {
-			b.Verdict = v
-		}
-		s.pending--
-		mQueueDepth.Set(int64(s.pending))
-		s.cond.Broadcast()
+		s.recordVerdictLocked(j.id, j.bucketKey, v)
+		hook := s.onVerdict
 		s.mu.Unlock()
+		if v.State == VerdictDone {
+			obs.Logger().Info("verdict done", "report", j.id, "request_id", j.requestID,
+				"cached", cached, "instructions", v.Instructions)
+			if hook != nil {
+				hook(j.id, v, j.requestID)
+			}
+		}
 	}
 }
 
@@ -935,9 +955,9 @@ func (s *Service) OpenReport(id string) (*core.CrashReport, *asm.Image, func(), 
 	return rep, img, release, nil
 }
 
-// WaitIdle blocks until startup recovery has finished and every queued
-// replay has completed. Tests and graceful drains use it; steady-state
-// serving never needs to.
+// WaitIdle blocks until startup recovery has finished and every owed
+// verdict is in: queued replays completed, awaited verdicts adopted.
+// Tests and graceful drains use it; steady-state serving never needs to.
 func (s *Service) WaitIdle() {
 	<-s.recoveryDone
 	s.mu.Lock()
@@ -1071,7 +1091,8 @@ func (s *Service) BucketCount() int {
 	return len(s.buckets)
 }
 
-// Pending returns the current replay backlog.
+// Pending returns the verdicts still owed: replays queued or running
+// here plus verdicts awaited from another node.
 func (s *Service) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
