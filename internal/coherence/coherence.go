@@ -22,11 +22,13 @@
 // a harmless extra invalidation message.
 package coherence
 
+import "math/bits"
+
 // Directory tracks the global sharing state of every touched block.
 type Directory struct {
 	blockMask uint32
-	nodes     int
 	blocks    map[uint32]*blockState
+	replies   []int // scratch behind Load and Store's results
 	stats     Stats
 }
 
@@ -55,8 +57,8 @@ func New(nodes int, blockBytes int) *Directory {
 	}
 	return &Directory{
 		blockMask: ^uint32(blockBytes - 1),
-		nodes:     nodes,
 		blocks:    make(map[uint32]*blockState),
+		replies:   make([]int, 0, nodes),
 	}
 }
 
@@ -64,39 +66,43 @@ func New(nodes int, blockBytes int) *Directory {
 func (d *Directory) Stats() Stats { return d.stats }
 
 // Load records node tid reading addr and returns the remote nodes that
-// send coherence replies (at most one: the modified owner).
+// send coherence replies (at most one: the modified owner). The result is
+// the directory's own scratch, valid until the next Load or Store: the hook
+// runs on every guest memory access, so a reply must not cost an allocation.
 func (d *Directory) Load(tid int, addr uint32) []int {
 	d.stats.Loads++
 	b := d.block(addr)
-	var replies []int
+	d.replies = d.replies[:0]
 	if b.modified && b.owner != tid {
-		replies = append(replies, b.owner)
+		d.replies = append(d.replies, b.owner)
 		d.stats.DataReplies++
 		b.modified = false
 	}
 	b.sharers |= 1 << uint(tid)
-	return replies
+	return d.replies
 }
 
 // Store records node tid writing addr and returns the remote nodes that
 // send invalidation acknowledgments (every other sharer). After a store
-// the writer is the exclusive modified owner.
+// the writer is the exclusive modified owner. Like Load's, the result is
+// the directory's own scratch, valid until the next Load or Store.
 func (d *Directory) Store(tid int, addr uint32) []int {
 	d.stats.Stores++
 	b := d.block(addr)
-	var replies []int
-	others := b.sharers &^ (1 << uint(tid))
-	for n := 0; others != 0; n++ {
-		if others&(1<<uint(n)) != 0 {
-			replies = append(replies, n)
-			others &^= 1 << uint(n)
-			d.stats.Invalidations++
-		}
-	}
+	d.replies = appendNodes(d.replies[:0], b.sharers&^(1<<uint(tid)))
+	d.stats.Invalidations += uint64(len(d.replies))
 	b.sharers = 1 << uint(tid)
 	b.owner = tid
 	b.modified = true
-	return replies
+	return d.replies
+}
+
+// appendNodes appends the nodes of a holder mask to out, ascending.
+func appendNodes(out []int, mask uint64) []int {
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
+	}
+	return out
 }
 
 // ExternalWrite records a non-processor write (kernel copy-in or DMA) to
@@ -105,19 +111,18 @@ func (d *Directory) Store(tid int, addr uint32) []int {
 // invalidate their caches (no MRL entries result — the writer is not a
 // thread).
 func (d *Directory) ExternalWrite(addr uint32) []int {
+	return appendNodes(nil, d.forget(addr))
+}
+
+// forget drops addr's block from the directory and returns its holder mask.
+func (d *Directory) forget(addr uint32) uint64 {
 	key := addr & d.blockMask
 	b, ok := d.blocks[key]
 	if !ok {
-		return nil
-	}
-	var held []int
-	for n := 0; n < d.nodes; n++ {
-		if b.sharers&(1<<uint(n)) != 0 {
-			held = append(held, n)
-		}
+		return 0
 	}
 	delete(d.blocks, key)
-	return held
+	return b.sharers
 }
 
 // ExternalWriteRange applies ExternalWrite to every block overlapping
@@ -129,22 +134,14 @@ func (d *Directory) ExternalWriteRange(addr, size uint32) []int {
 	bs := ^d.blockMask + 1
 	first := addr & d.blockMask
 	last := (addr + size - 1) & d.blockMask
-	seen := make(map[int]bool)
+	var held uint64
 	for b := first; ; b += bs {
-		for _, n := range d.ExternalWrite(b) {
-			seen[n] = true
-		}
+		held |= d.forget(b)
 		if b == last {
 			break
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for n := 0; n < d.nodes; n++ {
-		if seen[n] {
-			out = append(out, n)
-		}
-	}
-	return out
+	return appendNodes(nil, held)
 }
 
 func (d *Directory) block(addr uint32) *blockState {

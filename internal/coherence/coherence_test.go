@@ -152,3 +152,27 @@ func TestPropertySingleWriterInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDirectoryDoesNotAllocate: Load and Store run on every guest memory
+// access of a multi-threaded recording, and two nodes trading a line get a
+// reply on each one; the replies come back in the directory's own scratch.
+func TestDirectoryDoesNotAllocate(t *testing.T) {
+	d := New(4, 64)
+	for n := 0; n < 4; n++ {
+		d.Load(n, 0x100) // the blocks exist before the count starts
+		d.Load(n, 0x140)
+	}
+	replies := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		replies += len(d.Store(0, 0x100)) // invalidates node 1 (and, first time, 2 and 3)
+		replies += len(d.Load(1, 0x100))  // data reply from node 0
+		replies += len(d.Store(1, 0x140))
+		replies += len(d.Store(2, 0x140)) // ack from the modified owner
+		replies += len(d.Load(3, 0x140))
+	}); n != 0 {
+		t.Errorf("Load+Store allocate %v times per sharing ping-pong; want 0", n)
+	}
+	if replies < 4000 {
+		t.Errorf("ping-pong drew %d replies; want one on almost every access", replies)
+	}
+}

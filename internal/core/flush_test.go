@@ -79,9 +79,9 @@ loop:   lw   t1, (t0)
 	if st.EvictedCount == 0 {
 		t.Fatal("budget never evicted; shrink it")
 	}
-	if len(rec.fllMeta) != st.RetainedCount {
+	if rec.fllMeta.len() != st.RetainedCount {
 		t.Fatalf("meta cache holds %d entries for %d retained intervals",
-			len(rec.fllMeta), st.RetainedCount)
+			rec.fllMeta.len(), st.RetainedCount)
 	}
 	// The cached path still produces a coherent, replayable report.
 	rep := rec.Report()
@@ -111,5 +111,37 @@ boom:   lw   a0, (t0)
 	rec.Flush()
 	if got := rec.FLLStore().Stats(); got != before {
 		t.Fatalf("flush after fault changed the store: %+v vs %+v", got, before)
+	}
+}
+
+// TestSeqFIFO: the metadata window slides with the store's — lookups hit
+// exactly the live sequence numbers, and a put that skips a sequence
+// number restarts it.
+func TestSeqFIFO(t *testing.T) {
+	var q seqFIFO[uint64]
+	held := func(seq uint64) bool { _, ok := q.get(seq); return ok }
+	for seq := uint64(100); seq < 400; seq++ {
+		q.put(seq, seq*3)
+		lo := uint64(100)
+		if seq >= 110 {
+			lo = seq - 9 // a window of ten, from seq 110 on
+			q.prune(lo)
+		}
+		if q.len() != int(seq-lo+1) || held(lo-1) || held(seq+1) {
+			t.Fatalf("after seq %d: window holds %d, want exactly [%d, %d]", seq, q.len(), lo, seq)
+		}
+		for s := lo; s <= seq; s++ {
+			if v, ok := q.get(s); !ok || v != s*3 {
+				t.Fatalf("after seq %d: get(%d) = %d, %v", seq, s, v, ok)
+			}
+		}
+	}
+	q.put(405, 7) // another writer took 400..404
+	if v, _ := q.get(405); q.len() != 1 || held(399) || v != 7 {
+		t.Errorf("a gap did not restart the window: len %d", q.len())
+	}
+	q.prune(500)
+	if q.len() != 0 || held(405) {
+		t.Errorf("pruning past the end left %d entries", q.len())
 	}
 }

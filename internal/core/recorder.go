@@ -13,6 +13,7 @@ import (
 	"bugnet/internal/kernel"
 	"bugnet/internal/logstore"
 	"bugnet/internal/mrl"
+	"bugnet/internal/ring"
 )
 
 // Recorder is the BugNet hardware model. It implements kernel.Hooks and
@@ -38,7 +39,7 @@ type Recorder struct {
 	exportedTotal  uint64
 
 	// fllMeta/mrlMeta cache the finalized metadata of the *retained*
-	// intervals, keyed by store sequence number, so Report can hand out
+	// intervals, indexed by store sequence number, so Report can hand out
 	// lazy views without re-reading the whole window from the backend.
 	// Seq keys cannot collide — unlike the (TID, CID) pairs of a store
 	// that recovered an earlier run's items — so the cache is always
@@ -46,14 +47,14 @@ type Recorder struct {
 	// bytes. After every commit the caches are pruned against the stores'
 	// eviction frontier (OldestLiveSeq), so recorder memory stays bounded
 	// by the region budget even under continuous recording.
-	fllMeta   map[uint64]fll.Meta
-	mrlMeta   map[uint64]mrl.Meta
-	fllPruned uint64 // seqs below this are already pruned
-	mrlPruned uint64
+	fllMeta seqFIFO[fll.Meta]
+	mrlMeta seqFIFO[mrl.Meta]
 
 	// Staged appends: finalized intervals accumulate here and commit in
 	// one AppendBatch per store, so multi-thread flushes and crash
-	// collections pay one lock acquisition and one eviction pass.
+	// collections pay one lock acquisition and one eviction pass. The
+	// staged bytes sit in their threads' encode buffers until the stores
+	// have copied them.
 	fllPend     []logstore.AppendEntry
 	mrlPend     []logstore.AppendEntry
 	fllPendMeta []fll.Meta
@@ -76,11 +77,14 @@ type threadRec struct {
 	startIC uint64
 	w       *fll.Writer
 	mw      *mrl.Writer
-	// wPool/mwPool recycle the writers (and their grown encode buffers)
-	// across intervals, so the steady-state wire path stops re-allocating
-	// entry buffers once per interval.
+	// wPool/mwPool recycle the writers (and their grown entry buffers)
+	// across intervals, and enc/menc are the buffers a closing interval's
+	// FLL and MRL are encoded into, reused once commit has handed the
+	// bytes to the stores: the steady-state wire path allocates nothing.
 	wPool   *fll.Writer
 	mwPool  *mrl.Writer
+	enc     []byte
+	menc    []byte
 	trace   *traceRing
 	started bool
 
@@ -111,10 +115,6 @@ func NewRecorder(m *kernel.Machine, cfg Config) *Recorder {
 	}
 	r.flls.Instrument("fll")
 	r.mrls.Instrument("mrl")
-	r.fllMeta = make(map[uint64]fll.Meta)
-	r.mrlMeta = make(map[uint64]mrl.Meta)
-	r.fllPruned = r.flls.OldestLiveSeq()
-	r.mrlPruned = r.mrls.OldestLiveSeq()
 	if len(m.Threads) > 1 {
 		r.dir = coherence.New(len(m.Threads), cfg.Cache.L1.BlockBytes)
 		r.red = mrl.NewReducer(len(m.Threads))
@@ -483,7 +483,8 @@ func (r *Recorder) stageInterval(t *threadRec, end fll.EndKind, fault *fll.Fault
 		return
 	}
 	length := t.c.IC - t.startIC
-	meta, data := t.w.CloseEncoded(length, end, fault)
+	meta, data := t.w.AppendEncoded(t.enc[:0], length, end, fault)
+	t.enc = data
 	t.wPool, t.w = t.w, nil
 	r.fllPend = append(r.fllPend, logstore.AppendEntry{
 		Item: logstore.Item{
@@ -497,7 +498,8 @@ func (r *Recorder) stageInterval(t *threadRec, end fll.EndKind, fault *fll.Fault
 	})
 	r.fllPendMeta = append(r.fllPendMeta, meta)
 	if t.mw != nil {
-		mm, mdata := t.mw.CloseEncoded()
+		mm, mdata := t.mw.AppendEncoded(t.menc[:0])
+		t.menc = mdata
 		t.mwPool, t.mw = t.mw, nil
 		r.mrlPend = append(r.mrlPend, logstore.AppendEntry{
 			Item: logstore.Item{
@@ -521,24 +523,57 @@ func (r *Recorder) commit() {
 	if len(r.fllPend) > 0 {
 		n, _ := r.flls.AppendBatch(r.fllPend)
 		for i := 0; i < n; i++ {
-			r.fllMeta[r.fllPend[i].Item.Seq] = r.fllPendMeta[i]
+			r.fllMeta.put(r.fllPend[i].Item.Seq, r.fllPendMeta[i])
 		}
 		r.fllPend = r.fllPend[:0]
 		r.fllPendMeta = r.fllPendMeta[:0]
-		for oldest := r.flls.OldestLiveSeq(); r.fllPruned < oldest; r.fllPruned++ {
-			delete(r.fllMeta, r.fllPruned)
-		}
+		r.fllMeta.prune(r.flls.OldestLiveSeq())
 	}
 	if len(r.mrlPend) > 0 {
 		n, _ := r.mrls.AppendBatch(r.mrlPend)
 		for i := 0; i < n; i++ {
-			r.mrlMeta[r.mrlPend[i].Item.Seq] = r.mrlPendMeta[i]
+			r.mrlMeta.put(r.mrlPend[i].Item.Seq, r.mrlPendMeta[i])
 		}
 		r.mrlPend = r.mrlPend[:0]
 		r.mrlPendMeta = r.mrlPendMeta[:0]
-		for oldest := r.mrls.OldestLiveSeq(); r.mrlPruned < oldest; r.mrlPruned++ {
-			delete(r.mrlMeta, r.mrlPruned)
-		}
+		r.mrlMeta.prune(r.mrls.OldestLiveSeq())
+	}
+}
+
+// seqFIFO holds one value per consecutive store sequence number, oldest
+// first: a window that slides with the store's.
+type seqFIFO[T any] struct {
+	vals ring.Queue[T]
+	base uint64 // sequence number of the oldest value
+}
+
+func (q *seqFIFO[T]) len() int { return q.vals.Len() }
+
+// put records v under seq. A seq that does not continue the window (another
+// writer appended to the store in between) restarts it: what was held is
+// forgotten, and Report re-parses those items from their bytes.
+func (q *seqFIFO[T]) put(seq uint64, v T) {
+	if seq != q.base+uint64(q.len()) {
+		q.vals.Drop(q.len())
+		q.base = seq
+	}
+	q.vals.Push(v)
+}
+
+// get returns the value recorded under seq, if one is held.
+func (q *seqFIFO[T]) get(seq uint64) (v T, ok bool) {
+	if seq < q.base || seq-q.base >= uint64(q.len()) {
+		return v, false
+	}
+	return q.vals.At(int(seq - q.base)), true
+}
+
+// prune forgets every sequence number below oldest.
+func (q *seqFIFO[T]) prune(oldest uint64) {
+	if oldest > q.base {
+		k := min(oldest-q.base, uint64(q.len()))
+		q.vals.Drop(int(k))
+		q.base += k
 	}
 }
 
@@ -623,7 +658,7 @@ func (r *Recorder) Report() *CrashReport {
 		// The cached metadata makes report assembly pure bookkeeping — no
 		// re-read of the window. Items the cache has no entry for
 		// (recovered from an earlier run) re-parse from their bytes.
-		if m, ok := r.fllMeta[it.Seq]; ok {
+		if m, ok := r.fllMeta.get(it.Seq); ok {
 			rep.FLLs[it.TID] = append(rep.FLLs[it.TID],
 				fll.NewLazyRef(m, it.EncodedBytes, r.flls.Loader(it.Seq)))
 			continue
@@ -636,7 +671,7 @@ func (r *Recorder) Report() *CrashReport {
 		rep.FLLs[it.TID] = append(rep.FLLs[it.TID], ref)
 	}
 	for _, it := range r.mrls.All() {
-		if m, ok := r.mrlMeta[it.Seq]; ok {
+		if m, ok := r.mrlMeta.get(it.Seq); ok {
 			rep.MRLs[it.TID] = append(rep.MRLs[it.TID],
 				mrl.NewLazyRef(m, it.EncodedBytes, r.mrls.Loader(it.Seq)))
 			continue

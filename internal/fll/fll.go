@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"bugnet/internal/bits"
 	"bugnet/internal/cpu"
@@ -184,9 +185,10 @@ func NewWriter(hdr Header, d *dict.Table) *Writer {
 // Reset re-opens the writer for a new interval described by hdr, reusing
 // the entry-stream buffer so continuous recording stops re-growing one
 // per interval. Like NewWriter, the dictionary must be empty and match
-// the header's geometry. Reset may follow either finalizer: Close's log
-// owns a copy of the entry bytes and CloseEncoded's wire encoding is a
-// fresh buffer, so neither result aliases the stream Reset rewinds.
+// the header's geometry. Reset may follow any finalizer: Close's log owns
+// a copy of the entry bytes and AppendEncoded copies them into the
+// caller's buffer (CloseEncoded's is a fresh one), so no result aliases
+// the stream Reset rewinds.
 func (w *Writer) Reset(hdr Header, d *dict.Table) {
 	checkGeometry(&hdr, d)
 	w.hdr = hdr
@@ -252,14 +254,21 @@ func (w *Writer) Close(length uint64, end EndKind, fault *FaultRecord) *Log {
 	return &Log{Meta: w.meta(length, end, fault), Entries: buf}
 }
 
-// CloseEncoded finalizes the log straight to its wire encoding (the bytes
-// Marshal would produce), plus the metadata the retention layer needs. The
-// recorder uses it so a finalized interval is never held decoded: the
-// bytes go directly into a log store, and replay re-materializes them on
-// demand through a Ref.
-func (w *Writer) CloseEncoded(length uint64, end EndKind, fault *FaultRecord) (Meta, []byte) {
+// AppendEncoded finalizes the log straight to its wire encoding (the bytes
+// Marshal would produce), appended to dst, plus the metadata the retention
+// layer needs; it returns the extended buffer. The recorder uses it so a
+// finalized interval is never held decoded and, with a dst of sufficient
+// capacity, costs no allocation: the bytes go into a log store, and replay
+// re-materializes them on demand through a Ref.
+func (w *Writer) AppendEncoded(dst []byte, length uint64, end EndKind, fault *FaultRecord) (Meta, []byte) {
 	m := w.meta(length, end, fault)
-	return m, appendMarshal(nil, &m, w.w.Bytes())
+	return m, appendMarshal(dst, &m, w.w.Bytes())
+}
+
+// CloseEncoded is AppendEncoded into a fresh buffer the caller may keep
+// across Reset.
+func (w *Writer) CloseEncoded(length uint64, end EndKind, fault *FaultRecord) (Meta, []byte) {
+	return w.AppendEncoded(nil, length, end, fault)
 }
 
 // Reader replays one FLL's entry stream. The replayer calls Op for every
@@ -413,13 +422,12 @@ const version = 1
 var ErrBadFormat = errors.New("fll: bad serialized log")
 
 // appendMarshal appends the wire encoding of (m, entries) to out. It is
-// the single serializer behind Log.Marshal and Writer.CloseEncoded, so the
-// two paths cannot drift.
+// the single serializer behind Log.Marshal and Writer.AppendEncoded, so
+// the two paths cannot drift.
 func appendMarshal(out []byte, m *Meta, entries []byte) []byte {
 	le := binary.LittleEndian
-	if out == nil {
-		out = make([]byte, 0, 5+HeaderBytes+5*8+16+len(entries)+12)
-	}
+	out = slices.Grow(out, 5+HeaderBytes+5*8+16+len(entries)+12)
+	start := len(out)
 	out = append(out, magic[:]...)
 	out = append(out, version)
 	var tmp [8]byte
@@ -461,7 +469,7 @@ func appendMarshal(out []byte, m *Meta, entries []byte) []byte {
 	// Integrity checksum over everything above: logs travel from the
 	// user's machine to the developer, and a corrupted log must fail
 	// loudly at decode rather than replay a different execution.
-	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(out))
+	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(out[start:]))
 	out = append(out, tmp[:4]...)
 	return out
 }

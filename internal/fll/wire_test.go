@@ -111,6 +111,83 @@ func TestIntervalLimitBound(t *testing.T) {
 	NewWriter(log.Header, dict.New(8))
 }
 
+// loggedStream captures a SPEC analogue's loggable operations with the
+// first-load verdicts the default cache gives them.
+func loggedStream(program string) (ops []accesstest.Access, logs []bool) {
+	stream := accesstest.Capture(program, 200_000)
+	ops = accesstest.Loggable(stream)
+	logs = make([]bool, 0, len(ops))
+	h := cache.New(cache.DefaultConfig())
+	for _, a := range stream {
+		if a.NewInterval {
+			h.ClearAllFL()
+		}
+		if a.WordStore {
+			h.StoreSetFL(a.Addr)
+		} else {
+			logs = append(logs, !h.LoadTestAndSetFL(a.Addr))
+		}
+	}
+	return ops, logs
+}
+
+// TestAppendEncodedIntoCallerSpace: every interval of the captured guest
+// streams encodes into a reused buffer to the bytes CloseEncoded and
+// Log.Marshal produce, behind whatever the buffer already held (the
+// checksum covers the appended log alone), and costs no allocation once
+// the buffer has the capacity.
+func TestAppendEncodedIntoCallerSpace(t *testing.T) {
+	prefix := []byte("three earlier logs")
+	for _, prog := range []string{"gzip", "mcf"} {
+		ops, logs := loggedStream(prog)
+		d := dict.New(dict.DefaultSize)
+		w := NewWriter(testHeader(dict.DefaultSize), d)
+		var buf []byte
+		intervals := 0
+		check := func(length uint64) {
+			intervals++
+			fault := &FaultRecord{IC: length, PC: 0x400abc, Cause: 2}
+			if intervals%2 == 0 {
+				fault = nil
+			}
+			_, want := w.CloseEncoded(length, EndFault, fault)
+			if got := w.Close(length, EndFault, fault).Marshal(); !bytes.Equal(got, want) {
+				t.Fatalf("%s interval %d: Log.Marshal differs from CloseEncoded", prog, intervals)
+			}
+			for _, pre := range [][]byte{nil, prefix} {
+				var m Meta
+				m, buf = w.AppendEncoded(append(buf[:0], pre...), length, EndFault, fault)
+				if !bytes.Equal(buf[:len(pre)], pre) || !bytes.Equal(buf[len(pre):], want) {
+					t.Fatalf("%s interval %d: AppendEncoded behind %d bytes differs from CloseEncoded", prog, intervals, len(pre))
+				}
+				if pm, err := ParseMeta(buf[len(pre):]); err != nil || pm.EntryBits != m.EntryBits {
+					t.Fatalf("%s interval %d: appended log does not parse alone: %v", prog, intervals, err)
+				}
+			}
+			if n := testing.AllocsPerRun(5, func() {
+				_, buf = w.AppendEncoded(append(buf[:0], prefix...), length, EndFault, nil)
+			}); n != 0 {
+				t.Fatalf("%s interval %d: AppendEncoded into sufficient capacity allocates %v times; want 0", prog, intervals, n)
+			}
+		}
+		n := uint64(0)
+		for k, a := range ops {
+			if a.NewInterval && k > 0 {
+				check(n)
+				d.Reset()
+				w.Reset(testHeader(dict.DefaultSize), d)
+				n = 0
+			}
+			w.Op(a.Val, logs[k])
+			n++
+		}
+		check(n)
+		if intervals < 10 {
+			t.Fatalf("%s: stream made %d intervals; want at least 10", prog, intervals)
+		}
+	}
+}
+
 func TestWriterOpDoesNotAllocate(t *testing.T) {
 	d := dict.New(64)
 	w := NewWriter(testHeader(64), d)
@@ -162,20 +239,7 @@ func BenchmarkWriterOp(b *testing.B) {
 	// cache gives them, the writer rewound where a 10 K-instruction
 	// interval would end.
 	b.Run("gzip_stream", func(b *testing.B) {
-		stream := accesstest.Capture("gzip", 200_000)
-		ops := accesstest.Loggable(stream)
-		logs := make([]bool, 0, len(ops))
-		h := cache.New(cache.DefaultConfig())
-		for _, a := range stream {
-			if a.NewInterval {
-				h.ClearAllFL()
-			}
-			if a.WordStore {
-				h.StoreSetFL(a.Addr)
-			} else {
-				logs = append(logs, !h.LoadTestAndSetFL(a.Addr))
-			}
-		}
+		ops, logs := loggedStream("gzip")
 		d := dict.New(dict.DefaultSize)
 		w := NewWriter(testHeader(dict.DefaultSize), d)
 		b.ReportAllocs()

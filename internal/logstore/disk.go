@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"bugnet/internal/faultinject"
@@ -43,6 +44,7 @@ type Disk struct {
 	fsys    *faultinject.FS  // nil outside chaos runs: direct os calls
 	active  faultinject.File // nil until the first post-open Append rotates
 	actSize int64
+	frame   []byte // Append's record frame, reused
 
 	recs map[uint64]diskRec
 	segs []*diskSeg // oldest first; last is the active segment
@@ -258,27 +260,21 @@ func (d *Disk) Append(it Item, data []byte) error {
 			return err
 		}
 	}
+	// One frame buffer serves every record: the segment file keeps the
+	// bytes, so nothing here outlives the WriteAt.
 	le := binary.LittleEndian
 	recLen := recFixedLen + len(data)
-	frame := make([]byte, 0, 4+recLen+4)
-	var tmp [8]byte
-	le.PutUint32(tmp[:4], uint32(recLen))
-	frame = append(frame, tmp[:4]...)
-	le.PutUint64(tmp[:8], it.Seq)
-	frame = append(frame, tmp[:8]...)
-	le.PutUint32(tmp[:4], uint32(int32(it.TID)))
-	frame = append(frame, tmp[:4]...)
-	le.PutUint32(tmp[:4], it.CID)
-	frame = append(frame, tmp[:4]...)
-	le.PutUint64(tmp[:8], it.Timestamp)
-	frame = append(frame, tmp[:8]...)
-	le.PutUint64(tmp[:8], uint64(it.Bytes))
-	frame = append(frame, tmp[:8]...)
-	le.PutUint64(tmp[:8], it.Instructions)
-	frame = append(frame, tmp[:8]...)
+	frame := slices.Grow(d.frame[:0], 4+recLen+4)
+	frame = le.AppendUint32(frame, uint32(recLen))
+	frame = le.AppendUint64(frame, it.Seq)
+	frame = le.AppendUint32(frame, uint32(int32(it.TID)))
+	frame = le.AppendUint32(frame, it.CID)
+	frame = le.AppendUint64(frame, it.Timestamp)
+	frame = le.AppendUint64(frame, uint64(it.Bytes))
+	frame = le.AppendUint64(frame, it.Instructions)
 	frame = append(frame, data...)
-	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(frame))
-	frame = append(frame, tmp[:4]...)
+	frame = le.AppendUint32(frame, crc32.ChecksumIEEE(frame))
+	d.frame = frame
 	if _, err := d.active.WriteAt(frame, d.actSize); err != nil {
 		return err
 	}
@@ -324,7 +320,7 @@ func (d *Disk) rotate(seq uint64) error {
 	return nil
 }
 
-// Load implements Backend.
+// Load implements Backend: the result is freshly read, the caller's own.
 func (d *Disk) Load(seq uint64) ([]byte, error) {
 	rec, ok := d.recs[seq]
 	if !ok {

@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
@@ -405,5 +406,34 @@ func TestDiskLoaderSurvivesStoreUse(t *testing.T) {
 		if string(data) != string(payload(it.CID)) {
 			t.Fatalf("load %d: %q", i, data)
 		}
+	}
+}
+
+// TestDiskAppendDoesNotAllocatePerRecord: Append frames every record in
+// one reused buffer, so a record costs the write and an index entry — not
+// a copy of itself on the heap. Within one segment, under a budget that
+// evicts as fast as it appends, that is no allocation at all.
+func TestDiskAppendDoesNotAllocatePerRecord(t *testing.T) {
+	s := openDiskStore(t, t.TempDir(), 64<<10, 64<<20)
+	defer s.Close()
+	data := make([]byte, 4<<10)
+	stamp := uint64(0)
+	appendOne := func() {
+		data[0]++
+		if err := s.Append(Item{CID: uint32(stamp), Timestamp: stamp, Bytes: int64(len(data))}, data); err != nil {
+			t.Fatal(err)
+		}
+		stamp++
+	}
+	for i := 0; i < 64; i++ {
+		appendOne() // fill the budget, grow the frame and the index
+	}
+	if n := testing.AllocsPerRun(200, appendOne); n != 0 {
+		t.Errorf("Disk.Append allocates %v times per record; want 0", n)
+	}
+	last := s.All()
+	got, err := s.Load(last[len(last)-1].Seq)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Errorf("the newest record does not load back (%v)", err)
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"bugnet/internal/ring"
 )
 
 // Item is one retained log's retention metadata. The encoded bytes travel
@@ -71,8 +73,8 @@ var ErrEvicted = errors.New("logstore: item evicted")
 type Backend interface {
 	// Append persists data as the newest item under it.Seq.
 	Append(it Item, data []byte) error
-	// Load returns the encoded bytes of a retained item. The returned
-	// slice must not be modified by the caller.
+	// Load returns the encoded bytes of a retained item; the caller owns
+	// the result.
 	Load(seq uint64) ([]byte, error)
 	// Evict releases the oldest live item (always called in append order).
 	// Physical reclamation may lag: the disk backend frees whole segments
@@ -136,8 +138,9 @@ func Open(budget int64, b Backend) (*Store, error) {
 	return s, err
 }
 
-// Append retains one encoded log, evicting the oldest items if the budget
-// is exceeded. Items must be appended in nondecreasing Timestamp order,
+// Append retains one encoded log — data is copied, the caller may reuse it
+// once the call returns — evicting the oldest items if the budget is
+// exceeded. Items must be appended in nondecreasing Timestamp order,
 // which is how the hardware produces them. The item's Seq and
 // EncodedBytes are assigned by the store. The returned error reports this
 // call's failures only (the item not persisting, or this call's
@@ -151,8 +154,9 @@ func (s *Store) Append(it Item, data []byte) error {
 	return s.evictLocked()
 }
 
-// AppendEntry is one append request in a batch. The store takes ownership
-// of Data and assigns Item.Seq on success.
+// AppendEntry is one append request in a batch. The store copies Data —
+// the caller may reuse it once the call returns — and assigns Item.Seq on
+// success.
 type AppendEntry struct {
 	Item Item
 	Data []byte
@@ -269,6 +273,7 @@ func (s *Store) Err() error {
 }
 
 // Load returns the encoded bytes of a retained item by sequence number.
+// The caller owns the result.
 func (s *Store) Load(seq uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -357,43 +362,98 @@ func (s *Store) Threads() []int {
 	return out
 }
 
+// memBlockBytes is the unit the memory region grows by. The region holds
+// at most two blocks more than its live bytes need (one partly evicted at
+// the tail, one partly written at the head), so a small block keeps a
+// sparse recording's region close to its budget; a block's bookkeeping is
+// one slice header.
+const memBlockBytes = 16 << 10
+
 // Memory is the volatile Backend modeling the paper's OS-managed main
-// memory log region: encoded bytes in a FIFO, gone with the process.
+// memory log region (§4.7): a fixed piece of memory the logs are copied
+// into, whose oldest checkpoint is overwritten when it fills. It is the
+// in-memory twin of the disk backend's segments — a FIFO of fixed-size
+// blocks holding the encoded logs back to back, an item spanning blocks
+// where it must. Blocks wholly behind the eviction frontier are reused
+// for the head, so a region at its budget stops allocating; a block is
+// allocated only when none is free (the first on the first Append), so
+// the region is sized by what it retains, never from the budget, and
+// blocks a peak claimed are kept. Gone with the process.
 type Memory struct {
-	base uint64 // Seq of data[0]
-	data [][]byte
+	blocks ring.Queue[[]byte] // the blocks holding live bytes, in region order
+	free   [][]byte           // blocks behind the eviction frontier, awaiting reuse
+	origin uint64             // region offset of the oldest block's first byte
+	end    uint64             // region offset the next byte is written at
+	base   uint64             // Seq of the oldest live item
+	starts ring.Queue[uint64] // region offset each live item begins at, oldest first
 }
 
 // NewMemory creates an empty in-memory backend.
 func NewMemory() *Memory { return &Memory{} }
 
-// Append implements Backend.
+// Append implements Backend: data is copied into the region.
 func (m *Memory) Append(it Item, data []byte) error {
-	if len(m.data) == 0 {
+	if m.starts.Len() == 0 {
 		m.base = it.Seq
 	}
-	m.data = append(m.data, data)
+	m.starts.Push(m.end)
+	for len(data) > 0 {
+		pos := m.end - m.origin
+		bi := int(pos / memBlockBytes)
+		if bi == m.blocks.Len() {
+			m.blocks.Push(m.takeBlock())
+		}
+		n := copy(m.blocks.At(bi)[pos%memBlockBytes:], data)
+		data = data[n:]
+		m.end += uint64(n)
+	}
 	return nil
 }
 
-// Load implements Backend.
-func (m *Memory) Load(seq uint64) ([]byte, error) {
-	if seq < m.base || seq >= m.base+uint64(len(m.data)) || m.data[seq-m.base] == nil {
-		return nil, fmt.Errorf("%w: seq %d", ErrEvicted, seq)
+// takeBlock returns a free block, a new one when none is.
+func (m *Memory) takeBlock() []byte {
+	if n := len(m.free); n > 0 {
+		b := m.free[n-1]
+		m.free = m.free[:n-1]
+		return b
 	}
-	return m.data[seq-m.base], nil
+	return make([]byte, memBlockBytes)
 }
 
-// Evict implements Backend. Space is reclaimed immediately.
+// Load implements Backend: the result is a copy, so no caller's view can
+// alias bytes a later Append overwrites.
+func (m *Memory) Load(seq uint64) ([]byte, error) {
+	if seq < m.base || seq-m.base >= uint64(m.starts.Len()) {
+		return nil, fmt.Errorf("%w: seq %d", ErrEvicted, seq)
+	}
+	i := int(seq - m.base)
+	lo, hi := m.starts.At(i), m.end
+	if i+1 < m.starts.Len() {
+		hi = m.starts.At(i + 1)
+	}
+	out := make([]byte, hi-lo)
+	for n := 0; n < len(out); {
+		pos := lo + uint64(n) - m.origin
+		n += copy(out[n:], m.blocks.At(int(pos / memBlockBytes))[pos%memBlockBytes:])
+	}
+	return out, nil
+}
+
+// Evict implements Backend. The item's bytes are dead at once; the blocks
+// they wholly covered are free for the head.
 func (m *Memory) Evict(it Item) error {
-	if it.Seq != m.base || len(m.data) == 0 {
+	if it.Seq != m.base || m.starts.Len() == 0 {
 		return fmt.Errorf("logstore: memory eviction out of order (seq %d, oldest %d)", it.Seq, m.base)
 	}
-	m.data[0] = nil
-	m.data = m.data[1:]
+	m.starts.Drop(1)
 	m.base++
-	if len(m.data) == 0 {
-		m.data = nil
+	frontier := m.end
+	if m.starts.Len() > 0 {
+		frontier = m.starts.At(0)
+	}
+	for ; frontier-m.origin >= memBlockBytes; m.origin += memBlockBytes {
+		m.free = append(m.free, m.blocks.At(0))
+		m.blocks.Drop(1)
 	}
 	return nil
 }
@@ -403,6 +463,6 @@ func (m *Memory) Recover() ([]Item, error) { return nil, nil }
 
 // Close implements Backend.
 func (m *Memory) Close() error {
-	m.data = nil
+	*m = Memory{}
 	return nil
 }

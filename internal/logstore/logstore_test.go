@@ -193,3 +193,29 @@ func TestPropertyBudgetInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkMemoryAppendEvict is the memory region in steady state — at its
+// budget, every append evicting what it displaces — at the two item sizes
+// the benchmark's workloads produce: record_dense closes a 120 KB interval
+// every 100 K instructions, fleet_triage a 1.2 KB one every 10 K, both
+// into 512 KB regions.
+func BenchmarkMemoryAppendEvict(b *testing.B) {
+	for _, size := range []int{120 << 10, 1200} {
+		b.Run(fmt.Sprintf("item_%dB", size), func(b *testing.B) {
+			s := New(512 << 10)
+			data := make([]byte, size)
+			it := Item{Bytes: int64(size), Instructions: 1}
+			for i := 0; i < 2*(512<<10)/size; i++ {
+				s.Append(it, data)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Append(it, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Header identifies the thread and checkpoint interval an MRL belongs to,
@@ -109,7 +110,8 @@ func NewWriter(hdr Header, intervalLimit uint64, maxThreads uint32) *Writer {
 // Reset re-opens the writer for a new interval, reusing the entry buffer
 // so continuous recording stops re-growing one per interval. It
 // invalidates any Log previously returned by Close (which aliases the
-// buffer); recorders that finalize with CloseEncoded are unaffected.
+// buffer); AppendEncoded and CloseEncoded copy the entries out, so
+// recorders that finalize with them are unaffected.
 func (w *Writer) Reset(hdr Header, intervalLimit uint64, maxThreads uint32) {
 	if intervalLimit == 0 || maxThreads == 0 {
 		panic("mrl: interval limit and max threads must be positive")
@@ -141,12 +143,17 @@ func (w *Writer) Close() *Log {
 	return &Log{Meta: w.meta(), Entries: w.entries}
 }
 
-// CloseEncoded finalizes the log straight to its wire encoding plus the
-// metadata the retention layer needs, mirroring fll.Writer.CloseEncoded.
-func (w *Writer) CloseEncoded() (Meta, []byte) {
+// AppendEncoded finalizes the log straight to its wire encoding, appended
+// to dst, plus the metadata the retention layer needs; it returns the
+// extended buffer. It mirrors fll.Writer.AppendEncoded.
+func (w *Writer) AppendEncoded(dst []byte) (Meta, []byte) {
 	m := w.meta()
-	return m, appendMarshal(&m, w.entries)
+	return m, appendMarshal(dst, &m, w.entries)
 }
+
+// CloseEncoded is AppendEncoded into a fresh buffer the caller may keep
+// across Reset.
+func (w *Writer) CloseEncoded() (Meta, []byte) { return w.AppendEncoded(nil) }
 
 // Reducer decides which coherence-reply edges need logging. It maintains a
 // vector clock per thread over *global* per-thread instruction counts
@@ -208,11 +215,12 @@ const version = 1
 // ErrBadFormat reports a malformed serialized log.
 var ErrBadFormat = errors.New("mrl: bad serialized log")
 
-// appendMarshal is the single serializer behind Log.Marshal and
-// Writer.CloseEncoded.
-func appendMarshal(m *Meta, entries []Entry) []byte {
+// appendMarshal appends the wire encoding of (m, entries) to out. It is
+// the single serializer behind Log.Marshal and Writer.AppendEncoded.
+func appendMarshal(out []byte, m *Meta, entries []Entry) []byte {
 	le := binary.LittleEndian
-	out := make([]byte, 0, 64+len(entries)*24)
+	out = slices.Grow(out, 64+len(entries)*24)
+	start := len(out)
 	out = append(out, magic[:]...)
 	out = append(out, version)
 	var tmp [8]byte
@@ -237,14 +245,14 @@ func appendMarshal(m *Meta, entries []Entry) []byte {
 		put32(e.RemoteCID)
 		put64(e.RemoteIC)
 	}
-	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(out))
+	le.PutUint32(tmp[:4], crc32.ChecksumIEEE(out[start:]))
 	out = append(out, tmp[:4]...)
 	return out
 }
 
 // Marshal encodes the log for storage.
 func (l *Log) Marshal() []byte {
-	return appendMarshal(&l.Meta, l.Entries)
+	return appendMarshal(nil, &l.Meta, l.Entries)
 }
 
 // parse validates a serialized log and decodes its metadata. If withEntries
