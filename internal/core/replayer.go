@@ -112,8 +112,29 @@ func WrapFLLs(logs []*fll.Log) []*fll.Ref {
 // Run replays all logs to completion. Each interval executes as one batch
 // through the predecoded block engine (cpu.Run); the per-instruction hooks
 // fire exactly as they do under single-stepping.
-func (r *Replayer) Run() (*ReplayResult, error) {
-	st := r.newState(nil)
+func (r *Replayer) Run() (*ReplayResult, error) { return r.RunOn(new(Scratch)) }
+
+// Scratch is the storage of one replay machine — memory, core, dictionary
+// — lent to RunOn. The zero value is ready to use and is not safe for
+// concurrent use.
+type Scratch struct {
+	mem *mem.Memory
+	c   *cpu.CPU
+	d   *dict.Table
+	do  dict.Options // what d was built with
+}
+
+// RunOn is Run on a lent machine, for a caller replaying many windows back
+// to back (parallel interval replay: one Scratch per worker, one interval
+// per call). Every call starts from exactly the state Run builds — empty
+// memory but for the image's text, a whole page budget, a zeroed core with
+// nothing decoded, an empty dictionary — so the result never depends on
+// what the Scratch replayed before; what survives is storage: the pages and
+// page-table leaves the previous replay mapped, the block-cache array, the
+// dictionary's arrays.
+func (r *Replayer) RunOn(s *Scratch) (*ReplayResult, error) {
+	st := r.newState(nil, s)
+	defer func() { s.d = st.d }()
 	for st.next() {
 		for !st.intervalDone() {
 			if _, err := st.runBatch(st.cur.Length - st.executed); err != nil {
@@ -154,15 +175,26 @@ type state struct {
 	known *mem.KnownSet
 }
 
-func (r *Replayer) newState(known *mem.KnownSet) *state {
-	m := mem.New()
+// newState builds the replay machine on s: a zero Scratch gets a new memory
+// and core, a used one has both emptied in place.
+func (r *Replayer) newState(known *mem.KnownSet, s *Scratch) *state {
+	if s.mem == nil {
+		s.mem = mem.New()
+		s.c = cpu.New(s.mem)
+	} else {
+		s.mem.Recycle()
+		s.c.Reset(s.mem)
+	}
+	if s.do != r.DictOptions {
+		s.d, s.do = nil, r.DictOptions
+	}
+	m, c := s.mem, s.c
 	if len(r.img.Text) > 0 {
 		m.Map(r.img.TextBase, uint32(len(r.img.Text)))
 		if err := m.StoreBytes(r.img.TextBase, r.img.Text); err != nil {
 			panic(err)
 		}
 	}
-	c := cpu.New(m)
 	c.AutoMap = true
 	c.IC = r.BaseIC
 	if r.MaxPages > 0 {
@@ -170,7 +202,7 @@ func (r *Replayer) newState(known *mem.KnownSet) *state {
 		// mapped above is a property of the binary, not the logs.
 		m.MapLimit = r.MaxPages + m.MappedPages()
 	}
-	st := &state{r: r, mem: m, c: c, logs: r.logs, known: known}
+	st := &state{r: r, mem: m, c: c, logs: r.logs, d: s.d, known: known}
 	if r.TraceDepth > 0 {
 		st.trace = newTraceRing(r.TraceDepth)
 	}

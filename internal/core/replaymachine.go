@@ -51,7 +51,7 @@ func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
 	if opts.TrackKnown {
 		known = mem.NewKnownSet()
 	}
-	m.st = r.newState(known)
+	m.st = r.newState(known, new(Scratch))
 	m.done = !m.st.next()
 	return m
 }
@@ -63,7 +63,7 @@ func (m *ReplayMachine) Reset() {
 	if known != nil {
 		known.Reset()
 	}
-	m.st = m.r.newState(known)
+	m.st = m.r.newState(known, new(Scratch))
 	m.pos = 0
 	m.done = !m.st.next()
 }

