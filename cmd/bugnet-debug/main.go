@@ -170,8 +170,7 @@ func openLocal(sel cli.Selection, dir string, tid int, ckptEvery uint64) (*local
 // --- remote mode ---
 
 type remoteDriver struct {
-	base string
-	id   string
+	url string // the session's resource: .../api/v1/debug/sessions/{id}
 }
 
 func openRemote(base, reportID string, tid int) (*remoteDriver, error) {
@@ -180,7 +179,8 @@ func openRemote(base, reportID string, tid int) (*remoteDriver, error) {
 		req.TID = &tid
 	}
 	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/debug/sessions", "application/json", bytes.NewReader(body))
+	sessions := base + httpjson.APIPrefix + "/debug/sessions"
+	resp, err := http.Post(sessions, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -197,12 +197,12 @@ func openRemote(base, reportID string, tid int) (*remoteDriver, error) {
 	if info.Fault != nil {
 		fmt.Printf("recorded crash at %s: %s (%s)\n", info.Fault.Symbol, info.Fault.Disasm, info.Fault.Cause)
 	}
-	return &remoteDriver{base: base, id: info.ID}, nil
+	return &remoteDriver{url: sessions + "/" + info.ID}, nil
 }
 
 func (r *remoteDriver) do(c timetravel.Command) timetravel.Outcome {
 	body, _ := json.Marshal(c)
-	resp, err := http.Post(r.base+"/debug/sessions/"+r.id+"/cmd", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(r.url+"/cmd", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return timetravel.Outcome{Error: err.Error()}
 	}
@@ -218,7 +218,7 @@ func (r *remoteDriver) do(c timetravel.Command) timetravel.Outcome {
 }
 
 func (r *remoteDriver) close() {
-	req, _ := http.NewRequest(http.MethodDelete, r.base+"/debug/sessions/"+r.id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, r.url, nil)
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
 	}
@@ -288,8 +288,7 @@ func rspSmoke(addr, report string) error {
 
 func readErr(r io.Reader) string {
 	data, _ := io.ReadAll(io.LimitReader(r, 4096))
-	// Servers answer with the standard error envelope; DecodeError also
-	// understands the legacy {"error": "..."} shape from older servers.
+	// Servers answer with the standard error envelope.
 	if body, ok := httpjson.DecodeError(data); ok {
 		if body.Code != "" {
 			return body.Code + ": " + body.Message

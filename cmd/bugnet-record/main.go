@@ -226,8 +226,7 @@ func upload(base string, rep *bugnet.CrashReport, retries int, timeout time.Dura
 			return fmt.Errorf("%s: reading response (%s): %w", url, resp.Status, err)
 		}
 		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
-			// The standard error envelope (or the legacy shape from an
-			// older server).
+			// The standard error envelope.
 			msg := strings.TrimSpace(string(body))
 			if eb, ok := httpjson.DecodeError(body); ok {
 				msg = eb.Message

@@ -45,11 +45,11 @@
 //	bugnet-serve -addr :8080 -self http://a:8080 \
 //	    -peers http://a:8080,http://b:8080,http://c:8080
 //
-// Endpoints (all also under /api/v1/...): POST /reports,
-// GET /reports[?cursor=&limit=], GET /reports/{id}[?raw=1],
-// GET /buckets[?cursor=&limit=], GET /buckets/{key}, GET /api/v1/cluster,
-// GET /healthz (liveness), GET /readyz (readiness), GET /metrics
-// (Prometheus exposition), and the /debug/sessions API.
+// Endpoints, under /api/v1: POST /reports, GET /reports[?cursor=&limit=],
+// GET /reports/{id}[?raw=1], GET /buckets[?cursor=&limit=],
+// GET /buckets/{key}, GET /cluster and the /debug/sessions API; plus
+// GET /healthz (liveness), GET /readyz (readiness) and GET /metrics
+// (Prometheus exposition) at the root.
 package main
 
 import (

@@ -399,38 +399,36 @@ func TestClusterReplicaHashVerification(t *testing.T) {
 }
 
 // TestClusterInfoEndpoint: /api/v1/cluster reports membership with
-// per-node health, on both the versioned path and the legacy alias.
+// per-node health.
 func TestClusterInfoEndpoint(t *testing.T) {
 	lc, _ := spawn(t, 3, nil)
 	lc.Nodes[2].Stop()
 
-	for _, path := range []string{"/api/v1/cluster", "/cluster"} {
-		resp, err := http.Get(lc.Nodes[0].URL + path)
-		if err != nil {
-			t.Fatal(err)
+	resp, err := http.Get(lc.Nodes[0].URL + "/api/v1/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info ClusterInfo
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if info.Self != lc.Nodes[0].URL || info.ReplicationFactor != 3 || info.WriteQuorum != 2 {
+		t.Fatalf("info = %+v", info)
+	}
+	if len(info.Nodes) != 3 {
+		t.Fatalf("%d nodes in view", len(info.Nodes))
+	}
+	healthy := 0
+	for _, nh := range info.Nodes {
+		if nh.Healthy {
+			healthy++
+		} else if nh.Error == "" {
+			t.Fatalf("unhealthy node %s has no error", nh.Node)
 		}
-		var info ClusterInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if info.Self != lc.Nodes[0].URL || info.ReplicationFactor != 3 || info.WriteQuorum != 2 {
-			t.Fatalf("%s: info = %+v", path, info)
-		}
-		if len(info.Nodes) != 3 {
-			t.Fatalf("%s: %d nodes in view", path, len(info.Nodes))
-		}
-		healthy := 0
-		for _, nh := range info.Nodes {
-			if nh.Healthy {
-				healthy++
-			} else if nh.Error == "" {
-				t.Fatalf("%s: unhealthy node %s has no error", path, nh.Node)
-			}
-		}
-		if healthy != 2 {
-			t.Fatalf("%s: %d healthy nodes, want 2 (one stopped)", path, healthy)
-		}
+	}
+	if healthy != 2 {
+		t.Fatalf("%d healthy nodes, want 2 (one stopped)", healthy)
 	}
 }
 

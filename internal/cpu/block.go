@@ -1,13 +1,10 @@
 package cpu
 
-// block.go implements the predecoded basic-block execution engine: the
-// QEMU-TB-style fast path behind CPU.Run.
-//
-// Step decodes every instruction word on every execution: a fetch-cache
-// probe, an isa.Decode, and a ~60-case opcode dispatch per committed
-// instruction, plus a linear scan of the watched-PC list. Run amortizes
-// all of that by translating straight-line text into blocks of resolved
-// DecodedInst records once and re-executing the predecoded form:
+// block.go implements the core's one interpreter, CPU.Run: a QEMU-TB-style
+// predecoded basic-block engine. Instead of decoding every instruction
+// word on every execution, Run translates straight-line text into blocks
+// of resolved DecodedInst records once and re-executes the predecoded
+// form:
 //
 //   - operands are extracted and branch/jump targets resolved to absolute
 //     addresses at predecode time;
@@ -32,10 +29,9 @@ package cpu
 //     have gone stale (copy-on-write replacement or unmap), so block entry
 //     re-checks the backing page pointer and re-decodes on mismatch.
 //
-// Step is preserved unchanged as the reference switch interpreter: Run
-// falls back to it for edge cases (misaligned or unmapped PCs, AutoMap
-// code injection), and the differential tests in block_test.go and
-// fuzz_test.go hold the two engines to instruction-identical behavior.
+// runBlock's opcode switch is the only statement of the ISA's semantics.
+// The differential tests in block_test.go and fuzz_test.go hold cached
+// execution to what decoding every instruction from live memory gives.
 
 import (
 	"encoding/binary"
@@ -103,7 +99,7 @@ func (bc *blockCache) flush() {
 
 // noteCodeWrite flushes the block cache when a committed guest store lands
 // in a page blocks were decoded from (self-modifying code). Called from
-// the shared store/amo helpers so both engines keep the cache coherent.
+// the store/amo helpers after the write commits.
 func (c *CPU) noteCodeWrite(wordAddr uint32) {
 	if bc := c.bc; bc != nil && bc.haveCode {
 		if p := wordAddr >> mem.PageShift; p >= bc.loPage && p <= bc.hiPage {
@@ -119,9 +115,6 @@ func (c *CPU) noteCodeWrite(wordAddr uint32) {
 // blocks were decoded from (the overwhelmingly common case: syscall and
 // DMA buffers live in data memory) keep every cached block, so I/O-heavy
 // recorded workloads do not re-predecode their hot loops after each read.
-// The word-level fetch cache reads through the live page pointer and sees
-// in-place external writes by construction, so only the block cache needs
-// the flush.
 func (c *CPU) InvalidateFetchRange(addr, n uint32) {
 	bc := c.bc
 	if n == 0 || bc == nil || !bc.haveCode {
@@ -134,7 +127,6 @@ func (c *CPU) InvalidateFetchRange(addr, n uint32) {
 		lo = 0
 	}
 	if hi >= bc.loPage && lo <= bc.hiPage {
-		c.fetchValid = false
 		bc.flush()
 	}
 }
@@ -156,9 +148,9 @@ func (c *CPU) Stop() { c.stop = true }
 //     set and the core is stopped;
 //   - EventHalted: the core was already halted.
 //
-// Run is hook-for-hook and fault-for-fault equivalent to calling Step max
-// times: the same hooks fire in the same order with the same PC/IC state
-// observable, which the differential tests enforce.
+// Hooks fire in program order with the PC/IC of the instruction they
+// belong to observable, whatever the batch size, and Run(1) executes
+// exactly one instruction: the differential tests enforce both.
 func (c *CPU) Run(max uint64) (uint64, Event) {
 	if c.Halted {
 		return 0, EventHalted
@@ -170,24 +162,19 @@ func (c *CPU) Run(max uint64) (uint64, Event) {
 	bc := c.bc
 	var n uint64
 	for n < max {
-		blk := c.lookupBlock(bc, c.PC)
+		pc := c.PC
+		if pc&3 != 0 {
+			return n, c.fault(FaultMemFetch, pc, pc)
+		}
+		// The entry instruction's fetch hook fires before the lookup, so
+		// code a hook maps or injects (LogCodeLoads replay under AutoMap)
+		// is decoded from the bytes it left. runBlock fires the rest.
+		if c.OnFetch != nil {
+			c.OnFetch(pc)
+		}
+		blk := c.lookupBlock(bc, pc)
 		if blk == nil {
-			// Edge cases — misaligned PC, unmapped text page (a fetch
-			// fault, or AutoMap code injection about to materialize the
-			// page) — take the reference interpreter one step at a time.
-			switch ev := c.Step(); ev {
-			case EventStep:
-				n++
-				if c.stop {
-					c.stop = false
-					return n, EventStep
-				}
-			case EventSyscall:
-				return n + 1, EventSyscall
-			default:
-				return n, ev
-			}
-			continue
+			return n, c.fault(FaultMemFetch, pc, pc)
 		}
 		exec, ev := c.runBlock(bc, blk, max-n)
 		n += exec
@@ -202,8 +189,8 @@ func (c *CPU) Run(max uint64) (uint64, Event) {
 	return n, EventStep
 }
 
-// lookupBlock returns a valid block starting exactly at pc, decoding one
-// if needed, or nil when pc cannot be predecoded (misaligned, unmapped).
+// lookupBlock returns a valid block starting exactly at the word-aligned
+// pc, decoding one if needed, or nil when pc's page is unmapped.
 func (c *CPU) lookupBlock(bc *blockCache, pc uint32) *block {
 	idx := (pc >> 2) & blockCacheMask
 	b := bc.blocks[idx]
@@ -234,9 +221,6 @@ func (c *CPU) lookupBlock(bc *blockCache, pc uint32) *block {
 // first unconditional control transfer, system op, undecodable word, or
 // the end of the page.
 func (c *CPU) decodeBlock(bc *blockCache, pc uint32) *block {
-	if pc&3 != 0 {
-		return nil
-	}
 	pageNum := pc >> mem.PageShift
 	p := c.Mem.Page(pageNum)
 	if p == nil {
@@ -292,7 +276,7 @@ func (c *CPU) resolveInst(ins isa.Instruction, ipc uint32) DecodedInst {
 // decodeInstAt decodes the single instruction at pc from live memory.
 // runBlock uses it when an OnFetch hook rewrote code mid-block: the hook
 // for pc has already fired, so the instruction must execute from the
-// fresh bytes without re-entering the block machinery.
+// fresh bytes without re-entering Run.
 func (c *CPU) decodeInstAt(pc uint32) (DecodedInst, bool) {
 	p := c.Mem.Page(pc >> mem.PageShift)
 	if p == nil {
@@ -303,8 +287,8 @@ func (c *CPU) decodeInstAt(pc uint32) (DecodedInst, bool) {
 	return c.resolveInst(isa.Decode(w), pc), true
 }
 
-// noteWatch records a commit of a watched instruction. Mirrors Step's
-// post-commit scan: c.IC has already been incremented.
+// noteWatch records a commit of a watched instruction; c.IC has already
+// been incremented.
 func (c *CPU) noteWatch(watch int32, pc uint32) {
 	if watch >= 0 {
 		w := &c.watches[watch]
@@ -323,30 +307,18 @@ func (c *CPU) noteWatch(watch int32, pc uint32) {
 // runBlock executes predecoded instructions from blk until the block ends,
 // the budget runs out, a non-step event occurs, a hook requests Stop, or
 // the cache is flushed under the block (self-modifying code, LogCodeLoads
-// injection). On return c.PC is the next instruction to execute; the
-// caller re-enters through the cache.
+// injection). Run has fired the first instruction's OnFetch; runBlock
+// fires each later one's before executing it. On return c.PC is the next
+// instruction to execute; the caller re-enters through the cache.
 func (c *CPU) runBlock(bc *blockCache, blk *block, max uint64) (uint64, Event) {
 	epoch := bc.epoch
 	insts := blk.inst
 	r := &c.Regs
 	pc := blk.pc
+	d := &insts[0]
+	var fresh DecodedInst
 	var n uint64
-	for i := 0; ; i++ {
-		d := &insts[i]
-		if c.OnFetch != nil {
-			c.OnFetch(pc)
-			if bc.epoch != epoch {
-				// The hook rewrote code under us (LogCodeLoads injection):
-				// the decode at pc is stale. Its OnFetch has already fired,
-				// so execute this one instruction from the live bytes; the
-				// commit tail then ends the block and the caller re-decodes.
-				fresh, ok := c.decodeInstAt(pc)
-				if !ok {
-					return n, c.fault(FaultMemFetch, pc, pc)
-				}
-				d = &fresh
-			}
-		}
+	for i := 0; ; {
 		nextPC := pc + 4
 
 		switch d.Op {
@@ -438,23 +410,45 @@ func (c *CPU) runBlock(bc *blockCache, blk *block, max uint64) (uint64, Event) {
 			r[d.Rd] = uint32(d.Imm) << 16
 
 		// --- memory ---
-		case isa.OpLW, isa.OpLH, isa.OpLHU, isa.OpLB, isa.OpLBU:
-			ea := r[d.Rs1] + uint32(d.Imm)
-			v, evt := c.load(d.Op, pc, ea)
+		case isa.OpLW:
+			v, evt := c.load(pc, r[d.Rs1]+uint32(d.Imm), 4)
 			if evt != EventStep {
 				return n, evt
 			}
 			r[d.Rd] = v
+		case isa.OpLH:
+			v, evt := c.load(pc, r[d.Rs1]+uint32(d.Imm), 2)
+			if evt != EventStep {
+				return n, evt
+			}
+			r[d.Rd] = uint32(int32(int16(v)))
+		case isa.OpLHU:
+			v, evt := c.load(pc, r[d.Rs1]+uint32(d.Imm), 2)
+			if evt != EventStep {
+				return n, evt
+			}
+			r[d.Rd] = v & 0xFFFF
+		case isa.OpLB:
+			v, evt := c.load(pc, r[d.Rs1]+uint32(d.Imm), 1)
+			if evt != EventStep {
+				return n, evt
+			}
+			r[d.Rd] = uint32(int32(int8(v)))
+		case isa.OpLBU:
+			v, evt := c.load(pc, r[d.Rs1]+uint32(d.Imm), 1)
+			if evt != EventStep {
+				return n, evt
+			}
+			r[d.Rd] = v & 0xFF
 
 		case isa.OpSW, isa.OpSH, isa.OpSB:
 			ea := r[d.Rs1] + uint32(d.Imm)
-			if evt := c.store(d.Op, pc, ea, r[d.Rd]); evt != EventStep {
+			if evt := c.store(pc, ea, r[d.Rd], uint32(d.Op.MemBytes())); evt != EventStep {
 				return n, evt
 			}
 
 		case isa.OpAMOSWAP, isa.OpAMOADD:
-			ea := r[d.Rs1]
-			old, evt := c.amo(d.Op, pc, ea, r[d.Rs2])
+			old, evt := c.amo(pc, r[d.Rs1], r[d.Rs2], d.Op == isa.OpAMOADD)
 			if evt != EventStep {
 				return n, evt
 			}
@@ -521,5 +515,21 @@ func (c *CPU) runBlock(bc *blockCache, blk *block, max uint64) (uint64, Event) {
 			return n, EventStep
 		}
 		pc = nextPC
+		i++
+		d = &insts[i]
+		if c.OnFetch != nil {
+			c.OnFetch(pc)
+			if bc.epoch != epoch {
+				// The hook rewrote code under us (LogCodeLoads injection):
+				// the decode at pc is stale. Its OnFetch has already fired,
+				// so execute this one instruction from the live bytes; the
+				// commit tail then ends the block and the caller re-decodes.
+				var ok bool
+				if fresh, ok = c.decodeInstAt(pc); !ok {
+					return n, c.fault(FaultMemFetch, pc, pc)
+				}
+				d = &fresh
+			}
+		}
 	}
 }

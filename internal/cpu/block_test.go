@@ -1,13 +1,14 @@
 package cpu
 
-// block_test.go holds the switch-interpreter ⇄ block-engine differential
-// suite: Step is the preserved reference semantics, and Run must be
-// instruction-identical to it — same registers, memory, faults, and the
-// same hook stream with the same mid-instruction PC/IC observability the
-// recorder and replayer depend on. Plus the self-modifying-code
-// regression tests: a cached block must never execute stale decodes after
-// guest stores, external code injection, or copy-on-write page
-// replacement.
+// block_test.go holds the cached ⇄ fresh-decode differential suite: Run
+// in batches, re-executing cached blocks, must be instruction-identical to
+// Run(1) with the block cache flushed before every instruction, which
+// decodes each instruction from live memory — same registers, memory,
+// faults, and the same hook stream with the same mid-instruction PC/IC
+// observability the recorder and replayer depend on. Plus the
+// self-modifying-code regression tests: a cached block must never execute
+// stale decodes after guest stores, external code injection, or
+// copy-on-write page replacement.
 
 import (
 	"fmt"
@@ -42,11 +43,13 @@ func instrument(c *CPU, events *[]hookEvent) {
 	}
 }
 
-// driveStep executes up to total instructions through the reference
-// switch interpreter, treating syscalls as NOPs (the replay protocol).
-func driveStep(c *CPU, total uint64) Event {
+// driveFresh executes up to total instructions one Run(1) at a time with
+// the block cache flushed before each, so every instruction is decoded
+// from live memory, treating syscalls as NOPs (the replay protocol).
+func driveFresh(c *CPU, total uint64) Event {
 	for n := uint64(0); n < total; n++ {
-		switch ev := c.Step(); ev {
+		c.InvalidateFetchCache()
+		switch _, ev := c.Run(1); ev {
 		case EventStep, EventSyscall:
 		default:
 			return ev
@@ -83,26 +86,26 @@ func driveRun(c *CPU, total, batch uint64) Event {
 func compareCPUs(t *testing.T, cs, cr *CPU) {
 	t.Helper()
 	if cs.PC != cr.PC {
-		t.Errorf("PC: step %#x, run %#x", cs.PC, cr.PC)
+		t.Errorf("PC: fresh %#x, run %#x", cs.PC, cr.PC)
 	}
 	if cs.IC != cr.IC {
-		t.Errorf("IC: step %d, run %d", cs.IC, cr.IC)
+		t.Errorf("IC: fresh %d, run %d", cs.IC, cr.IC)
 	}
 	if cs.Regs != cr.Regs {
-		t.Errorf("registers diverged:\nstep %v\nrun  %v", cs.Regs, cr.Regs)
+		t.Errorf("registers diverged:\nfresh %v\nrun   %v", cs.Regs, cr.Regs)
 	}
 	if cs.Halted != cr.Halted {
-		t.Errorf("Halted: step %v, run %v", cs.Halted, cr.Halted)
+		t.Errorf("Halted: fresh %v, run %v", cs.Halted, cr.Halted)
 	}
 	switch {
 	case (cs.Fault == nil) != (cr.Fault == nil):
-		t.Errorf("fault: step %v, run %v", cs.Fault, cr.Fault)
+		t.Errorf("fault: fresh %v, run %v", cs.Fault, cr.Fault)
 	case cs.Fault != nil && *cs.Fault != *cr.Fault:
-		t.Errorf("fault: step %+v, run %+v", *cs.Fault, *cr.Fault)
+		t.Errorf("fault: fresh %+v, run %+v", *cs.Fault, *cr.Fault)
 	}
 	sp, rp := cs.Mem.PageNumbers(), cr.Mem.PageNumbers()
 	if len(sp) != len(rp) {
-		t.Fatalf("mapped pages: step %d, run %d", len(sp), len(rp))
+		t.Fatalf("mapped pages: fresh %d, run %d", len(sp), len(rp))
 	}
 	for i, num := range sp {
 		if rp[i] != num {
@@ -114,9 +117,9 @@ func compareCPUs(t *testing.T, cs, cr *CPU) {
 	}
 }
 
-// twinTest assembles src, runs it through both engines (the block engine
-// in the given batch size) and asserts identical state, fault, and hook
-// streams.
+// twinTest assembles src, runs it decoded fresh per instruction and
+// through the block cache in the given batch size, and asserts identical
+// state, fault, and hook streams.
 func twinTest(t *testing.T, src string, total, batch uint64, hooks bool) {
 	t.Helper()
 	img, err := asm.Assemble("twin.s", src)
@@ -129,19 +132,19 @@ func twinTest(t *testing.T, src string, total, batch uint64, hooks bool) {
 		instrument(cs, &se)
 		instrument(cr, &re)
 	}
-	evS := driveStep(cs, total)
+	evS := driveFresh(cs, total)
 	evR := driveRun(cr, total, batch)
 	if evS != evR {
-		t.Errorf("final event: step %v, run %v", evS, evR)
+		t.Errorf("final event: fresh %v, run %v", evS, evR)
 	}
 	compareCPUs(t, cs, cr)
 	if hooks {
 		if len(se) != len(re) {
-			t.Fatalf("hook streams: step %d events, run %d", len(se), len(re))
+			t.Fatalf("hook streams: fresh %d events, run %d", len(se), len(re))
 		}
 		for i := range se {
 			if se[i] != re[i] {
-				t.Fatalf("hook event %d: step %+v, run %+v", i, se[i], re[i])
+				t.Fatalf("hook event %d: fresh %+v, run %+v", i, se[i], re[i])
 			}
 		}
 	}
@@ -196,14 +199,14 @@ func TestRunWatchParity(t *testing.T) {
 		cs.Watch(pc)
 		cr.Watch(pc)
 	}
-	driveStep(cs, 2000)
+	driveFresh(cs, 2000)
 	driveRun(cr, 2000, 1<<20)
 	compareCPUs(t, cs, cr)
 	for _, pc := range watched {
 		sic, sh, sok := cs.LastExec(pc)
 		ric, rh, rok := cr.LastExec(pc)
 		if sic != ric || sh != rh || sok != rok {
-			t.Errorf("LastExec(%#x): step (%d,%d,%v), run (%d,%d,%v)", pc, sic, sh, sok, ric, rh, rok)
+			t.Errorf("LastExec(%#x): fresh (%d,%d,%v), run (%d,%d,%v)", pc, sic, sh, sok, ric, rh, rok)
 		}
 		if sok && sh == 0 {
 			t.Errorf("watched pc %#x never hit; test is vacuous", pc)
@@ -243,7 +246,8 @@ target: addi a0, a0, 1    # becomes addi a0, a0, 2
         .data
 patch:  .word %#x
 `, patch)
-	// Parity first: both engines must execute the patched instruction.
+	// Parity first: cached and fresh decodes must execute the patched
+	// instruction.
 	twinTest(t, src, 100, 1<<20, true)
 	img := asm.MustAssemble("smc.s", src)
 	c := load(img)
@@ -393,7 +397,7 @@ func TestRunHaltedAndResume(t *testing.T) {
 }
 
 // TestRunAutoMap checks the replay configuration: AutoMap cores map
-// missing data pages instead of faulting, identically in both engines.
+// missing data pages instead of faulting, identically cached and fresh.
 func TestRunAutoMap(t *testing.T) {
 	src := `
         lui  t0, 0x2000
@@ -406,7 +410,7 @@ func TestRunAutoMap(t *testing.T) {
 	img := asm.MustAssemble("automap.s", src)
 	cs, cr := load(img), load(img)
 	cs.AutoMap, cr.AutoMap = true, true
-	evS := driveStep(cs, 100)
+	evS := driveFresh(cs, 100)
 	evR := driveRun(cr, 100, 1<<20)
 	if evS != evR {
 		t.Fatalf("events: %v vs %v", evS, evR)

@@ -19,15 +19,13 @@
 // a FaultInfo describing the architectural fault, which is what triggers
 // BugNet's log dump (paper §4.8).
 //
-// Two execution engines share this state and these hooks: Step, the
-// reference switch interpreter that decodes every instruction word on
-// every execution, and Run (block.go), the predecoded basic-block engine
-// all record/replay consumers drive by default. The two are held to
-// instruction-identical behavior by differential tests and fuzzing.
+// Run (block.go) is the only interpreter: it executes predecoded basic
+// blocks, and its one opcode switch is the single statement of the ISA's
+// semantics that recording and every replay share. A caller that needs
+// one instruction at a time asks for Run(1).
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"bugnet/internal/isa"
@@ -84,12 +82,12 @@ func (f *FaultInfo) Error() string {
 		f.Cause, f.PC, f.Addr, f.IC)
 }
 
-// Event is the outcome of one Step.
+// Event is why Run stopped.
 type Event uint8
 
-// Step outcomes.
+// Run outcomes.
 const (
-	EventStep    Event = iota // instruction committed, nothing notable
+	EventStep    Event = iota // instructions committed, nothing notable
 	EventSyscall              // a SYSCALL committed; the kernel must service it
 	EventFault                // the instruction faulted; the core is stopped
 	EventHalted               // the core was already halted
@@ -138,21 +136,19 @@ type CPU struct {
 	// measure root-cause→crash windows (Table 1).
 	watches []watchedPC
 
-	// fetch cache: one page of text, revalidated against the memory's
-	// pointer-invalidation generation (a copy-on-write fault or Unmap can
-	// replace the backing array) and invalidated explicitly after code
-	// injection; the base system does not support self-modifying code
-	// (paper §5.3).
-	fetchPageNum uint32
-	fetchPage    *mem.Page
-	fetchGen     uint64
-	fetchValid   bool
-
 	// bc is the predecoded basic-block cache behind Run (see block.go),
-	// created lazily on the first Run so Step-only cores pay nothing.
+	// created lazily on the first Run so a core that never runs pays
+	// nothing.
 	bc *blockCache
 	// stop is the pending Stop request consumed by Run.
 	stop bool
+
+	// _ pads the struct from 240 to 272 bytes. At 240 (Go's 240-byte size
+	// class) sequential replay measured 8-10 % and parallel replay 11-20 %
+	// slower on the mcf and gzip guests (2-vCPU AMD EPYC VM); at 256 or
+	// 272 neither moved. No field offset changes: the size only decides
+	// where the core lands on the heap among the replayer's hot objects.
+	_ [32]byte
 }
 
 type watchedPC struct {
@@ -198,11 +194,11 @@ func (c *CPU) LastExec(pc uint32) (ic uint64, hits uint64, ok bool) {
 	return 0, 0, false
 }
 
-// InvalidateFetchCache drops the cached text page and every predecoded
-// block. Must be called after modifying text (self-modifying-code
-// extension) or unmapping pages.
+// InvalidateFetchCache drops every predecoded block, so each instruction
+// is next decoded from the bytes in memory. Must be called after modifying
+// text behind the core's back (self-modifying-code extension) or
+// unmapping pages.
 func (c *CPU) InvalidateFetchCache() {
-	c.fetchValid = false
 	if c.bc != nil {
 		c.bc.flush()
 	}
@@ -225,214 +221,11 @@ func (c *CPU) fault(cause FaultCause, pc, addr uint32) Event {
 	return EventFault
 }
 
-// fetch reads the instruction word at pc through the one-page fetch cache.
-func (c *CPU) fetch(pc uint32) (uint32, bool) {
-	pageNum := pc >> mem.PageShift
-	if !c.fetchValid || pageNum != c.fetchPageNum || c.Mem.Gen() != c.fetchGen {
-		p := c.Mem.Page(pageNum)
-		if p == nil {
-			return 0, false
-		}
-		c.fetchPage, c.fetchPageNum, c.fetchGen, c.fetchValid = p, pageNum, c.Mem.Gen(), true
-	}
-	o := pc & (mem.PageSize - 1)
-	return binary.LittleEndian.Uint32(c.fetchPage[o : o+4 : o+4]), true
-}
-
-// Step executes one instruction and returns what happened.
-func (c *CPU) Step() Event {
-	if c.Halted {
-		return EventHalted
-	}
-	pc := c.PC
-	if pc&3 != 0 {
-		return c.fault(FaultMemFetch, pc, pc)
-	}
-	if c.OnFetch != nil {
-		c.OnFetch(pc)
-	}
-	w, ok := c.fetch(pc)
-	if !ok {
-		return c.fault(FaultMemFetch, pc, pc)
-	}
-	ins := isa.Decode(w)
-	op := ins.Op
-
-	r := &c.Regs
-	nextPC := pc + 4
-	ev := EventStep
-
-	switch op {
-	case isa.OpInvalid:
-		return c.fault(FaultInvalidOpcode, pc, 0)
-
-	// --- R-type ALU ---
-	case isa.OpADD:
-		r[ins.Rd] = r[ins.Rs1] + r[ins.Rs2]
-	case isa.OpSUB:
-		r[ins.Rd] = r[ins.Rs1] - r[ins.Rs2]
-	case isa.OpMUL:
-		r[ins.Rd] = r[ins.Rs1] * r[ins.Rs2]
-	case isa.OpMULH:
-		p := int64(int32(r[ins.Rs1])) * int64(int32(r[ins.Rs2]))
-		r[ins.Rd] = uint32(uint64(p) >> 32)
-	case isa.OpMULHU:
-		p := uint64(r[ins.Rs1]) * uint64(r[ins.Rs2])
-		r[ins.Rd] = uint32(p >> 32)
-	case isa.OpDIV:
-		d := int32(r[ins.Rs2])
-		if d == 0 {
-			return c.fault(FaultDivZero, pc, 0)
-		}
-		n := int32(r[ins.Rs1])
-		if n == -1<<31 && d == -1 {
-			r[ins.Rd] = uint32(n)
-		} else {
-			r[ins.Rd] = uint32(n / d)
-		}
-	case isa.OpDIVU:
-		if r[ins.Rs2] == 0 {
-			return c.fault(FaultDivZero, pc, 0)
-		}
-		r[ins.Rd] = r[ins.Rs1] / r[ins.Rs2]
-	case isa.OpREM:
-		d := int32(r[ins.Rs2])
-		if d == 0 {
-			return c.fault(FaultDivZero, pc, 0)
-		}
-		n := int32(r[ins.Rs1])
-		if n == -1<<31 && d == -1 {
-			r[ins.Rd] = 0
-		} else {
-			r[ins.Rd] = uint32(n % d)
-		}
-	case isa.OpREMU:
-		if r[ins.Rs2] == 0 {
-			return c.fault(FaultDivZero, pc, 0)
-		}
-		r[ins.Rd] = r[ins.Rs1] % r[ins.Rs2]
-	case isa.OpAND:
-		r[ins.Rd] = r[ins.Rs1] & r[ins.Rs2]
-	case isa.OpOR:
-		r[ins.Rd] = r[ins.Rs1] | r[ins.Rs2]
-	case isa.OpXOR:
-		r[ins.Rd] = r[ins.Rs1] ^ r[ins.Rs2]
-	case isa.OpSLL:
-		r[ins.Rd] = r[ins.Rs1] << (r[ins.Rs2] & 31)
-	case isa.OpSRL:
-		r[ins.Rd] = r[ins.Rs1] >> (r[ins.Rs2] & 31)
-	case isa.OpSRA:
-		r[ins.Rd] = uint32(int32(r[ins.Rs1]) >> (r[ins.Rs2] & 31))
-	case isa.OpSLT:
-		r[ins.Rd] = b2u(int32(r[ins.Rs1]) < int32(r[ins.Rs2]))
-	case isa.OpSLTU:
-		r[ins.Rd] = b2u(r[ins.Rs1] < r[ins.Rs2])
-
-	// --- I-type ALU ---
-	case isa.OpADDI:
-		r[ins.Rd] = r[ins.Rs1] + uint32(ins.Imm)
-	case isa.OpANDI:
-		r[ins.Rd] = r[ins.Rs1] & uint32(ins.Imm)
-	case isa.OpORI:
-		r[ins.Rd] = r[ins.Rs1] | uint32(ins.Imm)
-	case isa.OpXORI:
-		r[ins.Rd] = r[ins.Rs1] ^ uint32(ins.Imm)
-	case isa.OpSLTI:
-		r[ins.Rd] = b2u(int32(r[ins.Rs1]) < ins.Imm)
-	case isa.OpSLTIU:
-		r[ins.Rd] = b2u(r[ins.Rs1] < uint32(ins.Imm))
-	case isa.OpSLLI:
-		r[ins.Rd] = r[ins.Rs1] << (uint32(ins.Imm) & 31)
-	case isa.OpSRLI:
-		r[ins.Rd] = r[ins.Rs1] >> (uint32(ins.Imm) & 31)
-	case isa.OpSRAI:
-		r[ins.Rd] = uint32(int32(r[ins.Rs1]) >> (uint32(ins.Imm) & 31))
-	case isa.OpLUI:
-		r[ins.Rd] = uint32(ins.Imm) << 16
-
-	// --- memory ---
-	case isa.OpLW, isa.OpLH, isa.OpLHU, isa.OpLB, isa.OpLBU:
-		ea := r[ins.Rs1] + uint32(ins.Imm)
-		v, evt := c.load(op, pc, ea)
-		if evt != EventStep {
-			return evt
-		}
-		r[ins.Rd] = v
-
-	case isa.OpSW, isa.OpSH, isa.OpSB:
-		ea := r[ins.Rs1] + uint32(ins.Imm)
-		if evt := c.store(op, pc, ea, r[ins.Rd]); evt != EventStep {
-			return evt
-		}
-
-	case isa.OpAMOSWAP, isa.OpAMOADD:
-		ea := r[ins.Rs1]
-		old, evt := c.amo(op, pc, ea, r[ins.Rs2])
-		if evt != EventStep {
-			return evt
-		}
-		r[ins.Rd] = old
-
-	// --- control transfer ---
-	case isa.OpBEQ:
-		if r[ins.Rs1] == r[ins.Rs2] {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpBNE:
-		if r[ins.Rs1] != r[ins.Rs2] {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpBLT:
-		if int32(r[ins.Rs1]) < int32(r[ins.Rs2]) {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpBGE:
-		if int32(r[ins.Rs1]) >= int32(r[ins.Rs2]) {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpBLTU:
-		if r[ins.Rs1] < r[ins.Rs2] {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpBGEU:
-		if r[ins.Rs1] >= r[ins.Rs2] {
-			nextPC = pc + 4 + uint32(ins.Imm)
-		}
-	case isa.OpJAL:
-		r[isa.RegRA] = pc + 4
-		nextPC = pc + 4 + uint32(ins.Imm)
-	case isa.OpJ:
-		nextPC = pc + 4 + uint32(ins.Imm)
-	case isa.OpJALR:
-		target := r[ins.Rs1] + uint32(ins.Imm)
-		r[ins.Rd] = pc + 4
-		nextPC = target
-
-	// --- system ---
-	case isa.OpSYSCALL:
-		ev = EventSyscall
-	case isa.OpBREAK:
-		return c.fault(FaultBreak, pc, 0)
-	}
-
-	r[isa.RegZero] = 0
-	c.PC = nextPC
-	c.IC++
-	if len(c.watches) != 0 {
-		for i := range c.watches {
-			if c.watches[i].pc == pc {
-				c.watches[i].lastIC = c.IC
-				c.watches[i].hits++
-			}
-		}
-	}
-	return ev
-}
-
-// load performs a load of any width, firing the loggable hook first.
-func (c *CPU) load(op isa.Opcode, pc, ea uint32) (uint32, Event) {
-	width := op.MemBytes()
-	if ea&uint32(width-1) != 0 {
+// load performs the aligned-word read behind a width-byte load at ea,
+// firing the loggable hook first, and returns the word shifted so the
+// addressed bytes are its low bits; the caller extends them.
+func (c *CPU) load(pc, ea, width uint32) (uint32, Event) {
+	if ea&(width-1) != 0 {
 		return 0, c.fault(FaultMisaligned, pc, ea)
 	}
 	wordAddr := ea &^ 3
@@ -448,28 +241,14 @@ func (c *CPU) load(op isa.Opcode, pc, ea uint32) (uint32, Event) {
 	if err != nil {
 		return 0, c.fault(FaultMemRead, pc, ea)
 	}
-	shift := (ea & 3) * 8
-	switch op {
-	case isa.OpLW:
-		return word, EventStep
-	case isa.OpLH:
-		return uint32(int32(int16(word >> shift))), EventStep
-	case isa.OpLHU:
-		return word >> shift & 0xFFFF, EventStep
-	case isa.OpLB:
-		return uint32(int32(int8(word >> shift))), EventStep
-	case isa.OpLBU:
-		return word >> shift & 0xFF, EventStep
-	}
-	return 0, c.fault(FaultInvalidOpcode, pc, 0)
+	return word >> ((ea & 3) * 8), EventStep
 }
 
-// store performs a store of any width. Full-word stores fire OnWordStore;
+// store performs a width-byte store. Full-word stores fire OnWordStore;
 // sub-word stores are read-modify-writes of their containing word and fire
 // OnLoggable (see package comment).
-func (c *CPU) store(op isa.Opcode, pc, ea, v uint32) Event {
-	width := op.MemBytes()
-	if ea&uint32(width-1) != 0 {
+func (c *CPU) store(pc, ea, v, width uint32) Event {
+	if ea&(width-1) != 0 {
 		return c.fault(FaultMisaligned, pc, ea)
 	}
 	wordAddr := ea &^ 3
@@ -478,35 +257,32 @@ func (c *CPU) store(op isa.Opcode, pc, ea, v uint32) Event {
 			return c.fault(FaultMemWrite, pc, ea)
 		}
 	}
-	switch op {
-	case isa.OpSW:
+	var err error
+	if width == 4 {
 		if c.OnWordStore != nil {
 			c.OnWordStore(wordAddr)
 		}
-		if err := c.Mem.StoreWord(ea, v); err != nil {
-			return c.fault(FaultMemWrite, pc, ea)
-		}
-	case isa.OpSH:
+		err = c.Mem.StoreWord(ea, v)
+	} else {
 		if c.OnLoggable != nil {
 			c.OnLoggable(wordAddr, true)
 		}
-		if err := c.Mem.StoreHalf(ea, uint16(v)); err != nil {
-			return c.fault(FaultMemWrite, pc, ea)
+		if width == 2 {
+			err = c.Mem.StoreHalf(ea, uint16(v))
+		} else {
+			err = c.Mem.StoreByte(ea, byte(v))
 		}
-	case isa.OpSB:
-		if c.OnLoggable != nil {
-			c.OnLoggable(wordAddr, true)
-		}
-		if err := c.Mem.StoreByte(ea, byte(v)); err != nil {
-			return c.fault(FaultMemWrite, pc, ea)
-		}
+	}
+	if err != nil {
+		return c.fault(FaultMemWrite, pc, ea)
 	}
 	c.noteCodeWrite(wordAddr)
 	return EventStep
 }
 
-// amo performs an atomic read-modify-write on the word at ea.
-func (c *CPU) amo(op isa.Opcode, pc, ea, src uint32) (uint32, Event) {
+// amo performs an atomic read-modify-write on the word at ea: it stores
+// old+src when add is set and src otherwise, and returns old.
+func (c *CPU) amo(pc, ea, src uint32, add bool) (uint32, Event) {
 	if ea&3 != 0 {
 		return 0, c.fault(FaultMisaligned, pc, ea)
 	}
@@ -522,12 +298,9 @@ func (c *CPU) amo(op isa.Opcode, pc, ea, src uint32) (uint32, Event) {
 	if err != nil {
 		return 0, c.fault(FaultMemRead, pc, ea)
 	}
-	var next uint32
-	switch op {
-	case isa.OpAMOSWAP:
-		next = src
-	case isa.OpAMOADD:
-		next = old + src
+	next := src
+	if add {
+		next += old
 	}
 	if err := c.Mem.StoreWord(ea, next); err != nil {
 		return 0, c.fault(FaultMemWrite, pc, ea)

@@ -10,21 +10,15 @@ import (
 
 // run assembles src, loads it, and executes until fault, syscall or the
 // step limit. It returns the CPU for state inspection.
-func run(t *testing.T, src string, maxSteps int) (*CPU, Event) {
+func run(t *testing.T, src string, maxSteps uint64) (*CPU, Event) {
 	t.Helper()
 	img, err := asm.Assemble("t.s", src)
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
 	c := load(img)
-	var ev Event
-	for i := 0; i < maxSteps; i++ {
-		ev = c.Step()
-		if ev != EventStep {
-			return c, ev
-		}
-	}
-	return c, EventStep
+	_, ev := c.Run(maxSteps)
+	return c, ev
 }
 
 func load(img *asm.Image) *CPU {
@@ -289,11 +283,7 @@ main:   la  t0, x
 		}
 	}
 	c.OnWordStore = func(w uint32) { stores = append(stores, w) }
-	for {
-		if ev := c.Step(); ev != EventStep {
-			break
-		}
-	}
+	c.Run(100)
 	x := img.MustSymbol("x")
 	if len(loggable) != 4 {
 		t.Fatalf("loggable hooks = %d; want 4 (lw, sb, sh, amoadd)", len(loggable))
@@ -316,7 +306,7 @@ func TestHookNotFiredOnFault(t *testing.T) {
 	c := load(img)
 	fired := false
 	c.OnLoggable = func(uint32, bool) { fired = true }
-	c.Step()
+	c.Run(1)
 	if fired {
 		t.Error("loggable hook fired for a faulting load")
 	}
@@ -330,14 +320,7 @@ func TestAutoMap(t *testing.T) {
 `)
 	c := load(img)
 	c.AutoMap = true
-	var ev Event
-	for {
-		ev = c.Step()
-		if ev != EventStep {
-			break
-		}
-	}
-	if ev != EventSyscall {
+	if _, ev := c.Run(100); ev != EventSyscall {
 		t.Fatalf("event = %v; fault=%v (AutoMap should prevent the fault)", ev, c.Fault)
 	}
 	if c.Regs[isa.RegA0] != 0 {
@@ -355,11 +338,7 @@ target: bnez t0, loop
 	c := load(img)
 	target := img.MustSymbol("target")
 	c.Watch(target)
-	for {
-		if ev := c.Step(); ev != EventStep {
-			break
-		}
-	}
+	c.Run(100)
 	ic, hits, ok := c.LastExec(target)
 	if !ok || hits != 3 {
 		t.Fatalf("watch: ic=%d hits=%d ok=%v", ic, hits, ok)
@@ -373,10 +352,9 @@ target: bnez t0, loop
 func TestSnapshotRestore(t *testing.T) {
 	img := asm.MustAssemble("s.s", "li a0, 1\nli a1, 2\nsyscall\n")
 	c := load(img)
-	c.Step()
+	c.Run(1)
 	snap := c.State()
-	c.Step()
-	c.Step()
+	c.Run(2)
 	c2 := load(img)
 	c2.Restore(snap)
 	if c2.PC != snap.PC || c2.Regs[isa.RegA0] != 1 || c2.Regs[isa.RegA1] != 0 {
@@ -388,7 +366,7 @@ func TestFetchFaultOnUnmappedPC(t *testing.T) {
 	m := mem.New()
 	c := New(m)
 	c.PC = 0x400000
-	if ev := c.Step(); ev != EventFault || c.Fault.Cause != FaultMemFetch {
+	if _, ev := c.Run(1); ev != EventFault || c.Fault.Cause != FaultMemFetch {
 		t.Fatalf("event = %v fault = %+v", ev, c.Fault)
 	}
 }
@@ -397,12 +375,15 @@ func TestHaltedStaysHalted(t *testing.T) {
 	m := mem.New()
 	c := New(m)
 	c.Halted = true
-	if ev := c.Step(); ev != EventHalted {
+	if _, ev := c.Run(1); ev != EventHalted {
 		t.Fatalf("event = %v", ev)
 	}
 }
 
-func BenchmarkInterpreterLoop(b *testing.B) {
+// BenchmarkRunOneInstruction times Run(1) over a load/store loop: the
+// per-instruction price of a caller that must act between instructions,
+// as FDR replay does.
+func BenchmarkRunOneInstruction(b *testing.B) {
 	img := asm.MustAssemble("b.s", `
         .data
 arr:    .space 4096
@@ -421,6 +402,6 @@ loop:   andi t2, t1, 1023
 	c := load(img)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Step()
+		c.Run(1)
 	}
 }

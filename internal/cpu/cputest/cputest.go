@@ -1,6 +1,6 @@
 // Package cputest holds the program generator behind the cpu package's
-// differential tests (Step vs Run), so replay-level differential tests in
-// other packages run over the same programs.
+// differential tests (cached blocks vs fresh decode), so replay-level
+// differential tests in other packages run over the same programs.
 package cputest
 
 import (
@@ -12,9 +12,9 @@ import (
 	"bugnet/internal/mem"
 )
 
-// TwinPrograms are small structured programs covering the behaviors the
-// two execution engines must agree on: loops, every memory width, atomics,
-// calls, traps, faults and syscalls.
+// TwinPrograms are small structured programs covering the behaviors cached
+// and freshly decoded execution must agree on: loops, every memory width,
+// atomics, calls, traps, faults and syscalls.
 var TwinPrograms = map[string]string{
 	"arith-loop": `
         li   a0, 0
@@ -110,9 +110,25 @@ loop:   sb   t1, 0(t0)
 `,
 }
 
-// FuzzSeeds returns the seed corpus of FuzzBlockVsSwitch: the text of
+// smcSeed rewrites its own text through t0, which both fuzz harnesses
+// point at the first fuzzed word: it runs loop once, stores the word at
+// patch over loop's first instruction, and runs it again, so a decode
+// cached across the store is caught on the seed corpus alone.
+const smcSeed = `
+        addi a4, zero, 0
+loop:   addi a3, a3, 1       # becomes addi a3, a3, 100
+        bne  a4, zero, done
+        addi a4, zero, 1
+        lw   t2, 28(t0)
+        sw   t2, 4(t0)
+        j    loop
+patch:  addi a3, a3, 100
+done:   break
+`
+
+// FuzzSeeds returns the seed corpus of FuzzRunVsFreshDecode: the text of
 // every twin program, in name order, plus raw tails that decode into
-// interesting shapes.
+// interesting shapes, plus smcSeed.
 func FuzzSeeds() [][]byte {
 	var seeds [][]byte
 	for _, name := range slices.Sorted(maps.Keys(TwinPrograms)) {
@@ -120,7 +136,8 @@ func FuzzSeeds() [][]byte {
 			seeds = append(seeds, img.Text)
 		}
 	}
-	return append(seeds, []byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 64))
+	return append(seeds, []byte{0xff, 0xff, 0xff, 0xff}, make([]byte, 64),
+		asm.MustAssemble("smc.s", smcSeed).Text)
 }
 
 // FuzzWords reads a fuzz input as instruction words, at most one page.

@@ -1,12 +1,13 @@
 package cpu
 
-// Differential fuzzing of the two execution engines: arbitrary instruction
-// streams must behave instruction-identically under the preserved switch
-// interpreter (Step) and the predecoded block engine (Run) — registers,
-// memory, IC, hook streams, and FaultInfo. Register seeding points base
-// registers at both the data page and the text page, so fuzzed stores
-// regularly rewrite code under cached blocks and exercise the
-// self-modifying-code invalidation paths.
+// Differential fuzzing of decode caching and invalidation: arbitrary
+// instruction streams must behave instruction-identically when Run
+// re-executes cached blocks in batches and when every instruction is
+// decoded fresh from live memory (Run(1) after a cache flush) —
+// registers, memory, IC, hook streams, LastExec and FaultInfo. Register
+// seeding points base registers at both the data page and the text page,
+// so fuzzed stores regularly rewrite code under cached blocks and exercise
+// the self-modifying-code invalidation paths.
 
 import (
 	"encoding/binary"
@@ -51,7 +52,7 @@ func buildFuzzCPU(words []uint32) *CPU {
 	return c
 }
 
-func FuzzBlockVsSwitch(f *testing.F) {
+func FuzzRunVsFreshDecode(f *testing.F) {
 	// Seed with the structured twin programs plus raw tails that decode
 	// into interesting shapes.
 	for _, seed := range cputest.FuzzSeeds() {
@@ -80,26 +81,26 @@ func FuzzBlockVsSwitch(f *testing.F) {
 		instrument(cs, &se)
 		instrument(cr, &re)
 
-		evS := driveStep(cs, fuzzMaxInstr)
+		evS := driveFresh(cs, fuzzMaxInstr)
 		evR := driveRun(cr, fuzzMaxInstr, batch)
 
 		if evS != evR {
-			t.Fatalf("final event: step %v, run %v (fault step=%v run=%v)", evS, evR, cs.Fault, cr.Fault)
+			t.Fatalf("final event: fresh %v, run %v (fault fresh=%v run=%v)", evS, evR, cs.Fault, cr.Fault)
 		}
 		compareCPUs(t, cs, cr)
 		if len(se) != len(re) {
-			t.Fatalf("hook streams: step %d events, run %d", len(se), len(re))
+			t.Fatalf("hook streams: fresh %d events, run %d", len(se), len(re))
 		}
 		for i := range se {
 			if se[i] != re[i] {
-				t.Fatalf("hook event %d: step %+v, run %+v", i, se[i], re[i])
+				t.Fatalf("hook event %d: fresh %+v, run %+v", i, se[i], re[i])
 			}
 		}
 		for _, pc := range []uint32{fuzzTextBase + 8, fuzzTextBase + 32} {
 			sic, sh, _ := cs.LastExec(pc)
 			ric, rh, _ := cr.LastExec(pc)
 			if sic != ric || sh != rh {
-				t.Fatalf("LastExec(%#x): step (%d,%d), run (%d,%d)", pc, sic, sh, ric, rh)
+				t.Fatalf("LastExec(%#x): fresh (%d,%d), run (%d,%d)", pc, sic, sh, ric, rh)
 			}
 		}
 	})

@@ -129,7 +129,7 @@ func execOne(t *testing.T, ins isa.Instruction, a, b uint32) (uint32, Event) {
 	c.PC = 0x1000
 	c.Regs[5] = a // t0
 	c.Regs[6] = b // t1
-	ev := c.Step()
+	_, ev := c.Run(1)
 	return c.Regs[7], ev // t2
 }
 
@@ -221,7 +221,7 @@ func TestBranchSemantics(t *testing.T) {
 				c := New(m)
 				c.PC = 0x1000
 				c.Regs[5], c.Regs[6] = a, b
-				c.Step()
+				c.Run(1)
 				wantPC := uint32(0x1004)
 				if pred(a, b) {
 					wantPC = 0x1014
@@ -241,20 +241,20 @@ func TestJumpSemantics(t *testing.T) {
 	m.StoreWord(0x1000, isa.MustEncode(isa.Instruction{Op: isa.OpJAL, Imm: 32}))
 	c := New(m)
 	c.PC = 0x1000
-	c.Step()
+	c.Run(1)
 	if c.PC != 0x1024 || c.Regs[isa.RegRA] != 0x1004 {
 		t.Errorf("jal: pc=%#x ra=%#x", c.PC, c.Regs[isa.RegRA])
 	}
 
 	m.StoreWord(0x1024, isa.MustEncode(isa.Instruction{Op: isa.OpJALR, Rd: 7, Rs1: 5, Imm: 8}))
 	c.Regs[5] = 0x1080
-	c.Step()
+	c.Run(1)
 	if c.PC != 0x1088 || c.Regs[7] != 0x1028 {
 		t.Errorf("jalr: pc=%#x rd=%#x", c.PC, c.Regs[7])
 	}
 
 	m.StoreWord(0x1088, isa.MustEncode(isa.Instruction{Op: isa.OpJ, Imm: -8}))
-	c.Step()
+	c.Run(1)
 	if c.PC != 0x1084 {
 		t.Errorf("j backward: pc=%#x", c.PC)
 	}

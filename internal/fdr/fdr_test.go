@@ -1,6 +1,8 @@
 package fdr
 
 import (
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -167,6 +169,61 @@ spin:   addi t1, t1, -1
 	}
 	if want := uint32(0x54535251); rr.Final.Regs[isa.RegA0] != want { // "QRST"
 		t.Errorf("post-DMA word = %#x; want %#x", rr.Final.Regs[isa.RegA0], want)
+	}
+}
+
+// TestReplayInvalidatesLoggedTextWrites: a recorded read (or DMA) lands an
+// instruction in a text page the core has already executed, and the
+// program then runs it. Replay writes the logged bytes behind the core's
+// back; unless it drops the decoded blocks they cover, the stale
+// instruction runs again and replay misses the recorded final state.
+func TestReplayInvalidatesLoggedTextWrites(t *testing.T) {
+	patch := isa.MustEncode(isa.Instruction{Op: isa.OpADDI, Rd: isa.RegS0, Rs1: isa.RegS0, Imm: 100})
+	for _, tc := range []struct {
+		name    string
+		sysno   int
+		latency uint64
+	}{
+		{"read", kernel.SysRead, 0},
+		{"dma_read", kernel.SysDMARead, 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := asm.MustAssemble("smc.s", fmt.Sprintf(`
+main:   li   s1, 0
+loop:   addi s0, s0, 1       # the input rewrites it to addi s0, s0, 100
+        bnez s1, done
+        li   s1, 1
+        li   a0, 0
+        la   a1, loop
+        li   a2, 4
+        li   a7, %d
+        syscall
+        li   t1, 200         # outlast the DMA latency
+spin:   addi t1, t1, -1
+        bnez t1, spin
+        j    loop
+done:   mv   a0, s0
+        li   a7, 1
+        syscall
+`, tc.sysno))
+			m := kernel.New(img, kernel.Config{
+				Inputs:     map[string][]byte{"stdin": binary.LittleEndian.AppendUint32(nil, patch)},
+				DMALatency: tc.latency,
+			}, nil)
+			rec := NewRecorder(m, Config{IntervalSteps: 1 << 30})
+			res := m.Run()
+			rec.Finalize()
+			if res.Crash != nil || res.ExitCode != 101 {
+				t.Fatalf("recording: crash %v, exit code %d; want exit 101 (1 + the patched 100)", res.Crash, res.ExitCode)
+			}
+			rr, err := Replay(rec, 0)
+			if err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if want := m.Threads[0].CPU.State(); rr.Final != want {
+				t.Errorf("replayed final state %+v; want the recorded %+v", rr.Final, want)
+			}
+		})
 	}
 }
 

@@ -97,18 +97,21 @@ func Replay(rec *Recorder, startIdx int) (*ReplayResult, error) {
 	step := cp.startStep
 	for {
 		// Apply DMA completions due at this step (the machine ticked DMA
-		// after every instruction).
+		// after every instruction). Like every logged write below, it
+		// lands behind the core's back, so decodes it covers are dropped
+		// as the kernel drops them when recording.
 		for len(dmas) > 0 && dmas[0].step <= step {
 			d := dmas[0]
 			dmas = dmas[1:]
 			if err := m.StoreBytes(d.addr, d.data); err != nil {
 				return nil, fmt.Errorf("fdr: DMA replay at %#x: %v", d.addr, err)
 			}
+			c.InvalidateFetchRange(d.addr, uint32(len(d.data)))
 		}
 		if rec.finalSteps != 0 && step >= rec.finalSteps {
 			break // end of recording (clean exit)
 		}
-		ev := c.Step()
+		_, ev := c.Run(1)
 		step++
 		switch ev {
 		case cpu.EventStep:
@@ -124,6 +127,7 @@ func Replay(rec *Recorder, startIdx int) (*ReplayResult, error) {
 					if err := m.StoreBytes(in.addr, in.data); err != nil {
 						return nil, fmt.Errorf("fdr: input replay at %#x: %v", in.addr, err)
 					}
+					c.InvalidateFetchRange(in.addr, uint32(len(in.data)))
 				}
 				if in.valid {
 					c.Regs[isa.RegA0] = in.a0

@@ -53,7 +53,7 @@ type jsonSession struct {
 func openJSONSession(t *testing.T, base, report string) *jsonSession {
 	t.Helper()
 	body, _ := json.Marshal(timetravel.OpenRequest{Report: report})
-	resp, err := http.Post(base+"/debug/sessions", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/api/v1/debug/sessions", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func openJSONSession(t *testing.T, base, report string) *jsonSession {
 func (j *jsonSession) do(c timetravel.Command) timetravel.Outcome {
 	j.t.Helper()
 	body, _ := json.Marshal(c)
-	resp, err := http.Post(j.base+"/debug/sessions/"+j.id+"/cmd", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(j.base+"/api/v1/debug/sessions/"+j.id+"/cmd", "application/json", bytes.NewReader(body))
 	if err != nil {
 		j.t.Fatal(err)
 	}

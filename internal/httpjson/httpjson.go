@@ -113,19 +113,11 @@ func CodeForStatus(status int) string {
 }
 
 // DecodeError parses an error-envelope body (as produced by Fail),
-// returning the inner body. Legacy {"error": "msg"} bodies from pre-v1
-// servers decode with the message only, so mixed-version fleets keep
-// readable diagnostics. ok reports whether anything was parsed.
+// returning the inner body. ok reports whether anything was parsed.
 func DecodeError(data []byte) (ErrorBody, bool) {
 	var env ErrorEnvelope
 	if err := json.Unmarshal(data, &env); err == nil && (env.Error.Message != "" || env.Error.Code != "") {
 		return env.Error, true
-	}
-	var legacy struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(data, &legacy); err == nil && legacy.Error != "" {
-		return ErrorBody{Message: legacy.Error}, true
 	}
 	return ErrorBody{}, false
 }

@@ -59,9 +59,8 @@ func TestDecodeErrorBothShapes(t *testing.T) {
 	if !ok || body.Code != "not_found" || body.Message != "gone" || body.RequestID != "r1" {
 		t.Fatalf("new shape: ok=%v body=%+v", ok, body)
 	}
-	body, ok = DecodeError([]byte(`{"error":"legacy message"}`))
-	if !ok || body.Message != "legacy message" {
-		t.Fatalf("legacy shape: ok=%v body=%+v", ok, body)
+	if _, ok := DecodeError([]byte(`{"error":"bare message"}`)); ok {
+		t.Fatal("pre-envelope {\"error\": \"msg\"} shape decoded as an error body")
 	}
 	if _, ok := DecodeError([]byte("not json at all")); ok {
 		t.Fatal("junk decoded as an error body")
@@ -87,20 +86,20 @@ func TestCodeForStatus(t *testing.T) {
 	}
 }
 
-func TestHandleRegistersBothSurfaces(t *testing.T) {
+func TestHandleRegistersVersionedPath(t *testing.T) {
 	mux := http.NewServeMux()
 	Handle(mux, "GET /things/{id}", func(w http.ResponseWriter, r *http.Request) {
 		Write(w, http.StatusOK, map[string]string{"id": r.PathValue("id")})
 	})
-	for _, path := range []string{"/things/42", "/api/v1/things/42"} {
-		w := httptest.NewRecorder()
-		mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
-		if w.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, w.Code)
-		}
-		var got map[string]string
-		if err := json.Unmarshal(w.Body.Bytes(), &got); err != nil || got["id"] != "42" {
-			t.Fatalf("GET %s: body %s", path, w.Body.String())
-		}
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/things/42", nil))
+	var got map[string]string
+	if err := json.Unmarshal(w.Body.Bytes(), &got); w.Code != http.StatusOK || err != nil || got["id"] != "42" {
+		t.Fatalf("GET /api/v1/things/42: %d %s", w.Code, w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/things/42", nil))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("GET /things/42 (unversioned): %d; want 404", w.Code)
 	}
 }

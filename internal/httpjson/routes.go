@@ -5,19 +5,15 @@ import (
 	"strings"
 )
 
-// APIPrefix is the current versioned API prefix. Legacy unprefixed paths
-// remain mounted as thin aliases for one release; new clients must use
-// the versioned surface.
+// APIPrefix is the versioned prefix of every public API path.
 const APIPrefix = "/api/v1"
 
-// Handle registers one handler under both the versioned path and its
-// legacy unprefixed alias. pattern is "METHOD /path". Shared by every
-// BugNet HTTP surface so the whole API moves versions in one place.
+// Handle registers h under APIPrefix. pattern is "METHOD /path". Shared by
+// every BugNet HTTP surface so the whole API moves versions in one place.
 func Handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
 		panic("httpjson: pattern must be \"METHOD /path\": " + pattern)
 	}
 	mux.HandleFunc(method+" "+APIPrefix+path, h)
-	mux.HandleFunc(pattern, h)
 }

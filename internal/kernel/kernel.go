@@ -344,8 +344,7 @@ func (m *Machine) startThread(tid int, entry, arg, stackTop, stackSize uint32) {
 // Now returns the global step counter — the machine's deterministic clock,
 // used for SysTime and FLL/MRL timestamps. Inside a batched cpu.Run the
 // committed instructions of the batch are counted live, so recorder hooks
-// observe exactly the step they would have under one-Step-per-loop
-// execution.
+// observe exactly the step they would have with one instruction per batch.
 func (m *Machine) Now() uint64 {
 	if m.running != nil {
 		return m.steps + (m.running.CPU.IC - m.runBaseIC)
@@ -412,10 +411,10 @@ func (m *Machine) pickThread() *Thread {
 // Each batch is bounded so that no machine event can fall inside it: the
 // quantum remainder, the step budget, the thread's next timer interrupt,
 // and the earliest pending DMA completion. Within those bounds the batched
-// execution is step-for-step identical to the historical one-Step-per-loop
-// interleaving — timers still fire on the exact instruction boundary and
-// DMA completions still land on the exact global step they always did, so
-// recorded logs are byte-identical across engines.
+// execution is step-for-step identical to running one instruction per
+// batch — timers fire on the exact instruction boundary and DMA
+// completions land on the exact global step — so recorded logs do not
+// depend on batch sizes.
 func (m *Machine) runQuantum(th *Thread) {
 	for q := 0; q < m.cfg.Quantum && th.State == ThreadRunnable && m.crash == nil; {
 		if m.steps >= m.cfg.MaxSteps {
@@ -488,11 +487,10 @@ func (m *Machine) nextDMACompletion() (uint64, bool) {
 
 // invalidateFetch drops every live core's predecoded blocks covering the
 // externally written range. Called after the kernel or the DMA engine
-// writes user memory behind the cores' backs: the word-level fetch path
-// read through the page pointer and picked such writes up implicitly, but
-// predecoded blocks cache decoded content and must be told when it may
-// have changed. The range filter keeps writes into plain data buffers —
-// nearly all of them — from flushing anything.
+// writes user memory behind the cores' backs: predecoded blocks cache
+// decoded content and nothing re-reads text under them, so they must be
+// told when it may have changed. The range filter keeps writes into plain
+// data buffers — nearly all of them — from flushing anything.
 func (m *Machine) invalidateFetch(addr, n uint32) {
 	for _, th := range m.Threads {
 		if th.CPU != nil {

@@ -63,7 +63,7 @@ func TestSnapshotUnmapIsolation(t *testing.T) {
 
 // TestGenInvalidation: cached Page pointers must be detectable as stale
 // through Gen whenever a copy-on-write or an Unmap replaces the backing
-// array — the CPU's fetch cache depends on this.
+// array — the CPU's predecoded blocks depend on this.
 func TestGenInvalidation(t *testing.T) {
 	m := New()
 	m.Map(0, PageSize)

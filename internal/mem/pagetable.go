@@ -53,8 +53,8 @@ type table[T any] struct {
 	count int
 	// gen increments whenever a payload pointer previously handed out may
 	// have gone stale: a copy-on-write payload replacement or a removal.
-	// Callers caching payload pointers (the CPU's fetch cache) revalidate
-	// against it.
+	// Callers caching payload pointers (the CPU's predecoded blocks)
+	// revalidate against it.
 	gen uint64
 	// free and freeLeaves hold the payloads and leaves recycle kept back for
 	// ensure to reuse; nothing else references them.

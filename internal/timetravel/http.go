@@ -21,8 +21,7 @@ type OpenRequest struct {
 	TID *int `json:"tid,omitempty"`
 }
 
-// RegisterRoutes installs the remote-debug API onto mux (each path also
-// reachable without the /api/v1 prefix as a deprecated alias):
+// RegisterRoutes installs the remote-debug API onto mux:
 //
 //	POST   /api/v1/debug/sessions           — open a session over a stored report
 //	GET    /api/v1/debug/sessions           — list live sessions

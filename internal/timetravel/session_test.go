@@ -153,7 +153,7 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Open.
-	resp := post("/debug/sessions", OpenRequest{Report: "r1"}, http.StatusCreated)
+	resp := post("/api/v1/debug/sessions", OpenRequest{Report: "r1"}, http.StatusCreated)
 	var info SessionInfo
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatal(err)
@@ -164,8 +164,8 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Unknown report is 404; garbage is 400.
-	post("/debug/sessions", OpenRequest{Report: "nope"}, http.StatusNotFound).Body.Close()
-	resp, err := http.Post(srv.URL+"/debug/sessions", "application/json", bytes.NewReader([]byte("{")))
+	post("/api/v1/debug/sessions", OpenRequest{Report: "nope"}, http.StatusNotFound).Body.Close()
+	resp, err := http.Post(srv.URL+"/api/v1/debug/sessions", "application/json", bytes.NewReader([]byte("{")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Command round trip.
-	resp = post("/debug/sessions/"+info.ID+"/cmd", Command{Cmd: "step", N: 5}, http.StatusOK)
+	resp = post("/api/v1/debug/sessions/"+info.ID+"/cmd", Command{Cmd: "step", N: 5}, http.StatusOK)
 	var out Outcome
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Listing.
-	resp, err = http.Get(srv.URL + "/debug/sessions")
+	resp, err = http.Get(srv.URL + "/api/v1/debug/sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +200,11 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Second session hits the cap at three.
-	post("/debug/sessions", OpenRequest{Report: "r1"}, http.StatusCreated).Body.Close()
-	post("/debug/sessions", OpenRequest{Report: "r1"}, http.StatusTooManyRequests).Body.Close()
+	post("/api/v1/debug/sessions", OpenRequest{Report: "r1"}, http.StatusCreated).Body.Close()
+	post("/api/v1/debug/sessions", OpenRequest{Report: "r1"}, http.StatusTooManyRequests).Body.Close()
 
 	// Delete.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/debug/sessions/"+info.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/debug/sessions/"+info.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -222,5 +222,5 @@ func TestHTTPDebugAPI(t *testing.T) {
 	}
 
 	// Commands against a deleted session 404.
-	post("/debug/sessions/"+info.ID+"/cmd", Command{Cmd: "where"}, http.StatusNotFound).Body.Close()
+	post("/api/v1/debug/sessions/"+info.ID+"/cmd", Command{Cmd: "where"}, http.StatusNotFound).Body.Close()
 }

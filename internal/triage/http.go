@@ -65,8 +65,7 @@ func limitParam(r *http.Request) int {
 	return limit
 }
 
-// NewHandler exposes a Service over HTTP. The full surface (all paths
-// also reachable without the /api/v1 prefix as deprecated aliases):
+// NewHandler exposes a Service over HTTP. The full surface:
 //
 //	POST /api/v1/reports        — upload one packed archive (201 new, 200 duplicate)
 //	GET  /api/v1/reports        — report listing (?cursor=&limit=, id order)

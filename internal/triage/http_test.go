@@ -23,7 +23,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(s))
 	defer srv.Close()
 
-	// Upload via the versioned path.
+	// Upload.
 	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
@@ -37,15 +37,14 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Duplicate upload answers 200 — on the legacy alias, which must
-	// behave identically to the versioned path.
-	resp, err = http.Post(srv.URL+"/reports", "application/octet-stream", bytes.NewReader(blob))
+	// Duplicate upload answers 200.
+	resp, err = http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate POST on legacy alias: %s", resp.Status)
+		t.Fatalf("duplicate POST: %s", resp.Status)
 	}
 
 	// Garbage answers 400 with the standard envelope and a stable code.
@@ -87,9 +86,9 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("buckets = %+v", buckets)
 	}
 
-	// Report listing, same envelope on the legacy alias.
+	// Report listing, same envelope.
 	var reports Listing[ReportMeta]
-	getJSON(t, srv.URL+"/reports", &reports)
+	getJSON(t, srv.URL+"/api/v1/reports", &reports)
 	if len(reports.Items) != 1 || reports.NextCursor != "" || reports.Items[0].ID != ing.ID {
 		t.Fatalf("reports = %+v", reports)
 	}
@@ -106,11 +105,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("healthz = %+v", health)
 	}
 
-	// Unknowns answer 404 with the envelope, on both surfaces.
-	for _, path := range []string{
-		"/reports/deadbeef", "/buckets/nope",
-		"/api/v1/reports/deadbeef", "/api/v1/buckets/nope",
-	} {
+	// Unknowns answer 404 with the envelope.
+	for _, path := range []string{"/api/v1/reports/deadbeef", "/api/v1/buckets/nope"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	before := scrape(t, srv.URL)
 
 	// Upload one report and let triage replay it.
-	resp, err := http.Post(srv.URL+"/reports", "application/octet-stream", bytes.NewReader(blob))
+	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	s.WaitIdle()
 
 	// Open a debug session over the stored report.
-	resp, err = http.Post(srv.URL+"/debug/sessions", "application/json",
+	resp, err = http.Post(srv.URL+"/api/v1/debug/sessions", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"report":%q}`, ing.ID)))
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ boom:   lw   a0, (t3)
 	defer srv.Close()
 
 	// Upload the field report.
-	resp, err := http.Post(srv.URL+"/reports", "application/octet-stream", bytes.NewReader(blob))
+	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +102,14 @@ boom:   lw   a0, (t3)
 
 	// Open a session on the stored report.
 	var info timetravel.SessionInfo
-	postJSON("/debug/sessions", timetravel.OpenRequest{Report: ing.ID}, &info)
+	postJSON("/api/v1/debug/sessions", timetravel.OpenRequest{Report: ing.ID}, &info)
 	if info.Fault == nil || info.Fault.Cause == "" {
 		t.Fatalf("session fault = %+v", info.Fault)
 	}
 	if !svc.Store().Pinned(ing.ID) {
 		t.Fatal("open session must pin the report blob")
 	}
-	cmdURL := "/debug/sessions/" + info.ID + "/cmd"
+	cmdURL := "/api/v1/debug/sessions/" + info.ID + "/cmd"
 	do := func(c timetravel.Command) timetravel.Outcome {
 		t.Helper()
 		var out timetravel.Outcome
@@ -163,7 +163,7 @@ boom:   lw   a0, (t3)
 	}
 
 	// Closing the session drops the pin.
-	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/debug/sessions/"+info.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/api/v1/debug/sessions/"+info.ID, nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestRecordSubmitTriageRoundTrip(t *testing.T) {
 	defer srv.Close()
 
 	upload := func() triage.IngestResult {
-		resp, err := http.Post(srv.URL+"/reports", "application/octet-stream", bytes.NewReader(blob))
+		resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
 		if err != nil {
 			t.Fatal(err)
 		}
