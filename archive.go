@@ -3,8 +3,24 @@ package bugnet
 import (
 	"io"
 
+	"bugnet/internal/fll"
+	"bugnet/internal/mrl"
 	"bugnet/internal/report"
 )
+
+// FLL is a First-Load Log: one checkpoint interval of one thread.
+type FLL = fll.Log
+
+// MRL is a Memory Race Log paired with an FLL.
+type MRL = mrl.Log
+
+// FLLRef is a lazy view of a First-Load Log: metadata decoded, the entry
+// stream materialized from its backing store (memory, spill segment,
+// report archive) only while its interval replays.
+type FLLRef = fll.Ref
+
+// MRLRef is a lazy view of a Memory Race Log.
+type MRLRef = mrl.Ref
 
 // ErrBadArchive reports a structurally invalid packed report archive.
 var ErrBadArchive = report.ErrBadArchive

@@ -1,9 +1,6 @@
 package bugnet
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 const demoSource = `
         .data
@@ -53,46 +50,6 @@ func TestDisassembleBounds(t *testing.T) {
 	}
 	if Disassemble(img, img.Entry) != "addi zero, zero, 0" {
 		t.Errorf("nop disassembles to %q", Disassemble(img, img.Entry))
-	}
-}
-
-func TestSaveLoadReport(t *testing.T) {
-	img, _ := Assemble("demo.s", demoSource)
-	res, rep, _ := Record(img, MachineConfig{}, Config{IntervalLength: 16})
-	if res.Crash == nil {
-		t.Fatal("no crash")
-	}
-	dir := filepath.Join(t.TempDir(), "report")
-	if err := SaveReport(dir, rep); err != nil {
-		t.Fatalf("SaveReport: %v", err)
-	}
-	got, err := LoadReport(dir)
-	if err != nil {
-		t.Fatalf("LoadReport: %v", err)
-	}
-	if got.PID != rep.PID {
-		t.Error("PID lost")
-	}
-	if got.Crash == nil || got.Crash.TID != rep.Crash.TID ||
-		got.Crash.Fault.PC != rep.Crash.Fault.PC {
-		t.Errorf("crash info lost: %+v", got.Crash)
-	}
-	if len(got.FLLs[0]) != len(rep.FLLs[0]) {
-		t.Fatalf("FLL count = %d; want %d", len(got.FLLs[0]), len(rep.FLLs[0]))
-	}
-	// The reloaded logs must drive a replay to the same fault.
-	rr, err := NewReplayer(img, got.FLLs[res.Crash.TID]).Run()
-	if err != nil {
-		t.Fatalf("replay from disk: %v", err)
-	}
-	if rr.Fault == nil || rr.Fault.PC != res.Crash.Fault.PC {
-		t.Error("replay from saved report diverged")
-	}
-}
-
-func TestLoadReportErrors(t *testing.T) {
-	if _, err := LoadReport(t.TempDir()); err == nil {
-		t.Error("empty dir accepted")
 	}
 }
 

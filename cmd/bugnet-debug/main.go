@@ -9,9 +9,9 @@
 // implements backward motion as "restore nearest checkpoint + bounded
 // forward re-execution".
 //
-// Local mode opens a saved report directory against the matching binary:
+// Local mode opens a crash report archive against the matching binary:
 //
-//	bugnet-debug -dir report/ -bug gzip
+//	bugnet-debug -archive report.bnar -bug gzip
 //
 // Remote mode debugs a report stored in a bugnet-serve triage service,
 // driving a server-side session over the JSON debug API — the developer
@@ -59,11 +59,11 @@ import (
 	"strings"
 	"time"
 
-	"bugnet"
 	"bugnet/internal/cli"
 	"bugnet/internal/gdbstub"
 	"bugnet/internal/httpjson"
 	"bugnet/internal/obs"
+	"bugnet/internal/report"
 	"bugnet/internal/timetravel"
 )
 
@@ -75,7 +75,7 @@ type driver interface {
 }
 
 func main() {
-	dir := flag.String("dir", "bugnet-report", "crash report directory")
+	archive := flag.String("archive", "bugnet-report.bnar", "crash report archive file (local mode)")
 	bug := flag.String("bug", "", "bug analogue the report was recorded from")
 	spec := flag.String("spec", "", "SPEC analogue the report was recorded from")
 	asmFile := flag.String("asm", "", "assembly source the report was recorded from")
@@ -111,7 +111,7 @@ func main() {
 		d = rd
 	} else {
 		ld, err := openLocal(cli.Selection{Bug: *bug, Spec: *spec, Asm: *asmFile, Scale: *scale},
-			*dir, *tid, *ckptEvery)
+			*archive, *tid, *ckptEvery)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -136,35 +136,43 @@ func dumpMetrics(path string) {
 
 // --- local mode ---
 
-type localDriver struct{ eng *timetravel.Engine }
+// localDriver runs commands on an in-process engine over an archive it
+// keeps open: the engine's lazy log views read from it on demand.
+type localDriver struct {
+	eng     *timetravel.Engine
+	archive *report.Archive
+}
 
 func (l *localDriver) do(c timetravel.Command) timetravel.Outcome { return l.eng.Exec(c) }
-func (l *localDriver) close()                                     {}
+func (l *localDriver) close()                                     { l.archive.Close() }
 
-func openLocal(sel cli.Selection, dir string, tid int, ckptEvery uint64) (*localDriver, error) {
+func openLocal(sel cli.Selection, path string, tid int, ckptEvery uint64) (*localDriver, error) {
 	img, _, err := cli.Pick(sel)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := bugnet.LoadReport(dir)
+	a, err := report.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
+	rep := a.Report()
 	if rep.Binary.TextLen != 0 {
-		if err := rep.Binary.Matches(img); err != nil {
-			return nil, err
-		}
+		err = rep.Binary.Matches(img)
 	}
-	eng, tid, err := timetravel.NewEngineForThread(img, rep, tid,
-		timetravel.Config{CheckpointEvery: ckptEvery})
+	var eng *timetravel.Engine
+	if err == nil {
+		eng, tid, err = timetravel.NewEngineForThread(img, rep, tid,
+			timetravel.Config{CheckpointEvery: ckptEvery})
+	}
 	if err != nil {
+		a.Close()
 		return nil, err
 	}
 	fmt.Printf("replay window: %d instructions of thread %d\n", eng.Window(), tid)
 	if f := eng.Fault(); f != nil {
 		fmt.Printf("recorded crash at %s: %s\n", eng.SymbolAt(f.PC), eng.Disasm(f.PC))
 	}
-	return &localDriver{eng: eng}, nil
+	return &localDriver{eng: eng, archive: a}, nil
 }
 
 // --- remote mode ---

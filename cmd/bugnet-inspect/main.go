@@ -6,13 +6,12 @@
 //
 // Usage:
 //
-//	bugnet-inspect -dir report/            # a SaveReport directory
-//	bugnet-inspect -archive report.bnar    # a packed archive (streamed)
+//	bugnet-inspect -archive report.bnar
 //	bugnet-inspect -archive report.bnar -sections
 //
-// Archive inspection is streaming: sections are CRC-validated and their
-// metadata decoded, but no entry stream is materialized unless -entries
-// asks for a record dump.
+// Inspection is streaming: sections are CRC-validated and their metadata
+// decoded, but no entry stream is materialized unless -entries asks for a
+// record dump.
 package main
 
 import (
@@ -28,33 +27,21 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", "bugnet-report", "crash report directory (SaveReport layout)")
-	archive := flag.String("archive", "", "packed report archive file (PackReport blob); takes precedence over -dir")
+	archive := flag.String("archive", "bugnet-report.bnar", "crash report archive file")
 	entries := flag.Int("entries", 0, "also dump up to N raw first-load records per log")
-	sections := flag.Bool("sections", false, "with -archive: list raw sections and encoded sizes")
+	sections := flag.Bool("sections", false, "list raw sections and encoded sizes")
 	flag.Parse()
 
-	var rep *bugnet.CrashReport
-	if *archive != "" {
-		a, err := report.OpenFile(*archive)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer a.Close()
-		if *sections {
-			printSections(a)
-		}
-		rep = a.Report()
-	} else {
-		var err error
-		rep, err = bugnet.LoadReport(*dir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	a, err := report.OpenFile(*archive)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	printReport(rep, *entries)
+	defer a.Close()
+	if *sections {
+		printSections(a)
+	}
+	printReport(a.Report(), *entries)
 }
 
 // printSections lists the archive's raw section index.

@@ -1,19 +1,19 @@
 // Command bugnet-record runs a guest program under the BugNet recorder
-// and saves the crash report (First-Load Logs and Memory Race Logs) to a
-// directory, like a production BugNet dumping its logs when the OS
-// detects a fault (paper §4.8).
+// and saves the crash report (First-Load Logs and Memory Race Logs) as a
+// single .bnar archive, like a production BugNet dumping its logs when
+// the OS detects a fault (paper §4.8).
 //
 // Usage:
 //
-//	bugnet-record -bug gzip -out report/           # a Table 1 analogue
-//	bugnet-record -spec mcf -steps 2000000 -out r/ # a SPEC analogue window
-//	bugnet-record -asm prog.s -out report/         # your own program
+//	bugnet-record -bug gzip -out report.bnar            # a Table 1 analogue
+//	bugnet-record -spec mcf -steps 2000000 -out r.bnar  # a SPEC analogue window
+//	bugnet-record -asm prog.s -out report.bnar          # your own program
 //	bugnet-record -bug gzip -submit http://triage.example:8080
 //	bugnet-record -spec mcf -log-dir spill/ -log-budget 1073741824
 //
-// With -submit the report is additionally packed into a single archive and
-// uploaded to a bugnet-serve endpoint, completing the paper's
-// customer-site-to-developer pipeline (§4.8).
+// With -submit the archive is additionally uploaded to a bugnet-serve
+// endpoint, completing the paper's customer-site-to-developer pipeline
+// (§4.8); the server's report id is the archive file's SHA-256.
 //
 // With -log-dir the log regions spill to append-only segment files under
 // the directory instead of living in process memory, so the replay window
@@ -70,8 +70,8 @@ func run() int {
 	bug := flag.String("bug", "", "record a Table 1 bug analogue (bc, gzip, ncompress, ...)")
 	spec := flag.String("spec", "", "record a SPEC analogue (art, bzip2, crafty, gzip, mcf, parser, vpr)")
 	asmFile := flag.String("asm", "", "record an assembly source file")
-	out := flag.String("out", "bugnet-report", "output directory for the crash report")
-	submit := flag.String("submit", "", "bugnet-serve base URL to upload the packed report to")
+	out := flag.String("out", "bugnet-report.bnar", "output file for the crash report archive")
+	submit := flag.String("submit", "", "bugnet-serve base URL to upload the report archive to")
 	interval := flag.Uint64("interval", 100_000, "checkpoint interval length in instructions")
 	steps := flag.Uint64("steps", 50_000_000, "machine step budget")
 	scale := flag.Int("scale", 100, "bug-window scale for -bug workloads")
@@ -134,14 +134,14 @@ func run() int {
 		logger.Error("recording degraded", "err", err)
 		return 1
 	}
-	if err := bugnet.SaveReport(*out, rep); err != nil {
+	if err := save(*out, rep); err != nil {
 		logger.Error("saving report", "out", *out, "err", err)
 		return 1
 	}
 	fmt.Printf("report saved to %s\n", *out)
 
 	if *submit != "" {
-		if err := upload(*submit, rep, *submitRetries, *submitTimeout); err != nil {
+		if err := upload(*submit, *out, *submitRetries, *submitTimeout); err != nil {
 			logger.Error("submitting report", "url", *submit, "err", err)
 			return 1
 		}
@@ -177,16 +177,37 @@ func openSpill(dir string, budget int64) (*logstore.Store, error) {
 	return logstore.Open(budget, b)
 }
 
-// upload streams the packed report to a bugnet-serve endpoint: sections
-// flow from the log stores through the packer into the request body, so a
-// disk-spilled multi-gigabyte window uploads in O(section) memory.
+// save packs the report into path. Sections stream from the log stores
+// into the file, so a disk-spilled window packs in O(section) memory. The
+// archive is written beside path and renamed into place, so a failed
+// write never leaves a truncated archive under the final name.
+func save(path string, rep *bugnet.CrashReport) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = bugnet.PackReportTo(f, rep)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// upload sends the archive file at path to a bugnet-serve endpoint. Each
+// attempt reopens the file and declares its length, so the server admits
+// the upload against its real size.
 //
 // Sheds (429) and server-side failures (5xx, transport errors) retry with
 // jittered backoff, honoring the server's Retry-After hint; a 4xx means
-// the report itself was refused and retrying cannot help. Because the
-// body streams from the log stores it cannot be rewound — every attempt
-// re-packs through a fresh pipe.
-func upload(base string, rep *bugnet.CrashReport, retries int, timeout time.Duration) error {
+// the report itself was refused and retrying cannot help.
+func upload(base, path string, retries int, timeout time.Duration) error {
 	url := strings.TrimRight(base, "/") + "/api/v1/reports"
 	client := &http.Client{}
 	policy := retry.Policy{
@@ -208,13 +229,20 @@ func upload(base string, rep *bugnet.CrashReport, retries int, timeout time.Dura
 	}
 	var data []byte
 	err := policy.Do(context.Background(), func(ctx context.Context) error {
-		pr, pw := io.Pipe()
-		go func() { pw.CloseWithError(bugnet.PackReportTo(pw, rep)) }()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, pr)
+		f, err := os.Open(path)
 		if err != nil {
-			pr.Close()
 			return retry.Permanent(err)
 		}
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			return retry.Permanent(err)
+		}
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, f)
+		if err != nil {
+			return retry.Permanent(err)
+		}
+		req.ContentLength = fi.Size()
 		req.Header.Set("Content-Type", "application/octet-stream")
 		resp, err := client.Do(req)
 		if err != nil {

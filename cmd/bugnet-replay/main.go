@@ -1,11 +1,12 @@
-// Command bugnet-replay deterministically replays a saved crash report
+// Command bugnet-replay deterministically replays a crash report archive
 // against the same binary, reproducing the exact execution that led to
-// the crash (paper §5).
+// the crash (paper §5). A report recorded from a different binary is
+// refused before replay starts.
 //
 // Usage:
 //
-//	bugnet-replay -dir report/ -bug gzip
-//	bugnet-replay -dir report/ -asm prog.s [-races]
+//	bugnet-replay -archive report.bnar -bug gzip
+//	bugnet-replay -archive report.bnar -asm prog.s [-races]
 package main
 
 import (
@@ -15,10 +16,11 @@ import (
 
 	"bugnet"
 	"bugnet/internal/cli"
+	"bugnet/internal/report"
 )
 
 func main() {
-	dir := flag.String("dir", "bugnet-report", "crash report directory")
+	archive := flag.String("archive", "bugnet-report.bnar", "crash report archive file")
 	bug := flag.String("bug", "", "the Table 1 analogue the report was recorded from")
 	spec := flag.String("spec", "", "the SPEC analogue the report was recorded from")
 	asmFile := flag.String("asm", "", "the assembly source the report was recorded from")
@@ -31,10 +33,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	rep, err := bugnet.LoadReport(*dir)
+	a, err := report.OpenFile(*archive)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loading report:", err)
 		os.Exit(1)
+	}
+	defer a.Close()
+	rep := a.Report()
+	if rep.Binary.TextLen != 0 {
+		if err := rep.Binary.Matches(img); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 
 	if *races || len(rep.FLLs) > 1 {

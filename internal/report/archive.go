@@ -1,12 +1,8 @@
-// Package report implements the packed single-file crash-report archive:
-// the blob a production BugNet uploads from a customer site to the
-// developer's triage service (paper §4.8).
-//
-// SaveReport's directory layout is convenient for local debugging but
-// awkward to ship: a report is many small files plus a manifest, and an
-// upload endpoint would have to accept a tarball or multipart form and
-// trust the manifest's file references. The archive flattens one
-// CrashReport into a single self-describing byte stream:
+// Package report implements the crash-report archive (BNAR): the one
+// on-disk and on-the-wire form of a crash report, which the recorder
+// writes, the replay tools open, and a triage service stores (paper §4.8).
+// The archive flattens one CrashReport into a single self-describing byte
+// stream:
 //
 //	magic "BNAR" | version (1 byte) | section count (u32)
 //	section*:  kind (1 byte) | length (u32) | payload | CRC32(kind‖length‖payload)
@@ -69,29 +65,28 @@ const (
 // allocation from a hostile header before any payload is validated.
 const MaxSections = 1 << 20
 
-// MaxTID bounds the thread ids a decoder will accept. Downstream replay
+// maxTID bounds the thread ids a decoder will accept. Downstream replay
 // allocates per-thread state indexed by TID and the race detector's
 // vector clocks are O(threads²), so the bound must be small enough that
 // even the quadratic cost is trivial: 64 threads is 8× the largest
 // simulated machine while capping the detector at a few KB.
-const MaxTID = 64
+const maxTID = 64
 
 // ErrBadArchive reports a structurally invalid archive.
 var ErrBadArchive = errors.New("report: bad archive")
 
-// Meta is the flattened report metadata: identity, crash record, and the
-// recording options replay must match (paper §5.1) — without those a
-// receiver replaying a LogCodeLoads recording would misalign the log
-// stream and mislabel every such report as diverged. It is shared by the
-// packed archive's 'M' section and the directory manifest so the two
-// serialized forms cannot drift apart.
-type Meta struct {
+// meta is the flattened report metadata carried by the 'M' section:
+// identity, crash record, and the recording options replay must match
+// (paper §5.1) — without those a receiver replaying a LogCodeLoads
+// recording would misalign the log stream and mislabel every such report
+// as diverged.
+type meta struct {
 	PID             uint32        `json:"pid"`
 	Binary          core.BinaryID `json:"binary"`
 	LogCodeLoads    bool          `json:"log_code_loads,omitempty"`
 	DictCounterBits int           `json:"dict_counter_bits,omitempty"`
 	DictInsertTop   bool          `json:"dict_insert_top,omitempty"`
-	Crash           *MetaCrash    `json:"crash,omitempty"`
+	Crash           *metaCrash    `json:"crash,omitempty"`
 	// FLLStats and MRLStats carry the recording log regions' occupancy
 	// and eviction counters: how much window the report covers and how
 	// much the recorder's budget discarded before collection.
@@ -99,8 +94,8 @@ type Meta struct {
 	MRLStats *logstore.Stats `json:"mrl_stats,omitempty"`
 }
 
-// MetaCrash flattens kernel.CrashInfo for stable JSON.
-type MetaCrash struct {
+// metaCrash flattens kernel.CrashInfo for stable JSON.
+type metaCrash struct {
 	TID   int    `json:"tid"`
 	Cause uint8  `json:"cause"`
 	PC    uint32 `json:"pc"`
@@ -108,9 +103,9 @@ type MetaCrash struct {
 	IC    uint64 `json:"ic"`
 }
 
-// MetaOf flattens a report's metadata.
-func MetaOf(rep *core.CrashReport) Meta {
-	m := Meta{
+// metaOf flattens a report's metadata.
+func metaOf(rep *core.CrashReport) meta {
+	m := meta{
 		PID:             rep.PID,
 		Binary:          rep.Binary,
 		LogCodeLoads:    rep.LogCodeLoads,
@@ -118,7 +113,7 @@ func MetaOf(rep *core.CrashReport) Meta {
 		DictInsertTop:   rep.DictOptions.InsertAtTop,
 	}
 	if rep.Crash != nil && rep.Crash.Fault != nil {
-		m.Crash = &MetaCrash{
+		m.Crash = &metaCrash{
 			TID:   rep.Crash.TID,
 			Cause: uint8(rep.Crash.Fault.Cause),
 			PC:    rep.Crash.Fault.PC,
@@ -137,8 +132,8 @@ func MetaOf(rep *core.CrashReport) Meta {
 	return m
 }
 
-// Apply restores the flattened metadata onto a report.
-func (m Meta) Apply(rep *core.CrashReport) {
+// apply restores the flattened metadata onto a report.
+func (m meta) apply(rep *core.CrashReport) {
 	rep.PID = m.PID
 	rep.Binary = m.Binary
 	rep.LogCodeLoads = m.LogCodeLoads
@@ -163,12 +158,11 @@ func (m Meta) Apply(rep *core.CrashReport) {
 	}
 }
 
-// ThreadIDs returns the sorted union of threads with retained FLLs or
+// threadIDs returns the sorted union of threads with retained FLLs or
 // MRLs. The union matters: the two log kinds are evicted from separately
 // budgeted stores, so a thread can retain MRLs after its FLLs aged out,
-// and those ordering constraints must survive serialization. Shared by
-// Pack and the directory-manifest writer so the two forms agree.
-func ThreadIDs(rep *core.CrashReport) []int {
+// and those ordering constraints must survive serialization.
+func threadIDs(rep *core.CrashReport) []int {
 	tids := make([]int, 0, len(rep.FLLs))
 	seen := make(map[int]bool)
 	for tid := range rep.FLLs {
@@ -216,12 +210,12 @@ func PackTo(w io.Writer, rep *core.CrashReport) error {
 		mPacks.Inc()
 		mPackBytes.Add(cw.n)
 	}()
-	mj, err := json.Marshal(MetaOf(rep))
+	mj, err := json.Marshal(metaOf(rep))
 	if err != nil {
 		return err
 	}
 
-	tids := ThreadIDs(rep)
+	tids := threadIDs(rep)
 
 	sections := uint32(1)
 	for _, tid := range tids {
@@ -298,7 +292,7 @@ type section struct {
 type Archive struct {
 	src    io.ReaderAt
 	closer io.Closer
-	meta   Meta
+	meta   meta
 	secs   []section
 }
 
@@ -308,13 +302,16 @@ func OpenBytes(data []byte) (*Archive, error) {
 }
 
 // OpenFile opens an archive file; the returned Archive owns the handle
-// and must be Closed.
+// and must be Closed. A directory is refused with an error naming it.
 func OpenFile(path string) (*Archive, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	fi, err := f.Stat()
+	if err == nil && fi.IsDir() {
+		err = fmt.Errorf("%w: %s is a directory", ErrBadArchive, path)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -401,7 +398,7 @@ func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: section %d: %v", ErrBadArchive, i, err)
 			}
-			if m.TID > MaxTID {
+			if m.TID > maxTID {
 				return nil, fmt.Errorf("%w: section %d: implausible thread id %d", ErrBadArchive, i, m.TID)
 			}
 			sec.TID, sec.CID, sec.fmeta = int(m.TID), m.CID, &m
@@ -410,7 +407,7 @@ func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%w: section %d: %v", ErrBadArchive, i, err)
 			}
-			if m.TID > MaxTID {
+			if m.TID > maxTID {
 				return nil, fmt.Errorf("%w: section %d: implausible thread id %d", ErrBadArchive, i, m.TID)
 			}
 			sec.TID, sec.CID, sec.rmeta = int(m.TID), m.CID, &m
@@ -439,9 +436,6 @@ func (a *Archive) Close() error {
 	return nil
 }
 
-// Meta returns the report metadata.
-func (a *Archive) Meta() Meta { return a.meta }
-
 // Sections returns the validated section index in archive order.
 func (a *Archive) Sections() []Section {
 	out := make([]Section, len(a.secs))
@@ -468,7 +462,7 @@ func (a *Archive) Report() *core.CrashReport {
 		FLLs: make(map[int][]*fll.Ref),
 		MRLs: make(map[int][]*mrl.Ref),
 	}
-	a.meta.Apply(rep)
+	a.meta.apply(rep)
 	for i := range a.secs {
 		sec := a.secs[i]
 		load := func() ([]byte, error) { return a.loadSection(sec.Offset, sec.Len) }

@@ -2,6 +2,8 @@ package report
 
 import (
 	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -112,6 +114,22 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	if rr.Fault == nil || rr.Fault.PC != rep.Crash.Fault.PC {
 		t.Errorf("replayed fault %+v, want pc %#x", rr.Fault, rep.Crash.Fault.PC)
+	}
+}
+
+// TestOpenFileRejectsNonArchives: a missing path and a directory fail at
+// open with an error naming the path, instead of yielding an empty report.
+func TestOpenFileRejectsNonArchives(t *testing.T) {
+	dir := t.TempDir()
+	for _, path := range []string{filepath.Join(dir, "missing.bnar"), dir} {
+		a, err := OpenFile(path)
+		if err == nil {
+			a.Close()
+			t.Fatalf("OpenFile(%s) accepted a non-archive", path)
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("OpenFile(%s): error %q does not name the path", path, err)
+		}
 	}
 }
 
