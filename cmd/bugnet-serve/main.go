@@ -49,7 +49,12 @@
 // GET /reports/{id}[?raw=1], GET /buckets[?cursor=&limit=],
 // GET /buckets/{key}, GET /cluster and the /debug/sessions API; plus
 // GET /healthz (liveness), GET /readyz (readiness) and GET /metrics
-// (Prometheus exposition) at the root.
+// (Prometheus exposition) at the root. All of them are served by one mux,
+// cluster.(*Node).Handler. Uploads stream into <dir>/cluster while they
+// are hashed and are then renamed into the store; /readyz answers 503
+// with its reasons when that spool is unwritable, the store is degraded,
+// the -debug-sessions are all open, or open circuits leave fewer than
+// -write-quorum owners reachable.
 package main
 
 import (
@@ -95,7 +100,6 @@ func main() {
 	scale := flag.Int("scale", 100, "bug-window scale the fleet's recorders use")
 	depth := flag.Int("backtrace", 16, "backtrace depth in instructions")
 	maxWindow := flag.Uint64("maxwindow", 0, "max replay window per report in instructions (0 = default 100M)")
-	logDir := flag.String("log-dir", "", "disk spool for in-flight uploads (default <dir>/spool); uploads stream here while hashed, then rename into the store")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	accessLog := flag.Bool("access-log", false, "log one line per HTTP request")
 	sessions := flag.Int("debug-sessions", 8, "max concurrent remote debug sessions")
@@ -156,7 +160,6 @@ func main() {
 		BacktraceDepth:    *depth,
 		MaxReplayWindow:   *maxWindow,
 		Resolver:          reg.Resolve,
-		SpoolDir:          *logDir,
 		ReplayParallelism: *replayWorkers,
 		VerdictCache:      *verdictCache,
 	})
@@ -207,9 +210,9 @@ func main() {
 		logger.Info("gdb remote protocol listening", "addr", gl.Addr().String())
 	}
 
-	// The cluster layer wraps the whole API — single-node deployments run
-	// it too (a one-member ring), so admission control and the /api/v1
-	// surface are identical from laptop to fleet.
+	// The cluster node serves the whole API from its one mux — single-node
+	// deployments run it too (a one-member ring), so admission control and
+	// the /api/v1 surface are identical from laptop to fleet.
 	nodeSelf := *self
 	if nodeSelf == "" {
 		host := *addr
@@ -230,15 +233,12 @@ func main() {
 		ReplicationFactor: *replication,
 		WriteQuorum:       *writeQuorum,
 		Service:           svc,
-		Inner:             triage.NewHandlerWithDebug(svc, mgr),
+		Debug:             mgr,
 		SpoolDir:          filepath.Join(*dir, "cluster"),
 		MaxSpoolBytes:     *spoolBudget,
 		MaxInflight:       *maxInflight,
 		RetryAfter:        *retryAfter,
 		RetryInterval:     *repairInterval,
-		// Readiness folds in debug-session saturation alongside the
-		// store/spool checks; the cluster layer appends breaker reasons.
-		ExtraReady: func() []string { return triage.ReadyReasons(svc, mgr) },
 	})
 	if err != nil {
 		logger.Error("starting cluster layer", "self", nodeSelf, "err", err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bugnet/internal/httpjson"
+	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
 )
 
@@ -30,15 +31,16 @@ func quorumFailed(msg string) *ingestError {
 	return &ingestError{status: http.StatusServiceUnavailable, code: httpjson.CodeReplicaUnavailable, msg: msg}
 }
 
-// Handler returns the node's full HTTP surface: the cluster layer
-// intercepts ingest, per-report reads, and the membership endpoint, adds
-// the strictly-local /internal/v1 replica API, and falls through to the
-// wrapped triage handler for everything else (listings, buckets, debug
-// sessions, health, metrics).
+// Handler builds the node's one HTTP surface on a single mux: the
+// cluster layer's own routes, triage's listings, health and metrics
+// (triage.RegisterRoutes), and the remote-debug API when Config.Debug is
+// set (timetravel.RegisterRoutes). A pattern registered twice panics, so
+// no route can be shadowed by another copy of itself.
 //
 //	POST /api/v1/reports              — coordinate: place, fan out, quorum (any node)
 //	GET  /api/v1/reports/{id}         — local, else proxy to an owner + read-repair
 //	GET  /api/v1/cluster              — membership, ring, per-node health, admission occupancy
+//	GET  /readyz                      — readiness: store, spool, debug capacity, write quorum
 //	PUT  /internal/v1/replicas/{id}   — owner-local write (hash-verified), never forwards
 //	PUT  /internal/v1/verdicts/{id}   — the replayer's done verdict, adopted through the verdict cache
 //	GET  /internal/v1/replicas/{id}   — owner-local blob read, never forwards
@@ -52,9 +54,6 @@ func (n *Node) Handler() http.Handler {
 	httpjson.Handle(mux, "POST /reports", n.handleIngest)
 	httpjson.Handle(mux, "GET /reports/{id}", n.handleGetReport)
 	httpjson.Handle(mux, "GET /cluster", n.handleClusterInfo)
-
-	// The cluster layer owns readiness: the service-level reasons plus
-	// peer-level ones (a write quorum no open circuits can reach).
 	mux.HandleFunc("GET /readyz", n.handleReadyz)
 
 	mux.HandleFunc("PUT /internal/v1/replicas/{id}", n.handleReplicaPut)
@@ -62,7 +61,10 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc("GET /internal/v1/reports/{id}", n.handleLocalMeta)
 	mux.HandleFunc("PUT /internal/v1/verdicts/{id}", n.handleVerdictPut)
 
-	mux.Handle("/", n.cfg.Inner)
+	triage.RegisterRoutes(mux, n.cfg.Service)
+	if n.cfg.Debug != nil {
+		timetravel.RegisterRoutes(mux, n.cfg.Debug)
+	}
 	return mux
 }
 
@@ -86,22 +88,53 @@ func (n *Node) shedDegraded(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// handleReadyz is GET /readyz: the triage-level reasons (store, spool,
-// debug capacity via Config.ExtraReady) plus the cluster-level one — a
-// write quorum that open circuits make unattainable. A single shed peer
-// leaves the node ready as long as quorum-many owners remain reachable.
+// Readiness is the document GET /readyz serves: ready, or not with the
+// reasons traffic is being shed.
+type Readiness struct {
+	Ready   bool     `json:"ready"`
+	Reasons []string `json:"reasons,omitempty"`
+}
+
+// handleReadyz is GET /readyz, stricter than liveness: can this node take
+// an upload and open a debug session right now? Every failing condition
+// is a reason — a degraded store, an unwritable upload spool, debug
+// sessions at capacity, and a write quorum that open circuits make
+// unattainable (a single shed peer leaves the node ready as long as
+// quorum-many owners remain reachable). 200 with none, 503 otherwise.
 func (n *Node) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	var reasons []string
-	if n.cfg.ExtraReady != nil {
-		reasons = n.cfg.ExtraReady()
-	} else {
-		reasons = n.cfg.Service.ReadyReasons()
+	if err := n.cfg.Service.Healthy(); err != nil {
+		reasons = append(reasons, "store degraded: "+err.Error())
+	}
+	if err := n.probeSpool(); err != nil {
+		reasons = append(reasons, "spool unwritable: "+err.Error())
+	}
+	if n.cfg.Debug != nil {
+		if open, max := n.cfg.Debug.Capacity(); open >= max {
+			reasons = append(reasons, fmt.Sprintf("debug sessions at capacity (%d/%d)", open, max))
+		}
 	}
 	if open := n.client.openBreakers(); len(open) > 0 && n.ring.Len()-len(open) < n.quorum {
 		reasons = append(reasons, fmt.Sprintf(
 			"write quorum %d unattainable: circuit open to %v", n.quorum, open))
 	}
-	triage.WriteReadiness(w, reasons)
+	code := http.StatusOK
+	if len(reasons) > 0 {
+		code = http.StatusServiceUnavailable
+	}
+	httpjson.Write(w, code, Readiness{Ready: len(reasons) == 0, Reasons: reasons})
+}
+
+// probeSpool creates and removes one file in the upload spool, through
+// the same fault plane as spoolBody. The name matches the stale-file
+// sweep in New, so a probe cut short by a crash is reclaimed.
+func (n *Node) probeSpool() error {
+	f, err := n.fsys.CreateTemp(n.cfg.SpoolDir, "ingest-probe-*.tmp")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	return os.Remove(f.Name())
 }
 
 // handleIngest is POST /api/v1/reports: degradation check, admission,

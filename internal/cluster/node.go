@@ -18,6 +18,7 @@ import (
 	"bugnet/internal/faultinject"
 	"bugnet/internal/httpjson"
 	"bugnet/internal/retry"
+	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
 )
 
@@ -38,9 +39,9 @@ type Config struct {
 	VirtualNodes int
 	// Service is the local triage service (required).
 	Service *triage.Service
-	// Inner serves every route the cluster layer does not intercept —
-	// listings, buckets, debug sessions, health, metrics (required).
-	Inner http.Handler
+	// Debug, when set, mounts the remote-debug API on the node's handler
+	// and adds session capacity to readiness.
+	Debug *timetravel.Manager
 	// SpoolDir holds the coordinator's in-flight upload spool and the
 	// hinted-handoff files (required; point it at the store's filesystem
 	// to keep local adoption a pure rename).
@@ -74,10 +75,6 @@ type Config struct {
 	// FS, when set, routes the spool and hint file I/O through a fault
 	// plane. nil costs one nil-check per operation.
 	FS *faultinject.FS
-	// ExtraReady, when set, replaces Service.ReadyReasons as the base
-	// readiness input for GET /readyz — bugnet-serve uses it to fold in
-	// debug-session saturation. Peer-level reasons are appended either way.
-	ExtraReady func() []string
 }
 
 // Node is the cluster layer wrapped around one triage service: ring
@@ -111,8 +108,8 @@ var hintIDName = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
 // New builds the node and starts its anti-entropy worker.
 func New(cfg Config) (*Node, error) {
-	if cfg.Service == nil || cfg.Inner == nil {
-		return nil, errors.New("cluster: Config.Service and Config.Inner are required")
+	if cfg.Service == nil {
+		return nil, errors.New("cluster: Config.Service is required")
 	}
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self is required")

@@ -74,7 +74,6 @@ func TestClusterDegradedStoreSheds(t *testing.T) {
 		ReplicationFactor: 1,
 		WriteQuorum:       1,
 		Service:           svc,
-		Inner:             triage.NewHandler(svc),
 		SpoolDir:          filepath.Join(dir, "cluster"),
 	})
 	if err != nil {
@@ -118,7 +117,7 @@ func TestClusterDegradedStoreSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready triage.Readiness
+	var ready Readiness
 	if err := json.NewDecoder(rresp.Body).Decode(&ready); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func TestReadyzBreakerReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ready triage.Readiness
+	var ready Readiness
 	if err := json.NewDecoder(rresp.Body).Decode(&ready); err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,9 @@ type LocalNode struct {
 }
 
 // LocalCluster is a set of in-process nodes sharing one static ring.
-// Used by the e2e tests, the chaos harness, benchmark/'s fleet stage and
-// bugnet-loadgen's self-hosted mode.
+// Each node serves Node.Handler, the one mux bugnet-serve serves, minus
+// the debug API (no Config.Debug). Used by the e2e tests, the chaos
+// harness, benchmark/'s fleet stage and bugnet-loadgen's self-hosted mode.
 type LocalCluster struct {
 	Nodes []*LocalNode
 }
@@ -121,7 +122,6 @@ func SpawnLocal(n int, opt SpawnOptions) (*LocalCluster, error) {
 			ReplicationFactor: opt.Replication,
 			WriteQuorum:       opt.WriteQuorum,
 			Service:           svc,
-			Inner:             triage.NewHandler(svc),
 			SpoolDir:          filepath.Join(opt.BaseDir, fmt.Sprintf("node%d", i), "cluster"),
 			MaxSpoolBytes:     opt.MaxSpoolBytes,
 			MaxInflight:       opt.MaxInflight,

@@ -10,5 +10,5 @@ var (
 	mIntervals = obs.Default.Counter("bugnet_parreplay_intervals_total",
 		"Checkpoint intervals replayed by the parallel executor.")
 	mSequential = obs.Default.Counter("bugnet_parreplay_sequential_total",
-		"Report replays routed to the sequential path (race detection or MRL constraints).")
+		"Report replays routed to the sequential path (one-worker pool, race detection or MRL constraints).")
 )

@@ -18,7 +18,7 @@ import (
 // a spooled file named by its content address.
 func ingestFile(t *testing.T, s *Service, blob []byte, from Origin) *IngestResult {
 	t.Helper()
-	f, err := os.CreateTemp(s.spoolDir, "test-*.tmp")
+	f, err := os.CreateTemp(t.TempDir(), "test-*.tmp")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"bugnet/internal/httpjson"
 	"bugnet/internal/obs"
 	"bugnet/internal/report"
-	"bugnet/internal/timetravel"
 )
 
 // MaxUploadBytes bounds one archive upload. Field reports are the retained
@@ -65,74 +64,18 @@ func limitParam(r *http.Request) int {
 	return limit
 }
 
-// NewHandler exposes a Service over HTTP. The full surface:
+// RegisterRoutes installs what only the triage service serves onto mux:
 //
-//	POST /api/v1/reports        — upload one packed archive (201 new, 200 duplicate)
 //	GET  /api/v1/reports        — report listing (?cursor=&limit=, id order)
-//	GET  /api/v1/reports/{id}   — report metadata and verdict (?raw=1: the blob)
 //	GET  /api/v1/buckets        — crash buckets (?cursor=&limit=, most-populated first)
 //	GET  /api/v1/buckets/{key}  — one bucket
 //	GET  /healthz               — liveness plus occupancy counters
-//	GET  /readyz                — readiness (spool writable, capacity left)
 //	GET  /metrics               — Prometheus exposition
 //
-// Failures all use the httpjson error envelope with stable codes. The
-// handler is transport only; every decision lives in the Service, so
-// tests drive it in-process with httptest and bugnet-serve just wraps it
-// in http.ListenAndServe.
-func NewHandler(s *Service) http.Handler {
-	return newHandler(s, nil)
-}
-
-// NewHandlerWithDebug additionally mounts the remote-debug API
-// (/api/v1/debug/sessions...) on the same handler — the wiring that turns
-// stored field reports into interactive time-travel sessions.
-func NewHandlerWithDebug(s *Service, debug *timetravel.Manager) http.Handler {
-	return newHandler(s, debug)
-}
-
-func newHandler(s *Service, debug *timetravel.Manager) http.Handler {
-	mux := http.NewServeMux()
-	if debug != nil {
-		timetravel.RegisterRoutes(mux, debug)
-	}
-
-	httpjson.Handle(mux, "POST /reports", func(w http.ResponseWriter, r *http.Request) {
-		// A degraded store sheds instead of acking writes it would lose;
-		// Healthy re-probes the disk so a healed fault restores service.
-		if err := s.Healthy(); err != nil {
-			httpjson.Fail(w, r, http.StatusServiceUnavailable, httpjson.CodeUnavailable,
-				"store degraded: "+err.Error())
-			return
-		}
-		// The body streams straight to the service's disk spool while it
-		// is hashed — an upload's memory cost is a copy buffer, not the
-		// archive, however large the recorded window was.
-		res, err := s.IngestReader(http.MaxBytesReader(w, r.Body, MaxUploadBytes))
-		if !WriteIngestError(w, r, err) {
-			return
-		}
-		code := http.StatusCreated
-		if res.Duplicate {
-			code = http.StatusOK
-		}
-		httpjson.Write(w, code, res)
-	})
-
-	httpjson.Handle(mux, "GET /reports/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if r.URL.Query().Get("raw") == "1" {
-			ServeRaw(s, w, r, id)
-			return
-		}
-		m, ok := s.Report(id)
-		if !ok {
-			httpjson.Fail(w, r, http.StatusNotFound, httpjson.CodeNotFound, "no such report")
-			return
-		}
-		httpjson.Write(w, http.StatusOK, m)
-	})
-
+// Uploads, per-report reads and readiness belong to the node that wraps
+// the service (cluster.(*Node).Handler builds the one mux and calls this).
+// Failures all use the httpjson error envelope with stable codes.
+func RegisterRoutes(mux *http.ServeMux, s *Service) {
 	httpjson.Handle(mux, "GET /reports", func(w http.ResponseWriter, r *http.Request) {
 		after := ""
 		if c := r.URL.Query().Get("cursor"); c != "" {
@@ -210,54 +153,12 @@ func newHandler(s *Service, debug *timetravel.Manager) http.Handler {
 		httpjson.Write(w, code, body)
 	})
 
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		// Readiness is stricter than liveness: can this instance take an
-		// upload (spool writable, store healthy) and open a debug session
-		// (capacity left) right now? Each failing condition contributes a
-		// structured reason so operators see why traffic is being shed.
-		WriteReadiness(w, ReadyReasons(s, debug))
-	})
-
 	mux.Handle("GET /metrics", obs.Handler())
-
-	return mux
-}
-
-// Readiness is the structured document GET /readyz serves: ready, or
-// not with the reasons traffic is being shed.
-type Readiness struct {
-	Ready   bool     `json:"ready"`
-	Reasons []string `json:"reasons,omitempty"`
-}
-
-// ReadyReasons collects every reason this instance should not take
-// traffic — the service-level conditions plus debug-session saturation.
-// The cluster layer reuses it (appending peer-level reasons) so a
-// node's /readyz means the same thing with or without a ring.
-func ReadyReasons(s *Service, debug *timetravel.Manager) []string {
-	reasons := s.ReadyReasons()
-	if debug != nil {
-		if open, max := debug.Capacity(); open >= max {
-			reasons = append(reasons, fmt.Sprintf("debug sessions at capacity (%d/%d)", open, max))
-		}
-	}
-	return reasons
-}
-
-// WriteReadiness serves a readiness document: 200 when no reasons
-// remain, 503 listing them otherwise.
-func WriteReadiness(w http.ResponseWriter, reasons []string) {
-	code := http.StatusOK
-	if len(reasons) > 0 {
-		code = http.StatusServiceUnavailable
-	}
-	httpjson.Write(w, code, Readiness{Ready: len(reasons) == 0, Reasons: reasons})
 }
 
 // WriteIngestError maps an ingest failure onto the error envelope,
-// reporting whether the caller may proceed (err was nil). Shared with the
-// cluster layer so the coordinator's local writes and a single node's
-// direct ingest fail identically on the wire.
+// reporting whether the caller may proceed (err was nil). The cluster
+// layer's replica writes answer with it.
 func WriteIngestError(w http.ResponseWriter, r *http.Request, err error) bool {
 	var tooBig *http.MaxBytesError
 	switch {

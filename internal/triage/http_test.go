@@ -1,7 +1,6 @@
 package triage
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,125 +9,9 @@ import (
 
 	"bugnet/internal/asm"
 	"bugnet/internal/core"
-	"bugnet/internal/httpjson"
 	"bugnet/internal/kernel"
 	"bugnet/internal/report"
 )
-
-func TestHTTPEndpoints(t *testing.T) {
-	img, _, blob := recordBlob(t)
-	reg := NewImageRegistry()
-	reg.Register(img)
-	s := newService(t, reg)
-	srv := httptest.NewServer(NewHandler(s))
-	defer srv.Close()
-
-	// Upload.
-	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /api/v1/reports: %s", resp.Status)
-	}
-	var ing IngestResult
-	if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	// Duplicate upload answers 200.
-	resp, err = http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("duplicate POST: %s", resp.Status)
-	}
-
-	// Garbage answers 400 with the standard envelope and a stable code.
-	resp, err = http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader([]byte("junk")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage POST: %s", resp.Status)
-	}
-	assertEnvelope(t, resp, httpjson.CodeBadRequest)
-
-	s.WaitIdle()
-
-	// Report metadata.
-	var meta ReportMeta
-	getJSON(t, srv.URL+"/api/v1/reports/"+ing.ID, &meta)
-	if meta.ID != ing.ID || meta.Verdict == nil || meta.Verdict.State != VerdictDone {
-		t.Fatalf("report meta = %+v", meta)
-	}
-
-	// Raw blob round-trips byte-exact.
-	resp, err = http.Get(srv.URL + "/api/v1/reports/" + ing.ID + "?raw=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw bytes.Buffer
-	raw.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !bytes.Equal(raw.Bytes(), blob) {
-		t.Fatal("raw download differs from upload")
-	}
-
-	// Buckets (unified listing envelope; one page, so no cursor).
-	var buckets Listing[Bucket]
-	getJSON(t, srv.URL+"/api/v1/buckets", &buckets)
-	if len(buckets.Items) != 1 || buckets.NextCursor != "" ||
-		buckets.Items[0].Count != 2 || buckets.Items[0].Key != ing.BucketKey {
-		t.Fatalf("buckets = %+v", buckets)
-	}
-
-	// Report listing, same envelope.
-	var reports Listing[ReportMeta]
-	getJSON(t, srv.URL+"/api/v1/reports", &reports)
-	if len(reports.Items) != 1 || reports.NextCursor != "" || reports.Items[0].ID != ing.ID {
-		t.Fatalf("reports = %+v", reports)
-	}
-	var b Bucket
-	getJSON(t, srv.URL+"/api/v1/buckets/"+ing.BucketKey, &b)
-	if b.Verdict == nil || !b.Verdict.Reproduced {
-		t.Fatalf("bucket verdict = %+v", b.Verdict)
-	}
-
-	// Health.
-	var health map[string]any
-	getJSON(t, srv.URL+"/healthz", &health)
-	if health["status"] != "ok" || health["reports"].(float64) != 1 {
-		t.Fatalf("healthz = %+v", health)
-	}
-
-	// Unknowns answer 404 with the envelope.
-	for _, path := range []string{"/api/v1/reports/deadbeef", "/api/v1/buckets/nope"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusNotFound {
-			resp.Body.Close()
-			t.Errorf("GET %s: %s", path, resp.Status)
-			continue
-		}
-		assertEnvelope(t, resp, httpjson.CodeNotFound)
-	}
-
-	// A corrupt cursor fails loudly instead of silently restarting.
-	resp, err = http.Get(srv.URL + "/api/v1/reports?cursor=%21%21not-base64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad cursor: %s", resp.Status)
-	}
-	assertEnvelope(t, resp, httpjson.CodeBadRequest)
-}
 
 // TestHTTPCursorPagination walks both listings page by page via the
 // opaque cursors and checks the union is exact and duplicate-free.
@@ -137,7 +20,9 @@ func TestHTTPCursorPagination(t *testing.T) {
 	reg := NewImageRegistry()
 	reg.Register(img)
 	s := newService(t, reg)
-	srv := httptest.NewServer(NewHandler(s))
+	mux := http.NewServeMux()
+	RegisterRoutes(mux, s)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	// Seven distinct recordings (varying data tables -> distinct logs ->
@@ -224,23 +109,6 @@ boom:   lw   a0, (t3)
 		t.Fatal(err)
 	}
 	return blob
-}
-
-// assertEnvelope checks a failure response carries the standardized
-// error envelope with the expected stable code. Closes the body.
-func assertEnvelope(t *testing.T, resp *http.Response, wantCode string) {
-	t.Helper()
-	defer resp.Body.Close()
-	var env httpjson.ErrorEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("error body is not the envelope: %v", err)
-	}
-	if env.Error.Code != wantCode {
-		t.Fatalf("error code = %q, want %q (message %q)", env.Error.Code, wantCode, env.Error.Message)
-	}
-	if env.Error.Message == "" {
-		t.Fatal("error envelope has empty message")
-	}
 }
 
 func getJSON(t *testing.T, url string, v any) {

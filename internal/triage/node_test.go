@@ -1,4 +1,4 @@
-package triage
+package triage_test
 
 import (
 	"bytes"
@@ -8,22 +8,179 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
+	"bugnet/internal/cluster"
 	"bugnet/internal/httpjson"
-	"bugnet/internal/obs"
+	"bugnet/internal/timetravel"
+	"bugnet/internal/triage"
 
 	// Linked for its packet/connection series: the e2e scrape asserts the
 	// gdb inventory is present even before any RSP client connects,
 	// exactly as in a bugnet-serve binary.
 	_ "bugnet/internal/gdbstub"
-
-	"bugnet/internal/timetravel"
 )
+
+// serveNode serves s the way bugnet-serve does: a one-node cluster whose
+// handler is the node's only mux, with the debug API mounted when mgr is
+// set, behind the request-id middleware.
+func serveNode(t *testing.T, s *triage.Service, mgr *timetravel.Manager) *httptest.Server {
+	t.Helper()
+	node, err := cluster.New(cluster.Config{
+		Self:     "http://triage-node",
+		Service:  s,
+		Debug:    mgr,
+		SpoolDir: filepath.Join(t.TempDir(), "cluster"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	srv := httptest.NewServer(httpjson.Instrument(node.Handler(), nil))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func TestHTTPEndpoints(t *testing.T) {
+	img, _, blob := triage.RecordBlob(t)
+	reg := triage.NewImageRegistry()
+	reg.Register(img)
+	s := triage.NewTestService(t, reg)
+	srv := serveNode(t, s, nil)
+
+	// Upload.
+	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /api/v1/reports: %s", resp.Status)
+	}
+	var ing triage.IngestResult
+	if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// Duplicate upload answers 200.
+	resp, err = http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("duplicate POST: %s", resp.Status)
+	}
+
+	// Garbage is refused with the standard envelope and never stored. The
+	// node reports the refused local write as a missed quorum (503
+	// replica_unavailable), not as the client's 400 — a known gap.
+	resp, err = http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader([]byte("junk")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode < 400 {
+		t.Fatalf("garbage POST: %s", resp.Status)
+	}
+	assertEnvelope(t, resp, "")
+	if st := s.Store().Stats(); st.RetainedCount != 1 {
+		t.Fatalf("store holds %d blobs after a garbage upload, want 1", st.RetainedCount)
+	}
+
+	s.WaitIdle()
+
+	// Report metadata.
+	var meta triage.ReportMeta
+	triage.GetJSON(t, srv.URL+"/api/v1/reports/"+ing.ID, &meta)
+	if meta.ID != ing.ID || meta.Verdict == nil || meta.Verdict.State != triage.VerdictDone {
+		t.Fatalf("report meta = %+v", meta)
+	}
+
+	// Raw blob round-trips byte-exact.
+	resp, err = http.Get(srv.URL + "/api/v1/reports/" + ing.ID + "?raw=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw bytes.Buffer
+	raw.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if !bytes.Equal(raw.Bytes(), blob) {
+		t.Fatal("raw download differs from upload")
+	}
+
+	// Buckets (unified listing envelope; one page, so no cursor).
+	var buckets triage.Listing[triage.Bucket]
+	triage.GetJSON(t, srv.URL+"/api/v1/buckets", &buckets)
+	if len(buckets.Items) != 1 || buckets.NextCursor != "" ||
+		buckets.Items[0].Count != 2 || buckets.Items[0].Key != ing.BucketKey {
+		t.Fatalf("buckets = %+v", buckets)
+	}
+
+	// Report listing, same envelope.
+	var reports triage.Listing[triage.ReportMeta]
+	triage.GetJSON(t, srv.URL+"/api/v1/reports", &reports)
+	if len(reports.Items) != 1 || reports.NextCursor != "" || reports.Items[0].ID != ing.ID {
+		t.Fatalf("reports = %+v", reports)
+	}
+	var b triage.Bucket
+	triage.GetJSON(t, srv.URL+"/api/v1/buckets/"+ing.BucketKey, &b)
+	if b.Verdict == nil || !b.Verdict.Reproduced {
+		t.Fatalf("bucket verdict = %+v", b.Verdict)
+	}
+
+	// Health.
+	var health map[string]any
+	triage.GetJSON(t, srv.URL+"/healthz", &health)
+	if health["status"] != "ok" || health["reports"].(float64) != 1 {
+		t.Fatalf("healthz = %+v", health)
+	}
+
+	// Unknowns answer 404 with the envelope.
+	for _, path := range []string{"/api/v1/reports/deadbeef", "/api/v1/buckets/nope"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			resp.Body.Close()
+			t.Errorf("GET %s: %s", path, resp.Status)
+			continue
+		}
+		assertEnvelope(t, resp, httpjson.CodeNotFound)
+	}
+
+	// A corrupt cursor fails loudly instead of silently restarting.
+	resp, err = http.Get(srv.URL + "/api/v1/reports?cursor=%21%21not-base64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad cursor: %s", resp.Status)
+	}
+	assertEnvelope(t, resp, httpjson.CodeBadRequest)
+}
+
+// assertEnvelope checks a failure response carries the standardized
+// error envelope with the expected stable code ("" accepts any code).
+// Closes the body.
+func assertEnvelope(t *testing.T, resp *http.Response, wantCode string) {
+	t.Helper()
+	defer resp.Body.Close()
+	var env httpjson.ErrorEnvelope
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatalf("error body is not the envelope: %v", err)
+	}
+	if env.Error.Code == "" || (wantCode != "" && env.Error.Code != wantCode) {
+		t.Fatalf("error code = %q, want %q (message %q)", env.Error.Code, wantCode, env.Error.Message)
+	}
+	if env.Error.Message == "" {
+		t.Fatal("error envelope has empty message")
+	}
+}
 
 // scrape fetches /metrics and parses every sample line into name{labels}
 // → value.
@@ -66,12 +223,12 @@ func scrape(t *testing.T, base string) map[string]float64 {
 // debug session — through an instrumented HTTP server and asserts the
 // scrape moves where it should.
 func TestMetricsEndToEnd(t *testing.T) {
-	img, _, blob := recordBlob(t)
-	reg := NewImageRegistry()
+	img, _, blob := triage.RecordBlob(t)
+	reg := triage.NewImageRegistry()
 	reg.Register(img)
 	// Parallel interval replay on, so the scrape covers the parreplay pool
 	// series alongside the triage ones.
-	s, err := New(Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve,
+	s, err := triage.New(triage.Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve,
 		ReplayParallelism: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +239,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		Engine:      timetravel.Config{CheckpointEvery: 64},
 	})
 	defer mgr.Close()
-	srv := httptest.NewServer(httpjson.Instrument(NewHandlerWithDebug(s, mgr), nil))
-	defer srv.Close()
+	srv := serveNode(t, s, mgr)
 
 	before := scrape(t, srv.URL)
 
@@ -92,7 +248,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ing IngestResult
+	var ing triage.IngestResult
 	if err := json.NewDecoder(resp.Body).Decode(&ing); err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +354,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 // healthy service answers 200 on both; a sticky store failure flips
 // healthz to 503 degraded; a debug manager at capacity flips readyz only.
 func TestHealthzDegradedAndReadyz(t *testing.T) {
-	img, _, blob := recordBlob(t)
-	reg := NewImageRegistry()
+	img, _, blob := triage.RecordBlob(t)
+	reg := triage.NewImageRegistry()
 	reg.Register(img)
-	s := newService(t, reg)
+	s := triage.NewTestService(t, reg)
 	mgr := timetravel.NewManager(s, timetravel.ManagerConfig{
 		MaxSessions: 1,
 		Engine:      timetravel.Config{CheckpointEvery: 64},
 	})
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerWithDebug(s, mgr))
-	defer srv.Close()
+	srv := serveNode(t, s, mgr)
 
 	get := func(path string) (int, map[string]any) {
 		t.Helper()
@@ -254,16 +409,8 @@ func TestHealthzDegradedAndReadyz(t *testing.T) {
 
 	// A store failure degrades liveness. Healthy() re-probes the disk, so
 	// a fabricated error on a healthy disk would clear itself; fail the
-	// probe for real by removing the store root (probeEvery=0 probes on
-	// every call).
-	s.Store().mu.Lock()
-	s.Store().probeEvery = 0
-	root := s.Store().root
-	s.Store().mu.Unlock()
-	if err := os.RemoveAll(root); err != nil {
-		t.Fatal(err)
-	}
-	s.Store().fail(fmt.Errorf("disk on fire"))
+	// probe for real by removing the store root.
+	root := triage.FailStoreDisk(t, s, fmt.Errorf("disk on fire"))
 	code, m := get("/healthz")
 	if code != http.StatusServiceUnavailable || m["status"] != "degraded" {
 		t.Fatalf("degraded healthz = %d %v", code, m)
@@ -285,12 +432,8 @@ func TestHealthzDegradedAndReadyz(t *testing.T) {
 	}
 
 	// Healing the disk brings the node back without a restart: the next
-	// Healthy() probe succeeds and clears the degraded state. The spool
-	// lives under the store root, so restore it too.
+	// Healthy() probe succeeds and clears the degraded state.
 	if err := os.MkdirAll(root, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(s.spoolDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if code, m := get("/healthz"); code != http.StatusOK {
@@ -298,50 +441,5 @@ func TestHealthzDegradedAndReadyz(t *testing.T) {
 	}
 	if code, m := get("/readyz"); code != http.StatusOK || m["ready"] != true {
 		t.Fatalf("healed readyz = %d %v, want 200 ready", code, m)
-	}
-}
-
-// TestRequestIDMiddleware verifies the instrumentation boundary: ids are
-// minted (or propagated) and the request counter moves.
-func TestRequestIDMiddleware(t *testing.T) {
-	img, _, _ := recordBlob(t)
-	reg := NewImageRegistry()
-	reg.Register(img)
-	s := newService(t, reg)
-	srv := httptest.NewServer(httpjson.Instrument(NewHandler(s), nil))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if id := resp.Header.Get("X-Request-ID"); len(id) != 16 {
-		t.Fatalf("minted X-Request-ID = %q, want 16 hex chars", id)
-	}
-
-	req, _ := http.NewRequest("GET", srv.URL+"/healthz", nil)
-	req.Header.Set("X-Request-ID", "upstream-id-7")
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if id := resp.Header.Get("X-Request-ID"); id != "upstream-id-7" {
-		t.Fatalf("propagated X-Request-ID = %q", id)
-	}
-}
-
-// TestRecorderCountersAllocFree proves the batched counter export the
-// recorder wire path uses allocates nothing: the exact obs calls commit()
-// makes, measured under AllocsPerRun.
-func TestRecorderCountersAllocFree(t *testing.T) {
-	c := obs.Default.Counter("bugnet_test_export_total", "test series")
-	h := obs.Default.Histogram("bugnet_test_export_seconds", "test series")
-	if avg := testing.AllocsPerRun(500, func() {
-		c.Add(100)
-		h.Observe(42 * time.Microsecond)
-	}); avg != 0 {
-		t.Fatalf("export-path metric ops allocate %.1f per run, want 0", avg)
 	}
 }

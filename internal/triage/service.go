@@ -1,11 +1,8 @@
 package triage
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -58,14 +55,9 @@ type Config struct {
 	// grow bucket memory forever. At the cap, the lowest-count bucket is
 	// evicted to admit the newcomer (default 65536).
 	MaxBuckets int
-	// SpoolDir is where streaming uploads are spilled while they are
-	// hashed and validated, before being renamed into the store. Default
-	// Dir/spool; point it at the store's filesystem to keep adoption a
-	// pure rename.
-	SpoolDir string
 	// ReplayParallelism is the per-report interval-replay fan-out: > 1
 	// replays a report's checkpoint intervals concurrently on that many
-	// workers (internal/parreplay), <= 1 keeps the sequential path.
+	// workers (internal/parreplay), <= 1 replays them in order on one.
 	// Reports needing race detection always replay sequentially; the
 	// verdict is byte-identical either way.
 	ReplayParallelism int
@@ -74,9 +66,8 @@ type Config struct {
 	// Dir/verdicts so restarts skip re-replaying known content). 0 uses
 	// the default (4096); negative disables the cache.
 	VerdictCache int
-	// FS routes the store's and spool's write-side I/O through a
-	// fault-injection plane; nil (the production default) calls the os
-	// package directly.
+	// FS routes the store's write-side I/O through a fault-injection
+	// plane; nil (the production default) calls the os package directly.
 	FS *faultinject.FS
 }
 
@@ -186,10 +177,8 @@ type job struct {
 // Service is the ingestion and triage pipeline: content-addressed storage,
 // crash bucketing, and a replay worker pool.
 type Service struct {
-	cfg      Config
-	store    *Store
-	spoolDir string
-	fsys     *faultinject.FS // nil outside chaos runs
+	cfg   Config
+	store *Store
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -258,24 +247,9 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.SpoolDir == "" {
-		cfg.SpoolDir = filepath.Join(cfg.Dir, "spool")
-	}
-	if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
-		return nil, err
-	}
-	// Uploads that died mid-stream before a previous shutdown were never
-	// indexed; reclaim their spool files rather than leak disk forever.
-	if stale, err := filepath.Glob(filepath.Join(cfg.SpoolDir, "upload-*.tmp")); err == nil {
-		for _, p := range stale {
-			os.Remove(p)
-		}
-	}
 	s := &Service{
 		cfg:          cfg,
 		store:        st,
-		spoolDir:     cfg.SpoolDir,
-		fsys:         cfg.FS,
 		buckets:      make(map[string]*Bucket),
 		reports:      make(map[string]*ReportMeta),
 		evictedEarly: make(map[string]bool),
@@ -424,37 +398,9 @@ func (s *Service) Err() error { return s.store.Err() }
 // while this returns non-nil.
 func (s *Service) Healthy() error { return s.store.Healthy() }
 
-// SpoolHealthy probes whether the upload spool directory is writable —
-// the readiness condition for the streaming ingest path. The probe
-// creates and removes one temp file; failures are returned, not sticky.
-func (s *Service) SpoolHealthy() error {
-	f, err := s.fsys.CreateTemp(s.spoolDir, "probe-*.tmp")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	f.Close()
-	return os.Remove(name)
-}
-
-// ReadyReasons collects the service-level reasons this node should not
-// take traffic: a degraded archive store and an unwritable spool. The
-// HTTP layer appends its own (debug-session saturation) and the cluster
-// layer its peers' (open breakers, unreachable quorum).
-func (s *Service) ReadyReasons() []string {
-	var reasons []string
-	if err := s.Healthy(); err != nil {
-		reasons = append(reasons, "store degraded: "+err.Error())
-	}
-	if err := s.SpoolHealthy(); err != nil {
-		reasons = append(reasons, "spool unwritable: "+err.Error())
-	}
-	return reasons
-}
-
 // Ingest accepts one uploaded archive held in memory: validate, store,
 // bucket, and queue a replay if the content is new. For uploads that
-// should never transit memory whole, see IngestReader.
+// should never transit memory whole, see IngestFile.
 func (s *Service) Ingest(data []byte) (*IngestResult, error) {
 	return s.ingestBytes(data, false)
 }
@@ -469,47 +415,6 @@ func (s *Service) begin() error {
 	}
 	s.ingesting.Add(1)
 	return nil
-}
-
-// IngestReader streams one uploaded archive: the body is spooled to disk
-// while it is hashed, validated section-by-section in place, and renamed
-// into the store — the spill-to-disk ingest path, O(1) memory per upload
-// regardless of archive size.
-func (s *Service) IngestReader(r io.Reader) (res *IngestResult, err error) {
-	start := time.Now()
-	var size int64
-	defer func() { observeIngest(start, size, res, err, false) }()
-	if err := s.begin(); err != nil {
-		return nil, err
-	}
-	defer s.ingesting.Done()
-
-	tmp, err := s.fsys.CreateTemp(s.spoolDir, "upload-*.tmp")
-	if err != nil {
-		return nil, err
-	}
-	tmpPath := tmp.Name()
-	defer os.Remove(tmpPath) // no-op once the store adopts the file
-	h := sha256.New()
-	size, err = io.Copy(io.MultiWriter(tmp, h), r)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("triage: spooling upload: %w", err)
-	}
-	id := hex.EncodeToString(h.Sum(nil))
-
-	put := func() (bool, error) { return s.store.AdoptFile(id, tmpPath) }
-	sig := func() (Signature, error) {
-		a, err := report.OpenFile(tmpPath)
-		if err != nil {
-			return Signature{}, err
-		}
-		defer a.Close()
-		return SignatureOf(a.Report()), nil
-	}
-	return s.ingestCore(id, size, put, sig, Origin{}, false)
 }
 
 // IngestFile adopts an already-spooled upload whose content address the
@@ -838,7 +743,6 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 		}
 	}
 
-	detectRaces := len(rep.MRLs) > 0
 	// The page budget is per report: split it across threads so a
 	// max-thread archive cannot multiply it.
 	maxPages := s.cfg.MaxReplayPages
@@ -848,27 +752,18 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 	if maxPages < 1 {
 		maxPages = 1
 	}
-	var res *core.MultiReplayResult
-	if s.cfg.ReplayParallelism > 1 {
-		// Fan the report's checkpoint intervals across the replay pool.
-		// parreplay routes race-detection (MRL-carrying) reports back to
-		// the sequential schedule itself, so the verdict is byte-identical
-		// to the sequential path either way.
-		res, err = parreplay.ReplayReport(img, rep, parreplay.ReportOptions{
-			Options: parreplay.Options{
-				Workers:    s.cfg.ReplayParallelism,
-				TraceDepth: s.cfg.BacktraceDepth,
-				MaxPages:   maxPages,
-			},
-			DetectRaces: detectRaces,
-		})
-	} else {
-		mr := core.NewMultiReplayer(img, rep)
-		mr.DetectRaces = detectRaces
-		mr.MaxPages = maxPages
-		mr.TraceDepth = s.cfg.BacktraceDepth
-		res, err = mr.Run()
-	}
+	// parreplay fans the report's checkpoint intervals across the replay
+	// pool, and routes one-worker pools and race-detection (MRL-carrying)
+	// reports to the sequential schedule itself, so the verdict is
+	// byte-identical whatever ReplayParallelism says.
+	res, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{
+		Options: parreplay.Options{
+			Workers:    max(s.cfg.ReplayParallelism, 1),
+			TraceDepth: s.cfg.BacktraceDepth,
+			MaxPages:   maxPages,
+		},
+		DetectRaces: len(rep.MRLs) > 0,
+	})
 	if err != nil {
 		return &Verdict{State: VerdictFailed, Error: err.Error()}
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -142,15 +143,8 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 		if _, ok := s.index[f.id]; ok {
 			continue // same id encountered twice; index and count it once
 		}
-		s.seq++
-		s.index[f.id] = &blobInfo{id: f.id, bytes: f.bytes, seq: s.seq}
-		s.order = append(s.order, f.id)
-		s.stats.RetainedBytes += f.bytes
-		s.stats.RetainedCount++
-		s.stats.TotalBytes += f.bytes
-		s.stats.TotalCount++
+		s.addLocked(f.id, f.bytes)
 	}
-	s.evictLocked()
 	s.syncStoreGauges()
 	return s, nil
 }
@@ -297,15 +291,7 @@ func (s *Store) PutWithID(id string, data []byte) (_ string, existed bool, err e
 	if _, ok := s.index[id]; ok {
 		return id, true, nil // a concurrent identical upload indexed it first
 	}
-	s.seq++
-	s.index[id] = &blobInfo{id: id, bytes: int64(len(data)), seq: s.seq}
-	s.order = append(s.order, id)
-	s.stats.RetainedBytes += int64(len(data))
-	s.stats.RetainedCount++
-	s.stats.TotalBytes += int64(len(data))
-	s.stats.TotalCount++
-	s.evictLocked()
-	s.syncStoreGauges()
+	s.addLocked(id, int64(len(data)))
 	return id, false, nil
 }
 
@@ -332,8 +318,8 @@ func (s *Store) AdoptFile(id string, src string) (existed bool, err error) {
 		return false, err
 	}
 	if err := s.fsys.Rename(src, p); err != nil {
-		// Cross-device spool (operator pointed -log-dir at another disk):
-		// fall back to a copy through memory.
+		// Spool on another filesystem than the store: fall back to a
+		// copy through memory.
 		data, rerr := os.ReadFile(src)
 		if rerr != nil {
 			return false, err
@@ -348,15 +334,7 @@ func (s *Store) AdoptFile(id string, src string) (existed bool, err error) {
 	if _, ok := s.index[id]; ok {
 		return true, nil // a concurrent identical upload indexed it first
 	}
-	s.seq++
-	s.index[id] = &blobInfo{id: id, bytes: fi.Size(), seq: s.seq}
-	s.order = append(s.order, id)
-	s.stats.RetainedBytes += fi.Size()
-	s.stats.RetainedCount++
-	s.stats.TotalBytes += fi.Size()
-	s.stats.TotalCount++
-	s.evictLocked()
-	s.syncStoreGauges()
+	s.addLocked(id, fi.Size())
 	return false, nil
 }
 
@@ -415,7 +393,6 @@ func (s *Store) Unpin(id string) {
 		}
 	}
 	s.evictLocked()
-	s.syncStoreGauges()
 }
 
 // Pinned reports whether a blob currently holds pins.
@@ -462,18 +439,34 @@ func (s *Store) IDs() []string {
 func (s *Store) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bi, ok := s.index[id]
-	if !ok {
-		return
+	if i := slices.Index(s.order, id); i >= 0 {
+		s.dropLocked(i)
+		s.syncStoreGauges()
 	}
+}
+
+// addLocked files a blob just written at its canonical path — index,
+// FIFO position, retained and total counters — then evicts to budget.
+// Caller holds s.mu.
+func (s *Store) addLocked(id string, size int64) {
+	s.seq++
+	s.index[id] = &blobInfo{id: id, bytes: size, seq: s.seq}
+	s.order = append(s.order, id)
+	s.stats.RetainedBytes += size
+	s.stats.RetainedCount++
+	s.stats.TotalBytes += size
+	s.stats.TotalCount++
+	s.evictLocked()
+}
+
+// dropLocked removes the blob at s.order[i] from the index and the disk,
+// counting it as evicted. Caller holds s.mu.
+func (s *Store) dropLocked(i int) {
+	id := s.order[i]
+	s.order = append(s.order[:i], s.order[i+1:]...)
+	bi := s.index[id]
 	delete(s.index, id)
 	delete(s.pins, id)
-	for i, x := range s.order {
-		if x == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	s.stats.RetainedBytes -= bi.bytes
 	s.stats.RetainedCount--
 	s.stats.EvictedBytes += bi.bytes
@@ -482,34 +475,19 @@ func (s *Store) Delete(id string) {
 	if err := s.fsys.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
 		s.failLocked(err)
 	}
-	s.syncStoreGauges()
 }
 
 // evictLocked deletes oldest blobs until the budget is met, sparing the
-// newest and skipping pinned blobs (open debug sessions hold them).
-// Caller holds s.mu.
+// newest and skipping pinned blobs (open debug sessions hold them), then
+// publishes the occupancy gauges. Caller holds s.mu.
 func (s *Store) evictLocked() {
-	if s.budget <= 0 {
-		return
-	}
-	i := 0
-	for s.stats.RetainedBytes > s.budget && i < len(s.order)-1 {
+	for i := 0; s.budget > 0 && s.stats.RetainedBytes > s.budget && i < len(s.order)-1; {
 		id := s.order[i]
 		if s.pins[id] > 0 {
 			i++
 			continue
 		}
-		s.order = append(s.order[:i], s.order[i+1:]...)
-		bi := s.index[id]
-		delete(s.index, id)
-		s.stats.RetainedBytes -= bi.bytes
-		s.stats.RetainedCount--
-		s.stats.EvictedBytes += bi.bytes
-		s.stats.EvictedCount++
-		mStoreEvictions.Inc()
-		if err := s.fsys.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
-			s.failLocked(err)
-		}
+		s.dropLocked(i)
 		if s.onEvict != nil {
 			s.onEvict(id)
 		}

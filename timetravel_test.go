@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -53,7 +52,8 @@ boom:   lw   a0, (t3)
 		t.Fatal(err)
 	}
 
-	// Developer side: triage service + debug session manager on one mux.
+	// Developer side: triage service + debug session manager on the one
+	// node mux bugnet-serve runs.
 	reg := triage.NewImageRegistry()
 	reg.Register(img)
 	svc, err := triage.New(triage.Config{Dir: t.TempDir(), Workers: 1, Resolver: reg.Resolve})
@@ -67,8 +67,7 @@ boom:   lw   a0, (t3)
 		Engine:      timetravel.Config{CheckpointEvery: 8},
 	})
 	defer mgr.Close()
-	srv := httptest.NewServer(triage.NewHandlerWithDebug(svc, mgr))
-	defer srv.Close()
+	srv := serveNode(t, svc, mgr)
 
 	// Upload the field report.
 	resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))

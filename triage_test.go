@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"testing"
 
+	"bugnet/internal/cluster"
+	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
 	"bugnet/internal/workload"
 )
@@ -38,7 +41,7 @@ func TestRecordSubmitTriageRoundTrip(t *testing.T) {
 	}
 
 	// Developer side: a triage service provisioned with the fleet's
-	// binaries, behind the real HTTP handler.
+	// binaries, behind the handler bugnet-serve runs.
 	reg := triage.NewImageRegistry()
 	for _, bug := range workload.Bugs(scale) {
 		reg.Register(bug.Image)
@@ -48,8 +51,7 @@ func TestRecordSubmitTriageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	srv := httptest.NewServer(triage.NewHandler(svc))
-	defer srv.Close()
+	srv := serveNode(t, svc, nil)
 
 	upload := func() triage.IngestResult {
 		resp, err := http.Post(srv.URL+"/api/v1/reports", "application/octet-stream", bytes.NewReader(blob))
@@ -111,6 +113,26 @@ func TestRecordSubmitTriageRoundTrip(t *testing.T) {
 	if st := svc.Store().Stats(); st.RetainedCount != 1 {
 		t.Errorf("store retained %d payloads, want 1", st.RetainedCount)
 	}
+}
+
+// serveNode serves svc the way bugnet-serve does: a one-node cluster
+// whose handler is the node's only mux, with the debug API mounted when
+// mgr is set.
+func serveNode(t *testing.T, svc *triage.Service, mgr *timetravel.Manager) *httptest.Server {
+	t.Helper()
+	node, err := cluster.New(cluster.Config{
+		Self:     "http://bugnet-serve",
+		Service:  svc,
+		Debug:    mgr,
+		SpoolDir: filepath.Join(t.TempDir(), "cluster"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Close)
+	srv := httptest.NewServer(node.Handler())
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 // TestPackReportFacadeRoundTrip covers the façade re-export with a
