@@ -3,13 +3,15 @@
 // Recorders at customer sites upload packed report archives; the server
 // stores them content-addressed, deduplicates identical field crashes into
 // buckets, and automatically replays each new report to verify the crash
-// reproduces and to extract races and a backtrace.
+// reproduces and to extract races and a backtrace. Each done verdict is
+// stored beside its archive under -dir and evicted with it (-budget), so
+// a restarted server replays none of the reports it already judged.
 //
 // Usage:
 //
 //	bugnet-serve -addr :8080 -dir /var/bugnet/reports
 //	bugnet-serve -budget 268435456 -workers 8 -scale 100
-//	bugnet-serve -replay-workers 8 -verdict-cache 10000
+//	bugnet-serve -replay-workers 8
 //	bugnet-serve -image prog.s -image other.s      # register extra builds
 //	bugnet-serve -gdb :1234 -gdb-report <id>       # real gdb attaches here
 //	bugnet-serve -log-format json                  # machine-readable logs
@@ -96,7 +98,6 @@ func main() {
 	budget := flag.Int64("budget", 0, "report store byte budget (0 = unlimited)")
 	workers := flag.Int("workers", 4, "replay worker pool size (concurrent reports)")
 	replayWorkers := flag.Int("replay-workers", 0, "parallel interval-replay fan-out per report (0 = GOMAXPROCS, 1 = sequential)")
-	verdictCache := flag.Int("verdict-cache", 0, "verdict cache bound in entries (0 = default 4096, negative = disabled)")
 	scale := flag.Int("scale", 100, "bug-window scale the fleet's recorders use")
 	depth := flag.Int("backtrace", 16, "backtrace depth in instructions")
 	maxWindow := flag.Uint64("maxwindow", 0, "max replay window per report in instructions (0 = default 100M)")
@@ -161,7 +162,6 @@ func main() {
 		MaxReplayWindow:   *maxWindow,
 		Resolver:          reg.Resolve,
 		ReplayParallelism: *replayWorkers,
-		VerdictCache:      *verdictCache,
 	})
 	if err != nil {
 		logger.Error("starting triage service", "dir", *dir, "err", err)

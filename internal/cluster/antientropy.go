@@ -223,11 +223,8 @@ func (ae *antiEntropy) repair(t repairTask) bool {
 func (ae *antiEntropy) source(ctx context.Context, id string) (path string, cleanup func(), ok bool) {
 	n := ae.n
 	store := n.cfg.Service.Store()
-	if store.Pin(id) {
-		if p, found := store.Path(id); found {
-			return p, func() { store.Unpin(id) }, true
-		}
-		store.Unpin(id)
+	if p, found := store.Pin(id); found {
+		return p, func() { store.Unpin(id) }, true
 	}
 	hint := filepath.Join(n.hintDir, id)
 	if _, err := os.Stat(hint); err == nil {

@@ -31,6 +31,10 @@ func quorumFailed(msg string) *ingestError {
 	return &ingestError{status: http.StatusServiceUnavailable, code: httpjson.CodeReplicaUnavailable, msg: msg}
 }
 
+func badRequest(msg string) *ingestError {
+	return &ingestError{status: http.StatusBadRequest, code: httpjson.CodeBadRequest, msg: msg}
+}
+
 // Handler builds the node's one HTTP surface on a single mux: the
 // cluster layer's own routes, triage's listings, health and metrics
 // (triage.RegisterRoutes), and the remote-debug API when Config.Debug is
@@ -42,7 +46,7 @@ func quorumFailed(msg string) *ingestError {
 //	GET  /api/v1/cluster              — membership, ring, per-node health, admission occupancy
 //	GET  /readyz                      — readiness: store, spool, debug capacity, write quorum
 //	PUT  /internal/v1/replicas/{id}   — owner-local write (hash-verified), never forwards
-//	PUT  /internal/v1/verdicts/{id}   — the replayer's done verdict, adopted through the verdict cache
+//	PUT  /internal/v1/verdicts/{id}   — the replayer's done verdict, adopted beside the archive
 //	GET  /internal/v1/replicas/{id}   — owner-local blob read, never forwards
 //	GET  /internal/v1/reports/{id}    — owner-local metadata read, never forwards
 //
@@ -394,15 +398,11 @@ func (n *Node) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	bytes, inflight := n.admission.Occupancy()
-	vnodes := n.cfg.VirtualNodes
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
 	info := ClusterInfo{
 		Self:              n.self,
 		ReplicationFactor: n.replicas,
 		WriteQuorum:       n.quorum,
-		VirtualNodes:      vnodes,
+		VirtualNodes:      DefaultVirtualNodes,
 		Nodes:             health,
 		AdmissionBytes:    bytes,
 		AdmissionInflight: inflight,

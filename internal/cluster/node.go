@@ -11,12 +11,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
+	"strings"
 	"sync"
 	"time"
 
 	"bugnet/internal/faultinject"
 	"bugnet/internal/httpjson"
+	"bugnet/internal/report"
 	"bugnet/internal/retry"
 	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
@@ -35,8 +36,6 @@ type Config struct {
 	// WriteQuorum W is how many owner acks an ingest needs to succeed
 	// (default majority of the effective replication factor).
 	WriteQuorum int
-	// VirtualNodes per member on the placement ring (default 128).
-	VirtualNodes int
 	// Service is the local triage service (required).
 	Service *triage.Service
 	// Debug, when set, mounts the remote-debug API on the node's handler
@@ -102,10 +101,6 @@ type Node struct {
 	fetch  retry.Policy
 }
 
-// hintIDName matches a well-formed hint filename: the sha256 content
-// address of the blob it holds. Anything else in the hint dir is foreign.
-var hintIDName = regexp.MustCompile(`^[0-9a-f]{64}$`)
-
 // New builds the node and starts its anti-entropy worker.
 func New(cfg Config) (*Node, error) {
 	if cfg.Service == nil {
@@ -146,7 +141,7 @@ func New(cfg Config) (*Node, error) {
 			os.Remove(p)
 		}
 	}
-	ring := NewRing(peers, cfg.VirtualNodes)
+	ring := NewRing(peers, DefaultVirtualNodes)
 	replicas := cfg.ReplicationFactor
 	if replicas <= 0 {
 		replicas = 3
@@ -259,7 +254,7 @@ func (n *Node) recoverHints() {
 		}
 		name := e.Name()
 		path := filepath.Join(n.hintDir, name)
-		if !hintIDName.MatchString(name) {
+		if !report.ValidID(name) { // not named by a blob's content address: foreign
 			n.quarantineHint(path)
 			continue
 		}
@@ -399,8 +394,12 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 	acks := 0
 	var res *triage.IngestResult
 	var failed []string
+	refused := ""
 	for _, fr := range results {
 		if fr.err != nil {
+			if msg, ok := badArchive(fr.err); ok {
+				refused = msg
+			}
 			failed = append(failed, fr.node)
 			continue
 		}
@@ -415,12 +414,20 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 		local, err := n.cfg.Service.IngestFile(id, path, size,
 			triage.Origin{RequestID: httpjson.RequestID(ctx), Replayer: markFor(n.self, replayer)})
 		if err != nil {
+			if msg, ok := badArchive(err); ok {
+				refused = msg
+			}
 			failed = append(failed, n.self)
 		} else {
 			acks++
 			mForwardSelf.Inc()
 			res = local // the local result wins: it names this node's bucket state
 		}
+	}
+	if refused != "" {
+		// No retry or repair can land bytes that are no archive: owe
+		// nothing and tell the client its request is wrong.
+		return nil, badRequest(refused)
 	}
 
 	if acks < n.quorum {
@@ -449,6 +456,21 @@ func (n *Node) ingest(ctx context.Context, body io.Reader) (*triage.IngestResult
 		res = &triage.IngestResult{ID: id, Duplicate: false}
 	}
 	return res, nil
+}
+
+// badArchive returns the message of an owner's refusal of the bytes as
+// no archive (report.ErrBadArchive locally, or a peer's 400 carrying it).
+// Every owner validates the same bytes, so one refusal speaks for all.
+func badArchive(err error) (string, bool) {
+	var pe *peerError
+	switch {
+	case errors.Is(err, report.ErrBadArchive):
+		return err.Error(), true
+	case errors.As(err, &pe) && pe.status == http.StatusBadRequest &&
+		strings.HasPrefix(pe.msg, report.ErrBadArchive.Error()):
+		return pe.msg, true
+	}
+	return "", false
 }
 
 // parseIngestResult decodes a replica endpoint's IngestResult body,

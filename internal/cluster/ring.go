@@ -40,13 +40,10 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over the given node names with the given number
-// of virtual nodes per node (<= 0 selects DefaultVirtualNodes).
-// Duplicate names collapse; order does not matter — two nodes given the
-// same peer set always derive the identical ring.
+// of virtual nodes per node. Duplicate names collapse; order does not
+// matter — two nodes given the same peer set always derive the identical
+// ring.
 func NewRing(nodes []string, virtualNodes int) *Ring {
-	if virtualNodes <= 0 {
-		virtualNodes = DefaultVirtualNodes
-	}
 	distinct := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
 		distinct[n] = true

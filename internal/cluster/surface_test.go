@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"bugnet/internal/faultinject"
+	"bugnet/internal/httpjson"
 	"bugnet/internal/loadgen"
 	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
@@ -164,6 +166,49 @@ func TestSpoolEmptyAfterGarbage(t *testing.T) {
 		}
 		if st := ln.Service.Store().Stats(); st.RetainedCount != 0 {
 			t.Fatalf("node %d stored garbage: %+v", i, st)
+		}
+	}
+}
+
+// TestGarbageIsBadRequest: a body that is not an archive is the client's
+// error, whoever coordinates it. Here the coordinator owns no replica, so
+// both refusals reach it as peers' 400s; it must answer 400 bad_request
+// (a 503 would make a recorder retry the bytes forever), park no hint,
+// owe no repair, and leave nothing in any store or spool.
+func TestGarbageIsBadRequest(t *testing.T) {
+	lc, _ := spawn(t, 3, func(o *SpawnOptions) { o.Replication = 2; o.WriteQuorum = 2 })
+	garbage := []byte("not an archive")
+	owners := lc.Nodes[0].Node.owners(blobID(garbage))
+	var coord *LocalNode
+	for _, ln := range lc.Nodes {
+		if !slices.Contains(owners, ln.URL) {
+			coord = ln
+		}
+	}
+	if coord == nil {
+		t.Fatalf("every node owns the upload at replication 2 of 3: %v", owners)
+	}
+
+	resp := post(t, coord.URL, garbage)
+	if resp.StatusCode != http.StatusBadRequest {
+		resp.Body.Close()
+		t.Fatalf("garbage upload: %s, want 400", resp.Status)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != httpjson.CodeBadRequest {
+		t.Fatalf("error code = %q, want %q", e.Code, httpjson.CodeBadRequest)
+	}
+	for i, ln := range lc.Nodes {
+		if left := spoolFiles(t, ln.Node); len(left) != 0 {
+			t.Errorf("node %d spool after a refused upload: %v", i, left)
+		}
+		if hints, err := os.ReadDir(ln.Node.hintDir); err != nil || len(hints) != 0 {
+			t.Errorf("node %d hints after a refused upload: %v %v", i, hints, err)
+		}
+		if st := ln.Service.Store().Stats(); st.RetainedCount != 0 {
+			t.Errorf("node %d stored garbage: %+v", i, st)
+		}
+		if debt := ln.Node.RepairDebt(); debt != 0 {
+			t.Errorf("node %d owes %d repairs for a refused upload", i, debt)
 		}
 	}
 }

@@ -637,6 +637,23 @@ type CrashReport struct {
 	MRLStats logstore.Stats
 }
 
+// CheckWindow refuses a report whose claimed replay window (the sum of
+// its FLL interval lengths over all threads) exceeds budget instructions:
+// replay executes exactly what the logs claim. Lengths are untrusted
+// u64s, so the incremental check keeps the sum from wrapping.
+func (r *CrashReport) CheckWindow(budget uint64) error {
+	var window uint64
+	for _, logs := range r.FLLs {
+		for _, l := range logs {
+			if l.Length > budget-window {
+				return fmt.Errorf("claimed replay window exceeds the %d-instruction budget", budget)
+			}
+			window += l.Length
+		}
+	}
+	return nil
+}
+
 // Report collects the retained logs as lazy views over the log stores.
 // Call after machine.Run returns, and keep the recorder's stores open for
 // as long as the report is replayed or packed. An interval that no longer

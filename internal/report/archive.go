@@ -493,3 +493,11 @@ func ID(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
 }
+
+// ValidID reports whether id has the form ID returns: 64 lower-case hex
+// digits. Ids arrive in URL paths and file names, so every site that
+// turns one into a path, or trusts a file named by one, checks it here.
+func ValidID(id string) bool {
+	b, err := hex.DecodeString(id)
+	return err == nil && len(b) == sha256.Size && hex.EncodeToString(b) == id
+}

@@ -243,16 +243,10 @@ func (m *Manager) Open(reportID string, tid int) (*Session, error) {
 		}
 		return nil, err
 	}
-	var window uint64
-	for _, logs := range rep.FLLs {
-		for _, l := range logs {
-			if l.Length > m.cfg.MaxWindow-window {
-				release()
-				mRejectWindow.Inc()
-				return nil, fmt.Errorf("timetravel: claimed replay window exceeds the %d-instruction budget", m.cfg.MaxWindow)
-			}
-			window += l.Length
-		}
+	if err := rep.CheckWindow(m.cfg.MaxWindow); err != nil {
+		release()
+		mRejectWindow.Inc()
+		return nil, fmt.Errorf("timetravel: %w", err)
 	}
 	eng, tid, err := NewEngineForThread(img, rep, tid, m.cfg.Engine)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bugnet/internal/obs"
+	"bugnet/internal/report"
 )
 
 // Deferred replay. An archive ingested with Origin.Replayer set is stored,
@@ -82,42 +83,48 @@ func (s *Service) takeOverLocked(id string, from Origin) *job {
 
 // settle finishes an ingest outside the lock: queue the replay it owes,
 // or — for an archive whose verdict got here first — complete the wait
-// from the cache at once.
+// at once, from the stored verdict or from one evicted with an earlier
+// copy of the bytes (the replayer will not push that again), which is
+// adopted back beside the archive.
 func (s *Service) settle(id string, owed *job, from Origin) {
 	switch {
 	case owed != nil:
 		s.jobs <- *owed
-	case from.Replayer != "" && s.vcache != nil:
-		if v, ok := s.vcache.get(id); ok {
+	case from.Replayer != "":
+		if v, ok := s.store.Verdict(id); ok {
 			s.completeAwaited(id, v)
+			return
+		}
+		s.mu.Lock()
+		v, ok := s.agedOut[id]
+		delete(s.agedOut, id)
+		s.mu.Unlock()
+		if ok {
+			s.AdoptVerdict(id, v)
 		}
 	}
 }
 
 // AdoptVerdict takes the verdict another owner of id computed by
-// replaying the same bytes. It goes through the verdict cache, the one
-// place a verdict this node did not compute can enter: an awaited report
-// completes with it, a report replaying or queued here finds it as a
-// cache hit, and a verdict that beats its archive waits in the cache for
-// the ingest. Only completed verdicts of well-formed ids are accepted,
-// and a verdict already cached — replayed here, or adopted earlier — is
-// never overwritten. It reports whether an awaited report completed.
+// replaying the same bytes — the one way a verdict this node did not
+// compute enters — and stores it beside the archive like a local one: an
+// awaited report completes with it, a queued replay finds it, and one
+// that beats its archive waits in the store for the ingest. Only done
+// verdicts of well-formed ids are accepted, and a stored verdict is never
+// overwritten. It reports whether an awaited report completed.
 func (s *Service) AdoptVerdict(id string, v *Verdict) (bool, error) {
-	if !validCacheID(id) {
+	if !report.ValidID(id) {
 		return false, fmt.Errorf("triage: adopt verdict: malformed report id %q", id)
 	}
 	if v == nil || v.State != VerdictDone {
 		return false, errors.New("triage: adopt verdict: only a done verdict can be adopted")
 	}
-	if s.vcache != nil && s.vcache.put(id, v) {
-		mCacheEntries.Set(int64(s.vcache.len()))
-	}
+	s.store.PutVerdict(id, v)
 	return s.completeAwaited(id, v), nil
 }
 
 // completeAwaited ends the wait for id with v, if id is still awaited.
 func (s *Service) completeAwaited(id string, v *Verdict) bool {
-	cp := *v
 	s.mu.Lock()
 	aw, ok := s.awaited[id]
 	if !ok {
@@ -127,7 +134,7 @@ func (s *Service) completeAwaited(id string, v *Verdict) bool {
 	delete(s.awaited, id)
 	mAwaited.Set(int64(len(s.awaited)))
 	mVerdictAdopted.Inc() // before WaitIdle can see the wait end
-	s.recordVerdictLocked(id, aw.bucketKey, &cp)
+	s.recordVerdictLocked(id, aw.bucketKey, v.clone())
 	s.mu.Unlock()
 	obs.Logger().Info("verdict adopted", "report", id, "request_id", aw.RequestID, "replayer", aw.Replayer)
 	return true

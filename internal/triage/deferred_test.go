@@ -260,7 +260,7 @@ func TestAdoptVerdictRefuses(t *testing.T) {
 	if m, _ := s.Report(id); !reflect.DeepEqual(m.Verdict, own.Verdict) {
 		t.Fatalf("a peer's verdict replaced the local one: %+v", m.Verdict)
 	}
-	if v, ok := s.vcache.get(id); !ok || !reflect.DeepEqual(v, own.Verdict) {
+	if v, ok := s.store.Verdict(id); !ok || !reflect.DeepEqual(v, own.Verdict) {
 		t.Fatalf("a peer's verdict replaced the cached one: %+v", v)
 	}
 	if s.ReplayDeferred(id) {

@@ -14,6 +14,13 @@ var (
 	GetJSON        = getJSON
 )
 
+// capBuckets lowers s's bucket-table cap so a test can reach it.
+func capBuckets(s *Service, n int) {
+	s.mu.Lock()
+	s.bucketCap = n
+	s.mu.Unlock()
+}
+
 // FailStoreDisk makes s's store disk fail for real: the health probe
 // re-tests on every call, the store root is removed and err is recorded
 // as the sticky failure. Recreating the returned root heals the disk.

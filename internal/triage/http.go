@@ -185,16 +185,12 @@ func WriteIngestError(w http.ResponseWriter, r *http.Request, err error) bool {
 // copy buffer, not the archive. The cluster layer calls it for locally
 // held replicas.
 func ServeRaw(s *Service, w http.ResponseWriter, r *http.Request, id string) {
-	if !s.Store().Pin(id) {
-		httpjson.Fail(w, r, http.StatusNotFound, httpjson.CodeNotFound, "no stored report "+id)
-		return
-	}
-	defer s.Store().Unpin(id)
-	path, ok := s.Store().Path(id)
+	path, ok := s.Store().Pin(id)
 	if !ok {
 		httpjson.Fail(w, r, http.StatusNotFound, httpjson.CodeNotFound, "no stored report "+id)
 		return
 	}
+	defer s.Store().Unpin(id)
 	f, err := os.Open(path)
 	if err != nil {
 		httpjson.Fail(w, r, http.StatusInternalServerError, httpjson.CodeInternal, err.Error())

@@ -35,13 +35,9 @@ var (
 		"Stored archives whose verdict another node owes this one.")
 
 	cacheLookups = obs.Default.CounterVec("bugnet_triage_verdict_cache_total",
-		"Verdict-cache lookups by outcome.", "result")
-	mCacheHits      = cacheLookups.With("hit")
-	mCacheMisses    = cacheLookups.With("miss")
-	mCacheEvictions = obs.Default.Counter("bugnet_triage_verdict_cache_evictions_total",
-		"Verdicts evicted from the cache at its LRU bound.")
-	mCacheEntries = obs.Default.Gauge("bugnet_triage_verdict_cache_entries",
-		"Verdicts currently cached.")
+		"Lookups of the verdict stored beside an archive before replaying it, by outcome.", "result")
+	mCacheHits   = cacheLookups.With("hit")
+	mCacheMisses = cacheLookups.With("miss")
 
 	mQueueDepth = obs.Default.Gauge("bugnet_triage_queue_depth",
 		"Verdicts owed: replays queued or running in the worker pool plus verdicts awaited from another node.")

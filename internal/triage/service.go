@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -34,47 +33,32 @@ type Config struct {
 	// BacktraceDepth is how many trailing instructions of the crashing
 	// thread the verdict captures (default 16).
 	BacktraceDepth int
-	// MaxQueue bounds the triage backlog; Ingest applies backpressure by
-	// blocking when the queue is full (default 1024).
-	MaxQueue int
 	// MaxReplayWindow bounds the total instructions one report's replay
 	// may claim (sum of FLL interval lengths over all threads). Lengths
 	// are attacker-controlled u64s and replay executes exactly what they
 	// claim, so an unbounded window would let one upload pin a worker
 	// forever (default 100M, roughly the paper's largest bug window).
 	MaxReplayWindow uint64
-	// MaxReplayPages bounds one report's total replay memory in 4 KB
-	// pages, split evenly across its threads. Untrusted logs control
-	// replayed register state, and replay memory auto-maps on first
-	// touch, so without a cap a crafted report could stride-allocate the
-	// server to death (default 16384 = 64 MB/report; exceeding the
-	// per-thread share surfaces as a memory fault in the verdict).
-	MaxReplayPages int
-	// MaxBuckets bounds the bucket table. Every other resource here is
-	// budgeted; without this one, uploads with fabricated crash PCs could
-	// grow bucket memory forever. At the cap, the lowest-count bucket is
-	// evicted to admit the newcomer (default 65536).
-	MaxBuckets int
 	// ReplayParallelism is the per-report interval-replay fan-out: > 1
 	// replays a report's checkpoint intervals concurrently on that many
 	// workers (internal/parreplay), <= 1 replays them in order on one.
 	// Reports needing race detection always replay sequentially; the
 	// verdict is byte-identical either way.
 	ReplayParallelism int
-	// VerdictCache bounds the content-addressed verdict cache in entries
-	// (verdict + backtrace keyed by report ID, persisted under
-	// Dir/verdicts so restarts skip re-replaying known content). 0 uses
-	// the default (4096); negative disables the cache.
-	VerdictCache int
 	// FS routes the store's write-side I/O through a fault-injection
 	// plane; nil (the production default) calls the os package directly.
 	FS *faultinject.FS
 }
 
-// DefaultVerdictCache is the default verdict-cache bound in entries. A
-// verdict JSON is small (a backtrace and a few counters), so the default
-// costs a few MB of disk against a replay saved per duplicate crash.
-const DefaultVerdictCache = 4096
+// maxQueue bounds the triage backlog; Ingest applies backpressure by
+// blocking when the queue is full.
+const maxQueue = 1024
+
+// maxBuckets bounds the bucket table. Every other resource here is
+// budgeted; without this one, uploads with fabricated crash PCs could grow
+// bucket memory forever. At the cap, the lowest-count bucket is evicted to
+// admit the newcomer.
+const maxBuckets = 65536
 
 // DefaultMaxReplayWindow is the default per-report replay budget in
 // instructions, roughly the paper's largest bug window. The interactive
@@ -82,9 +66,13 @@ const DefaultVerdictCache = 4096
 // the reports automatic triage would replay.
 const DefaultMaxReplayWindow = 100_000_000
 
-// DefaultMaxReplayPages is the default per-report replay memory budget in
-// 4 KB pages (64 MB). Shared with the debug-session layer for the same
-// reason as DefaultMaxReplayWindow.
+// DefaultMaxReplayPages bounds one report's total replay memory in 4 KB
+// pages (64 MB), split evenly across its threads. Untrusted logs control
+// replayed register state, and replay memory auto-maps on first touch, so
+// without a cap a crafted report could stride-allocate the server to
+// death; exceeding the per-thread share surfaces as a memory fault in the
+// verdict. Shared with the debug-session layer for the same reason as
+// DefaultMaxReplayWindow.
 const DefaultMaxReplayPages = 16384
 
 // Verdict states.
@@ -126,6 +114,15 @@ type Verdict struct {
 	Instructions uint64 `json:"instructions"`
 	// Error holds the failure description when State == "failed".
 	Error string `json:"error,omitempty"`
+}
+
+// clone returns a copy of v; nil stays nil.
+func (v *Verdict) clone() *Verdict {
+	if v == nil {
+		return nil
+	}
+	cp := *v
+	return &cp
 }
 
 // Bucket aggregates every upload of one field crash.
@@ -187,10 +184,13 @@ type Service struct {
 	// evictedEarly holds blob ids evicted between their store.Put and
 	// their metadata creation (see onEvict in New).
 	evictedEarly map[string]bool
+	// agedOut holds the verdicts the store evicted with their archives,
+	// read only by a wait for the same bytes sent again (see settle).
+	agedOut map[string]*Verdict
 	// awaited holds the archives ingested with Origin.Replayer set whose
 	// verdict has not arrived. Each counts once in pending. The set is
 	// memory only: a restart forgets it, and recovery replays whatever it
-	// finds without a cached verdict.
+	// finds without a stored verdict.
 	awaited map[string]Awaited
 	// onVerdict, when set, receives every done verdict a worker completes.
 	onVerdict func(id string, v *Verdict, requestID string)
@@ -201,8 +201,8 @@ type Service struct {
 	wg        sync.WaitGroup
 	ingesting sync.WaitGroup // in-flight Ingest calls; Close waits before closing jobs
 
-	// vcache is the content-addressed verdict cache (nil when disabled).
-	vcache *verdictCache
+	// bucketCap is maxBuckets; tests lower it to reach the cap.
+	bucketCap int
 
 	// recoveryDone closes when startup re-triage of on-disk blobs ends;
 	// WaitIdle waits on it so "idle" includes recovered work.
@@ -228,20 +228,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.BacktraceDepth <= 0 {
 		cfg.BacktraceDepth = 16
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 1024
-	}
 	if cfg.MaxReplayWindow == 0 {
 		cfg.MaxReplayWindow = DefaultMaxReplayWindow
-	}
-	if cfg.MaxReplayPages <= 0 {
-		cfg.MaxReplayPages = DefaultMaxReplayPages
-	}
-	if cfg.MaxBuckets <= 0 {
-		cfg.MaxBuckets = 65536
-	}
-	if cfg.VerdictCache == 0 {
-		cfg.VerdictCache = DefaultVerdictCache
 	}
 	st, err := openStore(cfg.Dir, cfg.Budget, cfg.FS)
 	if err != nil {
@@ -253,22 +241,12 @@ func New(cfg Config) (*Service, error) {
 		buckets:      make(map[string]*Bucket),
 		reports:      make(map[string]*ReportMeta),
 		evictedEarly: make(map[string]bool),
+		agedOut:      make(map[string]*Verdict),
 		awaited:      make(map[string]Awaited),
-		jobs:         make(chan job, cfg.MaxQueue),
+		jobs:         make(chan job, maxQueue),
+		bucketCap:    maxBuckets,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if cfg.VerdictCache > 0 {
-		vc, err := newVerdictCache(cfg.VerdictCache, filepath.Join(cfg.Dir, "verdicts"))
-		if err != nil {
-			return nil, err
-		}
-		// Rehydrate before the workers start: the startup re-index queues a
-		// replay per stored blob, and each of those should find its
-		// persisted verdict already in the cache.
-		vc.rehydrate()
-		s.vcache = vc
-		mCacheEntries.Set(int64(vc.len()))
-	}
 	// When the store ages a blob out, drop its per-report metadata too, so
 	// a long-running daemon's memory tracks the store budget rather than
 	// growing with every distinct upload ever seen. Buckets stay: the
@@ -277,15 +255,23 @@ func New(cfg Config) (*Service, error) {
 	// concurrent ingest pushed the store over budget); such ids are parked
 	// in evictedEarly so the late metadata is suppressed instead of
 	// leaking forever.
-	st.onEvict = func(id string) {
+	st.onEvict = func(id string, v *Verdict) {
 		s.mu.Lock()
 		// evictedEarly entries are consumed by the racing ingest; one that
 		// never gets consumed (the uploader never retried) would sit
 		// forever, so bound the map. Clearing can at worst let a racing
 		// ingest record metadata for an already-evicted blob, whose replay
 		// then fails with the evicted-before-triage verdict — benign.
+		// agedOut is bounded the same way; clearing it at worst leaves a
+		// resent wait to the cluster's verdict sweep.
 		if len(s.evictedEarly) > 1024 {
 			s.evictedEarly = make(map[string]bool)
+		}
+		if len(s.agedOut) > 1024 {
+			s.agedOut = make(map[string]*Verdict)
+		}
+		if v != nil {
+			s.agedOut[id] = v
 		}
 		if m, ok := s.reports[id]; ok {
 			delete(s.reports, id)
@@ -482,7 +468,7 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 	var key string
 	if meta, ok := s.reports[id]; ok && s.buckets[meta.BucketKey] != nil {
 		// Known content with a live bucket. If the bucket was evicted at
-		// the MaxBuckets cap, fall through to the slow path instead: only
+		// the bucket cap, fall through to the slow path instead: only
 		// a decode can recover the signature needed to rebuild it.
 		known, key = true, meta.BucketKey
 	}
@@ -556,8 +542,7 @@ func (s *Service) ingestCore(id string, size int64, put func() (bool, error), ge
 		if m := s.reports[id]; m != nil && m.Verdict != nil && m.Verdict.State == VerdictDone {
 			// The bucket was evicted at the cap and is being rebuilt for
 			// content that already carries a verdict; restore it.
-			v := *m.Verdict
-			b.Verdict = &v
+			b.Verdict = m.Verdict.clone()
 		}
 	}
 	// onEvict deletes metadata whenever its blob ages out, so meta here is
@@ -600,16 +585,16 @@ func (s *Service) recordVerdictLocked(id, bucketKey string, v *Verdict) {
 }
 
 // bucketLocked finds or creates the bucket for key, evicting the
-// lowest-count bucket when the table is at MaxBuckets — high-volume
+// lowest-count bucket when the table is at its cap — high-volume
 // buckets (the real field crashes) always survive a flood of fabricated
 // signatures. Caller holds s.mu.
 func (s *Service) bucketLocked(key string, sig Signature) *Bucket {
 	if b := s.buckets[key]; b != nil {
 		return b
 	}
-	if len(s.buckets) >= s.cfg.MaxBuckets {
+	if len(s.buckets) >= s.bucketCap {
 		// Evict the lowest-count bucket of a random sample rather than a
-		// full O(MaxBuckets) scan: at the cap the table is under a flood
+		// full O(cap) scan: at the cap the table is under a flood
 		// of fabricated signatures, and every admission holds s.mu. Go's
 		// randomized map iteration makes the sample cheap and unbiased;
 		// real field crashes (high counts) survive with high probability.
@@ -637,19 +622,12 @@ func (s *Service) bucketLocked(key string, sig Signature) *Bucket {
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for j := range s.jobs {
-		v, cached := s.cachedVerdict(j.id)
+		v, cached := s.storedVerdict(j.id)
 		if !cached {
 			start := time.Now()
 			v = s.triageOne(j.id)
 			mReplaySeconds.Since(start)
 			mReplayInstr.Add(v.Instructions)
-			// Only completed verdicts are cached: failures (unknown binary,
-			// evicted blob, disk trouble) can be transient, and a re-upload
-			// deserves a fresh replay.
-			if s.vcache != nil && v.State == VerdictDone {
-				s.vcache.put(j.id, v)
-				mCacheEntries.Set(int64(s.vcache.len()))
-			}
 		}
 		if v.State == VerdictDone {
 			mVerdictDone.Inc()
@@ -670,15 +648,11 @@ func (s *Service) worker() {
 	}
 }
 
-// cachedVerdict consults the content-addressed cache. The id is the
-// archive's SHA-256, and the verdict is a pure function of those bytes
-// and the content-addressed binary they name, so a hit is exactly the
-// verdict a replay would produce — duplicate crashes never replay twice.
-func (s *Service) cachedVerdict(id string) (*Verdict, bool) {
-	if s.vcache == nil {
-		return nil, false
-	}
-	v, ok := s.vcache.get(id)
+// storedVerdict looks up the verdict stored beside id's archive before a
+// replay. A verdict is a pure function of the archive bytes, so a hit is
+// exactly what a replay would produce.
+func (s *Service) storedVerdict(id string) (*Verdict, bool) {
+	v, ok := s.store.Verdict(id)
 	if ok {
 		mCacheHits.Inc()
 	} else {
@@ -689,16 +663,15 @@ func (s *Service) cachedVerdict(id string) (*Verdict, bool) {
 
 // triageOne opens one stored report for streaming replay: the blob stays
 // a file, pinned against eviction for the duration, and only the interval
-// being replayed is ever decoded.
+// being replayed is ever decoded. A done verdict is stored beside the
+// blob while the pin still holds it, so the sidecar never outlives its
+// archive; failures can be transient and are not stored.
 func (s *Service) triageOne(id string) *Verdict {
-	if !s.store.Pin(id) {
-		return &Verdict{State: VerdictFailed, Error: errEvictedBeforeTriage}
-	}
-	defer s.store.Unpin(id)
-	path, ok := s.store.Path(id)
+	path, ok := s.store.Pin(id)
 	if !ok {
 		return &Verdict{State: VerdictFailed, Error: errEvictedBeforeTriage}
 	}
+	defer s.store.Unpin(id)
 	a, err := report.OpenFile(path)
 	if err != nil {
 		if errors.Is(err, report.ErrBadArchive) {
@@ -709,7 +682,11 @@ func (s *Service) triageOne(id string) *Verdict {
 		return &Verdict{State: VerdictFailed, Error: "reading report: " + err.Error()}
 	}
 	defer a.Close()
-	return s.replay(a.Report())
+	v := s.replay(a.Report())
+	if v.State == VerdictDone {
+		s.store.PutVerdict(id, v)
+	}
+	return v
 }
 
 // replay runs the automatic-triage replay of one report and produces its
@@ -728,24 +705,13 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 		return &Verdict{State: VerdictFailed, Error: err.Error()}
 	}
 
-	// Replay executes exactly as many instructions as the logs claim, so
-	// bounding the claimed window bounds the worker's time. Lengths are
-	// attacker-controlled u64s; the incremental check keeps the sum from
-	// wrapping past the budget.
-	var window uint64
-	for _, logs := range rep.FLLs {
-		for _, l := range logs {
-			if l.Length > s.cfg.MaxReplayWindow-window {
-				return &Verdict{State: VerdictFailed,
-					Error: fmt.Sprintf("claimed replay window exceeds the %d-instruction budget", s.cfg.MaxReplayWindow)}
-			}
-			window += l.Length
-		}
+	if err := rep.CheckWindow(s.cfg.MaxReplayWindow); err != nil {
+		return &Verdict{State: VerdictFailed, Error: err.Error()}
 	}
 
 	// The page budget is per report: split it across threads so a
 	// max-thread archive cannot multiply it.
-	maxPages := s.cfg.MaxReplayPages
+	maxPages := DefaultMaxReplayPages
 	if threads := len(rep.FLLs); threads > 1 {
 		maxPages /= threads
 	}
@@ -820,15 +786,11 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 // ingest churns the store. The report streams from the store file: the
 // session holds lazy views, and release closes the underlying handle.
 func (s *Service) OpenReport(id string) (*core.CrashReport, *asm.Image, func(), error) {
-	if !s.store.Pin(id) {
+	path, ok := s.store.Pin(id)
+	if !ok {
 		return nil, nil, nil, fmt.Errorf("%w: no stored report %q", timetravel.ErrUnknownReport, id)
 	}
 	unpin := func() { s.store.Unpin(id) }
-	path, ok := s.store.Path(id)
-	if !ok {
-		unpin()
-		return nil, nil, nil, fmt.Errorf("%w: no stored report %q", timetravel.ErrUnknownReport, id)
-	}
 	a, err := report.OpenFile(path)
 	if err != nil {
 		unpin()
@@ -893,13 +855,9 @@ func (s *Service) ReportsCursor(after string, limit int) (items []ReportMeta, mo
 	}
 	items = make([]ReportMeta, 0, len(ids))
 	for _, id := range ids {
-		m := s.reports[id]
-		cp := *m
-		if m.Verdict != nil {
-			v := *m.Verdict
-			cp.Verdict = &v
-		}
-		items = append(items, cp)
+		m := *s.reports[id]
+		m.Verdict = m.Verdict.clone()
+		items = append(items, m)
 	}
 	return items, more
 }
@@ -937,10 +895,7 @@ func (s *Service) BucketsCursor(afterCount int, afterKey string, haveAfter bool,
 	for _, b := range all {
 		cp := *b
 		cp.ReportIDs = append([]string(nil), b.ReportIDs...)
-		if b.Verdict != nil {
-			v := *b.Verdict
-			cp.Verdict = &v
-		}
+		cp.Verdict = b.Verdict.clone()
 		items = append(items, cp)
 	}
 	return items, more
@@ -956,10 +911,7 @@ func (s *Service) Bucket(key string) (Bucket, bool) {
 	}
 	cp := *b
 	cp.ReportIDs = append([]string(nil), b.ReportIDs...)
-	if b.Verdict != nil {
-		v := *b.Verdict
-		cp.Verdict = &v
-	}
+	cp.Verdict = b.Verdict.clone()
 	return cp, true
 }
 
@@ -972,10 +924,7 @@ func (s *Service) Report(id string) (ReportMeta, bool) {
 		return ReportMeta{}, false
 	}
 	cp := *m
-	if m.Verdict != nil {
-		v := *m.Verdict
-		cp.Verdict = &v
-	}
+	cp.Verdict = m.Verdict.clone()
 	return cp, true
 }
 

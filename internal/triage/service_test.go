@@ -445,11 +445,12 @@ func TestBucketTableCapEvictsLowestCount(t *testing.T) {
 		}
 	}
 	s, err := New(Config{Dir: t.TempDir(), Workers: 1,
-		Resolver: NewImageRegistry().Resolve, MaxBuckets: 2})
+		Resolver: NewImageRegistry().Resolve})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	capBuckets(s, 2)
 
 	// Bucket 0 gets two uploads (count 2), bucket 1 gets one.
 	for _, b := range [][]byte{blobs[0], blobs[0], blobs[1]} {

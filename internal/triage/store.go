@@ -1,12 +1,13 @@
 package triage
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,21 +28,27 @@ import (
 // blobs are deleted — crash evidence, like the replay window itself, is a
 // sliding resource. The newest blob is never evicted, so a single
 // over-budget report is still ingestible.
+//
+// A blob's done verdict lives beside it as a sidecar file
+// (root/ab/cd/abcd….verdict, not charged to the budget) and shares its
+// retention: eviction and Delete remove both, and OpenStore keeps exactly
+// the sidecars whose blob it indexed.
 type Store struct {
 	mu     sync.Mutex
 	root   string
 	budget int64           // <= 0: unlimited
 	fsys   *faultinject.FS // nil outside chaos runs: direct os calls
 
-	index map[string]*blobInfo
-	order []string // insertion order, oldest first; eviction order key
-	pins  map[string]int
-	seq   uint64
-	stats StoreStats
+	index    map[string]*blobInfo
+	verdicts map[string]*Verdict // sidecar verdicts by id (see PutVerdict)
+	order    []string            // insertion order, oldest first; eviction order key
+	pins     map[string]int
+	seq      uint64
+	stats    StoreStats
 
-	// onEvict, if set, is called (with s.mu held) for every evicted blob;
-	// the service uses it to drop per-report metadata in step.
-	onEvict func(id string)
+	// onEvict, if set, gets (with s.mu held) every evicted blob and its
+	// verdict (nil if none); the service drops per-report metadata in step.
+	onEvict func(id string, v *Verdict)
 
 	// err is the most recent disk failure (a blob write, rename, or
 	// reclaim). It clears when a later write succeeds or when Healthy's
@@ -77,14 +84,15 @@ type StoreStats struct {
 	TotalCount    int
 }
 
-const blobExt = ".bnar"
-
-var idPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
+const (
+	blobExt    = ".bnar"
+	verdictExt = ".verdict"
+)
 
 // OpenStore opens (creating if needed) a store rooted at dir. Blobs
 // already on disk from a previous run are re-indexed, oldest first by
-// modification time, so a restarted server resumes with its evidence
-// intact.
+// mtime, with the verdicts beside them, so a restarted server resumes
+// with its evidence intact and replays none of it.
 func OpenStore(dir string, budget int64) (*Store, error) {
 	return openStore(dir, budget, nil)
 }
@@ -95,29 +103,35 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{root: dir, budget: budget, fsys: fsys,
-		index: make(map[string]*blobInfo), pins: make(map[string]int),
-		probeEvery: time.Second}
+		index: make(map[string]*blobInfo), verdicts: make(map[string]*Verdict),
+		pins: make(map[string]int), probeEvery: time.Second}
 	type existing struct {
 		id    string
 		bytes int64
 		mtime int64
 	}
 	var found []existing
+	var sidecars []string
 	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
 		}
-		if filepath.Ext(path) == ".tmp" {
-			// A crash between write and rename leaves a half blob; it was
-			// never indexed, so reclaim it rather than leak disk forever.
+		switch filepath.Ext(path) {
+		case ".tmp":
+			// A crash between write and rename leaves a half blob or
+			// sidecar; it was never indexed, so reclaim it rather than leak
+			// disk forever.
 			os.Remove(path)
+			return nil
+		case verdictExt:
+			sidecars = append(sidecars, path) // judged once every blob is indexed
 			return nil
 		}
 		if filepath.Ext(path) != blobExt {
 			return nil
 		}
 		id := d.Name()[:len(d.Name())-len(blobExt)]
-		if !idPattern.MatchString(id) {
+		if !report.ValidID(id) {
 			return nil // foreign file; leave it alone
 		}
 		if path != s.path(id) {
@@ -145,8 +159,31 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 		}
 		s.addLocked(f.id, f.bytes)
 	}
+	for _, p := range sidecars {
+		s.loadVerdict(p)
+	}
 	s.syncStoreGauges()
 	return s, nil
+}
+
+// loadVerdict indexes a sidecar OpenStore found, or removes it when it
+// is unreadable, not a done verdict, or beside no indexed blob (evicted,
+// or adopted ahead of an archive that never came). A file whose name is
+// no content address is foreign and left alone.
+func (s *Store) loadVerdict(path string) {
+	id := strings.TrimSuffix(filepath.Base(path), verdictExt)
+	if !report.ValidID(id) {
+		return
+	}
+	if _, ok := s.index[id]; ok && path == s.verdictPath(id) {
+		var v Verdict
+		if data, err := os.ReadFile(path); err == nil &&
+			json.Unmarshal(data, &v) == nil && v.State == VerdictDone {
+			s.verdicts[id] = &v
+			return
+		}
+	}
+	os.Remove(path)
 }
 
 // fail records a disk failure; the store keeps serving best-effort
@@ -234,6 +271,34 @@ func (s *Store) path(id string) string {
 	return filepath.Join(s.root, id[:2], id[2:4], id+blobExt)
 }
 
+// verdictPath returns the location of a blob's verdict sidecar.
+func (s *Store) verdictPath(id string) string {
+	return filepath.Join(s.root, id[:2], id[2:4], id+verdictExt)
+}
+
+// writeFile writes data to dst through a temp file in dst's directory
+// and a rename, so a crash never leaves a half file under a valid name.
+func (s *Store) writeFile(dst string, data []byte) error {
+	if err := s.fsys.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		return err
+	}
+	tmp, err := s.fsys.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = s.fsys.Rename(tmp.Name(), dst)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // Put stores an archive blob under its content address. It returns the ID
 // and whether the blob was already present (the dedup case). Eviction runs
 // after a successful write.
@@ -257,31 +322,7 @@ func (s *Store) PutWithID(id string, data []byte) (_ string, existed bool, err e
 	if ok {
 		return id, true, nil
 	}
-	p := s.path(id)
-	if err := s.fsys.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		s.fail(err)
-		return "", false, err
-	}
-	// Write-then-rename so a crashed server never leaves a half blob
-	// under a valid content address.
-	tmp, err := s.fsys.CreateTemp(filepath.Dir(p), id+".*.tmp")
-	if err != nil {
-		s.fail(err)
-		return "", false, err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.fail(err)
-		return "", false, err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.fail(err)
-		return "", false, err
-	}
-	if err := s.fsys.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
+	if err := s.writeFile(s.path(id), data); err != nil {
 		s.fail(err)
 		return "", false, err
 	}
@@ -350,34 +391,22 @@ func (s *Store) Get(id string) ([]byte, error) {
 	return os.ReadFile(s.path(id))
 }
 
-// Path returns the on-disk location of a retained blob, for streaming
-// readers (report.OpenFile) that replay straight from the store file.
-// Callers should Pin the id first so eviction cannot delete the file
-// mid-read.
-func (s *Store) Path(id string) (string, bool) {
+// Pin excludes a blob from budget eviction until every matching Unpin
+// runs, and returns its file path for streaming readers (report.OpenFile)
+// that read straight from the store; pins nest. Open debug sessions pin
+// the report they replay so interactive debugging never races the budget.
+// Pinning an unknown id reports false. Pinned bytes still count against
+// the budget, so a flood of pins can hold the store over budget until the
+// sessions close — bounded by the session layer's concurrency cap.
+func (s *Store) Pin(id string) (path string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[id]; !ok {
 		return "", false
 	}
-	return s.path(id), true
-}
-
-// Pin excludes a blob from budget eviction until every matching Unpin
-// runs; pins nest. Open debug sessions pin the report they replay so
-// interactive debugging never races the budget. Pinning an unknown id
-// reports false. Pinned bytes still count against the budget, so a flood
-// of pins can hold the store over budget until the sessions close —
-// bounded by the session layer's concurrency cap.
-func (s *Store) Pin(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[id]; !ok {
-		return false
-	}
 	s.pins[id]++
 	mStorePinned.Set(int64(len(s.pins)))
-	return true
+	return s.path(id), true
 }
 
 // Unpin drops one pin and re-runs eviction, so blobs kept alive past the
@@ -433,6 +462,35 @@ func (s *Store) IDs() []string {
 	return out
 }
 
+// Verdict returns a copy of id's sidecar verdict.
+func (s *Store) Verdict(id string) (*Verdict, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.verdicts[id]
+	return v.clone(), ok
+}
+
+// PutVerdict stores v, a done verdict, as id's sidecar unless id already
+// has one: a verdict is a pure function of the archive bytes, so the
+// first one in is never overwritten. The sidecar may precede its blob (a
+// peer's verdict can beat the archive here). A failed write is absorbed:
+// the verdict still serves from memory, and the lost file costs one
+// replay after a restart. id must be well-formed (report.ValidID).
+func (s *Store) PutVerdict(id string, v *Verdict) {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return
+	}
+	s.mu.Lock()
+	if _, ok := s.verdicts[id]; ok {
+		s.mu.Unlock()
+		return
+	}
+	s.verdicts[id] = v.clone()
+	s.mu.Unlock()
+	s.writeFile(s.verdictPath(id), data) // outside the lock, like a blob write
+}
+
 // Delete removes one blob outright, counting it as evicted. The service
 // uses it to reclaim blobs that no longer decode at recovery; undecodable
 // bytes serve no session, so Delete ignores pins.
@@ -459,9 +517,10 @@ func (s *Store) addLocked(id string, size int64) {
 	s.evictLocked()
 }
 
-// dropLocked removes the blob at s.order[i] from the index and the disk,
-// counting it as evicted. Caller holds s.mu.
-func (s *Store) dropLocked(i int) {
+// dropLocked removes the blob at s.order[i] and its verdict sidecar from
+// the index and the disk, counting the blob as evicted, and returns the
+// verdict it dropped (nil if none). Caller holds s.mu.
+func (s *Store) dropLocked(i int) *Verdict {
 	id := s.order[i]
 	s.order = append(s.order[:i], s.order[i+1:]...)
 	bi := s.index[id]
@@ -475,6 +534,14 @@ func (s *Store) dropLocked(i int) {
 	if err := s.fsys.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
 		s.failLocked(err)
 	}
+	v, ok := s.verdicts[id]
+	if ok {
+		delete(s.verdicts, id)
+		// A sidecar that outlives its blob (a failed remove, or a write
+		// racing this drop) sits beside no blob; OpenStore reclaims it.
+		s.fsys.Remove(s.verdictPath(id))
+	}
+	return v
 }
 
 // evictLocked deletes oldest blobs until the budget is met, sparing the
@@ -487,9 +554,9 @@ func (s *Store) evictLocked() {
 			i++
 			continue
 		}
-		s.dropLocked(i)
+		v := s.dropLocked(i)
 		if s.onEvict != nil {
-			s.onEvict(id)
+			s.onEvict(id, v)
 		}
 	}
 	s.syncStoreGauges()

@@ -149,10 +149,10 @@ func TestStorePinBlocksEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Pin(pinned) {
+	if _, ok := s.Pin(pinned); !ok {
 		t.Fatal("pin of a stored blob failed")
 	}
-	if s.Pin("0000000000000000000000000000000000000000000000000000000000000000") {
+	if _, ok := s.Pin("0000000000000000000000000000000000000000000000000000000000000000"); ok {
 		t.Fatal("pin of an unknown id must fail")
 	}
 	// Flood past the budget: the pinned blob must survive while newer
