@@ -83,9 +83,7 @@ func (s *Service) takeOverLocked(id string, from Origin) *job {
 
 // settle finishes an ingest outside the lock: queue the replay it owes,
 // or — for an archive whose verdict got here first — complete the wait
-// at once, from the stored verdict or from one evicted with an earlier
-// copy of the bytes (the replayer will not push that again), which is
-// adopted back beside the archive.
+// at once from the stored verdict.
 func (s *Service) settle(id string, owed *job, from Origin) {
 	switch {
 	case owed != nil:
@@ -93,14 +91,6 @@ func (s *Service) settle(id string, owed *job, from Origin) {
 	case from.Replayer != "":
 		if v, ok := s.store.Verdict(id); ok {
 			s.completeAwaited(id, v)
-			return
-		}
-		s.mu.Lock()
-		v, ok := s.agedOut[id]
-		delete(s.agedOut, id)
-		s.mu.Unlock()
-		if ok {
-			s.AdoptVerdict(id, v)
 		}
 	}
 }
@@ -109,7 +99,7 @@ func (s *Service) settle(id string, owed *job, from Origin) {
 // replaying the same bytes — the one way a verdict this node did not
 // compute enters — and stores it beside the archive like a local one: an
 // awaited report completes with it, a queued replay finds it, and one
-// that beats its archive waits in the store for the ingest. Only done
+// that beats its archive is held by the store for the ingest. Only done
 // verdicts of well-formed ids are accepted, and a stored verdict is never
 // overwritten. It reports whether an awaited report completed.
 func (s *Service) AdoptVerdict(id string, v *Verdict) (bool, error) {

@@ -33,6 +33,6 @@ func FailStoreDisk(t *testing.T, s *Service, err error) (root string) {
 	if rerr := os.RemoveAll(root); rerr != nil {
 		t.Fatal(rerr)
 	}
-	s.store.fail(err)
+	s.store.setErr(err)
 	return root
 }

@@ -184,9 +184,6 @@ type Service struct {
 	// evictedEarly holds blob ids evicted between their store.Put and
 	// their metadata creation (see onEvict in New).
 	evictedEarly map[string]bool
-	// agedOut holds the verdicts the store evicted with their archives,
-	// read only by a wait for the same bytes sent again (see settle).
-	agedOut map[string]*Verdict
 	// awaited holds the archives ingested with Origin.Replayer set whose
 	// verdict has not arrived. Each counts once in pending. The set is
 	// memory only: a restart forgets it, and recovery replays whatever it
@@ -241,7 +238,6 @@ func New(cfg Config) (*Service, error) {
 		buckets:      make(map[string]*Bucket),
 		reports:      make(map[string]*ReportMeta),
 		evictedEarly: make(map[string]bool),
-		agedOut:      make(map[string]*Verdict),
 		awaited:      make(map[string]Awaited),
 		jobs:         make(chan job, maxQueue),
 		bucketCap:    maxBuckets,
@@ -255,23 +251,15 @@ func New(cfg Config) (*Service, error) {
 	// concurrent ingest pushed the store over budget); such ids are parked
 	// in evictedEarly so the late metadata is suppressed instead of
 	// leaking forever.
-	st.onEvict = func(id string, v *Verdict) {
+	st.onEvict = func(id string) {
 		s.mu.Lock()
 		// evictedEarly entries are consumed by the racing ingest; one that
 		// never gets consumed (the uploader never retried) would sit
 		// forever, so bound the map. Clearing can at worst let a racing
 		// ingest record metadata for an already-evicted blob, whose replay
 		// then fails with the evicted-before-triage verdict — benign.
-		// agedOut is bounded the same way; clearing it at worst leaves a
-		// resent wait to the cluster's verdict sweep.
 		if len(s.evictedEarly) > 1024 {
 			s.evictedEarly = make(map[string]bool)
-		}
-		if len(s.agedOut) > 1024 {
-			s.agedOut = make(map[string]*Verdict)
-		}
-		if v != nil {
-			s.agedOut[id] = v
 		}
 		if m, ok := s.reports[id]; ok {
 			delete(s.reports, id)
@@ -372,11 +360,6 @@ func (s *Service) Close() {
 
 // Store exposes the underlying blob store (read-only use).
 func (s *Service) Store() *Store { return s.store }
-
-// Err returns the most recent disk failure the archive store has seen; a
-// non-nil result means uploads or reclamation are losing evidence and the
-// health endpoint reports degraded.
-func (s *Service) Err() error { return s.store.Err() }
 
 // Healthy reports whether the archive store can accept writes. A
 // degraded store re-probes the disk (rate limited), so a healed disk

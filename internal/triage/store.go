@@ -32,7 +32,10 @@ import (
 // A blob's done verdict lives beside it as a sidecar file
 // (root/ab/cd/abcd….verdict, not charged to the budget) and shares its
 // retention: eviction and Delete remove both, and OpenStore keeps exactly
-// the sidecars whose blob it indexed.
+// the sidecars whose blob it indexed. A verdict with no indexed blob —
+// adopted ahead of its archive, or evicted with it — is held in memory
+// only, in a set of at most maxWaiting, and becomes a sidecar if the
+// archive arrives.
 type Store struct {
 	mu     sync.Mutex
 	root   string
@@ -40,15 +43,16 @@ type Store struct {
 	fsys   *faultinject.FS // nil outside chaos runs: direct os calls
 
 	index    map[string]*blobInfo
-	verdicts map[string]*Verdict // sidecar verdicts by id (see PutVerdict)
+	verdicts map[string]*Verdict // sidecar verdicts of indexed blobs
+	waiting  map[string]*Verdict // verdicts of no indexed blob; memory only, bounded
 	order    []string            // insertion order, oldest first; eviction order key
 	pins     map[string]int
 	seq      uint64
 	stats    StoreStats
 
-	// onEvict, if set, gets (with s.mu held) every evicted blob and its
-	// verdict (nil if none); the service drops per-report metadata in step.
-	onEvict func(id string, v *Verdict)
+	// onEvict, if set, gets (with s.mu held) every evicted blob id; the
+	// service drops per-report metadata in step.
+	onEvict func(id string)
 
 	// err is the most recent disk failure (a blob write, rename, or
 	// reclaim). It clears when a later write succeeds or when Healthy's
@@ -87,6 +91,11 @@ type StoreStats struct {
 const (
 	blobExt    = ".bnar"
 	verdictExt = ".verdict"
+
+	// maxWaiting bounds the verdicts held without a blob. Any peer can
+	// push a verdict for any well-formed id, so the set is cleared when
+	// full rather than grown; a verdict lost that way costs one replay.
+	maxWaiting = 1024
 )
 
 // OpenStore opens (creating if needed) a store rooted at dir. Blobs
@@ -104,7 +113,7 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 	}
 	s := &Store{root: dir, budget: budget, fsys: fsys,
 		index: make(map[string]*blobInfo), verdicts: make(map[string]*Verdict),
-		pins: make(map[string]int), probeEvery: time.Second}
+		waiting: make(map[string]*Verdict), pins: make(map[string]int), probeEvery: time.Second}
 	type existing struct {
 		id    string
 		bytes int64
@@ -167,9 +176,9 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 }
 
 // loadVerdict indexes a sidecar OpenStore found, or removes it when it
-// is unreadable, not a done verdict, or beside no indexed blob (evicted,
-// or adopted ahead of an archive that never came). A file whose name is
-// no content address is foreign and left alone.
+// is unreadable, not a done verdict, or beside no indexed blob (a remove
+// that failed with its blob's). A file whose name is no content address
+// is foreign and left alone.
 func (s *Store) loadVerdict(path string) {
 	id := strings.TrimSuffix(filepath.Base(path), verdictExt)
 	if !report.ValidID(id) {
@@ -186,34 +195,13 @@ func (s *Store) loadVerdict(path string) {
 	os.Remove(path)
 }
 
-// fail records a disk failure; the store keeps serving best-effort
-// afterwards and sheds writes until the disk proves healthy again.
-// failLocked is for callers holding s.mu.
-func (s *Store) fail(err error) {
+// setErr records how a disk operation went. A failure degrades the
+// store: it keeps serving best-effort and sheds writes until the disk
+// proves healthy again. nil, a successful write, drops the signal.
+func (s *Store) setErr(err error) {
 	s.mu.Lock()
-	s.failLocked(err)
-	s.mu.Unlock()
-}
-
-func (s *Store) failLocked(err error) {
 	s.err = err
-}
-
-// clearErr records a successful write: whatever was wrong with the disk
-// is no longer, so the degraded signal drops.
-func (s *Store) clearErr() {
-	s.mu.Lock()
-	s.err = nil
 	s.mu.Unlock()
-}
-
-// Err returns the most recent disk failure the store has seen — the
-// degraded signal behind GET /healthz. A store that cannot write or
-// reclaim blobs is still readable, but new evidence is being lost.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Healthy reports whether the store can accept writes, returning the
@@ -239,12 +227,9 @@ func (s *Store) Healthy() error {
 	s.lastProbe = now
 	s.mu.Unlock()
 
-	if perr := s.probe(); perr != nil {
-		s.fail(perr)
-		return perr
-	}
-	s.clearErr()
-	return nil
+	perr := s.probe()
+	s.setErr(perr)
+	return perr
 }
 
 // probe checks disk writability with a create/write/remove cycle.
@@ -316,24 +301,14 @@ func (s *Store) Put(data []byte) (id string, existed bool, err error) {
 // sparing a second SHA-256 over the blob on the ingest hot path. The id
 // must be report.ID(data).
 func (s *Store) PutWithID(id string, data []byte) (_ string, existed bool, err error) {
-	s.mu.Lock()
-	_, ok := s.index[id]
-	s.mu.Unlock()
-	if ok {
+	if s.Has(id) {
 		return id, true, nil
 	}
 	if err := s.writeFile(s.path(id), data); err != nil {
-		s.fail(err)
+		s.setErr(err)
 		return "", false, err
 	}
-	s.clearErr()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[id]; ok {
-		return id, true, nil // a concurrent identical upload indexed it first
-	}
-	s.addLocked(id, int64(len(data)))
-	return id, false, nil
+	return id, s.file(id, int64(len(data))), nil
 }
 
 // AdoptFile moves an already-written spool file into the store under its
@@ -342,10 +317,7 @@ func (s *Store) PutWithID(id string, data []byte) (_ string, existed bool, err e
 // rename. src is consumed — renamed away on success, deleted when the
 // content already existed, and deleted after the fallback copy.
 func (s *Store) AdoptFile(id string, src string) (existed bool, err error) {
-	s.mu.Lock()
-	_, ok := s.index[id]
-	s.mu.Unlock()
-	if ok {
+	if s.Has(id) {
 		os.Remove(src)
 		return true, nil
 	}
@@ -355,7 +327,7 @@ func (s *Store) AdoptFile(id string, src string) (existed bool, err error) {
 	}
 	p := s.path(id)
 	if err := s.fsys.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		s.fail(err)
+		s.setErr(err)
 		return false, err
 	}
 	if err := s.fsys.Rename(src, p); err != nil {
@@ -369,14 +341,24 @@ func (s *Store) AdoptFile(id string, src string) (existed bool, err error) {
 		_, existed, perr := s.PutWithID(id, data)
 		return existed, perr
 	}
-	s.clearErr()
+	return s.file(id, fi.Size()), nil
+}
+
+// file indexes a blob just written at its canonical path, unless a
+// concurrent identical upload indexed it first (existed), and writes the
+// verdict that waited for it. The write succeeded, so the degraded signal
+// drops.
+func (s *Store) file(id string, size int64) (existed bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.index[id]; ok {
-		return true, nil // a concurrent identical upload indexed it first
+	s.err = nil
+	_, existed = s.index[id]
+	var sv *Verdict
+	if !existed {
+		sv = s.addLocked(id, size)
 	}
-	s.addLocked(id, fi.Size())
-	return false, nil
+	s.mu.Unlock()
+	s.writeVerdict(id, sv)
+	return existed
 }
 
 // Get reads a stored blob. Unknown (including malformed) ids are a
@@ -462,33 +444,67 @@ func (s *Store) IDs() []string {
 	return out
 }
 
-// Verdict returns a copy of id's sidecar verdict.
+// Verdict returns a copy of id's verdict, stored beside its blob or held
+// without one.
 func (s *Store) Verdict(id string) (*Verdict, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.verdicts[id]
+	if !ok {
+		v, ok = s.waiting[id]
+	}
 	return v.clone(), ok
 }
 
-// PutVerdict stores v, a done verdict, as id's sidecar unless id already
-// has one: a verdict is a pure function of the archive bytes, so the
-// first one in is never overwritten. The sidecar may precede its blob (a
-// peer's verdict can beat the archive here). A failed write is absorbed:
-// the verdict still serves from memory, and the lost file costs one
-// replay after a restart. id must be well-formed (report.ValidID).
+// PutVerdict stores v, a done verdict, as id's unless id already has one:
+// a verdict is a pure function of the archive bytes, so the first one in
+// is never overwritten. Beside an indexed blob it becomes a sidecar;
+// otherwise (a peer's verdict beat the archive here) it waits in memory
+// for the archive. id must be well-formed (report.ValidID).
 func (s *Store) PutVerdict(id string, v *Verdict) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
 	s.mu.Lock()
-	if _, ok := s.verdicts[id]; ok {
+	if s.verdicts[id] != nil || s.waiting[id] != nil {
 		s.mu.Unlock()
 		return
 	}
-	s.verdicts[id] = v.clone()
+	if _, ok := s.index[id]; !ok {
+		s.holdLocked(id, v.clone())
+		s.mu.Unlock()
+		return
+	}
+	sv := v.clone()
+	s.verdicts[id] = sv
 	s.mu.Unlock()
-	s.writeFile(s.verdictPath(id), data) // outside the lock, like a blob write
+	s.writeVerdict(id, sv)
+}
+
+// holdLocked keeps v, a verdict of no indexed blob, in the bounded
+// waiting set. Caller holds s.mu.
+func (s *Store) holdLocked(id string, v *Verdict) {
+	if len(s.waiting) >= maxWaiting {
+		s.waiting = make(map[string]*Verdict)
+	}
+	s.waiting[id] = v
+}
+
+// writeVerdict writes sv, id's entry in s.verdicts, to its sidecar outside
+// the lock, like a blob write; nil is a no-op. A failed write is absorbed:
+// the verdict still serves from memory, and the lost file costs one replay
+// after a restart. If the blob was dropped while the file was written, the
+// file is removed again, so no sidecar outlives its blob.
+func (s *Store) writeVerdict(id string, sv *Verdict) {
+	if sv == nil {
+		return
+	}
+	data, err := json.Marshal(sv)
+	if err != nil || s.writeFile(s.verdictPath(id), data) != nil {
+		return
+	}
+	s.mu.Lock()
+	if s.verdicts[id] != sv {
+		s.fsys.Remove(s.verdictPath(id))
+	}
+	s.mu.Unlock()
 }
 
 // Delete removes one blob outright, counting it as evicted. The service
@@ -504,9 +520,11 @@ func (s *Store) Delete(id string) {
 }
 
 // addLocked files a blob just written at its canonical path — index,
-// FIFO position, retained and total counters — then evicts to budget.
+// FIFO position, retained and total counters — then evicts to budget. A
+// verdict waiting for the blob becomes its sidecar verdict and is
+// returned for the caller to writeVerdict once it drops s.mu.
 // Caller holds s.mu.
-func (s *Store) addLocked(id string, size int64) {
+func (s *Store) addLocked(id string, size int64) *Verdict {
 	s.seq++
 	s.index[id] = &blobInfo{id: id, bytes: size, seq: s.seq}
 	s.order = append(s.order, id)
@@ -514,13 +532,20 @@ func (s *Store) addLocked(id string, size int64) {
 	s.stats.RetainedCount++
 	s.stats.TotalBytes += size
 	s.stats.TotalCount++
-	s.evictLocked()
+	v, ok := s.waiting[id]
+	if ok {
+		delete(s.waiting, id)
+		s.verdicts[id] = v
+	}
+	s.evictLocked() // spares the newest blob, so v keeps its place
+	return v
 }
 
 // dropLocked removes the blob at s.order[i] and its verdict sidecar from
-// the index and the disk, counting the blob as evicted, and returns the
-// verdict it dropped (nil if none). Caller holds s.mu.
-func (s *Store) dropLocked(i int) *Verdict {
+// the index and the disk, counting the blob as evicted. The verdict is
+// held on without its blob, for a wait on the same bytes sent again (the
+// replayer does not push a verdict twice). Caller holds s.mu.
+func (s *Store) dropLocked(i int) {
 	id := s.order[i]
 	s.order = append(s.order[:i], s.order[i+1:]...)
 	bi := s.index[id]
@@ -532,16 +557,15 @@ func (s *Store) dropLocked(i int) *Verdict {
 	s.stats.EvictedCount++
 	mStoreEvictions.Inc()
 	if err := s.fsys.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
-		s.failLocked(err)
+		s.err = err
 	}
-	v, ok := s.verdicts[id]
-	if ok {
+	if v, ok := s.verdicts[id]; ok {
 		delete(s.verdicts, id)
-		// A sidecar that outlives its blob (a failed remove, or a write
-		// racing this drop) sits beside no blob; OpenStore reclaims it.
+		s.holdLocked(id, v)
+		// A sidecar whose remove fails sits beside no blob; OpenStore
+		// reclaims it.
 		s.fsys.Remove(s.verdictPath(id))
 	}
-	return v
 }
 
 // evictLocked deletes oldest blobs until the budget is met, sparing the
@@ -554,9 +578,9 @@ func (s *Store) evictLocked() {
 			i++
 			continue
 		}
-		v := s.dropLocked(i)
+		s.dropLocked(i)
 		if s.onEvict != nil {
-			s.onEvict(id, v)
+			s.onEvict(id)
 		}
 	}
 	s.syncStoreGauges()

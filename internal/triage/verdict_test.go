@@ -156,7 +156,9 @@ func TestVerdictCacheIgnoresJunkFiles(t *testing.T) {
 
 // TestVerdictGoesWithItsBlob: a sidecar shares its blob's retention.
 // Budget eviction and Delete remove it with the blob; a pinned blob,
-// spared by eviction, keeps it.
+// spared by eviction, keeps it. The verdict itself is held in memory
+// without its blob, and the same bytes stored again bring it back beside
+// them.
 func TestVerdictGoesWithItsBlob(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir, 250)
@@ -189,9 +191,6 @@ func TestVerdictGoesWithItsBlob(t *testing.T) {
 	if st.Has(evicted) || !st.Has(pinned) {
 		t.Fatalf("eviction: evicted held %v, pinned held %v", st.Has(evicted), st.Has(pinned))
 	}
-	if _, ok := st.Verdict(evicted); ok {
-		t.Error("evicted blob's verdict survived in memory")
-	}
 	if _, err := os.Stat(st.verdictPath(evicted)); !os.IsNotExist(err) {
 		t.Errorf("evicted blob's sidecar survived: %v", err)
 	}
@@ -203,11 +202,51 @@ func TestVerdictGoesWithItsBlob(t *testing.T) {
 	}
 
 	st.Delete(pinned)
-	if _, ok := st.Verdict(pinned); ok {
-		t.Error("deleted blob's verdict survived in memory")
-	}
 	if _, err := os.Stat(st.verdictPath(pinned)); !os.IsNotExist(err) {
 		t.Errorf("deleted blob's sidecar survived: %v", err)
+	}
+
+	if _, _, err := st.Put(blobOf(100, 'a')); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := st.Verdict(evicted); !ok || !reflect.DeepEqual(v, done) {
+		t.Errorf("re-stored blob's verdict = %+v, %v", v, ok)
+	}
+	if _, err := os.Stat(st.verdictPath(evicted)); err != nil {
+		t.Errorf("re-stored blob's sidecar not written: %v", err)
+	}
+}
+
+// TestVerdictsWithoutArchiveAreBounded: a verdict pushed for an id whose
+// archive never arrives is held in memory only, and a flood of them —
+// any peer can push one for any well-formed id — stays within
+// maxWaiting and writes nothing to disk.
+func TestVerdictsWithoutArchiveAreBounded(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Dir: dir, Workers: 1, Resolver: NewImageRegistry().Resolve})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := &Verdict{State: VerdictDone, Instructions: 7}
+	for i := 0; i < 3*maxWaiting; i++ {
+		if _, err := s.AdoptVerdict(report.ID([]byte{byte(i), byte(i >> 8)}), done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.store.mu.Lock()
+	held, sidecars := len(s.store.waiting), len(s.store.verdicts)
+	s.store.mu.Unlock()
+	if held > maxWaiting || sidecars != 0 {
+		t.Errorf("after %d unknown ids: %d held, %d sidecar verdicts; want <= %d and 0",
+			3*maxWaiting, held, sidecars, maxWaiting)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("store root holds %d entries, want none (first %q)", len(entries), entries[0].Name())
 	}
 }
 
