@@ -123,6 +123,9 @@ func (t *traceRing) push(e TraceEntry) {
 	}
 }
 
+// reset empties the ring.
+func (t *traceRing) reset() { t.next, t.full = 0, false }
+
 // clone returns a deep copy of the ring, for replay checkpointing.
 func (t *traceRing) clone() *traceRing {
 	if t == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"bugnet/internal/asm"
 	"bugnet/internal/cpu"
@@ -14,6 +15,11 @@ import (
 // ErrDiverged reports that replay did not reproduce the recorded execution
 // — an invariant violation in the recorder/replayer pair.
 var ErrDiverged = errors.New("core: replay diverged from recording")
+
+// fetchHookAlways keeps the fetch hook on for every instruction, so no
+// stretch goes untraced: the reference tests hold the backtrace ring to.
+// Only tests set it.
+var fetchHookAlways atomic.Bool
 
 // ReplayResult summarizes a single-thread replay.
 type ReplayResult struct {
@@ -132,23 +138,26 @@ type Scratch struct {
 // what the Scratch replayed before; what survives is storage: the pages and
 // page-table leaves the previous replay mapped, the block-cache array, the
 // dictionary's arrays.
+//
+// It is one ReplayMachine.StepN over the whole window, so the backtrace
+// ring is filled only over the window's last TraceDepth instructions.
 func (r *Replayer) RunOn(s *Scratch) (*ReplayResult, error) {
 	st := r.newState(nil, s)
 	defer func() { s.d = st.d }()
-	for st.next() {
-		for !st.intervalDone() {
-			if _, err := st.runBatch(st.cur.Length - st.executed); err != nil {
-				return nil, err
-			}
-		}
-		if err := st.finishInterval(); err != nil {
-			return nil, err
-		}
-	}
-	if st.err != nil {
-		return nil, st.err
+	m := ReplayMachine{r: r, st: st, total: r.window()}
+	m.done = !st.next()
+	if _, err := m.StepN(m.total); err != nil {
+		return nil, err
 	}
 	return st.result(), nil
+}
+
+// window returns the instructions the logs cover.
+func (r *Replayer) window() (n uint64) {
+	for _, l := range r.logs {
+		n += l.Length
+	}
+	return n
 }
 
 // state is the incremental replay machine, also driven step-by-step by the
@@ -169,6 +178,9 @@ type state struct {
 	injected uint64
 	trace    *traceRing
 	err      error
+	// fetch is onFetch bound once: StepN switches the hook off and on around
+	// untraced stretches, and a method value evaluated there would allocate.
+	fetch func(pc uint32)
 
 	// known is the §7.1 known-memory set, nil unless a ReplayMachine tracks
 	// it; the hooks insert into it directly.
@@ -211,9 +223,25 @@ func (r *Replayer) newState(known *mem.KnownSet, s *Scratch) *state {
 		c.OnWordStore = st.onWordStore
 	}
 	if st.trace != nil || r.LogCodeLoads {
-		c.OnFetch = st.onFetch
+		st.fetch = st.onFetch
+		c.OnFetch = st.fetch
 	}
 	return st
+}
+
+// untraced returns how many of the next span instructions may run with the
+// fetch hook off: all but the last TraceDepth when the hook only fills the
+// backtrace ring (under LogCodeLoads it injects code words, and stays on).
+// Answering more than zero empties the ring, so it never holds PCs from
+// before an untraced stretch next to the ones after it: after a divergence
+// the ring holds only what was fetched since the stretch ended, nothing if
+// the divergence fell inside it.
+func (st *state) untraced(span uint64) uint64 {
+	if st.trace == nil || st.r.LogCodeLoads || span <= uint64(len(st.trace.buf)) || fetchHookAlways.Load() {
+		return 0
+	}
+	st.trace.reset()
+	return span - uint64(len(st.trace.buf))
 }
 
 // next advances to the next FLL, materializing it from its view (the

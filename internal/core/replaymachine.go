@@ -43,10 +43,7 @@ type ReplayMachine struct {
 // Machine wraps the replayer in an incremental stepping engine positioned
 // at the start of the window.
 func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
-	m := &ReplayMachine{r: r}
-	for _, l := range r.logs {
-		m.total += l.Length
-	}
+	m := &ReplayMachine{r: r, total: r.window()}
 	var known *mem.KnownSet
 	if opts.TrackKnown {
 		known = mem.NewKnownSet()
@@ -117,7 +114,28 @@ func (m *ReplayMachine) StepOne() error {
 // and watchpoint policing is the caller's job: consumers batch only across
 // stretches where no per-instruction checks are required (the time-travel
 // engine bounds batches by its checkpoint grid and stop conditions).
+//
+// The backtrace ring is read only between calls, so the fetch hook that
+// fills it fires only on the last TraceDepth instructions the call can run
+// (see state.untraced).
 func (m *ReplayMachine) StepN(n uint64) (uint64, error) {
+	st := m.st
+	quiet := st.untraced(min(n, m.total-m.pos))
+	if quiet == 0 {
+		return m.stepN(n)
+	}
+	st.c.OnFetch = nil
+	done, err := m.stepN(quiet)
+	st.c.OnFetch = st.fetch
+	if err != nil || done < quiet {
+		return done, err
+	}
+	more, err := m.stepN(n - done)
+	return done + more, err
+}
+
+// stepN is StepN with the fetch hook left as it is.
+func (m *ReplayMachine) stepN(n uint64) (uint64, error) {
 	if m.done {
 		// Includes the window that never opened: a first interval whose
 		// encoded bytes failed to load parks its error in the state.
@@ -299,11 +317,15 @@ func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 
 // Restore installs a snapshot, copying out of it (copy-on-write for the
 // memory image and known set) so the snapshot stays reusable. The machine
-// must have been built from the same logs the snapshot was taken over.
+// rewinds in place: the pages, known bitmaps and table leaves it owns alone
+// are kept to back its next copy-on-write faults, so a warmed reverse step
+// copies pages without allocating them. The machine must have been built
+// from the same logs the snapshot was taken over.
 func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	st := m.st
-	st.mem = s.mem.Snapshot()
-	st.c.Mem = st.mem
+	st.mem.RestoreFrom(s.mem)
+	// A recycled page can come back at the same page number with other
+	// bytes, which the block cache's Gen and pointer check would accept.
 	st.c.InvalidateFetchCache()
 	st.c.Restore(s.regs)
 	st.c.IC = s.ic
@@ -337,10 +359,7 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	m.pos = s.pos
 	m.done = s.done
 	if st.known != nil {
-		st.known = s.known.Clone()
-		if st.known == nil { // snapshot of a machine without tracking
-			st.known = mem.NewKnownSet()
-		}
+		st.known.RestoreFrom(s.known) // a nil s.known: a machine without tracking
 	}
 }
 

@@ -151,3 +151,35 @@ func TestReplayMachineRestoreMidIntervalCursor(t *testing.T) {
 		m.Restore(snap)
 	}
 }
+
+// TestStepAllocatesNothing: on a warmed machine with nothing due — no
+// interval to open, no block to decode — stepping allocates nothing, with
+// the fetch hook switched off and on around an untraced stretch or left on.
+// A hook bound per call (a method value evaluated each time) allocates.
+func TestStepAllocatesNothing(t *testing.T) {
+	img := asm.MustAssemble("cl.s", codeLoadProgram)
+	_, rep, _ := Record(img, kernel.Config{}, Config{IntervalLength: 100_000})
+	r := NewReplayer(img, rep.FLLs[0])
+	r.TraceDepth = 16
+	m := r.Machine(MachineOptions{TrackKnown: true})
+	stepTo(t, m, 200)
+	step := func() {
+		if err := m.StepOne(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Errorf("StepOne allocated %.1f times a call", got)
+	}
+	stretch := func() {
+		if _, err := m.StepN(40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(20, stretch); got != 0 {
+		t.Errorf("StepN over an untraced stretch allocated %.1f times a call", got)
+	}
+	if m.Done() {
+		t.Fatal("vacuous: the window ran out during the measurement")
+	}
+}

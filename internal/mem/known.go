@@ -76,6 +76,18 @@ func (k *KnownSet) Clone() *KnownSet {
 	return c
 }
 
+// RestoreFrom makes k an independent logical copy of s, as s.Clone() would
+// return, but in place, recycling the bitmaps k owns alone (see
+// Memory.RestoreFrom). A nil s empties k. s must not be k.
+func (k *KnownSet) RestoreFrom(s *KnownSet) {
+	k.tab.recycle()
+	k.words = 0
+	if s != nil {
+		s.tab.shareInto(&k.tab)
+		k.words = s.words
+	}
+}
+
 // Words returns the word addresses in ascending order.
 func (k *KnownSet) Words() []uint32 {
 	out := make([]uint32, 0, k.words)

@@ -88,6 +88,20 @@ func (m *Memory) Recycle() {
 	m.MapLimit = 0
 }
 
+// RestoreFrom makes m an independent logical copy of s, map limit included,
+// as s.Snapshot() would return, but in place: the pages and page-table
+// leaves m owns alone go to its free list first (as Recycle), and later
+// copy-on-write faults copy into them instead of allocating. Gen moves, so
+// page pointers handed out earlier are stale; a recycled page can come back
+// at the same page number with other bytes, so a cache keyed on page
+// pointers must be flushed, not revalidated. A replay machine rewinds to a
+// checkpoint with it. s must not be m.
+func (m *Memory) RestoreFrom(s *Memory) {
+	m.tab.recycle()
+	s.tab.shareInto(&m.tab)
+	m.MapLimit = s.MapLimit
+}
+
 // Map ensures that every page overlapping [addr, addr+size) is mapped,
 // zero-filling newly created pages. Mapping an already-mapped page is a
 // no-op. size==0 maps nothing.

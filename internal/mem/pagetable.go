@@ -57,7 +57,7 @@ type table[T any] struct {
 	// revalidate against it.
 	gen uint64
 	// free and freeLeaves hold the payloads and leaves recycle kept back for
-	// ensure to reuse; nothing else references them.
+	// new and copy-on-write parts to reuse; nothing else references them.
 	free       []*T
 	freeLeaves []*leaf[T]
 }
@@ -79,7 +79,8 @@ func (t *table[T]) mutableLeaf(di uint32) *leaf[T] {
 	if t.dirShared[di>>6]&(1<<(di&63)) == 0 {
 		return l
 	}
-	cp := &leaf[T]{slots: l.slots, used: l.used}
+	cp := t.newLeaf()
+	cp.slots, cp.used = l.slots, l.used
 	// Every payload in the copy is now referenced from two leaves; the
 	// original keeps its own view (it stays shared from the other table's
 	// perspective and is never written through t again). Bits over nil
@@ -93,11 +94,11 @@ func (t *table[T]) mutableLeaf(di uint32) *leaf[T] {
 }
 
 // privatize replaces the shared payload in slot si of l — a leaf t already
-// owns — with a private copy. The original stays with the tables that
-// still reference it; pointers handed out for it are stale in t, so gen
-// moves.
+// owns — with a private copy, made in a payload recycle kept when there is
+// one. The original stays with the tables that still reference it;
+// pointers handed out for it are stale in t, so gen moves.
 func (t *table[T]) privatize(l *leaf[T], si uint32) {
-	cp := new(T)
+	cp := t.spare()
 	*cp = *l.slots[si]
 	l.slots[si] = cp
 	l.shared[si>>6] &^= 1 << (si & 63)
@@ -164,14 +165,24 @@ func (t *table[T]) newLeaf() *leaf[T] {
 // newPayload returns a zero payload: one recycle kept, zeroed now, or a new
 // one.
 func (t *table[T]) newPayload() *T {
+	if len(t.free) == 0 {
+		return new(T)
+	}
+	p := t.spare()
+	var zero T
+	*p = zero
+	return p
+}
+
+// spare returns a payload for the caller to overwrite whole: one recycle
+// kept, or a new one.
+func (t *table[T]) spare() *T {
 	n := len(t.free)
 	if n == 0 {
 		return new(T)
 	}
 	p := t.free[n-1]
 	t.free = t.free[:n-1]
-	var zero T
-	*p = zero
 	return p
 }
 
@@ -207,10 +218,11 @@ func (t *table[T]) reset() {
 }
 
 // recycle is reset, except that the leaves t owns alone, and within them the
-// payloads it owns alone, go to the free lists for ensure to hand out again
-// (a leaf emptied here, a payload zeroed there). Whatever is shared with
-// another table stays with that table, untouched: a snapshot taken before a
-// recycle never sees a later write.
+// payloads it owns alone, go to the free lists for ensure, mutableLeaf and
+// privatize to hand out again (a leaf emptied here, a payload zeroed or
+// overwritten there). Whatever is shared with another table stays with that
+// table, untouched: a snapshot taken before a recycle never sees a later
+// write.
 func (t *table[T]) recycle() {
 	for di, l := range t.dir {
 		if l == nil || t.dirShared[di>>6]&(1<<(di&63)) != 0 {

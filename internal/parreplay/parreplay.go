@@ -23,9 +23,11 @@
 //     interval (each interval restores its header state, so the final
 //     state never depends on earlier intervals);
 //   - the backtrace ring is reassembled from the trailing intervals'
-//     rings (each ring holds at least min(TraceDepth, interval length)
-//     entries, so walking intervals backward until TraceDepth entries
-//     accumulate reconstructs the sequential ring exactly);
+//     rings: every interval of the traced thread carries one, holding the
+//     last min(TraceDepth, interval length) PCs it fetched, so walking
+//     intervals backward until TraceDepth entries accumulate reconstructs
+//     the sequential ring exactly. A ring costs its interval the fetch hook
+//     on those last TraceDepth instructions only (core.ReplayMachine.StepN);
 //   - the first failure in (thread, interval) order wins, which is the
 //     order the sequential batched schedule encounters failures in, and
 //     later intervals' divergences are discarded exactly as the
@@ -81,6 +83,10 @@ type Options struct {
 	// configuration. ReplayReport overrides them from the report.
 	LogCodeLoads bool
 	DictOptions  dict.Options
+
+	// traceTID is the thread whose intervals carry the ring: ReplayThread's
+	// one thread is 0, ReplayReport sets the crashing thread.
+	traceTID int
 }
 
 func (o *Options) workers() int {
@@ -97,7 +103,6 @@ type unit struct {
 	ref    *fll.Ref
 	baseIC uint64 // instructions in the thread's earlier intervals
 	last   bool   // true for the thread's final interval
-	traced bool   // carry a trace ring (the crashing thread's trailing intervals)
 }
 
 // unitResult is one finished work item.
@@ -128,7 +133,7 @@ func replayUnit(img *asm.Image, u unit, o Options, m *core.Scratch) (r unitResul
 	rep.MaxPages = o.MaxPages
 	rep.InteriorWindow = !u.last
 	rep.BaseIC = u.baseIC
-	if u.traced {
+	if u.tid == o.traceTID {
 		rep.TraceDepth = o.TraceDepth
 	}
 	r.res, r.err = rep.RunOn(m)
@@ -168,22 +173,13 @@ func run(img *asm.Image, units []unit, o Options) []unitResult {
 	return results
 }
 
-// threadUnits appends one unit per interval of a thread's window. With a
-// traceDepth, only the trailing intervals mergeThread will read a ring from
-// carry one: those that end fewer than traceDepth instructions before the
-// window does. The rest replay without the per-instruction fetch hook.
-func threadUnits(units []unit, tid int, logs []*fll.Ref, traceDepth int) []unit {
-	at := len(units)
+// threadUnits appends one unit per interval of a thread's window.
+func threadUnits(units []unit, tid int, logs []*fll.Ref) []unit {
 	units = slices.Grow(units, len(logs))
 	var cum uint64
 	for i, ref := range logs {
 		units = append(units, unit{tid: tid, idx: i, ref: ref, baseIC: cum, last: i == len(logs)-1})
 		cum += ref.Length
-	}
-	var tail uint64
-	for i := len(units) - 1; i >= at && tail < uint64(max(traceDepth, 0)); i-- {
-		units[i].traced = true
-		tail += units[i].ref.Length
 	}
 	return units
 }
@@ -246,7 +242,7 @@ func ReplayThread(img *asm.Image, logs []*fll.Ref, o Options) (*core.ReplayResul
 		r.TraceDepth = o.TraceDepth
 		return r.Run()
 	}
-	results := run(img, threadUnits(nil, 0, logs, o.TraceDepth), o)
+	results := run(img, threadUnits(nil, 0, logs), o)
 	if err := firstFailure(results); err != nil {
 		return nil, err
 	}
@@ -305,14 +301,15 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 	opts := o.Options
 	opts.LogCodeLoads = rep.LogCodeLoads
 	opts.DictOptions = rep.DictOptions
+	if rep.Crash == nil {
+		opts.TraceDepth = 0 // the sequential path traces only a crashing thread
+	} else {
+		opts.traceTID = rep.Crash.TID
+	}
 
 	var units []unit
 	for _, tid := range tids {
-		depth := 0
-		if rep.Crash != nil && tid == rep.Crash.TID {
-			depth = opts.TraceDepth
-		}
-		units = threadUnits(units, tid, rep.FLLs[tid], depth)
+		units = threadUnits(units, tid, rep.FLLs[tid])
 	}
 	results := run(img, units, opts)
 	if err := firstFailure(results); err != nil {
@@ -338,7 +335,7 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 			r.LogCodeLoads = opts.LogCodeLoads
 			r.DictOptions = opts.DictOptions
 			r.MaxPages = opts.MaxPages
-			if opts.TraceDepth > 0 && rep.Crash != nil && tid == rep.Crash.TID {
+			if tid == opts.traceTID {
 				r.TraceDepth = opts.TraceDepth
 			}
 			rr, err := r.Run()
@@ -348,11 +345,8 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 			res.Threads[tid] = rr
 			continue
 		}
-		depth := 0
-		if results[at+n-1].traced {
-			depth = opts.TraceDepth
-		}
-		res.Threads[tid] = mergeThread(results[at:at+n], depth)
+		// An untraced thread's units carry no ring, and merge to none.
+		res.Threads[tid] = mergeThread(results[at:at+n], opts.TraceDepth)
 		at += n
 	}
 	return res, nil

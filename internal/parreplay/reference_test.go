@@ -21,7 +21,8 @@ import (
 )
 
 // What follows, down to referenceRun's closing brace, is the executor as it
-// stood before a worker kept its machine, verbatim but for the two names:
+// stood before a worker kept its machine, verbatim but for the two names and
+// which units carry a ring (every unit of the traced thread, now):
 // one core.Replayer — a new memory, core, block cache and dictionary — per
 // unit, units handed over an unbuffered channel, results sorted afterwards.
 // The differential tests below hold the lent machine to its every result.
@@ -43,7 +44,7 @@ func referenceReplayUnit(img *asm.Image, u unit, o Options) (r unitResult) {
 	rep.MaxPages = o.MaxPages
 	rep.InteriorWindow = !u.last
 	rep.BaseIC = u.baseIC
-	if u.traced {
+	if u.tid == o.traceTID {
 		rep.TraceDepth = o.TraceDepth
 	}
 	r.res, r.err = rep.Run()
@@ -233,7 +234,7 @@ func windows(t testing.TB) []window {
 			img, at := hostileImage(t, w.Image)
 			win := window{name: w.Name, img: img}
 			for tid := 0; tid < len(rep.FLLs); tid++ {
-				win.units = threadUnits(win.units, tid, rep.FLLs[tid], 16)
+				win.units = threadUnits(win.units, tid, rep.FLLs[tid])
 			}
 			win.clean = len(win.units)
 			for i, u := range hostileUnits(at) {
@@ -349,10 +350,10 @@ func FuzzWorkerReuseVsReference(f *testing.F) {
 	})
 }
 
-// TestMergedTraceDepths: only the trailing units carry a ring now, and the
-// merged backtrace is still the sequential replay's ring at every depth —
-// none, one entry, the served default, longer than an interval, longer than
-// the window.
+// TestMergedTraceDepths: every unit carries a ring filled over its last
+// TraceDepth instructions only, and the merged backtrace is still the
+// sequential replay's ring at every depth — none, one entry, the served
+// default, longer than an interval, longer than the window.
 func TestMergedTraceDepths(t *testing.T) {
 	win := windows(t)[1]
 	var logs []*fll.Ref
@@ -364,16 +365,6 @@ func TestMergedTraceDepths(t *testing.T) {
 		want, err := seqThread(win.img, logs, o)
 		if err != nil {
 			t.Fatal(err)
-		}
-		// A unit carries a ring exactly when fewer than depth instructions
-		// follow it in the window.
-		var after uint64
-		units := threadUnits(nil, 0, logs, depth)
-		for i := len(units) - 1; i >= 0; i-- {
-			if units[i].traced != (after < uint64(depth)) {
-				t.Errorf("depth %d: unit %d of %d, %d instructions from the end: traced=%v", depth, i, len(units), after, units[i].traced)
-			}
-			after += units[i].ref.Length
 		}
 		for _, workers := range []int{1, 2} {
 			o.Workers = workers

@@ -59,7 +59,7 @@ func engineAtEnd(b *testing.B, rep *core.CrashReport, img *asm.Image) *Engine {
 // specWindow records `steps` instructions of a SPEC analogue past its
 // initialization phase, the way a deployed recorder would have been
 // running when the program crashed.
-func specWindow(b *testing.B, name string, steps, interval uint64) (*core.CrashReport, *asm.Image) {
+func specWindow(b testing.TB, name string, steps, interval uint64) (*core.CrashReport, *asm.Image) {
 	b.Helper()
 	w := workload.ByName(name)
 	m := w.Machine(w.Warmup, nil)
