@@ -22,7 +22,7 @@ import (
 	"os"
 	"time"
 
-	"bugnet/internal/chaos"
+	"bugnet/internal/loadgen"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func main() {
 	if *quiet {
 		logf = nil
 	}
-	rep, err := chaos.Run(chaos.Options{
+	rep, err := loadgen.Storm(loadgen.StormOptions{
 		Seed:     *seed,
 		Nodes:    *nodes,
 		Duration: *duration,

@@ -35,7 +35,11 @@ import (
 	"bugnet/internal/triage"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main's body; it returns the exit status so that its deferred
+// cleanup (the -nodes cluster and its store dir) runs on every path.
+func run() int {
 	targets := flag.String("targets", "", "comma-separated node base URLs to load")
 	nodes := flag.Int("nodes", 0, "spawn this many in-process cluster nodes instead of using -targets")
 	replication := flag.Int("replication", 3, "replication factor for -nodes clusters")
@@ -54,10 +58,10 @@ func main() {
 	defer stop()
 
 	reg := triage.NewImageRegistry()
-	corpus, err := loadgen.Corpus(*corpusN, reg)
+	corpus, err := cluster.Corpus(*corpusN, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	opt := loadgen.Options{
@@ -68,15 +72,17 @@ func main() {
 		DrainTimeout: *drain,
 	}
 
+	var res *loadgen.Result
 	switch {
 	case *nodes > 0:
-		dir, err := os.MkdirTemp("", "bugnet-loadgen-")
-		if err != nil {
+		var dir string
+		if dir, err = os.MkdirTemp("", "bugnet-loadgen-"); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer os.RemoveAll(dir)
-		lc, err := cluster.SpawnLocal(*nodes, cluster.SpawnOptions{
+		var lc *cluster.LocalCluster
+		lc, err = cluster.SpawnLocal(*nodes, cluster.SpawnOptions{
 			BaseDir:       dir,
 			Resolver:      reg.Resolve,
 			Replication:   *replication,
@@ -85,31 +91,27 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer lc.Close()
-		opt.Targets = lc.URLs()
-		// In-process nodes share one metrics registry; scraping each node
-		// would count the same global totals once per node.
-		opt.ScrapeTargets = lc.URLs()[:1]
 		fmt.Fprintf(os.Stderr, "spawned %d-node cluster (replication=%d quorum=%d): %s\n",
 			*nodes, lc.Nodes[0].Node.ReplicationFactor(), lc.Nodes[0].Node.WriteQuorum(),
-			strings.Join(opt.Targets, " "))
+			strings.Join(lc.URLs(), " "))
+		res, err = loadgen.RunLocal(ctx, lc, opt)
 	case *targets != "":
 		for _, t := range strings.Split(*targets, ",") {
 			if t = strings.TrimSpace(t); t != "" {
 				opt.Targets = append(opt.Targets, t)
 			}
 		}
+		res, err = loadgen.Run(ctx, opt)
 	default:
 		fmt.Fprintln(os.Stderr, "bugnet-loadgen: need -targets or -nodes")
-		os.Exit(1)
+		return 1
 	}
-
-	res, err := loadgen.Run(ctx, opt)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *jsonOut {
@@ -120,17 +122,15 @@ func main() {
 		fmt.Println(res)
 	}
 
-	failed := false
+	status := 0
 	if *assertNo5xx && (res.Errors5xx > 0 || res.TransportErrors > 0) {
 		fmt.Fprintf(os.Stderr, "ASSERT FAILED: %d 5xx, %d transport errors\n",
 			res.Errors5xx, res.TransportErrors)
-		failed = true
+		status = 2
 	}
 	if *assertP99 > 0 && res.P99 > *assertP99 {
 		fmt.Fprintf(os.Stderr, "ASSERT FAILED: p99 %s exceeds %s\n", res.P99, *assertP99)
-		failed = true
+		status = 2
 	}
-	if failed {
-		os.Exit(2)
-	}
+	return status
 }

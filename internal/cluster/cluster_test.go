@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"bugnet/internal/httpjson"
-	"bugnet/internal/loadgen"
 	"bugnet/internal/triage"
 )
 
@@ -23,7 +22,7 @@ import (
 func spawn(t *testing.T, n int, mutate func(*SpawnOptions)) (*LocalCluster, [][]byte) {
 	t.Helper()
 	reg := triage.NewImageRegistry()
-	corpus, err := loadgen.Corpus(8, reg)
+	corpus, err := Corpus(8, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,4 @@
-// Package loadgen replays a synthetic crash corpus against a bugnet
-// cluster at a configured rate, measuring what a fleet rollout would:
-// ingest latency quantiles under admission control and forwarding, and
-// replay-verdict throughput out the back. It is the load harness behind
-// cmd/bugnet-loadgen and the CI cluster-smoke job.
-package loadgen
+package cluster
 
 import (
 	"fmt"
@@ -39,7 +34,8 @@ boom:   lw   a0, (t3)
 `
 
 // Corpus records n distinct crash archives and registers their images so
-// any triage service using reg can replay them.
+// any triage service using reg can replay them: the fleet corpus that
+// internal/loadgen and the in-process cluster tests upload.
 func Corpus(n int, reg *triage.ImageRegistry) ([][]byte, error) {
 	if n <= 0 {
 		n = 1
@@ -49,15 +45,15 @@ func Corpus(n int, reg *triage.ImageRegistry) ([][]byte, error) {
 		src := fmt.Sprintf(corpusTemplate, i+1)
 		img, err := asm.Assemble(fmt.Sprintf("corpus%d.s", i), src)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: assemble corpus %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: assemble corpus %d: %w", i, err)
 		}
 		res, rep, _ := core.Record(img, kernel.Config{}, core.Config{IntervalLength: 16})
 		if res.Crash == nil {
-			return nil, fmt.Errorf("loadgen: corpus %d did not crash", i)
+			return nil, fmt.Errorf("cluster: corpus %d did not crash", i)
 		}
 		blob, err := report.Pack(rep)
 		if err != nil {
-			return nil, fmt.Errorf("loadgen: pack corpus %d: %w", i, err)
+			return nil, fmt.Errorf("cluster: pack corpus %d: %w", i, err)
 		}
 		if reg != nil {
 			reg.Register(img)

@@ -14,7 +14,6 @@ import (
 
 	"bugnet/internal/faultinject"
 	"bugnet/internal/httpjson"
-	"bugnet/internal/loadgen"
 	"bugnet/internal/triage"
 )
 
@@ -49,7 +48,7 @@ func checkGoroutineLeaks(t *testing.T) {
 // ingest by itself once the disk heals.
 func TestClusterDegradedStoreSheds(t *testing.T) {
 	reg := triage.NewImageRegistry()
-	corpus, err := loadgen.Corpus(2, reg)
+	corpus, err := Corpus(2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,8 +60,9 @@ type LocalNode struct {
 
 // LocalCluster is a set of in-process nodes sharing one static ring.
 // Each node serves Node.Handler, the one mux bugnet-serve serves, minus
-// the debug API (no Config.Debug). Used by the e2e tests, the chaos
-// harness, benchmark/'s fleet stage and bugnet-loadgen's self-hosted mode.
+// the debug API (no Config.Debug). Used by the e2e tests, internal/loadgen
+// (bugnet-loadgen -nodes and bugnet-chaos's storm) and benchmark/'s fleet
+// stage.
 type LocalCluster struct {
 	Nodes []*LocalNode
 }

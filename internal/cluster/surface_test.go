@@ -15,7 +15,6 @@ import (
 
 	"bugnet/internal/faultinject"
 	"bugnet/internal/httpjson"
-	"bugnet/internal/loadgen"
 	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
 )
@@ -27,7 +26,7 @@ import (
 func serveOne(t *testing.T, storeFS *faultinject.FS, mutate func(*triage.Service, *Config)) (*Node, *httptest.Server, [][]byte) {
 	t.Helper()
 	reg := triage.NewImageRegistry()
-	corpus, err := loadgen.Corpus(2, reg)
+	corpus, err := Corpus(2, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,11 @@
+// Package loadgen replays a synthetic crash corpus against a bugnet
+// cluster at a configured rate, measuring what a fleet rollout would:
+// ingest latency quantiles under admission control and forwarding, and
+// replay-verdict throughput out the back. Storm runs the same sender
+// against an in-process cluster under a seeded fault schedule and checks
+// that every acked report survives. It is the one fleet load harness
+// behind cmd/bugnet-loadgen, cmd/bugnet-chaos and the CI cluster-smoke
+// and chaos-smoke jobs.
 package loadgen
 
 import (
@@ -12,6 +20,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"bugnet/internal/cluster"
+	"bugnet/internal/report"
 )
 
 // Options configures one load run.
@@ -23,7 +34,8 @@ type Options struct {
 	Corpus [][]byte
 	// RPS is the aggregate upload rate (default 50).
 	RPS float64
-	// Concurrency is the sender pool (default 8).
+	// Concurrency is the sender pool: at most this many uploads are in
+	// flight at once (default 8).
 	Concurrency int
 	// Duration is how long to send (default 10s).
 	Duration time.Duration
@@ -36,8 +48,6 @@ type Options struct {
 	// before throughput is read (default 30s; 0 keeps the default, use a
 	// negative value to skip draining).
 	DrainTimeout time.Duration
-	// Client overrides the HTTP client (default: 30s timeout).
-	Client *http.Client
 }
 
 // Result is what one run measured.
@@ -67,6 +77,13 @@ type Result struct {
 	Verdicts       int64   `json:"verdicts"`
 	Adopted        int64   `json:"adopted"`
 	VerdictsPerSec float64 `json:"verdicts_per_sec"`
+
+	// Unavailable counts the 503s among Errors5xx: a node refusing a
+	// write it cannot place, which a storm counts as shed.
+	Unavailable int `json:"-"`
+	// Acked lists, sorted, the ids of the archives some node acked with
+	// 201 or 200: each one the cluster claimed durable.
+	Acked []string `json:"-"`
 }
 
 func (r *Result) String() string {
@@ -79,10 +96,31 @@ func (r *Result) String() string {
 		r.Verdicts, r.Adopted, r.VerdictsPerSec, r.Elapsed.Round(time.Millisecond))
 }
 
+// client carries every request of a run or storm. Its transport is
+// http.DefaultTransport, whose idle connections a storm closes before
+// counting leaked goroutines.
+var client = &http.Client{Timeout: 30 * time.Second}
+
 // Run drives the corpus at the configured rate until Duration elapses or
-// ctx is cancelled, then waits for the replay queues to drain and reads
+// ctx is cancelled, then waits for the replay queues to drain, summing
+// the bugnet_triage_queue_depth gauge over the scrape targets, and reads
 // verdict throughput from /metrics.
 func Run(ctx context.Context, opt Options) (*Result, error) {
+	return run(ctx, opt, nil)
+}
+
+// RunLocal is Run against an in-process cluster. It loads every node and
+// scrapes only the first: in-process nodes share one metrics registry.
+// For the same reason it drains on the nodes themselves, until no
+// node's service owes a verdict; the shared queue gauge holds only the
+// depth of whichever node set it last.
+func RunLocal(ctx context.Context, lc *cluster.LocalCluster, opt Options) (*Result, error) {
+	opt.Targets = lc.URLs()
+	opt.ScrapeTargets = opt.Targets[:1]
+	return run(ctx, opt, lc.Nodes)
+}
+
+func run(ctx context.Context, opt Options, nodes []*cluster.LocalNode) (*Result, error) {
 	if len(opt.Targets) == 0 {
 		return nil, errors.New("loadgen: no targets")
 	}
@@ -98,25 +136,64 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	if opt.Duration <= 0 {
 		opt.Duration = 10 * time.Second
 	}
-	scrape := opt.ScrapeTargets
-	if len(scrape) == 0 {
-		scrape = opt.Targets
+	scrapeTargets := opt.ScrapeTargets
+	if len(scrapeTargets) == 0 {
+		scrapeTargets = opt.Targets
 	}
 	drain := opt.DrainTimeout
 	if drain == 0 {
 		drain = 30 * time.Second
 	}
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
+
+	before, _ := scrapeSum(scrapeTargets)
+	start := time.Now()
+	res := send(ctx, opt)
+
+	if drain > 0 {
+		waitFor(ctx, drain, func() bool {
+			if nodes != nil {
+				for _, n := range nodes {
+					if n.Service.Pending() > 0 {
+						return false
+					}
+				}
+				return true
+			}
+			m, err := scrapeSum(scrapeTargets)
+			return err == nil && m["bugnet_triage_queue_depth"] == 0
+		})
 	}
+	if after, err := scrapeSum(scrapeTargets); err == nil {
+		const verdicts, adopted = "bugnet_triage_verdicts_total", "bugnet_triage_verdicts_adopted_total"
+		res.Verdicts = after[verdicts] - before[verdicts]
+		res.Adopted = after[adopted] - before[adopted]
+		if secs := time.Since(start).Seconds(); secs > 0 {
+			res.VerdictsPerSec = float64(res.Verdicts) / secs
+		}
+	}
+	return res, nil
+}
 
-	verdictsBefore, _ := scrapeSum(client, scrape, "bugnet_triage_verdicts_total")
-	adoptedBefore, _ := scrapeSum(client, scrape, "bugnet_triage_verdicts_adopted_total")
-
+// send uploads the corpus at opt.RPS through a pool of opt.Concurrency
+// senders until opt.Duration elapses or ctx ends, and tallies the
+// answers.
+//
+// Upload seq carries blob seq%len(Corpus) to the targets round robin,
+// shifted one target on after each second of offered load. Round robin
+// alone pins blob b to target b%len(Targets) whenever the target count
+// divides the corpus size; the shift sends every blob to a second
+// coordinator a second later, long after its first copy reached the
+// other owners. Sooner, two first uploads of one blob can race and both
+// coordinators replay it.
+func send(ctx context.Context, opt Options) *Result {
+	ids := make([]string, len(opt.Corpus))
+	for i, blob := range opt.Corpus {
+		ids[i] = report.ID(blob)
+	}
 	res := &Result{}
 	var mu sync.Mutex
 	var latencies []time.Duration
+	acked := make(map[string]bool)
 
 	runCtx, cancel := context.WithTimeout(ctx, opt.Duration)
 	defer cancel()
@@ -130,6 +207,7 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 	if interval <= 0 {
 		interval = time.Microsecond
 	}
+	perSecond := max(int(opt.RPS), 1)
 
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -138,10 +216,10 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for seq := range jobs {
-				target := opt.Targets[seq%len(opt.Targets)]
-				blob := opt.Corpus[seq%len(opt.Corpus)]
+				blob := seq % len(opt.Corpus)
+				target := opt.Targets[(seq+seq/perSecond)%len(opt.Targets)]
 				t0 := time.Now()
-				status, err := postReport(runCtx, client, target, blob)
+				status, err := postReport(runCtx, target, opt.Corpus[blob])
 				d := time.Since(t0)
 				mu.Lock()
 				res.Sent++
@@ -152,16 +230,21 @@ func Run(ctx context.Context, opt Options) (*Result, error) {
 					} else {
 						res.TransportErrors++
 					}
-				case status == http.StatusCreated:
-					res.Created++
+				case status == http.StatusCreated || status == http.StatusOK:
+					if status == http.StatusCreated {
+						res.Created++
+					} else {
+						res.Duplicate++
+					}
 					latencies = append(latencies, d)
-				case status == http.StatusOK:
-					res.Duplicate++
-					latencies = append(latencies, d)
+					acked[ids[blob]] = true
 				case status == http.StatusTooManyRequests:
 					res.Shed++
 				case status >= 500:
 					res.Errors5xx++
+					if status == http.StatusServiceUnavailable {
+						res.Unavailable++
+					}
 				default:
 					res.Errors4xx++
 				}
@@ -198,24 +281,14 @@ pace:
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		res.AchievedRPS = float64(res.Created+res.Duplicate) / secs
 	}
-
-	if drain > 0 {
-		waitDrained(ctx, client, scrape, drain)
+	for id := range acked {
+		res.Acked = append(res.Acked, id)
 	}
-	verdictsAfter, err := scrapeSum(client, scrape, "bugnet_triage_verdicts_total")
-	if err == nil {
-		res.Verdicts = verdictsAfter - verdictsBefore
-		if secs := time.Since(start).Seconds(); secs > 0 {
-			res.VerdictsPerSec = float64(res.Verdicts) / secs
-		}
-	}
-	if adoptedAfter, err := scrapeSum(client, scrape, "bugnet_triage_verdicts_adopted_total"); err == nil {
-		res.Adopted = adoptedAfter - adoptedBefore
-	}
-	return res, nil
+	sort.Strings(res.Acked)
+	return res
 }
 
-func postReport(ctx context.Context, client *http.Client, target string, blob []byte) (int, error) {
+func postReport(ctx context.Context, target string, blob []byte) (int, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		strings.TrimRight(target, "/")+"/api/v1/reports", bytes.NewReader(blob))
 	if err != nil {
@@ -239,69 +312,78 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// waitDrained polls the replay queue gauge until every scrape target
-// reports empty, the timeout passes, or ctx ends.
-func waitDrained(ctx context.Context, client *http.Client, targets []string, timeout time.Duration) {
+// waitFor calls cond every 100ms until it holds, timeout passes or ctx
+// ends, and reports whether it held. cond runs at least once.
+func waitFor(ctx context.Context, timeout time.Duration, cond func() bool) bool {
 	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) && ctx.Err() == nil {
-		depth, err := scrapeSum(client, targets, "bugnet_triage_queue_depth")
-		if err == nil && depth == 0 {
-			return
+	for !cond() {
+		if ctx.Err() != nil || time.Now().After(deadline) {
+			return false
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
+	return true
 }
 
-// scrapeSum sums every sample of one metric family across targets.
-func scrapeSum(client *http.Client, targets []string, name string) (int64, error) {
-	var total int64
+// scrapeSum adds up scrape over targets, skipping those that fail; it
+// fails only if every target does.
+func scrapeSum(targets []string) (map[string]int64, error) {
+	var total map[string]int64
 	var lastErr error
-	seen := false
 	for _, t := range targets {
-		v, err := scrapeOne(client, t, name)
+		m, err := scrape(t)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		seen = true
-		total += v
+		if total == nil {
+			total = m
+			continue
+		}
+		for name, v := range m {
+			total[name] += v
+		}
 	}
-	if !seen {
-		return 0, lastErr
+	if total == nil {
+		return nil, lastErr
 	}
 	return total, nil
 }
 
-func scrapeOne(client *http.Client, target, name string) (int64, error) {
+// scrape reads one target's /metrics into each family's summed samples,
+// over every label set. A family the exposition declares (its # TYPE
+// line) is in the map even with no samples, so one read answers both
+// "how many" and "is it exported".
+func scrape(target string) (map[string]int64, error) {
 	resp, err := client.Get(strings.TrimRight(target, "/") + "/metrics")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("loadgen: GET %s/metrics: %s", target, resp.Status)
+	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var total int64
+	m := make(map[string]int64)
 	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, name) {
+		if decl, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(decl, " ")
+			m[name] += 0 // declared: present at 0 until a sample adds to it
 			continue
 		}
-		rest := line[len(name):]
-		// Accept "name 3" and `name{label="x"} 3`; reject longer names
-		// sharing the prefix.
-		if !strings.HasPrefix(rest, " ") && !strings.HasPrefix(rest, "{") {
+		end := strings.IndexAny(line, "{ ")
+		if end <= 0 || line[0] == '#' {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			continue
-		}
 		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
 		if err != nil {
 			continue
 		}
-		total += int64(v)
+		m[line[:end]] += int64(v)
 	}
-	return total, nil
+	return m, nil
 }

@@ -1,4 +1,4 @@
-package chaos
+package loadgen
 
 import (
 	"math/rand"

@@ -1,37 +1,22 @@
-// Package chaos is the soak harness that proves the cluster's durability
-// contract under faults: it spawns an in-process cluster, drives a
-// seeded storm of kills, restarts, partitions, and disk faults against
-// it while a paced sender uploads the loadgen corpus, then heals
-// everything and asserts the invariant — every acked report is durably
-// readable and replayable from the surviving cluster, and replication
-// debt converges to zero. The fault schedule is a pure function of the
-// seed (schedule.go), so a failing storm reproduces from its printed
-// seed.
-package chaos
+package loadgen
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"runtime"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"bugnet/internal/cluster"
 	"bugnet/internal/faultinject"
-	"bugnet/internal/loadgen"
+	"bugnet/internal/report"
 	"bugnet/internal/triage"
 )
 
-// Options configures one storm.
-type Options struct {
+// StormOptions configures one storm.
+type StormOptions struct {
 	// Seed drives both the fault schedule and every probabilistic draw
 	// inside the fault plane.
 	Seed int64
@@ -52,8 +37,9 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Report is the storm's outcome — the JSON artifact the CI gate reads.
-type Report struct {
+// StormReport is the storm's outcome — the JSON artifact the CI gate
+// reads.
+type StormReport struct {
 	Seed   int64   `json:"seed"`
 	Nodes  int     `json:"nodes"`
 	Ticks  int     `json:"ticks"`
@@ -62,7 +48,7 @@ type Report struct {
 	Sent   int `json:"sent"`
 	Acked  int `json:"acked"`
 	Shed   int `json:"shed"`   // 429/503 answers: refused, not lost
-	Errors int `json:"errors"` // transport failures and 5xx answers
+	Errors int `json:"errors"` // every other failed upload
 
 	// LostReports lists acked ids that were NOT durably readable from
 	// the healed cluster — any entry is an invariant violation.
@@ -92,10 +78,19 @@ var metricFamilies = []string{
 	"bugnet_cluster_verdict_push_total",
 }
 
-// Run executes one storm and returns its report. The error return is for
-// harness failures (could not spawn, could not build the corpus);
-// invariant violations are reported in Report fields with OK=false.
-func Run(opt Options) (*Report, error) {
+// Storm proves the cluster's durability contract under faults. It
+// spawns an in-process cluster and applies a seeded schedule of kills,
+// restarts, partitions and disk faults (Schedule) while RunLocal uploads
+// the corpus beside it. Then it heals everything and checks that every
+// acked report is durably readable and replayable from the surviving
+// cluster and that replication debt converges to zero. The schedule is a
+// pure function of the seed, so a failing storm reproduces from its
+// printed seed.
+//
+// The error return is for harness failures (could not spawn, could not
+// build the corpus); invariant violations are reported in StormReport
+// fields with OK=false.
+func Storm(opt StormOptions) (*StormReport, error) {
 	if opt.Nodes <= 0 {
 		opt.Nodes = 3
 	}
@@ -112,17 +107,18 @@ func Run(opt Options) (*Report, error) {
 		opt.Tick = 500 * time.Millisecond
 	}
 	if opt.BaseDir == "" {
-		return nil, fmt.Errorf("chaos: Options.BaseDir is required")
+		return nil, fmt.Errorf("loadgen: StormOptions.BaseDir is required")
 	}
 	logf := opt.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	ctx := context.Background()
 
 	goroutinesBefore := runtime.NumGoroutine()
 
 	reg := triage.NewImageRegistry()
-	corpus, err := loadgen.Corpus(opt.Corpus, reg)
+	corpus, err := cluster.Corpus(opt.Corpus, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +144,7 @@ func Run(opt Options) (*Report, error) {
 	if ticks < 1 {
 		ticks = 1
 	}
-	rep := &Report{Seed: opt.Seed, Nodes: opt.Nodes, Ticks: ticks}
+	rep := &StormReport{Seed: opt.Seed, Nodes: opt.Nodes, Ticks: ticks}
 	rep.Events = Schedule(opt.Seed, opt.Nodes, ticks)
 	byTick := make(map[int][]Event)
 	for _, ev := range rep.Events {
@@ -157,56 +153,22 @@ func Run(opt Options) (*Report, error) {
 	logf("storm: seed %d, %d nodes, %d ticks of %s, %d events, %d rps",
 		opt.Seed, opt.Nodes, ticks, opt.Tick, len(rep.Events), opt.RPS)
 
-	// The sender: paced uploads of corpus blobs to random nodes, with an
-	// ack ledger. 201 and 200 (duplicate) are both acks — the server
-	// claimed durability either way. Sheds and errors are legitimate
-	// under a storm; only an acked-then-lost report is a violation.
-	client := &http.Client{
-		Timeout:   5 * time.Second,
-		Transport: http.DefaultTransport.(*http.Transport).Clone(),
-	}
-	var mu sync.Mutex
-	acked := make(map[string]bool)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	// The uploads: a load run for the storm's length, its drain skipped
+	// because the cluster is healed first. 201 and 200 (duplicate) are
+	// both acks — the server claimed durability either way. Sheds and
+	// errors are legitimate under a storm; only an acked-then-lost
+	// report is a violation.
+	var res *Result
+	sent := make(chan error, 1)
 	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eedfeed))
-		tk := time.NewTicker(time.Second / time.Duration(opt.RPS))
-		defer tk.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tk.C:
-			}
-			blob := corpus[rng.Intn(len(corpus))]
-			target := urls[rng.Intn(len(urls))]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				resp, err := client.Post(target+"/api/v1/reports",
-					"application/octet-stream", bytes.NewReader(blob))
-				mu.Lock()
-				defer mu.Unlock()
-				rep.Sent++
-				if err != nil {
-					rep.Errors++
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusCreated, http.StatusOK:
-					acked[blobSum(blob)] = true
-				case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-					rep.Shed++
-				default:
-					rep.Errors++
-				}
-			}()
-		}
+		var err error
+		res, err = RunLocal(ctx, lc, Options{
+			Corpus:       corpus,
+			RPS:          float64(opt.RPS),
+			Duration:     time.Duration(ticks) * opt.Tick,
+			DrainTimeout: -1,
+		})
+		sent <- err
 	}()
 
 	// The storm loop: apply each tick's events, then let traffic run.
@@ -217,26 +179,25 @@ func Run(opt Options) (*Report, error) {
 		}
 		time.Sleep(opt.Tick)
 	}
-	close(stop)
-	wg.Wait()
+	if err := <-sent; err != nil {
+		lc.Close()
+		return nil, err
+	}
 
 	// Heal everything the schedule left dangling (it should not have, but
-	// the invariant check must run against a fully healed cluster).
+	// the invariant check must run against a fully healed cluster). A
+	// restart retries while the OS still holds the port after the churn.
 	plane.HealAll()
 	for _, ln := range lc.Nodes {
-		if err := restartWithRetry(ln); err != nil {
+		var err error
+		if !waitFor(ctx, 5*time.Second, func() bool { err = ln.Restart(); return err == nil }) {
 			lc.Close()
-			return nil, fmt.Errorf("chaos: restarting node after storm: %w", err)
+			return nil, fmt.Errorf("loadgen: restarting node after storm: %w", err)
 		}
 	}
-	mu.Lock()
-	rep.Acked = len(acked)
-	ids := make([]string, 0, len(acked))
-	for id := range acked {
-		ids = append(ids, id)
-	}
-	mu.Unlock()
-	sort.Strings(ids)
+	rep.Sent, rep.Acked = res.Sent, len(res.Acked)
+	rep.Shed = res.Shed + res.Unavailable
+	rep.Errors = res.Sent - res.Created - res.Duplicate - rep.Shed
 	logf("storm over: %d sent, %d acked, %d shed, %d errors; verifying",
 		rep.Sent, rep.Acked, rep.Shed, rep.Errors)
 
@@ -248,17 +209,17 @@ func Run(opt Options) (*Report, error) {
 	// Invariant 1: every acked report is durably readable — correct bytes
 	// from EVERY node (local or proxied; reads also trigger read-repair,
 	// which accelerates convergence below).
-	for _, id := range ids {
+	for _, id := range res.Acked {
 		for _, u := range urls {
-			if !readableFrom(client, u, id) {
+			if !waitFor(ctx, 30*time.Second, func() bool { return readable(u, id) }) {
 				rep.LostReports = append(rep.LostReports, id+" via "+u)
 				break
 			}
 		}
 	}
 	// ...and replayable: its replay verdict completed.
-	for _, id := range ids {
-		if !verdictDone(client, urls[0], id) {
+	for _, id := range res.Acked {
+		if !waitFor(ctx, 30*time.Second, func() bool { return verdictDone(urls[0], id) }) {
 			rep.FailedVerdicts = append(rep.FailedVerdicts, id)
 		}
 	}
@@ -267,39 +228,30 @@ func Run(opt Options) (*Report, error) {
 	}
 
 	// Invariant 2: replication debt converges to zero.
-	debtDeadline := time.Now().Add(60 * time.Second)
-	for {
-		debt := 0
+	waitFor(ctx, 60*time.Second, func() bool {
+		rep.RepairDebt = 0
 		for _, ln := range lc.Nodes {
-			debt += ln.Node.RepairDebt()
+			rep.RepairDebt += ln.Node.RepairDebt()
 		}
-		rep.RepairDebt = debt
-		if debt == 0 || time.Now().After(debtDeadline) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+		return rep.RepairDebt == 0
+	})
 
 	// Invariant 3: the retry/breaker/fault instrumentation all left
 	// series behind.
-	rep.MissingMetrics = missingFamilies(client, urls[0])
+	exported, _ := scrapeSum(urls[:1])
+	for _, fam := range metricFamilies {
+		if _, ok := exported[fam]; !ok {
+			rep.MissingMetrics = append(rep.MissingMetrics, fam)
+		}
+	}
 
 	// Invariant 4: nothing outlives the cluster.
 	lc.Close()
 	client.CloseIdleConnections()
-	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	settle := time.Now().Add(10 * time.Second)
-	for {
-		leaked := runtime.NumGoroutine() - goroutinesBefore - 2 // runtime slack
-		if leaked < 0 {
-			leaked = 0
-		}
-		rep.LeakedGoroutines = leaked
-		if leaked == 0 || time.Now().After(settle) {
-			break
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
+	waitFor(ctx, 10*time.Second, func() bool {
+		rep.LeakedGoroutines = max(runtime.NumGoroutine()-goroutinesBefore-2, 0) // runtime slack
+		return rep.LeakedGoroutines == 0
+	})
 
 	rep.OK = len(rep.LostReports) == 0 &&
 		len(rep.FailedVerdicts) == 0 &&
@@ -331,80 +283,26 @@ func applyEvent(lc *cluster.LocalCluster, plane *faultinject.Plane, urls []strin
 	}
 }
 
-// restartWithRetry rebinds a node's address, tolerating the OS briefly
-// holding the port after the storm's churn.
-func restartWithRetry(ln *cluster.LocalNode) error {
-	var err error
-	for i := 0; i < 50; i++ {
-		if err = ln.Restart(); err == nil {
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	return err
-}
-
-// readableFrom fetches one report's raw bytes via a node and verifies
-// they hash back to the id — durability means the content, not a 200.
-func readableFrom(client *http.Client, base, id string) bool {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := client.Get(base + "/api/v1/reports/" + id + "?raw=1")
-		if err == nil {
-			data, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK && blobSum(data) == id {
-				return true
-			}
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-// verdictDone reports whether a report's replay verdict reached "done".
-func verdictDone(client *http.Client, base, id string) bool {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := client.Get(base + "/api/v1/reports/" + id)
-		if err == nil {
-			var m triage.ReportMeta
-			derr := json.NewDecoder(resp.Body).Decode(&m)
-			resp.Body.Close()
-			if derr == nil && resp.StatusCode == http.StatusOK &&
-				m.Verdict != nil && m.Verdict.State == triage.VerdictDone {
-				return true
-			}
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(200 * time.Millisecond)
-	}
-}
-
-func missingFamilies(client *http.Client, base string) []string {
-	resp, err := client.Get(base + "/metrics")
+// readable fetches one report's raw bytes via a node and checks they
+// hash back to the id — durability means the content, not a 200.
+func readable(base, id string) bool {
+	resp, err := client.Get(base + "/api/v1/reports/" + id + "?raw=1")
 	if err != nil {
-		return append([]string{}, metricFamilies...)
+		return false
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return append([]string{}, metricFamilies...)
-	}
-	var missing []string
-	for _, fam := range metricFamilies {
-		if !strings.Contains(string(data), fam) {
-			missing = append(missing, fam)
-		}
-	}
-	return missing
+	return err == nil && resp.StatusCode == http.StatusOK && report.ID(data) == id
 }
 
-func blobSum(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+// verdictDone reports whether a report's replay verdict reached "done".
+func verdictDone(base, id string) bool {
+	resp, err := client.Get(base + "/api/v1/reports/" + id)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	var m triage.ReportMeta
+	return json.NewDecoder(resp.Body).Decode(&m) == nil && resp.StatusCode == http.StatusOK &&
+		m.Verdict != nil && m.Verdict.State == triage.VerdictDone
 }

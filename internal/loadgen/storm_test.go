@@ -1,4 +1,4 @@
-package chaos
+package loadgen
 
 import (
 	"encoding/json"
@@ -94,7 +94,7 @@ func TestChaosShortStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos storm in -short mode")
 	}
-	rep, err := Run(Options{
+	rep, err := Storm(StormOptions{
 		Seed:     11,
 		Nodes:    3,
 		Duration: 2 * time.Second,

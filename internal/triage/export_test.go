@@ -36,3 +36,11 @@ func FailStoreDisk(t *testing.T, s *Service, err error) (root string) {
 	s.store.setErr(err)
 	return root
 }
+
+// HeldVerdicts returns how many verdicts s's store holds in memory for
+// archives it does not have.
+func HeldVerdicts(s *Service) int {
+	s.store.mu.Lock()
+	defer s.store.mu.Unlock()
+	return len(s.store.waiting)
+}
