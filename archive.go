@@ -37,7 +37,8 @@ func PackReport(rep *CrashReport) ([]byte, error) { return report.Pack(rep) }
 func PackReportTo(w io.Writer, rep *CrashReport) error { return report.PackTo(w, rep) }
 
 // UnpackReport decodes an archive produced by PackReport, validating all
-// framing and checksums before any log is decoded.
+// framing and checksums before any log is decoded. The report reads its
+// logs where they lie in data, which must not change while it is in use.
 func UnpackReport(data []byte) (*CrashReport, error) { return report.Unpack(data) }
 
 // ReportID returns the content address of a packed archive (hex SHA-256),

@@ -18,7 +18,8 @@
 // the recorder and replayers (the paper's contribution), internal/kernel
 // the guest machine and OS, internal/fdr the Flight Data Recorder
 // baseline, and internal/bench the experiment harness. See DESIGN.md for
-// the system inventory and EXPERIMENTS.md for measured results.
+// the system inventory; ROADMAP.md item 2 plans the measured-vs-paper
+// results file.
 package bugnet
 
 import (
@@ -131,8 +132,8 @@ func NewReplayer(img *Image, logs []*FLLRef) *Replayer {
 	return core.NewReplayer(img, logs)
 }
 
-// NewReplayerLogs wraps already-decoded logs for replay (tests, synthetic
-// windows).
+// NewReplayerLogs replays logs built in memory (tests, synthetic windows);
+// each is encoded once and replayed from its bytes.
 func NewReplayerLogs(img *Image, logs []*FLL) *Replayer {
 	return core.NewReplayerLogs(img, logs)
 }

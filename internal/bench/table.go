@@ -1,7 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (§6). Each experiment returns a Table whose rows mirror the
 // paper's presentation; DESIGN.md §4 maps experiment ids to paper
-// artifacts and EXPERIMENTS.md records measured-vs-paper results.
+// artifacts, and ROADMAP.md item 2 plans the measured-vs-paper results.
 //
 // Experiments accept a scale factor: paper instruction counts (checkpoint
 // interval lengths, replay windows) are divided by it. Scale 1 reproduces

@@ -83,7 +83,9 @@ func (w *Writer) Reset() {
 	w.nbit = 0
 }
 
-// Reader consumes a bit stream produced by Writer.
+// Reader consumes a bit stream produced by Writer. It never writes the
+// buffer, so a copy of a Reader is an independent cursor at the same
+// position; replay checkpointing copies one to freeze a log cursor.
 type Reader struct {
 	buf  []byte
 	pos  uint64 // bits consumed
@@ -134,6 +136,32 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	return v, nil
 }
 
+// Peek returns the unread bits left-aligned in a word, without consuming
+// them, and how many of its leading bits are stream bits: at least 57, or
+// all that remain when fewer do. The bits past that count are not part
+// of the stream. A decoder that learns a field's width from the field's
+// own leading bits takes the whole field from one Peek and then Skips it.
+func (r *Reader) Peek() (uint64, uint) {
+	i, off := r.pos>>3, uint(r.pos&7)
+	var w uint64
+	if i+8 <= uint64(len(r.buf)) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for k := uint(56); i < uint64(len(r.buf)); i, k = i+1, k-8 {
+			w |= uint64(r.buf[i]) << k
+		}
+	}
+	return w << off, uint(min(64-uint64(off), r.nbit-r.pos))
+}
+
+// Skip consumes n bits; n must not exceed the count Peek returned.
+func (r *Reader) Skip(n uint) {
+	if uint64(n) > r.nbit-r.pos {
+		panic("bits: Skip past the end of the stream")
+	}
+	r.pos += uint64(n)
+}
+
 // ReadBit consumes a single bit.
 func (r *Reader) ReadBit() (bool, error) {
 	v, err := r.ReadBits(1)
@@ -148,14 +176,6 @@ func (r *Reader) Align() {
 			r.pos = r.nbit
 		}
 	}
-}
-
-// Clone returns an independent reader at the same position. The underlying
-// buffer is shared (readers never mutate it), so cloning is O(1); replay
-// checkpointing uses it to freeze a log cursor.
-func (r *Reader) Clone() *Reader {
-	cp := *r
-	return &cp
 }
 
 // Remaining returns the number of unread bits.

@@ -73,6 +73,65 @@ func TestEveryWidthAtEveryAlignment(t *testing.T) {
 	}
 }
 
+// TestReadNearTheEnd reads a field of every width at every bit alignment
+// with 0 to 9 bytes of buffer past its last byte, so each width meets both
+// the one-word load and the byte loop the last 7 bytes of a buffer take.
+// Read in one piece, through Peek and Skip, and one bit short of the
+// stream's end, it must give the per-bit reference's bits; a read that
+// underflows consumes nothing.
+func TestReadNearTheEnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for align := uint(0); align < 8; align++ {
+		for n := uint(0); n <= 64; n++ {
+			for tail := 0; tail <= 9; tail++ {
+				// Two bytes ahead of the field, then the field's bytes, then
+				// tail more: garbage all of it, so a mask that lets a
+				// neighbouring bit through shows.
+				buf := make([]byte, 2+int(align+n+7)/8+tail)
+				rng.Read(buf)
+				pos := 16 + uint64(align)
+				want := refReadBits(buf, pos, n)
+
+				r := NewReader(buf)
+				r.pos = pos
+				if got, err := r.ReadBits(n); err != nil || got != want {
+					t.Fatalf("align %d width %d tail %d: read %#x, %v; reference %#x", align, n, tail, got, err, want)
+				}
+				if r.Offset() != pos+uint64(n) {
+					t.Fatalf("align %d width %d tail %d: offset %d after read", align, n, tail, r.Offset())
+				}
+
+				r.pos = pos
+				w, avail := r.Peek()
+				if left := r.Remaining(); uint64(avail) != min(left, 64-uint64(align)) {
+					t.Fatalf("align %d width %d tail %d: Peek shows %d bits of %d left", align, n, tail, avail, left)
+				}
+				if got := w >> (64 - avail) << (64 - avail); avail > 0 && got != refReadBits(buf, pos, avail)<<(64-avail) {
+					t.Fatalf("align %d width %d tail %d: Peek %#x; reference %#x", align, n, tail, got, refReadBits(buf, pos, avail)<<(64-avail))
+				}
+				if n <= avail {
+					r.Skip(n)
+					if r.Offset() != pos+uint64(n) || (n > 0 && w>>(64-n) != want) {
+						t.Fatalf("align %d width %d tail %d: Peek+Skip took %#x to offset %d", align, n, tail, w>>(64-n), r.Offset())
+					}
+				}
+
+				// The stream ends one bit before the field does.
+				if n > 0 {
+					r = NewReaderBits(buf, pos+uint64(n)-1)
+					r.pos = pos
+					if _, err := r.ReadBits(n); err != ErrUnderflow || r.Offset() != pos {
+						t.Fatalf("align %d width %d tail %d: over-long read: err %v, offset %d -> %d", align, n, tail, err, pos, r.Offset())
+					}
+					if got, err := r.ReadBits(n - 1); err != nil || got != want>>1 {
+						t.Fatalf("align %d width %d tail %d: read to the end %#x, %v; reference %#x", align, n, tail, got, err, want>>1)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRandomStreamVsReference interleaves fields and Align calls.
 func TestRandomStreamVsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))

@@ -675,30 +675,34 @@ func (r *Recorder) Report() *CrashReport {
 		// The cached metadata makes report assembly pure bookkeeping — no
 		// re-read of the window. Items the cache has no entry for
 		// (recovered from an earlier run) re-parse from their bytes.
-		if m, ok := r.fllMeta.get(it.Seq); ok {
-			rep.FLLs[it.TID] = append(rep.FLLs[it.TID],
-				fll.NewLazyRef(m, it.EncodedBytes, r.flls.Loader(it.Seq)))
-			continue
+		load := r.flls.Loader(it.Seq)
+		m, ok := r.fllMeta.get(it.Seq)
+		if !ok {
+			data, err := load()
+			if err == nil {
+				m, err = fll.ParseMeta(data)
+			}
+			if err != nil {
+				r.fail(fmt.Errorf("core: FLL T%d C%d unreadable: %w", it.TID, it.CID, err))
+				continue
+			}
 		}
-		ref, err := fll.OpenLazy(r.flls.Loader(it.Seq))
-		if err != nil {
-			r.fail(fmt.Errorf("core: FLL T%d C%d unreadable: %w", it.TID, it.CID, err))
-			continue
-		}
-		rep.FLLs[it.TID] = append(rep.FLLs[it.TID], ref)
+		rep.FLLs[it.TID] = append(rep.FLLs[it.TID], fll.NewLazyRef(m, it.EncodedBytes, load))
 	}
 	for _, it := range r.mrls.All() {
-		if m, ok := r.mrlMeta.get(it.Seq); ok {
-			rep.MRLs[it.TID] = append(rep.MRLs[it.TID],
-				mrl.NewLazyRef(m, it.EncodedBytes, r.mrls.Loader(it.Seq)))
-			continue
+		load := r.mrls.Loader(it.Seq)
+		m, ok := r.mrlMeta.get(it.Seq)
+		if !ok {
+			data, err := load()
+			if err == nil {
+				m, err = mrl.ParseMeta(data)
+			}
+			if err != nil {
+				r.fail(fmt.Errorf("core: MRL T%d C%d unreadable: %w", it.TID, it.CID, err))
+				continue
+			}
 		}
-		ref, err := mrl.OpenLazy(r.mrls.Loader(it.Seq))
-		if err != nil {
-			r.fail(fmt.Errorf("core: MRL T%d C%d unreadable: %w", it.TID, it.CID, err))
-			continue
-		}
-		rep.MRLs[it.TID] = append(rep.MRLs[it.TID], ref)
+		rep.MRLs[it.TID] = append(rep.MRLs[it.TID], mrl.NewLazyRef(m, it.EncodedBytes, load))
 	}
 	return rep
 }

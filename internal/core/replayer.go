@@ -50,7 +50,7 @@ type ReplayResult struct {
 // into the next FLL.
 //
 // Logs arrive as lazy views: only the interval currently being replayed
-// is held decoded, so the replayable window is bounded by where the
+// is held open, so the replayable window is bounded by where the
 // encoded bytes live (a disk-backed log store, a report archive on disk),
 // not by process memory.
 type Replayer struct {
@@ -100,17 +100,17 @@ func NewReplayer(img *asm.Image, logs []*fll.Ref) *Replayer {
 	return &Replayer{img: img, logs: logs}
 }
 
-// NewReplayerLogs wraps already-decoded logs, for callers that built them
-// in memory (tests, synthetic windows).
+// NewReplayerLogs replays logs built in memory (tests, synthetic windows).
 func NewReplayerLogs(img *asm.Image, logs []*fll.Log) *Replayer {
 	return &Replayer{img: img, logs: WrapFLLs(logs)}
 }
 
-// WrapFLLs views decoded logs as refs, in order.
+// WrapFLLs encodes each log once and views the bytes as a ref, in order.
 func WrapFLLs(logs []*fll.Log) []*fll.Ref {
 	refs := make([]*fll.Ref, len(logs))
 	for i, l := range logs {
-		refs[i] = fll.NewRef(l)
+		enc := l.Marshal()
+		refs[i] = fll.NewLazyRef(l.Meta, int64(len(enc)), func() ([]byte, error) { return enc, nil })
 	}
 	return refs
 }
@@ -169,7 +169,7 @@ type state struct {
 
 	logs     []*fll.Ref
 	idx      int      // current log index (idx-1 after next())
-	cur      *fll.Log // the one interval held decoded
+	cur      *fll.Log // the one interval held open
 	reader   *fll.Reader
 	d        *dict.Table
 	executed uint64 // instructions executed within the current interval
@@ -244,9 +244,9 @@ func (st *state) untraced(span uint64) uint64 {
 	return span - uint64(len(st.trace.buf))
 }
 
-// next advances to the next FLL, materializing it from its view (the
-// previously decoded interval is dropped); false when all are consumed or
-// a log failed to load, which parks the error in st.err.
+// next advances to the next FLL, opening it from its view (the previous
+// interval is dropped); false when all are consumed or a log failed to
+// load, which parks the error in st.err.
 func (st *state) next() bool {
 	if st.err != nil || st.idx >= len(st.logs) {
 		return false

@@ -335,7 +335,7 @@ func TestReplayDetectsTamperedLog(t *testing.T) {
 	}
 	tampered := *l0
 	tampered.Length += 3
-	logs[0] = fll.NewRef(&tampered)
+	logs[0] = WrapFLLs([]*fll.Log{&tampered})[0]
 	r := NewReplayer(img, logs)
 	if _, err := r.Run(); err == nil {
 		t.Error("replay of tampered log succeeded; want divergence error")

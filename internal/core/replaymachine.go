@@ -336,8 +336,8 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 		st.c.Fault = &f
 	}
 	st.idx = s.idx
-	// The current decoded interval rides inside the snapshot's reader; a
-	// lazy window is never re-materialized on restore.
+	// The current interval rides inside the snapshot's reader; restore
+	// never loads it again.
 	st.cur = nil
 	if s.reader != nil {
 		st.cur = s.reader.Log()

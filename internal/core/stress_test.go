@@ -180,10 +180,11 @@ func TestPropertyCorruptedLogsNeverSilentlyDiverge(t *testing.T) {
 		bit := rng.Intn(len(blob) * 8)
 		blob[bit/8] ^= 1 << uint(bit%8)
 
-		corrupted, err := fll.OpenEncoded(blob)
+		m, err := fll.ParseMeta(blob)
 		if err != nil {
 			return true // rejected at decode: loud failure, fine
 		}
+		corrupted := fll.NewLazyRef(m, int64(len(blob)), func() ([]byte, error) { return blob, nil })
 		mutated := append([]*fll.Ref(nil), logs...)
 		mutated[victim] = corrupted
 

@@ -278,7 +278,7 @@ func (w *Writer) CloseEncoded(length uint64, end EndKind, fault *FaultRecord) (M
 type Reader struct {
 	log        *Log
 	dict       *dict.Table
-	r          *bits.Reader
+	r          bits.Reader
 	fullLCBits uint
 
 	pendingValid  bool
@@ -300,48 +300,70 @@ func NewReader(log *Log, d *dict.Table) *Reader {
 	r := &Reader{
 		log:        log,
 		dict:       d,
-		r:          bits.NewReaderBits(log.Entries, log.EntryBits),
+		r:          *bits.NewReaderBits(log.Entries, log.EntryBits),
 		fullLCBits: bitsFor(log.IntervalLimit),
 	}
 	r.loadEntry()
 	return r
 }
 
-// loadEntry decodes the next entry into pending state.
+// loadEntry decodes the next entry into pending state. An entry that
+// fits the bits one Peek shows — every entry of a paper-sized interval and
+// dictionary, at most 51 bits — is taken from that one word; a wider one,
+// or one the stream ends inside, is read field by field.
 func (r *Reader) loadEntry() {
 	r.pendingValid = false
 	if r.err != nil || r.consumed >= r.log.NumEntries {
 		return
 	}
-	longLC, err := r.r.ReadBit()
-	if err != nil {
-		r.err = fmt.Errorf("fll: truncated entry %d: %w", r.consumed, err)
+	w, avail := r.r.Peek()
+	lc := uint(shortLCBits)
+	if w>>63 != 0 {
+		lc = r.fullLCBits
+	}
+	r.pendingIsRank = w<<(1+lc)>>63 == 0
+	vw := uint(32)
+	if r.pendingIsRank {
+		vw = r.dict.IndexBits()
+	}
+	if n := 2 + lc + vw; n <= avail {
+		r.r.Skip(n)
+		r.pendingSkip = w << 1 >> (64 - lc)
+		r.pendingRaw = uint32(w << (2 + lc) >> (64 - vw))
+	} else if !r.readEntry(lc) {
 		return
 	}
-	width := uint(shortLCBits)
-	if longLC {
-		width = r.fullLCBits
+	r.pendingValid = true
+	r.consumed++
+}
+
+// readEntry reads the next entry, whose L-Count is lc bits wide, with one
+// read for the LC-Type bit, one for the L-Count and the LV-Type bit behind
+// it, and one for the value; a read the stream cannot satisfy parks an
+// error naming the field it cut short.
+func (r *Reader) readEntry(lc uint) bool {
+	if _, err := r.r.ReadBits(1); err != nil {
+		r.err = fmt.Errorf("fll: truncated entry %d: %w", r.consumed, err)
+		return false
 	}
-	// The LV-Type bit comes in the same read as the L-Count before it.
-	skip, err := r.r.ReadBits(width + 1)
+	skip, err := r.r.ReadBits(lc + 1)
 	if err != nil {
 		r.err = fmt.Errorf("fll: truncated L-Count in entry %d: %w", r.consumed, err)
-		return
+		return false
 	}
 	r.pendingIsRank = skip&1 == 0
-	width = 32
+	vw := uint(32)
 	if r.pendingIsRank {
-		width = r.dict.IndexBits()
+		vw = r.dict.IndexBits()
 	}
-	v, err := r.r.ReadBits(width)
+	v, err := r.r.ReadBits(vw)
 	if err != nil {
 		r.err = fmt.Errorf("fll: truncated value in entry %d: %w", r.consumed, err)
-		return
+		return false
 	}
-	r.pendingRaw = uint32(v)
-	r.pendingValid = true
 	r.pendingSkip = skip >> 1
-	r.consumed++
+	r.pendingRaw = uint32(v)
+	return true
 }
 
 // Op processes one loggable operation during replay. memValue is the word
@@ -385,16 +407,15 @@ func (r *Reader) Clone(d *dict.Table) *Reader {
 	}
 	cp := *r
 	cp.dict = d
-	cp.r = r.r.Clone()
 	return &cp
 }
 
 // Dict returns the dictionary table the reader decodes ranks against.
 func (r *Reader) Dict() *dict.Table { return r.dict }
 
-// Log returns the decoded log the reader was opened over. Snapshot
-// restore uses it to re-derive the current-interval pointer without
-// re-materializing the log from its encoded form.
+// Log returns the log the reader was opened over. Snapshot restore uses it
+// to re-derive the current-interval pointer without loading the interval
+// again.
 func (r *Reader) Log() *Log { return r.log }
 
 // Err returns the first decode error, if any.
@@ -481,7 +502,7 @@ func (l *Log) Marshal() []byte {
 
 // parse validates a serialized log (checksum and framing) and splits it
 // into metadata and the entry-stream bytes, which alias data. It is the
-// single decoder behind Unmarshal and OpenEncoded.
+// single decoder behind Unmarshal and ParseMeta.
 func parse(data []byte) (Meta, []byte, error) {
 	le := binary.LittleEndian
 	var m Meta
@@ -549,63 +570,22 @@ func parse(data []byte) (Meta, []byte, error) {
 	if uint64(len(data)-pos) < n {
 		return m, nil, ErrBadFormat
 	}
-	entries := data[pos : pos+int(n)]
+	entries := data[pos : pos+int(n) : pos+int(n)]
 	if m.EntryBits > n*8 || m.IntervalLimit > maxIntervalLimit {
 		return m, nil, ErrBadFormat
 	}
 	return m, entries, nil
 }
 
-// Unmarshal decodes a serialized log.
+// Unmarshal decodes a serialized log. The entry stream is not copied: the
+// log's Entries alias data, which must not change while the log is in use.
+// Their capacity ends with the stream, so an append to them copies.
 func Unmarshal(data []byte) (*Log, error) {
 	m, entries, err := parse(data)
 	if err != nil {
 		return nil, err
 	}
-	return &Log{Meta: m, Entries: append([]byte(nil), entries...)}, nil
-}
-
-// Ref is a lazily-decoded First-Load Log: the full metadata (header,
-// counters, fault record) held decoded, with the entry stream materialized
-// only when Open is called. A window of Refs costs O(intervals) memory
-// instead of O(log bytes), which is what lets replay walk a window far
-// larger than RAM when the encoded bytes live in a disk-backed log store.
-type Ref struct {
-	Meta
-	load   func() ([]byte, error) // nil when log is set
-	log    *Log                   // memory-backed fast path
-	encLen int64                  // wire size when known; 0 = derive on demand
-}
-
-// NewRef wraps an already-decoded log as a view. Open returns l itself.
-func NewRef(l *Log) *Ref { return &Ref{Meta: l.Meta, log: l} }
-
-// OpenEncoded validates one serialized log and returns a view over it.
-// The metadata is decoded eagerly; the entry stream stays encoded (the
-// view retains data) until Open.
-func OpenEncoded(data []byte) (*Ref, error) {
-	m, _, err := parse(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Ref{Meta: m, load: func() ([]byte, error) { return data, nil },
-		encLen: int64(len(data))}, nil
-}
-
-// OpenLazy builds a view over a log whose encoded bytes live behind load
-// (a log-store item, a file). load is called once now to validate and
-// decode the metadata, and again on every Open, so the view itself pins
-// no log bytes in memory.
-func OpenLazy(load func() ([]byte, error)) (*Ref, error) {
-	data, err := load()
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := parse(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Ref{Meta: m, load: load, encLen: int64(len(data))}, nil
+	return &Log{Meta: m, Entries: entries}, nil
 }
 
 // ParseMeta validates one serialized log and returns its metadata without
@@ -615,21 +595,31 @@ func ParseMeta(data []byte) (Meta, error) {
 	return m, err
 }
 
+// Ref is one First-Load Log held as its wire encoding behind a loader (a
+// log-store item, an archive section, a buffer), with the metadata —
+// header, counters, fault record — held decoded. A window of Refs costs
+// O(intervals) memory instead of O(log bytes), which is what lets replay
+// walk a window far larger than RAM when the encoded bytes live in a
+// disk-backed log store.
+type Ref struct {
+	Meta
+	load   func() ([]byte, error)
+	encLen int64
+}
+
 // NewLazyRef builds a view from metadata the caller already validated
 // (via ParseMeta over the same encodedLen bytes load returns) and a
-// loader. Archive readers use it to hand out views without re-reading
-// every section.
+// loader, which every Open calls again, so the view itself pins no log
+// bytes in memory.
 func NewLazyRef(m Meta, encodedLen int64, load func() ([]byte, error)) *Ref {
 	return &Ref{Meta: m, load: load, encLen: encodedLen}
 }
 
-// Open materializes the full log. Memory-backed views return the shared
-// decoded log; lazy views re-load and decode, so the caller owns the
-// result and should drop it when the interval is consumed.
+// Open loads the log and checks its framing and checksum. The result's
+// entry stream is a sub-slice of the loaded bytes, read where it lies;
+// the caller owns the result and should drop it when the interval is
+// consumed.
 func (r *Ref) Open() (*Log, error) {
-	if r.log != nil {
-		return r.log, nil
-	}
 	data, err := r.load()
 	if err != nil {
 		return nil, err
@@ -640,19 +630,8 @@ func (r *Ref) Open() (*Log, error) {
 // Encoded returns the log's wire encoding (the bytes Marshal produces)
 // without decoding the entry stream: streaming report packers copy it
 // section-to-section.
-func (r *Ref) Encoded() ([]byte, error) {
-	if r.load != nil {
-		return r.load()
-	}
-	return r.log.Marshal(), nil
-}
+func (r *Ref) Encoded() ([]byte, error) { return r.load() }
 
-// EncodedLen returns the wire size of the log without loading it — every
-// backing store knows it up front; memory-wrapped logs derive it once.
-// Size listings over huge lazy windows must not cost I/O.
-func (r *Ref) EncodedLen() int64 {
-	if r.encLen == 0 && r.log != nil {
-		r.encLen = int64(len(r.log.Marshal()))
-	}
-	return r.encLen
-}
+// EncodedLen returns the wire size of the log without loading it: size
+// listings over huge lazy windows must not cost I/O.
+func (r *Ref) EncodedLen() int64 { return r.encLen }

@@ -2,6 +2,7 @@ package fll
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -43,6 +44,119 @@ func refEncode(hdr Header, ops []uint32, logged []bool) (stream []byte, nbits, u
 		skip = 0
 	}
 	return w.Bytes(), w.Len(), uncBits
+}
+
+// refEntry is one entry as refDecode reads it.
+type refEntry struct {
+	skip   uint64
+	isRank bool
+	raw    uint32 // the value, or its dictionary rank when isRank
+}
+
+// refDecode is refEncode's mirror, the field-at-a-time decoder Reader
+// started as: one read per type bit and per field, the whole stream up
+// front. It returns the entries before the first one the stream cuts
+// short, and the error Reader gives for that one, whose text counts the
+// LV-Type bit as the L-Count's.
+func refDecode(l *Log, indexBits uint) ([]refEntry, error) {
+	r := bits.NewReaderBits(l.Entries, l.EntryBits)
+	full := bitsFor(l.IntervalLimit)
+	var out []refEntry
+	for i := uint64(0); i < l.NumEntries; i++ {
+		long, err := r.ReadBit()
+		if err != nil {
+			return out, fmt.Errorf("fll: truncated entry %d: %w", i, err)
+		}
+		width := uint(shortLCBits)
+		if long {
+			width = full
+		}
+		skip, err := r.ReadBits(width)
+		var raw bool
+		if err == nil {
+			raw, err = r.ReadBit()
+		}
+		if err != nil {
+			return out, fmt.Errorf("fll: truncated L-Count in entry %d: %w", i, err)
+		}
+		width = 32
+		if !raw {
+			width = indexBits
+		}
+		v, err := r.ReadBits(width)
+		if err != nil {
+			return out, fmt.Errorf("fll: truncated value in entry %d: %w", i, err)
+		}
+		out = append(out, refEntry{skip: skip, isRank: !raw, raw: uint32(v)})
+	}
+	return out, nil
+}
+
+// refReader replays refDecode's entries with the contract of Reader.
+type refReader struct {
+	entries    []refEntry
+	decodeErr  error // reported once every entry before it is injected
+	numEntries uint64
+	d          *dict.Table
+	k          int    // entries injected
+	left       uint64 // ops entries[k] still waits for
+	err        error  // a rank the table could not resolve
+}
+
+func newRefReader(l *Log, d *dict.Table) *refReader {
+	r := &refReader{numEntries: l.NumEntries, d: d}
+	r.entries, r.decodeErr = refDecode(l, d.IndexBits())
+	if len(r.entries) > 0 {
+		r.left = r.entries[0].skip
+	}
+	return r
+}
+
+func (r *refReader) failed() error {
+	if r.err == nil && r.k == len(r.entries) {
+		return r.decodeErr
+	}
+	return r.err
+}
+
+func (r *refReader) Op(memValue uint32) (uint32, bool, error) {
+	if err := r.failed(); err != nil {
+		return 0, false, err
+	}
+	if r.k == len(r.entries) || r.left > 0 {
+		if r.k < len(r.entries) {
+			r.left--
+		}
+		r.d.Update(memValue)
+		return memValue, false, nil
+	}
+	e := r.entries[r.k]
+	v := e.raw
+	if e.isRank {
+		dv, err := r.d.ValueAt(int(e.raw))
+		if err != nil {
+			r.err = fmt.Errorf("fll: entry %d: %w", r.k, err)
+			return 0, false, r.err
+		}
+		v = dv
+	}
+	r.d.Update(v)
+	if r.k++; r.k < len(r.entries) {
+		r.left = r.entries[r.k].skip
+	}
+	return v, true, nil
+}
+
+func (r *refReader) Exhausted() bool { return r.failed() == nil && r.k == len(r.entries) }
+
+func (r *refReader) PendingOne() bool {
+	return r.failed() == nil && r.k < len(r.entries) && r.left == 0 && uint64(r.k+1) >= r.numEntries
+}
+
+func (r *refReader) Clone(d *dict.Table) *refReader {
+	cp := *r
+	cp.d = d
+	return &cp
 }
 
 // TestWriterMatchesFieldAtATimeEncoding covers short L-Counts and long ones

@@ -286,7 +286,7 @@ func (s *Store) Load(seq uint64) ([]byte, error) {
 }
 
 // Loader returns a function that re-reads one item's encoded bytes — the
-// hook a lazy log view (fll.OpenLazy / mrl.OpenLazy) plugs into.
+// hook a lazy log view (fll.NewLazyRef / mrl.NewLazyRef) plugs into.
 func (s *Store) Loader(seq uint64) func() ([]byte, error) {
 	return func() ([]byte, error) { return s.Load(seq) }
 }

@@ -2,8 +2,10 @@ package mrl
 
 import "testing"
 
-// FuzzUnmarshal hardens the MRL wire format: no panics on arbitrary bytes,
-// and valid logs round-trip.
+// FuzzUnmarshal drives arbitrary bytes down the path replay takes: a
+// section ParseMeta accepts becomes a Ref, and Ref.Open checks it again
+// and decodes its entries. Nothing may panic, Open must accept what
+// ParseMeta did, and valid logs round-trip.
 func FuzzUnmarshal(f *testing.F) {
 	w := NewWriter(Header{PID: 1, TID: 2, CID: 3, Timestamp: 4}, 1<<20, 8)
 	for i := 0; i < 20; i++ {
@@ -14,9 +16,16 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := Unmarshal(data)
+		m, err := ParseMeta(data)
 		if err != nil {
 			return
+		}
+		l, err := NewLazyRef(m, int64(len(data)), func() ([]byte, error) { return data, nil }).Open()
+		if err != nil {
+			t.Fatalf("Open refused a log ParseMeta accepted: %v", err)
+		}
+		if l.Meta != m || uint64(len(l.Entries)) != m.NumEntries {
+			t.Fatalf("Open decoded %+v with %d entries; ParseMeta %+v", l.Meta, len(l.Entries), m)
 		}
 		re, err := Unmarshal(l.Marshal())
 		if err != nil {

@@ -316,41 +316,13 @@ func Unmarshal(data []byte) (*Log, error) {
 	return &Log{Meta: m, Entries: entries}, nil
 }
 
-// Ref is a lazily-decoded Memory Race Log: metadata decoded, entries
-// materialized only on Open. See fll.Ref for the retention rationale.
+// Ref is one Memory Race Log held as its wire encoding behind a loader,
+// metadata decoded, entries decoded only on Open. See fll.Ref for the
+// retention rationale.
 type Ref struct {
 	Meta
-	load   func() ([]byte, error) // nil when log is set
-	log    *Log                   // memory-backed fast path
-	encLen int64                  // wire size when known; 0 = derive on demand
-}
-
-// NewRef wraps an already-decoded log as a view.
-func NewRef(l *Log) *Ref { return &Ref{Meta: l.Meta, log: l} }
-
-// OpenEncoded validates one serialized log and returns a view retaining
-// the encoded bytes; entries decode on Open.
-func OpenEncoded(data []byte) (*Ref, error) {
-	m, _, err := parse(data, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Ref{Meta: m, load: func() ([]byte, error) { return data, nil },
-		encLen: int64(len(data))}, nil
-}
-
-// OpenLazy builds a view over encoded bytes behind load, validating and
-// decoding the metadata now and re-loading on every Open.
-func OpenLazy(load func() ([]byte, error)) (*Ref, error) {
-	data, err := load()
-	if err != nil {
-		return nil, err
-	}
-	m, _, err := parse(data, false)
-	if err != nil {
-		return nil, err
-	}
-	return &Ref{Meta: m, load: load, encLen: int64(len(data))}, nil
+	load   func() ([]byte, error)
+	encLen int64
 }
 
 // ParseMeta validates one serialized log and returns its metadata without
@@ -366,11 +338,8 @@ func NewLazyRef(m Meta, encodedLen int64, load func() ([]byte, error)) *Ref {
 	return &Ref{Meta: m, load: load, encLen: encodedLen}
 }
 
-// Open materializes the full log.
+// Open loads the log, checks its checksum, and decodes its entries.
 func (r *Ref) Open() (*Log, error) {
-	if r.log != nil {
-		return r.log, nil
-	}
 	data, err := r.load()
 	if err != nil {
 		return nil, err
@@ -379,17 +348,7 @@ func (r *Ref) Open() (*Log, error) {
 }
 
 // Encoded returns the log's wire encoding without decoding entries.
-func (r *Ref) Encoded() ([]byte, error) {
-	if r.load != nil {
-		return r.load()
-	}
-	return r.log.Marshal(), nil
-}
+func (r *Ref) Encoded() ([]byte, error) { return r.load() }
 
 // EncodedLen returns the wire size without loading; see fll.EncodedLen.
-func (r *Ref) EncodedLen() int64 {
-	if r.encLen == 0 && r.log != nil {
-		r.encLen = int64(len(r.log.Marshal()))
-	}
-	return r.encLen
-}
+func (r *Ref) EncodedLen() int64 { return r.encLen }

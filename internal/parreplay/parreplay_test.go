@@ -189,7 +189,7 @@ func TestThreadParityDivergenceError(t *testing.T) {
 	}
 	tampered := *l1
 	tampered.State.PC = 0 // fetch from unmapped zero faults instantly
-	logs[1] = fll.NewRef(&tampered)
+	logs[1] = core.WrapFLLs([]*fll.Log{&tampered})[0]
 
 	_, seqErr := seqThread(img, logs, Options{})
 	if seqErr == nil {

@@ -144,7 +144,7 @@ func crafted(pc uint32, regs map[string]uint32, length uint64, values ...uint32)
 	for _, v := range values {
 		w.Op(v, true)
 	}
-	return unit{ref: fll.NewRef(w.Close(length, fll.EndIntervalFull, nil))}
+	return unit{ref: core.WrapFLLs([]*fll.Log{w.Close(length, fll.EndIntervalFull, nil)})[0]}
 }
 
 // reuseMaxPages is the page budget the differential runs under: above what
@@ -430,7 +430,7 @@ func TestSingleUnitRunsOnCaller(t *testing.T) {
 	bad := *l
 	bad.DictSize = 3
 	for _, workers := range []int{1, 4} {
-		units := []unit{{ref: fll.NewRef(&bad), last: true}, win.units[1]}
+		units := []unit{{ref: core.WrapFLLs([]*fll.Log{&bad})[0], last: true}, win.units[1]}
 		want := referenceReplayUnit(win.img, units[0], Options{})
 		if !want.panicked {
 			t.Fatal("a dictionary of 3 entries did not panic the reference")
@@ -458,15 +458,15 @@ func TestWorkerAllocatesNoMachineAfterFirstUnit(t *testing.T) {
 		t.Skip("the race detector allocates on the program's behalf")
 	}
 	win := windows(t)[1]
-	// Decoded logs: a lazy ref allocates its log anew on every Open, on
-	// either kind of machine.
+	// Logs held as their bytes: a log-store ref copies its log out of the
+	// store on every Open, on either kind of machine.
 	var units []unit
 	for _, u := range win.units[:win.clean] {
 		l, err := u.ref.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		u.ref = fll.NewRef(l)
+		u.ref = core.WrapFLLs([]*fll.Log{l})[0]
 		units = append(units, u)
 	}
 	var long []unit

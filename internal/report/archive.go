@@ -18,10 +18,11 @@
 // I/O is streaming in both directions. PackTo copies each log's encoded
 // section straight from its lazy view into the writer — nothing is
 // re-encoded and at most one section is in memory at a time. An Archive
-// (OpenReaderAt / OpenFile) scans and CRC-validates the sections once,
-// then serves a CrashReport of lazy views that re-read their payloads
-// from the underlying source on demand, so replaying a multi-gigabyte
-// report from disk never loads the whole archive.
+// (OpenFile / OpenBytes) scans and CRC-validates the sections once, then
+// serves a CrashReport of lazy views. A file's views re-read their
+// payloads on demand, so replaying a multi-gigabyte report from disk
+// never loads the whole archive; an in-memory archive's views hand out
+// sub-slices of it, so replay copies nothing.
 //
 // Pack is deterministic (threads ascending, logs in recording order), so
 // the SHA-256 of the packed bytes is a stable content address: the same
@@ -290,15 +291,18 @@ type section struct {
 // as long as the underlying source does; Close releases a source the
 // archive owns (OpenFile).
 type Archive struct {
-	src    io.ReaderAt
+	data   []byte      // the archive itself, when it is held in memory
+	src    io.ReaderAt // the archive's source otherwise
 	closer io.Closer
 	meta   meta
 	secs   []section
 }
 
-// OpenBytes opens an archive held in memory.
+// OpenBytes opens an archive held in memory. Nothing is copied: sections
+// are validated where they lie, and the report's views hand out
+// sub-slices of data, which must not change while the report is in use.
 func OpenBytes(data []byte) (*Archive, error) {
-	return OpenReaderAt(bytes.NewReader(data), int64(len(data)))
+	return open(&Archive{data: data}, int64(len(data)))
 }
 
 // OpenFile opens an archive file; the returned Archive owns the handle
@@ -316,26 +320,24 @@ func OpenFile(path string) (*Archive, error) {
 		f.Close()
 		return nil, err
 	}
-	a, err := OpenReaderAt(f, fi.Size())
+	a, err := open(&Archive{src: f, closer: f}, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	a.closer = f
 	return a, nil
 }
 
-// OpenReaderAt scans and validates an archive in src, reading each
+// open scans and validates the size-byte archive a reads, reading each
 // section once for its checksum and its metadata. Payloads are not
-// retained; Report hands out lazy views that re-read them on demand.
-func OpenReaderAt(src io.ReaderAt, size int64) (a *Archive, err error) {
+// retained; Report hands out lazy views that read them again on demand.
+func open(a *Archive, size int64) (_ *Archive, err error) {
 	defer func() { countOpen(err) }()
-	return openReaderAt(src, size)
-}
-
-func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
-	var hdr [9]byte
-	if _, err := io.ReadFull(io.NewSectionReader(src, 0, size), hdr[:]); err != nil {
+	if size < 9 {
+		return nil, fmt.Errorf("%w: missing header", ErrBadArchive)
+	}
+	hdr, err := a.read(0, 9)
+	if err != nil {
 		return nil, fmt.Errorf("%w: missing header", ErrBadArchive)
 	}
 	if [4]byte(hdr[:4]) != magic {
@@ -349,15 +351,14 @@ func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
 		return nil, fmt.Errorf("%w: implausible section count %d", ErrBadArchive, sections)
 	}
 
-	a := &Archive{src: src}
 	pos := int64(9)
 	haveMeta := false
 	for i := uint32(0); i < sections; i++ {
-		var head [5]byte
 		if size-pos < 9 {
 			return nil, fmt.Errorf("%w: truncated at section %d", ErrBadArchive, i)
 		}
-		if _, err := src.ReadAt(head[:], pos); err != nil {
+		head, err := a.read(pos, 5)
+		if err != nil {
 			return nil, fmt.Errorf("%w: truncated at section %d", ErrBadArchive, i)
 		}
 		kind := head[0]
@@ -368,18 +369,12 @@ func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
 			return nil, fmt.Errorf("%w: section %d length %d exceeds payload", ErrBadArchive, i, n32)
 		}
 		n := int(n32)
-		payload := make([]byte, n)
-		if _, err := src.ReadAt(payload, pos+5); err != nil {
+		body, err := a.read(pos+5, n+4)
+		if err != nil {
 			return nil, fmt.Errorf("%w: section %d unreadable: %v", ErrBadArchive, i, err)
 		}
-		var sumBuf [4]byte
-		if _, err := src.ReadAt(sumBuf[:], pos+5+int64(n)); err != nil {
-			return nil, fmt.Errorf("%w: section %d unreadable: %v", ErrBadArchive, i, err)
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(head[:])
-		crc.Write(payload)
-		if crc.Sum32() != binary.LittleEndian.Uint32(sumBuf[:]) {
+		payload := body[:n]
+		if crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, payload) != binary.LittleEndian.Uint32(body[n:]) {
 			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrBadArchive, i)
 		}
 
@@ -426,6 +421,20 @@ func openReaderAt(src io.ReaderAt, size int64) (*Archive, error) {
 	return a, nil
 }
 
+// read returns the n archive bytes at off, which the caller has bounds
+// checked: a sub-slice of an archive held in memory, else a buffer read
+// from the source.
+func (a *Archive) read(off int64, n int) ([]byte, error) {
+	if a.src == nil {
+		return a.data[off : off+int64(n) : off+int64(n)], nil
+	}
+	buf := make([]byte, n)
+	if _, err := a.src.ReadAt(buf, off); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // Close releases an owned source (no-op for OpenBytes archives).
 func (a *Archive) Close() error {
 	if a.closer != nil {
@@ -445,15 +454,6 @@ func (a *Archive) Sections() []Section {
 	return out
 }
 
-// loadSection re-reads one section payload from the source.
-func (a *Archive) loadSection(off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := a.src.ReadAt(buf, off); err != nil {
-		return nil, fmt.Errorf("report: re-reading archive section: %w", err)
-	}
-	return buf, nil
-}
-
 // Report assembles the crash report: metadata applied, every log a lazy
 // view reading its section from the archive source on demand. The report
 // is valid only while the archive's source remains readable.
@@ -465,7 +465,13 @@ func (a *Archive) Report() *core.CrashReport {
 	a.meta.apply(rep)
 	for i := range a.secs {
 		sec := a.secs[i]
-		load := func() ([]byte, error) { return a.loadSection(sec.Offset, sec.Len) }
+		load := func() ([]byte, error) {
+			data, err := a.read(sec.Offset, sec.Len)
+			if err != nil {
+				return nil, fmt.Errorf("report: re-reading archive section: %w", err)
+			}
+			return data, nil
+		}
 		switch {
 		case sec.fmeta != nil:
 			rep.FLLs[sec.TID] = append(rep.FLLs[sec.TID], fll.NewLazyRef(*sec.fmeta, int64(sec.Len), load))
@@ -478,7 +484,7 @@ func (a *Archive) Report() *core.CrashReport {
 
 // Unpack decodes an archive produced by Pack, validating the framing and
 // every section checksum before any log payload is trusted. The returned
-// report's views retain data.
+// report's views read their logs where they lie in data.
 func Unpack(data []byte) (*core.CrashReport, error) {
 	a, err := OpenBytes(data)
 	if err != nil {

@@ -43,11 +43,17 @@ func record(t testing.TB) (*asm.Image, *core.CrashReport) {
 	return img, rep
 }
 
+// mrlRef encodes l once and views the bytes as a ref.
+func mrlRef(l *mrl.Log) *mrl.Ref {
+	enc := l.Marshal()
+	return mrl.NewLazyRef(l.Meta, int64(len(enc)), func() ([]byte, error) { return enc, nil })
+}
+
 func TestPackUnpackRoundTrip(t *testing.T) {
 	img, rep := record(t)
 	// Attach a synthetic MRL so the 'R' section path is exercised even on
 	// this uniprocessor recording.
-	rep.MRLs[0] = append(rep.MRLs[0], mrl.NewRef(&mrl.Log{
+	rep.MRLs[0] = append(rep.MRLs[0], mrlRef(&mrl.Log{
 		Meta: mrl.Meta{
 			Header:        mrl.Header{PID: rep.PID, TID: 0, CID: 0, Timestamp: 1},
 			IntervalLimit: 16,
@@ -235,7 +241,7 @@ func TestUnpackRejectsImplausibleTID(t *testing.T) {
 	}
 	hostile := *l0
 	hostile.TID = 1 << 31
-	rep.FLLs[0][0] = fll.NewRef(&hostile)
+	rep.FLLs[0][0] = core.WrapFLLs([]*fll.Log{&hostile})[0]
 	blob, err := Pack(rep)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ func FuzzOpenArchive(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	rep.MRLs[0] = append(rep.MRLs[0], mrl.NewRef(&mrl.Log{
+	rep.MRLs[0] = append(rep.MRLs[0], mrlRef(&mrl.Log{
 		Meta: mrl.Meta{
 			Header:        mrl.Header{PID: rep.PID, TID: 0, CID: 0, Timestamp: 1},
 			IntervalLimit: 16,

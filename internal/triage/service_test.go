@@ -304,7 +304,7 @@ func TestReplayWindowBudgetOverflowBypass(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		huge := *l0
 		huge.Length = 1 << 63
-		rep.FLLs[0] = append(rep.FLLs[0], fll.NewRef(&huge))
+		rep.FLLs[0] = append(rep.FLLs[0], core.WrapFLLs([]*fll.Log{&huge})...)
 	}
 	blob, err := report.Pack(rep)
 	if err != nil {
