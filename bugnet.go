@@ -6,13 +6,12 @@
 //
 // # Quick start
 //
-//	img, err := bugnet.Assemble("prog.s", source)
-//	res, report, rec := bugnet.Record(img, bugnet.MachineConfig{}, bugnet.Config{})
-//	if res.Crash != nil {
-//	    rr, err := bugnet.NewReplayer(img, report.FLLs[res.Crash.TID]).Run()
-//	    // rr.Fault.PC is the crashing instruction; rr.Final the state
-//	    // just before the crash.
-//	}
+// The package's Examples are the quick start; go test checks each one's
+// output. Example records a crash, replays it to the faulting
+// instruction, verifies the replay and packs the report for upload;
+// ExampleNewMultiReplayer detects a data race across two replayed
+// threads; ExampleNewDebugger breaks, seeks and reads memory in a
+// recorded window.
 //
 // The package is a façade over the internal packages: internal/core holds
 // the recorder and replayers (the paper's contribution), internal/kernel

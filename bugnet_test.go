@@ -1,6 +1,10 @@
 package bugnet
 
-import "testing"
+import (
+	"os"
+	"strings"
+	"testing"
+)
 
 const demoSource = `
         .data
@@ -40,6 +44,25 @@ func TestPublicAPIRecordReplay(t *testing.T) {
 	if got := Disassemble(img, rr.Fault.PC); got != "lw a0, 0(t6)" && got == "" {
 		// exact register naming depends on the source; just require a lw
 		t.Logf("fault instruction: %s", got)
+	}
+}
+
+// TestReadmeLibraryUse: README's library snippet is a verbatim excerpt
+// of the root Example, so it compiles and its output is checked.
+func TestReadmeLibraryUse(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, _ := strings.Cut(string(readme), "\n## Library use\n")
+	_, snippet, _ := strings.Cut(sec, "```go\n")
+	snippet, _, ok := strings.Cut(snippet, "```")
+	if !ok || !strings.Contains(string(example), snippet) {
+		t.Fatalf("README's library snippet is not an excerpt of example_test.go:\n%s", snippet)
 	}
 }
 

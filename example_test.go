@@ -9,7 +9,8 @@ import (
 
 // Example demonstrates the full record-and-replay cycle: a program crashes
 // on a corrupted pointer, and replaying its First-Load Logs reproduces the
-// exact faulting instruction with the state just before the crash.
+// exact faulting instruction with the state just before the crash. The
+// report is then packed into the archive a recorder uploads.
 func Example() {
 	img, err := bugnet.Assemble("demo.s", `
         .data
@@ -26,7 +27,9 @@ boom:   lw   a0, (t2)        # crash
 		log.Fatal(err)
 	}
 
-	res, report, _ := bugnet.Record(img, bugnet.MachineConfig{}, bugnet.Config{})
+	// A verification trace lets VerifyReplay check the replay against the
+	// recorded run instruction for instruction.
+	res, report, rec := bugnet.Record(img, bugnet.MachineConfig{}, bugnet.Config{TraceDepth: 1 << 10})
 	fmt.Println("crashed:", res.Crash != nil)
 
 	rr, err := bugnet.NewReplayer(img, report.FLLs[res.Crash.TID]).Run()
@@ -36,11 +39,21 @@ boom:   lw   a0, (t2)        # crash
 	fmt.Println("replayed instructions:", rr.Instructions)
 	fmt.Println("faulting instruction:", bugnet.Disassemble(img, rr.Fault.PC))
 	fmt.Printf("bad pointer in t2: %#x\n", rr.Final.Regs[7])
+	fmt.Println("replay verified:", bugnet.VerifyReplay(img, rec) == nil)
+
+	blob, err := bugnet.PackReport(report) // one uploadable archive
+	if err != nil {
+		log.Fatal(err)
+	}
+	id := bugnet.ReportID(blob) // its content address, hex SHA-256
+	fmt.Println("report id length:", len(id))
 	// Output:
 	// crashed: true
 	// replayed instructions: 204
 	// faulting instruction: lw a0, 0(t2)
 	// bad pointer in t2: 0x0
+	// replay verified: true
+	// report id length: 64
 }
 
 // ExampleRecord_externalInput shows the paper's central claim: values that
@@ -83,4 +96,122 @@ func ExampleIdentifyBinary() {
 	// Output:
 	// same build:  true
 	// other build: false
+}
+
+// ExampleNewMultiReplayer replays every thread of a two-thread recording
+// in the order the Memory Race Logs reconstruct (paper §5.2) and lets the
+// race detector point at the racy instructions: one thread increments a
+// shared counter with a plain load/store pair, the other atomically.
+func ExampleNewMultiReplayer() {
+	img, err := bugnet.Assemble("race.s", `
+        .data
+counter: .word 0
+done:    .word 0
+         .text
+main:    la   a0, worker
+         li   a7, 8          # spawn
+         syscall
+         li   s2, 200
+mloop:   la   t0, counter
+         lw   t1, (t0)       # racy read-modify-write
+         addi t1, t1, 1
+         sw   t1, (t0)
+         addi s2, s2, -1
+         bnez s2, mloop
+         la   t0, done
+mwait:   amoadd t1, zero, (t0)
+         beqz t1, mwait
+         la   t0, counter
+         lw   a0, (t0)
+         li   a7, 1          # exit(counter)
+         syscall
+
+worker:  li   s2, 200
+wloop:   la   t0, counter
+         li   t1, 1
+         amoadd t2, t1, (t0) # atomic increment
+         addi s2, s2, -1
+         bnez s2, wloop
+         la   t0, done
+         li   t1, 1
+         amoswap t2, t1, (t0)
+         li   a0, 0
+         li   a7, 1
+         syscall
+`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, report, _ := bugnet.Record(img, bugnet.MachineConfig{Cores: 2}, bugnet.Config{IntervalLength: 5000})
+	fmt.Println("counter after 400 increments:", res.ExitCode) // lost updates
+
+	mr := bugnet.NewMultiReplayer(img, report)
+	mr.DetectRaces = true
+	out, err := mr.Run()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("threads replayed:", len(out.Threads))
+	for _, r := range out.Races {
+		fmt.Printf("T%d %s  vs  T%d %s\n", r.TID1, bugnet.Disassemble(img, r.PC1),
+			r.TID2, bugnet.Disassemble(img, r.PC2))
+	}
+	// Output:
+	// counter after 400 increments: 342
+	// threads replayed: 2
+	// T1 amoadd t2, t1, (t0)  vs  T0 lw t1, 0(t0)
+	// T1 amoadd t2, t1, (t0)  vs  T0 sw t1, 0(t0)
+}
+
+// ExampleNewDebugger drives the replay debugger over the tar analogue's
+// recorded crash: a wrong loop bound overflows a heap array into the
+// descriptor next to it, whose pointer is later dereferenced. Breaking at
+// the root-cause store counts its executions; seeking back to the start
+// and stopping before the 34th store shows the descriptor's base pointer
+// being overwritten.
+func ExampleNewDebugger() {
+	var tar *bugnet.BugApp
+	for _, b := range bugnet.BugWorkloads(100) {
+		if b.Name == "tar" {
+			tar = b
+		}
+	}
+	res, report, _ := bugnet.Record(tar.Image, tar.Kernel, bugnet.Config{IntervalLength: 10_000})
+	d, err := bugnet.NewDebugger(tar.Image, report, res.Crash.TID)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	d.AddBreak(tar.RootPC())
+	hits := 0
+	for {
+		reason, err := d.Continue()
+		if err != nil {
+			log.Fatal(err)
+		}
+		if reason != bugnet.StopBreak {
+			break
+		}
+		hits++
+	}
+	fmt.Println("root-cause store executed:", hits, "times") // the bound is 40, not 32
+	fmt.Printf("crash at %s: %s\n", d.SymbolAt(d.Fault().PC), d.Disasm(d.Fault().PC))
+
+	if err := d.SeekTo(0); err != nil {
+		log.Fatal(err)
+	}
+	for i := 0; i < 34; i++ {
+		if _, err := d.Continue(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	target := d.Registers().Regs[6] &^ 3 // t1 holds the store's target
+	before, _ := d.ReadWord(target)
+	d.Step(1)
+	after, _ := d.ReadWord(target)
+	fmt.Printf("descriptor.base at %#x: %#x before the 34th store, %#x after\n", target, before, after)
+	// Output:
+	// root-cause store executed: 40 times
+	// crash at crash: lw a0, 0(t2)
+	// descriptor.base at 0x10001084: 0x10001000 before the 34th store, 0x21 after
 }

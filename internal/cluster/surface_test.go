@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"bugnet/internal/faultinject"
+	_ "bugnet/internal/gdbstub" // registers the bugnet_gdb_* families, as bugnet-serve does
 	"bugnet/internal/httpjson"
 	"bugnet/internal/timetravel"
 	"bugnet/internal/triage"
@@ -297,17 +299,8 @@ func TestNodeRouteTable(t *testing.T) {
 // table, one pair per method of a "GET/HEAD" row.
 func routeRows(t *testing.T) [][2]string {
 	t.Helper()
-	doc, err := os.ReadFile("../../DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sec, ok := strings.Cut(string(doc), "\n## §12 ")
-	if !ok {
-		t.Fatal("DESIGN.md has no §12")
-	}
-	sec, _, _ = strings.Cut(sec, "\n## ")
 	var rows [][2]string
-	for _, line := range strings.Split(sec, "\n") {
+	for _, line := range designSection(t, "§12") {
 		m := designRoute.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -319,4 +312,72 @@ func routeRows(t *testing.T) [][2]string {
 	// DELETE last: it ends the session the other rows address.
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i][0] != "DELETE" && rows[j][0] == "DELETE" })
 	return rows
+}
+
+// designSection returns the lines of one top-level section of DESIGN.md.
+func designSection(t *testing.T, num string) []string {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(doc), "\n## "+num+" ")
+	if !ok {
+		t.Fatalf("DESIGN.md has no %s", num)
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	return strings.Split(sec, "\n")
+}
+
+// designMetric matches one row of DESIGN.md §10's metric inventory: one
+// full family name, its label keys if any, and its kind.
+var designMetric = regexp.MustCompile("^\\| `(bugnet_[a-z0-9_]+)(?:\\{[a-z,]+\\})?`\\*? \\| ([a-z]+) \\|")
+
+// TestMetricInventory: DESIGN §10's metric table lists exactly the
+// families a bugnet-serve node exposes on /metrics, one per row, each
+// with the kind of its # TYPE line. The node has a debug-session manager
+// and the gdb stub is linked in, as in bugnet-serve.
+func TestMetricInventory(t *testing.T) {
+	_, srv, _ := serveOne(t, nil, func(svc *triage.Service, c *Config) {
+		c.Debug = timetravel.NewManager(svc, timetravel.ManagerConfig{MaxSessions: 1})
+		t.Cleanup(c.Debug.Close)
+	})
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(map[string]string)
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			served[f[2]] = f[3]
+		}
+	}
+	documented := make(map[string]string)
+	for _, line := range designSection(t, "§10") {
+		if !strings.HasPrefix(line, "| `bugnet_") {
+			continue
+		}
+		if m := designMetric.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = m[2]
+		} else {
+			t.Errorf("DESIGN §10 row is not one family and its kind: %s", line)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(served)) {
+		if kind, ok := documented[name]; !ok {
+			t.Errorf("/metrics serves %s (%s); DESIGN §10 does not list it", name, served[name])
+		} else if kind != served[name] {
+			t.Errorf("%s: DESIGN §10 says %s, /metrics says %s", name, kind, served[name])
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(documented)) {
+		if _, ok := served[name]; !ok {
+			t.Errorf("DESIGN §10 lists %s; /metrics does not serve it", name)
+		}
+	}
 }

@@ -205,6 +205,7 @@ func TestMTRaceDetectionFindsRace(t *testing.T) {
 		img.MustSymbol("racy2"): true, img.MustSymbol("racyw2"): true,
 	}
 	foundShared := false
+	pairs := make(map[[2]uint32]Race) // one static race per unordered PC pair
 	for _, r := range out.Races {
 		if racyPCs[r.PC1] && racyPCs[r.PC2] {
 			foundShared = true
@@ -212,6 +213,11 @@ func TestMTRaceDetectionFindsRace(t *testing.T) {
 		if r.TID1 == r.TID2 {
 			t.Errorf("same-thread race reported: %v", r)
 		}
+		key := [2]uint32{min(r.PC1, r.PC2), max(r.PC1, r.PC2)}
+		if first, dup := pairs[key]; dup {
+			t.Errorf("race reported twice: %v, then %v", first, r)
+		}
+		pairs[key] = r
 	}
 	if !foundShared {
 		t.Errorf("races found %v do not include the seeded racy accesses", out.Races)

@@ -191,7 +191,9 @@ func (d *raceDetector) report(addr uint32, tid1 int, a1 accessInfo, w1 bool,
 	if !w1 && !w2 {
 		return // read-read never races
 	}
-	key := [2]uint32{a1.pc, pc2}
+	// One static race is one unordered PC pair: the roles can come in
+	// either order, and the pair keeps the order it was first seen in.
+	key := [2]uint32{min(a1.pc, pc2), max(a1.pc, pc2)}
 	if _, dup := d.found[key]; dup {
 		return
 	}

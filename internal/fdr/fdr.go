@@ -523,6 +523,3 @@ func (r *Recorder) Checkpoints() []*checkpoint {
 	}
 	return out
 }
-
-// CoreDump returns the final memory image (nil before Finalize/fault).
-func (r *Recorder) CoreDump() *mem.Memory { return r.coreEnd }

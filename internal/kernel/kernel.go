@@ -574,20 +574,3 @@ func (m *Machine) dmaTick() {
 	}
 	m.pending = rest
 }
-
-// DrainDMA force-completes all pending DMA (used when the machine halts
-// with transfers in flight, so tests can assert on final memory).
-func (m *Machine) DrainDMA() {
-	for _, op := range m.pending {
-		if m.hooks != nil {
-			m.hooks.OnDMAPreWrite(op.addr, uint32(len(op.data)))
-		}
-		if err := m.Mem.StoreBytes(op.addr, op.data); err == nil {
-			m.invalidateFetch(op.addr, uint32(len(op.data)))
-			if m.hooks != nil {
-				m.hooks.OnDMAWrite(op.addr, uint32(len(op.data)))
-			}
-		}
-	}
-	m.pending = nil
-}
