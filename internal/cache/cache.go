@@ -178,6 +178,10 @@ func (h *Hierarchy) BlockBytes() int { return h.l1.cfg.BlockBytes }
 // Stats returns the event counters.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
+// L2Misses returns the count of memory fetches, the one counter the bus
+// model samples on every access.
+func (h *Hierarchy) L2Misses() uint64 { return h.stats.L2Misses }
+
 // locate returns the key of addr's block and the first slot of its set in
 // each level.
 func (h *Hierarchy) locate(addr uint32) (key uint32, base1, base2 int) {

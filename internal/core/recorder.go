@@ -18,17 +18,39 @@ import (
 
 // Recorder is the BugNet hardware model. It implements kernel.Hooks and
 // installs per-CPU hooks on every thread the machine starts; everything it
-// produces lands in the two memory-backed log stores.
+// produces lands in the two log stores.
+//
+// It runs in two stages, split along the paper's Figure 1. The guest side
+// — the hooks, on the machine's goroutine — keeps the caches and their
+// first-load bits, coherence, the Memory Race Log and the decision where
+// an interval ends, and appends one event per loggable operation and per
+// interval start and end to an event stream. The log stage (encoder.go) —
+// dictionary, FLL packing, interval close, FLL region append — consumes
+// that stream on an encoder goroutine while Machine.Run executes, and is
+// settled by the time Run returns (OnPause) and by Flush, Report, Err,
+// LoggedOps and DictStats. A Recorder is used from one goroutine at a time.
 type Recorder struct {
 	cfg Config
 	m   *kernel.Machine
 
+	// Guest side.
 	threads []*threadRec
 	dir     *coherence.Directory // nil on uniprocessors
 	red     *mrl.Reducer
+	mrls    *logstore.Store
 
+	// The event stream (encoder.go): cur is the chunk the guest appends
+	// to; inline (set with a bus model) encodes every event as it is
+	// written.
+	stream   stream
+	cur      *chunk
+	inline   bool
+	encodeFn func()
+
+	// Log stage: owned by the encoder goroutine while it runs, by whoever
+	// settled the stage otherwise.
+	fl   []*fllThread // by thread id
 	flls *logstore.Store
-	mrls *logstore.Store
 
 	// loggedOps / totalOps give the first-load filter rate for the
 	// experiment harness. exportedLogged/exportedTotal are the watermarks
@@ -47,6 +69,7 @@ type Recorder struct {
 	// bytes. After every commit the caches are pruned against the stores'
 	// eviction frontier (OldestLiveSeq), so recorder memory stays bounded
 	// by the region budget even under continuous recording.
+	// fllMeta belongs to the log stage, mrlMeta to the guest side.
 	fllMeta seqFIFO[fll.Meta]
 	mrlMeta seqFIFO[mrl.Meta]
 
@@ -54,7 +77,7 @@ type Recorder struct {
 	// one AppendBatch per store, so multi-thread flushes and crash
 	// collections pay one lock acquisition and one eviction pass. The
 	// staged bytes sit in their threads' encode buffers until the stores
-	// have copied them.
+	// have copied them. The FLL half belongs to the log stage.
 	fllPend     []logstore.AppendEntry
 	mrlPend     []logstore.AppendEntry
 	fllPendMeta []fll.Meta
@@ -65,28 +88,25 @@ type Recorder struct {
 	err error
 }
 
-// threadRec is the per-processor recording state: the structures of the
-// paper's Figure 1 that exist once per core.
+// threadRec is the guest side's per-processor recording state: the
+// structures of the paper's Figure 1 that exist once per core, but for the
+// dictionary and the FLL writer, which the log stage keeps (fllThread).
 type threadRec struct {
 	tid     int
+	tag     uint64 // the thread's id, placed in an event word
 	c       *cpu.CPU
 	cache   *cache.Hierarchy
-	dict    *dict.Table
 	cid     uint32
 	nextCID uint32
 	startIC uint64
-	w       *fll.Writer
+	open    bool // an interval is open: its start is in the stream, its end not yet
 	mw      *mrl.Writer
-	// wPool/mwPool recycle the writers (and their grown entry buffers)
-	// across intervals, and enc/menc are the buffers a closing interval's
-	// FLL and MRL are encoded into, reused once commit has handed the
-	// bytes to the stores: the steady-state wire path allocates nothing.
-	wPool   *fll.Writer
-	mwPool  *mrl.Writer
-	enc     []byte
-	menc    []byte
-	trace   *traceRing
-	started bool
+	// mwPool recycles the MRL writer (and its grown entry buffer) across
+	// intervals, and menc is the buffer a closing interval's MRL is
+	// encoded into, reused once commit has handed the bytes to the store.
+	mwPool *mrl.Writer
+	menc   []byte
+	trace  *traceRing
 
 	// bus-model sampling state
 	prevBits   uint64
@@ -104,9 +124,19 @@ func NewRecorder(m *kernel.Machine, cfg Config) *Recorder {
 		cfg:     cfg,
 		m:       m,
 		threads: make([]*threadRec, len(m.Threads)),
+		fl:      make([]*fllThread, len(m.Threads)),
 		flls:    cfg.FLLStore,
 		mrls:    cfg.MRLStore,
+		inline:  cfg.Bus != nil,
 	}
+	r.encodeFn = r.encoder
+	r.stream.stop = make(chan struct{})
+	for i := range r.stream.ring {
+		if i == 0 || !r.inline {
+			r.stream.ring[i] = newChunk()
+		}
+	}
+	r.cur = r.stream.ring[0]
 	if r.flls == nil {
 		r.flls = logstore.New(cfg.FLLBudget)
 	}
@@ -146,6 +176,7 @@ func (r *Recorder) Flush() {
 		r.stageInterval(t, fll.EndExit, nil)
 	}
 	r.commit()
+	r.settle()
 }
 
 // Err returns the first log-store failure recording swallowed (a disk
@@ -153,6 +184,7 @@ func (r *Recorder) Flush() {
 // no error path, so recording keeps going — tools must check Err before
 // trusting the retained window.
 func (r *Recorder) Err() error {
+	r.settle()
 	if err := r.err; err != nil {
 		return err
 	}
@@ -165,7 +197,9 @@ func (r *Recorder) Err() error {
 // Config returns the recorder's effective configuration.
 func (r *Recorder) Config() Config { return r.cfg }
 
-// FLLStore returns the First-Load Log store (the CB's memory region).
+// FLLStore returns the First-Load Log store (the CB's memory region). Read
+// it between Machine.Run calls or after Flush: while Run executes, the log
+// stage is still appending to it.
 func (r *Recorder) FLLStore() *logstore.Store { return r.flls }
 
 // MRLStore returns the Memory Race Log store (the MRB's memory region).
@@ -173,7 +207,10 @@ func (r *Recorder) MRLStore() *logstore.Store { return r.mrls }
 
 // LoggedOps returns (logged, total) loggable-operation counts: the
 // effectiveness of the first-load filter (paper §4.3).
-func (r *Recorder) LoggedOps() (logged, total uint64) { return r.loggedOps, r.totalOps }
+func (r *Recorder) LoggedOps() (logged, total uint64) {
+	r.settle()
+	return r.loggedOps, r.totalOps
+}
 
 // CacheStats returns the cache event counters of one thread's hierarchy.
 func (r *Recorder) CacheStats(tid int) cache.Stats {
@@ -185,8 +222,9 @@ func (r *Recorder) CacheStats(tid int) cache.Stats {
 
 // DictStats returns the dictionary hit statistics of one thread.
 func (r *Recorder) DictStats(tid int) dict.Stats {
-	if t := r.threads[tid]; t != nil {
-		return t.dict.Stats()
+	r.settle()
+	if ft := r.fl[tid]; ft != nil {
+		return ft.dict.Stats()
 	}
 	return dict.Stats{}
 }
@@ -207,9 +245,9 @@ func (r *Recorder) Trace(tid int) []TraceEntry {
 func (r *Recorder) OnThreadStart(tid int) {
 	t := &threadRec{
 		tid:   tid,
+		tag:   uint64(tid) << evTIDShift,
 		c:     r.m.Threads[tid].CPU,
 		cache: cache.New(r.cfg.Cache),
-		dict:  dict.NewWithOptions(r.cfg.DictSize, r.cfg.DictOptions),
 	}
 	r.threads[tid] = t
 	t.c.OnLoggable = func(wordAddr uint32, isWrite bool) { r.loggable(t, wordAddr, isWrite) }
@@ -220,7 +258,6 @@ func (r *Recorder) OnThreadStart(tid int) {
 	if t.trace != nil || r.cfg.LogCodeLoads || r.cfg.Bus != nil {
 		t.c.OnFetch = func(pc uint32) { r.fetch(t, pc) }
 	}
-	t.started = true
 	r.startInterval(t)
 }
 
@@ -299,6 +336,11 @@ func (r *Recorder) OnFault(tid int, f *cpu.FaultInfo) {
 	r.commit()
 }
 
+// OnPause settles the log stage as Machine.Run returns: the encoder
+// goroutine finishes the stream and exits, so nothing the recorder
+// started outlives Run and every read between runs sees the whole log.
+func (r *Recorder) OnPause() { r.settle() }
+
 // --- per-CPU hooks ---
 
 // loggable implements the first-load logging decision for one loggable
@@ -318,11 +360,7 @@ func (r *Recorder) loggable(t *threadRec, wordAddr uint32, isWrite bool) {
 		// The CPU validated the access before the hook; this is a bug.
 		panic(fmt.Sprintf("core: recorder read of validated word %#x failed: %v", wordAddr, err))
 	}
-	t.w.Op(val, !wasSet)
-	r.totalOps++
-	if !wasSet {
-		r.loggedOps++
-	}
+	r.emitOp(t, val, !wasSet)
 	r.feedBus(t)
 }
 
@@ -339,18 +377,19 @@ func (r *Recorder) wordStore(t *threadRec, wordAddr uint32) {
 }
 
 // feedBus forwards newly produced log bits and demand misses to the bus
-// overhead model.
+// overhead model. A recorder with a bus model encodes inline, so the
+// thread's FLL writer already holds the operation's bits.
 func (r *Recorder) feedBus(t *threadRec) {
 	if r.cfg.Bus == nil {
 		return
 	}
-	if t.w != nil {
-		if bits := t.w.Bits(); bits > t.prevBits {
+	if w := r.fl[t.tid].w; w != nil {
+		if bits := w.Bits(); bits > t.prevBits {
 			r.cfg.Bus.LogBits(bits - t.prevBits)
 			t.prevBits = bits
 		}
 	}
-	if misses := t.cache.Stats().L2Misses; misses > t.prevMisses {
+	if misses := t.cache.L2Misses(); misses > t.prevMisses {
 		for i := t.prevMisses; i < misses; i++ {
 			r.cfg.Bus.Miss()
 		}
@@ -375,11 +414,7 @@ func (r *Recorder) fetch(t *threadRec, pc uint32) {
 		r.maybeRotate(t)
 		wasSet := t.cache.LoadTestAndSetFL(wordAddr)
 		val, _ := r.m.Mem.LoadWord(wordAddr)
-		t.w.Op(val, !wasSet)
-		r.totalOps++
-		if !wasSet {
-			r.loggedOps++
-		}
+		r.emitOp(t, val, !wasSet)
 	}
 }
 
@@ -422,39 +457,37 @@ func (r *Recorder) maybeRotate(t *threadRec) {
 }
 
 // startInterval creates a new checkpoint: assign a C-ID, snapshot the
-// architectural state into a fresh FLL header, clear FL bits (unless the
-// PreserveFLBits extension is on), empty the dictionary, and open the
+// architectural state into a fresh FLL header (the log stage opens the
+// FLL and empties the dictionary when the start event reaches it), clear
+// FL bits (unless the PreserveFLBits extension is on), and open the
 // paired MRL (paper §4.2, §4.6.3).
 func (r *Recorder) startInterval(t *threadRec) {
 	t.cid = t.nextCID
 	t.nextCID++
 	t.startIC = t.c.IC
-	t.dict.Reset()
 	if !r.cfg.PreserveFLBits {
 		t.cache.ClearAllFL()
 	}
-	hdr := fll.Header{
+	t.open = true
+	now := r.m.Now()
+	c := r.cur
+	c.hdrs = append(c.hdrs, fll.Header{
 		PID:           r.cfg.PID,
 		TID:           uint32(t.tid),
 		CID:           t.cid,
-		Timestamp:     r.m.Now(),
+		Timestamp:     now,
 		IntervalLimit: r.cfg.IntervalLength,
 		DictSize:      uint32(r.cfg.DictSize),
 		State:         t.c.State(),
-	}
-	if t.wPool != nil {
-		t.w, t.wPool = t.wPool, nil
-		t.w.Reset(hdr, t.dict)
-	} else {
-		t.w = fll.NewWriter(hdr, t.dict)
-	}
+	})
+	r.emitMark(evStart | t.tag)
 	t.prevBits = 0
 	if r.cfg.Bus != nil {
 		r.cfg.Bus.LogBits(fll.HeaderBytes * 8)
 	}
 	if r.dir != nil {
 		mh := mrl.Header{
-			PID: r.cfg.PID, TID: uint32(t.tid), CID: t.cid, Timestamp: hdr.Timestamp,
+			PID: r.cfg.PID, TID: uint32(t.tid), CID: t.cid, Timestamp: now,
 		}
 		if t.mwPool != nil {
 			t.mw, t.mwPool = t.mwPool, nil
@@ -465,38 +498,25 @@ func (r *Recorder) startInterval(t *threadRec) {
 	}
 }
 
-// endInterval finalizes the thread's current FLL (and MRL) straight to
-// their wire encodings and retains the bytes in the log stores. Nothing
-// decoded outlives the interval: replay re-materializes a log on demand
-// through the lazy views Report hands out.
+// endInterval closes the thread's current interval and commits it.
 func (r *Recorder) endInterval(t *threadRec, end fll.EndKind, fault *fll.FaultRecord) {
 	r.stageInterval(t, end, fault)
 	r.commit()
 }
 
-// stageInterval closes the thread's writers and stages the encoded
-// interval for the next commit. Multi-thread paths (Flush, the crash
-// collection) stage every thread first and commit once, batching the
-// store appends.
+// stageInterval closes the thread's interval: its end event goes to the
+// log stage, which finalizes the FLL, and its MRL is encoded and staged
+// here. Multi-thread paths (Flush, the crash collection) stage every
+// thread first and commit once, batching the store appends. A thread with
+// no open interval is refused, which makes Flush idempotent.
 func (r *Recorder) stageInterval(t *threadRec, end fll.EndKind, fault *fll.FaultRecord) {
-	if t == nil || t.w == nil {
+	if t == nil || !t.open {
 		return
 	}
-	length := t.c.IC - t.startIC
-	meta, data := t.w.AppendEncoded(t.enc[:0], length, end, fault)
-	t.enc = data
-	t.wPool, t.w = t.w, nil
-	r.fllPend = append(r.fllPend, logstore.AppendEntry{
-		Item: logstore.Item{
-			TID:          t.tid,
-			CID:          t.cid,
-			Timestamp:    meta.Timestamp,
-			Bytes:        meta.SizeBytes(),
-			Instructions: length,
-		},
-		Data: data,
-	})
-	r.fllPendMeta = append(r.fllPendMeta, meta)
+	t.open = false
+	c := r.cur
+	c.ends = append(c.ends, intervalEnd{length: t.c.IC - t.startIC, kind: end, fault: fault})
+	r.emitMark(evEnd | t.tag)
 	if t.mw != nil {
 		mm, mdata := t.mw.AppendEncoded(t.menc[:0])
 		t.menc = mdata
@@ -514,21 +534,13 @@ func (r *Recorder) stageInterval(t *threadRec, end fll.EndKind, fault *fll.Fault
 	}
 }
 
-// commit appends all staged intervals, one batch per store, records their
-// metadata under the assigned sequence numbers, and prunes cache entries
-// for everything the stores have evicted. Store failures are sticky and
-// surface through Err, exactly as on the unbatched path.
+// commit appends all staged intervals, one batch per store: the log stage
+// commits the FLLs when the commit event reaches it, and the MRLs are
+// appended here, their metadata recorded under the assigned sequence
+// numbers and the cache entries of everything the store has evicted
+// pruned. Store failures are sticky and surface through Err.
 func (r *Recorder) commit() {
-	r.exportCounters()
-	if len(r.fllPend) > 0 {
-		n, _ := r.flls.AppendBatch(r.fllPend)
-		for i := 0; i < n; i++ {
-			r.fllMeta.put(r.fllPend[i].Item.Seq, r.fllPendMeta[i])
-		}
-		r.fllPend = r.fllPend[:0]
-		r.fllPendMeta = r.fllPendMeta[:0]
-		r.fllMeta.prune(r.flls.OldestLiveSeq())
-	}
+	r.emitMark(evCommit)
 	if len(r.mrlPend) > 0 {
 		n, _ := r.mrls.AppendBatch(r.mrlPend)
 		for i := 0; i < n; i++ {
@@ -660,6 +672,7 @@ func (r *CrashReport) CheckWindow(budget uint64) error {
 // loads back (spill corruption) is dropped from the report and surfaces
 // through Err.
 func (r *Recorder) Report() *CrashReport {
+	r.settle()
 	rep := &CrashReport{
 		PID:          r.cfg.PID,
 		Binary:       IdentifyBinary(r.m.Img),

@@ -75,6 +75,11 @@ func (k InterruptKind) String() string {
 // Hooks is the observation interface recorders implement. All methods are
 // called synchronously from the machine's single-goroutine run loop. A nil
 // Hooks disables observation.
+//
+// A recorder may keep work of its own running beside the loop while Run is
+// executing (core.Recorder's log stage does), but OnPause is the last call
+// of every Run: once it returns, the recorder must have settled, so state
+// read between Run calls is complete.
 type Hooks interface {
 	// OnInterrupt fires when thread tid enters the kernel (checkpoint
 	// intervals terminate here, paper §4.4).
@@ -102,6 +107,9 @@ type Hooks interface {
 	OnThreadExit(tid int)
 	// OnFault fires when a thread faults; the machine halts afterwards.
 	OnFault(tid int, f *cpu.FaultInfo)
+	// OnPause fires as Run returns, however it ended: exit, crash or the
+	// step budget.
+	OnPause()
 }
 
 // NopHooks implements Hooks with no-ops; embed it to implement only the
@@ -134,6 +142,9 @@ func (NopHooks) OnThreadExit(int) {}
 
 // OnFault implements Hooks.
 func (NopHooks) OnFault(int, *cpu.FaultInfo) {}
+
+// OnPause implements Hooks.
+func (NopHooks) OnPause() {}
 
 // Config parameterizes a Machine.
 type Config struct {
@@ -377,6 +388,9 @@ func (m *Machine) Run() *Result {
 			break
 		}
 		m.runQuantum(th)
+	}
+	if m.hooks != nil {
+		m.hooks.OnPause()
 	}
 	res := &Result{
 		Crash:    m.crash,

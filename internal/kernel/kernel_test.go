@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -521,5 +522,46 @@ w:      addi t0, t0, -1
 	res := m.Run()
 	if res.Crash != nil {
 		t.Fatal(res.Crash)
+	}
+}
+
+// pauseLog records every callback by name, so a test can see where OnPause
+// falls among them.
+type pauseLog struct {
+	NopHooks
+	events []string
+}
+
+func (h *pauseLog) OnThreadExit(int)            { h.events = append(h.events, "exit") }
+func (h *pauseLog) OnFault(int, *cpu.FaultInfo) { h.events = append(h.events, "fault") }
+func (h *pauseLog) OnPause()                    { h.events = append(h.events, "pause") }
+
+// TestOnPauseEndsEveryRun: OnPause fires exactly once as Run returns,
+// after every other callback of that Run, whether the program exited,
+// crashed or ran out of steps — and again for a Run that resumes a
+// machine the step budget stopped.
+func TestOnPauseEndsEveryRun(t *testing.T) {
+	cases := []struct {
+		name, src string
+		steps     uint64
+		want      []string
+	}{
+		{"exit", "li a0, 0\nli a7, 1\nsyscall\n", 0, []string{"exit", "pause"}},
+		{"crash", "lui t0, 0x7f00\nlw a0, 0(t0)\n", 0, []string{"fault", "pause"}},
+		{"step budget", "spin: j spin\n", 100, []string{"pause"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &pauseLog{}
+			m, _ := runSrc(t, tc.src, Config{MaxSteps: tc.steps}, h)
+			if !slices.Equal(h.events, tc.want) {
+				t.Fatalf("callbacks %v, want %v", h.events, tc.want)
+			}
+			m.SetMaxSteps(tc.steps + 100)
+			m.Run()
+			if got := h.events[len(h.events)-1]; len(h.events) != len(tc.want)+1 || got != "pause" {
+				t.Fatalf("resumed Run: callbacks %v, want one more pause", h.events)
+			}
+		})
 	}
 }
