@@ -45,24 +45,12 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 		*last |= byte(v >> n)
 	}
 	if n > 0 {
-		if cap(w.buf)-len(w.buf) < 8 {
-			w.grow()
-		}
 		// Left-align what remains and append it as one big-endian word;
 		// the bytes past the last one that holds a bit are zero, and are
 		// cut off again.
 		k := len(w.buf) + int(n+7)/8
 		w.buf = binary.BigEndian.AppendUint64(w.buf, v<<(64-n))[:k]
 	}
-}
-
-// grow doubles the buffer. append's own growth falls to a quarter at a
-// time for large slices, which leaves four times the final stream behind
-// as garbage while an interval's first log is built.
-func (w *Writer) grow() {
-	buf := make([]byte, len(w.buf), 2*cap(w.buf)+64)
-	copy(buf, w.buf)
-	w.buf = buf
 }
 
 // WriteBit appends a single bit.

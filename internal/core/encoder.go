@@ -3,6 +3,7 @@ package core
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"bugnet/internal/dict"
 	"bugnet/internal/fll"
@@ -18,8 +19,10 @@ import (
 //
 // The stream is cut into chunks. While Machine.Run is executing, a full
 // chunk goes to an encoder goroutine and the guest carries on in an empty
-// one; the goroutine starts at the first full chunk of a Run and exits in
-// OnPause, so it never outlives Run and an idle recorder holds none. Every
+// one; the goroutine starts at the first full chunk of a Run, if the
+// process has two processors to spare for the recording (claimProcessors),
+// and exits in OnPause, so it never outlives Run and an idle recorder
+// holds none. Without the processors the chunks are encoded inline. Every
 // other drain point (Flush, Report, Err, LoggedOps, DictStats) settles the
 // stage the same way, and outside a Run the stream is encoded on the
 // caller's goroutine. A recorder with a bus model encodes each event as it
@@ -48,32 +51,100 @@ const (
 	chunkMarks  = 16 // interval starts (and ends) one chunk carries
 	chunkCount  = 4
 
-	// spinYield is how many polls of the other stage's counter a waiting
-	// stage makes between yields of its processor: tens of microseconds.
-	spinYield = 1 << 16
+	// A stage with nothing to do polls the other stage's counter. The
+	// encoder looks at the clock and yields its processor to any other
+	// runnable goroutine every spinPolls polls, and parks once it has
+	// waited encoderSpin: longer than the guest takes to fill a chunk, so
+	// it parks only when the guest stalls. (Parking at every chunk would
+	// cost the guest a wake-up per chunk, and the runtime allocates a wait
+	// record now and then when a new encoder parks on a processor whose
+	// cache of them is empty: TestRecordSteadyStateDoesNotAllocate counts
+	// those.) The guest parks after spinPolls polls: its wait means the
+	// encoder is busy.
+	spinPolls   = 4096
+	encoderSpin = 10 * time.Millisecond
 )
 
 // stream is the event stream between the two stages: a fixed ring of
 // chunks. The guest fills ring[head%chunkCount] and publishes it by
 // advancing head; the encoder encodes ring[tail%chunkCount] and hands the
-// slot back by advancing tail.
+// slot back by advancing tail. A stage with nothing to do waits in its
+// waiter: the encoder spins, yielding to any other goroutine that wants
+// its processor, until the guest stalls; the guest parks almost at once.
 //
-// While Run executes neither side parks: one with nothing to do polls, and
-// yields its processor every spinYield polls. A goroutine that parks and
-// resumes on another processor moves a runtime wait record between the
-// processors' caches, and one started on a processor other than the one
-// where the last exited makes the runtime build a new goroutine; either
-// allocates now and then. The one park is settle's: the guest, with the
-// ring empty, sends on the unbuffered stop, and the encoder only polls for
-// it, so the guest is always parked first and the encoder's receive wakes
-// it on the encoder's processor. The encoder's goroutine is freed there,
-// and that is where the guest starts the next Run's.
+// settle stops the encoder: it raises stopping and parks on a send on the
+// unbuffered stop; the encoder, once it has encoded every published chunk,
+// polls for that send rather than blocking on it, so the guest has always
+// parked first. The runtime then tends to resume the guest on the
+// encoder's processor, where the exited encoder's goroutine is kept for
+// reuse: the next Run's encoder starts without a new goroutine. Nothing
+// depends on that but allocation, which TestRecordSteadyStateDoesNotAllocate
+// measures.
 type stream struct {
-	ring    [chunkCount]*chunk
-	head    atomic.Uint64
-	tail    atomic.Uint64
-	stop    chan struct{}
-	running bool // guest side: an encoder was started and not yet settled
+	ring [chunkCount]*chunk
+	head atomic.Uint64
+	tail atomic.Uint64
+
+	enc, guest waiter
+	stopping   atomic.Bool
+	stop       chan struct{}
+	running    bool // guest side: an encoder was started and not yet settled
+
+	// A panic in encode on the encoder goroutine is caught, kept in
+	// panicked and flagged in failed; the guest raises it again at its next
+	// handoff, and every settle after that raises it too.
+	failed   atomic.Bool
+	panicked any
+}
+
+// waiter is where one stage parks.
+type waiter struct {
+	parked atomic.Bool
+	bell   chan struct{} // capacity 1: the other stage's wake
+	spin   time.Duration
+}
+
+func (w *waiter) init(spin time.Duration) {
+	w.bell = make(chan struct{}, 1)
+	w.spin = spin
+}
+
+// wait returns once ready holds. Once the stage has spun as the constants
+// above say, it raises the parked flag, looks once more, and sleeps until
+// the other stage's wake. Whichever side clears the flag decides whether a
+// wake is sent.
+func (w *waiter) wait(ready func() bool) {
+	var since time.Time
+	for i := 1; !ready(); i++ {
+		if i%spinPolls != 0 {
+			continue
+		}
+		if w.spin > 0 {
+			now := time.Now()
+			if since.IsZero() {
+				since = now
+			}
+			if now.Sub(since) < w.spin {
+				runtime.Gosched()
+				continue
+			}
+		}
+		w.parked.Store(true)
+		if !ready() || !w.parked.CompareAndSwap(true, false) {
+			<-w.bell
+		}
+		since = time.Time{}
+	}
+}
+
+// wake wakes the stage parked in wait, if it is, and reports whether it
+// was.
+func (w *waiter) wake() bool {
+	if w.parked.Load() && w.parked.CompareAndSwap(true, false) {
+		w.bell <- struct{}{}
+		return true
+	}
+	return false
 }
 
 // chunk is one slice of the event stream.
@@ -99,15 +170,26 @@ func newChunk() *chunk {
 }
 
 // fllThread is one thread's share of the log stage: its dictionary and
-// FLL writer, and the buffer a closing interval is encoded into. wPool
-// recycles the writer (and its grown entry stream) across intervals and
-// enc is reused once the store has copied the bytes: the steady-state
-// wire path allocates nothing.
+// FLL writer, and the buffer a closing interval is encoded into. The
+// writer is w while an interval is open and wPool between intervals, so
+// it (and its grown entry stream) is reused, and enc is reused once the
+// store has copied the bytes: the steady-state wire path allocates
+// nothing.
 type fllThread struct {
 	dict  *dict.Table
 	w     *fll.Writer
 	wPool *fll.Writer
 	enc   []byte
+}
+
+// newFLLThread makes a thread's share of the log stage. The guest side
+// makes it as the thread starts, before any event of the thread is in the
+// stream, so the log stage allocates none of it inside Run (and a thread
+// the recorder attached to gets it in NewRecorder).
+func newFLLThread(cfg Config) *fllThread {
+	d := dict.NewWithOptions(cfg.DictSize, cfg.DictOptions)
+	hdr := fll.Header{IntervalLimit: cfg.IntervalLength, DictSize: uint32(cfg.DictSize)}
+	return &fllThread{dict: d, wPool: fll.NewWriter(hdr, d)}
 }
 
 // emitOp appends one loggable operation to the stream.
@@ -135,12 +217,12 @@ func (r *Recorder) emitMark(e uint64) {
 
 // handoff passes the current chunk on. Only an operation — which the CPU
 // reports from inside Machine.Run — may start the encoder goroutine, and
-// only with a second processor to run it on; with none running, the chunk
-// is encoded here.
+// only with two processors claimed for the recording; with none running,
+// the chunk is encoded here.
 func (r *Recorder) handoff(mayStart bool) {
 	s := &r.stream
 	if !s.running {
-		if !mayStart || r.inline || runtime.GOMAXPROCS(0) == 1 {
+		if !mayStart || r.inline || !claimProcessors() {
 			r.encode(r.cur)
 			return
 		}
@@ -148,15 +230,33 @@ func (r *Recorder) handoff(mayStart bool) {
 		go r.encodeFn()
 	}
 	h := s.head.Add(1)
-	s.drain(chunkCount - 1)
+	s.enc.wake()
+	s.guest.wait(func() bool { return h-s.tail.Load() < chunkCount || s.failed.Load() })
+	if s.failed.Load() {
+		r.settle()
+	}
 	r.cur = s.ring[h%chunkCount]
 }
 
-// drain waits until at most n published chunks are left to encode.
-func (s *stream) drain(n uint64) {
-	for i := 1; s.head.Load()-s.tail.Load() > n; i++ {
-		if i%spinYield == 0 {
-			runtime.Gosched()
+// encoders counts the encoder goroutines running in the process.
+var encoders atomic.Int32
+
+// claimProcessors reports whether a recorder may start an encoder
+// goroutine, and counts it if so. A recording with one takes two
+// processors, its guest's and its encoder's, and GOMAXPROCS (and the CPUs
+// the process may use) must have room for every such recording: where
+// the processors are all busy, the second stage only adds the hand-off's
+// cost. Several recordings at once therefore share the processors out,
+// and the ones without two encode inline.
+func claimProcessors() bool {
+	procs := int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	for {
+		n := encoders.Load()
+		if 2*(n+1) > procs {
+			return false
+		}
+		if encoders.CompareAndSwap(n, n+1) {
+			return true
 		}
 	}
 }
@@ -167,34 +267,58 @@ func (s *stream) drain(n uint64) {
 // closure.
 func (r *Recorder) encoder() {
 	s := &r.stream
-	for t, i := s.tail.Load(), 1; ; i++ {
-		if t != s.head.Load() {
-			r.encode(s.ring[t%chunkCount])
-			t++
-			s.tail.Store(t)
-			continue
+	defer r.encoderPanicked()
+	for t := s.tail.Load(); ; t++ {
+		s.enc.wait(func() bool { return t != s.head.Load() || s.stopping.Load() })
+		if t == s.head.Load() {
+			for {
+				select {
+				case <-s.stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
 		}
-		select {
-		case <-s.stop:
-			return
-		default:
-		}
-		if i%spinYield == 0 {
+		r.encode(s.ring[t%chunkCount])
+		s.tail.Store(t + 1)
+		if s.guest.wake() && t+1 == s.head.Load() {
+			// The guest was woken onto this processor's run queue and
+			// there is nothing left to encode: let it run here.
 			runtime.Gosched()
 		}
 	}
 }
 
+// encoderPanicked catches a panic of the encoder goroutine, hands it to
+// the guest and waits for settle's stop.
+func (r *Recorder) encoderPanicked() {
+	p := recover()
+	if p == nil {
+		return
+	}
+	s := &r.stream
+	s.panicked = p
+	s.failed.Store(true)
+	s.guest.wake()
+	<-s.stop
+}
+
 // settle drains the log stage: once the encoder goroutine (if one runs)
-// has encoded every chunk it was handed, it is stopped, and the current
-// chunk is encoded here. Afterwards every effect of the stream is in the
-// stores.
+// has encoded every chunk it was handed, it exits, and the current chunk
+// is encoded here. Afterwards every effect of the stream is in the stores.
 func (r *Recorder) settle() {
 	s := &r.stream
 	if s.running {
-		s.drain(0)
-		s.stop <- struct{}{}
 		s.running = false
+		s.stopping.Store(true)
+		s.enc.wake()
+		s.stop <- struct{}{}
+		s.stopping.Store(false)
+		encoders.Add(-1)
+	}
+	if s.panicked != nil {
+		panic(s.panicked)
 	}
 	if len(r.cur.ev) > 0 {
 		r.encode(r.cur)
@@ -228,17 +352,9 @@ func (r *Recorder) encode(c *chunk) {
 // empty dictionary (paper §4.2).
 func (r *Recorder) openFLL(tid int, hdr *fll.Header) {
 	ft := r.fl[tid]
-	if ft == nil {
-		ft = &fllThread{dict: dict.NewWithOptions(r.cfg.DictSize, r.cfg.DictOptions)}
-		r.fl[tid] = ft
-	}
 	ft.dict.Reset()
-	if ft.wPool != nil {
-		ft.w, ft.wPool = ft.wPool, nil
-		ft.w.Reset(*hdr, ft.dict)
-	} else {
-		ft.w = fll.NewWriter(*hdr, ft.dict)
-	}
+	ft.w, ft.wPool = ft.wPool, nil
+	ft.w.Reset(*hdr, ft.dict)
 }
 
 // closeFLL finalizes a thread's FLL straight to its wire encoding and

@@ -37,16 +37,31 @@ func goroutinesBack(t *testing.T, base int, after string) {
 	}
 }
 
+// twoProcessors reports whether a recording may start an encoder
+// goroutine (claimProcessors), none running elsewhere.
+func twoProcessors() bool { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) >= 2 }
+
 // runProbe wraps a recorder as the machine's hooks and notes, at every
-// timer interrupt, whether the encoder goroutine is running.
+// timer interrupt, whether the encoder goroutine is running; with panics
+// set, the first interrupt that finds it running panics.
 type runProbe struct {
 	*Recorder
-	sawEncoder bool
+	sawEncoder, panics bool
 }
 
 func (p *runProbe) OnInterrupt(tid int, kind kernel.InterruptKind) {
 	p.sawEncoder = p.sawEncoder || p.stream.running
+	if p.panics && p.stream.running {
+		panic("hook failed")
+	}
 	p.Recorder.OnInterrupt(tid, kind)
+}
+
+// runRecovered runs m and returns what a panic out of Run carried, or nil.
+func runRecovered(m *kernel.Machine) (p any) {
+	defer func() { p = recover() }()
+	m.Run()
+	return nil
 }
 
 // lifetimeSweep loads its way through 16 KB without end. Set before main
@@ -121,7 +136,7 @@ func TestEncoderLivesOnlyInsideRun(t *testing.T) {
 			if (res.Crash != nil) != tc.crash {
 				t.Fatalf("crash = %v, want crash %v", res.Crash, tc.crash)
 			}
-			if runtime.GOMAXPROCS(0) > 1 && !probe.sawEncoder {
+			if twoProcessors() && !probe.sawEncoder {
 				t.Fatal("the encoder never ran; the test proves nothing")
 			}
 			goroutinesBack(t, base, "Run")
@@ -139,6 +154,47 @@ func TestEncoderLivesOnlyInsideRun(t *testing.T) {
 			}
 		})
 	}
+	// A panic unwinding Run — from a guest-side hook, or from the log
+	// stage on the encoder goroutine — reaches Run's caller, and the
+	// encoder is gone once it has.
+	t.Run("hook panics", func(t *testing.T) {
+		if !twoProcessors() {
+			t.Skip("no encoder goroutine with one processor")
+		}
+		base := runtime.NumGoroutine()
+		img := asm.MustAssemble("lifetime.s", lifetimeSweep)
+		m := kernel.New(img, kernel.Config{MaxSteps: 300_000, TimerInterval: 5_000}, nil)
+		probe := &runProbe{Recorder: NewRecorder(m, Config{IntervalLength: 20_000, Cache: tinyCache()}), panics: true}
+		m.SetHooks(probe)
+		if p := runRecovered(m); p != "hook failed" {
+			t.Fatalf("Run's caller recovered %v, want the hook's panic", p)
+		}
+		goroutinesBack(t, base, "a panicking hook")
+		probe.Flush()
+		if rep := probe.Report(); len(rep.FLLs[0]) == 0 || probe.Err() != nil {
+			t.Fatalf("report holds %d FLLs, err %v", len(rep.FLLs[0]), probe.Err())
+		}
+	})
+	t.Run("log stage panics", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		img := asm.MustAssemble("lifetime.s", lifetimeSweep)
+		m := kernel.New(img, kernel.Config{MaxSteps: 300_000}, nil)
+		rec := NewRecorder(m, Config{IntervalLength: 20_000, Cache: tinyCache()})
+		rec.flls = nil // the log stage's first FLL commit dereferences it
+		if p := runRecovered(m); p == nil {
+			t.Fatal("Run returned normally; want the log stage's panic")
+		}
+		if twoProcessors() && rec.stream.panicked == nil {
+			t.Fatal("the panic was not the encoder goroutine's")
+		}
+		goroutinesBack(t, base, "a panicking log stage")
+		defer func() {
+			if recover() == nil {
+				t.Error("Flush after a failed log stage returned normally")
+			}
+		}()
+		rec.Flush()
+	})
 	t.Run("no Run", func(t *testing.T) {
 		base := runtime.NumGoroutine()
 		img := asm.MustAssemble("lifetime.s", lifetimeSweep)
@@ -309,4 +365,19 @@ func sameRecording(a, b *Recorder) error {
 		return fmt.Errorf("err %v, inline %v", ea, eb)
 	}
 	return nil
+}
+
+// TestClaimProcessors: recordings with an encoder each take two
+// processors, and no more start than GOMAXPROCS (and the CPUs) have room
+// for; the rest encode inline.
+func TestClaimProcessors(t *testing.T) {
+	procs := int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	var n int32
+	for claimProcessors() {
+		n++
+	}
+	encoders.Add(-n)
+	if n != procs/2 {
+		t.Fatalf("%d encoders started on %d processors, want %d", n, procs, procs/2)
+	}
 }

@@ -48,7 +48,8 @@ type Recorder struct {
 	encodeFn func()
 
 	// Log stage: owned by the encoder goroutine while it runs, by whoever
-	// settled the stage otherwise.
+	// settled the stage otherwise. The guest side only fills an empty fl
+	// entry as its thread starts (newFLLThread).
 	fl   []*fllThread // by thread id
 	flls *logstore.Store
 
@@ -131,6 +132,8 @@ func NewRecorder(m *kernel.Machine, cfg Config) *Recorder {
 	}
 	r.encodeFn = r.encoder
 	r.stream.stop = make(chan struct{})
+	r.stream.enc.init(encoderSpin)
+	r.stream.guest.init(0)
 	for i := range r.stream.ring {
 		if i == 0 || !r.inline {
 			r.stream.ring[i] = newChunk()
@@ -257,6 +260,9 @@ func (r *Recorder) OnThreadStart(tid int) {
 	}
 	if t.trace != nil || r.cfg.LogCodeLoads || r.cfg.Bus != nil {
 		t.c.OnFetch = func(pc uint32) { r.fetch(t, pc) }
+	}
+	if r.fl[tid] == nil {
+		r.fl[tid] = newFLLThread(r.cfg)
 	}
 	r.startInterval(t)
 }

@@ -107,8 +107,8 @@ type Hooks interface {
 	OnThreadExit(tid int)
 	// OnFault fires when a thread faults; the machine halts afterwards.
 	OnFault(tid int, f *cpu.FaultInfo)
-	// OnPause fires as Run returns, however it ended: exit, crash or the
-	// step budget.
+	// OnPause fires as Run returns, however it ended: exit, crash, the
+	// step budget, or a panic unwinding through Run.
 	OnPause()
 }
 
@@ -378,6 +378,9 @@ func (m *Machine) Crash() *CrashInfo { return m.crash }
 
 // Run executes until the program exits, crashes, or exceeds MaxSteps.
 func (m *Machine) Run() *Result {
+	if m.hooks != nil {
+		defer m.hooks.OnPause()
+	}
 	if !m.started {
 		m.started = true
 		m.startThread(0, m.Img.Entry, 0, mem.StackTop, mem.DefaultStackSize)
@@ -388,9 +391,6 @@ func (m *Machine) Run() *Result {
 			break
 		}
 		m.runQuantum(th)
-	}
-	if m.hooks != nil {
-		m.hooks.OnPause()
 	}
 	res := &Result{
 		Crash:    m.crash,

@@ -536,10 +536,19 @@ func (h *pauseLog) OnThreadExit(int)            { h.events = append(h.events, "e
 func (h *pauseLog) OnFault(int, *cpu.FaultInfo) { h.events = append(h.events, "fault") }
 func (h *pauseLog) OnPause()                    { h.events = append(h.events, "pause") }
 
+// panicOnExit is a pauseLog whose OnThreadExit panics.
+type panicOnExit struct{ pauseLog }
+
+func (h *panicOnExit) OnThreadExit(int) {
+	h.events = append(h.events, "exit")
+	panic("hook failed")
+}
+
 // TestOnPauseEndsEveryRun: OnPause fires exactly once as Run returns,
 // after every other callback of that Run, whether the program exited,
 // crashed or ran out of steps — and again for a Run that resumes a
-// machine the step budget stopped.
+// machine the step budget stopped. A Run that a panicking hook unwinds
+// fires it too, before the caller recovers.
 func TestOnPauseEndsEveryRun(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -564,4 +573,18 @@ func TestOnPauseEndsEveryRun(t *testing.T) {
 			}
 		})
 	}
+	t.Run("hook panics", func(t *testing.T) {
+		h := &panicOnExit{}
+		func() {
+			defer func() {
+				if p := recover(); p != "hook failed" {
+					t.Fatalf("recovered %v, want the hook's panic", p)
+				}
+			}()
+			runSrc(t, "li a0, 0\nli a7, 1\nsyscall\n", Config{}, h)
+		}()
+		if !slices.Equal(h.events, []string{"exit", "pause"}) {
+			t.Fatalf("callbacks %v, want exit then pause", h.events)
+		}
+	})
 }
