@@ -5,9 +5,10 @@
 // is unknown — BugNet ships no core dump).
 //
 // Reverse execution is O(checkpoint-interval), not O(window): the engine
-// (internal/timetravel) checkpoints full replay state periodically and
-// implements backward motion as "restore nearest checkpoint + bounded
-// forward re-execution".
+// (internal/timetravel) checkpoints full replay state every 10,000
+// instructions and implements backward motion as "restore nearest
+// checkpoint + bounded forward re-execution". A reverse-continue scans
+// the checkpoint gaps on GOMAXPROCS workers.
 //
 // Local mode opens a crash report archive against the matching binary:
 //
@@ -83,7 +84,6 @@ func main() {
 	tid := flag.Int("tid", -1, "thread to debug (default: the crashing thread)")
 	remote := flag.String("remote", "", "bugnet-serve base URL for a remote debug session")
 	reportID := flag.String("report", "", "stored report id to debug (remote mode)")
-	ckptEvery := flag.Uint64("ckpt", 10_000, "checkpoint interval in instructions (local mode)")
 	rsp := flag.String("rsp", "", "bugnet-serve -gdb address for an RSP smoke check")
 	dump := flag.String("metrics-dump", "", "write a JSON metrics snapshot to this path at exit (\"-\" = stdout)")
 	flag.Parse()
@@ -111,7 +111,7 @@ func main() {
 		d = rd
 	} else {
 		ld, err := openLocal(cli.Selection{Bug: *bug, Spec: *spec, Asm: *asmFile, Scale: *scale},
-			*archive, *tid, *ckptEvery)
+			*archive, *tid)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -146,7 +146,7 @@ type localDriver struct {
 func (l *localDriver) do(c timetravel.Command) timetravel.Outcome { return l.eng.Exec(c) }
 func (l *localDriver) close()                                     { l.archive.Close() }
 
-func openLocal(sel cli.Selection, path string, tid int, ckptEvery uint64) (*localDriver, error) {
+func openLocal(sel cli.Selection, path string, tid int) (*localDriver, error) {
 	img, _, err := cli.Pick(sel)
 	if err != nil {
 		return nil, err
@@ -161,8 +161,7 @@ func openLocal(sel cli.Selection, path string, tid int, ckptEvery uint64) (*loca
 	}
 	var eng *timetravel.Engine
 	if err == nil {
-		eng, tid, err = timetravel.NewEngineForThread(img, rep, tid,
-			timetravel.Config{CheckpointEvery: ckptEvery})
+		eng, tid, err = timetravel.NewEngineForThread(img, rep, tid, timetravel.Config{})
 	}
 	if err != nil {
 		a.Close()

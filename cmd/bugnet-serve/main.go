@@ -3,7 +3,8 @@
 // Recorders at customer sites upload packed report archives; the server
 // stores them content-addressed, deduplicates identical field crashes into
 // buckets, and automatically replays each new report to verify the crash
-// reproduces and to extract races and a backtrace. Each done verdict is
+// reproduces and to extract races and a backtrace; a report's checkpoint
+// intervals replay across GOMAXPROCS workers. Each done verdict is
 // stored beside its archive under -dir and evicted with it (-budget), so
 // a restarted server replays none of the reports it already judged.
 //
@@ -11,7 +12,6 @@
 //
 //	bugnet-serve -addr :8080 -dir /var/bugnet/reports
 //	bugnet-serve -budget 268435456 -workers 8 -scale 100
-//	bugnet-serve -replay-workers 8
 //	bugnet-serve -image prog.s -image other.s      # register extra builds
 //	bugnet-serve -gdb :1234 -gdb-report <id>       # real gdb attaches here
 //	bugnet-serve -log-format json                  # machine-readable logs
@@ -32,8 +32,8 @@
 // "target remote" and debugs the report selected by -gdb-report with
 // reverse-continue and watchpoints; scripted RSP clients (and
 // bugnet-debug -rsp) pick any stored report per connection via
-// vAttach;<report-id>. RSP connections share the JSON API's session cap
-// and idle janitor.
+// vAttach;<report-id>. RSP connections share the JSON API's session cap,
+// idle janitor and -debug-idle deadline.
 //
 // With -peers the server joins a static triage fleet: a consistent-hash
 // ring places every report on -replication owner nodes, any node accepts
@@ -70,7 +70,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -97,15 +96,12 @@ func main() {
 	dir := flag.String("dir", "bugnet-reports", "report store root directory")
 	budget := flag.Int64("budget", 0, "report store byte budget (0 = unlimited)")
 	workers := flag.Int("workers", 4, "replay worker pool size (concurrent reports)")
-	replayWorkers := flag.Int("replay-workers", 0, "parallel interval-replay fan-out per report (0 = GOMAXPROCS, 1 = sequential)")
 	scale := flag.Int("scale", 100, "bug-window scale the fleet's recorders use")
-	depth := flag.Int("backtrace", 16, "backtrace depth in instructions")
 	maxWindow := flag.Uint64("maxwindow", 0, "max replay window per report in instructions (0 = default 100M)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	accessLog := flag.Bool("access-log", false, "log one line per HTTP request")
 	sessions := flag.Int("debug-sessions", 8, "max concurrent remote debug sessions")
 	idle := flag.Duration("debug-idle", 10*time.Minute, "idle timeout for remote debug sessions")
-	ckptEvery := flag.Uint64("debug-ckpt", 10_000, "debug checkpoint interval in instructions")
 	ckptBudget := flag.Int64("debug-ckpt-budget", 64<<20, "per-session checkpoint byte budget")
 	gdbAddr := flag.String("gdb", "", "listen address for the gdb Remote Serial Protocol (empty = off)")
 	gdbReport := flag.String("gdb-report", "", "report id plain \"target remote\" gdb connections debug (RSP clients can pick any report with vAttach)")
@@ -151,17 +147,12 @@ func main() {
 		reg.Register(img)
 	}
 
-	if *replayWorkers <= 0 {
-		*replayWorkers = runtime.GOMAXPROCS(0)
-	}
 	svc, err := triage.New(triage.Config{
-		Dir:               *dir,
-		Budget:            *budget,
-		Workers:           *workers,
-		BacktraceDepth:    *depth,
-		MaxReplayWindow:   *maxWindow,
-		Resolver:          reg.Resolve,
-		ReplayParallelism: *replayWorkers,
+		Dir:             *dir,
+		Budget:          *budget,
+		Workers:         *workers,
+		MaxReplayWindow: *maxWindow,
+		Resolver:        reg.Resolve,
 	})
 	if err != nil {
 		logger.Error("starting triage service", "dir", *dir, "err", err)
@@ -169,21 +160,13 @@ func main() {
 	}
 
 	// Remote time-travel debug sessions over the stored reports.
-	sessionWindow := *maxWindow
-	if sessionWindow == 0 {
-		// Mirror the triage default so interactive sessions accept exactly
-		// the reports automatic triage would replay.
-		sessionWindow = triage.DefaultMaxReplayWindow
-	}
 	mgr := timetravel.NewManager(svc, timetravel.ManagerConfig{
 		MaxSessions: *sessions,
 		IdleTimeout: *idle,
-		MaxWindow:   sessionWindow,
+		MaxWindow:   *maxWindow,
 		Engine: timetravel.Config{
-			CheckpointEvery:  *ckptEvery,
 			CheckpointBudget: *ckptBudget,
 			MaxPages:         triage.DefaultMaxReplayPages,
-			ScanParallelism:  *replayWorkers,
 		},
 	})
 	defer mgr.Close()
@@ -196,11 +179,7 @@ func main() {
 			logger.Error("gdb listener", "addr", *gdbAddr, "err", err)
 			os.Exit(1)
 		}
-		gs := gdbstub.New(gdbstub.Config{
-			Manager:       mgr,
-			DefaultReport: *gdbReport,
-			IdleTimeout:   *idle,
-		})
+		gs := gdbstub.New(gdbstub.Config{Manager: mgr, DefaultReport: *gdbReport})
 		defer gs.Close()
 		go func() {
 			if err := gs.Serve(gl); err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"bugnet/internal/asm"
-	"bugnet/internal/dict"
 )
 
 // constraint is one cross-thread ordering requirement derived from an MRL
@@ -51,12 +50,6 @@ type MultiReplayer struct {
 	// DetectRaces runs the synchronization-aware race analysis during
 	// replay (see racedetect.go).
 	DetectRaces bool
-	// LogCodeLoads must match the recording configuration. It is seeded
-	// from the report by NewMultiReplayer.
-	LogCodeLoads bool
-	// DictOptions must match the recording configuration; seeded from
-	// the report by NewMultiReplayer.
-	DictOptions dict.Options
 	// TraceDepth, when positive, keeps a trace ring of the crashing
 	// thread's last TraceDepth instructions (report.Crash must be set),
 	// delivered in that thread's ReplayResult.Trace.
@@ -73,12 +66,7 @@ type MultiReplayer struct {
 // NewMultiReplayer builds a replayer over all threads in the report,
 // adopting the recording options the report carries.
 func NewMultiReplayer(img *asm.Image, report *CrashReport) *MultiReplayer {
-	return &MultiReplayer{
-		img:          img,
-		report:       report,
-		LogCodeLoads: report.LogCodeLoads,
-		DictOptions:  report.DictOptions,
-	}
+	return &MultiReplayer{img: img, report: report}
 }
 
 // threadCtx is one thread's replay machine plus its constraint queue. The
@@ -173,8 +161,8 @@ func (m *MultiReplayer) Run() (*MultiReplayResult, error) {
 	for _, tid := range tids {
 		tc := ctxs[tid]
 		r := NewReplayer(m.img, m.report.FLLs[tid])
-		r.LogCodeLoads = m.LogCodeLoads
-		r.DictOptions = m.DictOptions
+		r.LogCodeLoads = m.report.LogCodeLoads
+		r.DictOptions = m.report.DictOptions
 		r.MaxPages = m.MaxPages
 		if m.TraceDepth > 0 && m.report.Crash != nil && tid == m.report.Crash.TID {
 			r.TraceDepth = m.TraceDepth

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -252,9 +253,11 @@ func checkMulti(t *testing.T, w ringWindow) {
 // checkEngine drives a debugger and its reference through one random
 // schedule of steps, seeks, reverse steps and reverse continues, with
 // breakpoints and watchpoints coming and going, comparing the outcome and
-// the backtrace after every command.
+// the backtrace after every command. Reverse continues scan on parallelism
+// processors.
 func checkEngine(t *testing.T, w ringWindow, parallelism int, seed int64) {
-	cfg := timetravel.Config{CheckpointEvery: 1_000, MaxPages: w.maxPages, ScanParallelism: parallelism}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(parallelism))
+	cfg := timetravel.Config{CheckpointEvery: 1_000, MaxPages: w.maxPages}
 	got, _, err := timetravel.NewEngineForThread(w.img, w.rep, w.tid, cfg)
 	if err != nil {
 		t.Fatal(err)

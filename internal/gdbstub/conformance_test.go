@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -210,6 +211,47 @@ func TestRSPDefaultReportAttach(t *testing.T) {
 	for mgr.Count() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("disconnect leaked %d sessions", mgr.Count())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRSPIdleDeadlineFollowsManager: the stub has no idle timeout of its
+// own. A connection that goes quiet past the manager's is closed, and its
+// session slot freed, without waiting for the janitor's next sweep.
+func TestRSPIdleDeadlineFollowsManager(t *testing.T) {
+	rep, img := recordCorruptor(t)
+	mgr := timetravel.NewManager(&fakeSource{rep: rep, img: img}, timetravel.ManagerConfig{
+		IdleTimeout: 200 * time.Millisecond,
+	})
+	t.Cleanup(mgr.Close)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Manager: mgr, DefaultReport: "r1"})
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+
+	cl, err := Dial(l.Addr().String(), 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if rep, err := cl.Exchange("?"); err != nil || !strings.HasPrefix(rep, "T05") {
+		t.Fatalf("? = %q, %v", rep, err)
+	}
+	if mgr.Count() != 1 {
+		t.Fatalf("sessions = %d", mgr.Count())
+	}
+	deadline := time.Now().Add(time.Second)
+	cl.c.SetReadDeadline(deadline)
+	if b, err := cl.br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle connection still open after a second: read %q, %v", b, err)
+	}
+	for mgr.Count() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("idle connection left %d sessions open", mgr.Count())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

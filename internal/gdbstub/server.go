@@ -22,22 +22,10 @@ type Config struct {
 	// its first session-needing packet if the client never sent vAttach —
 	// the plain "target remote" flow, where gdb never names a process.
 	DefaultReport string
-	// IdleTimeout is the per-frame read deadline: a connection that sends
-	// nothing for this long is closed (its session slot frees). Default
-	// 5 minutes.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds each reply write. Default 30 seconds.
-	WriteTimeout time.Duration
 }
 
-func (c *Config) fillDefaults() {
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-}
+// writeTimeout bounds each reply write.
+const writeTimeout = 30 * time.Second
 
 // Server accepts RSP connections and runs one protocol conversation per
 // connection. It is transport only: every debugging decision lives in the
@@ -53,7 +41,6 @@ type Server struct {
 
 // New returns a server over cfg. Callers pass listeners to Serve.
 func New(cfg Config) *Server {
-	cfg.fillDefaults()
 	return &Server{
 		cfg:       cfg,
 		listeners: make(map[net.Listener]struct{}),
@@ -182,9 +169,9 @@ func readFrame(br *bufio.Reader) (frame, error) {
 }
 
 // serveConn runs one RSP conversation. The deadline discipline: every
-// frame read re-arms IdleTimeout, every write WriteTimeout — a stalled or
-// vanished client frees its session slot without operator help, while the
-// manager's own janitor stays the backstop.
+// frame read re-arms the manager's idle timeout, every write writeTimeout —
+// a stalled or vanished client frees its session slot without operator
+// help, while the manager's own janitor stays the backstop.
 func (s *Server) serveConn(c net.Conn) {
 	cn := &conn{srv: s}
 	mConnsTotal.Inc()
@@ -200,12 +187,13 @@ func (s *Server) serveConn(c net.Conn) {
 	br := bufio.NewReader(c)
 	var lastReply []byte
 	write := func(b []byte) bool {
-		c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_, err := c.Write(b)
 		return err == nil
 	}
+	idle := s.cfg.Manager.IdleTimeout()
 	for {
-		c.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		c.SetReadDeadline(time.Now().Add(idle))
 		f, err := readFrame(br)
 		if errors.Is(err, ErrChecksum) {
 			// Ask for a retransmit; in no-ack mode the link is assumed

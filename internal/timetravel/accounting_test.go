@@ -205,3 +205,36 @@ func TestAccountingReexecutionPastSurvivor(t *testing.T) {
 	drop(posC)
 	mustCover(t, e, "after dropping the machine's base")
 }
+
+// TestAccountingInsertBeforeSurvivor pins the other order. Checkpoints A <
+// C survive from one pass; a pass from the window start runs past A and
+// takes B between them. C still shares A's versions of parts B copied
+// again (the known bitmaps A's gap created, which nothing later rewrites),
+// so when A is dropped those must stay charged, to C.
+func TestAccountingInsertBeforeSurvivor(t *testing.T) {
+	rep, img := recordCrash(t, pageStormProgram, 3_000)
+	e := accountingEngine(t, rep, img, 64<<20)
+	if _, err := e.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	const posA, posB, posC = 500, 1000, 3000
+	for i := len(e.ckpts) - 2; i > 0; i-- {
+		if p := e.ckpts[i].pos; p != posA && p != posC {
+			e.drop(i)
+		}
+	}
+	mustCover(t, e, "after thinning")
+	if err := e.SeekTo(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(posB + 7); err != nil {
+		t.Fatal(err)
+	}
+	i := e.ckptIndexAtOrBefore(posA)
+	if e.ckpts[i].pos != posA || e.ckpts[i+1].pos != posB || e.ckpts[i+2].pos != posC {
+		t.Fatalf("checkpoints around A: %d, %d, %d", e.ckpts[i].pos, e.ckpts[i+1].pos, e.ckpts[i+2].pos)
+	}
+	mustCover(t, e, "after the second pass")
+	e.drop(i)
+	mustCover(t, e, "after dropping A")
+}

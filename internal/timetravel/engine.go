@@ -20,6 +20,7 @@ package timetravel
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -28,7 +29,6 @@ import (
 	"bugnet/internal/asm"
 	"bugnet/internal/core"
 	"bugnet/internal/cpu"
-	"bugnet/internal/dict"
 	"bugnet/internal/fll"
 	"bugnet/internal/mem"
 )
@@ -51,26 +51,15 @@ type Config struct {
 	// never less than the bytes the checkpoints retain, and exactly those
 	// bytes on a forward pass over the window. Default 64 MB.
 	CheckpointBudget int64
-	// TraceDepth is the backtrace ring length carried through replay and
-	// checkpoints. Default 16.
-	TraceDepth int
 	// MaxPages caps replay memory in 4 KB pages (see
 	// core.Replayer.MaxPages); sessions over untrusted stored reports set
 	// it. 0 = unlimited.
 	MaxPages int
-	// LogCodeLoads and DictOptions must match the recording configuration
-	// (CrashReport carries them).
-	LogCodeLoads bool
-	DictOptions  dict.Options
-	// ScanParallelism is the number of checkpoint gaps ReverseContinue
-	// scans speculatively in parallel: instead of widening one gap at a
-	// time, it restores up to this many gap-start checkpoints into private
-	// scan machines and re-executes them concurrently, newest-first, with
-	// older gaps cancelled as soon as a newer gap records a stop. The stop
-	// position, reason, and watch transition are identical to the
-	// sequential walk. <= 1 keeps the sequential scan.
-	ScanParallelism int
 }
+
+// TraceDepth is the backtrace length, in instructions, that debug sessions
+// carry through replay and checkpoints and that triage verdicts report.
+const TraceDepth = 16
 
 func (c *Config) fillDefaults() {
 	if c.CheckpointEvery == 0 {
@@ -78,9 +67,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.CheckpointBudget == 0 {
 		c.CheckpointBudget = 64 << 20
-	}
-	if c.TraceDepth == 0 {
-		c.TraceDepth = 16
 	}
 }
 
@@ -151,6 +137,7 @@ type checkpoint struct {
 type Engine struct {
 	img  *asm.Image
 	cfg  Config
+	rep  *core.CrashReport
 	logs []*fll.Ref
 	m    *core.ReplayMachine
 
@@ -168,42 +155,12 @@ type Engine struct {
 	watchAddrs []uint32 // sorted word addresses, for deterministic reporting
 	watchVals  map[uint32]watchVal
 	lastWatch  *WatchHit
-
-	// scanners are the private replay machines the parallel reverse scan
-	// restores gap-start checkpoints into, minted lazily and reused across
-	// ReverseContinue calls. Only the gap scan runs on them concurrently;
-	// snapshot restores stay serialized on the engine's goroutine.
-	scanners []*core.ReplayMachine
 }
 
-// NewEngine opens one thread's logs for time-travel debugging.
-func NewEngine(img *asm.Image, logs []*fll.Ref, cfg Config) (*Engine, error) {
-	if len(logs) == 0 {
-		return nil, fmt.Errorf("timetravel: engine needs at least one log")
-	}
-	cfg.fillDefaults()
-	r := core.NewReplayer(img, logs)
-	r.LogCodeLoads = cfg.LogCodeLoads
-	r.DictOptions = cfg.DictOptions
-	r.MaxPages = cfg.MaxPages
-	r.TraceDepth = cfg.TraceDepth
-	e := &Engine{
-		img:       img,
-		cfg:       cfg,
-		logs:      logs,
-		m:         r.Machine(core.MachineOptions{TrackKnown: true}),
-		breaks:    make(map[uint32]bool),
-		watchVals: make(map[uint32]watchVal),
-	}
-	// The window-start anchor: every backward seek has somewhere to land.
-	e.ckpts = append(e.ckpts, e.snapshot())
-	e.nextCkptAt = cfg.CheckpointEvery
-	return e, nil
-}
-
-// NewEngineForThread opens one thread of a crash report, adopting the
-// recording options the report carries. tid < 0 selects the crashing
-// thread (thread 0 if the report records a clean stop).
+// NewEngineForThread opens one thread of a crash report for time-travel
+// debugging, adopting the recording options the report carries. tid < 0
+// selects the crashing thread (thread 0 if the report records a clean
+// stop).
 func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Config) (*Engine, int, error) {
 	if tid < 0 {
 		tid = 0
@@ -215,10 +172,32 @@ func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Conf
 	if len(logs) == 0 {
 		return nil, tid, fmt.Errorf("timetravel: report has no logs for thread %d", tid)
 	}
-	cfg.LogCodeLoads = rep.LogCodeLoads
-	cfg.DictOptions = rep.DictOptions
-	e, err := NewEngine(img, logs, cfg)
-	return e, tid, err
+	cfg.fillDefaults()
+	e := &Engine{
+		img:       img,
+		cfg:       cfg,
+		rep:       rep,
+		logs:      logs,
+		breaks:    make(map[uint32]bool),
+		watchVals: make(map[uint32]watchVal),
+	}
+	e.m = e.newMachine()
+	// The window-start anchor: every backward seek has somewhere to land.
+	e.ckpts = append(e.ckpts, e.snapshot())
+	e.nextCkptAt = cfg.CheckpointEvery
+	return e, tid, nil
+}
+
+// newMachine builds a replay machine over the engine's logs. The engine's
+// own machine and the scan machines of the parallel reverse scan are built
+// alike, so any checkpoint restores into either.
+func (e *Engine) newMachine() *core.ReplayMachine {
+	r := core.NewReplayer(e.img, e.logs)
+	r.LogCodeLoads = e.rep.LogCodeLoads
+	r.DictOptions = e.rep.DictOptions
+	r.MaxPages = e.cfg.MaxPages
+	r.TraceDepth = TraceDepth
+	return r.Machine(core.MachineOptions{TrackKnown: true})
 }
 
 // Window returns the total instructions the retained logs cover.
@@ -376,7 +355,17 @@ func (e *Engine) maybeCheckpoint() {
 		e.carry.Absorb(c.added)
 		return
 	}
-	e.ckpts = slices.Insert(e.ckpts, i+1, e.snapshot())
+	c := e.snapshot()
+	e.ckpts = slices.Insert(e.ckpts, i+1, c)
+	if i+2 < len(e.ckpts) {
+		// Inserted before a checkpoint another pass took: the successor
+		// shares with the checkpoint before c, not with c, so it holds
+		// that checkpoint's versions of the parts c copied. It answers for
+		// them from now on, or they would leave the occupancy with the
+		// checkpoint before c while the successor still holds them.
+		next := e.ckpts[i+2]
+		e.ckptBytes += c.added.Bytes() - next.added.Absorb(c.added)
+	}
 	e.evict()
 }
 
@@ -568,10 +557,10 @@ func (e *Engine) ReverseStep(n uint64) (StopReason, error) {
 // checkpoint, re-execute forward to the scan limit recording the last
 // stop, and only widen backward when a gap contains none — so the common
 // "the write was recent" case costs one gap, and the worst case is one
-// pass over the window. With Config.ScanParallelism > 1 the gaps are
-// scanned speculatively in parallel on private scan machines (still
-// merged newest-first, older gaps cancelled once a newer one stops), so
-// the worst case costs one pass over the window divided across workers.
+// pass over the window. With GOMAXPROCS > 1 the gaps are scanned
+// speculatively in parallel on private scan machines (still merged
+// newest-first, older gaps cancelled once a newer one stops), so the worst
+// case costs one pass over the window divided across processors.
 func (e *Engine) ReverseContinue() (StopReason, error) {
 	if len(e.breaks) == 0 && len(e.watchAddrs) == 0 {
 		// Nothing can stop a reverse scan; land on the window start
@@ -581,8 +570,8 @@ func (e *Engine) ReverseContinue() (StopReason, error) {
 		}
 		return StopStart, nil
 	}
-	if e.cfg.ScanParallelism > 1 {
-		return e.reverseContinueParallel()
+	if width := runtime.GOMAXPROCS(0); width > 1 {
+		return e.reverseContinueParallel(width)
 	}
 	limit := e.m.Pos()
 	for {
@@ -669,21 +658,9 @@ func scanGap(m *core.ReplayMachine, breaks map[uint32]bool, addrs []uint32,
 	return g
 }
 
-// newScanMachine mints a private replay machine over the engine's logs
-// for the speculative gap scan. It mirrors the main machine's build
-// exactly, so any checkpoint snapshot restores into it.
-func (e *Engine) newScanMachine() *core.ReplayMachine {
-	r := core.NewReplayer(e.img, e.logs)
-	r.LogCodeLoads = e.cfg.LogCodeLoads
-	r.DictOptions = e.cfg.DictOptions
-	r.MaxPages = e.cfg.MaxPages
-	r.TraceDepth = e.cfg.TraceDepth
-	return r.Machine(core.MachineOptions{TrackKnown: true})
-}
-
 // reverseContinueParallel is the speculative reverse scan: it decomposes
 // the history below the current position into checkpoint gaps and scans
-// up to ScanParallelism of them concurrently per round, newest-first.
+// up to width of them concurrently per round, newest-first.
 // Each gap's checkpoint is restored into a private scan machine on the
 // engine's goroutine (snapshot restores share copy-on-write state and
 // must not race), then the gaps re-execute in parallel; once a newer gap
@@ -691,7 +668,7 @@ func (e *Engine) newScanMachine() *core.ReplayMachine {
 // merge in gap order, so the stop chosen — and the error surfaced, if a
 // gap fails before any newer gap stops — is exactly the sequential
 // walk's.
-func (e *Engine) reverseContinueParallel() (StopReason, error) {
+func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 	limit := e.m.Pos()
 	i := e.ckptIndexAtOrBefore(limit)
 	if e.ckpts[i].pos == limit && limit > 0 {
@@ -710,9 +687,13 @@ func (e *Engine) reverseContinueParallel() (StopReason, error) {
 		up = e.ckpts[i].pos
 	}
 
-	workers := min(e.cfg.ScanParallelism, len(gaps))
-	for len(e.scanners) < workers {
-		e.scanners = append(e.scanners, e.newScanMachine())
+	// The scan machines live for this call only: what they hold, the
+	// parts of the checkpoints they restored and the pages they copied,
+	// goes with them instead of outliving the budget that charged it.
+	workers := min(width, len(gaps))
+	scanners := make([]*core.ReplayMachine, workers)
+	for k := range scanners {
+		scanners[k] = e.newMachine()
 	}
 
 	finish := func(g gapScan) (StopReason, error) {
@@ -732,7 +713,7 @@ func (e *Engine) reverseContinueParallel() (StopReason, error) {
 		cancels := make([]atomic.Bool, len(batch))
 		var wg sync.WaitGroup
 		for k := range batch {
-			m := e.scanners[k]
+			m := scanners[k]
 			// Serialized on this goroutine: restoring shares pages with
 			// the snapshot copy-on-write, mutating its sharing bits.
 			m.Restore(batch[k].ck.snap)

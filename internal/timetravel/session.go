@@ -46,12 +46,17 @@ type ManagerConfig struct {
 	// MaxWindow refuses sessions over reports whose claimed replay window
 	// exceeds this many instructions — window lengths are
 	// attacker-controlled, and an interactive continue over an unbounded
-	// window would pin a server thread. Default 100M.
+	// window would pin a server thread. Default DefaultMaxWindow.
 	MaxWindow uint64
 	// Engine configures each session's engine (checkpoint spacing, byte
 	// budget, page budget).
 	Engine Config
 }
+
+// DefaultMaxWindow is the default replay bound in instructions, roughly
+// the paper's largest bug window. Triage uses it too, so sessions accept
+// exactly the reports automatic triage would replay.
+const DefaultMaxWindow = 100_000_000
 
 func (c *ManagerConfig) fillDefaults() {
 	if c.MaxSessions <= 0 {
@@ -61,7 +66,7 @@ func (c *ManagerConfig) fillDefaults() {
 		c.IdleTimeout = 10 * time.Minute
 	}
 	if c.MaxWindow == 0 {
-		c.MaxWindow = 100_000_000
+		c.MaxWindow = DefaultMaxWindow
 	}
 }
 
@@ -375,6 +380,10 @@ func (m *Manager) Capacity() (open, max int) {
 	defer m.mu.Unlock()
 	return len(m.sessions), m.cfg.MaxSessions
 }
+
+// IdleTimeout returns how long a session may go without a command before
+// the manager closes it.
+func (m *Manager) IdleTimeout() time.Duration { return m.cfg.IdleTimeout }
 
 // Close shuts the manager down, closing every session and stopping the
 // janitor.

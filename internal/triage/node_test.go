@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -226,10 +227,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 	img, _, blob := triage.RecordBlob(t)
 	reg := triage.NewImageRegistry()
 	reg.Register(img)
-	// Parallel interval replay on, so the scrape covers the parreplay pool
-	// series alongside the triage ones.
-	s, err := triage.New(triage.Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve,
-		ReplayParallelism: 4})
+	// Parallel interval replay on four processors whatever the host's core
+	// count, so the scrape covers the parreplay pool series alongside the
+	// triage ones.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s, err := triage.New(triage.Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve})
 	if err != nil {
 		t.Fatal(err)
 	}

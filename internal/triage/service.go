@@ -30,21 +30,13 @@ type Config struct {
 	// Resolver maps a report's BinaryID to a replayable image; typically
 	// (*ImageRegistry).Resolve. Required.
 	Resolver func(core.BinaryID) (*asm.Image, error)
-	// BacktraceDepth is how many trailing instructions of the crashing
-	// thread the verdict captures (default 16).
-	BacktraceDepth int
 	// MaxReplayWindow bounds the total instructions one report's replay
 	// may claim (sum of FLL interval lengths over all threads). Lengths
 	// are attacker-controlled u64s and replay executes exactly what they
 	// claim, so an unbounded window would let one upload pin a worker
-	// forever (default 100M, roughly the paper's largest bug window).
+	// forever (default timetravel.DefaultMaxWindow, the debug sessions'
+	// bound too).
 	MaxReplayWindow uint64
-	// ReplayParallelism is the per-report interval-replay fan-out: > 1
-	// replays a report's checkpoint intervals concurrently on that many
-	// workers (internal/parreplay), <= 1 replays them in order on one.
-	// Reports needing race detection always replay sequentially; the
-	// verdict is byte-identical either way.
-	ReplayParallelism int
 	// FS routes the store's write-side I/O through a fault-injection
 	// plane; nil (the production default) calls the os package directly.
 	FS *faultinject.FS
@@ -60,19 +52,12 @@ const maxQueue = 1024
 // admit the newcomer.
 const maxBuckets = 65536
 
-// DefaultMaxReplayWindow is the default per-report replay budget in
-// instructions, roughly the paper's largest bug window. The interactive
-// debug-session layer uses the same default so sessions accept exactly
-// the reports automatic triage would replay.
-const DefaultMaxReplayWindow = 100_000_000
-
 // DefaultMaxReplayPages bounds one report's total replay memory in 4 KB
 // pages (64 MB), split evenly across its threads. Untrusted logs control
 // replayed register state, and replay memory auto-maps on first touch, so
 // without a cap a crafted report could stride-allocate the server to
 // death; exceeding the per-thread share surfaces as a memory fault in the
-// verdict. Shared with the debug-session layer for the same reason as
-// DefaultMaxReplayWindow.
+// verdict. Shared with the debug-session layer for the same reason.
 const DefaultMaxReplayPages = 16384
 
 // Verdict states.
@@ -222,11 +207,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.BacktraceDepth <= 0 {
-		cfg.BacktraceDepth = 16
-	}
 	if cfg.MaxReplayWindow == 0 {
-		cfg.MaxReplayWindow = DefaultMaxReplayWindow
+		cfg.MaxReplayWindow = timetravel.DefaultMaxWindow
 	}
 	st, err := openStore(cfg.Dir, cfg.Budget, cfg.FS)
 	if err != nil {
@@ -701,14 +683,13 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 	if maxPages < 1 {
 		maxPages = 1
 	}
-	// parreplay fans the report's checkpoint intervals across the replay
-	// pool, and routes one-worker pools and race-detection (MRL-carrying)
+	// parreplay fans the report's checkpoint intervals across GOMAXPROCS
+	// workers, and routes a width of one and race-detection (MRL-carrying)
 	// reports to the sequential schedule itself, so the verdict is
-	// byte-identical whatever ReplayParallelism says.
+	// byte-identical whatever the width.
 	res, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{
 		Options: parreplay.Options{
-			Workers:    max(s.cfg.ReplayParallelism, 1),
-			TraceDepth: s.cfg.BacktraceDepth,
+			TraceDepth: timetravel.TraceDepth,
 			MaxPages:   maxPages,
 		},
 		DetectRaces: len(rep.MRLs) > 0,
@@ -754,8 +735,8 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 		// record's PC.
 		if crash.Fault != nil {
 			v.Backtrace = append(v.Backtrace, Frame{PC: crash.Fault.PC, Disasm: img.DisassembleAt(crash.Fault.PC)})
-			if len(v.Backtrace) > s.cfg.BacktraceDepth {
-				v.Backtrace = v.Backtrace[len(v.Backtrace)-s.cfg.BacktraceDepth:]
+			if len(v.Backtrace) > timetravel.TraceDepth {
+				v.Backtrace = v.Backtrace[len(v.Backtrace)-timetravel.TraceDepth:]
 			}
 		}
 	}

@@ -5,11 +5,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bugnet/internal/asm"
 	"bugnet/internal/core"
 	"bugnet/internal/kernel"
+	"bugnet/internal/parreplay"
 	"bugnet/internal/report"
 )
 
@@ -250,11 +252,49 @@ func TestVerdictsWithoutArchiveAreBounded(t *testing.T) {
 	}
 }
 
+// TestZeroConfigReplaysOnParreplay: a service built with no replay
+// settings replays an MRL-free report on parreplay's interval fan-out
+// whenever GOMAXPROCS leaves room for one, and on the sequential schedule
+// at GOMAXPROCS 1.
+func TestZeroConfigReplaysOnParreplay(t *testing.T) {
+	img, rep, blob := recordBlob(t)
+	if len(rep.MRLs) != 0 || len(rep.FLLs[0]) < 2 {
+		t.Fatalf("want an MRL-free report of several intervals: %d MRLs, %d intervals", len(rep.MRLs), len(rep.FLLs[0]))
+	}
+	reg := NewImageRegistry()
+	reg.Register(img)
+	for _, tc := range []struct {
+		procs     int
+		fallbacks uint64
+	}{{2, 0}, {4, 0}, {1, 1}} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			s, err := New(Config{Dir: t.TempDir(), Resolver: reg.Resolve})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			before := parreplay.SequentialFallbacks()
+			res, err := s.Ingest(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.WaitIdle()
+			if got := parreplay.SequentialFallbacks() - before; got != tc.fallbacks {
+				t.Errorf("GOMAXPROCS %d: %d sequential replays, want %d", tc.procs, got, tc.fallbacks)
+			}
+			if m, _ := s.Report(res.ID); m.Verdict == nil || m.Verdict.State != VerdictDone || !m.Verdict.Reproduced {
+				t.Errorf("GOMAXPROCS %d: verdict %+v", tc.procs, m.Verdict)
+			}
+		}()
+	}
+}
+
 // TestParallelReplayVerdictParity is the service-level determinism
-// property: the verdict a parallel-replay service produces — state,
+// property: the verdict a service replays on four processors — state,
 // reproduction, races, backtrace, instruction counts — is byte-identical
-// to the sequential service's, for a single-threaded crash and for a
-// multithreaded racy report.
+// to the one it replays on one, sequentially, for a single-threaded crash
+// and for a multithreaded racy report.
 func TestParallelReplayVerdictParity(t *testing.T) {
 	img, _, stBlob := recordBlob(t)
 
@@ -278,9 +318,9 @@ func TestParallelReplayVerdictParity(t *testing.T) {
 	reg.Register(img)
 	reg.Register(mtImg)
 
-	verdicts := func(parallelism int) map[string]*Verdict {
-		s, err := New(Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve,
-			ReplayParallelism: parallelism})
+	verdicts := func(procs int) map[string]*Verdict {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := New(Config{Dir: t.TempDir(), Workers: 2, Resolver: reg.Resolve})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +339,7 @@ func TestParallelReplayVerdictParity(t *testing.T) {
 	}
 
 	seq := verdicts(1)
-	par := verdicts(8)
+	par := verdicts(4)
 	if !reflect.DeepEqual(par, seq) {
 		t.Errorf("parallel verdicts differ from sequential:\n par: %+v\n seq: %+v", par, seq)
 	}
