@@ -363,6 +363,19 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	}
 }
 
+// Release drops what the machine shares with the snapshot it last
+// restored: memory, the known-memory set, and the interval reader. The
+// parts it owns alone stay on its free lists for the next Restore, which
+// must come before the machine steps again.
+func (m *ReplayMachine) Release() {
+	st := m.st
+	st.mem.Recycle()
+	if st.known != nil {
+		st.known.RestoreFrom(nil)
+	}
+	st.cur, st.d, st.reader = nil, nil, nil
+}
+
 // SymbolAt renders pc as the closest preceding symbol plus offset, falling
 // back to the bare address.
 func SymbolAt(img *asm.Image, pc uint32) string {

@@ -122,6 +122,30 @@ func TestReplayMachineSnapshotRestore(t *testing.T) {
 	_ = img
 }
 
+// TestReplayMachineRelease: a released machine holds nothing of the
+// snapshot it restored — no page, no known word, no interval reader — and
+// afterwards restores and replays like a fresh one.
+func TestReplayMachineRelease(t *testing.T) {
+	m, _ := machineOver(t, 8)
+	scan, _ := machineOver(t, 8)
+	ref, _ := machineOver(t, 8)
+	stepTo(t, m, 10)
+	snap := m.Snapshot()
+	scan.Restore(snap)
+	stepTo(t, scan, scan.Window())
+	scan.Release()
+	if st := scan.st; st.mem.MappedPages() != 0 || st.known.Len() != 0 || st.reader != nil || st.d != nil {
+		t.Fatalf("released machine holds %d pages, %d known words, reader %v",
+			st.mem.MappedPages(), st.known.Len(), st.reader != nil)
+	}
+	scan.Restore(snap)
+	stepTo(t, ref, 10)
+	sameState(t, scan, ref)
+	stepTo(t, scan, scan.Window())
+	stepTo(t, ref, ref.Window())
+	sameState(t, scan, ref)
+}
+
 func TestReplayMachineRestoreMidIntervalCursor(t *testing.T) {
 	// Small intervals force snapshots to land mid-interval with live
 	// dictionary and reader cursors; a restore that mishandled them would

@@ -155,6 +155,12 @@ type Engine struct {
 	watchAddrs []uint32 // sorted word addresses, for deterministic reporting
 	watchVals  map[uint32]watchVal
 	lastWatch  *WatchHit
+
+	// scanners are the private replay machines the parallel reverse scan
+	// restores gap-start checkpoints into, built on first use. Only the gap
+	// scan runs on them concurrently; snapshot restores stay serialized on
+	// the engine's goroutine.
+	scanners []*core.ReplayMachine
 }
 
 // NewEngineForThread opens one thread of a crash report for time-travel
@@ -573,6 +579,13 @@ func (e *Engine) ReverseContinue() (StopReason, error) {
 	if width := runtime.GOMAXPROCS(0); width > 1 {
 		return e.reverseContinueParallel(width)
 	}
+	return e.reverseContinueSequential()
+}
+
+// reverseContinueSequential is the width-1 reverse scan, and the reference
+// the parallel scan must match: one gap at a time on the engine's own
+// machine, newest-first.
+func (e *Engine) reverseContinueSequential() (StopReason, error) {
 	limit := e.m.Pos()
 	for {
 		i := e.ckptIndexAtOrBefore(limit)
@@ -687,14 +700,20 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 		up = e.ckpts[i].pos
 	}
 
-	// The scan machines live for this call only: what they hold, the
-	// parts of the checkpoints they restored and the pages they copied,
-	// goes with them instead of outliving the budget that charged it.
+	// The scan machines stay with the engine, their free pages warm for the
+	// next call; what they share with the checkpoints they restored is
+	// released as this call returns, so it never outlives the budget that
+	// charged it.
 	workers := min(width, len(gaps))
-	scanners := make([]*core.ReplayMachine, workers)
-	for k := range scanners {
-		scanners[k] = e.newMachine()
+	for len(e.scanners) < workers {
+		e.scanners = append(e.scanners, e.newMachine())
 	}
+	scanners := e.scanners[:workers]
+	defer func() {
+		for _, m := range scanners {
+			m.Release()
+		}
+	}()
 
 	finish := func(g gapScan) (StopReason, error) {
 		if g.err != nil {

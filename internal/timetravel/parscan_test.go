@@ -2,7 +2,6 @@ package timetravel
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -42,35 +41,53 @@ type stop struct {
 }
 
 // reverseWalk seeks the engine to the end of its window and then
-// reverse-continues all the way back to the start, recording every stop.
-func reverseWalk(t *testing.T, e *Engine) []stop {
+// reverse-continues all the way back to the start on the scan of the given
+// width — the sequential gap walk at 1, the speculative parallel scan above
+// it — recording every stop. It calls the scan directly, so each walk runs
+// the path it names whatever GOMAXPROCS, the width ReverseContinue reads.
+func reverseWalk(t *testing.T, e *Engine, width int) []stop {
 	t.Helper()
 	if err := e.SeekTo(e.Window()); err != nil {
 		t.Fatal(err)
 	}
+	scan := e.reverseContinueSequential
+	if width > 1 {
+		scan = func() (StopReason, error) { return e.reverseContinueParallel(width) }
+	}
 	var stops []stop
 	for {
-		reason, err := e.ReverseContinue()
+		reason, err := scan()
 		if err != nil {
 			t.Fatalf("reverse-continue after %d stops: %v", len(stops), err)
 		}
 		stops = append(stops, stop{reason, e.Pos(), e.PC(), e.Registers().Regs, e.LastWatch()})
 		if reason == StopStart {
-			return stops
+			break
 		}
 		if len(stops) > 10_000 {
 			t.Fatal("reverse walk does not terminate")
 		}
 	}
+	if width > 1 && len(e.scanners) == 0 {
+		t.Fatal("parallel walk never engaged the speculative scan")
+	}
+	for k, m := range e.scanners {
+		// Released after every call: no scan machine keeps a restored
+		// checkpoint's parts, its known-memory bitmaps included.
+		if n := len(m.KnownWords()); n != 0 {
+			t.Fatalf("scan machine %d still holds %d known words", k, n)
+		}
+	}
+	return stops
 }
 
 // TestReverseContinueParallelParity is the determinism property of the
 // speculative scan: for every stop of a full reverse walk — breakpoints,
-// watchpoints, and the final window start — the engine at GOMAXPROCS 2
-// and 8 (the parallel scan) lands on the same position, reason,
-// registers, and watch transition as at GOMAXPROCS 1 (the sequential
-// walk). Run under -race this also exercises the scan workers' concurrent
-// execution over shared copy-on-write snapshots.
+// watchpoints, and the final window start — the parallel scan at widths 2
+// and 8 lands on the same position, reason, registers, and watch
+// transition as the sequential walk. Run under -race this also exercises
+// the scan workers' concurrent execution over shared copy-on-write
+// snapshots.
 func TestReverseContinueParallelParity(t *testing.T) {
 	stRep, stImg := recordCrash(t, corruptorProgram, 16)
 
@@ -103,13 +120,12 @@ func TestReverseContinueParallelParity(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			walk := func(par int) []stop {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				e, _, err := NewEngineForThread(tc.img, tc.rep, tc.tid, Config{CheckpointEvery: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
 				tc.setup(e, tc.img)
-				return reverseWalk(t, e)
+				return reverseWalk(t, e, par)
 			}
 			seq := walk(1)
 			for _, par := range []int{2, 8} {
@@ -140,14 +156,13 @@ func TestReverseContinueParallelParity(t *testing.T) {
 func TestReverseContinueParallelSparseCheckpoints(t *testing.T) {
 	rep, img := recordCrash(t, corruptorProgram, 16)
 	walk := func(par int) []stop {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 		e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 4, CheckpointBudget: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.AddBreak(img.MustSymbol("store"))
 		e.AddWatch(img.MustSymbol("ptr"))
-		return reverseWalk(t, e)
+		return reverseWalk(t, e, par)
 	}
 	seq := walk(1)
 	if got := walk(4); !reflect.DeepEqual(got, seq) {

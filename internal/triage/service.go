@@ -52,12 +52,16 @@ const maxQueue = 1024
 // admit the newcomer.
 const maxBuckets = 65536
 
-// DefaultMaxReplayPages bounds one report's total replay memory in 4 KB
-// pages (64 MB), split evenly across its threads. Untrusted logs control
+// DefaultMaxReplayPages caps one report's replay memory in 4 KB pages
+// (64 MB), split evenly across its threads. Untrusted logs control
 // replayed register state, and replay memory auto-maps on first touch, so
 // without a cap a crafted report could stride-allocate the server to
 // death; exceeding the per-thread share surfaces as a memory fault in the
-// verdict. Shared with the debug-session layer for the same reason.
+// verdict. Replay fans a report's intervals out across GOMAXPROCS workers
+// and the cap binds each interval there, so a report's replay peaks at
+// this cap times the replay width, and a report over the cap only across
+// its whole window diverges at width 1 alone (see package parreplay).
+// Shared with the debug-session layer for the same reason.
 const DefaultMaxReplayPages = 16384
 
 // Verdict states.
