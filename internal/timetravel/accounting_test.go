@@ -3,6 +3,7 @@ package timetravel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -109,8 +110,10 @@ func TestAccountingForwardPassIsExact(t *testing.T) {
 // TestAccountingNeverUndercharges drives a seeded storm of forward and
 // backward motion under each budget. Re-execution re-creates evicted
 // checkpoints from older state, runs past surviving ones and has the
-// checkpoint the machine shares with evicted under it; through all of it
-// the occupancy must cover every byte the checkpoints reference.
+// checkpoint the machine shares with evicted under it; runs of short
+// reverse steps plant, restore and replace the near checkpoint, which
+// forward motion then runs past; through all of it the occupancy must
+// cover every byte the checkpoints reference.
 func TestAccountingNeverUndercharges(t *testing.T) {
 	rep, img := recordCrash(t, pageStormProgram, 3_000)
 	for _, b := range accountingBudgets {
@@ -118,7 +121,7 @@ func TestAccountingNeverUndercharges(t *testing.T) {
 			e := accountingEngine(t, rep, img, b.bytes)
 			rng := rand.New(rand.NewSource(b.bytes))
 			e.AddBreak(img.MustSymbol("main"))
-			window := e.Window()
+			window, delta := e.Window(), e.nearDistance()
 			ops := 120
 			if testing.Short() {
 				ops = 40
@@ -126,7 +129,14 @@ func TestAccountingNeverUndercharges(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				var err error
 				var op string
-				switch k := rng.Intn(10); {
+				switch k := rng.Intn(11); {
+				case k == 10:
+					op = "rsteps"
+					for j := rng.Intn(int(delta)); j >= 0 && err == nil; j-- {
+						if _, err = e.ReverseStep(1 + uint64(rng.Int63n(int64(delta)))); err == nil {
+							mustCover(t, e, fmt.Sprintf("op %d rsteps, %d to go", i, j))
+						}
+					}
 				case k < 2:
 					op = "continue"
 					_, err = e.Continue()
@@ -149,13 +159,30 @@ func TestAccountingNeverUndercharges(t *testing.T) {
 	}
 }
 
-// mustCover fails unless the occupancy covers what the checkpoints hold.
+// mustCover fails unless the occupancy covers what the checkpoints hold
+// and the checkpoint set is well formed (see mustKeepGrid).
 func mustCover(t *testing.T, e *Engine, when string) {
 	t.Helper()
+	mustKeepGrid(t, e, when)
 	count, charged := e.Checkpoints()
 	if all, only := retained(e); charged < all || all < only {
 		t.Fatalf("%s at pos %d: %d checkpoints charged %d bytes, reference %d (%d through checkpoints alone)",
 			when, e.Pos(), count, charged, all, only)
+	}
+}
+
+// mustKeepGrid fails unless every checkpoint but the near one stands on
+// the K grid, and the near one, if any, is among the checkpoints: one
+// outside would hold a snapshot alive that no budget charges.
+func mustKeepGrid(t *testing.T, e *Engine, when string) {
+	t.Helper()
+	if e.near != nil && !slices.Contains(e.ckpts, e.near) {
+		t.Fatalf("%s: the near checkpoint at %d is not among the checkpoints", when, e.near.pos)
+	}
+	for _, c := range e.ckpts {
+		if c != e.near && c.pos%e.cfg.CheckpointEvery != 0 {
+			t.Fatalf("%s: a checkpoint at %d, off the %d grid", when, c.pos, e.cfg.CheckpointEvery)
+		}
 	}
 }
 
@@ -206,6 +233,76 @@ func TestAccountingReexecutionPastSurvivor(t *testing.T) {
 	mustCover(t, e, "after dropping the machine's base")
 }
 
+// TestAccountingReexecutionPastNear is the case above with the near
+// checkpoint N as the survivor: off the grid, it is passed between two
+// grid stops, and the machine must still carry N's set forward into D's.
+func TestAccountingReexecutionPastNear(t *testing.T) {
+	rep, img := recordCrash(t, pageStormProgram, 3_000)
+	e := accountingEngine(t, rep, img, 64<<20)
+	if _, err := e.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	const posA, posB, posN, posD = 1000, 1500, 1800, 2000
+	if err := e.SeekTo(posN + e.nearDistance()); err != nil {
+		t.Fatal(err)
+	}
+	if e.near == nil || e.near.pos != posN {
+		t.Fatalf("near checkpoint %+v, want one at %d", e.near, posN)
+	}
+	drop := func(pos uint64) {
+		t.Helper()
+		i := e.ckptIndexAtOrBefore(pos)
+		if e.ckpts[i].pos != pos {
+			t.Fatalf("no checkpoint at %d", pos)
+		}
+		e.drop(i)
+	}
+	drop(posD)
+	drop(posB)
+	mustCover(t, e, "after thinning")
+	if err := e.SeekTo(posA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Step(posD + 7 - posA); err != nil {
+		t.Fatal(err)
+	}
+	mustCover(t, e, "after re-execution")
+	drop(posB)
+	mustCover(t, e, "after dropping the re-created checkpoint")
+}
+
+// TestAccountingNewestNearReplaced: on a cold engine a long seek plants
+// the near checkpoint past every other one, and the next long seek, back
+// inside the grid, drops it as the newest checkpoint, which has no
+// successor to inherit its set. Nothing re-executed twice, so the
+// occupancy stays exactly what the checkpoints hold.
+func TestAccountingNewestNearReplaced(t *testing.T) {
+	rep, img := recordCrash(t, pageStormProgram, 3_000)
+	e := accountingEngine(t, rep, img, 64<<20)
+	exact := func(when string) {
+		t.Helper()
+		mustKeepGrid(t, e, when)
+		_, charged := e.Checkpoints()
+		if all, _ := retained(e); charged != all {
+			t.Fatalf("%s: charged %d bytes, reference %d", when, charged, all)
+		}
+	}
+	if err := e.SeekTo(5100); err != nil {
+		t.Fatal(err)
+	}
+	if last := e.ckpts[len(e.ckpts)-1]; last != e.near {
+		t.Fatalf("newest checkpoint at %d, near %+v", last.pos, e.near)
+	}
+	exact("after the first seek")
+	if err := e.SeekTo(4900); err != nil {
+		t.Fatal(err)
+	}
+	if want := 4900 - e.nearDistance(); e.near == nil || e.near.pos != want {
+		t.Fatalf("near checkpoint %+v, want one at %d", e.near, want)
+	}
+	exact("after the second")
+}
+
 // TestAccountingInsertBeforeSurvivor pins the other order. Checkpoints A <
 // C survive from one pass; a pass from the window start runs past A and
 // takes B between them. C still shares A's versions of parts B copied
@@ -237,4 +334,45 @@ func TestAccountingInsertBeforeSurvivor(t *testing.T) {
 	mustCover(t, e, "after the second pass")
 	e.drop(i)
 	mustCover(t, e, "after dropping A")
+}
+
+// TestAccountingSeekStepPairs: seek and reverse-step pairs, the developer's
+// pattern the benchmark times, leave the forward pass's checkpoints as
+// they were plus at most the one near checkpoint, and the occupancy at
+// most the forward pass's plus that checkpoint's charge, on the mcf window
+// whose whole grid fits the default budget.
+func TestAccountingSeekStepPairs(t *testing.T) {
+	steps, pairs := uint64(2_100_000), 1000
+	if testing.Short() {
+		steps, pairs = 400_000, 200
+	}
+	rep, img := specWindow(t, "mcf", steps, 100_000)
+	e, _, err := NewEngineForThread(img, rep, -1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	grid, gridBytes := e.Checkpoints()
+	rng := rand.New(rand.NewSource(35))
+	for i := 0; i < pairs; i++ {
+		pos := 1 + rng.Uint64()%e.Window()
+		if err := e.SeekTo(pos); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ReverseStep(1); err != nil || e.Pos() != pos-1 {
+			t.Fatalf("pair %d: reverse step from %d landed on %d: %v", i, pos, e.Pos(), err)
+		}
+		mustKeepGrid(t, e, fmt.Sprintf("pair %d", i))
+		count, bytes := e.Checkpoints()
+		var near int64
+		if e.near != nil {
+			near = e.near.fixed + e.near.added.Bytes()
+		}
+		if count > grid+1 || bytes > gridBytes+near {
+			t.Fatalf("pair %d: %d checkpoints charged %d bytes; the forward pass left %d charged %d, the near one is charged %d",
+				i, count, bytes, grid, gridBytes, near)
+		}
+	}
 }

@@ -116,11 +116,14 @@ func BenchmarkOpenToCrash(b *testing.B) {
 // BenchmarkReverseStep measures one backward step at the end of windows of
 // growing length. With checkpoints the cost is bounded by CheckpointEvery
 // — the ns/op must stay near-constant as the window quadruples — where the
-// re-execute-from-zero baseline below grows linearly. over_budget steps
-// back from seeded positions across the mcf window above, where the cost
-// is the widest gap eviction left.
+// re-execute-from-zero baseline below grows linearly. The rest run on the
+// mcf window above: over_budget steps back from seeded positions, timing
+// the step alone, which restores the near checkpoint its untimed seek
+// left; seek_then_step times the pair, so the re-execution the seek took
+// over from the step shows; consecutive steps back from the window end one
+// instruction at a time, K/δ + δ/2 instructions re-executed a step.
 func BenchmarkReverseStep(b *testing.B) {
-	b.Run("over_budget", func(b *testing.B) {
+	mcfEngine := func(b *testing.B) *Engine {
 		w := openWindows[0]
 		rep, img := specWindow(b, w.prog, w.steps, w.interval)
 		eng, _, err := NewEngineForThread(img, rep, -1, Config{})
@@ -130,23 +133,58 @@ func BenchmarkReverseStep(b *testing.B) {
 		if _, err := eng.Continue(); err != nil {
 			b.Fatal(err)
 		}
-		window := eng.Window()
-		next := uint64(12345)
+		return eng
+	}
+	for _, timeSeek := range []bool{false, true} {
+		name := "over_budget"
+		if timeSeek {
+			name = "seek_then_step"
+		}
+		b.Run(name, func(b *testing.B) {
+			eng := mcfEngine(b)
+			window := eng.Window()
+			next := uint64(12345)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				next = next*6364136223846793005 + 1442695040888963407
+				if !timeSeek {
+					b.StopTimer()
+				}
+				if err := eng.SeekTo(1 + next%window); err != nil {
+					b.Fatal(err)
+				}
+				if !timeSeek {
+					b.StartTimer()
+				}
+				if _, err := eng.ReverseStep(1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			count, _ := eng.Checkpoints()
+			b.ReportMetric(float64(count), "ckpts")
+		})
+	}
+	b.Run("consecutive", func(b *testing.B) {
+		eng := mcfEngine(b)
+		var reexecuted uint64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			next = next*6364136223846793005 + 1442695040888963407
-			b.StopTimer()
-			if err := eng.SeekTo(1 + next%window); err != nil {
-				b.Fatal(err)
+			if eng.Pos() == 0 {
+				b.StopTimer()
+				if err := eng.SeekTo(eng.Window()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 			}
-			b.StartTimer()
+			before := eng.reexecuted
 			if _, err := eng.ReverseStep(1); err != nil {
 				b.Fatal(err)
 			}
+			reexecuted += eng.reexecuted - before
 		}
-		count, _ := eng.Checkpoints()
-		b.ReportMetric(float64(count), "ckpts")
+		b.ReportMetric(float64(reexecuted)/float64(b.N), "reexec-instrs/op")
 	})
 	for _, window := range []uint64{40_000, 80_000, 160_000} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {

@@ -9,17 +9,22 @@
 // cursors, backtrace ring — captured copy-on-write, so taking one costs
 // O(page-table directory), not a deep copy) taken every CheckpointEvery
 // instructions under a byte budget, so any backward motion becomes
-// "restore the nearest
-// checkpoint + bounded forward re-execution": ReverseStep, ReverseContinue
-// and SeekTo all cost O(CheckpointEvery), independent of how long the
-// recorded window is. Data watchpoints honor the paper's §7.1
-// unknown-memory semantics: a watch fires when the watched word's *known*
-// value changes — a replayed store rewriting it, or a logged first-load
-// injection making it known in the first place.
+// "restore the nearest checkpoint + bounded forward re-execution": a seek
+// costs one restore plus at most the checkpoint spacing K, independent of
+// how long the recorded window is. A seek that re-executes more than 2δ
+// instructions, δ = ⌈√(2K)⌉, also leaves one near checkpoint δ short of
+// its target, so the reverse steps that follow re-execute the distance
+// they move: consecutive single reverse steps cost K/δ + δ/2 instructions
+// each on average (about 141 at the default K) instead of K/2. Data
+// watchpoints honor the paper's §7.1 unknown-memory semantics: a watch
+// fires when the watched word's *known* value changes — a replayed store
+// rewriting it, or a logged first-load injection making it known in the
+// first place.
 package timetravel
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -36,20 +41,23 @@ import (
 // Config parameterizes an Engine.
 type Config struct {
 	// CheckpointEvery is the checkpoint interval K in replayed
-	// instructions; reverse motion costs at most one checkpoint restore
-	// plus K forward steps. Default 10_000.
+	// instructions; a seek costs at most one checkpoint restore plus K
+	// forward steps, and a reverse step of n ≤ δ = ⌈√(2K)⌉ right after a
+	// seek re-executes fewer than δ (see SeekTo). Default 10_000.
 	CheckpointEvery uint64
 	// CheckpointBudget bounds the bytes retained across all checkpoints.
 	// When exceeded, the checkpoint whose removal creates the smallest
 	// coverage gap is evicted (never the window-start anchor, never the
 	// newest), so dense recent history thins toward sparse old history and
-	// the reverse-step bound degrades gracefully to the widest surviving
-	// gap. Checkpoints are copy-on-write (see core.ReplaySnapshot) and
-	// each is charged what it adds to the heap: the pages, known bitmaps
-	// and table leaves the replay copied or created since the checkpoint
-	// before it, plus its own directories and cursor. The occupancy is
-	// never less than the bytes the checkpoints retain, and exactly those
-	// bytes on a forward pass over the window. Default 64 MB.
+	// the seek bound degrades gracefully to the widest surviving gap. The
+	// one near checkpoint a long seek leaves is charged like any other;
+	// off the grid, it is usually the first to go. Checkpoints are
+	// copy-on-write (see core.ReplaySnapshot) and each is charged what it
+	// adds to the heap: the pages, known bitmaps and table leaves the
+	// replay copied or created since the checkpoint before it, plus its
+	// own directories and cursor. The occupancy is never less than the
+	// bytes the checkpoints retain, and exactly those bytes on a forward
+	// pass over the window. Default 64 MB.
 	CheckpointBudget int64
 	// MaxPages caps replay memory in 4 KB pages (see
 	// core.Replayer.MaxPages); sessions over untrusted stored reports set
@@ -143,7 +151,11 @@ type Engine struct {
 
 	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the pos-0 anchor
 	ckptBytes  int64
-	nextCkptAt uint64
+	nextCkptAt uint64 // the next multiple of CheckpointEvery
+	// near is the checkpoint the last long seek left δ short of its target
+	// (see SeekTo), nil once dropped. It is one of ckpts, off the grid as a
+	// rule, and at most one lives at a time.
+	near *checkpoint
 	// carry names the parts in which the machine's shared state may differ
 	// from the checkpoint at or before its position, beyond what it has
 	// copied since: the machine re-executed past that checkpoint sharing
@@ -161,6 +173,11 @@ type Engine struct {
 	// scan runs on them concurrently; snapshot restores stay serialized on
 	// the engine's goroutine.
 	scanners []*core.ReplayMachine
+
+	// reexecuted counts the instructions the batched forward runs executed
+	// (every seek's re-execution, and Step without stops to police), summed
+	// per StepN call.
+	reexecuted uint64
 }
 
 // NewEngineForThread opens one thread of a crash report for time-travel
@@ -343,12 +360,20 @@ func (e *Engine) ckptIndexAtOrBefore(target uint64) int {
 	return i - 1
 }
 
-// maybeCheckpoint takes a checkpoint when the machine crosses the next
-// scheduled position, then enforces the byte budget. Restores re-align
-// nextCkptAt, so checkpoint positions stay on the K grid and re-executed
-// stretches find their old checkpoints instead of duplicating them.
-func (e *Engine) maybeCheckpoint() {
+// maybeCheckpoint runs after the machine executed forward from position
+// from. It takes a checkpoint when the machine crosses the next scheduled
+// position, then enforces the byte budget. Restores re-align nextCkptAt,
+// so checkpoint positions stay on the K grid and re-executed stretches
+// find their old checkpoints instead of duplicating them.
+func (e *Engine) maybeCheckpoint(from uint64) {
 	pos := e.m.Pos()
+	if n := e.near; n != nil && from < n.pos && n.pos <= pos {
+		// Ran onto or past the near checkpoint from before it: as with a
+		// grid checkpoint already there (below), the machine still shares
+		// with an older one, which differs from it wherever its gap
+		// changed state.
+		e.carry.Absorb(n.added)
+	}
 	if pos < e.nextCkptAt {
 		return
 	}
@@ -361,6 +386,12 @@ func (e *Engine) maybeCheckpoint() {
 		e.carry.Absorb(c.added)
 		return
 	}
+	e.insert(i)
+	e.evict()
+}
+
+// insert checkpoints the machine where it stands, right after ckpts[i].
+func (e *Engine) insert(i int) *checkpoint {
 	c := e.snapshot()
 	e.ckpts = slices.Insert(e.ckpts, i+1, c)
 	if i+2 < len(e.ckpts) {
@@ -372,6 +403,20 @@ func (e *Engine) maybeCheckpoint() {
 		next := e.ckpts[i+2]
 		e.ckptBytes += c.added.Bytes() - next.added.Absorb(c.added)
 	}
+	return c
+}
+
+// plantNear makes the machine's position the near checkpoint, dropping the
+// previous one, unless a checkpoint already stands there.
+func (e *Engine) plantNear() {
+	pos := e.m.Pos()
+	if e.ckpts[e.ckptIndexAtOrBefore(pos)].pos == pos {
+		return
+	}
+	if e.near != nil {
+		e.drop(e.ckptIndexAtOrBefore(e.near.pos))
+	}
+	e.near = e.insert(e.ckptIndexAtOrBefore(pos))
 	e.evict()
 }
 
@@ -387,11 +432,14 @@ func (e *Engine) snapshot() *checkpoint {
 	return c
 }
 
-// restore rewinds the machine to c and re-aligns the checkpoint grid.
+// restore rewinds the machine to c and re-aligns the checkpoint grid: the
+// next checkpoint is due at the next multiple of K, whether c is on the
+// grid or the near checkpoint.
 func (e *Engine) restore(c *checkpoint) {
 	e.m.Restore(c.snap)
 	e.carry = nil
-	e.nextCkptAt = c.pos + e.cfg.CheckpointEvery
+	k := e.cfg.CheckpointEvery
+	e.nextCkptAt = (c.pos/k + 1) * k
 }
 
 // evict thins checkpoints until the byte budget is met: repeatedly drop
@@ -411,27 +459,36 @@ func (e *Engine) evict() {
 	}
 }
 
-// drop removes the interior checkpoint at index i. Its successor inherits
-// its added set: parts named by both are versions only the dropped
-// checkpoint held (the successor's gap replaced them) and leave the
-// occupancy with its fixed cost; the rest the successor still shares and
-// now answers for. So does the machine, when the checkpoint it shares with
-// is the one dropped.
+// drop removes the checkpoint at index i > 0. Its successor inherits its
+// added set: parts named by both are versions only the dropped checkpoint
+// held (the successor's gap replaced them) and leave the occupancy with
+// its fixed cost; the rest the successor still shares and now answers
+// for. The newest checkpoint has no successor, so its whole added set
+// leaves. The machine answers for the set too, when the checkpoint it
+// shares with is the one dropped.
 func (e *Engine) drop(i int) {
 	c := e.ckpts[i]
-	e.ckptBytes -= c.fixed + e.ckpts[i+1].added.Absorb(c.added)
+	freed := c.fixed + c.added.Bytes()
+	if i+1 < len(e.ckpts) {
+		freed = c.fixed + e.ckpts[i+1].added.Absorb(c.added)
+	}
+	e.ckptBytes -= freed
 	if i == e.ckptIndexAtOrBefore(e.m.Pos()) {
 		e.carry.Absorb(c.added)
+	}
+	if c == e.near {
+		e.near = nil
 	}
 	e.ckpts = slices.Delete(e.ckpts, i, i+1)
 }
 
 // forwardOne executes one instruction and handles checkpointing.
 func (e *Engine) forwardOne() error {
+	from := e.m.Pos()
 	if err := e.m.StepOne(); err != nil {
 		return err
 	}
-	e.maybeCheckpoint()
+	e.maybeCheckpoint(from)
 	return nil
 }
 
@@ -450,10 +507,13 @@ func (e *Engine) forwardTo(target uint64) error {
 		if n == 0 {
 			n = 1 // defensive: always make progress
 		}
-		if _, err := e.m.StepN(n); err != nil {
+		from := e.m.Pos()
+		done, err := e.m.StepN(n)
+		e.reexecuted += done
+		if err != nil {
 			return err
 		}
-		e.maybeCheckpoint()
+		e.maybeCheckpoint(from)
 	}
 	return nil
 }
@@ -513,7 +573,15 @@ func (e *Engine) Continue() (StopReason, error) {
 // current position — backward always, forward when a checkpoint lets the
 // seek skip ahead — then re-executes to the target, so on a warmed window
 // the cost is bounded by the checkpoint spacing, not the distance.
-// Breakpoints and watchpoints do not fire during a seek.
+//
+// A seek that has more than 2δ instructions to re-execute, δ = ⌈√(2K)⌉,
+// stops δ short of the target on the way and plants the near checkpoint
+// there, replacing the previous one. The reverse steps that follow (each
+// a seek) restore it and re-execute less than δ, until one moves past it
+// and plants the next: δ steps of one instruction then cost one long seek
+// plus δ²/2 instructions, and δ minimises that, K/δ + δ/2 a step.
+// Continue and Step plant nothing. Breakpoints and watchpoints do not fire
+// during a seek.
 func (e *Engine) SeekTo(target uint64) error {
 	if target > e.m.Window() {
 		target = e.m.Window()
@@ -523,11 +591,23 @@ func (e *Engine) SeekTo(target uint64) error {
 	}
 	// Breakpoints and watchpoints never fire during a seek, so the
 	// re-execution runs batched through the block engine.
+	if d := e.nearDistance(); target-e.m.Pos() > 2*d {
+		if err := e.forwardTo(target - d); err != nil {
+			return err
+		}
+		e.plantNear()
+	}
 	if err := e.forwardTo(target); err != nil {
 		return err
 	}
 	e.primeWatches()
 	return nil
+}
+
+// nearDistance is δ = ⌈√(2K)⌉, how far short of a long seek's target the
+// near checkpoint stands.
+func (e *Engine) nearDistance() uint64 {
+	return uint64(math.Ceil(math.Sqrt(float64(2 * e.cfg.CheckpointEvery))))
 }
 
 // ReverseStep travels n instructions backward. It reports StopStart when

@@ -1,7 +1,10 @@
 package timetravel
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -286,12 +289,46 @@ func TestEngineCheckpointEviction(t *testing.T) {
 	}
 }
 
+// sameAsFresh fails unless the engine's registers, backtrace, known words
+// and watched words equal those of a fresh replay of its logs to its
+// position.
+func sameAsFresh(t *testing.T, eng *Engine, when string) {
+	t.Helper()
+	p := eng.Pos()
+	r := core.NewReplayer(eng.img, eng.logs)
+	r.LogCodeLoads = eng.rep.LogCodeLoads
+	r.DictOptions = eng.rep.DictOptions
+	r.TraceDepth = TraceDepth
+	ref := r.Machine(core.MachineOptions{TrackKnown: true})
+	if _, err := ref.StepN(p); err != nil || ref.Pos() != p {
+		t.Fatalf("%s: fresh replay to %d stopped at %d: %v", when, p, ref.Pos(), err)
+	}
+	if eng.Registers() != ref.Registers() {
+		t.Fatalf("%s: registers at %d differ:\n  engine: %+v\n   fresh: %+v", when, p, eng.Registers(), ref.Registers())
+	}
+	if bt, want := eng.Backtrace(), ref.Trace(); !slices.Equal(bt, want) {
+		t.Fatalf("%s: backtrace at %d differs:\n  engine: %v\n   fresh: %v", when, p, bt, want)
+	}
+	words, want := eng.m.KnownWords(), ref.KnownWords()
+	if !slices.Equal(words, want) {
+		t.Fatalf("%s: known sets at %d differ: %d words vs %d", when, p, len(words), len(want))
+	}
+	for _, addr := range append(words, eng.Watches()...) {
+		va, ka := eng.ReadWord(addr)
+		vb, kb := ref.ReadWord(addr)
+		if va != vb || ka != kb {
+			t.Fatalf("%s: word %#x at %d: %#x/%v vs %#x/%v", when, addr, p, va, ka, vb, kb)
+		}
+	}
+}
+
 // TestSeekDeterminismProperty is the reverse-execution determinism
 // property the subsystem rests on: for random positions p, SeekTo(p) —
 // whatever checkpoint it restores through — yields byte-identical
 // registers and known-memory to a fresh forward replay to p. Exercised
 // over a single-threaded crash report and a thread of a multithreaded
-// one.
+// one, then over random schedules of every motion command (see
+// seekSchedule).
 func TestSeekDeterminismProperty(t *testing.T) {
 	mtProgram := `
         .data
@@ -348,11 +385,10 @@ boom:   lw   a0, (zero)
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, tid, err := NewEngineForThread(tc.img, tc.rep, tc.tid, Config{CheckpointEvery: 8})
+			eng, _, err := NewEngineForThread(tc.img, tc.rep, tc.tid, Config{CheckpointEvery: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			logs := tc.rep.FLLs[tid]
 			window := eng.Window()
 			if window < 4 {
 				t.Fatalf("window too small: %d", window)
@@ -360,19 +396,6 @@ boom:   lw   a0, (zero)
 			// Warm the checkpoint set by visiting the whole window once.
 			if _, err := eng.Continue(); err != nil {
 				t.Fatal(err)
-			}
-
-			freshTo := func(p uint64) *core.ReplayMachine {
-				r := core.NewReplayer(tc.img, logs)
-				r.LogCodeLoads = tc.rep.LogCodeLoads
-				r.DictOptions = tc.rep.DictOptions
-				m := r.Machine(core.MachineOptions{TrackKnown: true})
-				for m.Pos() < p && !m.Done() {
-					if err := m.StepOne(); err != nil {
-						t.Fatalf("fresh replay to %d: %v", p, err)
-					}
-				}
-				return m
 			}
 
 			rng := rand.New(rand.NewSource(1))
@@ -384,27 +407,115 @@ boom:   lw   a0, (zero)
 				if eng.Pos() != p {
 					t.Fatalf("SeekTo(%d) landed at %d", p, eng.Pos())
 				}
-				ref := freshTo(p)
-				if eng.Registers() != ref.Registers() {
-					t.Fatalf("registers at %d differ:\n seek: %+v\nfresh: %+v", p, eng.Registers(), ref.Registers())
-				}
-				sk, fr := eng.m.KnownWords(), ref.KnownWords()
-				if len(sk) != len(fr) {
-					t.Fatalf("known-set sizes at %d differ: %d vs %d", p, len(sk), len(fr))
-				}
-				for j, addr := range sk {
-					if fr[j] != addr {
-						t.Fatalf("known set at %d differs at %#x vs %#x", p, addr, fr[j])
-					}
-					va, ka := eng.ReadWord(addr)
-					vb, kb := ref.ReadWord(addr)
-					if va != vb || ka != kb {
-						t.Fatalf("word %#x at %d: %#x/%v vs %#x/%v", addr, p, va, ka, vb, kb)
-					}
-				}
+				sameAsFresh(t, eng, fmt.Sprintf("SeekTo(%d)", p))
 			}
 		})
 	}
+
+	// A 5 K-instruction page storm: at K = 100, δ = 15, so most seeks and
+	// reverse steps of up to 3δ plant, restore or replace the near
+	// checkpoint.
+	rep, img := recordCrash(t, strings.Replace(pageStormProgram, "li   s2, 6000", "li   s2, 600", 1), 1_000)
+	for _, b := range []struct {
+		name  string
+		bytes int64
+	}{{"1B", 1}, {"64KB", 64 << 10}, {"unlimited", 1 << 62}} {
+		t.Run("schedule/"+b.name, func(t *testing.T) {
+			seekSchedule(t, rep, img, b.bytes)
+		})
+	}
+}
+
+// seekSchedule runs a seeded random schedule of 150 commands — seeks,
+// reverse steps of 1 to 3δ, steps, continues and reverse-continues, with a
+// breakpoint and a watchpoint toggled on and off — on an engine at K = 100
+// under budget, and holds the engine to a fresh replay after every
+// command. The engine starts cold, so early seeks run past its newest
+// checkpoint and plant the near checkpoint there; the budgets range from
+// one that evicts every checkpoint it can, the near one as soon as it is
+// planted, to one that evicts none.
+func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64) {
+	eng, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 100, CheckpointBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, word := img.MustSymbol("loop"), img.MustSymbol("pool")+8
+	eng.AddBreak(loop)
+	eng.AddWatch(word)
+	delta, window := eng.nearDistance(), eng.Window()
+	rng := rand.New(rand.NewSource(budget))
+	for i := 0; i < 150; i++ {
+		var op string
+		var err error
+		switch k := rng.Intn(12); {
+		case k < 3:
+			p := uint64(rng.Int63n(int64(window) + 1))
+			op = fmt.Sprintf("seek %d", p)
+			err = eng.SeekTo(p)
+		case k < 7:
+			n := 1 + uint64(rng.Int63n(int64(3*delta)))
+			op = fmt.Sprintf("rstep %d", n)
+			_, err = eng.ReverseStep(n)
+		case k < 8:
+			n := 1 + uint64(rng.Intn(200))
+			op = fmt.Sprintf("step %d", n)
+			_, err = eng.Step(n)
+		case k < 9:
+			op = "continue"
+			_, err = eng.Continue()
+		case k < 10:
+			op = "rcont"
+			_, err = eng.ReverseContinue()
+		case k < 11:
+			op = "toggle break"
+			if len(eng.Breakpoints()) > 0 {
+				eng.ClearBreak(loop)
+			} else {
+				eng.AddBreak(loop)
+			}
+		default:
+			op = "toggle watch"
+			if len(eng.Watches()) > 0 {
+				eng.ClearWatch(word)
+			} else {
+				eng.AddWatch(word)
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d %s: %v", i, op, err)
+		}
+		when := fmt.Sprintf("op %d %s", i, op)
+		mustKeepGrid(t, eng, when)
+		sameAsFresh(t, eng, when)
+	}
+}
+
+// TestReverseStepsReexecuteTheDistanceMoved pins what the near checkpoint
+// buys: consecutive single reverse steps from the end of an mcf window
+// re-execute K/δ + δ/2 instructions each on average, δ = ⌈√(2K)⌉, where
+// restoring the grid checkpoint before each target re-executed about K/2.
+func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
+	rep, img := specWindow(t, "mcf", 400_000, 100_000)
+	e, _, err := NewEngineForThread(img, rep, -1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Continue(); err != nil {
+		t.Fatal(err)
+	}
+	const steps = 1000
+	end, before := e.Pos(), e.reexecuted
+	for i := uint64(1); i <= steps; i++ {
+		if _, err := e.ReverseStep(1); err != nil || e.Pos() != end-i {
+			t.Fatalf("reverse step %d from %d landed on %d: %v", i, end-i+1, e.Pos(), err)
+		}
+	}
+	k, delta := e.cfg.CheckpointEvery, e.nearDistance()
+	reexecuted := e.reexecuted - before
+	if bound := steps * (k/delta + delta); reexecuted > bound {
+		t.Errorf("%d reverse steps re-executed %d instructions; want at most %d", steps, reexecuted, bound)
+	}
+	t.Logf("%d reverse steps re-executed %d instructions, %d a step (K = %d, δ = %d)", steps, reexecuted, reexecuted/steps, k, delta)
 }
 
 func TestEngineExecProtocol(t *testing.T) {

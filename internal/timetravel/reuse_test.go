@@ -12,16 +12,26 @@ import (
 // Before restores rewound in place, the step allocated about 374 KB on the
 // 400 K-instruction window and 148 KB on the 2.1 M one, nearly all of it
 // 4 KB page copies; what remains is the per-restore cursor state, the
-// blocks decoded after the block-cache flush, an interval loaded from the
-// log store when the re-execution crosses into it, and the checkpoints it
-// lays where eviction thinned them: about 8 KB and 14 KB on the two
-// windows, with the interval's entry stream read where the load put it.
+// blocks decoded after the block-cache flush and, now that the step
+// restores the near checkpoint its seek left δ short of the target, little
+// else: about 2 KB on either window.
+//
+// The seek pays instead. The near checkpoint it plants pins the pages its
+// re-execution copied since the grid checkpoint it restored, which the next
+// restore would otherwise have handed back for reuse, so the next seek
+// copies into new ones: a pair allocates about 320 KB on the 400 K window
+// and 115 KB on the 2.1 M one (20 KB and 43 KB without the near
+// checkpoint). Handing a dropped checkpoint's pages back needs pages that
+// count their sharers.
 func TestReverseStepReusesPages(t *testing.T) {
-	steps := []uint64{400_000}
-	if !testing.Short() {
-		steps = append(steps, 2_100_000)
-	}
-	for _, n := range steps {
+	for _, w := range []struct {
+		steps     uint64
+		pairLimit uint64 // bytes a seek and reverse step may allocate
+	}{{400_000, 448 << 10}, {2_100_000, 192 << 10}} {
+		if testing.Short() && w.steps > 400_000 {
+			continue
+		}
+		n := w.steps
 		rep, img := specWindow(t, "mcf", n, 100_000)
 		e, _, err := NewEngineForThread(img, rep, -1, Config{})
 		if err != nil {
@@ -31,32 +41,37 @@ func TestReverseStepReusesPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(29))
-		var allocated uint64
+		var stepped, paired uint64
 		pair := func() {
 			pos := 1 + rng.Uint64()%e.Window()
+			var start, before, after runtime.MemStats
+			runtime.ReadMemStats(&start)
 			if err := e.SeekTo(pos); err != nil {
 				t.Fatal(err)
 			}
-			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			_, err := e.ReverseStep(1)
 			runtime.ReadMemStats(&after)
 			if err != nil || e.Pos() != pos-1 {
 				t.Fatalf("reverse step from %d landed on %d: %v", pos, e.Pos(), err)
 			}
-			allocated += after.TotalAlloc - before.TotalAlloc
+			stepped += after.TotalAlloc - before.TotalAlloc
+			paired += after.TotalAlloc - start.TotalAlloc
 		}
 		for i := 0; i < 8; i++ {
 			pair()
 		}
 		const pairs = 64
-		allocated = 0
+		stepped, paired = 0, 0
 		for i := 0; i < pairs; i++ {
 			pair()
 		}
-		if per := allocated / pairs; per >= 32<<10 {
+		if per := stepped / pairs; per >= 32<<10 {
 			t.Errorf("%d-instruction window: a reverse step allocates %d KB; want under 32 KB", n, per>>10)
 		}
-		t.Logf("%d-instruction window: %d KB a reverse step", n, allocated/pairs>>10)
+		if per := paired / pairs; per >= w.pairLimit {
+			t.Errorf("%d-instruction window: a seek and reverse step allocate %d KB; want under %d KB", n, per>>10, w.pairLimit>>10)
+		}
+		t.Logf("%d-instruction window: %d KB a reverse step, %d KB with its seek", n, stepped/pairs>>10, paired/pairs>>10)
 	}
 }
