@@ -110,52 +110,64 @@ func TestAccountingForwardPassIsExact(t *testing.T) {
 // TestAccountingNeverUndercharges drives a seeded storm of forward and
 // backward motion under each budget. Re-execution re-creates evicted
 // checkpoints from older state, runs past surviving ones and has the
-// checkpoint the machine shares with evicted under it; runs of short
-// reverse steps plant, restore and replace the near checkpoint, which
-// forward motion then runs past; through all of it the occupancy must
-// cover every byte the checkpoints reference.
+// checkpoint the machine shares with evicted under it; through all of it
+// the occupancy must cover every byte the checkpoints reference. Each
+// budget's rsteps subtest runs a second storm that adds runs of short
+// reverse steps, which plant, restore and replace the near checkpoint
+// that forward motion then runs past.
 func TestAccountingNeverUndercharges(t *testing.T) {
 	rep, img := recordCrash(t, pageStormProgram, 3_000)
 	for _, b := range accountingBudgets {
 		t.Run(b.name, func(t *testing.T) {
-			e := accountingEngine(t, rep, img, b.bytes)
-			rng := rand.New(rand.NewSource(b.bytes))
-			e.AddBreak(img.MustSymbol("main"))
-			window, delta := e.Window(), e.nearDistance()
-			ops := 120
-			if testing.Short() {
-				ops = 40
-			}
-			for i := 0; i < ops; i++ {
-				var err error
-				var op string
-				switch k := rng.Intn(11); {
-				case k == 10:
-					op = "rsteps"
-					for j := rng.Intn(int(delta)); j >= 0 && err == nil; j-- {
-						if _, err = e.ReverseStep(1 + uint64(rng.Int63n(int64(delta)))); err == nil {
-							mustCover(t, e, fmt.Sprintf("op %d rsteps, %d to go", i, j))
-						}
-					}
-				case k < 2:
-					op = "continue"
-					_, err = e.Continue()
-				case k < 6:
-					op = "seek"
-					err = e.SeekTo(uint64(rng.Int63n(int64(window) + 1)))
-				case k < 9:
-					op = "rstep"
-					_, err = e.ReverseStep(1 + uint64(rng.Intn(3000)))
-				default:
-					op = "rcont"
-					_, err = e.ReverseContinue()
-				}
-				if err != nil {
-					t.Fatalf("op %d %s: %v", i, op, err)
-				}
-				mustCover(t, e, fmt.Sprintf("op %d %s", i, op))
-			}
+			accountingStorm(t, accountingEngine(t, rep, img, b.bytes), b.bytes, false)
+			t.Run("rsteps", func(t *testing.T) {
+				accountingStorm(t, accountingEngine(t, rep, img, b.bytes), b.bytes+1, true)
+			})
 		})
+	}
+}
+
+// accountingStorm runs the seeded storm on e, with runs of up to δ
+// reverse steps of up to δ each among its commands when rsteps is set.
+func accountingStorm(t *testing.T, e *Engine, seed int64, rsteps bool) {
+	rng := rand.New(rand.NewSource(seed))
+	e.AddBreak(e.img.MustSymbol("main"))
+	window, delta := e.Window(), e.nearDistance()
+	ops, kinds := 120, 10
+	if testing.Short() {
+		ops = 40
+	}
+	if rsteps {
+		kinds++
+	}
+	for i := 0; i < ops; i++ {
+		var err error
+		var op string
+		switch k := rng.Intn(kinds); {
+		case k < 2:
+			op = "continue"
+			_, err = e.Continue()
+		case k < 6:
+			op = "seek"
+			err = e.SeekTo(uint64(rng.Int63n(int64(window) + 1)))
+		case k < 9:
+			op = "rstep"
+			_, err = e.ReverseStep(1 + uint64(rng.Intn(3000)))
+		case k < 10:
+			op = "rcont"
+			_, err = e.ReverseContinue()
+		default:
+			op = "rsteps"
+			for j := rng.Intn(int(delta)); j >= 0 && err == nil; j-- {
+				if _, err = e.ReverseStep(1 + uint64(rng.Int63n(int64(delta)))); err == nil {
+					mustCover(t, e, fmt.Sprintf("op %d rsteps, %d to go", i, j))
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("op %d %s: %v", i, op, err)
+		}
+		mustCover(t, e, fmt.Sprintf("op %d %s", i, op))
 	}
 }
 
@@ -272,7 +284,7 @@ func TestAccountingReexecutionPastNear(t *testing.T) {
 }
 
 // TestAccountingNewestNearReplaced: on a cold engine a long seek plants
-// the near checkpoint past every other one, and the next long seek, back
+// the near checkpoint past every other one, and a long reverse step, back
 // inside the grid, drops it as the newest checkpoint, which has no
 // successor to inherit its set. Nothing re-executed twice, so the
 // occupancy stays exactly what the checkpoints hold.
@@ -293,14 +305,14 @@ func TestAccountingNewestNearReplaced(t *testing.T) {
 	if last := e.ckpts[len(e.ckpts)-1]; last != e.near {
 		t.Fatalf("newest checkpoint at %d, near %+v", last.pos, e.near)
 	}
-	exact("after the first seek")
-	if err := e.SeekTo(4900); err != nil {
+	exact("after the seek")
+	if _, err := e.ReverseStep(200); err != nil {
 		t.Fatal(err)
 	}
 	if want := 4900 - e.nearDistance(); e.near == nil || e.near.pos != want {
 		t.Fatalf("near checkpoint %+v, want one at %d", e.near, want)
 	}
-	exact("after the second")
+	exact("after the reverse step")
 }
 
 // TestAccountingInsertBeforeSurvivor pins the other order. Checkpoints A <

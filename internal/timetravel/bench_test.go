@@ -123,18 +123,6 @@ func BenchmarkOpenToCrash(b *testing.B) {
 // over from the step shows; consecutive steps back from the window end one
 // instruction at a time, K/δ + δ/2 instructions re-executed a step.
 func BenchmarkReverseStep(b *testing.B) {
-	mcfEngine := func(b *testing.B) *Engine {
-		w := openWindows[0]
-		rep, img := specWindow(b, w.prog, w.steps, w.interval)
-		eng, _, err := NewEngineForThread(img, rep, -1, Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Continue(); err != nil {
-			b.Fatal(err)
-		}
-		return eng
-	}
 	for _, timeSeek := range []bool{false, true} {
 		name := "over_budget"
 		if timeSeek {
@@ -204,18 +192,44 @@ func BenchmarkReverseStep(b *testing.B) {
 }
 
 // BenchmarkSeek measures random absolute seeks across a warmed window:
-// restore nearest checkpoint + at most CheckpointEvery forward steps.
+// restore nearest checkpoint + at most CheckpointEvery forward steps. No
+// reverse step follows them, so after the first they plant no near
+// checkpoint; on the mcf window that is what the seek costs a developer
+// who jumps about without stepping backward.
 func BenchmarkSeek(b *testing.B) {
-	rep, img := benchWindow(b, 160_000)
-	eng := engineAtEnd(b, rep, img)
-	window := eng.Window()
-	// A fixed pseudo-random walk, independent of b.N splits.
-	next := uint64(12345)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		next = next*6364136223846793005 + 1442695040888963407
-		if err := eng.SeekTo(next % (window + 1)); err != nil {
-			b.Fatal(err)
+	seeks := func(b *testing.B, eng *Engine) {
+		window := eng.Window()
+		// A fixed pseudo-random walk, independent of b.N splits.
+		next := uint64(12345)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next = next*6364136223846793005 + 1442695040888963407
+			if err := eng.SeekTo(next % (window + 1)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("window=160000", func(b *testing.B) {
+		rep, img := benchWindow(b, 160_000)
+		seeks(b, engineAtEnd(b, rep, img))
+	})
+	b.Run("mcf", func(b *testing.B) {
+		seeks(b, mcfEngine(b))
+	})
+}
+
+// mcfEngine opens the mcf window of openWindows under the default
+// configuration and continues to its end.
+func mcfEngine(b *testing.B) *Engine {
+	w := openWindows[0]
+	rep, img := specWindow(b, w.prog, w.steps, w.interval)
+	eng, _, err := NewEngineForThread(img, rep, -1, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.Continue(); err != nil {
+		b.Fatal(err)
+	}
+	return eng
 }

@@ -11,11 +11,13 @@
 // instructions under a byte budget, so any backward motion becomes
 // "restore the nearest checkpoint + bounded forward re-execution": a seek
 // costs one restore plus at most the checkpoint spacing K, independent of
-// how long the recorded window is. A seek that re-executes more than 2δ
-// instructions, δ = ⌈√(2K)⌉, also leaves one near checkpoint δ short of
-// its target, so the reverse steps that follow re-execute the distance
-// they move: consecutive single reverse steps cost K/δ + δ/2 instructions
-// each on average (about 141 at the default K) instead of K/2. Data
+// how long the recorded window is. A reverse step that re-executes more
+// than 2δ instructions, δ = ⌈√(2K)⌉, also leaves one near checkpoint δ
+// short of its target, as does a long seek once reverse steps have come
+// since the seek before it, so the reverse steps that follow re-execute
+// the distance they move: consecutive single reverse steps cost
+// K/δ + δ/2 instructions each on average (about 141 at the default K)
+// instead of K/2. Data
 // watchpoints honor the paper's §7.1 unknown-memory semantics: a watch
 // fires when the watched word's *known* value changes — a replayed store
 // rewriting it, or a logged first-load injection making it known in the
@@ -42,16 +44,16 @@ import (
 type Config struct {
 	// CheckpointEvery is the checkpoint interval K in replayed
 	// instructions; a seek costs at most one checkpoint restore plus K
-	// forward steps, and a reverse step of n ≤ δ = ⌈√(2K)⌉ right after a
-	// seek re-executes fewer than δ (see SeekTo). Default 10_000.
+	// forward steps, and a reverse step of n ≤ δ = ⌈√(2K)⌉ off the near
+	// checkpoint re-executes fewer than δ (see SeekTo). Default 10_000.
 	CheckpointEvery uint64
 	// CheckpointBudget bounds the bytes retained across all checkpoints.
 	// When exceeded, the checkpoint whose removal creates the smallest
 	// coverage gap is evicted (never the window-start anchor, never the
 	// newest), so dense recent history thins toward sparse old history and
 	// the seek bound degrades gracefully to the widest surviving gap. The
-	// one near checkpoint a long seek leaves is charged like any other;
-	// off the grid, it is usually the first to go. Checkpoints are
+	// one near checkpoint (see SeekTo) is charged like any other and
+	// evicted only when nothing else is left to evict. Checkpoints are
 	// copy-on-write (see core.ReplaySnapshot) and each is charged what it
 	// adds to the heap: the pages, known bitmaps and table leaves the
 	// replay copied or created since the checkpoint before it, plus its
@@ -152,10 +154,14 @@ type Engine struct {
 	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the pos-0 anchor
 	ckptBytes  int64
 	nextCkptAt uint64 // the next multiple of CheckpointEvery
-	// near is the checkpoint the last long seek left δ short of its target
-	// (see SeekTo), nil once dropped. It is one of ckpts, off the grid as a
-	// rule, and at most one lives at a time.
+	// near is the checkpoint the last planting seek left δ short of its
+	// target (see SeekTo), nil once dropped. It is one of ckpts, off the
+	// grid as a rule, and at most one lives at a time.
 	near *checkpoint
+	// seeking is set by SeekTo and cleared by ReverseStep: while it is
+	// set, no reverse step has come since the last SeekTo, and a long
+	// SeekTo plants no near checkpoint.
+	seeking bool
 	// carry names the parts in which the machine's shared state may differ
 	// from the checkpoint at or before its position, beyond what it has
 	// copied since: the machine re-executed past that checkpoint sharing
@@ -445,12 +451,17 @@ func (e *Engine) restore(c *checkpoint) {
 // evict thins checkpoints until the byte budget is met: repeatedly drop
 // the interior checkpoint whose removal creates the smallest gap, sparing
 // the pos-0 anchor and the newest. Old dense history decays toward
-// exponential spacing; the reverse-step bound becomes the widest gap.
+// exponential spacing; the seek bound becomes the widest gap. The near
+// checkpoint goes last: its neighbours stand at most K apart, so by gap
+// it would always go first, and the reverse steps it serves with it.
 func (e *Engine) evict() {
 	for e.ckptBytes > e.cfg.CheckpointBudget && len(e.ckpts) > 2 {
 		best, bestGap := -1, uint64(0)
 		for i := 1; i < len(e.ckpts)-1; i++ {
 			gap := e.ckpts[i+1].pos - e.ckpts[i-1].pos
+			if e.ckpts[i] == e.near {
+				gap = math.MaxUint64
+			}
 			if best == -1 || gap < bestGap {
 				best, bestGap = i, gap
 			}
@@ -574,15 +585,30 @@ func (e *Engine) Continue() (StopReason, error) {
 // seek skip ahead — then re-executes to the target, so on a warmed window
 // the cost is bounded by the checkpoint spacing, not the distance.
 //
-// A seek that has more than 2δ instructions to re-execute, δ = ⌈√(2K)⌉,
-// stops δ short of the target on the way and plants the near checkpoint
-// there, replacing the previous one. The reverse steps that follow (each
-// a seek) restore it and re-execute less than δ, until one moves past it
+// A reverse step that has more than 2δ instructions to re-execute,
+// δ = ⌈√(2K)⌉, stops δ short of its target on the way and plants the near
+// checkpoint there, replacing the previous one. The reverse steps that
+// follow restore it and re-execute less than δ, until one moves past it
 // and plants the next: δ steps of one instruction then cost one long seek
 // plus δ²/2 instructions, and δ minimises that, K/δ + δ/2 a step.
-// Continue and Step plant nothing. Breakpoints and watchpoints do not fire
-// during a seek.
+//
+// A long SeekTo plants too, so that a reverse step right after it is
+// short, but only when a reverse step came since the SeekTo before it
+// (or it is the first): a run of seeks, or reverse-continue landings, with
+// no reverse step between them plants at its first and then pays nothing
+// for the near checkpoint. The reverse step that breaks such a run
+// re-executes from the grid and plants, and the seeks after it plant
+// again. Continue and Step plant nothing. Breakpoints and watchpoints do
+// not fire during a seek.
 func (e *Engine) SeekTo(target uint64) error {
+	plant := !e.seeking
+	e.seeking = true
+	return e.seek(target, plant)
+}
+
+// seek is SeekTo, planting the near checkpoint on a long re-execution
+// when plant is set.
+func (e *Engine) seek(target uint64, plant bool) error {
 	if target > e.m.Window() {
 		target = e.m.Window()
 	}
@@ -591,7 +617,7 @@ func (e *Engine) SeekTo(target uint64) error {
 	}
 	// Breakpoints and watchpoints never fire during a seek, so the
 	// re-execution runs batched through the block engine.
-	if d := e.nearDistance(); target-e.m.Pos() > 2*d {
+	if d := e.nearDistance(); plant && target-e.m.Pos() > 2*d {
 		if err := e.forwardTo(target - d); err != nil {
 			return err
 		}
@@ -613,9 +639,10 @@ func (e *Engine) nearDistance() uint64 {
 // ReverseStep travels n instructions backward. It reports StopStart when
 // the request was clamped at the window start.
 func (e *Engine) ReverseStep(n uint64) (StopReason, error) {
+	e.seeking = false
 	pos := e.m.Pos()
 	if n >= pos {
-		if err := e.SeekTo(0); err != nil {
+		if err := e.seek(0, true); err != nil {
 			return StopStart, err
 		}
 		if n > pos {
@@ -623,7 +650,7 @@ func (e *Engine) ReverseStep(n uint64) (StopReason, error) {
 		}
 		return StopStep, nil
 	}
-	if err := e.SeekTo(pos - n); err != nil {
+	if err := e.seek(pos-n, true); err != nil {
 		return StopStep, err
 	}
 	return StopStep, nil

@@ -290,8 +290,9 @@ func TestEngineCheckpointEviction(t *testing.T) {
 }
 
 // sameAsFresh fails unless the engine's registers, backtrace, known words
-// and watched words equal those of a fresh replay of its logs to its
-// position.
+// and watched words equal those of a fresh replay of its logs stepped one
+// instruction at a time to its position, not through the batches the
+// engine's seeks run on.
 func sameAsFresh(t *testing.T, eng *Engine, when string) {
 	t.Helper()
 	p := eng.Pos()
@@ -300,8 +301,13 @@ func sameAsFresh(t *testing.T, eng *Engine, when string) {
 	r.DictOptions = eng.rep.DictOptions
 	r.TraceDepth = TraceDepth
 	ref := r.Machine(core.MachineOptions{TrackKnown: true})
-	if _, err := ref.StepN(p); err != nil || ref.Pos() != p {
-		t.Fatalf("%s: fresh replay to %d stopped at %d: %v", when, p, ref.Pos(), err)
+	for ref.Pos() < p && !ref.Done() {
+		if err := ref.StepOne(); err != nil {
+			t.Fatalf("%s: fresh replay to %d: %v", when, p, err)
+		}
+	}
+	if ref.Pos() != p {
+		t.Fatalf("%s: fresh replay to %d stopped at %d", when, p, ref.Pos())
 	}
 	if eng.Registers() != ref.Registers() {
 		t.Fatalf("%s: registers at %d differ:\n  engine: %+v\n   fresh: %+v", when, p, eng.Registers(), ref.Registers())
@@ -432,8 +438,8 @@ boom:   lw   a0, (zero)
 // under budget, and holds the engine to a fresh replay after every
 // command. The engine starts cold, so early seeks run past its newest
 // checkpoint and plant the near checkpoint there; the budgets range from
-// one that evicts every checkpoint it can, the near one as soon as it is
-// planted, to one that evicts none.
+// one that evicts every checkpoint it can, the near one last but as soon
+// as it is planted, to one that evicts none.
 func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64) {
 	eng, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 100, CheckpointBudget: budget})
 	if err != nil {
@@ -492,9 +498,80 @@ func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget in
 
 // TestReverseStepsReexecuteTheDistanceMoved pins what the near checkpoint
 // buys: consecutive single reverse steps from the end of an mcf window
-// re-execute K/δ + δ/2 instructions each on average, δ = ⌈√(2K)⌉, where
-// restoring the grid checkpoint before each target re-executed about K/2.
+// re-execute G/δ + δ/2 instructions each on average, δ = ⌈√(2K)⌉ and G
+// the widest gap between the checkpoints the steps restore from, where
+// restoring the checkpoint before each target re-executed about G/2. Under
+// the default budget the grid fits and G = K. Over budget, the near
+// checkpoint must outlast the grid checkpoints eviction thins: by gap it
+// would be the first to go, at once, and every step would pay G/2 again.
 func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
+	rep, img := specWindow(t, "mcf", 400_000, 100_000)
+	open := func(budget int64) *Engine {
+		e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointBudget: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Continue(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	grid, fits := open(0).Checkpoints()
+	for _, b := range []struct {
+		name  string
+		bytes int64
+	}{{"fits", 0}, {"over_budget", fits / 2}} {
+		t.Run(b.name, func(t *testing.T) {
+			e := open(b.bytes)
+			k, delta := e.cfg.CheckpointEvery, e.nearDistance()
+			const steps = 1000
+			end, before := e.Pos(), e.reexecuted
+			// widest is the widest gap, the near checkpoint aside, that
+			// holds a target of the steps.
+			widest := func() (g uint64) {
+				prev := e.ckpts[0]
+				for _, c := range append(e.ckpts[1:], &checkpoint{pos: end}) {
+					if c != e.near {
+						if c.pos > end-steps {
+							g = max(g, c.pos-prev.pos)
+						}
+						prev = c
+					}
+				}
+				return g
+			}
+			gap := widest()
+			if b.bytes > 0 {
+				count, bytes := e.Checkpoints()
+				if count >= grid {
+					t.Fatalf("a budget of %d bytes left all %d checkpoints", b.bytes, count)
+				}
+				// No slack left: every near checkpoint puts the engine
+				// over budget.
+				e.cfg.CheckpointBudget = bytes
+			}
+			for i := uint64(1); i <= steps; i++ {
+				if _, err := e.ReverseStep(1); err != nil || e.Pos() != end-i {
+					t.Fatalf("reverse step %d from %d landed on %d: %v", i, end-i+1, e.Pos(), err)
+				}
+				gap = max(gap, widest())
+			}
+			reexecuted := e.reexecuted - before
+			if bound := steps * (gap/delta + delta); reexecuted > bound {
+				t.Errorf("%d reverse steps re-executed %d instructions; want at most %d", steps, reexecuted, bound)
+			}
+			t.Logf("%d reverse steps re-executed %d instructions, %d a step (K = %d, widest gap %d, δ = %d)",
+				steps, reexecuted, reexecuted/steps, k, gap, delta)
+		})
+	}
+}
+
+// TestSeeksPlantOnlyAfterReverseSteps: a run of seeks or reverse-continue
+// landings with no reverse step between them plants the near checkpoint
+// at its first and never again, so traffic without reverse steps pays for
+// one snapshot; the reverse step that ends the run plants, and so does
+// the long seek after it.
+func TestSeeksPlantOnlyAfterReverseSteps(t *testing.T) {
 	rep, img := specWindow(t, "mcf", 400_000, 100_000)
 	e, _, err := NewEngineForThread(img, rep, -1, Config{})
 	if err != nil {
@@ -503,19 +580,50 @@ func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
 	if _, err := e.Continue(); err != nil {
 		t.Fatal(err)
 	}
-	const steps = 1000
-	end, before := e.Pos(), e.reexecuted
-	for i := uint64(1); i <= steps; i++ {
-		if _, err := e.ReverseStep(1); err != nil || e.Pos() != end-i {
-			t.Fatalf("reverse step %d from %d landed on %d: %v", i, end-i+1, e.Pos(), err)
+	k, delta := e.cfg.CheckpointEvery, e.nearDistance()
+	// Every target lies K/2 past a grid checkpoint, so every seek is long.
+	at := func(i uint64) uint64 { return (i%(e.Window()/k-1)+1)*k + k/2 }
+	mustNear := func(when string, want uint64) {
+		t.Helper()
+		if e.near == nil {
+			t.Fatalf("%s: no near checkpoint, want one at %d", when, want)
+		}
+		if e.near.pos != want {
+			t.Fatalf("%s: near checkpoint at %d, want one at %d", when, e.near.pos, want)
 		}
 	}
-	k, delta := e.cfg.CheckpointEvery, e.nearDistance()
-	reexecuted := e.reexecuted - before
-	if bound := steps * (k/delta + delta); reexecuted > bound {
-		t.Errorf("%d reverse steps re-executed %d instructions; want at most %d", steps, reexecuted, bound)
+	if err := e.SeekTo(at(0)); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d reverse steps re-executed %d instructions, %d a step (K = %d, δ = %d)", steps, reexecuted, reexecuted/steps, k, delta)
+	mustNear("first seek", at(0)-delta)
+	for i := uint64(1); i <= 50; i++ {
+		if err := e.SeekTo(at(7 * i)); err != nil {
+			t.Fatal(err)
+		}
+		mustNear(fmt.Sprintf("seek %d", i), at(0)-delta)
+	}
+	// A breakpoint on the instruction about to run lands each
+	// reverse-continue a loop iteration or so back, a long seek each time.
+	e.AddBreak(e.PC())
+	for i := 0; i < 5; i++ {
+		why, err := e.ReverseContinue()
+		if err != nil || why != StopBreak {
+			t.Fatalf("reverse-continue %d: %v, %v", i, why, err)
+		}
+		mustNear(fmt.Sprintf("reverse-continue %d", i), at(0)-delta)
+	}
+	e.ClearBreak(e.PC())
+	pos := e.Pos()
+	if _, err := e.ReverseStep(1); err != nil {
+		t.Fatal(err)
+	}
+	if pos-1-e.ckpts[e.ckptIndexAtOrBefore(pos-1)].pos > 2*delta {
+		mustNear("reverse step", pos-1-delta)
+	}
+	if err := e.SeekTo(at(3)); err != nil {
+		t.Fatal(err)
+	}
+	mustNear("seek after the reverse step", at(3)-delta)
 }
 
 func TestEngineExecProtocol(t *testing.T) {
