@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"bugnet/internal/asm"
@@ -185,6 +186,10 @@ type state struct {
 	// known is the §7.1 known-memory set, nil unless a ReplayMachine tracks
 	// it; the hooks insert into it directly.
 	known *mem.KnownSet
+	// watches are the words, ascending, whose touch ends a StepN call
+	// (see ReplayMachine.SetWatch); stops is what ended the current one.
+	watches []uint32
+	stops   Stops
 }
 
 // newState builds the replay machine on s: a zero Scratch gets a new memory
@@ -236,8 +241,12 @@ func (r *Replayer) newState(known *mem.KnownSet, s *Scratch) *state {
 // before an untraced stretch next to the ones after it: after a divergence
 // the ring holds only what was fetched since the stretch ended, nothing if
 // the divergence fell inside it.
+//
+// A machine with breakpoints or watched words traces every fetch: a stop can
+// end the call anywhere, and the ring must hold the trail there.
 func (st *state) untraced(span uint64) uint64 {
-	if st.trace == nil || st.r.LogCodeLoads || span <= uint64(len(st.trace.buf)) || fetchHookAlways.Load() {
+	if st.trace == nil || st.r.LogCodeLoads || span <= uint64(len(st.trace.buf)) || fetchHookAlways.Load() ||
+		len(st.watches) != 0 || len(st.c.Breakpoints()) != 0 {
 		return 0
 	}
 	st.trace.reset()
@@ -275,40 +284,30 @@ func (st *state) next() bool {
 
 func (st *state) intervalDone() bool { return st.executed >= st.cur.Length }
 
-// runBatch executes up to n instructions of the current interval through
-// the block engine and returns how many committed. Syscalls are NOPs
-// during replay (paper §5.1): the kernel's effects are reconstructed from
-// the next FLL header and the logged first-loads, so a committed SYSCALL
-// just counts and the batch resumes. A hook failure requests a stop, so
-// the batch ends on the exact instruction whose log entry diverged — the
-// same instruction the historical single-step loop stopped on.
-func (st *state) runBatch(n uint64) (uint64, error) {
+// run executes up to n instructions of the current interval in one
+// cpu.Run call and returns how many committed. Syscalls are NOPs during
+// replay (paper §5.1): the kernel's effects are reconstructed from the next
+// FLL header and the logged first-loads, so a committed SYSCALL just counts
+// and the caller runs on. A hook failure requests a stop, so the call ends
+// on the exact instruction whose log entry diverged — the same instruction
+// a one-instruction step stops on.
+func (st *state) run(n uint64) (uint64, error) {
 	if st.err != nil {
 		return 0, st.err
 	}
-	var done uint64
-	for done < n {
-		executed, ev := st.c.Run(n - done)
-		done += executed
-		st.executed += executed
-		st.total += executed
-		switch ev {
-		case cpu.EventStep, cpu.EventSyscall:
-		case cpu.EventFault:
-			if st.err == nil { // a hook (e.g. the page-budget refusal) may have set the cause already
-				st.err = fmt.Errorf("%w: unexpected %v at replay instruction %d of interval C%d",
-					ErrDiverged, st.c.Fault, st.executed, st.cur.CID)
-			}
-			return done, st.err
-		case cpu.EventHalted:
-			st.err = fmt.Errorf("%w: core halted mid-interval C%d", ErrDiverged, st.cur.CID)
-			return done, st.err
+	executed, ev := st.c.Run(n)
+	st.executed += executed
+	st.total += executed
+	switch ev {
+	case cpu.EventFault:
+		if st.err == nil { // a hook (e.g. the page-budget refusal) may have set the cause already
+			st.err = fmt.Errorf("%w: unexpected %v at replay instruction %d of interval C%d",
+				ErrDiverged, st.c.Fault, st.executed, st.cur.CID)
 		}
-		if st.err != nil { // a hook failed the batch and requested the stop
-			return done, st.err
-		}
+	case cpu.EventHalted:
+		st.err = fmt.Errorf("%w: core halted mid-interval C%d", ErrDiverged, st.cur.CID)
 	}
-	return done, nil
+	return executed, st.err
 }
 
 // finishInterval validates that the log was fully consumed.
@@ -343,11 +342,23 @@ func (st *state) fail(err error) {
 	st.c.Stop()
 }
 
+// touch ends the StepN call after the current instruction when it may have
+// changed the known value of a watched word.
+func (st *state) touch(wordAddr uint32) {
+	if _, found := slices.BinarySearch(st.watches, wordAddr); found {
+		st.stops |= WatchTouched
+		st.c.Stop()
+	}
+}
+
 // onWordStore records a replayed word store for the known set and the
 // user's hook; onLoggable ends the same way, spelled out in both so plain
 // replay pays two nil checks per access, not a call.
 func (st *state) onWordStore(wordAddr uint32) {
 	if st.known != nil {
+		if len(st.watches) != 0 {
+			st.touch(wordAddr)
+		}
 		st.known.Add(wordAddr)
 	}
 	if st.r.OnAccess != nil {
@@ -381,6 +392,11 @@ func (st *state) onLoggable(wordAddr uint32, isWrite bool) {
 		}
 	}
 	if st.known != nil {
+		// A load that injects nothing new into a known word changes
+		// nothing a watch sees.
+		if len(st.watches) != 0 && (isWrite || v != cur || !st.known.Has(wordAddr)) {
+			st.touch(wordAddr)
+		}
 		st.known.Add(wordAddr)
 	}
 	if st.r.OnAccess != nil {
@@ -417,6 +433,9 @@ func (st *state) onFetch(pc uint32) {
 			if v != cur { // the guest really modified this code word
 				st.mem.StoreWord(wordAddr, v)
 				st.c.InvalidateFetchCache()
+				if len(st.watches) != 0 {
+					st.touch(wordAddr)
+				}
 			}
 		}
 	}

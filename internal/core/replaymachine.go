@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"bugnet/internal/asm"
@@ -60,7 +61,12 @@ func (m *ReplayMachine) Reset() {
 	if known != nil {
 		known.Reset()
 	}
+	old := m.st
 	m.st = m.r.newState(known, new(Scratch))
+	m.st.watches = old.watches
+	for _, pc := range old.c.Breakpoints() {
+		m.SetBreak(pc, true)
+	}
 	m.pos = 0
 	m.done = !m.st.next()
 }
@@ -108,18 +114,63 @@ func (m *ReplayMachine) StepOne() error {
 	return err
 }
 
+// Stops is the set of stops a StepN call ended on (see Stopped).
+type Stops uint8
+
+// Stops a StepN call reports.
+const (
+	// BreakNext: the call ran at least one instruction and the next is a
+	// breakpoint.
+	BreakNext Stops = 1 << iota
+	// WatchTouched: the call's last instruction may have changed the known
+	// value of a watched word — stored to it, injected into it, or made it
+	// known.
+	WatchTouched
+)
+
+// SetBreak sets (on) or clears the breakpoint at pc. Breakpoints and
+// watches survive Restore and Reset.
+func (m *ReplayMachine) SetBreak(pc uint32, on bool) { m.st.c.SetBreak(pc, on) }
+
+// Breakpoints returns the breakpoints in ascending order. The caller must
+// not modify the slice.
+func (m *ReplayMachine) Breakpoints() []uint32 { return m.st.c.Breakpoints() }
+
+// SetWatch sets (on) or clears the watch on the word containing addr. The
+// machine must track the known set: only its hooks look for watched words.
+func (m *ReplayMachine) SetWatch(addr uint32, on bool) {
+	w := addr &^ 3
+	i, found := slices.BinarySearch(m.st.watches, w)
+	switch {
+	case on && !found:
+		m.st.watches = slices.Insert(m.st.watches, i, w)
+	case !on && found:
+		m.st.watches = slices.Delete(m.st.watches, i, i+1)
+	}
+}
+
+// Watches returns the watched word addresses in ascending order. The
+// caller must not modify the slice.
+func (m *ReplayMachine) Watches() []uint32 { return m.st.watches }
+
+// Stopped returns the stops the last StepN call ended on, none if it ran
+// all it was asked to and no breakpoint is next.
+func (m *ReplayMachine) Stopped() Stops { return m.st.stops }
+
 // StepN advances up to n instructions through the predecoded block engine,
 // handling interval transitions, and returns how many executed. It stops
-// early at the end of the window (setting Done) or on error. Breakpoint
-// and watchpoint policing is the caller's job: consumers batch only across
-// stretches where no per-instruction checks are required (the time-travel
-// engine bounds batches by its checkpoint grid and stop conditions).
+// early at the end of the window (setting Done), on error, before a
+// breakpoint once it has run an instruction, and after an instruction that
+// touched a watched word; Stopped tells which. The instruction the call
+// starts on runs even when it is a breakpoint, so calling StepN again
+// moves on.
 //
 // The backtrace ring is read only between calls, so the fetch hook that
 // fills it fires only on the last TraceDepth instructions the call can run
 // (see state.untraced).
 func (m *ReplayMachine) StepN(n uint64) (uint64, error) {
 	st := m.st
+	st.stops = 0
 	quiet := st.untraced(min(n, m.total-m.pos))
 	if quiet == 0 {
 		return m.stepN(n)
@@ -136,30 +187,36 @@ func (m *ReplayMachine) StepN(n uint64) (uint64, error) {
 
 // stepN is StepN with the fetch hook left as it is.
 func (m *ReplayMachine) stepN(n uint64) (uint64, error) {
+	st := m.st
 	if m.done {
 		// Includes the window that never opened: a first interval whose
 		// encoded bytes failed to load parks its error in the state.
-		return 0, m.st.err
+		return 0, st.err
 	}
 	var done uint64
 	for {
-		for m.st.intervalDone() {
-			if err := m.st.finishInterval(); err != nil {
+		for st.intervalDone() {
+			if err := st.finishInterval(); err != nil {
 				return done, err
 			}
-			if !m.st.next() {
+			if !st.next() {
 				m.done = true
-				return done, m.st.err
+				break
 			}
 		}
-		if done == n {
+		// cpu.Run checks breakpoints only after its call's first
+		// instruction; this checks the one each later call starts on, and
+		// the one the call ends before.
+		if done != 0 && st.c.AtBreak() {
+			st.stops |= BreakNext
+		}
+		if m.done {
+			return done, st.err
+		}
+		if done == n || st.stops != 0 {
 			return done, nil
 		}
-		batch := m.st.cur.Length - m.st.executed
-		if left := n - done; left < batch {
-			batch = left
-		}
-		executed, err := m.st.runBatch(batch)
+		executed, err := st.run(min(n-done, st.cur.Length-st.executed))
 		done += executed
 		m.pos += executed
 		if err != nil {

@@ -8,12 +8,12 @@ package cpu
 //
 //   - operands are extracted and branch/jump targets resolved to absolute
 //     addresses at predecode time;
-//   - watched PCs are resolved to per-instruction metadata, so watch
-//     bookkeeping costs one compare per instruction instead of a scan;
 //   - a block ends at unconditional control transfers (J/JAL/JALR),
-//     system ops (SYSCALL/BREAK), undecodable words, and page boundaries;
-//     conditional branches stay inside the block and fall through when
-//     untaken, so a block covers whole loop bodies.
+//     system ops (SYSCALL/BREAK), undecodable words, and page boundaries,
+//     and before a breakpoint (see SetBreak), so Run checks breakpoints
+//     once a block, never once an instruction; conditional branches stay
+//     inside the block and fall through when untaken, so a block covers
+//     whole loop bodies.
 //
 // Blocks live in a direct-mapped cache keyed by entry PC. Three
 // mechanisms keep cached decodes coherent with memory:
@@ -47,19 +47,10 @@ type DecodedInst struct {
 	Rd  uint8
 	Rs1 uint8
 	Rs2 uint8
-	// watch is the index of the watched-PC entry tracking this
-	// instruction's address, watchNone for the common case, or
-	// watchScanAll when several entries watch the same PC.
-	watch int32
 	// Imm is the sign-extended immediate; for branches and J/JAL it holds
 	// the absolute target address instead of the PC-relative offset.
 	Imm int32
 }
-
-const (
-	watchNone    = int32(-1)
-	watchScanAll = int32(-2)
-)
 
 // block is a predecoded run of straight-line text starting at pc.
 type block struct {
@@ -146,7 +137,9 @@ func (c *CPU) Stop() { c.stop = true }
 //     must service it;
 //   - EventFault: an instruction faulted without committing; c.Fault is
 //     set and the core is stopped;
-//   - EventHalted: the core was already halted.
+//   - EventHalted: the core was already halted;
+//   - EventBreak: the next instruction, not the call's first, is a
+//     breakpoint; its fetch hook has not fired.
 //
 // Hooks fire in program order with the PC/IC of the instruction they
 // belong to observable, whatever the batch size, and Run(1) executes
@@ -163,6 +156,9 @@ func (c *CPU) Run(max uint64) (uint64, Event) {
 	var n uint64
 	for n < max {
 		pc := c.PC
+		if len(c.breaks) != 0 && n != 0 && c.isBreak(pc) {
+			return n, EventBreak
+		}
 		if pc&3 != 0 {
 			return n, c.fault(FaultMemFetch, pc, pc)
 		}
@@ -219,7 +215,7 @@ func (c *CPU) lookupBlock(bc *blockCache, pc uint32) *block {
 
 // decodeBlock translates text starting at pc into a block, stopping at the
 // first unconditional control transfer, system op, undecodable word, or
-// the end of the page.
+// the end of the page, and before the first breakpoint after pc.
 func (c *CPU) decodeBlock(bc *blockCache, pc uint32) *block {
 	pageNum := pc >> mem.PageShift
 	p := c.Mem.Page(pageNum)
@@ -230,8 +226,11 @@ func (c *CPU) decodeBlock(bc *blockCache, pc uint32) *block {
 	insts := make([]DecodedInst, 0, 16)
 	for o := pc & (mem.PageSize - 1); o < mem.PageSize; o += 4 {
 		ipc := pageNum<<mem.PageShift | o
+		if len(insts) != 0 && len(c.breaks) != 0 && c.isBreak(ipc) {
+			break
+		}
 		w := binary.LittleEndian.Uint32(p[o : o+4 : o+4])
-		d := c.resolveInst(isa.Decode(w), ipc)
+		d := resolveInst(isa.Decode(w), ipc)
 		insts = append(insts, d)
 		if op := d.Op; op == isa.OpInvalid || op.IsJump() ||
 			op == isa.OpSYSCALL || op == isa.OpBREAK {
@@ -249,26 +248,11 @@ func (c *CPU) decodeBlock(bc *blockCache, pc uint32) *block {
 }
 
 // resolveInst turns a decoded instruction at address ipc into its
-// predecoded form: branch/J/JAL targets become absolute and watched PCs
-// become per-instruction metadata.
-func (c *CPU) resolveInst(ins isa.Instruction, ipc uint32) DecodedInst {
-	d := DecodedInst{
-		Op: ins.Op, Rd: ins.Rd, Rs1: ins.Rs1, Rs2: ins.Rs2,
-		Imm: ins.Imm, watch: watchNone,
-	}
+// predecoded form: branch/J/JAL targets become absolute.
+func resolveInst(ins isa.Instruction, ipc uint32) DecodedInst {
+	d := DecodedInst{Op: ins.Op, Rd: ins.Rd, Rs1: ins.Rs1, Rs2: ins.Rs2, Imm: ins.Imm}
 	if ins.Op.IsBranch() || ins.Op == isa.OpJAL || ins.Op == isa.OpJ {
 		d.Imm = int32(ipc + 4 + uint32(ins.Imm))
-	}
-	if len(c.watches) != 0 {
-		for wi := range c.watches {
-			if c.watches[wi].pc == ipc {
-				if d.watch == watchNone {
-					d.watch = int32(wi)
-				} else {
-					d.watch = watchScanAll
-				}
-			}
-		}
 	}
 	return d
 }
@@ -284,24 +268,7 @@ func (c *CPU) decodeInstAt(pc uint32) (DecodedInst, bool) {
 	}
 	o := pc & (mem.PageSize - 1)
 	w := binary.LittleEndian.Uint32(p[o : o+4 : o+4])
-	return c.resolveInst(isa.Decode(w), pc), true
-}
-
-// noteWatch records a commit of a watched instruction; c.IC has already
-// been incremented.
-func (c *CPU) noteWatch(watch int32, pc uint32) {
-	if watch >= 0 {
-		w := &c.watches[watch]
-		w.lastIC = c.IC
-		w.hits++
-		return
-	}
-	for i := range c.watches {
-		if c.watches[i].pc == pc {
-			c.watches[i].lastIC = c.IC
-			c.watches[i].hits++
-		}
-	}
+	return resolveInst(isa.Decode(w), pc), true
 }
 
 // runBlock executes predecoded instructions from blk until the block ends,
@@ -500,9 +467,6 @@ func (c *CPU) runBlock(bc *blockCache, blk *block, max uint64) (uint64, Event) {
 		c.PC = nextPC
 		c.IC++
 		n++
-		if d.watch != watchNone {
-			c.noteWatch(d.watch, pc)
-		}
 		if d.Op == isa.OpSYSCALL {
 			return n, EventSyscall
 		}

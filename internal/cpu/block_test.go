@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -45,40 +46,70 @@ func instrument(c *CPU, events *[]hookEvent) {
 
 // driveFresh executes up to total instructions one Run(1) at a time with
 // the block cache flushed before each, so every instruction is decoded
-// from live memory, treating syscalls as NOPs (the replay protocol).
-func driveFresh(c *CPU, total uint64) Event {
+// from live memory, treating syscalls as NOPs (the replay protocol). It
+// returns the final event and the IC after every instruction that left a
+// breakpoint next: Run(1) runs its one instruction whatever it is.
+func driveFresh(c *CPU, total uint64) (Event, []uint64) {
+	var stops []uint64
 	for n := uint64(0); n < total; n++ {
 		c.InvalidateFetchCache()
 		switch _, ev := c.Run(1); ev {
 		case EventStep, EventSyscall:
 		default:
-			return ev
+			return ev, stops
+		}
+		if slices.Contains(c.Breakpoints(), c.PC) {
+			stops = append(stops, c.IC)
 		}
 	}
-	return EventStep
+	return EventStep, stops
 }
 
 // driveRun executes up to total instructions through the block engine in
-// batches of at most batch, continuing through syscalls.
-func driveRun(c *CPU, total, batch uint64) Event {
+// batches of at most batch, continuing through syscalls and breakpoints. It
+// returns the final event and the IC at every breakpoint stop: where Run
+// returned EventBreak, and where a call ended with a breakpoint next, which
+// the following call runs without a stop (the replay machine stops there).
+// A Run that ran past a breakpoint leaves its stop out.
+func driveRun(c *CPU, total, batch uint64) (Event, []uint64) {
+	var stops []uint64
 	left := total
 	for left > 0 {
-		req := batch
-		if left < req {
-			req = left
-		}
-		n, ev := c.Run(req)
+		n, ev := c.Run(min(batch, left))
 		left -= n
 		switch ev {
-		case EventStep, EventSyscall:
-			if n == 0 && ev == EventStep {
-				return ev // no progress possible (defensive)
+		case EventStep, EventSyscall, EventBreak:
+			if n == 0 {
+				return ev, stops // no progress possible (defensive)
 			}
 		default:
-			return ev
+			return ev, stops
+		}
+		if ev == EventBreak || slices.Contains(c.Breakpoints(), c.PC) {
+			stops = append(stops, c.IC)
 		}
 	}
-	return EventStep
+	return EventStep, stops
+}
+
+// breakTest runs img decoded fresh per instruction and through the block
+// engine in batches of batch with breakpoints at pcs, and fails unless
+// both stop at the same points, every one of them a breakpoint, with
+// identical state. It returns the stops.
+func breakTest(t *testing.T, img *asm.Image, total, batch uint64, pcs ...uint32) []uint64 {
+	t.Helper()
+	cs, cr := load(img), load(img)
+	for _, pc := range pcs {
+		cs.SetBreak(pc, true)
+		cr.SetBreak(pc, true)
+	}
+	evS, want := driveFresh(cs, total)
+	evR, got := driveRun(cr, total, batch)
+	if evS != evR || !slices.Equal(got, want) {
+		t.Fatalf("batch %d: run stops %v, %v; fresh %v, %v", batch, got, evR, want, evS)
+	}
+	compareCPUs(t, cs, cr)
+	return want
 }
 
 // compareCPUs fails the test if the two cores' architectural state or
@@ -132,8 +163,8 @@ func twinTest(t *testing.T, src string, total, batch uint64, hooks bool) {
 		instrument(cs, &se)
 		instrument(cr, &re)
 	}
-	evS := driveFresh(cs, total)
-	evR := driveRun(cr, total, batch)
+	evS, _ := driveFresh(cs, total)
+	evR, _ := driveRun(cr, total, batch)
 	if evS != evR {
 		t.Errorf("final event: fresh %v, run %v", evS, evR)
 	}
@@ -190,43 +221,39 @@ loop:   addi a0, a0, 1
 	}
 }
 
-func TestRunWatchParity(t *testing.T) {
-	src := cputest.TwinPrograms["arith-loop"]
-	img := asm.MustAssemble("w.s", src)
-	cs, cr := load(img), load(img)
-	watched := []uint32{img.Entry + 12, img.Entry + 24, img.Entry + 12} // incl. a duplicate
-	for _, pc := range watched {
-		cs.Watch(pc)
-		cr.Watch(pc)
-	}
-	driveFresh(cs, 2000)
-	driveRun(cr, 2000, 1<<20)
-	compareCPUs(t, cs, cr)
-	for _, pc := range watched {
-		sic, sh, sok := cs.LastExec(pc)
-		ric, rh, rok := cr.LastExec(pc)
-		if sic != ric || sh != rh || sok != rok {
-			t.Errorf("LastExec(%#x): fresh (%d,%d,%v), run (%d,%d,%v)", pc, sic, sh, sok, ric, rh, rok)
-		}
-		if sok && sh == 0 {
-			t.Errorf("watched pc %#x never hit; test is vacuous", pc)
+// TestRunBreakParity: Run in batches stops at every breakpoint Run(1)
+// over fresh decodes passes — mid-block, at a loop head a taken branch
+// jumps to, and on a duplicate SetBreak — and nowhere else.
+func TestRunBreakParity(t *testing.T) {
+	img := asm.MustAssemble("b.s", cputest.TwinPrograms["arith-loop"])
+	loop := img.Entry + 12 // the taken branch's target
+	for _, batch := range []uint64{1, 3, 7, 1 << 20} {
+		stops := breakTest(t, img, 2000, batch, loop, loop+8, loop)
+		if len(stops) != 200 {
+			t.Fatalf("batch %d: %d stops, want two each of 100 laps", batch, len(stops))
 		}
 	}
 }
 
-func TestRunWatchAddedAfterDecode(t *testing.T) {
-	img := asm.MustAssemble("w2.s", cputest.TwinPrograms["arith-loop"])
+// TestRunBreakAddedAfterDecode: a breakpoint set inside a block the cache
+// already holds splits it, so Run stops there; cleared, Run runs through.
+func TestRunBreakAddedAfterDecode(t *testing.T) {
+	img := asm.MustAssemble("b2.s", cputest.TwinPrograms["arith-loop"])
 	c := load(img)
-	// Warm the block cache over the loop, then add a watch: predecoded
-	// blocks must be re-resolved so the watch still counts hits.
 	if n, ev := c.Run(50); n != 50 || ev != EventStep {
 		t.Fatalf("warmup Run = (%d, %v)", n, ev)
 	}
-	loopPC := img.Entry + 12
-	c.Watch(loopPC)
-	c.Run(50)
-	if _, hits, ok := c.LastExec(loopPC); !ok || hits == 0 {
-		t.Errorf("watch added after decode never hit (hits=%d ok=%v)", hits, ok)
+	mid := img.Entry + 20 // the xor inside the cached loop block
+	c.SetBreak(mid, true)
+	if n, ev := c.Run(50); ev != EventBreak || c.PC != mid || n == 0 || n > 5 {
+		t.Fatalf("Run after SetBreak = (%d, %v) at %#x; want a break at %#x within a lap", n, ev, c.PC, mid)
+	}
+	if n, ev := c.Run(50); ev != EventBreak || n != 5 || c.PC != mid {
+		t.Fatalf("Run from the breakpoint = (%d, %v) at %#x; want one lap to it", n, ev, c.PC)
+	}
+	c.SetBreak(mid, false)
+	if n, ev := c.Run(50); n != 50 || ev != EventStep {
+		t.Fatalf("Run after clearing = (%d, %v)", n, ev)
 	}
 }
 
@@ -410,8 +437,8 @@ func TestRunAutoMap(t *testing.T) {
 	img := asm.MustAssemble("automap.s", src)
 	cs, cr := load(img), load(img)
 	cs.AutoMap, cr.AutoMap = true, true
-	evS := driveFresh(cs, 100)
-	evR := driveRun(cr, 100, 1<<20)
+	evS, _ := driveFresh(cs, 100)
+	evR, _ := driveRun(cr, 100, 1<<20)
 	if evS != evR {
 		t.Fatalf("events: %v vs %v", evS, evR)
 	}

@@ -27,6 +27,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"bugnet/internal/isa"
 	"bugnet/internal/mem"
@@ -91,6 +92,7 @@ const (
 	EventSyscall              // a SYSCALL committed; the kernel must service it
 	EventFault                // the instruction faulted; the core is stopped
 	EventHalted               // the core was already halted
+	EventBreak                // the next instruction is a breakpoint; none of it ran
 )
 
 // CPU is one processor core's architectural state plus hooks.
@@ -132,9 +134,8 @@ type CPU struct {
 	// fetch. Used by the LogCodeLoads extension.
 	OnFetch func(pc uint32)
 
-	// watches are PCs whose most recent execution IC is tracked, used to
-	// measure root-cause→crash windows (Table 1).
-	watches []watchedPC
+	// breaks are the breakpoint PCs in ascending order (see SetBreak).
+	breaks []uint32
 
 	// bc is the predecoded basic-block cache behind Run (see block.go),
 	// created lazily on the first Run so a core that never runs pays
@@ -143,18 +144,13 @@ type CPU struct {
 	// stop is the pending Stop request consumed by Run.
 	stop bool
 
-	// _ pads the struct from 240 to 272 bytes. At 240 (Go's 240-byte size
-	// class) sequential replay measured 8-10 % and parallel replay 11-20 %
-	// slower on the mcf and gzip guests (2-vCPU AMD EPYC VM); at 256 or
-	// 272 neither moved. No field offset changes: the size only decides
-	// where the core lands on the heap among the replayer's hot objects.
+	// _ pads the struct from 240 to 272 bytes (TestCPUSize pins 272). At
+	// 240 (Go's 240-byte size class) sequential replay measured 8-10 % and
+	// parallel replay 11-20 % slower on the mcf and gzip guests (2-vCPU AMD
+	// EPYC VM); at 256 or 272 neither moved. No field offset changes: the
+	// size only decides where the core lands on the heap among the
+	// replayer's hot objects.
 	_ [32]byte
-}
-
-type watchedPC struct {
-	pc     uint32
-	lastIC uint64
-	hits   uint64
 }
 
 // New returns a core attached to m with all state zero.
@@ -163,8 +159,8 @@ func New(m *mem.Memory) *CPU {
 }
 
 // Reset returns the core to what New(m) builds — registers, counters, hooks
-// and watches gone — keeping only the block cache's storage, flushed: the
-// blocks in it were decoded from another memory's text.
+// and breakpoints gone — keeping only the block cache's storage, flushed:
+// the blocks in it were decoded from another memory's text.
 func (c *CPU) Reset(m *mem.Memory) {
 	bc := c.bc
 	*c = CPU{Mem: m, bc: bc}
@@ -173,25 +169,31 @@ func (c *CPU) Reset(m *mem.Memory) {
 	}
 }
 
-// Watch registers pc for last-execution tracking. Watched PCs are
-// resolved into per-instruction block metadata at predecode time, so
-// already-decoded blocks are flushed.
-func (c *CPU) Watch(pc uint32) {
-	c.watches = append(c.watches, watchedPC{pc: pc})
-	if c.bc != nil {
-		c.bc.flush()
+// SetBreak sets (on) or clears the breakpoint at pc. Run returns
+// EventBreak before it executes a breakpoint's instruction, unless that is
+// the first instruction of the call. Blocks end before breakpoints, so a
+// new one flushes the blocks already decoded.
+func (c *CPU) SetBreak(pc uint32, on bool) {
+	i, found := slices.BinarySearch(c.breaks, pc)
+	switch {
+	case on && !found:
+		c.breaks = slices.Insert(c.breaks, i, pc)
+		c.InvalidateFetchCache()
+	case !on && found:
+		c.breaks = slices.Delete(c.breaks, i, i+1)
 	}
 }
 
-// LastExec returns the IC at which the watched pc most recently committed
-// and how many times it committed. ok is false if pc was never watched.
-func (c *CPU) LastExec(pc uint32) (ic uint64, hits uint64, ok bool) {
-	for i := range c.watches {
-		if c.watches[i].pc == pc {
-			return c.watches[i].lastIC, c.watches[i].hits, true
-		}
-	}
-	return 0, 0, false
+// Breakpoints returns the breakpoints in ascending order. The caller must
+// not modify the slice.
+func (c *CPU) Breakpoints() []uint32 { return c.breaks }
+
+// AtBreak reports whether the next instruction is a breakpoint.
+func (c *CPU) AtBreak() bool { return len(c.breaks) != 0 && c.isBreak(c.PC) }
+
+func (c *CPU) isBreak(pc uint32) bool {
+	_, found := slices.BinarySearch(c.breaks, pc)
+	return found
 }
 
 // InvalidateFetchCache drops every predecoded block, so each instruction
@@ -206,7 +208,7 @@ func (c *CPU) InvalidateFetchCache() {
 
 // BlockFlushes returns how many times the predecoded block cache has been
 // flushed — by InvalidateFetchCache, a range invalidation that hit code, a
-// new watch, or a guest store into decoded text.
+// new breakpoint, or a guest store into decoded text.
 func (c *CPU) BlockFlushes() uint64 {
 	if c.bc == nil {
 		return 0

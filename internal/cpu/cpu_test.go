@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
 	"bugnet/internal/asm"
 	"bugnet/internal/isa"
@@ -328,24 +330,28 @@ func TestAutoMap(t *testing.T) {
 	}
 }
 
-func TestWatchPC(t *testing.T) {
-	img := asm.MustAssemble("w.s", `
+// TestBreakPC: a breakpoint at a taken branch's target and one ending a
+// block stop Run before every execution of theirs but the first a call
+// runs, at the points one-instruction Runs pass them.
+func TestBreakPC(t *testing.T) {
+	img := asm.MustAssemble("b.s", `
 main:   li   t0, 3
 loop:   addi t0, t0, -1
 target: bnez t0, loop
         syscall
 `)
-	c := load(img)
-	target := img.MustSymbol("target")
-	c.Watch(target)
-	c.Run(100)
-	ic, hits, ok := c.LastExec(target)
-	if !ok || hits != 3 {
-		t.Fatalf("watch: ic=%d hits=%d ok=%v", ic, hits, ok)
+	want := []uint64{1, 2, 3, 4, 5, 6} // li, then addi/bnez pairs; the last bnez falls through
+	for _, batch := range []uint64{1, 2, 100} {
+		if got := breakTest(t, img, 100, batch, img.MustSymbol("loop"), img.MustSymbol("target")); !slices.Equal(got, want) {
+			t.Fatalf("batch %d: stops at %v, want %v", batch, got, want)
+		}
 	}
-	// target commits at IC 3, 5, 7 (li, then addi/bnez pairs).
-	if ic != 7 {
-		t.Errorf("last exec IC = %d; want 7", ic)
+}
+
+// TestCPUSize pins the size the padding comment on CPU states.
+func TestCPUSize(t *testing.T) {
+	if got := unsafe.Sizeof(CPU{}); got != 272 {
+		t.Fatalf("CPU is %d bytes; the padding comment says 272", got)
 	}
 }
 

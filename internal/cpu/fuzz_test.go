@@ -4,13 +4,14 @@ package cpu
 // instruction streams must behave instruction-identically when Run
 // re-executes cached blocks in batches and when every instruction is
 // decoded fresh from live memory (Run(1) after a cache flush) —
-// registers, memory, IC, hook streams, LastExec and FaultInfo. Register
+// registers, memory, IC, hook streams, breakpoint stops and FaultInfo. Register
 // seeding points base registers at both the data page and the text page,
 // so fuzzed stores regularly rewrite code under cached blocks and exercise
 // the self-modifying-code invalidation paths.
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"bugnet/internal/cpu/cputest"
@@ -74,18 +75,21 @@ func FuzzRunVsFreshDecode(f *testing.F) {
 		cs := buildFuzzCPU(words)
 		cr := buildFuzzCPU(words)
 		for _, pc := range []uint32{fuzzTextBase + 8, fuzzTextBase + 8, fuzzTextBase + 32} {
-			cs.Watch(pc)
-			cr.Watch(pc)
+			cs.SetBreak(pc, true)
+			cr.SetBreak(pc, true)
 		}
 		var se, re []hookEvent
 		instrument(cs, &se)
 		instrument(cr, &re)
 
-		evS := driveFresh(cs, fuzzMaxInstr)
-		evR := driveRun(cr, fuzzMaxInstr, batch)
+		evS, stopsS := driveFresh(cs, fuzzMaxInstr)
+		evR, stopsR := driveRun(cr, fuzzMaxInstr, batch)
 
 		if evS != evR {
 			t.Fatalf("final event: fresh %v, run %v (fault fresh=%v run=%v)", evS, evR, cs.Fault, cr.Fault)
+		}
+		if !slices.Equal(stopsS, stopsR) {
+			t.Fatalf("breakpoint stops: fresh %v, run %v", stopsS, stopsR)
 		}
 		compareCPUs(t, cs, cr)
 		if len(se) != len(re) {
@@ -94,13 +98,6 @@ func FuzzRunVsFreshDecode(f *testing.F) {
 		for i := range se {
 			if se[i] != re[i] {
 				t.Fatalf("hook event %d: fresh %+v, run %+v", i, se[i], re[i])
-			}
-		}
-		for _, pc := range []uint32{fuzzTextBase + 8, fuzzTextBase + 32} {
-			sic, sh, _ := cs.LastExec(pc)
-			ric, rh, _ := cr.LastExec(pc)
-			if sic != ric || sh != rh {
-				t.Fatalf("LastExec(%#x): fresh (%d,%d), run (%d,%d)", pc, sic, sh, ric, rh)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package timetravel
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"bugnet/internal/asm"
@@ -216,6 +217,53 @@ func BenchmarkSeek(b *testing.B) {
 	})
 	b.Run("mcf", func(b *testing.B) {
 		seeks(b, mcfEngine(b))
+	})
+}
+
+// BenchmarkContinue measures a Continue from the start of the warmed mcf
+// window to its end: plain, and with one breakpoint no instruction
+// reaches, which the block engine checks once a block and which keeps the
+// fetch hook on to fill the backtrace.
+func BenchmarkContinue(b *testing.B) {
+	for _, name := range []string{"plain", "break_nohit"} {
+		b.Run(name, func(b *testing.B) {
+			eng := mcfEngine(b)
+			if name == "break_nohit" {
+				eng.AddBreak(math.MaxUint32 &^ 3) // no guest code lives there
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := eng.SeekTo(0); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if why, err := eng.Continue(); err != nil || why != StopEnd {
+					b.Fatalf("continue: %v, %v", why, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReverseContinue/nohit measures a ReverseContinue from the end
+// of the warmed mcf window with one breakpoint no instruction reaches: the
+// scan re-executes every gap, GOMAXPROCS at a time, and lands on the start.
+func BenchmarkReverseContinue(b *testing.B) {
+	b.Run("nohit", func(b *testing.B) {
+		eng := mcfEngine(b)
+		eng.AddBreak(math.MaxUint32 &^ 3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if err := eng.SeekTo(eng.Window()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if why, err := eng.ReverseContinue(); err != nil || why != StopStart {
+				b.Fatalf("reverse-continue: %v, %v", why, err)
+			}
+		}
 	})
 }
 

@@ -2,6 +2,7 @@ package timetravel
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -180,7 +181,7 @@ func (e *Engine) exec(c Command) Outcome {
 		if err != nil {
 			return fail(err)
 		}
-		had := e.breaks[addr]
+		had := slices.Contains(e.m.Breakpoints(), addr)
 		e.AddBreak(addr)
 		reason, rerr := e.Continue()
 		if !had {

@@ -22,6 +22,11 @@
 // fires when the watched word's *known* value changes — a replayed store
 // rewriting it, or a logged first-load injection making it known in the
 // first place.
+//
+// Breakpoints and watchpoints stop the replay machine's block engine
+// itself (see core.ReplayMachine.StepN): Step, Continue and the reverse
+// scan run at replay speed, and only an instruction that may have changed
+// a watched word, or a breakpoint, hands control back to the engine.
 package timetravel
 
 import (
@@ -169,20 +174,20 @@ type Engine struct {
 	// checkpoint answers for them; a restore clears them.
 	carry mem.Delta
 
-	breaks     map[uint32]bool
-	watchAddrs []uint32 // sorted word addresses, for deterministic reporting
-	watchVals  map[uint32]watchVal
-	lastWatch  *WatchHit
+	// The breakpoints and watched words live in the machines (see
+	// machines); watchVals holds each watched word's last observed state.
+	watchVals map[uint32]watchVal
+	lastWatch *WatchHit
 
-	// scanners are the private replay machines the parallel reverse scan
-	// restores gap-start checkpoints into, built on first use. Only the gap
-	// scan runs on them concurrently; snapshot restores stay serialized on
-	// the engine's goroutine.
+	// scanners are the private replay machines the reverse scan restores
+	// gap-start checkpoints into, built on first use. Only the gap scan runs
+	// on them concurrently; snapshot restores stay serialized on the
+	// engine's goroutine.
 	scanners []*core.ReplayMachine
 
-	// reexecuted counts the instructions the batched forward runs executed
-	// (every seek's re-execution, and Step without stops to police), summed
-	// per StepN call.
+	// reexecuted counts the instructions the engine's own machine executed —
+	// every seek's re-execution, every Step and Continue — summed per StepN
+	// call.
 	reexecuted uint64
 }
 
@@ -207,26 +212,32 @@ func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Conf
 		cfg:       cfg,
 		rep:       rep,
 		logs:      logs,
-		breaks:    make(map[uint32]bool),
 		watchVals: make(map[uint32]watchVal),
 	}
-	e.m = e.newMachine()
+	e.m = e.newMachine(TraceDepth)
 	// The window-start anchor: every backward seek has somewhere to land.
 	e.ckpts = append(e.ckpts, e.snapshot())
 	e.nextCkptAt = cfg.CheckpointEvery
 	return e, tid, nil
 }
 
-// newMachine builds a replay machine over the engine's logs. The engine's
-// own machine and the scan machines of the parallel reverse scan are built
-// alike, so any checkpoint restores into either.
-func (e *Engine) newMachine() *core.ReplayMachine {
+// newMachine builds a replay machine over the engine's logs, keeping a
+// backtrace of traceDepth instructions. The engine's own machine and the
+// scan machines of the reverse scan are built alike but for the backtrace,
+// which a scan never reads, so any checkpoint restores into either.
+func (e *Engine) newMachine(traceDepth int) *core.ReplayMachine {
 	r := core.NewReplayer(e.img, e.logs)
 	r.LogCodeLoads = e.rep.LogCodeLoads
 	r.DictOptions = e.rep.DictOptions
 	r.MaxPages = e.cfg.MaxPages
-	r.TraceDepth = TraceDepth
+	r.TraceDepth = traceDepth
 	return r.Machine(core.MachineOptions{TrackKnown: true})
+}
+
+// machines returns the engine's own machine and its scan machines, which
+// all stop at the same breakpoints and watched words.
+func (e *Engine) machines() []*core.ReplayMachine {
+	return append([]*core.ReplayMachine{e.m}, e.scanners...)
 }
 
 // Window returns the total instructions the retained logs cover.
@@ -267,20 +278,21 @@ func (e *Engine) Image() *asm.Image { return e.img }
 func (e *Engine) LastWatch() *WatchHit { return e.lastWatch }
 
 // AddBreak sets a breakpoint at pc.
-func (e *Engine) AddBreak(pc uint32) { e.breaks[pc] = true }
+func (e *Engine) AddBreak(pc uint32) {
+	for _, m := range e.machines() {
+		m.SetBreak(pc, true)
+	}
+}
 
 // ClearBreak removes a breakpoint.
-func (e *Engine) ClearBreak(pc uint32) { delete(e.breaks, pc) }
+func (e *Engine) ClearBreak(pc uint32) {
+	for _, m := range e.machines() {
+		m.SetBreak(pc, false)
+	}
+}
 
 // Breakpoints returns the breakpoint set in ascending order.
-func (e *Engine) Breakpoints() []uint32 {
-	out := make([]uint32, 0, len(e.breaks))
-	for pc := range e.breaks {
-		out = append(out, pc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (e *Engine) Breakpoints() []uint32 { return slices.Clone(e.m.Breakpoints()) }
 
 // AddWatch sets a data watchpoint on the word containing addr, primed with
 // the word's current known state.
@@ -291,29 +303,22 @@ func (e *Engine) AddWatch(addr uint32) {
 	}
 	v, known := e.m.ReadWord(w)
 	e.watchVals[w] = watchVal{known: known, val: v}
-	e.watchAddrs = append(e.watchAddrs, w)
-	sort.Slice(e.watchAddrs, func(i, j int) bool { return e.watchAddrs[i] < e.watchAddrs[j] })
+	for _, m := range e.machines() {
+		m.SetWatch(w, true)
+	}
 }
 
 // ClearWatch removes the watchpoint on addr's word.
 func (e *Engine) ClearWatch(addr uint32) {
 	w := addr &^ 3
-	if _, ok := e.watchVals[w]; !ok {
-		return
-	}
 	delete(e.watchVals, w)
-	for i, a := range e.watchAddrs {
-		if a == w {
-			e.watchAddrs = append(e.watchAddrs[:i], e.watchAddrs[i+1:]...)
-			break
-		}
+	for _, m := range e.machines() {
+		m.SetWatch(w, false)
 	}
 }
 
 // Watches returns the watched word addresses in ascending order.
-func (e *Engine) Watches() []uint32 {
-	return append([]uint32(nil), e.watchAddrs...)
-}
+func (e *Engine) Watches() []uint32 { return slices.Clone(e.m.Watches()) }
 
 // Checkpoints reports the live checkpoint count and the bytes they are
 // charged: what they retain on the heap (see Config.CheckpointBudget).
@@ -321,22 +326,22 @@ func (e *Engine) Checkpoints() (count int, bytes int64) {
 	return len(e.ckpts), e.ckptBytes
 }
 
-// primeWatchVals (re-)reads every watched word on m into vals, so motion
-// that is navigation (seeks, restores) rather than execution never fires a
-// watchpoint. The parallel reverse scan calls it with a scan machine and a
-// private map; the engine's own machine uses e.watchVals.
-func primeWatchVals(m *core.ReplayMachine, addrs []uint32, vals map[uint32]watchVal) {
-	for _, a := range addrs {
+// primeWatchVals (re-)reads every word m watches into vals, so motion that
+// is navigation (seeks, restores) rather than execution never fires a
+// watchpoint. The reverse scan calls it with a scan machine and a private
+// map; the engine's own machine uses e.watchVals.
+func primeWatchVals(m *core.ReplayMachine, vals map[uint32]watchVal) {
+	for _, a := range m.Watches() {
 		v, known := m.ReadWord(a)
 		vals[a] = watchVal{known: known, val: v}
 	}
 }
 
-// checkWatchVals scans the watched words (in address order) for a change
+// checkWatchVals scans the words m watches (in address order) for a change
 // since the last observation in vals, updating the stored state either way.
-func checkWatchVals(m *core.ReplayMachine, addrs []uint32, vals map[uint32]watchVal) *WatchHit {
+func checkWatchVals(m *core.ReplayMachine, vals map[uint32]watchVal) *WatchHit {
 	var hit *WatchHit
-	for _, a := range addrs {
+	for _, a := range m.Watches() {
 		v, known := m.ReadWord(a)
 		prev := vals[a]
 		if known != prev.known || v != prev.val {
@@ -350,14 +355,7 @@ func checkWatchVals(m *core.ReplayMachine, addrs []uint32, vals map[uint32]watch
 }
 
 // primeWatches re-primes the engine's watch state from its own machine.
-func (e *Engine) primeWatches() {
-	primeWatchVals(e.m, e.watchAddrs, e.watchVals)
-}
-
-// checkWatches polices the engine's watch state on its own machine.
-func (e *Engine) checkWatches() *WatchHit {
-	return checkWatchVals(e.m, e.watchAddrs, e.watchVals)
-}
+func (e *Engine) primeWatches() { primeWatchVals(e.m, e.watchVals) }
 
 // ckptIndexAtOrBefore returns the index of the latest checkpoint with
 // pos <= target. The pos-0 anchor guarantees one exists.
@@ -493,22 +491,10 @@ func (e *Engine) drop(i int) {
 	e.ckpts = slices.Delete(e.ckpts, i, i+1)
 }
 
-// forwardOne executes one instruction and handles checkpointing.
-func (e *Engine) forwardOne() error {
-	from := e.m.Pos()
-	if err := e.m.StepOne(); err != nil {
-		return err
-	}
-	e.maybeCheckpoint(from)
-	return nil
-}
-
-// forwardTo batch-executes to the target position through the block
-// engine, pausing only on the checkpoint grid. Callers must have
-// established that no per-instruction stop checks are needed over the
-// stretch (no breakpoints or watchpoints, or a seek where they do not
-// fire).
-func (e *Engine) forwardTo(target uint64) error {
+// forwardTo runs the machine toward target through the block engine,
+// pausing on the checkpoint grid. With stops set it returns at the first
+// watch change or breakpoint; a seek runs past every stop.
+func (e *Engine) forwardTo(target uint64, stops bool) (StopReason, error) {
 	for e.m.Pos() < target && !e.m.Done() {
 		stop := target
 		if e.nextCkptAt < stop {
@@ -522,55 +508,48 @@ func (e *Engine) forwardTo(target uint64) error {
 		done, err := e.m.StepN(n)
 		e.reexecuted += done
 		if err != nil {
-			return err
+			return StopStep, err
 		}
 		e.maybeCheckpoint(from)
-	}
-	return nil
-}
-
-// Step executes up to n instructions, stopping early at a breakpoint, a
-// watchpoint change, or the end of the window. With no breakpoints or
-// watchpoints set there is nothing to police per instruction, so the walk
-// runs batched through the block engine.
-func (e *Engine) Step(n uint64) (StopReason, error) {
-	if len(e.breaks) == 0 && len(e.watchAddrs) == 0 {
-		if e.m.Done() {
-			return StopEnd, nil
+		if !stops {
+			continue
 		}
-		target := e.m.Window()
-		if left := target - e.m.Pos(); n < left {
-			target = e.m.Pos() + n
+		// As a one-instruction step would after the instruction the call
+		// ended after: a watched word's change first, then a breakpoint.
+		s := e.m.Stopped()
+		if s&core.WatchTouched != 0 {
+			if hit := checkWatchVals(e.m, e.watchVals); hit != nil {
+				e.lastWatch = hit
+				return StopWatch, nil
+			}
 		}
-		if err := e.forwardTo(target); err != nil {
-			return StopEnd, err
-		}
-		if e.m.Done() {
-			return StopEnd, nil
-		}
-		return StopStep, nil
-	}
-	for i := uint64(0); i < n; i++ {
-		if e.m.Done() {
-			return StopEnd, nil
-		}
-		if err := e.forwardOne(); err != nil {
-			return StopEnd, err
-		}
-		if hit := e.checkWatches(); hit != nil {
-			e.lastWatch = hit
-			return StopWatch, nil
-		}
-		// Breakpoint before end-of-window: the final PC is the faulting
-		// instruction and a breakpoint there must hit.
-		if e.breaks[e.m.PC()] {
+		if s&core.BreakNext != 0 {
 			return StopBreak, nil
-		}
-		if e.m.Done() {
-			return StopEnd, nil
 		}
 	}
 	return StopStep, nil
+}
+
+// Step executes up to n instructions, stopping early after an instruction
+// that changed a watched word, before a breakpoint (the instruction Step
+// starts on excepted), or at the end of the window. The final PC of the
+// window is the faulting instruction, and a breakpoint there hits.
+func (e *Engine) Step(n uint64) (StopReason, error) {
+	if e.m.Done() {
+		return StopEnd, nil
+	}
+	target := e.m.Window()
+	if left := target - e.m.Pos(); n < left {
+		target = e.m.Pos() + n
+	}
+	why, err := e.forwardTo(target, true)
+	if err != nil {
+		return StopEnd, err
+	}
+	if why == StopStep && e.m.Done() {
+		return StopEnd, nil
+	}
+	return why, nil
 }
 
 // Continue runs forward until a breakpoint, watchpoint, or the end of the
@@ -615,15 +594,13 @@ func (e *Engine) seek(target uint64, plant bool) error {
 	if c := e.ckpts[e.ckptIndexAtOrBefore(target)]; target < e.m.Pos() || c.pos > e.m.Pos() {
 		e.restore(c)
 	}
-	// Breakpoints and watchpoints never fire during a seek, so the
-	// re-execution runs batched through the block engine.
 	if d := e.nearDistance(); plant && target-e.m.Pos() > 2*d {
-		if err := e.forwardTo(target - d); err != nil {
+		if _, err := e.forwardTo(target-d, false); err != nil {
 			return err
 		}
 		e.plantNear()
 	}
-	if err := e.forwardTo(target); err != nil {
+	if _, err := e.forwardTo(target, false); err != nil {
 		return err
 	}
 	e.primeWatches()
@@ -666,64 +643,24 @@ func (e *Engine) ReverseStep(n uint64) (StopReason, error) {
 // forward execution stops just after the change (conventional debugger
 // asymmetry).
 //
-// The scan walks checkpoint gaps newest-first: restore the previous
-// checkpoint, re-execute forward to the scan limit recording the last
-// stop, and only widen backward when a gap contains none — so the common
-// "the write was recent" case costs one gap, and the worst case is one
-// pass over the window. With GOMAXPROCS > 1 the gaps are scanned
-// speculatively in parallel on private scan machines (still merged
-// newest-first, older gaps cancelled once a newer one stops), so the worst
-// case costs one pass over the window divided across processors.
+// The scan walks checkpoint gaps newest-first: restore a gap's starting
+// checkpoint into a scan machine, re-execute it through the block engine
+// to the gap's end recording the last stop, and only widen backward when a
+// gap contains none — so the common "the write was recent" case costs one
+// gap, and the worst case is one pass over the window. GOMAXPROCS scan
+// machines take that many gaps at a time, speculatively in parallel (still
+// merged newest-first, older gaps cancelled once a newer one stops), so
+// the worst case costs one pass over the window divided across processors.
 func (e *Engine) ReverseContinue() (StopReason, error) {
-	if len(e.breaks) == 0 && len(e.watchAddrs) == 0 {
+	if len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
 		// Nothing can stop a reverse scan; land on the window start
-		// without re-executing every gap per-instruction.
+		// without re-executing every gap.
 		if err := e.SeekTo(0); err != nil {
 			return StopStart, err
 		}
 		return StopStart, nil
 	}
-	if width := runtime.GOMAXPROCS(0); width > 1 {
-		return e.reverseContinueParallel(width)
-	}
-	return e.reverseContinueSequential()
-}
-
-// reverseContinueSequential is the width-1 reverse scan, and the reference
-// the parallel scan must match: one gap at a time on the engine's own
-// machine, newest-first.
-func (e *Engine) reverseContinueSequential() (StopReason, error) {
-	limit := e.m.Pos()
-	for {
-		i := e.ckptIndexAtOrBefore(limit)
-		c := e.ckpts[i]
-		if c.pos == limit && limit > 0 {
-			// The checkpoint sits exactly at the scan limit; the gap to
-			// scan is the one before it.
-			c = e.ckpts[i-1]
-		}
-		e.restore(c)
-		e.primeWatches()
-
-		g := scanGap(e.m, e.breaks, e.watchAddrs, e.watchVals, limit, e.forwardOne, nil)
-		if g.err != nil {
-			return StopStep, g.err
-		}
-		if g.hitPos >= 0 {
-			if err := e.SeekTo(uint64(g.hitPos)); err != nil {
-				return g.reason, err
-			}
-			e.lastWatch = g.watch
-			return g.reason, nil
-		}
-		if c.pos == 0 {
-			if err := e.SeekTo(0); err != nil {
-				return StopStart, err
-			}
-			return StopStart, nil
-		}
-		limit = c.pos
-	}
+	return e.reverseScan(max(1, runtime.GOMAXPROCS(0)))
 }
 
 // gapScan is one checkpoint gap's reverse-scan outcome: the last stop the
@@ -737,58 +674,57 @@ type gapScan struct {
 	cancelled bool
 }
 
-// cancelCheckMask throttles the cancellation poll in the scan loop to one
-// atomic load per 512 instructions.
-const cancelCheckMask = 512 - 1
+// scanChunk bounds the instructions a gap scan runs between polls of its
+// cancellation flag.
+const scanChunk = 4096
 
 // scanGap re-executes m — already restored to a gap-start checkpoint,
 // with vals primed there — up to limit, recording the LAST break or watch
-// stop in the gap: a watch stop is the pre-step position of the mutating
-// instruction, a break stop the post-step position when it is still below
-// the limit (the limit itself is where the reverse motion started). step
-// advances m one instruction; the engine's own machine checkpoints along
-// the way, scan machines step plainly. An execution error abandons the
-// gap, discarding any stop already recorded in it, exactly as the
-// sequential walk does. A non-nil cancel flag abandons the scan once a
+// stop in the gap: a watch stop is the position of the mutating
+// instruction, a break stop the position before the breakpoint when it is
+// still below the limit (the limit itself is where the reverse motion
+// started), and of two at one position the watch stop, whose instruction
+// runs second. An execution error abandons the gap, discarding any stop
+// already recorded in it. A non-nil cancel flag abandons the scan once a
 // newer gap has decided the result.
-func scanGap(m *core.ReplayMachine, breaks map[uint32]bool, addrs []uint32,
-	vals map[uint32]watchVal, limit uint64, step func() error, cancel *atomic.Bool) gapScan {
+func scanGap(m *core.ReplayMachine, vals map[uint32]watchVal, limit uint64, cancel *atomic.Bool) gapScan {
 	g := gapScan{hitPos: -1, reason: StopStep}
-	if breaks[m.PC()] && m.Pos() < limit {
+	if slices.Contains(m.Breakpoints(), m.PC()) && m.Pos() < limit {
 		g.hitPos, g.reason = int64(m.Pos()), StopBreak
 	}
-	for n := 0; m.Pos() < limit && !m.Done(); n++ {
-		if cancel != nil && n&cancelCheckMask == 0 && cancel.Load() {
+	for m.Pos() < limit && !m.Done() {
+		if cancel != nil && cancel.Load() {
 			g.cancelled = true
 			return g
 		}
-		p := m.Pos()
-		if err := step(); err != nil {
+		if _, err := m.StepN(min(limit-m.Pos(), scanChunk)); err != nil {
 			g.err = err
 			return g
 		}
-		if hit := checkWatchVals(m, addrs, vals); hit != nil {
-			// The instruction at p is the mutator.
-			g.hitPos, g.reason, g.watch = int64(p), StopWatch, hit
+		s := m.Stopped()
+		if s&core.WatchTouched != 0 {
+			if hit := checkWatchVals(m, vals); hit != nil {
+				// The instruction the call ended after is the mutator.
+				g.hitPos, g.reason, g.watch = int64(m.Pos()-1), StopWatch, hit
+			}
 		}
-		if m.Pos() < limit && breaks[m.PC()] {
+		if s&core.BreakNext != 0 && m.Pos() < limit {
 			g.hitPos, g.reason, g.watch = int64(m.Pos()), StopBreak, nil
 		}
 	}
 	return g
 }
 
-// reverseContinueParallel is the speculative reverse scan: it decomposes
-// the history below the current position into checkpoint gaps and scans
-// up to width of them concurrently per round, newest-first.
-// Each gap's checkpoint is restored into a private scan machine on the
-// engine's goroutine (snapshot restores share copy-on-write state and
-// must not race), then the gaps re-execute in parallel; once a newer gap
-// records a stop, the older gaps of the round are cancelled. Results
-// merge in gap order, so the stop chosen — and the error surfaced, if a
-// gap fails before any newer gap stops — is exactly the sequential
-// walk's.
-func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
+// reverseScan decomposes the history below the current position into
+// checkpoint gaps and scans up to width of them concurrently per round,
+// newest-first. Each gap's checkpoint is restored into a private scan
+// machine on the engine's goroutine (snapshot restores share copy-on-write
+// state and must not race), then the gaps re-execute in parallel; once a
+// newer gap records a stop, the older gaps of the round are cancelled.
+// Results merge in gap order, so the stop chosen — and the error surfaced,
+// if a gap fails before any newer gap stops — is the one a newest-first
+// walk of one gap at a time finds, whatever the width.
+func (e *Engine) reverseScan(width int) (StopReason, error) {
 	limit := e.m.Pos()
 	i := e.ckptIndexAtOrBefore(limit)
 	if e.ckpts[i].pos == limit && limit > 0 {
@@ -813,7 +749,14 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 	// charged it.
 	workers := min(width, len(gaps))
 	for len(e.scanners) < workers {
-		e.scanners = append(e.scanners, e.newMachine())
+		s := e.newMachine(0)
+		for _, pc := range e.m.Breakpoints() {
+			s.SetBreak(pc, true)
+		}
+		for _, a := range e.m.Watches() {
+			s.SetWatch(a, true)
+		}
+		e.scanners = append(e.scanners, s)
 	}
 	scanners := e.scanners[:workers]
 	defer func() {
@@ -821,16 +764,11 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 			m.Release()
 		}
 	}()
-
-	finish := func(g gapScan) (StopReason, error) {
-		if g.err != nil {
-			return StopStep, g.err
-		}
-		if err := e.SeekTo(uint64(g.hitPos)); err != nil {
-			return g.reason, err
-		}
-		e.lastWatch = g.watch
-		return g.reason, nil
+	// scan restores gap k's checkpoint into m and scans it.
+	scan := func(m *core.ReplayMachine, k gap, cancel *atomic.Bool) gapScan {
+		vals := make(map[uint32]watchVal, len(m.Watches()))
+		primeWatchVals(m, vals)
+		return scanGap(m, vals, k.limit, cancel)
 	}
 
 	for start := 0; start < len(gaps); start += workers {
@@ -843,12 +781,10 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 			// Serialized on this goroutine: restoring shares pages with
 			// the snapshot copy-on-write, mutating its sharing bits.
 			m.Restore(batch[k].ck.snap)
-			vals := make(map[uint32]watchVal, len(e.watchAddrs))
-			primeWatchVals(m, e.watchAddrs, vals)
 			wg.Add(1)
-			go func(k int, m *core.ReplayMachine, vals map[uint32]watchVal) {
+			go func(k int, m *core.ReplayMachine) {
 				defer wg.Done()
-				g := scanGap(m, e.breaks, e.watchAddrs, vals, batch[k].limit, m.StepOne, &cancels[k])
+				g := scan(m, batch[k], &cancels[k])
 				results[k] = g
 				if !g.cancelled && (g.err != nil || g.hitPos >= 0) {
 					// This gap decides over everything older; stop wasting
@@ -857,7 +793,7 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 						cancels[o].Store(true)
 					}
 				}
-			}(k, m, vals)
+			}(k, m)
 		}
 		wg.Wait()
 		for k := range results {
@@ -865,13 +801,19 @@ func (e *Engine) reverseContinueParallel(width int) (StopReason, error) {
 			if g.cancelled {
 				// Only reachable if the canceller's own result left the
 				// merge undecided — it cannot, but a wrong stop position
-				// would be silent, so rescan this gap sequentially.
-				e.restore(batch[k].ck)
-				e.primeWatches()
-				g = scanGap(e.m, e.breaks, e.watchAddrs, e.watchVals, batch[k].limit, e.forwardOne, nil)
+				// would be silent, so rescan this gap uncancelled.
+				scanners[0].Restore(batch[k].ck.snap)
+				g = scan(scanners[0], batch[k], nil)
 			}
-			if g.err != nil || g.hitPos >= 0 {
-				return finish(g)
+			if g.err != nil {
+				return StopStep, g.err
+			}
+			if g.hitPos >= 0 {
+				if err := e.SeekTo(uint64(g.hitPos)); err != nil {
+					return g.reason, err
+				}
+				e.lastWatch = g.watch
+				return g.reason, nil
 			}
 		}
 	}

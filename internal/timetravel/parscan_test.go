@@ -42,34 +42,18 @@ type stop struct {
 
 // reverseWalk seeks the engine to the end of its window and then
 // reverse-continues all the way back to the start on the scan of the given
-// width — the sequential gap walk at 1, the speculative parallel scan above
-// it — recording every stop. It calls the scan directly, so each walk runs
-// the path it names whatever GOMAXPROCS, the width ReverseContinue reads.
+// width, recording every stop. It calls the scan directly, so each walk
+// runs the width it names whatever GOMAXPROCS, the width ReverseContinue
+// reads.
 func reverseWalk(t *testing.T, e *Engine, width int) []stop {
 	t.Helper()
 	if err := e.SeekTo(e.Window()); err != nil {
 		t.Fatal(err)
 	}
-	scan := e.reverseContinueSequential
-	if width > 1 {
-		scan = func() (StopReason, error) { return e.reverseContinueParallel(width) }
-	}
-	var stops []stop
-	for {
-		reason, err := scan()
-		if err != nil {
-			t.Fatalf("reverse-continue after %d stops: %v", len(stops), err)
-		}
-		stops = append(stops, stop{reason, e.Pos(), e.PC(), e.Registers().Regs, e.LastWatch()})
-		if reason == StopStart {
-			break
-		}
-		if len(stops) > 10_000 {
-			t.Fatal("reverse walk does not terminate")
-		}
-	}
-	if width > 1 && len(e.scanners) == 0 {
-		t.Fatal("parallel walk never engaged the speculative scan")
+	stops := walkBack(t, func() (StopReason, error) { return e.reverseScan(width) },
+		func(reason StopReason) stop { return stop{reason, e.Pos(), e.PC(), e.Registers().Regs, e.LastWatch()} })
+	if len(e.scanners) > width {
+		t.Fatalf("a walk of width %d built %d scan machines", width, len(e.scanners))
 	}
 	for k, m := range e.scanners {
 		// Released after every call: no scan machine keeps a restored
@@ -81,13 +65,52 @@ func reverseWalk(t *testing.T, e *Engine, width int) []stop {
 	return stops
 }
 
+// oracleWalk is reverseWalk on the stop oracle (see oracle_test.go), with
+// the engine's breakpoints and watches.
+func oracleWalk(t *testing.T, e *Engine) []stop {
+	t.Helper()
+	r := newRefEngine(e)
+	for _, pc := range e.Breakpoints() {
+		r.addBreak(pc)
+	}
+	for _, a := range e.Watches() {
+		r.addWatch(a)
+	}
+	if err := r.seek(e.Window()); err != nil {
+		t.Fatal(err)
+	}
+	return walkBack(t, r.reverseContinue,
+		func(reason StopReason) stop {
+			return stop{reason, r.m.Pos(), r.m.PC(), r.m.Registers().Regs, r.lastWatch}
+		})
+}
+
+// walkBack reverse-continues with scan until the window start, recording
+// each stop.
+func walkBack(t *testing.T, scan func() (StopReason, error), at func(StopReason) stop) []stop {
+	t.Helper()
+	var stops []stop
+	for {
+		reason, err := scan()
+		if err != nil {
+			t.Fatalf("reverse-continue after %d stops: %v", len(stops), err)
+		}
+		stops = append(stops, at(reason))
+		if reason == StopStart {
+			return stops
+		}
+		if len(stops) > 10_000 {
+			t.Fatal("reverse walk does not terminate")
+		}
+	}
+}
+
 // TestReverseContinueParallelParity is the determinism property of the
 // speculative scan: for every stop of a full reverse walk — breakpoints,
-// watchpoints, and the final window start — the parallel scan at widths 2
-// and 8 lands on the same position, reason, registers, and watch
-// transition as the sequential walk. Run under -race this also exercises
-// the scan workers' concurrent execution over shared copy-on-write
-// snapshots.
+// watchpoints, and the final window start — the scan at widths 1, 2 and 8
+// lands on the same position, reason, registers, and watch transition as
+// the stop oracle. Run under -race this also exercises the scan workers'
+// concurrent execution over shared copy-on-write snapshots.
 func TestReverseContinueParallelParity(t *testing.T) {
 	stRep, stImg := recordCrash(t, corruptorProgram, 16)
 
@@ -119,22 +142,22 @@ func TestReverseContinueParallelParity(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			walk := func(par int) []stop {
+			engine := func() *Engine {
 				e, _, err := NewEngineForThread(tc.img, tc.rep, tc.tid, Config{CheckpointEvery: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
 				tc.setup(e, tc.img)
-				return reverseWalk(t, e, par)
+				return e
 			}
-			seq := walk(1)
-			for _, par := range []int{2, 8} {
-				got := walk(par)
+			seq := oracleWalk(t, engine())
+			for _, par := range []int{1, 2, 8} {
+				got := reverseWalk(t, engine(), par)
 				if !reflect.DeepEqual(got, seq) {
-					t.Errorf("parallelism %d: %d stops vs %d sequential", par, len(got), len(seq))
+					t.Errorf("width %d: %d stops vs %d from the oracle", par, len(got), len(seq))
 					for i := 0; i < len(got) && i < len(seq); i++ {
 						if !reflect.DeepEqual(got[i], seq[i]) {
-							t.Errorf("first divergence at stop %d:\n par: %+v\n seq: %+v",
+							t.Errorf("first divergence at stop %d:\n    scan: %+v\n  oracle: %+v",
 								i, got[i], seq[i])
 							break
 						}
@@ -152,20 +175,20 @@ func TestReverseContinueParallelParity(t *testing.T) {
 // against an eviction-thinned checkpoint grid: with the budget forcing
 // everything but the anchor and the newest checkpoint out, the gap
 // decomposition degenerates to one or two wide gaps and the parallel walk
-// must still land exactly where the sequential one does.
+// must still land exactly where the stop oracle does.
 func TestReverseContinueParallelSparseCheckpoints(t *testing.T) {
 	rep, img := recordCrash(t, corruptorProgram, 16)
-	walk := func(par int) []stop {
+	engine := func() *Engine {
 		e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 4, CheckpointBudget: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		e.AddBreak(img.MustSymbol("store"))
 		e.AddWatch(img.MustSymbol("ptr"))
-		return reverseWalk(t, e, par)
+		return e
 	}
-	seq := walk(1)
-	if got := walk(4); !reflect.DeepEqual(got, seq) {
-		t.Errorf("sparse-grid parallel walk diverges:\n par: %+v\n seq: %+v", got, seq)
+	seq := oracleWalk(t, engine())
+	if got := reverseWalk(t, engine(), 4); !reflect.DeepEqual(got, seq) {
+		t.Errorf("sparse-grid walk diverges:\n   scan: %+v\n oracle: %+v", got, seq)
 	}
 }
