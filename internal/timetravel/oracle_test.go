@@ -136,7 +136,10 @@ func (r *refEngine) reverseStep(n uint64) (StopReason, error) {
 // position one instruction at a time and lands on the last stop: a
 // breakpoint's position, or the position of the instruction that changed
 // a watched word (a change after a breakpoint's arrival at the same
-// position wins, as it is seen later).
+// position wins, as it is seen later). One pass from the start finds what
+// the newest-first walk of checkpoint gaps found: checked after every
+// instruction, the watch state at each gap's start is what priming there
+// reads.
 func (r *refEngine) reverseContinue() (StopReason, error) {
 	limit := r.m.Pos()
 	if len(r.breaks) == 0 && len(r.watches) == 0 {
