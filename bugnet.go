@@ -158,7 +158,9 @@ func IdentifyBinary(img *Image) BinaryID { return core.IdentifyBinary(img) }
 // deterministic replay: breakpoints, stepping, backwards time travel, and
 // inspection of every memory location the recorded window touched. The
 // replay adopts the recording options the report carries (LogCodeLoads,
-// DictOptions); tid < 0 selects the crashing thread.
+// DictOptions); tid < 0 selects the crashing thread. Its first Continue
+// replays only the window's last interval; older history is replayed when
+// a command first needs it (see timetravel.NewEngineForThread).
 func NewDebugger(img *Image, report *CrashReport, tid int) (*Debugger, error) {
 	d, _, err := timetravel.NewEngineForThread(img, report, tid, timetravel.Config{})
 	return d, err

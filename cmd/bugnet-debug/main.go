@@ -8,7 +8,11 @@
 // (internal/timetravel) checkpoints full replay state every 10,000
 // instructions and implements backward motion as "restore nearest
 // checkpoint + bounded forward re-execution". A reverse-continue scans
-// the checkpoint gaps on GOMAXPROCS workers.
+// the checkpoint gaps on GOMAXPROCS workers. The first continue replays
+// only the window's last interval; the rest is replayed the first time a
+// command reaches into it (a seek before it, reading or watching a word it
+// never touched, a reverse-continue with stops set), which is also when a
+// divergence there is reported.
 //
 // Local mode opens a crash report archive against the matching binary:
 //

@@ -56,7 +56,12 @@ type ReplayResult struct {
 // not by process memory.
 type Replayer struct {
 	img  *asm.Image
-	logs []*fll.Ref
+	logs []*fll.Ref // the whole window, oldest first
+	// first and end bound the intervals replayed, logs[first:end]; starts[i]
+	// is the window position interval i begins at, starts[len(logs)] the
+	// window's length (see Intervals).
+	first, end int
+	starts     []uint64
 
 	// TraceDepth mirrors the recorder option: a ring of the last
 	// TraceDepth committed PCs, for backtraces and divergence checking.
@@ -72,19 +77,11 @@ type Replayer struct {
 	MaxPages int
 	// LogCodeLoads must match the recording configuration.
 	LogCodeLoads bool
-	// InteriorWindow marks these logs as a mid-window slice of a larger
-	// recording (parallel interval replay hands each worker a one-interval
-	// window). The final interval of a recording is allowed to stop one
-	// logged code fetch short under LogCodeLoads (the faulting fetch never
-	// commits); an interior slice must never claim that exemption, or a
-	// hostile log marked EndFault mid-window would replay clean in
-	// parallel while the sequential path reports divergence.
+	// InteriorWindow marks logs a caller cut from a larger recording
+	// itself, so that their last interval is not the recording's last (see
+	// Intervals, which knows without being told). It denies that interval
+	// the final-interval fetch exemption.
 	InteriorWindow bool
-	// BaseIC seeds the core's committed-instruction counter, so fault
-	// diagnostics from an interior window report window-global instruction
-	// counts — a parallel interval replay must produce the same error
-	// strings the sequential full-window replay would.
-	BaseIC uint64
 	// DictOptions must match the recording configuration (relevant only
 	// for design-space ablations; the zero value is the paper design).
 	DictOptions dict.Options
@@ -98,12 +95,33 @@ type Replayer struct {
 // NewReplayer builds a replayer for one thread's logs, which must be in
 // recording order (as CrashReport delivers them).
 func NewReplayer(img *asm.Image, logs []*fll.Ref) *Replayer {
-	return &Replayer{img: img, logs: logs}
+	starts := make([]uint64, len(logs)+1)
+	for i, l := range logs {
+		starts[i+1] = starts[i] + l.Length
+	}
+	return &Replayer{img: img, logs: logs, end: len(logs), starts: starts}
 }
 
 // NewReplayerLogs replays logs built in memory (tests, synthetic windows).
 func NewReplayerLogs(img *asm.Image, logs []*fll.Log) *Replayer {
-	return &Replayer{img: img, logs: WrapFLLs(logs)}
+	return NewReplayer(img, WrapFLLs(logs))
+}
+
+// Intervals returns a replayer, with r's options, of intervals first
+// through end-1 of r's window alone: it starts at interval first's header
+// registers with empty memory, an empty known set and an empty dictionary,
+// which BugNet §4 makes exact — the recorder logs every value an interval
+// loads before it stores it, so no interval needs the state an earlier one
+// left. Positions and the core's committed-instruction counter stay
+// window-global, so a fault or divergence reads as it would in a replay of
+// the whole window. Under LogCodeLoads only the window's real last
+// interval may stop one logged code fetch short. Parallel replay runs each
+// interval this way, and the time-travel debugger opens on the window's
+// tail this way.
+func (r *Replayer) Intervals(first, end int) *Replayer {
+	c := *r
+	c.first, c.end = first, end
+	return &c
 }
 
 // WrapFLLs encodes each log once and views the bytes as a ref, in order.
@@ -145,20 +163,12 @@ type Scratch struct {
 func (r *Replayer) RunOn(s *Scratch) (*ReplayResult, error) {
 	st := r.newState(nil, s)
 	defer func() { s.d = st.d }()
-	m := ReplayMachine{r: r, st: st, total: r.window()}
+	m := ReplayMachine{r: r, st: st, pos: r.starts[r.first], total: r.starts[r.end]}
 	m.done = !st.next()
 	if _, err := m.StepN(m.total); err != nil {
 		return nil, err
 	}
 	return st.result(), nil
-}
-
-// window returns the instructions the logs cover.
-func (r *Replayer) window() (n uint64) {
-	for _, l := range r.logs {
-		n += l.Length
-	}
-	return n
 }
 
 // state is the incremental replay machine, also driven step-by-step by the
@@ -168,14 +178,14 @@ type state struct {
 	mem *mem.Memory
 	c   *cpu.CPU
 
-	logs     []*fll.Ref
-	idx      int      // current log index (idx-1 after next())
-	cur      *fll.Log // the one interval held open
+	logs     []*fll.Ref // the window up to the replayer's end
+	idx      int        // current log index (idx-1 after next())
+	cur      *fll.Log   // the one interval held open
 	reader   *fll.Reader
 	d        *dict.Table
 	executed uint64 // instructions executed within the current interval
 
-	total    uint64
+	total    uint64 // instructions this replay executed, from its first interval
 	injected uint64
 	trace    *traceRing
 	err      error
@@ -213,13 +223,13 @@ func (r *Replayer) newState(known *mem.KnownSet, s *Scratch) *state {
 		}
 	}
 	c.AutoMap = true
-	c.IC = r.BaseIC
+	c.IC = r.starts[r.first]
 	if r.MaxPages > 0 {
 		// The budget is for replay-touched data pages; the program text
 		// mapped above is a property of the binary, not the logs.
 		m.MapLimit = r.MaxPages + m.MappedPages()
 	}
-	st := &state{r: r, mem: m, c: c, logs: r.logs, d: s.d, known: known}
+	st := &state{r: r, mem: m, c: c, logs: r.logs[:r.end], idx: r.first, d: s.d, known: known}
 	if r.TraceDepth > 0 {
 		st.trace = newTraceRing(r.TraceDepth)
 	}
@@ -325,7 +335,7 @@ func (st *state) finishInterval() error {
 		// exactly one logged fetch short of the log. Anything else —
 		// interior intervals a hostile log marks EndFault, or more than
 		// one leftover entry — is divergence.
-		last := st.idx == len(st.logs) && !st.r.InteriorWindow
+		last := st.idx == len(st.r.logs) && !st.r.InteriorWindow
 		if !(st.r.LogCodeLoads && st.cur.End == fll.EndFault && last && st.reader.PendingOne()) {
 			return fmt.Errorf("%w: interval C%d ended with unconsumed log entries", ErrDiverged, st.cur.CID)
 		}
@@ -446,7 +456,7 @@ func (st *state) result() *ReplayResult {
 	res := &ReplayResult{
 		Final:        st.c.State(),
 		Instructions: st.total,
-		Intervals:    st.idx,
+		Intervals:    st.idx - st.r.first,
 		Injected:     st.injected,
 	}
 	if len(st.logs) > 0 {

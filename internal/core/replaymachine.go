@@ -42,9 +42,9 @@ type ReplayMachine struct {
 }
 
 // Machine wraps the replayer in an incremental stepping engine positioned
-// at the start of the window.
+// at the start of its first interval (see Intervals).
 func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
-	m := &ReplayMachine{r: r, total: r.window()}
+	m := &ReplayMachine{r: r, pos: r.starts[r.first], total: r.starts[r.end]}
 	var known *mem.KnownSet
 	if opts.TrackKnown {
 		known = mem.NewKnownSet()
@@ -54,8 +54,9 @@ func (r *Replayer) Machine(opts MachineOptions) *ReplayMachine {
 	return m
 }
 
-// Reset rewinds the machine to the start of the window, re-deriving all
-// replay state (including the known-memory set) from the logs.
+// Reset rewinds the machine to the start of its first interval,
+// re-deriving all replay state (including the known-memory set) from the
+// logs.
 func (m *ReplayMachine) Reset() {
 	known := m.st.known
 	if known != nil {
@@ -67,14 +68,17 @@ func (m *ReplayMachine) Reset() {
 	for _, pc := range old.c.Breakpoints() {
 		m.SetBreak(pc, true)
 	}
-	m.pos = 0
+	m.pos = m.r.starts[m.r.first]
 	m.done = !m.st.next()
 }
 
-// Window returns the total instructions the retained logs cover.
+// Window returns the window position the machine's last interval ends at:
+// the instructions the retained logs cover, for a machine built to the
+// window's end.
 func (m *ReplayMachine) Window() uint64 { return m.total }
 
-// Pos returns the number of instructions executed so far.
+// Pos returns the window position: the instructions before the machine's
+// first interval plus those it executed.
 func (m *ReplayMachine) Pos() uint64 { return m.pos }
 
 // Done reports whether the window is exhausted.
@@ -88,10 +92,10 @@ func (m *ReplayMachine) Registers() cpu.Snapshot { return m.st.c.State() }
 
 // Fault returns the crash record of the final log, if any.
 func (m *ReplayMachine) Fault() *fll.FaultRecord {
-	if len(m.r.logs) == 0 {
+	if len(m.st.logs) == 0 {
 		return nil
 	}
-	return m.r.logs[len(m.r.logs)-1].Fault
+	return m.st.logs[len(m.st.logs)-1].Fault
 }
 
 // Trace returns the verification/backtrace ring (oldest first), empty
@@ -417,6 +421,23 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	m.done = s.done
 	if st.known != nil {
 		st.known.RestoreFrom(s.known) // a nil s.known: a machine without tracking
+	}
+}
+
+// Reclaim takes the memory pages, known bitmaps and page-table leaves of
+// old and of snaps, snapshots taken on old, for m's later mappings and
+// copy-on-write faults to reuse instead of allocating. The caller drops old
+// and snaps with the call: nothing else may reference them, and m must
+// share nothing with them.
+func (m *ReplayMachine) Reclaim(old *ReplayMachine, snaps ...*ReplaySnapshot) {
+	mems := []*mem.Memory{old.st.mem}
+	known := []*mem.KnownSet{old.st.known}
+	for _, s := range snaps {
+		mems, known = append(mems, s.mem), append(known, s.known)
+	}
+	m.st.mem.Adopt(mems...)
+	if m.st.known != nil {
+		m.st.known.Adopt(known...)
 	}
 }
 

@@ -24,7 +24,9 @@ package cpu
 //     it or the DMA engine writes user memory;
 //   - the store path watches the page range blocks were decoded from and
 //     flushes when a guest store lands there (self-modifying code), ending
-//     the current block after the mutating instruction;
+//     the current block after the mutating instruction; cores that share
+//     one memory share one cache (ShareCode), so a store on any of them
+//     flushes what all of them run;
 //   - mem.Gen revalidation: a generation bump means page pointers may
 //     have gone stale (copy-on-write replacement or unmap), so block entry
 //     re-checks the backing page pointer and re-decodes on mismatch.
@@ -97,6 +99,18 @@ func (c *CPU) noteCodeWrite(wordAddr uint32) {
 			bc.flush()
 		}
 	}
+}
+
+// ShareCode makes c decode into o's block cache. Cores that share one
+// memory and run one at a time must share it: a guest store on one into a
+// page any of them decoded from then flushes the blocks all of them run,
+// where a cache of its own would leave another core running code the store
+// rewrote. Cores sharing a cache must set the same breakpoints.
+func (c *CPU) ShareCode(o *CPU) {
+	if o.bc == nil {
+		o.bc = new(blockCache)
+	}
+	c.bc = o.bc
 }
 
 // InvalidateFetchRange invalidates cached decodes that may cover the

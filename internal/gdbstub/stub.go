@@ -281,7 +281,9 @@ func (cn *conn) readReg(arg string) string {
 // engine's word-granular mem command, chunked by the command layer's
 // MaxMemWords cap. Bytes the recorded window never touched are reported
 // as the "xx" unavailable marker (§7.1: BugNet ships no core dump), so
-// gdb shows exactly what the recording can prove.
+// gdb shows exactly what the recording can prove. A word the engine's
+// tail never touched makes it replay older history first, and reads as
+// unavailable if that history diverges (see timetravel.Engine.ReadWord).
 func (cn *conn) readMem(arg string) string {
 	addrStr, lenStr, ok := strings.Cut(arg, ",")
 	if !ok {

@@ -245,6 +245,9 @@ type Machine struct {
 
 	cfg   Config
 	hooks Hooks
+	// code is the first core started, whose block cache every later core
+	// decodes into: a store on any core may rewrite code another runs.
+	code *cpu.CPU
 
 	steps    uint64
 	brk      uint32
@@ -335,6 +338,11 @@ func (m *Machine) SetMaxSteps(n uint64) { m.cfg.MaxSteps = n }
 func (m *Machine) startThread(tid int, entry, arg, stackTop, stackSize uint32) {
 	m.Mem.Map(stackTop-stackSize, stackSize)
 	c := cpu.New(m.Mem)
+	if m.code == nil {
+		m.code = c
+	} else {
+		c.ShareCode(m.code)
+	}
 	c.PC = entry
 	c.Regs[isa.RegSP] = stackTop
 	c.Regs[isa.RegA0] = arg

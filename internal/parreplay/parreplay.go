@@ -98,11 +98,9 @@ func (o *Options) workers() int {
 
 // unit is one (thread, interval) replay work item.
 type unit struct {
-	tid    int
-	idx    int // interval index within the thread's window
-	ref    *fll.Ref
-	baseIC uint64 // instructions in the thread's earlier intervals
-	last   bool   // true for the thread's final interval
+	tid int
+	idx int            // interval index within the thread's window
+	r   *core.Replayer // the thread's whole window; Options set the rest
 }
 
 // unitResult is one finished work item.
@@ -119,7 +117,7 @@ type unitResult struct {
 // uncaught panic there would kill the process instead of reaching the
 // caller's recover (triage demotes replay panics to failed verdicts). The
 // machine a panic interrupted is dropped, not reused.
-func replayUnit(img *asm.Image, u unit, o Options, m *core.Scratch) (r unitResult) {
+func replayUnit(u unit, o Options, m *core.Scratch) (r unitResult) {
 	r.unit = u
 	defer func() {
 		if v := recover(); v != nil {
@@ -127,12 +125,10 @@ func replayUnit(img *asm.Image, u unit, o Options, m *core.Scratch) (r unitResul
 			*m = core.Scratch{}
 		}
 	}()
-	rep := core.NewReplayer(img, []*fll.Ref{u.ref})
+	rep := u.r.Intervals(u.idx, u.idx+1)
 	rep.LogCodeLoads = o.LogCodeLoads
 	rep.DictOptions = o.DictOptions
 	rep.MaxPages = o.MaxPages
-	rep.InteriorWindow = !u.last
-	rep.BaseIC = u.baseIC
 	if u.tid == o.traceTID {
 		rep.TraceDepth = o.TraceDepth
 	}
@@ -144,14 +140,14 @@ func replayUnit(img *asm.Image, u unit, o Options, m *core.Scratch) (r unitResul
 // (thread, interval). Each worker keeps one machine for the call and claims
 // the next unclaimed unit until none is left; a window of one unit, or a
 // pool of one, is replayed on the caller's goroutine.
-func run(img *asm.Image, units []unit, o Options) []unitResult {
+func run(units []unit, o Options) []unitResult {
 	results := make([]unitResult, len(units))
 	var next atomic.Int64
 	work := func() {
 		var m core.Scratch
 		for i := next.Add(1) - 1; i < int64(len(units)); i = next.Add(1) - 1 {
 			mWorkersBusy.Inc()
-			results[i] = replayUnit(img, units[i], o, &m)
+			results[i] = replayUnit(units[i], o, &m)
 			mWorkersBusy.Dec()
 			mIntervals.Inc()
 		}
@@ -174,12 +170,11 @@ func run(img *asm.Image, units []unit, o Options) []unitResult {
 }
 
 // threadUnits appends one unit per interval of a thread's window.
-func threadUnits(units []unit, tid int, logs []*fll.Ref) []unit {
+func threadUnits(units []unit, img *asm.Image, tid int, logs []*fll.Ref) []unit {
+	r := core.NewReplayer(img, logs)
 	units = slices.Grow(units, len(logs))
-	var cum uint64
-	for i, ref := range logs {
-		units = append(units, unit{tid: tid, idx: i, ref: ref, baseIC: cum, last: i == len(logs)-1})
-		cum += ref.Length
+	for i := range logs {
+		units = append(units, unit{tid: tid, idx: i, r: r})
 	}
 	return units
 }
@@ -242,7 +237,7 @@ func ReplayThread(img *asm.Image, logs []*fll.Ref, o Options) (*core.ReplayResul
 		r.TraceDepth = o.TraceDepth
 		return r.Run()
 	}
-	results := run(img, threadUnits(nil, 0, logs), o)
+	results := run(threadUnits(nil, img, 0, logs), o)
 	if err := firstFailure(results); err != nil {
 		return nil, err
 	}
@@ -309,9 +304,9 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 
 	var units []unit
 	for _, tid := range tids {
-		units = threadUnits(units, tid, rep.FLLs[tid])
+		units = threadUnits(units, img, tid, rep.FLLs[tid])
 	}
-	results := run(img, units, opts)
+	results := run(units, opts)
 	if err := firstFailure(results); err != nil {
 		// MultiReplayer wraps each thread's failure; match it, using the
 		// failing unit's thread (firstFailure returns the first error in

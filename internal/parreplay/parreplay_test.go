@@ -270,12 +270,11 @@ func TestReportParityMultiThread(t *testing.T) {
 	}
 }
 
-// TestInteriorWindowRejectsFaultExemption pins the InteriorWindow
-// semantics the executor depends on: under LogCodeLoads a
-// fault-terminated interval may stop one logged fetch short only when it
-// really is the recording's final interval. An interior worker replaying
-// the same interval as a one-interval window must not grant the
-// exemption.
+// TestInteriorWindowRejectsFaultExemption pins the interval-index semantics
+// the executor depends on: under LogCodeLoads a fault-terminated interval
+// may stop one logged fetch short only when it really is the window's final
+// interval. In a window where the same fault-terminated interval comes
+// twice, core.Replayer.Intervals grants the exemption to the second alone.
 func TestInteriorWindowRejectsFaultExemption(t *testing.T) {
 	img, err := asm.Assemble("c.s", crashProgram)
 	if err != nil {
@@ -284,18 +283,18 @@ func TestInteriorWindowRejectsFaultExemption(t *testing.T) {
 	_, rep, _ := core.Record(img, kernel.Config{},
 		core.Config{IntervalLength: 1 << 20, Cache: tinyCache(), LogCodeLoads: true})
 	logs := rep.FLLs[0]
-	last := logs[len(logs)-1:]
+	last := logs[len(logs)-1]
+	if last.End != fll.EndFault {
+		t.Fatalf("the recording ends %v, not in a fault", last.End)
+	}
 
-	r := core.NewReplayer(img, last)
+	r := core.NewReplayer(img, []*fll.Ref{last, last})
 	r.LogCodeLoads = true
-	if _, err := r.Run(); err != nil {
+	if _, err := r.Intervals(1, 2).Run(); err != nil {
 		t.Fatalf("final-interval replay should claim the exemption: %v", err)
 	}
-	r = core.NewReplayer(img, last)
-	r.LogCodeLoads = true
-	r.InteriorWindow = true
-	if _, err := r.Run(); !errors.Is(err, core.ErrDiverged) {
-		t.Errorf("interior window claimed the final-interval fetch exemption: err=%v", err)
+	if _, err := r.Intervals(0, 1).Run(); !errors.Is(err, core.ErrDiverged) {
+		t.Errorf("interior interval claimed the final-interval fetch exemption: err=%v", err)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 )
 
 // What follows, down to referenceRun's closing brace, is the executor as it
-// stood before a worker kept its machine, verbatim but for the two names and
-// which units carry a ring (every unit of the traced thread, now):
+// stood before a worker kept its machine, verbatim but for the two names,
+// which units carry a ring (every unit of the traced thread, now) and how a
+// unit names its interval (core.Replayer.Intervals, now):
 // one core.Replayer — a new memory, core, block cache and dictionary — per
 // unit, units handed over an unbuffered channel, results sorted afterwards.
 // The differential tests below hold the lent machine to its every result.
@@ -38,12 +39,10 @@ func referenceReplayUnit(img *asm.Image, u unit, o Options) (r unitResult) {
 			r.panicked, r.panicVal = true, v
 		}
 	}()
-	rep := core.NewReplayer(img, []*fll.Ref{u.ref})
+	rep := u.r.Intervals(u.idx, u.idx+1)
 	rep.LogCodeLoads = o.LogCodeLoads
 	rep.DictOptions = o.DictOptions
 	rep.MaxPages = o.MaxPages
-	rep.InteriorWindow = !u.last
-	rep.BaseIC = u.baseIC
 	if u.tid == o.traceTID {
 		rep.TraceDepth = o.TraceDepth
 	}
@@ -134,7 +133,7 @@ func reg(name string) uint8 {
 // crafted builds a unit no recorder wrote: it starts at pc with the given
 // registers, claims length instructions, and logs the given first-load
 // values, each for the very next loggable operation.
-func crafted(pc uint32, regs map[string]uint32, length uint64, values ...uint32) unit {
+func crafted(img *asm.Image, pc uint32, regs map[string]uint32, length uint64, values ...uint32) unit {
 	h := fll.Header{CID: 7, IntervalLimit: 1 << 20, DictSize: 64}
 	h.State.PC = pc
 	for name, v := range regs {
@@ -144,7 +143,12 @@ func crafted(pc uint32, regs map[string]uint32, length uint64, values ...uint32)
 	for _, v := range values {
 		w.Op(v, true)
 	}
-	return unit{ref: core.WrapFLLs([]*fll.Log{w.Close(length, fll.EndIntervalFull, nil)})[0]}
+	return oneUnit(img, core.WrapFLLs([]*fll.Log{w.Close(length, fll.EndIntervalFull, nil)})[0])
+}
+
+// oneUnit is the unit of a one-interval window.
+func oneUnit(img *asm.Image, ref *fll.Ref) unit {
+	return unit{r: core.NewReplayer(img, []*fll.Ref{ref})}
 }
 
 // reuseMaxPages is the page budget the differential runs under: above what
@@ -162,16 +166,16 @@ const reuseMaxPages = 512
 //     a unit that starts at victim: it must run the image's instruction;
 //   - a sweep that maps pages until the budget refuses, then a sweep of
 //     exactly the budget: it must fit.
-func hostileUnits(at func(string) uint32) []unit {
+func hostileUnits(img *asm.Image, at func(string) uint32) []unit {
 	const scratch = mem.DataBase + 0x0100_0000
 	addi77 := isa.MustEncode(isa.Instruction{Op: isa.OpADDI, Rd: reg("a2"), Rs1: reg("zero"), Imm: 77})
 	return []unit{
-		crafted(at("store"), map[string]uint32{"t0": scratch, "t1": 0xDEADBEEF}, 1),
-		crafted(at("load"), map[string]uint32{"t0": scratch}, 1),
-		crafted(at("patch"), map[string]uint32{"t0": at("victim")}, 4, addi77),
-		crafted(at("victim"), nil, 2),
-		crafted(at("sweep"), map[string]uint32{"t0": scratch, "t1": 5, "t2": mem.PageSize}, 3*(reuseMaxPages+8)),
-		crafted(at("sweep"), map[string]uint32{"t0": scratch, "t1": 6, "t2": mem.PageSize}, 3*reuseMaxPages-2),
+		crafted(img, at("store"), map[string]uint32{"t0": scratch, "t1": 0xDEADBEEF}, 1),
+		crafted(img, at("load"), map[string]uint32{"t0": scratch}, 1),
+		crafted(img, at("patch"), map[string]uint32{"t0": at("victim")}, 4, addi77),
+		crafted(img, at("victim"), nil, 2),
+		crafted(img, at("sweep"), map[string]uint32{"t0": scratch, "t1": 5, "t2": mem.PageSize}, 3*(reuseMaxPages+8)),
+		crafted(img, at("sweep"), map[string]uint32{"t0": scratch, "t1": 6, "t2": mem.PageSize}, 3*reuseMaxPages-2),
 	}
 }
 
@@ -181,7 +185,7 @@ func TestHostileUnitsBite(t *testing.T) {
 	img, at := hostileImage(t, workload.ByName("gzip").Image)
 	o := Options{MaxPages: reuseMaxPages}
 	var got []unitResult
-	for _, u := range hostileUnits(at) {
+	for _, u := range hostileUnits(img, at) {
 		got = append(got, referenceReplayUnit(img, u, o))
 	}
 	for i, r := range got {
@@ -204,8 +208,9 @@ func TestHostileUnitsBite(t *testing.T) {
 type window struct {
 	name  string
 	img   *asm.Image
-	units []unit // the recorded threads' units in (thread, interval) order, then the hostile six
-	clean int    // how many of them were recorded
+	logs  [][]*fll.Ref // each recorded thread's window
+	units []unit       // the recorded threads' units in (thread, interval) order, then the hostile six
+	clean int          // how many of them were recorded
 }
 
 var (
@@ -234,11 +239,12 @@ func windows(t testing.TB) []window {
 			img, at := hostileImage(t, w.Image)
 			win := window{name: w.Name, img: img}
 			for tid := 0; tid < len(rep.FLLs); tid++ {
-				win.units = threadUnits(win.units, tid, rep.FLLs[tid])
+				win.logs = append(win.logs, rep.FLLs[tid])
+				win.units = threadUnits(win.units, img, tid, rep.FLLs[tid])
 			}
 			win.clean = len(win.units)
-			for i, u := range hostileUnits(at) {
-				u.tid, u.idx = 100, i
+			for i, u := range hostileUnits(img, at) {
+				u.tid = 100 + i
 				win.units = append(win.units, u)
 			}
 			windowsMade = append(windowsMade, win)
@@ -298,7 +304,7 @@ func checkReuse(t testing.TB, win window, order []unit, workers int) {
 	for i, u := range order {
 		want[i] = referenceReplayUnit(win.img, u, o)
 	}
-	sameResults(t, fmt.Sprintf("%s, %d workers", win.name, workers), run(win.img, order, o), want)
+	sameResults(t, fmt.Sprintf("%s, %d workers", win.name, workers), run(order, o), want)
 }
 
 // TestWorkerReuseVsReference: whatever a worker's machine replayed before,
@@ -324,7 +330,7 @@ func TestWorkerReuseVsReference(t *testing.T) {
 				t.Fatalf("%s: recorded unit T%d/%d does not replay on a new machine: %v %v", win.name, r.tid, r.idx, r.err, r.panicVal)
 			}
 		}
-		sameResults(t, win.name+", recording order", run(win.img, win.units[:win.clean], o), want)
+		sameResults(t, win.name+", recording order", run(win.units[:win.clean], o), want)
 	}
 }
 
@@ -356,10 +362,7 @@ func FuzzWorkerReuseVsReference(f *testing.F) {
 // default, longer than an interval, longer than the window.
 func TestMergedTraceDepths(t *testing.T) {
 	win := windows(t)[1]
-	var logs []*fll.Ref
-	for _, u := range win.units[:win.clean] {
-		logs = append(logs, u.ref)
-	}
+	logs := win.logs[0]
 	for _, depth := range []int{0, 1, 16, 2_000, 2_001, 5_000, 1 << 20} {
 		o := Options{TraceDepth: depth}
 		want, err := seqThread(win.img, logs, o)
@@ -388,24 +391,23 @@ func TestSingleUnitRunsOnCaller(t *testing.T) {
 	// A lazy ref's loader runs where its unit is replayed; the caller's
 	// frames are on that stack only if it is the caller's goroutine.
 	var onCaller, opened int
-	watched := func(u unit) unit {
-		l, err := u.ref.Open()
+	watched := func(i int) unit {
+		l, err := win.logs[0][i].Open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		enc := l.Marshal()
-		u.ref = fll.NewLazyRef(l.Meta, int64(len(enc)), func() ([]byte, error) {
+		return oneUnit(win.img, fll.NewLazyRef(l.Meta, int64(len(enc)), func() ([]byte, error) {
 			buf := make([]byte, 16<<10)
 			opened++
 			if strings.Contains(string(buf[:runtime.Stack(buf, false)]), "TestSingleUnitRunsOnCaller") {
 				onCaller++
 			}
 			return enc, nil
-		})
-		return u
+		}))
 	}
-	one := []unit{watched(win.units[0])}
-	several := []unit{watched(win.units[0]), watched(win.units[1]), watched(win.units[2])}
+	one := []unit{watched(0)}
+	several := []unit{watched(0), watched(1), watched(2)}
 	for _, tc := range []struct {
 		units   []unit
 		workers int
@@ -416,35 +418,35 @@ func TestSingleUnitRunsOnCaller(t *testing.T) {
 			want[i] = referenceReplayUnit(win.img, u, Options{})
 		}
 		onCaller, opened = 0, 0
-		sameResults(t, "on the caller's goroutine", run(win.img, tc.units, Options{Workers: tc.workers}), want)
+		sameResults(t, "on the caller's goroutine", run(tc.units, Options{Workers: tc.workers}), want)
 		if opened != len(tc.units) || onCaller != opened {
 			t.Errorf("%d units, %d workers: %d of %d units replayed on the caller's goroutine", len(tc.units), tc.workers, onCaller, opened)
 		}
 	}
 
 	// A dictionary size the table refuses panics inside the replayer.
-	l, err := win.units[0].ref.Open()
+	l, err := win.logs[0][0].Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := *l
 	bad.DictSize = 3
 	for _, workers := range []int{1, 4} {
-		units := []unit{{ref: core.WrapFLLs([]*fll.Log{&bad})[0], last: true}, win.units[1]}
+		units := []unit{oneUnit(win.img, core.WrapFLLs([]*fll.Log{&bad})[0]), win.units[1]}
 		want := referenceReplayUnit(win.img, units[0], Options{})
 		if !want.panicked {
 			t.Fatal("a dictionary of 3 entries did not panic the reference")
 		}
 		got := func() (v any) {
 			defer func() { v = recover() }()
-			firstFailure(run(win.img, units, Options{Workers: workers}))
+			firstFailure(run(units, Options{Workers: workers}))
 			return nil
 		}()
 		if !reflect.DeepEqual(got, want.panicVal) {
 			t.Errorf("%d workers: caller recovered %v, want %v", workers, got, want.panicVal)
 		}
 		// The unit after the panic ran on a machine of its own making.
-		res := run(win.img, units, Options{Workers: workers})
+		res := run(units, Options{Workers: workers})
 		sameResults(t, "after a panic", res[1:], []unitResult{referenceReplayUnit(win.img, units[1], Options{})})
 	}
 }
@@ -460,15 +462,15 @@ func TestWorkerAllocatesNoMachineAfterFirstUnit(t *testing.T) {
 	win := windows(t)[1]
 	// Logs held as their bytes: a log-store ref copies its log out of the
 	// store on every Open, on either kind of machine.
-	var units []unit
-	for _, u := range win.units[:win.clean] {
-		l, err := u.ref.Open()
+	var held []*fll.Log
+	for _, ref := range win.logs[0] {
+		l, err := ref.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
-		u.ref = core.WrapFLLs([]*fll.Log{l})[0]
-		units = append(units, u)
+		held = append(held, l)
 	}
+	units := threadUnits(nil, win.img, 0, core.WrapFLLs(held))
 	var long []unit
 	for i := 0; i < 8; i++ {
 		long = append(long, units...)
@@ -477,7 +479,7 @@ func TestWorkerAllocatesNoMachineAfterFirstUnit(t *testing.T) {
 	allocated := func(us []unit) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		run(win.img, us, o)
+		run(us, o)
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}

@@ -65,7 +65,7 @@ func retained(e *Engine) (all, onlyCkpts int64) {
 
 func accountingEngine(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64) *Engine {
 	t.Helper()
-	e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 500, CheckpointBudget: budget})
+	e, _, err := openFilled(img, rep, -1, Config{CheckpointEvery: 500, CheckpointBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestAccountingSeekStepPairs(t *testing.T) {
 		steps, pairs = 400_000, 200
 	}
 	rep, img := specWindow(t, "mcf", steps, 100_000)
-	e, _, err := NewEngineForThread(img, rep, -1, Config{})
+	e, _, err := openFilled(img, rep, -1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ loop:   andi t0, s0, 15
 // checkpoint set), and returns it.
 func engineAtEnd(b *testing.B, rep *core.CrashReport, img *asm.Image) *Engine {
 	b.Helper()
-	eng, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 1000})
+	eng, _, err := openFilled(img, rep, -1, Config{CheckpointEvery: 1000})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,27 +89,44 @@ var openWindows = []struct {
 }
 
 // BenchmarkOpenToCrash measures opening a window and continuing to its
-// end under the default configuration, checkpoints included.
+// end under the default configuration, checkpoints included: whole_window
+// replays every interval and lays the grid over all of them, as every open
+// did before the engine opened on the tail; tail is the open a developer
+// gets, the last interval and its grid; then_seek_start adds the SeekTo(0)
+// that fills in the older history, the cost the tail defers.
 func BenchmarkOpenToCrash(b *testing.B) {
 	for _, w := range openWindows {
 		b.Run(w.name, func(b *testing.B) {
 			rep, img := specWindow(b, w.prog, w.steps, w.interval)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var count int
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				eng, _, err := NewEngineForThread(img, rep, -1, Config{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Continue(); err != nil {
-					b.Fatal(err)
-				}
-				count, bytes = eng.Checkpoints()
+			for _, mode := range []string{"whole_window", "tail", "then_seek_start"} {
+				b.Run(mode, func(b *testing.B) {
+					open := NewEngineForThread
+					if mode == "whole_window" {
+						open = openFilled
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					var count int
+					var bytes int64
+					for i := 0; i < b.N; i++ {
+						eng, _, err := open(img, rep, -1, Config{})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := eng.Continue(); err != nil {
+							b.Fatal(err)
+						}
+						if mode == "then_seek_start" {
+							if err := eng.SeekTo(0); err != nil {
+								b.Fatal(err)
+							}
+						}
+						count, bytes = eng.Checkpoints()
+					}
+					b.ReportMetric(float64(count), "ckpts")
+					b.ReportMetric(float64(bytes)/(1<<20), "ckpt-MB")
+				})
 			}
-			b.ReportMetric(float64(count), "ckpts")
-			b.ReportMetric(float64(bytes)/(1<<20), "ckpt-MB")
 		})
 	}
 }
@@ -268,11 +285,12 @@ func BenchmarkReverseContinue(b *testing.B) {
 }
 
 // mcfEngine opens the mcf window of openWindows under the default
-// configuration and continues to its end.
+// configuration and continues to its end, laying the grid over the whole
+// window.
 func mcfEngine(b *testing.B) *Engine {
 	w := openWindows[0]
 	rep, img := specWindow(b, w.prog, w.steps, w.interval)
-	eng, _, err := NewEngineForThread(img, rep, -1, Config{})
+	eng, _, err := openFilled(img, rep, -1, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -27,6 +27,20 @@
 // itself (see core.ReplayMachine.StepN): Step, Continue and the reverse
 // scan run at replay speed, and only an instruction that may have changed
 // a watched word, or a breakpoint, hands control back to the engine.
+//
+// An engine opens on the window's tail. Every FLL interval replays alone
+// from its header's registers and empty memory (BugNet §4), so the first
+// motion of a fresh engine — typically Continue to the crash — replays only
+// the last interval (or the last few, enough for a full backtrace) and lays
+// the checkpoint grid over those alone, provided no breakpoint or watch is
+// set. Registers, PC, backtrace, fault and every word the tail touched are
+// then exactly what a replay of the whole window gives. The first command
+// that needs older history — a target before the tail's start plus
+// TraceDepth, a ReadWord or AddWatch of a word the tail has not touched
+// (program text included), a ReverseContinue with stops set — fills it in:
+// one forward pass from the window start to the current position lays the
+// grid over the whole window, and the engine is from then on the one it
+// would have been had it replayed the whole window from the start.
 package timetravel
 
 import (
@@ -189,12 +203,32 @@ type Engine struct {
 	// every seek's re-execution, every Step and Continue — summed per StepN
 	// call.
 	reexecuted uint64
+
+	// fresh is set until the engine's first motion, which decides whether
+	// it opens on the tail (see reach), or until a command commits it to
+	// the whole window.
+	fresh bool
+	// tailStart is the window position the engine's history starts at: the
+	// tail's first interval while the engine holds only the tail, 0 once it
+	// holds the whole window. ckpts[0] stands there.
+	tailStart uint64
+	// fillErr is the error the fill of older history failed with; every
+	// command that needs that history returns it again.
+	fillErr error
 }
 
 // NewEngineForThread opens one thread of a crash report for time-travel
 // debugging, adopting the recording options the report carries. tid < 0
 // selects the crashing thread (thread 0 if the report records a clean
 // stop).
+//
+// The engine starts at position 0 and replays nothing yet. Its first
+// motion, when it ends in the tail with no stops set, replays only the tail
+// (see the package doc). A divergence in older history then surfaces at
+// the first command that needs that history, not at that first motion: the
+// fill's forward pass meets it there and the command returns it, with the
+// message a replay of the whole window gives, and so does every later
+// command that needs that history. The engine stays on the tail meanwhile.
 func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Config) (*Engine, int, error) {
 	if tid < 0 {
 		tid = 0
@@ -213,25 +247,123 @@ func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Conf
 		rep:       rep,
 		logs:      logs,
 		watchVals: make(map[uint32]watchVal),
+		fresh:     true,
 	}
-	e.m = e.newMachine(TraceDepth)
-	// The window-start anchor: every backward seek has somewhere to land.
-	e.ckpts = append(e.ckpts, e.snapshot())
-	e.nextCkptAt = cfg.CheckpointEvery
+	e.start(0, 0)
 	return e, tid, nil
 }
 
-// newMachine builds a replay machine over the engine's logs, keeping a
-// backtrace of traceDepth instructions. The engine's own machine and the
-// scan machines of the reverse scan are built alike but for the backtrace,
-// which a scan never reads, so any checkpoint restores into either.
-func (e *Engine) newMachine(traceDepth int) *core.ReplayMachine {
+// start puts the engine at the start of interval first, window position
+// pos, on a new machine and one anchor checkpoint there: every backward
+// seek has somewhere to land. The breakpoints and watched words carry over,
+// and the storage of the machine and checkpoints it replaces is reused.
+func (e *Engine) start(first int, pos uint64) {
+	old := e.m
+	e.m = e.newMachine(TraceDepth, first)
+	if old != nil {
+		for _, pc := range old.Breakpoints() {
+			e.m.SetBreak(pc, true)
+		}
+		for _, a := range old.Watches() {
+			e.m.SetWatch(a, true)
+		}
+		snaps := make([]*core.ReplaySnapshot, len(e.ckpts))
+		for i, c := range e.ckpts {
+			snaps[i] = c.snap
+		}
+		e.m.Reclaim(old, snaps...)
+	}
+	e.ckpts, e.ckptBytes, e.near, e.carry = nil, 0, nil, nil
+	e.ckpts = append(e.ckpts, e.snapshot())
+	e.tailStart = pos
+	k := e.cfg.CheckpointEvery
+	e.nextCkptAt = (pos/k + 1) * k
+}
+
+// newMachine builds a replay machine over the engine's logs from interval
+// first on, keeping a backtrace of traceDepth instructions. The engine's
+// own machine and the scan machines of the reverse scan are built alike
+// but for the backtrace, which a scan never reads, so any checkpoint
+// restores into either.
+func (e *Engine) newMachine(traceDepth, first int) *core.ReplayMachine {
 	r := core.NewReplayer(e.img, e.logs)
 	r.LogCodeLoads = e.rep.LogCodeLoads
 	r.DictOptions = e.rep.DictOptions
 	r.MaxPages = e.cfg.MaxPages
 	r.TraceDepth = traceDepth
-	return r.Machine(core.MachineOptions{TrackKnown: true})
+	return r.Intervals(first, len(e.logs)).Machine(core.MachineOptions{TrackKnown: true})
+}
+
+// tail returns the first interval of the window's tail and the position it
+// starts at: the last interval, or an earlier one when the last holds fewer
+// than TraceDepth instructions, so the backtrace at the window's end is the
+// tail's own. The first interval is 0 when the tail is the whole window.
+func (e *Engine) tail() (first int, pos uint64) {
+	pos = e.m.Window()
+	for first = len(e.logs); first > 0 && e.m.Window()-pos < TraceDepth; {
+		first--
+		pos -= e.logs[first].Length
+	}
+	return first, pos
+}
+
+// reach readies the engine's history for a motion to target. The first
+// motion of a fresh engine opens on the tail when no stop is set and the
+// target lies at least TraceDepth instructions into the tail; any other
+// first motion commits the engine to the whole window. An engine on the
+// tail fills in older history when the target lies before that point or a
+// watched word is one the tail has not touched.
+func (e *Engine) reach(target uint64) error {
+	if e.fresh && len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
+		if first, pos := e.tail(); first > 0 && target >= pos+TraceDepth {
+			e.fresh = false
+			e.start(first, pos)
+			return nil
+		}
+	}
+	if e.fresh || e.tailStart > 0 && (target < e.tailStart+TraceDepth || !e.watchesKnown()) {
+		return e.fill()
+	}
+	return nil
+}
+
+// watchesKnown reports whether the tail has touched every watched word: only
+// then are their values the whole window's.
+func (e *Engine) watchesKnown() bool {
+	for _, a := range e.m.Watches() {
+		if !e.m.Known(a) {
+			return false
+		}
+	}
+	return true
+}
+
+// fill commits the engine to the whole window. On the tail, it replays the
+// window's older history once: the forward pass from a new window-start
+// anchor to the current position, laying the checkpoint grid, in place of
+// the tail and its checkpoints, which the pass no longer keeps alive. If the
+// pass fails, the engine replays the tail again to where it stood, and
+// returns the error, now and from every later fill.
+func (e *Engine) fill() error {
+	e.fresh = false
+	if e.tailStart == 0 {
+		return nil
+	}
+	if e.fillErr != nil {
+		return e.fillErr
+	}
+	pos := e.m.Pos()
+	first, tailPos := e.tail()
+	e.start(0, 0)
+	if _, err := e.forwardTo(pos, false); err != nil {
+		e.start(first, tailPos)
+		e.forwardTo(pos, false) // as far as it went before
+		e.primeWatches()
+		e.fillErr = err
+		return err
+	}
+	e.primeWatches()
+	return nil
 }
 
 // machines returns the engine's own machine and its scan machines, which
@@ -258,8 +390,15 @@ func (e *Engine) Registers() cpu.Snapshot { return e.m.Registers() }
 // Fault returns the crash record of the final log, if any.
 func (e *Engine) Fault() *fll.FaultRecord { return e.m.Fault() }
 
-// ReadWord inspects replayed memory under §7.1 semantics.
-func (e *Engine) ReadWord(addr uint32) (value uint32, known bool) { return e.m.ReadWord(addr) }
+// ReadWord inspects replayed memory under §7.1 semantics. On the tail, a
+// word the tail has not touched, program text included, fills in older
+// history first; if that fails the word reads as unknown.
+func (e *Engine) ReadWord(addr uint32) (value uint32, known bool) {
+	if e.tailStart > 0 && !e.m.Known(addr) && e.fill() != nil {
+		return 0, false
+	}
+	return e.m.ReadWord(addr)
+}
 
 // Backtrace returns the trail of the last TraceDepth fetched instructions
 // at the current position, oldest first.
@@ -295,13 +434,15 @@ func (e *Engine) ClearBreak(pc uint32) {
 func (e *Engine) Breakpoints() []uint32 { return slices.Clone(e.m.Breakpoints()) }
 
 // AddWatch sets a data watchpoint on the word containing addr, primed with
-// the word's current known state.
+// the word's current known state (see ReadWord). If the word needs older
+// history that could not be replayed, every motion returns that error until
+// the watch is cleared.
 func (e *Engine) AddWatch(addr uint32) {
 	w := addr &^ 3
 	if _, ok := e.watchVals[w]; ok {
 		return
 	}
-	v, known := e.m.ReadWord(w)
+	v, known := e.ReadWord(w)
 	e.watchVals[w] = watchVal{known: known, val: v}
 	for _, m := range e.machines() {
 		m.SetWatch(w, true)
@@ -542,6 +683,9 @@ func (e *Engine) Step(n uint64) (StopReason, error) {
 	if left := target - e.m.Pos(); n < left {
 		target = e.m.Pos() + n
 	}
+	if err := e.reach(target); err != nil {
+		return StopEnd, err
+	}
 	why, err := e.forwardTo(target, true)
 	if err != nil {
 		return StopEnd, err
@@ -553,7 +697,8 @@ func (e *Engine) Step(n uint64) (StopReason, error) {
 }
 
 // Continue runs forward until a breakpoint, watchpoint, or the end of the
-// window (where the faulting instruction, if any, is next).
+// window (where the faulting instruction, if any, is next). On a fresh
+// engine with no stops set it replays only the tail (see the package doc).
 func (e *Engine) Continue() (StopReason, error) {
 	return e.Step(^uint64(0)) // the window is far shorter than 2^64
 }
@@ -590,6 +735,9 @@ func (e *Engine) SeekTo(target uint64) error {
 func (e *Engine) seek(target uint64, plant bool) error {
 	if target > e.m.Window() {
 		target = e.m.Window()
+	}
+	if err := e.reach(target); err != nil {
+		return err
 	}
 	if c := e.ckpts[e.ckptIndexAtOrBefore(target)]; target < e.m.Pos() || c.pos > e.m.Pos() {
 		e.restore(c)
@@ -659,6 +807,9 @@ func (e *Engine) ReverseContinue() (StopReason, error) {
 			return StopStart, err
 		}
 		return StopStart, nil
+	}
+	if err := e.fill(); err != nil {
+		return StopStep, err
 	}
 	return e.reverseScan(max(1, runtime.GOMAXPROCS(0)))
 }
@@ -749,7 +900,7 @@ func (e *Engine) reverseScan(width int) (StopReason, error) {
 	// charged it.
 	workers := min(width, len(gaps))
 	for len(e.scanners) < workers {
-		s := e.newMachine(0)
+		s := e.newMachine(0, 0)
 		for _, pc := range e.m.Breakpoints() {
 			s.SetBreak(pc, true)
 		}

@@ -55,6 +55,18 @@ func recordCrash(t testing.TB, src string, interval uint64) (*core.CrashReport, 
 	return rep, img
 }
 
+// openFilled opens an engine committed to the whole window: its first
+// Continue is the forward pass over every interval from the window start,
+// laying the checkpoint grid over all of it, which the tests of that pass,
+// its budget and its eviction assert on.
+func openFilled(img *asm.Image, rep *core.CrashReport, tid int, cfg Config) (*Engine, int, error) {
+	e, tid, err := NewEngineForThread(img, rep, tid, cfg)
+	if err != nil {
+		return nil, tid, err
+	}
+	return e, tid, e.fill()
+}
+
 func newTestEngine(t testing.TB, ckptEvery uint64) (*Engine, *asm.Image) {
 	t.Helper()
 	rep, img := recordCrash(t, corruptorProgram, 16)
@@ -262,7 +274,7 @@ func TestEngineReverseContinueBreakpoint(t *testing.T) {
 
 func TestEngineCheckpointEviction(t *testing.T) {
 	rep, img := recordCrash(t, corruptorProgram, 16)
-	eng, _, err := NewEngineForThread(img, rep, -1, Config{
+	eng, _, err := openFilled(img, rep, -1, Config{
 		CheckpointEvery:  4,
 		CheckpointBudget: 1, // absurdly small: everything but anchor+newest evicts
 	})
@@ -441,7 +453,7 @@ boom:   lw   a0, (zero)
 // one that evicts every checkpoint it can, the near one last but as soon
 // as it is planted, to one that evicts none.
 func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64) {
-	eng, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointEvery: 100, CheckpointBudget: budget})
+	eng, _, err := openFilled(img, rep, -1, Config{CheckpointEvery: 100, CheckpointBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +519,7 @@ func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget in
 func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
 	rep, img := specWindow(t, "mcf", 400_000, 100_000)
 	open := func(budget int64) *Engine {
-		e, _, err := NewEngineForThread(img, rep, -1, Config{CheckpointBudget: budget})
+		e, _, err := openFilled(img, rep, -1, Config{CheckpointBudget: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -573,7 +585,7 @@ func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
 // the long seek after it.
 func TestSeeksPlantOnlyAfterReverseSteps(t *testing.T) {
 	rep, img := specWindow(t, "mcf", 400_000, 100_000)
-	e, _, err := NewEngineForThread(img, rep, -1, Config{})
+	e, _, err := openFilled(img, rep, -1, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type refEngine struct {
 }
 
 func newRefEngine(e *Engine) *refEngine {
-	return &refEngine{e: e, m: e.newMachine(TraceDepth), breaks: map[uint32]bool{}, vals: map[uint32]watchVal{}}
+	return &refEngine{e: e, m: e.newMachine(TraceDepth, 0), breaks: map[uint32]bool{}, vals: map[uint32]watchVal{}}
 }
 
 func (r *refEngine) addBreak(pc uint32)   { r.breaks[pc] = true }
@@ -85,7 +85,7 @@ func (r *refEngine) check(m *core.ReplayMachine, vals map[uint32]watchVal) *Watc
 // seek replays to p, from the window start when p is behind.
 func (r *refEngine) seek(p uint64) error {
 	if p < r.m.Pos() {
-		r.m = r.e.newMachine(TraceDepth)
+		r.m = r.e.newMachine(TraceDepth, 0)
 	}
 	for r.m.Pos() < p && !r.m.Done() {
 		if err := r.m.StepOne(); err != nil {
@@ -145,7 +145,7 @@ func (r *refEngine) reverseContinue() (StopReason, error) {
 	if len(r.breaks) == 0 && len(r.watches) == 0 {
 		return StopStart, r.seek(0)
 	}
-	m := r.e.newMachine(TraceDepth)
+	m := r.e.newMachine(TraceDepth, 0)
 	vals := map[uint32]watchVal{}
 	r.prime(m, vals)
 	hitPos, reason := int64(-1), StopStep

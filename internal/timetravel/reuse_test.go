@@ -37,7 +37,7 @@ func TestReverseStepReusesPages(t *testing.T) {
 		}
 		n := w.steps
 		rep, img := specWindow(t, "mcf", n, 100_000)
-		e, _, err := NewEngineForThread(img, rep, -1, Config{})
+		e, _, err := openFilled(img, rep, -1, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
