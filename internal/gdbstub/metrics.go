@@ -31,6 +31,7 @@ var (
 	mErrE03 = errorReplies.With(errSessionDed)
 	mErrE04 = errorReplies.With(errCapacity)
 	mErrE05 = errorReplies.With(errReadOnly)
+	mErrE06 = errorReplies.With(errReplay)
 )
 
 // countPacket classifies one decoded packet payload.
@@ -76,5 +77,7 @@ func countErrorReply(reply string) {
 		mErrE04.Inc()
 	case errReadOnly:
 		mErrE05.Inc()
+	case errReplay:
+		mErrE06.Inc()
 	}
 }

@@ -28,6 +28,7 @@ const (
 	errSessionDed = "E03" // the session died mid-connection (idle-reaped)
 	errCapacity   = "E04" // the session manager's concurrency cap is reached
 	errReadOnly   = "E05" // write to the deterministic replay (registers/memory)
+	errReplay     = "E06" // the replay the command needed failed (the recorded window diverges)
 )
 
 // conn is one RSP connection's protocol state. The transport (server.go)
@@ -200,6 +201,9 @@ func (cn *conn) motion(cmd string) string {
 	if errRep != "" {
 		return errRep
 	}
+	if out.Error != "" {
+		return errReplay
+	}
 	return stopReply(out)
 }
 
@@ -282,8 +286,8 @@ func (cn *conn) readReg(arg string) string {
 // MaxMemWords cap. Bytes the recorded window never touched are reported
 // as the "xx" unavailable marker (§7.1: BugNet ships no core dump), so
 // gdb shows exactly what the recording can prove. A word the engine's
-// tail never touched makes it replay older history first, and reads as
-// unavailable if that history diverges (see timetravel.Engine.ReadWord).
+// tail never touched makes it replay older history first; if that history
+// diverges the read answers E06, as does every motion that needed it.
 func (cn *conn) readMem(arg string) string {
 	addrStr, lenStr, ok := strings.Cut(arg, ",")
 	if !ok {
@@ -310,6 +314,9 @@ func (cn *conn) readMem(arg string) string {
 		out, errRep := cn.do(timetravel.Command{Cmd: "mem", Addr: first + uint32(off)*4, N: n})
 		if errRep != "" {
 			return errRep
+		}
+		if out.Error != "" {
+			return errReplay
 		}
 		words = append(words, out.Mem...)
 	}
@@ -363,7 +370,7 @@ func (cn *conn) breakpoint(s string) string {
 		return errRep
 	}
 	if out.Error != "" {
-		return errMalformed
+		return errReplay // a watch on a word that needs history the replay failed on
 	}
 	return "OK"
 }

@@ -1,7 +1,10 @@
 package gdbstub
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"bugnet/internal/asm"
 	"bugnet/internal/cache"
 	"bugnet/internal/core"
+	"bugnet/internal/fll"
 	"bugnet/internal/kernel"
 	"bugnet/internal/timetravel"
 )
@@ -47,9 +51,35 @@ func (f *fakeSource) OpenReport(id string) (*core.CrashReport, *asm.Image, func(
 	return f.rep, f.img, func() {}, nil
 }
 
+// summerProgram loads every word of buf in a loop, so each interval of its
+// window logs values, then crashes on a null load.
+const summerProgram = `
+        .data
+buf:    .word 1, 2, 3, 4, 5, 6, 7, 8
+        .text
+main:   li   s0, 0
+        la   s1, buf
+        li   s2, 0
+loop:   slli t0, s0, 2
+        add  t0, s1, t0
+        lw   t1, (t0)
+        add  s2, s2, t1
+        addi s0, s0, 1
+        li   t2, 8
+        blt  s0, t2, loop
+        li   t3, 0
+        lw   a0, (t3)
+`
+
 func recordCorruptor(t testing.TB) (*core.CrashReport, *asm.Image) {
 	t.Helper()
-	img := asm.MustAssemble("gdbstub.s", corruptorProgram)
+	return recordProgram(t, corruptorProgram)
+}
+
+// recordProgram records src at 16-instruction intervals; it must crash.
+func recordProgram(t testing.TB, src string) (*core.CrashReport, *asm.Image) {
+	t.Helper()
+	img := asm.MustAssemble("gdbstub.s", src)
 	res, rep, _ := core.Record(img, kernel.Config{}, core.Config{
 		IntervalLength: 16,
 		Cache: cache.Config{
@@ -58,7 +88,7 @@ func recordCorruptor(t testing.TB) (*core.CrashReport, *asm.Image) {
 		},
 	})
 	if res.Crash == nil {
-		t.Fatal("corruptor program did not crash")
+		t.Fatal("program did not crash")
 	}
 	return rep, img
 }
@@ -237,6 +267,61 @@ func TestStubRegistersAndMemory(t *testing.T) {
 		if got := handleStr(t, cn, p); got != errReadOnly {
 			t.Fatalf("%q = %q, want %s", p, got, errReadOnly)
 		}
+	}
+}
+
+// TestStubDivergenceInOlderHistory: on a report whose first interval's log
+// is corrupted, c still reaches the crash (the session opens on the
+// window's tail), and each packet that then needs older history answers
+// E06 rather than a guess: a read of text the tail never touched, a watch
+// on it, and a reverse continue to the window start.
+func TestStubDivergenceInOlderHistory(t *testing.T) {
+	rep, img := recordProgram(t, summerProgram)
+	logs := rep.FLLs[0]
+	if len(logs) < 3 {
+		t.Fatalf("%d intervals: the window needs one older than its tail", len(logs))
+	}
+	first, err := logs[0].Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad *core.CrashReport
+	for bit := 0; bit < 8*len(first.Entries) && bad == nil; bit++ {
+		l := *first
+		l.Entries = slices.Clone(first.Entries)
+		l.Entries[bit/8] ^= 1 << (bit % 8)
+		out := *rep
+		out.FLLs = maps.Clone(rep.FLLs)
+		out.FLLs[0] = append(core.WrapFLLs([]*fll.Log{&l}), logs[1:]...)
+		if _, err := core.NewReplayer(img, out.FLLs[0]).Run(); errors.Is(err, core.ErrDiverged) {
+			bad = &out
+		}
+	}
+	if bad == nil {
+		t.Fatal("no flipped bit of the first interval makes the replay diverge")
+	}
+	mgr := timetravel.NewManager(&fakeSource{rep: bad, img: img}, timetravel.ManagerConfig{
+		MaxSessions: 1,
+		IdleTimeout: time.Hour,
+		Engine:      timetravel.Config{CheckpointEvery: 8},
+	})
+	t.Cleanup(mgr.Close)
+	cn := &conn{srv: New(Config{Manager: mgr, DefaultReport: "r1"})}
+	if got := handleStr(t, cn, "c"); !strings.Contains(got, "replaylog:end") {
+		t.Fatalf("c = %q, want the crash", got)
+	}
+	for _, p := range []string{
+		fmt.Sprintf("m%x,4", img.TextBase),
+		fmt.Sprintf("Z2,%x,4", img.TextBase),
+		"bc",
+	} {
+		if got := handleStr(t, cn, p); got != errReplay {
+			t.Fatalf("%q = %q, want %s", p, got, errReplay)
+		}
+	}
+	// What the tail replayed stays readable.
+	if got := handleStr(t, cn, "g"); len(got) != (pcRegNum+1)*8 {
+		t.Fatalf("g = %q", got)
 	}
 }
 

@@ -274,7 +274,9 @@ func TestReportParityMultiThread(t *testing.T) {
 // the executor depends on: under LogCodeLoads a fault-terminated interval
 // may stop one logged fetch short only when it really is the window's final
 // interval. In a window where the same fault-terminated interval comes
-// twice, core.Replayer.Intervals grants the exemption to the second alone.
+// twice, core.Replayer.Intervals grants the exemption to the second alone;
+// and a one-interval window its caller marks InteriorWindow (a window cut
+// from a larger recording) is denied it.
 func TestInteriorWindowRejectsFaultExemption(t *testing.T) {
 	img, err := asm.Assemble("c.s", crashProgram)
 	if err != nil {
@@ -295,6 +297,16 @@ func TestInteriorWindowRejectsFaultExemption(t *testing.T) {
 	}
 	if _, err := r.Intervals(0, 1).Run(); !errors.Is(err, core.ErrDiverged) {
 		t.Errorf("interior interval claimed the final-interval fetch exemption: err=%v", err)
+	}
+
+	r = core.NewReplayer(img, []*fll.Ref{last})
+	r.LogCodeLoads = true
+	if _, err := r.Run(); err != nil {
+		t.Fatalf("final-interval replay should claim the exemption: %v", err)
+	}
+	r.InteriorWindow = true
+	if _, err := r.Run(); !errors.Is(err, core.ErrDiverged) {
+		t.Errorf("interior window claimed the final-interval fetch exemption: err=%v", err)
 	}
 }
 

@@ -207,6 +207,9 @@ func (e *Engine) exec(c Command) Outcome {
 		if err != nil {
 			return fail(err)
 		}
+		if err := e.derive(addr); err != nil {
+			return fail(err)
+		}
 		e.AddWatch(addr)
 		out.Watches = e.Watches()
 	case "unwatch":
@@ -234,6 +237,9 @@ func (e *Engine) exec(c Command) Outcome {
 		addr &^= 3
 		for i := uint64(0); i < count; i++ {
 			a := addr + uint32(i)*4
+			if err := e.derive(a); err != nil {
+				return fail(err)
+			}
 			v, known := e.ReadWord(a)
 			out.Mem = append(out.Mem, Word{Addr: a, Value: v, Known: known})
 		}

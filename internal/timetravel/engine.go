@@ -228,7 +228,9 @@ type Engine struct {
 // the first command that needs that history, not at that first motion: the
 // fill's forward pass meets it there and the command returns it, with the
 // message a replay of the whole window gives, and so does every later
-// command that needs that history. The engine stays on the tail meanwhile.
+// command that needs that history. A motion returns it as its error; a
+// ReadWord answers unknown, and the session's mem and watch commands
+// carry it in Outcome.Error. The engine stays on the tail meanwhile.
 func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Config) (*Engine, int, error) {
 	if tid < 0 {
 		tid = 0
@@ -392,12 +394,23 @@ func (e *Engine) Fault() *fll.FaultRecord { return e.m.Fault() }
 
 // ReadWord inspects replayed memory under §7.1 semantics. On the tail, a
 // word the tail has not touched, program text included, fills in older
-// history first; if that fails the word reads as unknown.
+// history first; if that fails the word reads as unknown, and the session
+// command that read it (mem, watch) returns the error.
 func (e *Engine) ReadWord(addr uint32) (value uint32, known bool) {
-	if e.tailStart > 0 && !e.m.Known(addr) && e.fill() != nil {
+	if e.derive(addr) != nil {
 		return 0, false
 	}
 	return e.m.ReadWord(addr)
+}
+
+// derive readies addr's word for reading: on the tail, a word the tail has
+// not touched needs older history, which it fills in. It returns the fill's
+// error.
+func (e *Engine) derive(addr uint32) error {
+	if e.tailStart > 0 && !e.m.Known(addr&^3) {
+		return e.fill()
+	}
+	return nil
 }
 
 // Backtrace returns the trail of the last TraceDepth fetched instructions

@@ -493,6 +493,26 @@ func TestLazyOlderDivergenceSurfaces(t *testing.T) {
 			}
 			return e.fillErr
 		}},
+		{"mem command on an untouched word", func(e *Engine) error {
+			out := e.Exec(Command{Cmd: "mem", Addr: e.img.TextBase, N: 4})
+			if out.Error == "" {
+				return nil
+			}
+			if len(out.Mem) != 0 {
+				return errors.New("a failed mem command answered words")
+			}
+			return errors.New(out.Error)
+		}},
+		{"watch command on an untouched word", func(e *Engine) error {
+			out := e.Exec(Command{Cmd: "watch", Addr: e.img.TextBase})
+			if out.Error == "" {
+				return nil
+			}
+			if len(e.Watches()) != 0 {
+				return errors.New("a failed watch command set a watch")
+			}
+			return errors.New(out.Error)
+		}},
 		{"seek to the start", func(e *Engine) error { return e.SeekTo(0) }},
 		{"reverse continue with a breakpoint", func(e *Engine) error {
 			e.AddBreak(e.PC())
