@@ -112,7 +112,10 @@ func scrapeCounter(t *testing.T, base, name string) int64 {
 // bugnet_cluster_repairs_total).
 func TestClusterQuorumWriteAndReadRepair(t *testing.T) {
 	checkGoroutineLeaks(t) // registered first: verified after the cluster closes
-	lc, corpus := spawn(t, 3, nil)
+	// One anti-entropy attempt per debt: A's push to B fails while B is
+	// down and the debt is dropped, so nothing but read-repair can restore
+	// B's replica once it returns.
+	lc, corpus := spawn(t, 3, func(o *SpawnOptions) { o.MaxRepairAttempts = 1 })
 	a, b, c := lc.Nodes[0], lc.Nodes[1], lc.Nodes[2]
 	blob := corpus[0]
 	id := blobID(blob)
@@ -150,6 +153,7 @@ func TestClusterQuorumWriteAndReadRepair(t *testing.T) {
 
 	// B returns and serves a read of the report it missed: read-repair
 	// pulls the blob from a live owner before answering.
+	eventually(t, "A's repair debt to the stopped B dropped", func() bool { return a.Node.RepairDebt() == 0 })
 	if err := b.Restart(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"bugnet/internal/asm"
+	"bugnet/internal/fll"
 	"bugnet/internal/isa"
 	"bugnet/internal/kernel"
 )
@@ -67,4 +69,50 @@ func TestCrossCoreCodeWriteReplays(t *testing.T) {
 	if want := m.Threads[1].CPU.State(); got.Final != want {
 		t.Errorf("replayed worker ends in\n %+v\nrecorded\n %+v", got.Final, want)
 	}
+}
+
+// countProgram counts t3 up by one per lap; the load gives the recorder a
+// loggable operation to end full intervals on.
+const countProgram = `
+        .data
+word:   .word 7
+        .text
+main:   la   t1, word
+        li   t0, 2000
+        li   t3, 0
+slot:   addi t3, t3, 1
+        lw   t5, (t1)
+        addi t0, t0, -1
+        bnez t0, slot
+        lw   a0, (zero)
+`
+
+// TestRegisterOnlyDivergenceIsCaught: the recorded thread executes
+// addi t3, t3, 1 where its replay executes addi t3, t3, 100 (a worker that
+// ran a stale decode of a patched word gave replay exactly this, with the
+// patched word in the logs). Memory and log consumption agree, so only
+// the registers part; every interval restarts from its header, so without
+// comparing the registers an interval ends with to the next header the
+// replay runs clean to a different final state.
+func TestRegisterOnlyDivergenceIsCaught(t *testing.T) {
+	img := asm.MustAssemble("count.s", countProgram)
+	m := kernel.New(img, kernel.Config{}, nil)
+	rec := NewRecorder(m, Config{IntervalLength: 256})
+	if res := m.Run(); res.Crash == nil {
+		t.Fatal("the program did not crash")
+	}
+	fllLogs := rec.Report().FLLs[0]
+	if len(fllLogs) < 3 || fllLogs[0].End != fll.EndIntervalFull {
+		t.Fatalf("want several full intervals, got %d (first ends %v)", len(fllLogs), fllLogs[0].End)
+	}
+	patched := asm.MustAssemble("count.s", strings.Replace(countProgram, "addi t3, t3, 1", "addi t3, t3, 100", 1))
+	got, err := NewReplayer(patched, fllLogs).Run()
+	if errors.Is(err, ErrDiverged) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("replay ran clean to t3 = %d; the recorded thread ended with t3 = %d",
+		got.Final.Regs[isa.RegT3], m.Threads[0].CPU.State().Regs[isa.RegT3])
 }

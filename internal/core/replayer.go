@@ -320,7 +320,8 @@ func (st *state) run(n uint64) (uint64, error) {
 	return executed, st.err
 }
 
-// finishInterval validates that the log was fully consumed.
+// finishInterval validates that the log was fully consumed and that the
+// thread ended where its next interval starts.
 func (st *state) finishInterval() error {
 	if st.err != nil {
 		return st.err
@@ -338,6 +339,17 @@ func (st *state) finishInterval() error {
 		last := st.idx == len(st.r.logs) && !st.r.InteriorWindow
 		if !(st.r.LogCodeLoads && st.cur.End == fll.EndFault && last && st.reader.PendingOne()) {
 			return fmt.Errorf("%w: interval C%d ended with unconsumed log entries", ErrDiverged, st.cur.CID)
+		}
+	}
+	// Nothing but the thread ran between an interval that filled up or was
+	// preempted and the thread's next one, so that one's header holds the
+	// state replay must have reached: a divergence that changed only
+	// registers shows here. A window cut short (Intervals) checks against
+	// the interval after its end too.
+	if (st.cur.End == fll.EndIntervalFull || st.cur.End == fll.EndTimer) && st.idx < len(st.r.logs) {
+		if next := st.r.logs[st.idx]; st.c.State() != next.State {
+			return fmt.Errorf("%w: interval C%d ended at pc %#x, not at the state interval C%d starts from (pc %#x)",
+				ErrDiverged, st.cur.CID, st.c.PC, next.CID, next.State.PC)
 		}
 	}
 	return nil

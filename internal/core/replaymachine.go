@@ -424,23 +424,6 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	}
 }
 
-// Reclaim takes the memory pages, known bitmaps and page-table leaves of
-// old and of snaps, snapshots taken on old, for m's later mappings and
-// copy-on-write faults to reuse instead of allocating. The caller drops old
-// and snaps with the call: nothing else may reference them, and m must
-// share nothing with them.
-func (m *ReplayMachine) Reclaim(old *ReplayMachine, snaps ...*ReplaySnapshot) {
-	mems := []*mem.Memory{old.st.mem}
-	known := []*mem.KnownSet{old.st.known}
-	for _, s := range snaps {
-		mems, known = append(mems, s.mem), append(known, s.known)
-	}
-	m.st.mem.Adopt(mems...)
-	if m.st.known != nil {
-		m.st.known.Adopt(known...)
-	}
-}
-
 // Release drops what the machine shares with the snapshot it last
 // restored: memory, the known-memory set, and the interval reader. The
 // parts it owns alone stay on its free lists for the next Restore, which

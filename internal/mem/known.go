@@ -88,17 +88,6 @@ func (k *KnownSet) RestoreFrom(s *KnownSet) {
 	}
 }
 
-// Adopt takes every bitmap and leaf of the sets from, which it leaves
-// empty, as Memory.Adopt takes pages.
-func (k *KnownSet) Adopt(from ...*KnownSet) {
-	tabs := make([]*table[knownBits], len(from))
-	for i, f := range from {
-		f.words = 0
-		tabs[i] = &f.tab
-	}
-	k.tab.adopt(tabs)
-}
-
 // Words returns the word addresses in ascending order.
 func (k *KnownSet) Words() []uint32 {
 	out := make([]uint32, 0, k.words)

@@ -88,20 +88,6 @@ func (m *Memory) Recycle() {
 	m.MapLimit = 0
 }
 
-// Adopt takes every page and page-table leaf of the address spaces from,
-// which it leaves empty, to back m's later mappings and copy-on-write
-// faults. Nothing but those address spaces, snapshots of one another, may
-// reference their pages, and m must share nothing with them: a replay
-// machine that replaces another and its checkpoints reuses their storage
-// with it.
-func (m *Memory) Adopt(from ...*Memory) {
-	tabs := make([]*table[Page], len(from))
-	for i, f := range from {
-		tabs[i] = &f.tab
-	}
-	m.tab.adopt(tabs)
-}
-
 // RestoreFrom makes m an independent logical copy of s, map limit included,
 // as s.Snapshot() would return, but in place: the pages and page-table
 // leaves m owns alone go to its free list first (as Recycle), and later

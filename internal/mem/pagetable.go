@@ -239,36 +239,6 @@ func (t *table[T]) recycle() {
 	t.reset()
 }
 
-// adopt moves every leaf and payload of the tables from, shared among them
-// or not, and their free lists onto t's free lists, leaving them empty.
-// Nothing but those tables may reference their parts, and t must share
-// nothing with them.
-func (t *table[T]) adopt(from []*table[T]) {
-	leaves, payloads := make(map[*leaf[T]]bool), make(map[*T]bool)
-	for _, f := range from {
-		for _, l := range f.dir {
-			if l == nil || leaves[l] {
-				continue
-			}
-			leaves[l] = true
-			for _, p := range l.slots {
-				if p != nil && !payloads[p] {
-					payloads[p] = true
-					t.free = append(t.free, p)
-				}
-			}
-		}
-		t.free = append(t.free, f.free...)
-		t.freeLeaves = append(t.freeLeaves, f.freeLeaves...)
-		f.free, f.freeLeaves = nil, nil
-		f.reset()
-	}
-	for l := range leaves {
-		*l = leaf[T]{}
-		t.freeLeaves = append(t.freeLeaves, l)
-	}
-}
-
 // shareInto makes dst an independent logical copy of t in O(directory):
 // dst adopts t's directory and every existing leaf becomes shared in both
 // tables, deferring all data copying to future writes. dst must be empty.

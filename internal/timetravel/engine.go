@@ -257,8 +257,7 @@ func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Conf
 
 // start puts the engine at the start of interval first, window position
 // pos, on a new machine and one anchor checkpoint there: every backward
-// seek has somewhere to land. The breakpoints and watched words carry over,
-// and the storage of the machine and checkpoints it replaces is reused.
+// seek has somewhere to land. The breakpoints and watched words carry over.
 func (e *Engine) start(first int, pos uint64) {
 	old := e.m
 	e.m = e.newMachine(TraceDepth, first)
@@ -269,11 +268,6 @@ func (e *Engine) start(first int, pos uint64) {
 		for _, a := range old.Watches() {
 			e.m.SetWatch(a, true)
 		}
-		snaps := make([]*core.ReplaySnapshot, len(e.ckpts))
-		for i, c := range e.ckpts {
-			snaps[i] = c.snap
-		}
-		e.m.Reclaim(old, snaps...)
 	}
 	e.ckpts, e.ckptBytes, e.near, e.carry = nil, 0, nil, nil
 	e.ckpts = append(e.ckpts, e.snapshot())

@@ -43,13 +43,10 @@ type Awaited struct {
 // oweLocked records that id's verdict is now owed and returns the replay
 // to queue for it — nil when from names another node as the replayer and
 // the verdict is awaited instead. An id is owed once however it got here:
-// one already awaited (its metadata was evicted meanwhile) keeps its place
+// one already awaited (its record was evicted meanwhile) keeps its place
 // in pending. Caller holds s.mu.
 func (s *Service) oweLocked(id, key string, from Origin) *job {
 	if _, awaiting := s.awaited[id]; awaiting {
-		if from.Replayer != "" {
-			return nil
-		}
 		return s.takeOverLocked(id, from)
 	}
 	s.pending++
@@ -63,14 +60,14 @@ func (s *Service) oweLocked(id, key string, from Origin) *job {
 	return nil
 }
 
-// takeOverLocked turns an awaited verdict into a local replay: the
+// takeOverLocked turns an awaited verdict into a local replay when the
 // archive reached this node again with nobody else named to replay it
 // (two coordinators each handed the other the same never-seen bytes, or
 // the wait was given up). The entry keeps its place in pending. nil when
-// id is not awaited. Caller holds s.mu.
+// id is not awaited or from names a replayer. Caller holds s.mu.
 func (s *Service) takeOverLocked(id string, from Origin) *job {
 	aw, ok := s.awaited[id]
-	if !ok {
+	if !ok || from.Replayer != "" {
 		return nil
 	}
 	delete(s.awaited, id)

@@ -76,5 +76,5 @@ func observeIngest(start time.Time, size int64, res *IngestResult, err error, re
 func (s *Store) syncStoreGauges() {
 	mStoreRetained.Set(s.stats.RetainedBytes)
 	mStoreReports.Set(int64(s.stats.RetainedCount))
-	mStorePinned.Set(int64(len(s.pins)))
+	mStorePinned.Set(int64(s.pinned))
 }

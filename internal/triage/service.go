@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -132,7 +133,7 @@ type Bucket struct {
 // growing past it.
 const maxExemplars = 16
 
-// ReportMeta is the per-stored-archive record.
+// ReportMeta describes one stored archive: a copy of its store record.
 type ReportMeta struct {
 	ID        string   `json:"id"`
 	Bytes     int64    `json:"bytes"`
@@ -153,7 +154,7 @@ type IngestResult struct {
 // bucket key: holding decoded reports in the queue would multiply peak
 // memory by the backlog depth, so the worker re-reads and re-decodes from
 // the store. The bucket key rides along so a verdict can still reach its
-// bucket when the report's metadata was evicted while the job waited.
+// bucket when the report was evicted while the job waited.
 type job struct {
 	id        string
 	bucketKey string
@@ -161,7 +162,9 @@ type job struct {
 }
 
 // Service is the ingestion and triage pipeline: content-addressed storage,
-// crash bucketing, and a replay worker pool.
+// crash bucketing, and a replay worker pool. A stored report's bucket key
+// and verdict live in its store record (see Store); the service keeps the
+// buckets and the verdicts owed. s.mu is taken before the store's lock.
 type Service struct {
 	cfg   Config
 	store *Store
@@ -169,10 +172,6 @@ type Service struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	buckets map[string]*Bucket
-	reports map[string]*ReportMeta
-	// evictedEarly holds blob ids evicted between their store.Put and
-	// their metadata creation (see onEvict in New).
-	evictedEarly map[string]bool
 	// awaited holds the archives ingested with Origin.Replayer set whose
 	// verdict has not arrived. Each counts once in pending. The set is
 	// memory only: a restart forgets it, and recovery replays whatever it
@@ -199,8 +198,9 @@ type Service struct {
 var ErrClosed = errors.New("triage: service closed")
 
 // errEvictedBeforeTriage marks a verdict whose report aged out of the
-// store before its replay ran; a re-upload of the same content re-queues
-// such reports.
+// store before its replay ran. It reaches only the bucket: the report's
+// record went with its blob, and a re-upload of the same content files
+// and triages it afresh.
 const errEvictedBeforeTriage = "report evicted before triage"
 
 // New builds a service and starts its worker pool.
@@ -219,51 +219,14 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:          cfg,
-		store:        st,
-		buckets:      make(map[string]*Bucket),
-		reports:      make(map[string]*ReportMeta),
-		evictedEarly: make(map[string]bool),
-		awaited:      make(map[string]Awaited),
-		jobs:         make(chan job, maxQueue),
-		bucketCap:    maxBuckets,
+		cfg:       cfg,
+		store:     st,
+		buckets:   make(map[string]*Bucket),
+		awaited:   make(map[string]Awaited),
+		jobs:      make(chan job, maxQueue),
+		bucketCap: maxBuckets,
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// When the store ages a blob out, drop its per-report metadata too, so
-	// a long-running daemon's memory tracks the store budget rather than
-	// growing with every distinct upload ever seen. Buckets stay: the
-	// aggregate counts and verdicts are the point of triage. A blob can be
-	// evicted in the window between its Put and its metadata creation (a
-	// concurrent ingest pushed the store over budget); such ids are parked
-	// in evictedEarly so the late metadata is suppressed instead of
-	// leaking forever.
-	st.onEvict = func(id string) {
-		s.mu.Lock()
-		// evictedEarly entries are consumed by the racing ingest; one that
-		// never gets consumed (the uploader never retried) would sit
-		// forever, so bound the map. Clearing can at worst let a racing
-		// ingest record metadata for an already-evicted blob, whose replay
-		// then fails with the evicted-before-triage verdict — benign.
-		if len(s.evictedEarly) > 1024 {
-			s.evictedEarly = make(map[string]bool)
-		}
-		if m, ok := s.reports[id]; ok {
-			delete(s.reports, id)
-			// Drop the exemplar too, so a later re-upload of the same
-			// content re-appends without duplicating the id.
-			if b := s.buckets[m.BucketKey]; b != nil {
-				for i, rid := range b.ReportIDs {
-					if rid == id {
-						b.ReportIDs = append(b.ReportIDs[:i], b.ReportIDs[i+1:]...)
-						break
-					}
-				}
-			}
-		} else {
-			s.evictedEarly[id] = true
-		}
-		s.mu.Unlock()
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -396,7 +359,7 @@ func (s *Service) IngestFile(id, path string, size int64, from Origin) (res *Ing
 		defer a.Close()
 		return SignatureOf(a.Report()), nil
 	}
-	return s.ingestCore(id, size, put, sig, from, false)
+	return s.ingestCore(id, put, sig, from, false)
 }
 
 func (s *Service) ingestBytes(data []byte, recovered bool) (res *IngestResult, err error) {
@@ -421,129 +384,84 @@ func (s *Service) ingestBytes(data []byte, recovered bool) (res *IngestResult, e
 		}
 		return SignatureOf(a.Report()), nil
 	}
-	return s.ingestCore(id, int64(len(data)), put, sig, Origin{}, recovered)
+	return s.ingestCore(id, put, sig, Origin{}, recovered)
 }
 
 // ingestCore is the shared accounting behind both ingest paths. put
 // stores the blob under id (reporting whether the content already
 // existed); sig validates the archive and derives its bucket signature.
-func (s *Service) ingestCore(id string, size int64, put func() (bool, error), getSig func() (Signature, error), from Origin, recovered bool) (*IngestResult, error) {
+func (s *Service) ingestCore(id string, put func() (bool, error), getSig func() (Signature, error), from Origin, recovered bool) (*IngestResult, error) {
 	// Fast path for the flood case the subsystem exists for: a
-	// byte-identical re-upload of known content needs one hash and a
-	// bucket increment, not a full archive decode. Known content was
-	// fully validated when first ingested.
+	// byte-identical re-upload of a held report needs one hash and one
+	// index lookup, not a full archive decode. Known content was fully
+	// validated when first ingested. If its bucket was evicted at the
+	// bucket cap, fall through: only a decode can recover the signature
+	// needed to rebuild it.
 	s.mu.Lock()
-	known := false
-	var key string
-	if meta, ok := s.reports[id]; ok && s.buckets[meta.BucketKey] != nil {
-		// Known content with a live bucket. If the bucket was evicted at
-		// the bucket cap, fall through to the slow path instead: only
-		// a decode can recover the signature needed to rebuild it.
-		known, key = true, meta.BucketKey
-	}
-	s.mu.Unlock()
-	if known {
-		// Re-store in case the blob is evicted concurrently; for the
-		// common case this is just a map lookup. Accounting happens after
-		// the write succeeds so a failed store never bumps the count.
-		if _, err := put(); err != nil {
-			return nil, err
-		}
-		var owed *job
-		s.mu.Lock()
-		if b := s.buckets[key]; b != nil {
-			b.Count++
-		}
-		switch m, ok := s.reports[id]; {
-		case s.evictedEarly[id]:
-			// Our re-stored blob was itself evicted already; the upload is
-			// counted but there is nothing left to describe or replay.
-			delete(s.evictedEarly, id)
-		case ok && m.Verdict != nil && m.Verdict.State == VerdictFailed &&
-			m.Verdict.Error == errEvictedBeforeTriage:
-			// The earlier copy aged out before its replay ran; the bytes
-			// are back now, so give triage its shot.
-			m.Verdict = &Verdict{State: VerdictPending}
-			owed = s.oweLocked(id, key, from)
-		case !ok:
-			// The blob (and its metadata) was evicted between the check
-			// and the re-store; the re-stored bytes need their metadata
-			// and replay back.
-			s.reports[id] = &ReportMeta{ID: id, Bytes: size,
-				BucketKey: key, Verdict: &Verdict{State: VerdictPending}}
-			if b := s.buckets[key]; b != nil && len(b.ReportIDs) < maxExemplars {
-				b.ReportIDs = append(b.ReportIDs, id)
-			}
-			owed = s.oweLocked(id, key, from)
-		case from.Replayer == "":
-			// Known and, if awaited, sent again with nobody else named to
-			// replay it: the wait turns into a replay here.
-			owed = s.takeOverLocked(id, from)
-		}
+	if key, ok := s.store.bucketOf(id); ok && s.buckets[key] != nil {
+		s.buckets[key].Count++
+		owed := s.takeOverLocked(id, from)
 		s.mu.Unlock()
 		s.settle(id, owed, from)
 		return &IngestResult{ID: id, BucketKey: key, Duplicate: !recovered}, nil
 	}
+	s.mu.Unlock()
 
 	sig, err := getSig()
 	if err != nil {
 		return nil, err
 	}
-	key = sig.Key()
-
+	key := sig.Key()
+	// Accounting happens after the write succeeds, so a failed store never
+	// bumps the count.
 	existed, err := put()
 	if err != nil {
 		return nil, err
 	}
 
 	s.mu.Lock()
-	if s.evictedEarly[id] {
-		// Evicted again already (concurrent ingest churn): count the
-		// upload, but leave no metadata for a blob that no longer exists.
-		delete(s.evictedEarly, id)
-		s.bucketLocked(key, sig).Count++
-		s.mu.Unlock()
-		return &IngestResult{ID: id, BucketKey: key, Duplicate: existed && !recovered}, nil
-	}
 	b := s.bucketLocked(key, sig)
 	b.Count++
 	if b.Verdict == nil {
-		if m := s.reports[id]; m != nil && m.Verdict != nil && m.Verdict.State == VerdictDone {
-			// The bucket was evicted at the cap and is being rebuilt for
-			// content that already carries a verdict; restore it.
-			b.Verdict = m.Verdict.clone()
+		// A new bucket, or one evicted at the cap and rebuilt, takes the
+		// done verdict its report already carries.
+		if v, ok := s.store.Verdict(id); ok {
+			b.Verdict = v
 		}
 	}
-	// onEvict deletes metadata whenever its blob ages out, so meta here is
-	// non-nil only when a concurrent identical upload created it moments
-	// ago — then the blob is indexed and its replay already queued.
-	meta := s.reports[id]
-	known = meta != nil
+	// The ingest that files the report under its bucket owes its verdict.
+	// A blob evicted since put was counted and has nothing left to file.
 	var owed *job
-	if meta == nil {
-		meta = &ReportMeta{ID: id, Bytes: size, BucketKey: key,
-			Verdict: &Verdict{State: VerdictPending}}
-		s.reports[id] = meta
-		if len(b.ReportIDs) < maxExemplars {
-			b.ReportIDs = append(b.ReportIDs, id)
-		}
+	if s.store.claim(id, key) {
+		s.exemplarLocked(b, id)
 		owed = s.oweLocked(id, key, from)
-	} else if from.Replayer == "" {
+	} else {
 		owed = s.takeOverLocked(id, from)
 	}
 	s.mu.Unlock()
 
 	s.settle(id, owed, from)
-	return &IngestResult{ID: id, BucketKey: key, Duplicate: (existed || known) && !recovered}, nil
+	return &IngestResult{ID: id, BucketKey: key, Duplicate: existed && !recovered}, nil
+}
+
+// exemplarLocked lists id among b's report ids unless it is there or the
+// list is full. Ids the store has evicted are dropped first, so the cap
+// counts held reports. Caller holds s.mu.
+func (s *Service) exemplarLocked(b *Bucket, id string) {
+	b.ReportIDs = s.store.held(b.ReportIDs)
+	if len(b.ReportIDs) < maxExemplars && !slices.Contains(b.ReportIDs, id) {
+		b.ReportIDs = append(b.ReportIDs, id)
+	}
 }
 
 // recordVerdictLocked attaches a final verdict to its report and bucket
-// and retires it from pending. The bucket is found by key, not through the
-// metadata: that may have been evicted while the verdict was owed, and the
+// and retires it from pending. A done verdict reached the report's record
+// through Store.PutVerdict. The bucket is found by key, not through the
+// record: that may have been evicted while the verdict was owed, and the
 // outcome should still reach the aggregate. Caller holds s.mu.
 func (s *Service) recordVerdictLocked(id, bucketKey string, v *Verdict) {
-	if m := s.reports[id]; m != nil {
-		m.Verdict = v
+	if v.State != VerdictDone {
+		s.store.fail(id, v)
 	}
 	if b := s.buckets[bucketKey]; b != nil && (b.Verdict == nil || b.Verdict.State != VerdictDone) {
 		b.Verdict = v
@@ -808,26 +726,7 @@ func (s *Service) ReportsCursor(after string, limit int) (items []ReportMeta, mo
 	if limit <= 0 {
 		limit = 1
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.reports))
-	for id := range s.reports {
-		if id > after {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	more = len(ids) > limit
-	if more {
-		ids = ids[:limit]
-	}
-	items = make([]ReportMeta, 0, len(ids))
-	for _, id := range ids {
-		m := *s.reports[id]
-		m.Verdict = m.Verdict.clone()
-		items = append(items, m)
-	}
-	return items, more
+	return s.store.reports(after, limit)
 }
 
 // BucketsCursor returns up to limit buckets strictly after the position
@@ -861,10 +760,7 @@ func (s *Service) BucketsCursor(afterCount int, afterKey string, haveAfter bool,
 	}
 	items = make([]Bucket, 0, len(all))
 	for _, b := range all {
-		cp := *b
-		cp.ReportIDs = append([]string(nil), b.ReportIDs...)
-		cp.Verdict = b.Verdict.clone()
-		items = append(items, cp)
+		items = append(items, s.copyLocked(b))
 	}
 	return items, more
 }
@@ -877,24 +773,20 @@ func (s *Service) Bucket(key string) (Bucket, bool) {
 	if !ok {
 		return Bucket{}, false
 	}
+	return s.copyLocked(b), true
+}
+
+// copyLocked returns a copy of b the caller may keep, listing only the
+// report ids the store still holds. Caller holds s.mu.
+func (s *Service) copyLocked(b *Bucket) Bucket {
 	cp := *b
-	cp.ReportIDs = append([]string(nil), b.ReportIDs...)
+	cp.ReportIDs = s.store.held(b.ReportIDs)
 	cp.Verdict = b.Verdict.clone()
-	return cp, true
+	return cp
 }
 
 // Report returns the metadata of one stored archive.
-func (s *Service) Report(id string) (ReportMeta, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.reports[id]
-	if !ok {
-		return ReportMeta{}, false
-	}
-	cp := *m
-	cp.Verdict = m.Verdict.clone()
-	return cp, true
-}
+func (s *Service) Report(id string) (ReportMeta, bool) { return s.store.report(id) }
 
 // BucketCount returns the number of buckets without copying them.
 func (s *Service) BucketCount() int {

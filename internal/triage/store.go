@@ -29,6 +29,12 @@ import (
 // sliding resource. The newest blob is never evicted, so a single
 // over-budget report is still ingestible.
 //
+// A blob's index entry is the one record of the stored report: its size,
+// bucket key, verdict and pins. The entry is created in the critical
+// section that indexes the blob and removed in the one that evicts it, so
+// no listed report outlives its evidence. The store never calls into the
+// service: the lock order is Service.mu before Store.mu.
+//
 // A blob's done verdict lives beside it as a sidecar file
 // (root/ab/cd/abcd….verdict, not charged to the budget) and shares its
 // retention: eviction and Delete remove both, and OpenStore keeps exactly
@@ -42,17 +48,11 @@ type Store struct {
 	budget int64           // <= 0: unlimited
 	fsys   *faultinject.FS // nil outside chaos runs: direct os calls
 
-	index    map[string]*blobInfo
-	verdicts map[string]*Verdict // sidecar verdicts of indexed blobs
-	waiting  map[string]*Verdict // verdicts of no indexed blob; memory only, bounded
-	order    []string            // insertion order, oldest first; eviction order key
-	pins     map[string]int
-	seq      uint64
-	stats    StoreStats
-
-	// onEvict, if set, gets (with s.mu held) every evicted blob id; the
-	// service drops per-report metadata in step.
-	onEvict func(id string)
+	index   map[string]*blobInfo
+	waiting map[string]*Verdict // verdicts of no indexed blob; memory only, bounded
+	order   []string            // insertion order, oldest first; eviction order key
+	pinned  int                 // index entries with pins
+	stats   StoreStats
 
 	// err is the most recent disk failure (a blob write, rename, or
 	// reclaim). It clears when a later write succeeds or when Healthy's
@@ -71,11 +71,22 @@ type Store struct {
 	strays []string
 }
 
-// blobInfo is the in-memory index entry for one stored archive.
+// blobInfo is the in-memory record of one stored archive.
 type blobInfo struct {
-	id    string
 	bytes int64
-	seq   uint64
+	// bucket is the key of the crash bucket an ingest filed the report
+	// under (see claim); "" until one has, and the service lists no report
+	// without one.
+	bucket string
+	// verdict is pending, done or failed, never nil. A done one is also
+	// the sidecar beside the blob, and is never replaced.
+	verdict *Verdict
+	pins    int // open readers; eviction spares a pinned blob
+}
+
+// meta describes the record of id, a copy the caller may keep.
+func (bi *blobInfo) meta(id string) ReportMeta {
+	return ReportMeta{ID: id, Bytes: bi.bytes, BucketKey: bi.bucket, Verdict: bi.verdict.clone()}
 }
 
 // StoreStats mirrors logstore.Stats for the disk store.
@@ -111,9 +122,8 @@ func openStore(dir string, budget int64, fsys *faultinject.FS) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{root: dir, budget: budget, fsys: fsys,
-		index: make(map[string]*blobInfo), verdicts: make(map[string]*Verdict),
-		waiting: make(map[string]*Verdict), pins: make(map[string]int), probeEvery: time.Second}
+	s := &Store{root: dir, budget: budget, fsys: fsys, index: make(map[string]*blobInfo),
+		waiting: make(map[string]*Verdict), probeEvery: time.Second}
 	type existing struct {
 		id    string
 		bytes int64
@@ -184,11 +194,11 @@ func (s *Store) loadVerdict(path string) {
 	if !report.ValidID(id) {
 		return
 	}
-	if _, ok := s.index[id]; ok && path == s.verdictPath(id) {
+	if bi, ok := s.index[id]; ok && path == s.verdictPath(id) {
 		var v Verdict
 		if data, err := os.ReadFile(path); err == nil &&
 			json.Unmarshal(data, &v) == nil && v.State == VerdictDone {
-			s.verdicts[id] = &v
+			bi.verdict = &v
 			return
 		}
 	}
@@ -383,11 +393,14 @@ func (s *Store) Get(id string) ([]byte, error) {
 func (s *Store) Pin(id string) (path string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[id]; !ok {
+	bi, ok := s.index[id]
+	if !ok {
 		return "", false
 	}
-	s.pins[id]++
-	mStorePinned.Set(int64(len(s.pins)))
+	if bi.pins++; bi.pins == 1 {
+		s.pinned++
+		mStorePinned.Set(int64(s.pinned))
+	}
 	return s.path(id), true
 }
 
@@ -396,11 +409,9 @@ func (s *Store) Pin(id string) (path string, ok bool) {
 func (s *Store) Unpin(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n, ok := s.pins[id]; ok {
-		if n <= 1 {
-			delete(s.pins, id)
-		} else {
-			s.pins[id] = n - 1
+	if bi, ok := s.index[id]; ok && bi.pins > 0 {
+		if bi.pins--; bi.pins == 0 {
+			s.pinned--
 		}
 	}
 	s.evictLocked()
@@ -410,7 +421,8 @@ func (s *Store) Unpin(id string) {
 func (s *Store) Pinned(id string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.pins[id] > 0
+	bi, ok := s.index[id]
+	return ok && bi.pins > 0
 }
 
 // Has reports whether a blob is retained.
@@ -449,10 +461,10 @@ func (s *Store) IDs() []string {
 func (s *Store) Verdict(id string) (*Verdict, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.verdicts[id]
-	if !ok {
-		v, ok = s.waiting[id]
+	if bi, ok := s.index[id]; ok && bi.verdict.State == VerdictDone {
+		return bi.verdict.clone(), true
 	}
+	v, ok := s.waiting[id]
 	return v.clone(), ok
 }
 
@@ -463,19 +475,33 @@ func (s *Store) Verdict(id string) (*Verdict, bool) {
 // for the archive. id must be well-formed (report.ValidID).
 func (s *Store) PutVerdict(id string, v *Verdict) {
 	s.mu.Lock()
-	if s.verdicts[id] != nil || s.waiting[id] != nil {
+	bi, ok := s.index[id]
+	if !ok {
+		if s.waiting[id] == nil {
+			s.holdLocked(id, v.clone())
+		}
 		s.mu.Unlock()
 		return
 	}
-	if _, ok := s.index[id]; !ok {
-		s.holdLocked(id, v.clone())
+	if bi.verdict.State == VerdictDone {
 		s.mu.Unlock()
 		return
 	}
 	sv := v.clone()
-	s.verdicts[id] = sv
+	bi.verdict = sv
 	s.mu.Unlock()
 	s.writeVerdict(id, sv)
+}
+
+// fail records v, a failed verdict, as id's unless the store holds no
+// record of id or a done verdict for it. A failed verdict is not written:
+// the failure can be transient.
+func (s *Store) fail(id string, v *Verdict) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if bi, ok := s.index[id]; ok && bi.verdict.State != VerdictDone {
+		bi.verdict = v
+	}
 }
 
 // holdLocked keeps v, a verdict of no indexed blob, in the bounded
@@ -487,7 +513,7 @@ func (s *Store) holdLocked(id string, v *Verdict) {
 	s.waiting[id] = v
 }
 
-// writeVerdict writes sv, id's entry in s.verdicts, to its sidecar outside
+// writeVerdict writes sv, id's done verdict, to its sidecar outside
 // the lock, like a blob write; nil is a no-op. A failed write is absorbed:
 // the verdict still serves from memory, and the lost file costs one replay
 // after a restart. If the blob was dropped while the file was written, the
@@ -501,7 +527,7 @@ func (s *Store) writeVerdict(id string, sv *Verdict) {
 		return
 	}
 	s.mu.Lock()
-	if s.verdicts[id] != sv {
+	if bi, ok := s.index[id]; !ok || bi.verdict != sv {
 		s.fsys.Remove(s.verdictPath(id))
 	}
 	s.mu.Unlock()
@@ -519,14 +545,14 @@ func (s *Store) Delete(id string) {
 	}
 }
 
-// addLocked files a blob just written at its canonical path — index,
-// FIFO position, retained and total counters — then evicts to budget. A
-// verdict waiting for the blob becomes its sidecar verdict and is
-// returned for the caller to writeVerdict once it drops s.mu.
+// addLocked files a blob just written at its canonical path — its
+// record, FIFO position, retained and total counters — then evicts to
+// budget. A verdict waiting for the blob becomes its sidecar verdict and
+// is returned for the caller to writeVerdict once it drops s.mu.
 // Caller holds s.mu.
 func (s *Store) addLocked(id string, size int64) *Verdict {
-	s.seq++
-	s.index[id] = &blobInfo{id: id, bytes: size, seq: s.seq}
+	bi := &blobInfo{bytes: size, verdict: &Verdict{State: VerdictPending}}
+	s.index[id] = bi
 	s.order = append(s.order, id)
 	s.stats.RetainedBytes += size
 	s.stats.RetainedCount++
@@ -535,22 +561,25 @@ func (s *Store) addLocked(id string, size int64) *Verdict {
 	v, ok := s.waiting[id]
 	if ok {
 		delete(s.waiting, id)
-		s.verdicts[id] = v
+		bi.verdict = v
 	}
 	s.evictLocked() // spares the newest blob, so v keeps its place
 	return v
 }
 
-// dropLocked removes the blob at s.order[i] and its verdict sidecar from
-// the index and the disk, counting the blob as evicted. The verdict is
-// held on without its blob, for a wait on the same bytes sent again (the
-// replayer does not push a verdict twice). Caller holds s.mu.
+// dropLocked removes the blob at s.order[i], its record and its verdict
+// sidecar from the index and the disk, counting the blob as evicted. A
+// done verdict is held on without its blob, for a wait on the same bytes
+// sent again (the replayer does not push a verdict twice). Caller holds
+// s.mu.
 func (s *Store) dropLocked(i int) {
 	id := s.order[i]
 	s.order = append(s.order[:i], s.order[i+1:]...)
 	bi := s.index[id]
 	delete(s.index, id)
-	delete(s.pins, id)
+	if bi.pins > 0 {
+		s.pinned--
+	}
 	s.stats.RetainedBytes -= bi.bytes
 	s.stats.RetainedCount--
 	s.stats.EvictedBytes += bi.bytes
@@ -559,9 +588,8 @@ func (s *Store) dropLocked(i int) {
 	if err := s.fsys.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
 		s.err = err
 	}
-	if v, ok := s.verdicts[id]; ok {
-		delete(s.verdicts, id)
-		s.holdLocked(id, v)
+	if bi.verdict.State == VerdictDone {
+		s.holdLocked(id, bi.verdict)
 		// A sidecar whose remove fails sits beside no blob; OpenStore
 		// reclaims it.
 		s.fsys.Remove(s.verdictPath(id))
@@ -573,15 +601,85 @@ func (s *Store) dropLocked(i int) {
 // publishes the occupancy gauges. Caller holds s.mu.
 func (s *Store) evictLocked() {
 	for i := 0; s.budget > 0 && s.stats.RetainedBytes > s.budget && i < len(s.order)-1; {
-		id := s.order[i]
-		if s.pins[id] > 0 {
+		if s.index[s.order[i]].pins > 0 {
 			i++
 			continue
 		}
 		s.dropLocked(i)
-		if s.onEvict != nil {
-			s.onEvict(id)
-		}
 	}
 	s.syncStoreGauges()
+}
+
+// claim files id, a held report no ingest has bucketed yet, under bucket
+// and reports whether it did. The service claims with its own lock held,
+// so the ingest that files a report is the one that owes its verdict.
+func (s *Store) claim(id, bucket string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bi, ok := s.index[id]
+	if !ok || bi.bucket != "" {
+		return false
+	}
+	bi.bucket = bucket
+	return true
+}
+
+// bucketOf returns the bucket a held report is filed under; ok is false
+// for an id not held or not yet bucketed.
+func (s *Store) bucketOf(id string) (key string, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bi, ok := s.index[id]
+	if !ok {
+		return "", false
+	}
+	return bi.bucket, bi.bucket != ""
+}
+
+// held returns the ids of ids the store still indexes, in order; nil when
+// none is.
+func (s *Store) held(ids []string) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []string
+	for _, id := range ids {
+		if _, ok := s.index[id]; ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// report describes one held, bucketed report.
+func (s *Store) report(id string) (ReportMeta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bi, ok := s.index[id]
+	if !ok || bi.bucket == "" {
+		return ReportMeta{}, false
+	}
+	return bi.meta(id), true
+}
+
+// reports returns up to limit held, bucketed reports with id strictly
+// greater than after, in id order, plus whether more remain.
+func (s *Store) reports(after string, limit int) (items []ReportMeta, more bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.index))
+	for id, bi := range s.index {
+		if id > after && bi.bucket != "" {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	more = len(ids) > limit
+	if more {
+		ids = ids[:limit]
+	}
+	items = make([]ReportMeta, 0, len(ids))
+	for _, id := range ids {
+		items = append(items, s.index[id].meta(id))
+	}
+	return items, more
 }

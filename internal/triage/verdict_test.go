@@ -237,7 +237,12 @@ func TestVerdictsWithoutArchiveAreBounded(t *testing.T) {
 		}
 	}
 	s.store.mu.Lock()
-	held, sidecars := len(s.store.waiting), len(s.store.verdicts)
+	held, sidecars := len(s.store.waiting), 0
+	for _, bi := range s.store.index {
+		if bi.verdict.State == VerdictDone {
+			sidecars++
+		}
+	}
 	s.store.mu.Unlock()
 	if held > maxWaiting || sidecars != 0 {
 		t.Errorf("after %d unknown ids: %d held, %d sidecar verdicts; want <= %d and 0",
