@@ -341,7 +341,10 @@ func (n *Node) handleVerdictPut(w http.ResponseWriter, r *http.Request) {
 		httpjson.Fail(w, r, status, code, "verdict: "+err.Error())
 		return
 	}
-	if _, err := n.cfg.Service.AdoptVerdict(r.PathValue("id"), &v); err != nil {
+	if _, err := n.cfg.Service.AdoptVerdict(r.PathValue("id"), &v); errors.Is(err, triage.ErrClosed) {
+		triage.WriteIngestError(w, r, err) // shutting down, as an ingest would be
+		return
+	} else if err != nil {
 		httpjson.Fail(w, r, http.StatusBadRequest, httpjson.CodeBadRequest, err.Error())
 		return
 	}

@@ -7,7 +7,8 @@
 // at the start of every checkpoint interval and updated on *every* executed
 // load — including loads whose values are not logged — so the replayer can
 // regenerate the identical table state by applying the same updates, and a
-// rank recorded at any point decodes to the right value.
+// rank recorded at any point decodes to the right value. Replay needs the
+// table only for ranks: the FLL reader stops updating after the last one.
 //
 // Update rule (from the paper): each entry has a 3-bit saturating counter.
 // On a hit the counter increments; if it becomes greater than or equal to
@@ -245,8 +246,8 @@ func (t *Table) ValueAt(rank int) (uint32, error) {
 }
 
 // Update applies the paper's table-update rule for an executed load of
-// value v. It must be called exactly once per executed loggable operation,
-// in both recording and replay, to keep the two table states identical.
+// value v, once per executed loggable operation in recording and in replay
+// up to the interval's last rank, so the tables agree wherever one decodes.
 func (t *Table) Update(v uint32) {
 	if i := t.find(v); i >= 0 {
 		t.promote(i)

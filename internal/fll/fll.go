@@ -15,7 +15,7 @@
 // Neither addresses nor PCs are logged — replay regenerates them (paper
 // §4.3). The Writer and Reader both own the dictionary-update discipline
 // ("update on every executed load") so the recorder and replayer cannot
-// drift apart.
+// drift apart; the Reader stops once no rank is left to decode.
 package fll
 
 import (
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"slices"
 
 	"bugnet/internal/bits"
@@ -275,11 +276,14 @@ func (w *Writer) CloseEncoded(length uint64, end EndKind, fault *FaultRecord) (M
 // loggable operation it executes, passing the word value its simulated
 // memory currently holds; the reader returns the value the operation must
 // observe, injecting logged first-load values at the right positions.
+// The table only decodes ranks, so the reader feeds it only until the
+// interval's last rank (see rankCount); a rank beyond the count is an error.
 type Reader struct {
 	log        *Log
 	dict       *dict.Table
 	r          bits.Reader
 	fullLCBits uint
+	ranks      uint64 // rank entries not yet injected
 
 	pendingValid  bool
 	pendingSkip   uint64
@@ -302,9 +306,23 @@ func NewReader(log *Log, d *dict.Table) *Reader {
 		dict:       d,
 		r:          *bits.NewReaderBits(log.Entries, log.EntryBits),
 		fullLCBits: bitsFor(log.IntervalLimit),
+		ranks:      rankCount(&log.Meta, d.IndexBits()),
 	}
 	r.loadEntry()
 	return r
+}
+
+// rankCount derives the interval's rank entries from its trailer: a full
+// entry costs one bit more than its uncompressed form and a rank
+// 31-indexBits less, so UncompressedBits + NumEntries - EntryBits is
+// 32-indexBits per rank. No whole count in [0, NumEntries]: no limit.
+func rankCount(m *Meta, indexBits uint) uint64 {
+	total := m.UncompressedBits + m.NumEntries
+	saved, per := total-m.EntryBits, uint64(32-indexBits)
+	if total < m.UncompressedBits || total < m.EntryBits || saved%per != 0 || saved/per > m.NumEntries {
+		return math.MaxUint64
+	}
+	return saved / per
 }
 
 // loadEntry decodes the next entry into pending state. An entry that
@@ -331,6 +349,10 @@ func (r *Reader) loadEntry() {
 		r.pendingSkip = w << 1 >> (64 - lc)
 		r.pendingRaw = uint32(w << (2 + lc) >> (64 - vw))
 	} else if !r.readEntry(lc) {
+		return
+	}
+	if r.pendingIsRank && r.ranks == 0 {
+		r.err = errRankBeyond
 		return
 	}
 	r.pendingValid = true
@@ -369,7 +391,8 @@ func (r *Reader) readEntry(lc uint) bool {
 // Op processes one loggable operation during replay. memValue is the word
 // value the replayer's simulated memory currently holds; the return value
 // is the word the operation must observe (and that the replayer must
-// install in memory when injected is true).
+// install in memory when injected is true). Once the interval's last rank
+// is injected the operation no longer updates the dictionary.
 func (r *Reader) Op(memValue uint32) (value uint32, injected bool, err error) {
 	if r.err != nil {
 		return 0, false, r.err
@@ -383,15 +406,20 @@ func (r *Reader) Op(memValue uint32) (value uint32, injected bool, err error) {
 				return 0, false, r.err
 			}
 			v = dv
+			r.ranks--
 		}
-		r.dict.Update(v)
+		if r.ranks > 0 {
+			r.dict.Update(v)
+		}
 		r.loadEntry()
 		return v, true, nil
 	}
 	if r.pendingValid {
 		r.pendingSkip--
 	}
-	r.dict.Update(memValue)
+	if r.ranks > 0 {
+		r.dict.Update(memValue)
+	}
 	return memValue, false, nil
 }
 
@@ -438,6 +466,9 @@ func (r *Reader) PendingOne() bool {
 var magic = [4]byte{'B', 'F', 'L', 'L'}
 
 const version = 1
+
+// errRankBeyond reports a rank entry once the trailer's count is spent.
+var errRankBeyond = errors.New("fll: a rank beyond the trailer's rank count")
 
 // ErrBadFormat reports a malformed serialized log.
 var ErrBadFormat = errors.New("fll: bad serialized log")

@@ -64,15 +64,7 @@ func seedLogs(tb testing.TB) []*fll.Log {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		for tid := 0; tid < len(got.FLLs); tid++ {
-			for _, ref := range got.FLLs[tid] {
-				l, err := ref.Open()
-				if err != nil {
-					tb.Fatal(err)
-				}
-				logs = append(logs, l)
-			}
-		}
+		logs = append(logs, recordedLogs(tb, got)...)
 	}
 	return logs
 }
@@ -84,25 +76,44 @@ func seedLogs(tb testing.TB) []*fll.Log {
 // return the same (value, injected, error) for every operation, with the
 // same error text, and agree on Exhausted and PendingOne after each; a
 // clone of either taken mid-stream must go on as the original does.
+//
+// unc sets UncompressedBits, the trailer counter the rank count comes
+// from: an odd unc is unc>>1 itself, an even one the value that counts
+// the stream's ranks plus int8(unc>>1), so consistent trailers (0), ones
+// counting too many ranks (above 0) and too few (below 0) all come up.
 func FuzzReaderVsReference(f *testing.F) {
 	for _, l := range seedLogs(f) {
 		dictLog := uint8(0)
 		for 2<<dictLog < l.DictSize {
 			dictLog++
 		}
-		f.Add(l.Entries, l.EntryBits, l.NumEntries, l.IntervalLimit, dictLog, uint64(l.CID), uint16(l.Ops/2))
+		for _, delta := range []int8{0, 1, -1} {
+			f.Add(l.Entries, l.EntryBits, l.NumEntries, l.IntervalLimit, dictLog, uint64(l.CID), uint16(l.Ops/2), uint64(uint8(delta))<<1)
+		}
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint64(100), uint64(3),
-		uint64(fll.MaxIntervalLimit), uint8(5), uint64(1), uint16(0))
+		uint64(fll.MaxIntervalLimit), uint8(5), uint64(1), uint16(0), uint64(1))
 
 	const maxOps = 1 << 12
-	f.Fuzz(func(t *testing.T, entries []byte, entryBits, numEntries, limit uint64, dictLog uint8, seed uint64, cloneAt uint16) {
+	f.Fuzz(func(t *testing.T, entries []byte, entryBits, numEntries, limit uint64, dictLog uint8, seed uint64, cloneAt uint16, unc uint64) {
 		l := &fll.Log{Entries: entries}
 		l.EntryBits = min(entryBits, uint64(len(entries))*8)
 		l.NumEntries = numEntries
 		l.IntervalLimit = 1 + limit%fll.MaxIntervalLimit
 		l.DictSize = 2 << (dictLog % 16)
 		size := int(l.DictSize)
+		l.UncompressedBits = unc >> 1
+		if unc&1 == 0 {
+			dumped, _ := l.DumpEntries(0)
+			ranks := int64(0)
+			for _, e := range dumped {
+				if e.FromDict {
+					ranks++
+				}
+			}
+			perRank := uint64(31 - dictLog%16) // 32 - IndexBits
+			l.UncompressedBits = l.EntryBits - l.NumEntries + uint64(ranks+int64(int8(unc>>1)))*perRank
+		}
 
 		gotD, wantD := dict.New(size), dict.New(size)
 		got, want := fll.NewReader(l, gotD), fll.NewFieldReader(l, wantD)

@@ -2,7 +2,9 @@ package fll
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -53,14 +55,31 @@ type refEntry struct {
 	raw    uint32 // the value, or its dictionary rank when isRank
 }
 
+// refRankCount is the rank count l's trailer states, worked in unbounded
+// integers: each rank saves 32-indexBits bits of UncompressedBits +
+// NumEntries - EntryBits. ok is false when that gives no whole count in
+// [0, NumEntries].
+func refRankCount(l *Log, indexBits uint) (ranks uint64, ok bool) {
+	saved := new(big.Int).SetUint64(l.UncompressedBits)
+	saved.Add(saved, new(big.Int).SetUint64(l.NumEntries))
+	saved.Sub(saved, new(big.Int).SetUint64(l.EntryBits))
+	n, rem := new(big.Int).QuoRem(saved, big.NewInt(int64(32-indexBits)), new(big.Int))
+	if saved.Sign() < 0 || rem.Sign() != 0 || n.Cmp(new(big.Int).SetUint64(l.NumEntries)) > 0 {
+		return 0, false
+	}
+	return n.Uint64(), true
+}
+
 // refDecode is refEncode's mirror, the field-at-a-time decoder Reader
 // started as: one read per type bit and per field, the whole stream up
 // front. It returns the entries before the first one the stream cuts
-// short, and the error Reader gives for that one, whose text counts the
-// LV-Type bit as the L-Count's.
+// short or the first rank beyond the trailer's count, and the error
+// Reader gives for that one, whose text counts the LV-Type bit as the
+// L-Count's.
 func refDecode(l *Log, indexBits uint) ([]refEntry, error) {
 	r := bits.NewReaderBits(l.Entries, l.EntryBits)
 	full := bitsFor(l.IntervalLimit)
+	ranks, limited := refRankCount(l, indexBits)
 	var out []refEntry
 	for i := uint64(0); i < l.NumEntries; i++ {
 		long, err := r.ReadBit()
@@ -87,12 +106,21 @@ func refDecode(l *Log, indexBits uint) ([]refEntry, error) {
 		if err != nil {
 			return out, fmt.Errorf("fll: truncated value in entry %d: %w", i, err)
 		}
+		if !raw && limited {
+			if ranks == 0 {
+				return out, errors.New("fll: a rank beyond the trailer's rank count")
+			}
+			ranks--
+		}
 		out = append(out, refEntry{skip: skip, isRank: !raw, raw: uint32(v)})
 	}
 	return out, nil
 }
 
-// refReader replays refDecode's entries with the contract of Reader.
+// refReader replays refDecode's entries with the contract of Reader. It
+// updates the table on every operation, as the paper does, where Reader
+// stops after the last rank: the two agreeing shows the stop changes no
+// value.
 type refReader struct {
 	entries    []refEntry
 	decodeErr  error // reported once every entry before it is injected

@@ -98,8 +98,13 @@ func (s *Service) settle(id string, owed *job, from Origin) {
 // awaited report completes with it, a queued replay finds it, and one
 // that beats its archive is held by the store for the ingest. Only done
 // verdicts of well-formed ids are accepted, and a stored verdict is never
-// overwritten. It reports whether an awaited report completed.
+// overwritten. After Close it refuses with ErrClosed and writes nothing,
+// as ingest does. It reports whether an awaited report completed.
 func (s *Service) AdoptVerdict(id string, v *Verdict) (bool, error) {
+	if err := s.begin(); err != nil {
+		return false, err
+	}
+	defer s.ingesting.Done()
 	if !report.ValidID(id) {
 		return false, fmt.Errorf("triage: adopt verdict: malformed report id %q", id)
 	}

@@ -1,7 +1,9 @@
 package triage
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -265,6 +267,27 @@ func TestAdoptVerdictRefuses(t *testing.T) {
 	}
 	if s.ReplayDeferred(id) {
 		t.Fatal("ReplayDeferred replayed a report nobody waits for")
+	}
+}
+
+// TestAdoptVerdictAfterClose: a verdict pushed to a closed service is
+// refused with ErrClosed and writes no sidecar, so nothing lands in the
+// store after Close returns.
+func TestAdoptVerdictAfterClose(t *testing.T) {
+	img, _, blob := recordBlob(t)
+	reg := NewImageRegistry()
+	reg.Register(img)
+	s := newService(t, reg)
+	id := report.ID(blob)
+	ingestFile(t, s, blob, Origin{Replayer: "http://peer"})
+	s.Close()
+
+	adopted, err := s.AdoptVerdict(id, &Verdict{State: VerdictDone, Instructions: 5})
+	if !errors.Is(err, ErrClosed) || adopted {
+		t.Fatalf("AdoptVerdict after Close = %v, %v; want ErrClosed", adopted, err)
+	}
+	if _, err := os.Stat(s.store.verdictPath(id)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("verdict sidecar after a refused adoption: %v", err)
 	}
 }
 
