@@ -23,6 +23,16 @@
 // line or before an instruction. Supported directives: .text .data .word
 // .half .byte .space .asciiz .ascii .align .globl (recorded, no-op) and
 // .equ NAME, value.
+//
+// A machine instruction's operands are the ones isa.Opcode.Syntax lists,
+// the table the disassembler prints by, so a listing reassembles to the
+// same words. A pseudo-instruction is one row of the pseudos table: the
+// machine instruction it stands for and the syntax naming the fields its
+// operands fill (bgt is blt with "rs2, rs1, target"). Only li, when its
+// literal does not fit 16 bits, and la, always, expand to lui+addi. An
+// instruction given more or fewer operands than its syntax names is an
+// error ("add wants rd, rs1, rs2"). Both passes size a statement with the
+// code that emits it: pass 1 reads labels as zero and writes nothing.
 package asm
 
 import (
@@ -156,13 +166,12 @@ const (
 
 // item is a parsed source statement retained between the two passes.
 type item struct {
-	line    int
-	sec     section
-	addr    uint32   // assigned in pass 1
-	mnem    string   // instruction mnemonic (lowercased), or "" for directives
-	args    []string // operand strings
-	dir     string   // directive name including '.', or ""
-	expands int      // number of machine instructions this statement expands to
+	line int
+	sec  section
+	addr uint32   // assigned in pass 1
+	mnem string   // instruction mnemonic (lowercased), or "" for directives
+	args []string // operand strings
+	dir  string   // directive name including '.', or ""
 }
 
 type assembler struct {
@@ -175,6 +184,7 @@ type assembler struct {
 	lines    map[uint32]int
 	textBase uint32
 	dataBase uint32
+	sizing   bool // pass 1: labels not yet bound read as zero, appendTo writes nothing
 }
 
 func (a *assembler) errf(line int, format string, args ...any) error {
@@ -255,12 +265,16 @@ func (a *assembler) parse(source string) error {
 	return nil
 }
 
-// layout is pass 1: assign addresses to every statement and label.
+// layout is pass 1: assign addresses to every statement and label. It
+// sizes each statement with the code that emits it, labels reading as
+// zero and nothing written.
 //
 // Labels bind lazily to the address of the next emitted item in their
 // section, so that a label immediately preceding an auto-aligning .word or
 // .half points at the aligned data rather than into the padding.
 func (a *assembler) layout() error {
+	a.sizing = true
+	defer func() { a.sizing = false }()
 	textPC := a.textBase
 	dataPC := a.dataBase
 	var pending []*item // unbound labels awaiting the next sized item
@@ -288,38 +302,34 @@ func (a *assembler) layout() error {
 		if it.sec == secData {
 			pc = &dataPC
 		}
+		it.addr = *pc
 		switch {
 		case it.dir == "label":
 			pending = append(pending, it)
 		case it.dir != "":
-			n, err := a.directiveSize(it, *pc)
+			at, end, err := a.directive(it, *pc)
 			if err != nil {
 				return err
 			}
-			it.addr = *pc
-			pad := uint32(0)
-			switch it.dir {
-			case ".word":
-				pad = padTo(*pc, 4)
-			case ".half":
-				pad = padTo(*pc, 2)
-			case ".align":
-				pad = n
-			}
-			if err := bind(*pc+pad, it.sec); err != nil {
+			if err := bind(at, it.sec); err != nil {
 				return err
 			}
-			*pc += n
+			*pc = end
 		default:
 			if it.sec != secText {
 				return a.errf(it.line, "instruction %q in .data section", it.mnem)
 			}
-			n, err := a.instructionWords(it)
-			if err != nil {
-				return err
+			n := 1
+			switch it.mnem {
+			case "li": // the one width that depends on an operand, a literal
+				words, err := a.encodeInstruction(it)
+				if err != nil {
+					return err
+				}
+				n = len(words)
+			case "la":
+				n = 2
 			}
-			it.expands = n
-			it.addr = *pc
 			if err := bind(*pc, it.sec); err != nil {
 				return err
 			}
@@ -341,56 +351,59 @@ func (a *assembler) layout() error {
 	return nil
 }
 
-// directiveSize returns the byte size a data directive occupies at pc.
-func (a *assembler) directiveSize(it *item, pc uint32) (uint32, error) {
+var dataWidth = map[string]uint32{".word": 4, ".half": 2, ".byte": 1}
+
+// directive lays out and writes one data directive at pc. It returns the
+// address its contents start at, past any alignment padding, which labels
+// before it bind to, and the address after it.
+func (a *assembler) directive(it *item, pc uint32) (at, end uint32, err error) {
 	switch it.dir {
-	case ".word":
-		pad := padTo(pc, 4)
-		return pad + 4*uint32(len(it.args)), nil
-	case ".half":
-		pad := padTo(pc, 2)
-		return pad + 2*uint32(len(it.args)), nil
-	case ".byte":
-		return uint32(len(it.args)), nil
-	case ".space":
+	case ".word", ".half", ".byte":
+		size := dataWidth[it.dir]
+		at = pc + padTo(pc, size)
+		for i, arg := range it.args {
+			v, err := a.value(arg, it.line)
+			if err != nil {
+				return 0, 0, err
+			}
+			if size < 4 && (v < -1<<(8*size-1) || v >= 1<<(8*size)) {
+				return 0, 0, a.errf(it.line, "%s value %d out of range", it.dir, v)
+			}
+			a.appendTo(it.sec, at+uint32(i)*size, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}[:size])
+		}
+		return at, at + uint32(len(it.args))*size, nil
+	case ".space", ".align":
 		if len(it.args) != 1 {
-			return 0, a.errf(it.line, ".space wants one size argument")
+			return 0, 0, a.errf(it.line, "%s wants one argument", it.dir)
 		}
 		v, err := a.number(it.args[0], it.line)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		if v < 0 || v > 1<<28 {
-			return 0, a.errf(it.line, ".space size %d out of range", v)
+		if v < 0 || it.dir == ".space" && v > 1<<28 || it.dir == ".align" && v > 12 {
+			return 0, 0, a.errf(it.line, "%s %d out of range", it.dir, v)
 		}
-		return uint32(v), nil
-	case ".asciiz", ".ascii":
+		at, end = pc, pc+uint32(v)
+		if it.dir == ".align" {
+			at = pc + padTo(pc, 1<<v)
+			end = at
+		}
+		a.appendTo(it.sec, end, nil) // zero-filled
+		return at, end, nil
+	default: // .ascii, .asciiz
 		if len(it.args) != 1 {
-			return 0, a.errf(it.line, "%s wants one string literal", it.dir)
+			return 0, 0, a.errf(it.line, "%s wants one string literal", it.dir)
 		}
 		s, err := strconv.Unquote(it.args[0])
 		if err != nil {
-			return 0, a.errf(it.line, "bad string literal %s: %v", it.args[0], err)
+			return 0, 0, a.errf(it.line, "bad string literal %s: %v", it.args[0], err)
 		}
-		n := uint32(len(s))
 		if it.dir == ".asciiz" {
-			n++
+			s += "\x00"
 		}
-		return n, nil
-	case ".align":
-		if len(it.args) != 1 {
-			return 0, a.errf(it.line, ".align wants one argument")
-		}
-		v, err := a.number(it.args[0], it.line)
-		if err != nil {
-			return 0, err
-		}
-		if v < 0 || v > 12 {
-			return 0, a.errf(it.line, ".align %d out of range", v)
-		}
-		return padTo(pc, uint32(1)<<uint(v)), nil
+		a.appendTo(it.sec, pc, []byte(s))
+		return pc, pc + uint32(len(s)), nil
 	}
-	return 0, a.errf(it.line, "unknown directive %s", it.dir)
 }
 
 func padTo(pc, align uint32) uint32 {
@@ -404,130 +417,39 @@ func padTo(pc, align uint32) uint32 {
 	return align - rem
 }
 
-// instructionWords returns how many machine words a (pseudo)instruction
-// expands to. The expansion width must not depend on label addresses (which
-// are unknown during pass 1), only on literal operands.
-func (a *assembler) instructionWords(it *item) (int, error) {
-	switch it.mnem {
-	case "li":
-		if len(it.args) != 2 {
-			return 0, a.errf(it.line, "li wants rd, imm")
-		}
-		v, err := a.number(it.args[1], it.line)
-		if err != nil {
-			return 0, err
-		}
-		if v >= isa.MinImm16 && v <= isa.MaxImm16 {
-			return 1, nil
-		}
-		lo := int32(int16(uint16(v)))
-		if lo == 0 {
-			return 1, nil // lui alone
-		}
-		return 2, nil
-	case "la":
-		return 2, nil // always lui+addi so width is label-independent
-	case "call", "ret", "jr", "mv", "nop", "not", "neg", "seqz", "snez",
-		"subi", "beqz", "bnez", "bltz", "bgez", "bgtz", "blez", "ble", "bgt",
-		"bleu", "bgtu":
-		return 1, nil
-	default:
-		if _, ok := isa.OpcodeByName(it.mnem); !ok {
-			return 0, a.errf(it.line, "unknown instruction %q", it.mnem)
-		}
-		return 1, nil
-	}
-}
-
 // emit is pass 2: encode instructions and materialize data.
 func (a *assembler) emit() error {
 	a.lines = make(map[uint32]int)
 	for i := range a.items {
 		it := &a.items[i]
-		if it.dir == "label" {
-			continue
-		}
-		if it.dir != "" {
-			if err := a.emitDirective(it); err != nil {
+		switch {
+		case it.dir == "label":
+		case it.dir != "":
+			if _, _, err := a.directive(it, it.addr); err != nil {
 				return err
 			}
-			continue
-		}
-		words, err := a.encodeInstruction(it)
-		if err != nil {
-			return err
-		}
-		if len(words) != it.expands {
-			return a.errf(it.line, "internal: expansion width changed between passes (%d != %d)", len(words), it.expands)
-		}
-		for wi, w := range words {
-			addr := it.addr + uint32(wi)*isa.WordSize
-			a.lines[addr] = it.line
-			a.appendTo(it.sec, addr, []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
-		}
-	}
-	return nil
-}
-
-func (a *assembler) emitDirective(it *item) error {
-	pc := it.addr
-	switch it.dir {
-	case ".word":
-		pc += padTo(pc, 4)
-		for _, arg := range it.args {
-			v, err := a.value(arg, it.line)
+		default:
+			words, err := a.encodeInstruction(it)
 			if err != nil {
 				return err
 			}
-			a.appendTo(it.sec, pc, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
-			pc += 4
-		}
-	case ".half":
-		pc += padTo(pc, 2)
-		for _, arg := range it.args {
-			v, err := a.value(arg, it.line)
-			if err != nil {
-				return err
+			for wi, w := range words {
+				addr := it.addr + uint32(wi)*isa.WordSize
+				a.lines[addr] = it.line
+				a.appendTo(it.sec, addr, []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)})
 			}
-			if v < -(1<<15) || v > 1<<16-1 {
-				return a.errf(it.line, ".half value %d out of range", v)
-			}
-			a.appendTo(it.sec, pc, []byte{byte(v), byte(v >> 8)})
-			pc += 2
 		}
-	case ".byte":
-		for _, arg := range it.args {
-			v, err := a.value(arg, it.line)
-			if err != nil {
-				return err
-			}
-			if v < -128 || v > 255 {
-				return a.errf(it.line, ".byte value %d out of range", v)
-			}
-			a.appendTo(it.sec, pc, []byte{byte(v)})
-			pc++
-		}
-	case ".space":
-		v, _ := a.number(it.args[0], it.line)
-		a.appendTo(it.sec, pc, make([]byte, v))
-	case ".asciiz", ".ascii":
-		s, _ := strconv.Unquote(it.args[0])
-		b := []byte(s)
-		if it.dir == ".asciiz" {
-			b = append(b, 0)
-		}
-		a.appendTo(it.sec, pc, b)
-	case ".align":
-		// Padding was accounted for in layout; emit the zero bytes.
-		v, _ := a.number(it.args[0], it.line)
-		a.appendTo(it.sec, pc, make([]byte, padTo(pc, uint32(1)<<uint(v))))
 	}
 	return nil
 }
 
 // appendTo writes bytes at the absolute address into the proper section
-// buffer, growing it as needed (directives may leave alignment gaps).
+// buffer, growing it as needed (directives may leave alignment gaps). It
+// writes nothing while sizing.
 func (a *assembler) appendTo(sec section, addr uint32, b []byte) {
+	if a.sizing {
+		return
+	}
 	buf, base := &a.text, a.textBase
 	if sec == secData {
 		buf, base = &a.data, a.dataBase

@@ -311,6 +311,10 @@ func TestErrors(t *testing.T) {
 		{".byte 300", "out of range"},
 		{"9bad: nop", "invalid label"},
 		{".data\n.space -1", "out of range"},
+		{"lui a0", "lui wants rd, imm"},
+		{"subi a0, a1", "subi wants rd, rs1, -imm"},
+		{"add a0, a1, a2, a3", "add wants rd, rs1, rs2"},
+		{"syscall a0", "syscall wants no operands"},
 	}
 	for _, c := range cases {
 		_, err := Assemble("e.s", c.src)
@@ -320,6 +324,9 @@ func TestErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("source %q: error %q does not contain %q", c.src, err, c.wantSub)
+		}
+		if e, ok := err.(*Error); !ok || e.File != "e.s" || e.Line < 1 {
+			t.Errorf("source %q: error %q is not a file:line: diagnostic", c.src, err)
 		}
 	}
 }

@@ -7,350 +7,134 @@ import (
 	"bugnet/internal/isa"
 )
 
+// form is how a mnemonic assembles: the instruction its operands fill, and
+// their syntax in isa.Opcode.Syntax's terms, plus two kinds of its own:
+// "-imm" stores a literal negated and "addr" an absolute value that may be
+// a label. A machine mnemonic's form is its opcode and that opcode's
+// syntax; a pseudo-instruction's is a row of pseudos.
+type form struct {
+	ins    isa.Instruction
+	syntax string
+}
+
+var pseudos = map[string]form{
+	"nop":  {isa.Instruction{Op: isa.OpADDI}, ""},
+	"li":   {isa.Instruction{Op: isa.OpADDI}, "rd, imm"}, // lui+addi when imm is wide
+	"la":   {isa.Instruction{}, "rd, addr"},              // always lui+addi
+	"mv":   {isa.Instruction{Op: isa.OpADDI}, "rd, rs1"},
+	"not":  {isa.Instruction{Op: isa.OpXORI, Imm: -1}, "rd, rs1"},
+	"neg":  {isa.Instruction{Op: isa.OpSUB}, "rd, rs2"},
+	"seqz": {isa.Instruction{Op: isa.OpSLTIU, Imm: 1}, "rd, rs1"},
+	"snez": {isa.Instruction{Op: isa.OpSLTU}, "rd, rs2"},
+	"subi": {isa.Instruction{Op: isa.OpADDI}, "rd, rs1, -imm"},
+	"call": {isa.Instruction{Op: isa.OpJAL}, "target"},
+	"ret":  {isa.Instruction{Op: isa.OpJALR, Rs1: isa.RegRA}, ""},
+	"jr":   {isa.Instruction{Op: isa.OpJALR}, "rs1"},
+	"beqz": {isa.Instruction{Op: isa.OpBEQ}, "rs1, target"},
+	"bnez": {isa.Instruction{Op: isa.OpBNE}, "rs1, target"},
+	"bltz": {isa.Instruction{Op: isa.OpBLT}, "rs1, target"},
+	"bgez": {isa.Instruction{Op: isa.OpBGE}, "rs1, target"},
+	"bgtz": {isa.Instruction{Op: isa.OpBLT}, "rs2, target"},      // zero < rs
+	"blez": {isa.Instruction{Op: isa.OpBGE}, "rs2, target"},      // zero >= rs
+	"ble":  {isa.Instruction{Op: isa.OpBGE}, "rs2, rs1, target"}, // a <= b is b >= a
+	"bgt":  {isa.Instruction{Op: isa.OpBLT}, "rs2, rs1, target"},
+	"bleu": {isa.Instruction{Op: isa.OpBGEU}, "rs2, rs1, target"},
+	"bgtu": {isa.Instruction{Op: isa.OpBLTU}, "rs2, rs1, target"},
+}
+
 // encodeInstruction expands one (pseudo)instruction into machine words.
 func (a *assembler) encodeInstruction(it *item) ([]uint32, error) {
-	enc := func(ins isa.Instruction) ([]uint32, error) {
-		w, err := isa.Encode(ins)
-		if err != nil {
-			return nil, a.errf(it.line, "%v", err)
-		}
-		return []uint32{w}, nil
-	}
-
-	switch it.mnem {
-	case "nop":
-		return enc(isa.Instruction{Op: isa.OpADDI})
-	case "li":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		v64, err := a.number(it.args[1], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return a.expandLI(it, rd, int32(v64))
-	case "la":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 2 {
-			return nil, a.errf(it.line, "la wants rd, symbol")
-		}
-		addr, err := a.value(it.args[1], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return a.expandLUIADDI(it, rd, int32(addr), true)
-	case "mv":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: rs})
-	case "not":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpXORI, Rd: rd, Rs1: rs, Imm: -1})
-	case "neg":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpSUB, Rd: rd, Rs2: rs})
-	case "seqz":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpSLTIU, Rd: rd, Rs1: rs, Imm: 1})
-	case "snez":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpSLTU, Rd: rd, Rs2: rs})
-	case "subi":
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		v, err := a.number(it.args[2], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: rs, Imm: int32(-v)})
-	case "call":
-		if len(it.args) != 1 {
-			return nil, a.errf(it.line, "call wants a target label")
-		}
-		off, err := a.relTarget(it.args[0], it.addr, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpJAL, Imm: off})
-	case "ret":
-		return enc(isa.Instruction{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: isa.RegRA})
-	case "jr":
-		rs, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: isa.OpJALR, Rd: isa.RegZero, Rs1: rs})
-	case "beqz", "bnez", "bltz", "bgez", "bgtz", "blez":
-		rs, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 2 {
-			return nil, a.errf(it.line, "%s wants rs, label", it.mnem)
-		}
-		off, err := a.relTarget(it.args[1], it.addr, it.line)
-		if err != nil {
-			return nil, err
-		}
-		var ins isa.Instruction
-		switch it.mnem {
-		case "beqz":
-			ins = isa.Instruction{Op: isa.OpBEQ, Rs1: rs, Rs2: isa.RegZero}
-		case "bnez":
-			ins = isa.Instruction{Op: isa.OpBNE, Rs1: rs, Rs2: isa.RegZero}
-		case "bltz":
-			ins = isa.Instruction{Op: isa.OpBLT, Rs1: rs, Rs2: isa.RegZero}
-		case "bgez":
-			ins = isa.Instruction{Op: isa.OpBGE, Rs1: rs, Rs2: isa.RegZero}
-		case "bgtz": // rs > 0  <=>  0 < rs
-			ins = isa.Instruction{Op: isa.OpBLT, Rs1: isa.RegZero, Rs2: rs}
-		case "blez": // rs <= 0 <=>  0 >= ... BGE zero, rs
-			ins = isa.Instruction{Op: isa.OpBGE, Rs1: isa.RegZero, Rs2: rs}
-		}
-		ins.Imm = off
-		return enc(ins)
-	case "ble", "bgt", "bleu", "bgtu":
-		r1, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 3 {
-			return nil, a.errf(it.line, "%s wants rs1, rs2, label", it.mnem)
-		}
-		off, err := a.relTarget(it.args[2], it.addr, it.line)
-		if err != nil {
-			return nil, err
-		}
-		var ins isa.Instruction
-		switch it.mnem {
-		case "ble": // a <= b  <=>  b >= a
-			ins = isa.Instruction{Op: isa.OpBGE, Rs1: r2, Rs2: r1}
-		case "bgt": // a > b   <=>  b < a
-			ins = isa.Instruction{Op: isa.OpBLT, Rs1: r2, Rs2: r1}
-		case "bleu":
-			ins = isa.Instruction{Op: isa.OpBGEU, Rs1: r2, Rs2: r1}
-		case "bgtu":
-			ins = isa.Instruction{Op: isa.OpBLTU, Rs1: r2, Rs2: r1}
-		}
-		ins.Imm = off
-		return enc(ins)
-	}
-
-	op, ok := isa.OpcodeByName(it.mnem)
+	f, ok := pseudos[it.mnem]
 	if !ok {
-		return nil, a.errf(it.line, "unknown instruction %q", it.mnem)
-	}
-	switch {
-	case op == isa.OpSYSCALL || op == isa.OpBREAK:
-		return enc(isa.Instruction{Op: op})
-	case op.IsLoad() || op.IsStore():
-		// op rd, imm(rs1)   — rd is the value register for stores too.
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 2 {
-			return nil, a.errf(it.line, "%s wants rd, offset(base)", it.mnem)
-		}
-		imm, base, err := a.memOperand(it.args[1], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Rs1: base, Imm: imm})
-	case op.IsAMO():
-		// op rd, rs2, (rs1)
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 3 {
-			return nil, a.errf(it.line, "%s wants rd, rs2, (rs1)", it.mnem)
-		}
-		addr := strings.TrimSuffix(strings.TrimPrefix(it.args[2], "("), ")")
-		rs1, ok := isa.RegByName(addr)
+		op, ok := isa.OpcodeByName(it.mnem)
 		if !ok {
-			return nil, a.errf(it.line, "bad address register %q", it.args[2])
+			return nil, a.errf(it.line, "unknown instruction %q", it.mnem)
 		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-	case op.IsBranch():
-		r1, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		r2, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 3 {
-			return nil, a.errf(it.line, "%s wants rs1, rs2, label", it.mnem)
-		}
-		off, err := a.relTarget(it.args[2], it.addr, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Rs1: r1, Rs2: r2, Imm: off})
-	case op == isa.OpJAL || op == isa.OpJ:
-		if len(it.args) != 1 {
-			return nil, a.errf(it.line, "%s wants a target label", it.mnem)
-		}
-		off, err := a.relTarget(it.args[0], it.addr, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Imm: off})
-	case op == isa.OpJALR:
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		var imm int64
-		if len(it.args) == 3 {
-			imm, err = a.number(it.args[2], it.line)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Imm: int32(imm)})
-	case op == isa.OpLUI:
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		v, err := a.number(it.args[1], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Imm: int32(v)})
-	case op.Format() == isa.FormatR:
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := a.reg(it.args, 2, it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2})
-	case op.Format() == isa.FormatI:
-		rd, err := a.reg(it.args, 0, it.line)
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := a.reg(it.args, 1, it.line)
-		if err != nil {
-			return nil, err
-		}
-		if len(it.args) != 3 {
-			return nil, a.errf(it.line, "%s wants rd, rs1, imm", it.mnem)
-		}
-		v, err := a.number(it.args[2], it.line)
-		if err != nil {
-			return nil, err
-		}
-		return enc(isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Imm: int32(v)})
+		f = form{isa.Instruction{Op: op}, op.Syntax()}
 	}
-	return nil, a.errf(it.line, "cannot encode %q", it.mnem)
+	ins, err := a.operands(it, f.ins, f.syntax)
+	if err != nil {
+		return nil, err
+	}
+	if it.mnem == "la" || it.mnem == "li" && (ins.Imm < isa.MinImm16 || ins.Imm > isa.MaxImm16) {
+		return luiAddi(ins.Rd, ins.Imm, it.mnem == "la"), nil
+	}
+	w, err := isa.Encode(ins)
+	if err != nil {
+		return nil, a.errf(it.line, "%v", err)
+	}
+	return []uint32{w}, nil
 }
 
-// expandLI emits the shortest sequence loading the 32-bit constant v.
-func (a *assembler) expandLI(it *item, rd uint8, v int32) ([]uint32, error) {
-	if v >= isa.MinImm16 && v <= isa.MaxImm16 {
-		w, err := isa.Encode(isa.Instruction{Op: isa.OpADDI, Rd: rd, Imm: v})
-		if err != nil {
-			return nil, a.errf(it.line, "%v", err)
-		}
-		return []uint32{w}, nil
-	}
-	return a.expandLUIADDI(it, rd, v, false)
-}
-
-// expandLUIADDI emits lui+addi computing v. If forcePair is true the addi is
-// emitted even when it would be a no-op, to keep pass-1 sizing label-free.
-func (a *assembler) expandLUIADDI(it *item, rd uint8, v int32, forcePair bool) ([]uint32, error) {
+// luiAddi loads v into rd with lui+addi, or with lui alone when v's low
+// half is zero and pair is false. la sets pair to keep its width
+// label-free for pass 1.
+func luiAddi(rd uint8, v int32, pair bool) []uint32 {
 	lo := int32(int16(uint16(uint32(v))))
 	hi := (v - lo) >> 16 // the 16 bits LUI must place in the upper half
-	luiw, err := isa.Encode(isa.Instruction{Op: isa.OpLUI, Rd: rd, Imm: int32(int16(uint16(hi)))})
-	if err != nil {
-		return nil, a.errf(it.line, "%v", err)
+	words := []uint32{isa.MustEncode(isa.Instruction{Op: isa.OpLUI, Rd: rd, Imm: int32(int16(uint16(hi)))})}
+	if lo != 0 || pair {
+		words = append(words, isa.MustEncode(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: rd, Imm: lo}))
 	}
-	if lo == 0 && !forcePair {
-		return []uint32{luiw}, nil
-	}
-	addiw, err := isa.Encode(isa.Instruction{Op: isa.OpADDI, Rd: rd, Rs1: rd, Imm: lo})
-	if err != nil {
-		return nil, a.errf(it.line, "%v", err)
-	}
-	return []uint32{luiw, addiw}, nil
+	return words
 }
 
-// reg parses the idx'th operand as a register name.
-func (a *assembler) reg(args []string, idx int, line int) (uint8, error) {
-	if idx >= len(args) {
-		return 0, a.errf(line, "missing register operand %d", idx+1)
+// operands fills ins from the statement's operands, which must be as many
+// as syntax names, read in its order and by its kinds.
+func (a *assembler) operands(it *item, ins isa.Instruction, syntax string) (isa.Instruction, error) {
+	var kinds []string
+	if syntax != "" {
+		kinds = strings.Split(syntax, ", ")
 	}
-	r, ok := isa.RegByName(args[idx])
+	if it.mnem == "jalr" && len(it.args) == 2 {
+		kinds = kinds[:2] // the offset may be left out
+	}
+	if len(it.args) != len(kinds) {
+		if syntax == "" {
+			syntax = "no operands"
+		}
+		return ins, a.errf(it.line, "%s wants %s", it.mnem, syntax)
+	}
+	for i, kind := range kinds {
+		arg := it.args[i]
+		var err error
+		var v int64
+		switch kind {
+		case "rd":
+			ins.Rd, err = a.reg(arg, it.line)
+		case "rs1":
+			ins.Rs1, err = a.reg(arg, it.line)
+		case "rs2":
+			ins.Rs2, err = a.reg(arg, it.line)
+		case "(rs1)":
+			ins.Rs1, err = a.reg(strings.TrimSuffix(strings.TrimPrefix(arg, "("), ")"), it.line)
+		case "imm(rs1)":
+			ins.Imm, ins.Rs1, err = a.memOperand(arg, it.line)
+		case "imm", "-imm":
+			v, err = a.number(arg, it.line)
+			ins.Imm = int32(v)
+			if kind == "-imm" {
+				ins.Imm = -ins.Imm
+			}
+		case "addr", "target":
+			v, err = a.value(arg, it.line)
+			ins.Imm = int32(v)
+			if kind == "target" { // PC-relative, from the successor
+				ins.Imm = int32(uint32(v) - (it.addr + isa.WordSize))
+			}
+		}
+		if err != nil {
+			return ins, err
+		}
+	}
+	return ins, nil
+}
+
+// reg parses a register name.
+func (a *assembler) reg(arg string, line int) (uint8, error) {
+	r, ok := isa.RegByName(arg)
 	if !ok {
-		return 0, a.errf(line, "unknown register %q", args[idx])
+		return 0, a.errf(line, "unknown register %q", arg)
 	}
 	return r, nil
 }
@@ -374,16 +158,6 @@ func (a *assembler) memOperand(s string, line int) (int32, uint8, error) {
 		return 0, 0, err
 	}
 	return int32(v), base, nil
-}
-
-// relTarget resolves a label (or absolute expression) to a PC-relative byte
-// offset from the instruction's successor.
-func (a *assembler) relTarget(arg string, pc uint32, line int) (int32, error) {
-	v, err := a.value(arg, line)
-	if err != nil {
-		return 0, err
-	}
-	return int32(uint32(v) - (pc + isa.WordSize)), nil
 }
 
 // number evaluates a purely numeric expression (literal or .equ constant,
@@ -459,8 +233,8 @@ func (a *assembler) term(s string, line int) (int64, bool, error) {
 	if v, ok := a.equates[s]; ok {
 		return v, false, nil
 	}
-	// Label.
-	if addr, ok := a.symbols[s]; ok {
+	// Label. While sizing, a name not yet bound reads as a label at zero.
+	if addr, ok := a.symbols[s]; ok || a.sizing {
 		return int64(addr), true, nil
 	}
 	return 0, false, a.errf(line, "undefined symbol %q", s)

@@ -12,6 +12,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("lbl:\n  j lbl\n")
 	f.Add(".asciiz \"unterminated")
 	f.Add("addi a0")
+	f.Add("lui a0")
+	f.Add("subi a0, a1")
+	f.Add("add a0, a1, a2, a3")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		img, err := Assemble("fuzz.s", src)

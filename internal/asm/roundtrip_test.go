@@ -1,19 +1,22 @@
-package asm
+package asm_test
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"bugnet/internal/asm"
 	"bugnet/internal/isa"
+	"bugnet/internal/workload"
 )
 
 // TestDisassembleReassembleIdentity: disassembling every instruction of an
 // assembled program and reassembling the listing must reproduce the exact
 // text bytes. This closes the loop between the assembler, the encoder and
-// the disassembler.
+// the disassembler. Branches and jumps print absolute targets, which the
+// assembler reads back because the listing loads at the same text base.
+// It covers a hand-written program and every image the repo ships.
 func TestDisassembleReassembleIdentity(t *testing.T) {
 	src := `
         .data
@@ -36,50 +39,38 @@ fn:     mulh a0, t0, t2
         srai a2, a1, 3
         ret
 `
-	img := mustAsm(t, src)
-
-	// Disassemble into a flat listing of raw instructions.
-	var b strings.Builder
-	b.WriteString("        .text\n")
-	for off := 0; off+4 <= len(img.Text); off += 4 {
-		pc := img.TextBase + uint32(off)
-		w := uint32(img.Text[off]) | uint32(img.Text[off+1])<<8 |
-			uint32(img.Text[off+2])<<16 | uint32(img.Text[off+3])<<24
-		ins := isa.Decode(w)
-		// Branches/jumps print absolute targets; rewrite them as
-		// pc-relative label-free forms the assembler accepts by emitting
-		// the raw word instead.
-		if ins.Op.IsBranch() || ins.Op == isa.OpJAL || ins.Op == isa.OpJ {
-			fmt.Fprintf(&b, "l%d: .word %d\n", off, w)
-			continue
+	imgs := []*asm.Image{asm.MustAssemble("rt.s", src), workload.MTShare().Image}
+	for _, w := range workload.SPEC() {
+		imgs = append(imgs, w.Image)
+	}
+	for _, b := range workload.Bugs(100) {
+		imgs = append(imgs, b.Image)
+	}
+	for _, img := range imgs {
+		var b strings.Builder
+		for off := 0; off+4 <= len(img.Text); off += 4 {
+			b.WriteString(img.DisassembleAt(img.TextBase+uint32(off)) + "\n")
 		}
-		fmt.Fprintf(&b, "l%d: %s\n", off, isa.Disassemble(ins, pc))
-	}
-	re, err := Assemble("rt.s", b.String())
-	if err != nil {
-		t.Fatalf("reassemble: %v\n%s", err, b.String())
-	}
-	if len(re.Text) != len(img.Text) {
-		t.Fatalf("reassembled text %d bytes; want %d", len(re.Text), len(img.Text))
-	}
-	for i := range img.Text {
-		if re.Text[i] != img.Text[i] {
-			t.Fatalf("byte %d differs: %#x vs %#x", i, re.Text[i], img.Text[i])
+		re, err := asm.Assemble(img.Name, b.String())
+		if err != nil {
+			t.Fatalf("%s: reassemble: %v", img.Name, err)
+		}
+		if string(re.Text) != string(img.Text) {
+			t.Fatalf("%s: reassembled text differs from the original", img.Name)
 		}
 	}
 }
 
 // TestPropertyRandomEncodableInstructions: any random valid instruction
-// disassembles to text that reassembles to the identical word (excluding
-// control transfers whose operands are labels).
+// disassembles to text that reassembles to the identical word.
 func TestPropertyRandomEncodableInstructions(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 50; i++ {
-			ins := randomNonBranch(rng)
+			ins := randomInstruction(rng)
 			w := isa.MustEncode(ins)
 			text := isa.Disassemble(ins, 0x400000)
-			img, err := Assemble("p.s", "main: "+text+"\n")
+			img, err := asm.Assemble("p.s", "main: "+text+"\n")
 			if err != nil {
 				t.Logf("%q: %v", text, err)
 				return false
@@ -98,30 +89,28 @@ func TestPropertyRandomEncodableInstructions(t *testing.T) {
 	}
 }
 
-// randomNonBranch generates a random instruction whose disassembly is
-// directly reassemblable (no label operands).
-func randomNonBranch(rng *rand.Rand) isa.Instruction {
-	for {
-		op := isa.Opcode(1 + rng.Intn(isa.NumOpcodes()))
-		if op.IsBranch() || op == isa.OpJAL || op == isa.OpJ {
-			continue
+// randomInstruction generates a random encodable instruction, its unused
+// fields zero as the assembler leaves them.
+func randomInstruction(rng *rand.Rand) isa.Instruction {
+	op := isa.Opcode(1 + rng.Intn(isa.NumOpcodes()))
+	ins := isa.Instruction{Op: op}
+	reg := func() uint8 { return uint8(rng.Intn(isa.NumRegs)) }
+	switch {
+	case op == isa.OpSYSCALL || op == isa.OpBREAK:
+		// operand fields are architecturally zero
+	case op.Format() == isa.FormatR:
+		ins.Rd, ins.Rs1, ins.Rs2 = reg(), reg(), reg()
+	case op.Format() == isa.FormatI:
+		ins.Rd = reg()
+		if op != isa.OpLUI { // LUI architecturally ignores rs1
+			ins.Rs1 = reg()
 		}
-		ins := isa.Instruction{Op: op}
-		if op == isa.OpSYSCALL || op == isa.OpBREAK {
-			return ins // operand fields are architecturally zero
-		}
-		switch op.Format() {
-		case isa.FormatR:
-			ins.Rd = uint8(rng.Intn(isa.NumRegs))
-			ins.Rs1 = uint8(rng.Intn(isa.NumRegs))
-			ins.Rs2 = uint8(rng.Intn(isa.NumRegs))
-		case isa.FormatI:
-			ins.Rd = uint8(rng.Intn(isa.NumRegs))
-			if op != isa.OpLUI { // LUI architecturally ignores rs1
-				ins.Rs1 = uint8(rng.Intn(isa.NumRegs))
-			}
-			ins.Imm = int32(rng.Intn(1<<16)) + isa.MinImm16
-		}
-		return ins
+		ins.Imm = int32(rng.Intn(1<<16)) + isa.MinImm16
+	case op.Format() == isa.FormatB:
+		ins.Rs1, ins.Rs2 = reg(), reg()
+		ins.Imm = (int32(rng.Intn(1<<16)) + isa.MinImm16) &^ 3
+	case op.Format() == isa.FormatJ:
+		ins.Imm = (int32(rng.Intn(1<<26)) + isa.MinImm26) * isa.WordSize
 	}
+	return ins
 }

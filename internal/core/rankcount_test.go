@@ -96,30 +96,51 @@ func TestTrailerRankCountMismatch(t *testing.T) {
 	}
 }
 
+// TestBadDictSizeRefused: an interval whose header names a dictionary the
+// replayer cannot build (not a power of two in [2, 65536]) fails replay
+// with fll.ErrBadFormat rather than panicking in dict.NewWithOptions.
+func TestBadDictSizeRefused(t *testing.T) {
+	logs := pinnedGzip(t)
+	img := workload.ByName("gzip").Image
+	for _, size := range []uint32{0, 1, 3, 96, 1 << 17} {
+		l := *logs[0]
+		l.DictSize = size
+		window := append([]*fll.Log{&l}, logs[1:]...)
+		r := core.NewReplayerLogs(img, window)
+		r.MaxPages = 256
+		if _, err := r.Run(); !errors.Is(err, fll.ErrBadFormat) {
+			t.Errorf("DictSize %d: replay returned %v; want fll.ErrBadFormat", size, err)
+		}
+	}
+}
+
 // FuzzReplayInterval feeds hostile bytes through replay: one interval of
 // the pinned gzip window, its trailer counters and entry bytes mutated and
 // re-marshalled (so the checksum holds), replayed alone under a page
 // budget. Replay must not panic, must succeed or fail with ErrDiverged or
 // fll.ErrBadFormat, and must execute no more instructions than the
-// interval's Length. Counters are XORed with the fuzz values, except that
-// an even unc moves UncompressedBits by int8(unc>>1) ranks, so trailers
-// that count a few ranks too many or too few come up; Length moves in its
-// low 16 bits only, which keeps one run short.
+// interval's Length. Counters and the header's DictSize are XORed with the
+// fuzz values, except that an even unc moves UncompressedBits by
+// int8(unc>>1) ranks, so trailers that count a few ranks too many or too
+// few come up; Length moves in its low 16 bits only, which keeps one run
+// short.
 func FuzzReplayInterval(f *testing.F) {
 	logs := pinnedGzip(f)
 	for i, l := range logs {
 		if l.UncompressedBits+l.NumEntries != l.EntryBits { // holds a rank
 			for _, delta := range []int8{0, 1, -1} {
-				f.Add(uint8(i), uint64(0), uint64(0), uint64(0), uint64(0), uint64(uint8(delta))<<1, uint32(0), []byte(nil))
+				f.Add(uint8(i), uint64(0), uint64(0), uint64(0), uint64(0), uint64(uint8(delta))<<1, uint32(0), uint32(0), []byte(nil))
 			}
 		}
 	}
-	f.Add(uint8(40), uint64(0), uint64(0), uint64(3), uint64(0), uint64(0), uint32(17), []byte{0x80})
-	f.Add(uint8(41), uint64(1), uint64(0), uint64(0), uint64(0), uint64(0), uint32(0), []byte(nil))
-	f.Add(uint8(42), uint64(0), uint64(5), uint64(0), uint64(100), uint64(1), uint32(3), []byte{0xff, 0xff})
+	f.Add(uint8(40), uint64(0), uint64(0), uint64(3), uint64(0), uint64(0), uint32(0), uint32(17), []byte{0x80})
+	f.Add(uint8(41), uint64(1), uint64(0), uint64(0), uint64(0), uint64(0), uint32(0), uint32(0), []byte(nil))
+	f.Add(uint8(42), uint64(0), uint64(5), uint64(0), uint64(100), uint64(1), uint32(0), uint32(3), []byte{0xff, 0xff})
+	f.Add(uint8(43), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint32(3), uint32(0), []byte(nil))
+	f.Add(uint8(44), uint64(0), uint64(0), uint64(0), uint64(0), uint64(0), uint32(64), uint32(0), []byte(nil))
 	img := workload.ByName("gzip").Image
 
-	f.Fuzz(func(t *testing.T, idx uint8, entryBits, numEntries, ops, length, unc uint64, at uint32, patch []byte) {
+	f.Fuzz(func(t *testing.T, idx uint8, entryBits, numEntries, ops, length, unc uint64, dictSize, at uint32, patch []byte) {
 		i := int(idx) % len(logs)
 		l := *logs[i]
 		l.Entries = append([]byte(nil), l.Entries...)
@@ -137,6 +158,7 @@ func FuzzReplayInterval(f *testing.F) {
 		} else {
 			l.UncompressedBits ^= unc >> 1
 		}
+		l.DictSize ^= dictSize
 		window := append([]*fll.Log(nil), logs...)
 		window[i] = &l
 		r := core.NewReplayerLogs(img, window).Intervals(i, i+1)

@@ -120,9 +120,12 @@ func New(size int) *Table {
 	return NewWithOptions(size, Options{})
 }
 
+// ValidSize reports whether New accepts size.
+func ValidSize(size int) bool { return size >= 2 && size <= 1<<16 && size&(size-1) == 0 }
+
 // NewWithOptions returns a table with explicit geometry options.
 func NewWithOptions(size int, opts Options) *Table {
-	if size < 2 || size > 1<<16 || size&(size-1) != 0 {
+	if !ValidSize(size) {
 		panic(fmt.Sprintf("dict: size %d must be a power of two in [2, 65536]", size))
 	}
 	if opts.CounterBits == 0 {

@@ -602,7 +602,7 @@ func parse(data []byte) (Meta, []byte, error) {
 		return m, nil, ErrBadFormat
 	}
 	entries := data[pos : pos+int(n) : pos+int(n)]
-	if m.EntryBits > n*8 || m.IntervalLimit > maxIntervalLimit {
+	if m.EntryBits > n*8 || m.IntervalLimit > maxIntervalLimit || !dict.ValidSize(int(m.DictSize)) {
 		return m, nil, ErrBadFormat
 	}
 	return m, entries, nil

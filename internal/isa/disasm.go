@@ -1,38 +1,74 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
+
+// Syntax returns the opcode's operands in assembler order, separated by
+// ", ". It is the one statement of the instruction syntax: Disassemble
+// prints by it and the assembler parses by it. Each operand names the
+// Instruction fields it carries:
+//
+//	rd, rs1, rs2  a register
+//	imm           a literal (JALR's may be left out)
+//	imm(rs1)      a base register plus offset
+//	(rs1)         a bare base register
+//	target        a branch or jump target, absolute
+func (op Opcode) Syntax() string {
+	switch {
+	case op == OpInvalid || op == OpSYSCALL || op == OpBREAK:
+		return ""
+	case op.IsLoad() || op.IsStore():
+		return "rd, imm(rs1)" // a store's value register sits in rd
+	case op.IsAMO():
+		return "rd, rs2, (rs1)"
+	case op == OpLUI:
+		return "rd, imm"
+	}
+	switch op.Format() {
+	case FormatI:
+		return "rd, rs1, imm"
+	case FormatB:
+		return "rs1, rs2, target"
+	case FormatJ:
+		return "target"
+	}
+	return "rd, rs1, rs2"
+}
 
 // Disassemble renders a decoded instruction in assembler syntax. pc is the
 // address of the instruction; it is used to print absolute branch and jump
 // targets alongside the relative offsets.
 func Disassemble(ins Instruction, pc uint32) string {
-	switch {
-	case ins.Op == OpInvalid:
-		return "invalid"
-	case ins.Op == OpSYSCALL || ins.Op == OpBREAK:
+	syntax := ins.Op.Syntax()
+	if syntax == "" {
 		return ins.Op.String()
-	case ins.Op.IsStore():
-		return fmt.Sprintf("%s %s, %d(%s)", ins.Op, RegName(ins.Rd), ins.Imm, RegName(ins.Rs1))
-	case ins.Op.IsLoad():
-		return fmt.Sprintf("%s %s, %d(%s)", ins.Op, RegName(ins.Rd), ins.Imm, RegName(ins.Rs1))
-	case ins.Op.IsAMO():
-		return fmt.Sprintf("%s %s, %s, (%s)", ins.Op, RegName(ins.Rd), RegName(ins.Rs2), RegName(ins.Rs1))
-	case ins.Op == OpLUI:
-		return fmt.Sprintf("%s %s, %d", ins.Op, RegName(ins.Rd), ins.Imm)
-	case ins.Op == OpJALR:
-		return fmt.Sprintf("%s %s, %s, %d", ins.Op, RegName(ins.Rd), RegName(ins.Rs1), ins.Imm)
 	}
-	switch ins.Op.Format() {
-	case FormatR:
-		return fmt.Sprintf("%s %s, %s, %s", ins.Op, RegName(ins.Rd), RegName(ins.Rs1), RegName(ins.Rs2))
-	case FormatI:
-		return fmt.Sprintf("%s %s, %s, %d", ins.Op, RegName(ins.Rd), RegName(ins.Rs1), ins.Imm)
-	case FormatB:
-		return fmt.Sprintf("%s %s, %s, 0x%x", ins.Op, RegName(ins.Rs1), RegName(ins.Rs2), branchTarget(pc, ins.Imm))
-	case FormatJ:
-		return fmt.Sprintf("%s 0x%x", ins.Op, branchTarget(pc, ins.Imm))
+	var b strings.Builder
+	b.WriteString(ins.Op.String())
+	sep := " "
+	for _, kind := range strings.Split(syntax, ", ") {
+		b.WriteString(sep)
+		sep = ", "
+		switch kind {
+		case "rd":
+			b.WriteString(RegName(ins.Rd))
+		case "rs1":
+			b.WriteString(RegName(ins.Rs1))
+		case "rs2":
+			b.WriteString(RegName(ins.Rs2))
+		case "imm":
+			fmt.Fprint(&b, ins.Imm)
+		case "imm(rs1)":
+			fmt.Fprintf(&b, "%d(%s)", ins.Imm, RegName(ins.Rs1))
+		case "(rs1)":
+			fmt.Fprintf(&b, "(%s)", RegName(ins.Rs1))
+		case "target":
+			fmt.Fprintf(&b, "0x%x", branchTarget(pc, ins.Imm))
+		}
 	}
-	return ins.Op.String()
+	return b.String()
 }
 
 // branchTarget computes the absolute target of a PC-relative control

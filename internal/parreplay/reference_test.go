@@ -424,18 +424,18 @@ func TestSingleUnitRunsOnCaller(t *testing.T) {
 		}
 	}
 
-	// A dictionary size the table refuses panics inside the replayer.
+	// A log loader that panics does so inside the replayer, which opens
+	// each interval as it reaches it.
 	l, err := win.logs[0][0].Open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := *l
-	bad.DictSize = 3
+	bad := fll.NewLazyRef(l.Meta, int64(len(l.Marshal())), func() ([]byte, error) { panic("fll loader fault") })
 	for _, workers := range []int{1, 4} {
-		units := []unit{oneUnit(win.img, core.WrapFLLs([]*fll.Log{&bad})[0]), win.units[1]}
+		units := []unit{oneUnit(win.img, bad), win.units[1]}
 		want := referenceReplayUnit(win.img, units[0], Options{})
 		if !want.panicked {
-			t.Fatal("a dictionary of 3 entries did not panic the reference")
+			t.Fatal("a panicking log loader did not panic the reference")
 		}
 		got := func() (v any) {
 			defer func() { v = recover() }()

@@ -1,6 +1,7 @@
 package triage
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"bugnet/internal/fll"
 	"bugnet/internal/kernel"
 	"bugnet/internal/report"
+	"bugnet/internal/timetravel"
 )
 
 const crashSource = `
@@ -322,6 +324,45 @@ func TestReplayWindowBudgetOverflowBypass(t *testing.T) {
 	if m.Verdict == nil || m.Verdict.State != VerdictFailed ||
 		!strings.Contains(m.Verdict.Error, "budget") {
 		t.Fatalf("verdict = %+v, want budget failure", m.Verdict)
+	}
+}
+
+// TestDebugOpenRefusesBadDictSize: a stored report whose FLL header names
+// a dictionary replay cannot build (stored before archives were checked
+// for it) fails a debug session's Open with an error instead of a panic.
+func TestDebugOpenRefusesBadDictSize(t *testing.T) {
+	img, rep, blob := recordBlob(t)
+	reg := NewImageRegistry()
+	reg.Register(img)
+	s := newService(t, reg)
+	res, err := s.Ingest(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WaitIdle()
+	tail := len(rep.FLLs[0]) - 1
+	l, err := rep.FLLs[0][tail].Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.DictSize = 3
+	rep.FLLs[0][tail] = core.WrapFLLs([]*fll.Log{l})[0]
+	bad, err := report.Pack(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, ok := s.store.Pin(res.ID)
+	if !ok {
+		t.Fatal("report not stored")
+	}
+	s.store.Unpin(res.ID)
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m := timetravel.NewManager(s, timetravel.ManagerConfig{})
+	defer m.Close()
+	if _, err := m.Open(res.ID, -1); !errors.Is(err, report.ErrBadArchive) {
+		t.Fatalf("Open = %v; want report.ErrBadArchive", err)
 	}
 }
 
