@@ -315,6 +315,8 @@ func TestErrors(t *testing.T) {
 		{"subi a0, a1", "subi wants rd, rs1, -imm"},
 		{"add a0, a1, a2, a3", "add wants rd, rs1, rs2"},
 		{"syscall a0", "syscall wants no operands"},
+		{"amoswap t0, t1, t2", `bad address operand "t2"; want (rs1)`},
+		{"amoadd t0, t1, (t2", `bad address operand "(t2"; want (rs1)`},
 	}
 	for _, c := range cases {
 		_, err := Assemble("e.s", c.src)

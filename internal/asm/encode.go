@@ -106,10 +106,8 @@ func (a *assembler) operands(it *item, ins isa.Instruction, syntax string) (isa.
 			ins.Rs1, err = a.reg(arg, it.line)
 		case "rs2":
 			ins.Rs2, err = a.reg(arg, it.line)
-		case "(rs1)":
-			ins.Rs1, err = a.reg(strings.TrimSuffix(strings.TrimPrefix(arg, "("), ")"), it.line)
-		case "imm(rs1)":
-			ins.Imm, ins.Rs1, err = a.memOperand(arg, it.line)
+		case "(rs1)", "imm(rs1)":
+			ins.Imm, ins.Rs1, err = a.memOperand(arg, kind, it.line)
 		case "imm", "-imm":
 			v, err = a.number(arg, it.line)
 			ins.Imm = int32(v)
@@ -139,11 +137,13 @@ func (a *assembler) reg(arg string, line int) (uint8, error) {
 	return r, nil
 }
 
-// memOperand parses "offset(base)" or "(base)" or "symbol(base)".
-func (a *assembler) memOperand(s string, line int) (int32, uint8, error) {
+// memOperand parses an operand of kind "imm(rs1)", which is
+// "offset(base)", "(base)" or "symbol(base)", or of kind "(rs1)", which is
+// "(base)" alone.
+func (a *assembler) memOperand(s, kind string, line int) (int32, uint8, error) {
 	open := strings.IndexByte(s, '(')
-	if open < 0 || !strings.HasSuffix(s, ")") {
-		return 0, 0, a.errf(line, "bad memory operand %q; want offset(base)", s)
+	if open < 0 || !strings.HasSuffix(s, ")") || open > 0 && kind == "(rs1)" {
+		return 0, 0, a.errf(line, "bad address operand %q; want %s", s, kind)
 	}
 	base, ok := isa.RegByName(s[open+1 : len(s)-1])
 	if !ok {

@@ -15,6 +15,8 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("lui a0")
 	f.Add("subi a0, a1")
 	f.Add("add a0, a1, a2, a3")
+	f.Add("amoswap t0, t1, t2")
+	f.Add("amoadd t0, t1, (t2")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		img, err := Assemble("fuzz.s", src)

@@ -42,8 +42,8 @@ buf:    .space 64
         lb   a3, 13(t0)
         lbu  a4, 13(t0)
         li   t2, 7
-        amoswap a5, t0, t2
-        amoadd  a6, t0, t2
+        amoswap a5, t0, (t2)
+        amoadd  a6, t0, (t2)
         syscall
 `,
 	"call-ret": `

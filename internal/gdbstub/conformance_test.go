@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bugnet/internal/asm"
+	"bugnet/internal/obs"
 	"bugnet/internal/timetravel"
 )
 
@@ -339,5 +340,65 @@ func TestRSPConcurrentConnections(t *testing.T) {
 	}
 	if n := mgr.Count(); n != 0 {
 		t.Fatalf("sessions after detach = %d", n)
+	}
+}
+
+// TestDebugTrafficCounters reads the tail-traffic counters after one
+// scripted gdb session and one JSON-API session over the same report. The
+// gdb session sets a breakpoint before its first motion, so its engine
+// replays the whole window; it then runs to the crash and reads the word at
+// the PC, as gdb does on a stop, which fills nothing. The JSON session
+// opens on the tail, reverse-steps K + 1 instructions, past the one grid
+// checkpoint the open laid, and seeks to the window start, which replays
+// older history once.
+func TestDebugTrafficCounters(t *testing.T) {
+	addr, _, jsonURL, img := startServer(t, 8, "r1")
+	series := []string{
+		`bugnet_debug_opens_total{mode="tail"}`,
+		`bugnet_debug_opens_total{mode="eager"}`,
+		`bugnet_debug_fills_total{trigger="seek"}`,
+		`bugnet_debug_fills_total{trigger="mem"}`,
+		`bugnet_debug_fills_total{trigger="watch"}`,
+		`bugnet_debug_fills_total{trigger="rcont"}`,
+		`bugnet_debug_fills_total{trigger="step"}`,
+		`bugnet_debug_tail_grids_total`,
+		`bugnet_debug_fill_seconds_count`,
+	}
+	before := obs.Default.Snapshot()
+
+	cl, err := Dial(addr, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, p := range []string{fmt.Sprintf("Z0,%x,4", img.MustSymbol("store")), "c", fmt.Sprintf("z0,%x,4", img.MustSymbol("store")), "c"} {
+		if rep, err := cl.Exchange(p); err != nil || rep == "" || rep[0] == 'E' {
+			t.Fatalf("%s = %q, %v", p, rep, err)
+		}
+	}
+	_, pc, err := cl.ReadRegisters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := cl.Exchange(fmt.Sprintf("m%x,4", pc)); err != nil || len(rep) != 8 {
+		t.Fatalf("m at the PC = %q, %v", rep, err)
+	}
+	if rep, err := cl.Exchange("D"); err != nil || rep != "OK" {
+		t.Fatalf("D = %q, %v", rep, err)
+	}
+
+	js := openJSONSession(t, jsonURL, "r1")
+	if out := js.do(timetravel.Command{Cmd: "cont"}); out.Stop != "end-of-window" {
+		t.Fatalf("JSON cont = %q", out.Stop)
+	}
+	js.do(timetravel.Command{Cmd: "rstep", N: 9})
+	js.do(timetravel.Command{Cmd: "seek", Pos: 0})
+
+	after := obs.Default.Snapshot()
+	want := []float64{1, 1, 1, 0, 0, 0, 0, 1, 1}
+	for i, s := range series {
+		if got := after[s] - before[s]; got != want[i] {
+			t.Errorf("%s rose by %v; want %v", s, got, want[i])
+		}
 	}
 }

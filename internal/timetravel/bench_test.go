@@ -92,13 +92,19 @@ var openWindows = []struct {
 // end under the default configuration, checkpoints included: whole_window
 // replays every interval and lays the grid over all of them, as every open
 // did before the engine opened on the tail; tail is the open a developer
-// gets, the last interval and its grid; then_seek_start adds the SeekTo(0)
-// that fills in the older history, the cost the tail defers.
+// gets, the last interval with its anchor and the last grid checkpoint
+// before the crash; then_seek_start adds the SeekTo(0) that fills in the
+// older history, the cost the tail defers; then_reverse_step adds a
+// ReverseStep(1), which re-executes from that grid checkpoint; and
+// then_reverse_far a ReverseStep(K+1), which goes below it and re-executes
+// the tail from its anchor, laying the grid the open did not, the cost
+// the open defers. reexec-instrs/op counts what the motion after the
+// Continue re-executed.
 func BenchmarkOpenToCrash(b *testing.B) {
 	for _, w := range openWindows {
 		b.Run(w.name, func(b *testing.B) {
 			rep, img := specWindow(b, w.prog, w.steps, w.interval)
-			for _, mode := range []string{"whole_window", "tail", "then_seek_start"} {
+			for _, mode := range []string{"whole_window", "tail", "then_seek_start", "then_reverse_step", "then_reverse_far"} {
 				b.Run(mode, func(b *testing.B) {
 					open := NewEngineForThread
 					if mode == "whole_window" {
@@ -108,6 +114,7 @@ func BenchmarkOpenToCrash(b *testing.B) {
 					b.ResetTimer()
 					var count int
 					var bytes int64
+					var reexecuted uint64
 					for i := 0; i < b.N; i++ {
 						eng, _, err := open(img, rep, -1, Config{})
 						if err != nil {
@@ -116,15 +123,24 @@ func BenchmarkOpenToCrash(b *testing.B) {
 						if _, err := eng.Continue(); err != nil {
 							b.Fatal(err)
 						}
-						if mode == "then_seek_start" {
-							if err := eng.SeekTo(0); err != nil {
-								b.Fatal(err)
-							}
+						before := eng.reexecuted
+						switch mode {
+						case "then_seek_start":
+							err = eng.SeekTo(0)
+						case "then_reverse_step":
+							_, err = eng.ReverseStep(1)
+						case "then_reverse_far":
+							_, err = eng.ReverseStep(eng.cfg.CheckpointEvery + 1)
 						}
+						if err != nil {
+							b.Fatal(err)
+						}
+						reexecuted += eng.reexecuted - before
 						count, bytes = eng.Checkpoints()
 					}
 					b.ReportMetric(float64(count), "ckpts")
 					b.ReportMetric(float64(bytes)/(1<<20), "ckpt-MB")
+					b.ReportMetric(float64(reexecuted)/float64(b.N), "reexec-instrs/op")
 				})
 			}
 		})

@@ -207,7 +207,7 @@ func (e *Engine) exec(c Command) Outcome {
 		if err != nil {
 			return fail(err)
 		}
-		if err := e.derive(addr); err != nil {
+		if err := e.derive(addr, mFillWatch); err != nil {
 			return fail(err)
 		}
 		e.AddWatch(addr)
@@ -237,7 +237,7 @@ func (e *Engine) exec(c Command) Outcome {
 		addr &^= 3
 		for i := uint64(0); i < count; i++ {
 			a := addr + uint32(i)*4
-			if err := e.derive(a); err != nil {
+			if err := e.derive(a, mFillMem); err != nil {
 				return fail(err)
 			}
 			v, known := e.ReadWord(a)

@@ -31,16 +31,21 @@
 // An engine opens on the window's tail. Every FLL interval replays alone
 // from its header's registers and empty memory (BugNet §4), so the first
 // motion of a fresh engine — typically Continue to the crash — replays only
-// the last interval (or the last few, enough for a full backtrace) and lays
-// the checkpoint grid over those alone, provided no breakpoint or watch is
-// set. Registers, PC, backtrace, fault and every word the tail touched are
-// then exactly what a replay of the whole window gives. The first command
-// that needs older history — a target before the tail's start plus
-// TraceDepth, a ReadWord or AddWatch of a word the tail has not touched
-// (program text included), a ReverseContinue with stops set — fills it in:
-// one forward pass from the window start to the current position lays the
-// grid over the whole window, and the engine is from then on the one it
-// would have been had it replayed the whole window from the start.
+// the last interval (or the last few, enough for a full backtrace),
+// provided no breakpoint or watch is set. Besides the anchor at the tail's
+// start, which the header gives for free, it lays only the last grid
+// checkpoint before its target, so a reverse step from there re-executes
+// less than K. The grid between the two waits for the backward motions
+// into that stretch: each re-executes from the latest checkpoint before
+// its target, at first the anchor, and lays the grid on its way.
+// Registers, PC, backtrace, fault and every word the tail touched are then
+// exactly what a replay of the whole window gives. The first command that
+// needs older history — a target before the tail's start plus TraceDepth,
+// a ReadWord or AddWatch of a word the tail has not touched (program text
+// included), a ReverseContinue with stops set — fills it in: one forward
+// pass from the window start to the current position lays the grid over
+// the whole window, and the engine is from then on the one it would have
+// been had it replayed the whole window from the start.
 package timetravel
 
 import (
@@ -51,12 +56,14 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bugnet/internal/asm"
 	"bugnet/internal/core"
 	"bugnet/internal/cpu"
 	"bugnet/internal/fll"
 	"bugnet/internal/mem"
+	"bugnet/internal/obs"
 )
 
 // Config parameterizes an Engine.
@@ -170,9 +177,14 @@ type Engine struct {
 	logs []*fll.Ref
 	m    *core.ReplayMachine
 
-	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the pos-0 anchor
+	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the anchor at tailStart
 	ckptBytes  int64
 	nextCkptAt uint64 // the next multiple of CheckpointEvery
+	// bare is the grid checkpoint an open on the tail laid before its
+	// target, with no grid between it and the anchor (see reach); 0 when
+	// the open skipped no grid position, or once a backward motion has
+	// gone below it.
+	bare uint64
 	// near is the checkpoint the last planting seek left δ short of its
 	// target (see SeekTo), nil once dropped. It is one of ckpts, off the
 	// grid as a rule, and at most one lives at a time.
@@ -269,7 +281,7 @@ func (e *Engine) start(first int, pos uint64) {
 			e.m.SetWatch(a, true)
 		}
 	}
-	e.ckpts, e.ckptBytes, e.near, e.carry = nil, 0, nil, nil
+	e.ckpts, e.ckptBytes, e.near, e.carry, e.bare = nil, 0, nil, nil, 0
 	e.ckpts = append(e.ckpts, e.snapshot())
 	e.tailStart = pos
 	k := e.cfg.CheckpointEvery
@@ -308,17 +320,27 @@ func (e *Engine) tail() (first int, pos uint64) {
 // target lies at least TraceDepth instructions into the tail; any other
 // first motion commits the engine to the whole window. An engine on the
 // tail fills in older history when the target lies before that point or a
-// watched word is one the tail has not touched.
-func (e *Engine) reach(target uint64) error {
+// watched word is one the tail has not touched; why counts that fill.
+func (e *Engine) reach(target uint64, why *obs.Counter) error {
 	if e.fresh && len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
 		if first, pos := e.tail(); first > 0 && target >= pos+TraceDepth {
 			e.fresh = false
+			mOpenTail.Inc()
 			e.start(first, pos)
+			// Of the grid over the tail, the open lays only the last
+			// checkpoint before its target, where a reverse step from the
+			// target restores. The grid below it is laid by the backward
+			// motions into that stretch: restore re-aligns nextCkptAt to
+			// the grid.
+			k := e.cfg.CheckpointEvery
+			if last := (target - 1) / k * k; last > e.nextCkptAt {
+				e.nextCkptAt, e.bare = last, last
+			}
 			return nil
 		}
 	}
 	if e.fresh || e.tailStart > 0 && (target < e.tailStart+TraceDepth || !e.watchesKnown()) {
-		return e.fill()
+		return e.fill(why)
 	}
 	return nil
 }
@@ -339,15 +361,21 @@ func (e *Engine) watchesKnown() bool {
 // anchor to the current position, laying the checkpoint grid, in place of
 // the tail and its checkpoints, which the pass no longer keeps alive. If the
 // pass fails, the engine replays the tail again to where it stood, and
-// returns the error, now and from every later fill.
-func (e *Engine) fill() error {
-	e.fresh = false
+// returns the error, now and from every later fill. why counts the pass,
+// by the kind of command that needed it.
+func (e *Engine) fill(why *obs.Counter) error {
+	if e.fresh {
+		e.fresh = false
+		mOpenEager.Inc()
+	}
 	if e.tailStart == 0 {
 		return nil
 	}
 	if e.fillErr != nil {
 		return e.fillErr
 	}
+	why.Inc()
+	defer mFillSeconds.Since(time.Now())
 	pos := e.m.Pos()
 	first, tailPos := e.tail()
 	e.start(0, 0)
@@ -391,18 +419,23 @@ func (e *Engine) Fault() *fll.FaultRecord { return e.m.Fault() }
 // history first; if that fails the word reads as unknown, and the session
 // command that read it (mem, watch) returns the error.
 func (e *Engine) ReadWord(addr uint32) (value uint32, known bool) {
-	if e.derive(addr) != nil {
+	return e.read(addr, mFillMem)
+}
+
+// read is ReadWord, counting a fill it needs in why.
+func (e *Engine) read(addr uint32, why *obs.Counter) (value uint32, known bool) {
+	if e.derive(addr, why) != nil {
 		return 0, false
 	}
 	return e.m.ReadWord(addr)
 }
 
 // derive readies addr's word for reading: on the tail, a word the tail has
-// not touched needs older history, which it fills in. It returns the fill's
-// error.
-func (e *Engine) derive(addr uint32) error {
+// not touched needs older history, which it fills in, counted in why. It
+// returns the fill's error.
+func (e *Engine) derive(addr uint32, why *obs.Counter) error {
 	if e.tailStart > 0 && !e.m.Known(addr&^3) {
-		return e.fill()
+		return e.fill(why)
 	}
 	return nil
 }
@@ -449,7 +482,7 @@ func (e *Engine) AddWatch(addr uint32) {
 	if _, ok := e.watchVals[w]; ok {
 		return
 	}
-	v, known := e.ReadWord(w)
+	v, known := e.read(w, mFillWatch)
 	e.watchVals[w] = watchVal{known: known, val: v}
 	for _, m := range e.machines() {
 		m.SetWatch(w, true)
@@ -690,7 +723,7 @@ func (e *Engine) Step(n uint64) (StopReason, error) {
 	if left := target - e.m.Pos(); n < left {
 		target = e.m.Pos() + n
 	}
-	if err := e.reach(target); err != nil {
+	if err := e.reach(target, mFillStep); err != nil {
 		return StopEnd, err
 	}
 	why, err := e.forwardTo(target, true)
@@ -743,8 +776,12 @@ func (e *Engine) seek(target uint64, plant bool) error {
 	if target > e.m.Window() {
 		target = e.m.Window()
 	}
-	if err := e.reach(target); err != nil {
+	if err := e.reach(target, mFillSeek); err != nil {
 		return err
+	}
+	if target < e.bare {
+		mTailGrids.Inc()
+		e.bare = 0
 	}
 	if c := e.ckpts[e.ckptIndexAtOrBefore(target)]; target < e.m.Pos() || c.pos > e.m.Pos() {
 		e.restore(c)
@@ -810,12 +847,13 @@ func (e *Engine) ReverseContinue() (StopReason, error) {
 	if len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
 		// Nothing can stop a reverse scan; land on the window start
 		// without re-executing every gap.
-		if err := e.SeekTo(0); err != nil {
-			return StopStart, err
+		err := e.fill(mFillRcont)
+		if err == nil {
+			err = e.SeekTo(0)
 		}
-		return StopStart, nil
+		return StopStart, err
 	}
-	if err := e.fill(); err != nil {
+	if err := e.fill(mFillRcont); err != nil {
 		return StopStep, err
 	}
 	return e.reverseScan(max(1, runtime.GOMAXPROCS(0)))

@@ -64,7 +64,7 @@ func openFilled(img *asm.Image, rep *core.CrashReport, tid int, cfg Config) (*En
 	if err != nil {
 		return nil, tid, err
 	}
-	return e, tid, e.fill()
+	return e, tid, e.fill(nil) // a fresh engine fills nothing: no trigger to count
 }
 
 func newTestEngine(t testing.TB, ckptEvery uint64) (*Engine, *asm.Image) {

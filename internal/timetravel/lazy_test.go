@@ -560,3 +560,106 @@ func TestLazyOlderDivergenceSurfaces(t *testing.T) {
 		})
 	}
 }
+
+// TestTailGridLaidByBackwardMotion: of the grid over the tail, an engine's
+// open lays only the last checkpoint before its first motion's target, so
+// a reverse step from there re-executes less than K. The first backward
+// motion below that checkpoint restores the anchor, re-executes from the
+// tail's start and lays the grid up to its target; a motion after it into
+// the stretch it crossed re-executes less than K. Throughout, the engine
+// stops where the eager engine stops, with the same registers, backtrace
+// and known words. The open is either the Continue to the crash or a
+// SeekTo into the middle of the tail, which also plants the near
+// checkpoint.
+func TestTailGridLaidByBackwardMotion(t *testing.T) {
+	rep, img := specWindow(t, "mcf", 120_000, 40_000)
+	for _, open := range []string{"continue", "seek"} {
+		t.Run(open, func(t *testing.T) {
+			p := newLazyPair(t, lazyInput{img: img, rep: rep, cfg: Config{}}, true)
+			l := p.lazy
+			k, d := l.cfg.CheckpointEvery, l.nearDistance()
+			_, tailStart := l.tail()
+			to := l.Window()
+			if open == "seek" {
+				to = tailStart + (l.Window()-tailStart)/2
+			}
+			last := (to - 1) / k * k
+			if last <= (tailStart/k+1)*k {
+				t.Fatalf("tail [%d, %d) too short to leave part of its grid to a backward motion", tailStart, to)
+			}
+			// grid is the K grid over [from, to].
+			grid := func(from, to uint64) []uint64 {
+				var g []uint64
+				for pos := (from + k - 1) / k * k; pos <= to; pos += k {
+					g = append(g, pos)
+				}
+				return g
+			}
+			have := func(when string, want ...[]uint64) {
+				t.Helper()
+				w := slices.Sorted(slices.Values(slices.Concat(append(want, []uint64{tailStart})...)))
+				var got []uint64
+				for _, c := range l.ckpts {
+					got = append(got, c.pos)
+				}
+				if !slices.Equal(got, slices.Compact(w)) {
+					t.Fatalf("%s: checkpoints at %v; want the anchor and %v", when, got, want)
+				}
+			}
+			grids := mTailGrids.Value()
+			// motion runs one command on both engines and checks what the
+			// lazy one re-executed and counted.
+			motion := func(what string, run func(e *Engine) (StopReason, error), reexec, tailGrids uint64) {
+				t.Helper()
+				before := l.reexecuted
+				p.do(what, run)
+				if l.tailStart != tailStart {
+					t.Fatalf("%s: the engine's history starts at %d; want the tail's %d", what, l.tailStart, tailStart)
+				}
+				if got := l.reexecuted - before; got != reexec {
+					t.Fatalf("%s: re-executed %d instructions; want %d", what, got, reexec)
+				}
+				if got := mTailGrids.Value() - grids; got != tailGrids {
+					t.Fatalf("%s: bugnet_debug_tail_grids_total rose by %v; want %v", what, got, tailGrids)
+				}
+			}
+			seek := func(pos uint64) func(e *Engine) (StopReason, error) {
+				return func(e *Engine) (StopReason, error) { return StopStep, e.SeekTo(pos) }
+			}
+			rstep := func(n uint64) func(e *Engine) (StopReason, error) {
+				return func(e *Engine) (StopReason, error) { return e.ReverseStep(n) }
+			}
+
+			// The open lays the grid checkpoint before its target, and a
+			// reverse step from the target restores it, or the near
+			// checkpoint a seek planted.
+			if open == "continue" {
+				motion("continue", (*Engine).Continue, to-tailStart, 0)
+				have("after the open", grid(last, to))
+				motion("rstep 1", rstep(1), to-1-last, 0)
+			} else {
+				motion(fmt.Sprintf("seek %d", to), seek(to), to-tailStart, 0)
+				have("after the open", grid(last, to), []uint64{to - d})
+				motion("rstep 1", rstep(1), to-1-max(last, to-d), 0)
+			}
+
+			// The first motion below it re-executes from the anchor and
+			// lays the grid on its way, planting the near checkpoint.
+			below := tailStart + (last-tailStart)/2
+			motion(fmt.Sprintf("rstep to %d", below), rstep(l.Pos()-below), below-tailStart, 1)
+			have("after the first motion below the open's checkpoint", grid(tailStart+1, below), []uint64{below - d}, grid(last, to))
+
+			// A seek into the stretch that motion crossed re-executes from
+			// the grid.
+			back := below - k/4
+			motion(fmt.Sprintf("seek %d", back), seek(back), back-max(tailStart, back/k*k), 1)
+			for i := 0; i < 20; i++ {
+				p.do(fmt.Sprintf("rstep 1 (%d)", i), rstep(1))
+			}
+			if l.tailStart != tailStart || mTailGrids.Value()-grids != 1 {
+				t.Fatalf("the engine left the tail (start %d) or counted again (%v)", l.tailStart, mTailGrids.Value()-grids)
+			}
+			p.same("end", true)
+		})
+	}
+}

@@ -47,6 +47,27 @@ var (
 		"where":     cmdSeconds.With("where"),
 	}
 	otherVerbHist = cmdSeconds.With("other")
+
+	// Tail traffic (see the package doc), counted per motion, never per
+	// instruction: how each engine's first motion opened it, what made an
+	// engine on the tail replay its older history and how long that took,
+	// and the engines on the tail that stepped back past the one grid
+	// checkpoint their open laid.
+	opens = obs.Default.CounterVec("bugnet_debug_opens_total",
+		"Debug engines by how their first motion replayed: the window's tail alone, or the whole window.", "mode")
+	mOpenTail  = opens.With("tail")
+	mOpenEager = opens.With("eager")
+	fills      = obs.Default.CounterVec("bugnet_debug_fills_total",
+		"Replays of older history by engines opened on the tail, by the command that needed it.", "trigger")
+	mFillSeek  = fills.With("seek")
+	mFillMem   = fills.With("mem")
+	mFillWatch = fills.With("watch")
+	mFillRcont = fills.With("rcont")
+	mFillStep  = fills.With("step")
+	mTailGrids = obs.Default.Counter("bugnet_debug_tail_grids_total",
+		"Engines opened on the tail that moved back past the grid checkpoint the open laid before its target, into the stretch it laid none over; counted at the first such motion.")
+	mFillSeconds = obs.Default.Histogram("bugnet_debug_fill_seconds",
+		"Time to replay older history for an engine opened on the tail.")
 )
 
 func observeCommand(verb string, start time.Time) {
