@@ -119,7 +119,10 @@ func TestBadDictSizeRefused(t *testing.T) {
 // re-marshalled (so the checksum holds), replayed alone under a page
 // budget. Replay must not panic, must succeed or fail with ErrDiverged or
 // fll.ErrBadFormat, and must execute no more instructions than the
-// interval's Length. Counters and the header's DictSize are XORed with the
+// interval's Length. A machine that tracks the known set, and so hooks
+// every loggable operation where the other counts L-Counts down, must end
+// the same way: the same error text, or the same instructions, final state
+// and injected values. Counters and the header's DictSize are XORed with the
 // fuzz values, except that an even unc moves UncompressedBits by
 // int8(unc>>1) ranks, so trailers that count a few ranks too many or too
 // few come up; Length moves in its low 16 bits only, which keeps one run
@@ -161,14 +164,28 @@ func FuzzReplayInterval(f *testing.F) {
 		l.DictSize ^= dictSize
 		window := append([]*fll.Log(nil), logs...)
 		window[i] = &l
-		r := core.NewReplayerLogs(img, window).Intervals(i, i+1)
-		r.MaxPages = 256
-		n, err := stepAll(r)
+		machine := func(known bool) *core.ReplayMachine {
+			r := core.NewReplayerLogs(img, window).Intervals(i, i+1)
+			r.MaxPages = 256
+			return r.Machine(core.MachineOptions{TrackKnown: known})
+		}
+		m := machine(false)
+		n, err := m.StepN(math.MaxUint64)
 		if err != nil && !errors.Is(err, core.ErrDiverged) && !errors.Is(err, fll.ErrBadFormat) {
 			t.Fatalf("replay failed with %v; want ErrDiverged or fll.ErrBadFormat", err)
 		}
 		if n > l.Length {
 			t.Fatalf("replay executed %d instructions of a %d-instruction interval", n, l.Length)
+		}
+		hm := machine(true)
+		hn, herr := hm.StepN(math.MaxUint64)
+		if (err == nil) != (herr == nil) || err != nil && err.Error() != herr.Error() {
+			t.Fatalf("replay ended with %v; hooking every operation, with %v", err, herr)
+		}
+		got, want := m.Result(), hm.Result()
+		if err == nil && (n != hn || got.Final != want.Final || got.Injected != want.Injected) {
+			t.Fatalf("replay ran %d instructions to pc %#x, %d injected; hooking every operation, %d to %#x, %d",
+				n, got.Final.PC, got.Injected, hn, want.Final.PC, want.Injected)
 		}
 	})
 }

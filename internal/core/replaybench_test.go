@@ -10,10 +10,23 @@ import (
 	"bugnet/internal/workload"
 )
 
-// dictFeeds counts, over logs, the loggable operations and those that
-// update the dictionary in replay: every operation before the interval's
-// last rank entry is injected, none from there on.
-func dictFeeds(tb testing.TB, logs []*fll.Ref) (ops, fed uint64) {
+// opCounts are counts over a replay's loggable operations, derived from
+// its logs alone.
+type opCounts struct {
+	ops    uint64 // loggable operations
+	fed    uint64 // that update the dictionary
+	hooked uint64 // that reach the replay hook on a machine that counts L-Counts down
+	reads  uint64 // whose hook reads replay memory
+}
+
+// countOps counts, over logs, what replay does with each loggable
+// operation. Every operation before the interval's last rank entry is
+// injected updates the dictionary, none from there on. Up to and including
+// that rank's operation each one reaches the hook, and the ones no entry
+// logged read memory to feed the table; after it the core counts each
+// L-Count down, and only the operations the entries log reach the hook.
+// An interval without ranks hooks only its entries' operations.
+func countOps(tb testing.TB, logs []*fll.Ref) (c opCounts) {
 	for _, ref := range logs {
 		l, err := ref.Open()
 		if err != nil {
@@ -25,28 +38,37 @@ func dictFeeds(tb testing.TB, logs []*fll.Ref) (ops, fed uint64) {
 		}
 		// pos is the operation entry e is injected at; the last rank's
 		// operation is the first that no longer updates the table.
-		pos, last := uint64(0), uint64(0)
-		for _, e := range entries {
+		pos, last, lastIdx := uint64(0), uint64(0), -1
+		for i, e := range entries {
 			pos += e.Skip
 			if e.FromDict {
-				last = pos
+				last, lastIdx = pos, i
 			}
 			pos++
 		}
-		ops += l.Ops
-		fed += last
+		c.ops += l.Ops
+		c.fed += last
+		c.hooked += uint64(len(entries))
+		if lastIdx >= 0 {
+			// Up to the last rank every operation is hooked, not only the
+			// lastIdx+1 entries' ones.
+			c.hooked += last - uint64(lastIdx)
+			c.reads += last - uint64(lastIdx)
+		}
 	}
-	return ops, fed
+	return c
 }
 
 // BenchmarkReplayWindow times sequential replay of the window the
 // benchmark's workloads retain: 8 M instructions recorded past each
 // analogue's warm-up into a log budget that keeps the last 1–2 M — mcf as
 // replay_debug records it, crafty as record_sparse, gzip at 10 K-instruction
-// intervals as fleet_triage. Beside ns/instr it reports the share of
-// loggable operations that update the dictionary: paper-fed/op under the
-// paper's every-load rule, fed/op under the reader's stop after an
-// interval's last rank, both counted from the logs.
+// intervals as fleet_triage. Beside ns/instr it reports shares of the
+// loggable operations, all counted from the logs (see countOps): those
+// that update the dictionary, paper-fed/op under the paper's every-load
+// rule and fed/op under the reader's stop after an interval's last rank;
+// hooked/op, those that reach the replay hook; and reads/op, those whose
+// hook reads replay memory.
 func BenchmarkReplayWindow(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -75,7 +97,7 @@ func BenchmarkReplayWindow(b *testing.B) {
 				b.Fatal(err)
 			}
 			logs := rep.FLLs[0]
-			ops, fed := dictFeeds(b, logs)
+			c := countOps(b, logs)
 			var instr uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -87,7 +109,9 @@ func BenchmarkReplayWindow(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instr), "ns/instr")
 			b.ReportMetric(1, "paper-fed/op")
-			b.ReportMetric(float64(fed)/float64(ops), "fed/op")
+			b.ReportMetric(float64(c.fed)/float64(c.ops), "fed/op")
+			b.ReportMetric(float64(c.hooked)/float64(c.ops), "hooked/op")
+			b.ReportMetric(float64(c.reads)/float64(c.ops), "reads/op")
 		})
 	}
 }

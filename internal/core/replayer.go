@@ -196,6 +196,11 @@ type state struct {
 	// known is the §7.1 known-memory set, nil unless a ReplayMachine tracks
 	// it; the hooks insert into it directly.
 	known *mem.KnownSet
+	// counts is set when the core counts the operations an L-Count passes
+	// (see fll.Reader.Pass): nothing but a due entry needs the loggable hook
+	// when no known set, OnAccess hook or code-load log looks at every
+	// operation.
+	counts bool
 	// watches are the words, ascending, whose touch ends a StepN call
 	// (see ReplayMachine.SetWatch); stops is what ended the current one.
 	watches []uint32
@@ -229,7 +234,8 @@ func (r *Replayer) newState(known *mem.KnownSet, s *Scratch) *state {
 		// mapped above is a property of the binary, not the logs.
 		m.MapLimit = r.MaxPages + m.MappedPages()
 	}
-	st := &state{r: r, mem: m, c: c, logs: r.logs[:r.end], idx: r.first, d: s.d, known: known}
+	st := &state{r: r, mem: m, c: c, logs: r.logs[:r.end], idx: r.first, d: s.d, known: known,
+		counts: known == nil && r.OnAccess == nil && !r.LogCodeLoads}
 	if r.TraceDepth > 0 {
 		st.trace = newTraceRing(r.TraceDepth)
 	}
@@ -286,6 +292,9 @@ func (st *state) next() bool {
 		st.d = dict.NewWithOptions(int(st.cur.DictSize), st.r.DictOptions)
 	}
 	st.reader = fll.NewReader(st.cur, st.d)
+	if st.counts {
+		st.c.PassLoggable(st.reader.Pass())
+	}
 	st.c.Restore(st.cur.State)
 	st.c.Halted = false
 	st.c.Fault = nil
@@ -389,34 +398,40 @@ func (st *state) onWordStore(wordAddr uint32) {
 }
 
 // onLoggable injects logged first-load values before each loggable
-// operation. It stores only a value that differs from the word replay
-// memory already holds: contents are the same either way, and a load that
-// merely confirms memory leaves its page shared with the checkpoints
-// instead of copy-on-write faulting it.
+// operation the core does not pass (see state.counts). A due operation's
+// value goes in with one page walk that stores only a value that differs
+// from the word replay memory already holds: contents are the same either
+// way, and a load that merely confirms memory leaves its page shared with
+// the checkpoints instead of copy-on-write faulting it. Memory is read only
+// for the dictionary, while the reader is Feeding.
 func (st *state) onLoggable(wordAddr uint32, isWrite bool) {
-	cur, err := st.mem.LoadWord(wordAddr)
-	if err != nil {
-		st.fail(fmt.Errorf("%w: replay memory read %#x: %v", ErrDiverged, wordAddr, err))
-		return
-	}
-	v, injected, err := st.reader.Op(cur)
+	v, injected, err := st.reader.Take()
 	if err != nil {
 		st.fail(fmt.Errorf("%w: %v", ErrDiverged, err))
 		return
 	}
+	changed := false
 	if injected {
 		st.injected++
-		if v != cur {
-			if err := st.mem.StoreWord(wordAddr, v); err != nil {
-				st.fail(fmt.Errorf("%w: inject at %#x: %v", ErrDiverged, wordAddr, err))
-				return
-			}
+		if changed, err = st.mem.SetWord(wordAddr, v); err != nil {
+			st.fail(fmt.Errorf("%w: inject at %#x: %v", ErrDiverged, wordAddr, err))
+			return
 		}
+	} else if st.reader.Feeding() {
+		cur, err := st.mem.LoadWord(wordAddr)
+		if err != nil {
+			st.fail(fmt.Errorf("%w: replay memory read %#x: %v", ErrDiverged, wordAddr, err))
+			return
+		}
+		st.reader.Feed(cur)
+	}
+	if st.counts {
+		st.c.PassLoggable(st.reader.Pass())
 	}
 	if st.known != nil {
 		// A load that injects nothing new into a known word changes
 		// nothing a watch sees.
-		if len(st.watches) != 0 && (isWrite || v != cur || !st.known.Has(wordAddr)) {
+		if len(st.watches) != 0 && (isWrite || changed || !st.known.Has(wordAddr)) {
 			st.touch(wordAddr)
 		}
 		st.known.Add(wordAddr)

@@ -267,8 +267,8 @@ func (m *ReplayMachine) ReadWord(addr uint32) (value uint32, known bool) {
 
 // ReplaySnapshot is a frozen logical copy of an in-flight replay: memory
 // image, architectural state, log cursors (interval index, bit position,
-// prefetched entry), dictionary contents, trace ring and known-memory
-// bitmap. The memory image and known set are captured copy-on-write
+// prefetched entry, the L-Count the core is counting down), dictionary
+// contents, trace ring and known-memory bitmap. The memory image and known set are captured copy-on-write
 // (O(directory), not O(pages)), so taking a checkpoint no longer
 // deep-copies page arrays or word maps; pages are copied lazily as the
 // live machine dirties them. Restoring one reproduces the replay exactly
@@ -289,6 +289,7 @@ type ReplaySnapshot struct {
 	executed uint64
 	total    uint64
 	injected uint64
+	passing  uint64      // the L-Count the core was counting down
 	reader   *fll.Reader // refers to its own frozen dictionary clone
 	trace    *traceRing
 	err      error
@@ -351,6 +352,7 @@ func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 		executed: st.executed,
 		total:    st.total,
 		injected: st.injected,
+		passing:  st.c.Passing(),
 		trace:    st.trace.clone(),
 		err:      st.err,
 	}
@@ -390,6 +392,7 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	st.c.InvalidateFetchCache()
 	st.c.Restore(s.regs)
 	st.c.IC = s.ic
+	st.c.PassLoggable(s.passing)
 	st.c.Halted = s.halted
 	st.c.Fault = nil
 	if s.fault != nil {

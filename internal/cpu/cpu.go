@@ -5,11 +5,16 @@
 // exactly the architecturally visible events BugNet's hardware taps:
 //
 //   - OnLoggable fires before every committed "loggable" memory operation
-//     with the address of the aligned word it touches. Loggable operations
-//     are loads (LW/LH/LHU/LB/LBU), atomics, and sub-word stores (SB/SH,
-//     which read-modify-write their containing word — see DESIGN.md §5).
-//     The recorder uses this hook to test first-load bits and log values;
-//     the replayer uses it to inject logged values before the access.
+//     with the address of the aligned word it touches, unless the core was
+//     handed a count of operations to let through (PassLoggable). Loggable
+//     operations are loads (LW/LH/LHU/LB/LBU), atomics, and sub-word stores
+//     (SB/SH, which read-modify-write their containing word — see
+//     DESIGN.md §5). The recorder uses this hook to test first-load bits and
+//     log values; the replayer uses it to inject logged values before the
+//     access. Only a replay machine that tracks no known set, has no
+//     OnAccess hook and does not log code loads hands the core a count: an
+//     FLL entry's L-Count, the operations that log nothing before the next
+//     logged one.
 //   - OnWordStore fires before every committed full-word store (SW), which
 //     sets the first-load bit without logging (paper §4.3).
 //   - OnFetch, when enabled, fires for every instruction fetch; it backs
@@ -26,6 +31,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -121,7 +127,8 @@ type CPU struct {
 	AutoMap bool
 
 	// OnLoggable, if set, is called with the aligned word address before
-	// every committed loggable memory operation. isWrite distinguishes
+	// every committed loggable memory operation, except the ones a count
+	// handed over by PassLoggable lets through. isWrite distinguishes
 	// operations that also modify memory (sub-word stores, atomics), which
 	// the recorder must route through the coherence directory as writes.
 	OnLoggable func(wordAddr uint32, isWrite bool)
@@ -143,14 +150,17 @@ type CPU struct {
 	bc *blockCache
 	// stop is the pending Stop request consumed by Run.
 	stop bool
+	// pass is how many more loggable operations commit without calling
+	// OnLoggable (see PassLoggable).
+	pass uint64
 
-	// _ pads the struct from 240 to 272 bytes (TestCPUSize pins 272). At
+	// _ pads the struct from 248 to 272 bytes (TestCPUSize pins 272). At
 	// 240 (Go's 240-byte size class) sequential replay measured 8-10 % and
 	// parallel replay 11-20 % slower on the mcf and gzip guests (2-vCPU AMD
 	// EPYC VM); at 256 or 272 neither moved. No field offset changes: the
 	// size only decides where the core lands on the heap among the
 	// replayer's hot objects.
-	_ [32]byte
+	_ [24]byte
 }
 
 // New returns a core attached to m with all state zero.
@@ -216,6 +226,16 @@ func (c *CPU) BlockFlushes() uint64 {
 	return c.bc.epoch
 }
 
+// PassLoggable lets the next n loggable operations commit without calling
+// OnLoggable, replacing any count left over. Replay hands the core an FLL
+// entry's L-Count, once the hook has nothing to do for the operations it
+// counts; Reset clears the count.
+func (c *CPU) PassLoggable(n uint64) { c.pass = n }
+
+// Passing returns how many more loggable operations commit without calling
+// OnLoggable.
+func (c *CPU) Passing() uint64 { return c.pass }
+
 // fault stops the core.
 func (c *CPU) fault(cause FaultCause, pc, addr uint32) Event {
 	c.Fault = &FaultInfo{Cause: cause, PC: pc, Addr: addr, IC: c.IC}
@@ -225,25 +245,35 @@ func (c *CPU) fault(cause FaultCause, pc, addr uint32) Event {
 
 // load performs the aligned-word read behind a width-byte load at ea,
 // firing the loggable hook first, and returns the word shifted so the
-// addressed bytes are its low bits; the caller extends them.
+// addressed bytes are its low bits; the caller extends them. It walks the
+// page table once, and again only when the hook moved Mem.Gen (an injected
+// value copied the page on write).
 func (c *CPU) load(pc, ea, width uint32) (uint32, Event) {
 	if ea&(width-1) != 0 {
 		return 0, c.fault(FaultMisaligned, pc, ea)
 	}
 	wordAddr := ea &^ 3
-	if !c.Mem.Mapped(wordAddr) {
+	num := wordAddr >> mem.PageShift
+	p := c.Mem.Page(num)
+	if p == nil {
 		if !c.AutoMap || !c.Mem.TryMap(wordAddr, 4) {
 			return 0, c.fault(FaultMemRead, pc, ea)
 		}
+		p = c.Mem.Page(num)
 	}
-	if c.OnLoggable != nil {
+	if c.pass != 0 {
+		c.pass--
+	} else if c.OnLoggable != nil {
+		gen := c.Mem.Gen()
 		c.OnLoggable(wordAddr, false)
+		if c.Mem.Gen() != gen {
+			if p = c.Mem.Page(num); p == nil {
+				return 0, c.fault(FaultMemRead, pc, ea)
+			}
+		}
 	}
-	word, err := c.Mem.LoadWord(wordAddr)
-	if err != nil {
-		return 0, c.fault(FaultMemRead, pc, ea)
-	}
-	return word >> ((ea & 3) * 8), EventStep
+	o := wordAddr & (mem.PageSize - 1)
+	return binary.LittleEndian.Uint32(p[o:o+4:o+4]) >> ((ea & 3) * 8), EventStep
 }
 
 // store performs a width-byte store. Full-word stores fire OnWordStore;
@@ -266,7 +296,9 @@ func (c *CPU) store(pc, ea, v, width uint32) Event {
 		}
 		err = c.Mem.StoreWord(ea, v)
 	} else {
-		if c.OnLoggable != nil {
+		if c.pass != 0 {
+			c.pass--
+		} else if c.OnLoggable != nil {
 			c.OnLoggable(wordAddr, true)
 		}
 		if width == 2 {
@@ -293,7 +325,9 @@ func (c *CPU) amo(pc, ea, src uint32, add bool) (uint32, Event) {
 			return 0, c.fault(FaultMemRead, pc, ea)
 		}
 	}
-	if c.OnLoggable != nil {
+	if c.pass != 0 {
+		c.pass--
+	} else if c.OnLoggable != nil {
 		c.OnLoggable(ea, true)
 	}
 	old, err := c.Mem.LoadWord(ea)

@@ -272,12 +272,18 @@ func (w *Writer) CloseEncoded(length uint64, end EndKind, fault *FaultRecord) (M
 	return w.AppendEncoded(nil, length, end, fault)
 }
 
-// Reader replays one FLL's entry stream. The replayer calls Op for every
-// loggable operation it executes, passing the word value its simulated
-// memory currently holds; the reader returns the value the operation must
-// observe, injecting logged first-load values at the right positions.
-// The table only decodes ranks, so the reader feeds it only until the
-// interval's last rank (see rankCount); a rank beyond the count is an error.
+// Reader replays one FLL's entry stream. Every loggable operation replay
+// executes takes its place in the stream, in order: through Op, which is
+// handed the word memory holds and returns the word the operation must
+// observe, or through Take and Feed, which need memory's word only while
+// the dictionary is fed. The table only decodes ranks, so the reader feeds
+// it only until the interval's last rank (see rankCount); a rank beyond
+// the count is an error. From there on an entry's L-Count is all that
+// stands between two injections, and Pass hands it to the caller: a replay
+// core counts those operations down itself, and only a due one reaches
+// the replay hook. The replayer hands counts over only on a machine that
+// tracks no known set, has no OnAccess hook and does not log code loads;
+// any other calls the hook for every loggable operation.
 type Reader struct {
 	log        *Log
 	dict       *dict.Table
@@ -391,9 +397,23 @@ func (r *Reader) readEntry(lc uint) bool {
 // Op processes one loggable operation during replay. memValue is the word
 // value the replayer's simulated memory currently holds; the return value
 // is the word the operation must observe (and that the replayer must
-// install in memory when injected is true). Once the interval's last rank
-// is injected the operation no longer updates the dictionary.
+// install in memory when injected is true). It is Take, then Feed of
+// memValue when nothing was injected.
 func (r *Reader) Op(memValue uint32) (value uint32, injected bool, err error) {
+	v, due, err := r.Take()
+	if due || err != nil {
+		return v, due, err
+	}
+	r.Feed(memValue)
+	return memValue, false, nil
+}
+
+// Take consumes one loggable operation's place in the stream. A due
+// operation, the one the pending entry logged, observes the entry's value:
+// Take returns it and true, and the caller installs it in memory. Any
+// other observes memory, and while Feeding the caller hands the word it
+// observes to Feed before the next operation.
+func (r *Reader) Take() (value uint32, due bool, err error) {
 	if r.err != nil {
 		return 0, false, r.err
 	}
@@ -408,19 +428,43 @@ func (r *Reader) Op(memValue uint32) (value uint32, injected bool, err error) {
 			v = dv
 			r.ranks--
 		}
-		if r.ranks > 0 {
-			r.dict.Update(v)
-		}
+		r.Feed(v)
 		r.loadEntry()
 		return v, true, nil
 	}
 	if r.pendingValid {
 		r.pendingSkip--
 	}
+	return 0, false, nil
+}
+
+// Feeding reports whether the dictionary still takes the word every
+// operation observes: until the interval's last rank is injected.
+func (r *Reader) Feeding() bool { return r.ranks > 0 }
+
+// Feed updates the dictionary with the word an operation observed, while
+// Feeding; after that it does nothing.
+func (r *Reader) Feed(v uint32) {
 	if r.ranks > 0 {
-		r.dict.Update(memValue)
+		r.dict.Update(v)
 	}
-	return memValue, false, nil
+}
+
+// Pass hands over the operations before the next logged one once no rank
+// is left to decode: they need neither memory nor the dictionary, and the
+// caller lets that many pass without Take, which counts them as taken. It
+// returns 0 while Feeding or after an error, so every operation reaches
+// Take, and math.MaxUint64 once every entry is consumed.
+func (r *Reader) Pass() uint64 {
+	if r.ranks != 0 || r.err != nil {
+		return 0
+	}
+	if !r.pendingValid {
+		return math.MaxUint64
+	}
+	n := r.pendingSkip
+	r.pendingSkip = 0
+	return n
 }
 
 // Clone returns an independent reader that continues from r's exact

@@ -192,3 +192,42 @@ func TestSnapshotRandomizedEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestSetWordWritesOnlyChanges: SetWord reports a change only when the word
+// held another value, copies a page shared with a snapshot only then (Gen
+// moves once), and never reaches the snapshot; unmapped and misaligned
+// words fail as StoreWord does.
+func TestSetWordWritesOnlyChanges(t *testing.T) {
+	m := New()
+	m.Map(0x2000, PageSize)
+	m.StoreWord(0x2004, 5)
+	s := m.Snapshot()
+	gen := m.Gen()
+	if changed, err := m.SetWord(0x2004, 5); changed || err != nil {
+		t.Fatalf("SetWord of the value held: changed %v, %v", changed, err)
+	}
+	if m.Gen() != gen || m.Page(2) != s.Page(2) {
+		t.Fatal("SetWord of the value held copied the shared page")
+	}
+	if changed, err := m.SetWord(0x2004, 6); !changed || err != nil {
+		t.Fatalf("SetWord of a new value: changed %v, %v", changed, err)
+	}
+	if m.Gen() != gen+1 || m.Page(2) == s.Page(2) {
+		t.Fatal("SetWord of a new value wrote without copying the shared page")
+	}
+	if changed, err := m.SetWord(0x2004, 7); !changed || err != nil || m.Gen() != gen+1 {
+		t.Fatalf("SetWord on the now private page: changed %v, %v, Gen moved %d", changed, err, m.Gen()-gen)
+	}
+	if v, _ := m.LoadWord(0x2004); v != 7 {
+		t.Fatalf("live image holds %d, want 7", v)
+	}
+	if v, _ := s.LoadWord(0x2004); v != 5 {
+		t.Fatalf("snapshot holds %d, want 5", v)
+	}
+	if _, err := m.SetWord(0x9000, 1); err == nil {
+		t.Fatal("SetWord of an unmapped word succeeded")
+	}
+	if _, err := m.SetWord(0x2002, 1); err == nil {
+		t.Fatal("SetWord of a misaligned word succeeded")
+	}
+}

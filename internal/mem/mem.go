@@ -251,6 +251,29 @@ func (m *Memory) StoreWord(addr uint32, v uint32) error {
 	return nil
 }
 
+// SetWord makes the naturally aligned word at addr hold v and reports
+// whether it held another value. It walks the page table once, and writes
+// only on a change: a page shared with a snapshot stays shared when the
+// word already holds v. Replay injects logged first loads with it.
+func (m *Memory) SetWord(addr uint32, v uint32) (changed bool, err error) {
+	if addr&3 != 0 {
+		return false, &AccessError{Addr: addr, Kind: AccessWrite, Misaligned: true}
+	}
+	p, shared := m.tab.peek(addr >> PageShift)
+	if p == nil {
+		return false, &AccessError{Addr: addr, Kind: AccessWrite}
+	}
+	o := addr & (PageSize - 1)
+	if binary.LittleEndian.Uint32(p[o:o+4:o+4]) == v {
+		return false, nil
+	}
+	if shared {
+		p = m.tab.mutable(addr >> PageShift)
+	}
+	binary.LittleEndian.PutUint32(p[o:o+4:o+4], v)
+	return true, nil
+}
+
 // StoreHalf writes a naturally aligned 16-bit little-endian halfword.
 func (m *Memory) StoreHalf(addr uint32, v uint16) error {
 	if addr&1 != 0 {

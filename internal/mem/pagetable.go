@@ -72,6 +72,18 @@ func (t *table[T]) load(idx uint32) *T {
 	return l.slots[idx&leafMask]
 }
 
+// peek returns the payload at idx for reading, or nil, and whether a write
+// to it must go through mutable (the payload or its leaf is shared).
+func (t *table[T]) peek(idx uint32) (*T, bool) {
+	di := idx >> leafBits
+	l := t.dir[di]
+	if l == nil {
+		return nil, false
+	}
+	si := idx & leafMask
+	return l.slots[si], t.dirShared[di>>6]&(1<<(di&63)) != 0 || l.shared[si>>6]&(1<<(si&63)) != 0
+}
+
 // mutableLeaf returns idx's leaf privately owned by t, copying a shared
 // leaf first. The caller must know the leaf exists.
 func (t *table[T]) mutableLeaf(di uint32) *leaf[T] {
