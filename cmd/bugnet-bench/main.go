@@ -3,8 +3,9 @@
 //
 //	bugnet-bench [-experiment id] [-scale N]
 //
-// Experiment ids: table1 fig2 fig3 fig4 fig5 fig6 table2 table3 overhead
-// ablation-preservefl ablation-netzer all (default "all").
+// Experiment ids: table1 fig2 fig3 fig4 fig5 fig6 (dict runs both) table2
+// table3 overhead ablation-preservefl ablation-netzer ablation-dict backend
+// all (default "all").
 //
 // The scale divides the paper's instruction counts: -scale 1 reproduces
 // the paper's absolute checkpoint intervals and replay windows (expect

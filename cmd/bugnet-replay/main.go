@@ -12,10 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"bugnet"
 	"bugnet/internal/cli"
+	"bugnet/internal/parreplay"
 	"bugnet/internal/report"
 )
 
@@ -47,17 +50,17 @@ func main() {
 		}
 	}
 
+	// Replay adopts the recording options the report carries; the report
+	// alone picks the schedule (see parreplay.ReplayReport).
+	out, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{DetectRaces: *races})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "replay:", err)
+		os.Exit(1)
+	}
+	for _, tid := range slices.Sorted(maps.Keys(out.Threads)) {
+		describe(img, tid, out.Threads[tid])
+	}
 	if *races || len(rep.FLLs) > 1 {
-		mr := bugnet.NewMultiReplayer(img, rep)
-		mr.DetectRaces = *races
-		out, err := mr.Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			os.Exit(1)
-		}
-		for tid, tr := range out.Threads {
-			describe(img, tid, tr)
-		}
 		fmt.Printf("applied %d ordering constraints (%d dropped outside the window)\n",
 			out.Constraints, out.DroppedConstraints)
 		for _, r := range out.Races {
@@ -66,20 +69,6 @@ func main() {
 		if *races && len(out.Races) == 0 {
 			fmt.Println("no data races inferred")
 		}
-		return
-	}
-
-	for tid, logs := range rep.FLLs {
-		r := bugnet.NewReplayer(img, logs)
-		// Replay must match the recording options the report carries.
-		r.LogCodeLoads = rep.LogCodeLoads
-		r.DictOptions = rep.DictOptions
-		rr, err := r.Run()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "replay:", err)
-			os.Exit(1)
-		}
-		describe(img, tid, rr)
 	}
 }
 

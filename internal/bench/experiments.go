@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"bugnet/internal/bus"
@@ -562,63 +563,62 @@ func BackendCompare(scale int) *Table {
 	return t
 }
 
-// All runs every experiment at the given scale in paper order.
-func All(scale int) []*Table {
-	fig5, fig6 := DictSweep(scale)
-	return []*Table{
-		Table1(scale),
-		Figure2(scale),
-		Figure3(scale),
-		Figure4(scale),
-		fig5,
-		fig6,
-		Table2(scale),
-		Table3(),
-		Overhead(scale),
-		AblationPreserveFL(scale),
-		AblationNetzer(scale),
-		AblationDictGeometry(scale),
-		BackendCompare(scale),
-	}
+// experiments is every experiment in paper order, each under the ids that
+// name it: fig5, fig6 and their alias dict are one dictionary sweep, which
+// draws both figures from one pass.
+var experiments = []struct {
+	ids []string
+	run func(scale int) []*Table
+}{
+	{[]string{"table1"}, one(Table1)},
+	{[]string{"fig2"}, one(Figure2)},
+	{[]string{"fig3"}, one(Figure3)},
+	{[]string{"fig4"}, one(Figure4)},
+	{[]string{"fig5", "fig6", "dict"}, func(scale int) []*Table {
+		f5, f6 := DictSweep(scale)
+		return []*Table{f5, f6}
+	}},
+	{[]string{"table2"}, one(Table2)},
+	{[]string{"table3"}, func(int) []*Table { return []*Table{Table3()} }},
+	{[]string{"overhead"}, one(Overhead)},
+	{[]string{"ablation-preservefl"}, one(AblationPreserveFL)},
+	{[]string{"ablation-netzer"}, one(AblationNetzer)},
+	{[]string{"ablation-dict"}, one(AblationDictGeometry)},
+	{[]string{"backend"}, one(BackendCompare)},
 }
 
-// ByID runs one experiment by its id.
+// one adapts a one-table experiment to the table's signature.
+func one(f func(scale int) *Table) func(int) []*Table {
+	return func(scale int) []*Table { return []*Table{f(scale)} }
+}
+
+// All runs every experiment at the given scale in paper order.
+func All(scale int) []*Table {
+	var out []*Table
+	for _, e := range experiments {
+		out = append(out, e.run(scale)...)
+	}
+	return out
+}
+
+// ByID runs one experiment by its id, or every one for "all".
 func ByID(id string, scale int) ([]*Table, error) {
-	switch id {
-	case "table1":
-		return []*Table{Table1(scale)}, nil
-	case "fig2":
-		return []*Table{Figure2(scale)}, nil
-	case "fig3":
-		return []*Table{Figure3(scale)}, nil
-	case "fig4":
-		return []*Table{Figure4(scale)}, nil
-	case "fig5", "fig6", "dict":
-		f5, f6 := DictSweep(scale)
-		return []*Table{f5, f6}, nil
-	case "table2":
-		return []*Table{Table2(scale)}, nil
-	case "table3":
-		return []*Table{Table3()}, nil
-	case "overhead":
-		return []*Table{Overhead(scale)}, nil
-	case "ablation-preservefl":
-		return []*Table{AblationPreserveFL(scale)}, nil
-	case "ablation-netzer":
-		return []*Table{AblationNetzer(scale)}, nil
-	case "ablation-dict":
-		return []*Table{AblationDictGeometry(scale)}, nil
-	case "backend":
-		return []*Table{BackendCompare(scale)}, nil
-	case "all":
+	if id == "all" {
 		return All(scale), nil
+	}
+	for _, e := range experiments {
+		if slices.Contains(e.ids, id) {
+			return e.run(scale), nil
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
 // IDs lists the available experiment identifiers.
 func IDs() []string {
-	return []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"table2", "table3", "overhead",
-		"ablation-preservefl", "ablation-netzer", "ablation-dict", "backend", "all"}
+	var out []string
+	for _, e := range experiments {
+		out = append(out, e.ids...)
+	}
+	return append(out, "all")
 }

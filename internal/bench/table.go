@@ -74,13 +74,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // kb formats a byte count in KB with one decimal, like the paper's
 // figures.
 func kb(bytes int64) string {

@@ -237,22 +237,9 @@ func (ae *antiEntropy) source(ctx context.Context, id string) (path string, clea
 		if o == n.self {
 			continue
 		}
-		rc, _, err := n.client.getReplica(ctx, o, id)
-		if err != nil {
-			continue
+		if tmpPath, _, err := n.fetchReplica(ctx, o, id); err == nil {
+			return tmpPath, func() { os.Remove(tmpPath) }, true
 		}
-		tmpPath, gotID, _, err := func() (string, string, int64, error) {
-			defer rc.Close()
-			return n.spoolBody(rc)
-		}()
-		if err != nil {
-			continue
-		}
-		if gotID != id {
-			os.Remove(tmpPath)
-			continue
-		}
-		return tmpPath, func() { os.Remove(tmpPath) }, true
 	}
 	return "", nil, false
 }

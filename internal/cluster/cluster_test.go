@@ -2,12 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -15,6 +19,7 @@ import (
 	"time"
 
 	"bugnet/internal/httpjson"
+	"bugnet/internal/retry"
 	"bugnet/internal/triage"
 )
 
@@ -398,6 +403,38 @@ func TestClusterReplicaHashVerification(t *testing.T) {
 	}
 	if node.Service.Store().Has(wrongID) {
 		t.Fatal("mismatched blob was stored")
+	}
+}
+
+// TestFetchReplicaRefusesBadBytes: the one fetch that read-repair and
+// anti-entropy share spools a peer's replica only when its bytes hash to
+// the requested id; refused bytes leave no spool file behind.
+func TestFetchReplicaRefusesBadBytes(t *testing.T) {
+	lc, corpus := spawn(t, 1, func(o *SpawnOptions) {
+		o.Replication = 1
+		o.WriteQuorum = 1
+	})
+	n := lc.Nodes[0].Node
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(corpus[0])
+	}))
+	defer peer.Close()
+	ctx := context.Background()
+
+	path, size, err := n.fetchReplica(ctx, peer.URL, blobID(corpus[0]))
+	if err != nil || size != int64(len(corpus[0])) {
+		t.Fatalf("good replica: %d bytes, %v", size, err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, corpus[0]) {
+		t.Fatalf("spooled copy differs from the replica (%v)", err)
+	}
+	os.Remove(path)
+
+	if _, _, err := n.fetchReplica(ctx, peer.URL, blobID(corpus[1])); !retry.IsPermanent(err) {
+		t.Fatalf("replica hashing to another id: %v, want a permanent refusal", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(n.cfg.SpoolDir, "ingest-*.tmp")); len(left) != 0 {
+		t.Fatalf("refused replica left spool files %v", left)
 	}
 }
 

@@ -486,6 +486,31 @@ func parseIngestResult(data []byte) *triage.IngestResult {
 	return &res
 }
 
+// fetchReplica copies id from owner o into a spool file and returns its
+// path and size. Bytes that do not hash to id, or whose length is not the
+// one o declared, are corruption or tampering: they are removed and
+// refused with a permanent error, never laundered into a store or pushed
+// to another owner. A refused or unspoolable replica counts as a repair
+// error; a peer that cannot be reached does not.
+func (n *Node) fetchReplica(ctx context.Context, o, id string) (path string, size int64, err error) {
+	rc, declared, err := n.client.getReplica(ctx, o, id)
+	if err != nil {
+		return "", 0, err
+	}
+	defer rc.Close()
+	path, gotID, size, err := n.spoolBody(rc)
+	if err != nil {
+		mRepairErr.Inc()
+		return "", 0, err
+	}
+	if gotID != id || (declared >= 0 && declared != size) {
+		os.Remove(path)
+		mRepairErr.Inc()
+		return "", 0, retry.Permanent(fmt.Errorf("cluster: replica %s from %s hashed to %s (%d of %d bytes)", id, o, gotID, size, declared))
+	}
+	return path, size, nil
+}
+
 // readRepairLocal fetches id from another owner and adopts it locally —
 // the read-repair path for an owner serving a read it should hold but
 // does not (a write it missed while down). Returns whether the blob is
@@ -497,28 +522,13 @@ func (n *Node) readRepairLocal(ctx context.Context, id string) bool {
 		}
 		repaired := false
 		n.fetch.Do(ctx, func(ctx context.Context) error {
-			rc, size, err := n.client.getReplica(ctx, o, id)
+			path, size, err := n.fetchReplica(ctx, o, id)
 			if err != nil {
 				return err
-			}
-			path, gotID, gotSize, err := func() (string, string, int64, error) {
-				defer rc.Close()
-				return n.spoolBody(rc)
-			}()
-			if err != nil {
-				mRepairErr.Inc()
-				return err
-			}
-			if gotID != id || (size >= 0 && size != gotSize) {
-				// A peer served bytes that do not hash to the requested id:
-				// corruption or tampering — refuse to launder it into the store.
-				os.Remove(path)
-				mRepairErr.Inc()
-				return retry.Permanent(fmt.Errorf("cluster: replica %s from %s hashed to %s", id, o, gotID))
 			}
 			// Nobody named a replayer for a write this node missed: it
 			// replays the archive itself unless the verdict is cached.
-			if _, err := n.cfg.Service.IngestFile(id, path, gotSize,
+			if _, err := n.cfg.Service.IngestFile(id, path, size,
 				triage.Origin{RequestID: httpjson.RequestID(ctx)}); err != nil {
 				os.Remove(path)
 				mRepairErr.Inc()

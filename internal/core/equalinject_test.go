@@ -7,7 +7,6 @@ package core
 // traffic may differ.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -18,7 +17,6 @@ import (
 	"bugnet/internal/cpu/cputest"
 	"bugnet/internal/fll"
 	"bugnet/internal/kernel"
-	"bugnet/internal/mem"
 	"bugnet/internal/workload"
 )
 
@@ -101,7 +99,7 @@ func mustMatchReference(t *testing.T, label string, got, ref *ReplayMachine) {
 			t.Fatalf("%s: page %#x differs at pos %d", label, n, got.Pos())
 		}
 	}
-	if !bytes.Equal(mem.MarshalKnown(got.st.known), mem.MarshalKnown(ref.st.known)) {
+	if !reflect.DeepEqual(got.st.known.Words(), ref.st.known.Words()) {
 		t.Fatalf("%s: known sets differ at pos %d", label, got.Pos())
 	}
 }

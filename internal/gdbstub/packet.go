@@ -9,9 +9,10 @@
 //
 // The package splits into three layers:
 //
-//   - a pure packet codec (this file): "$payload#xx" framing, two-hex
-//     checksums, '}' escaping and '*' run-length encoding, with no I/O —
-//     ParsePacket/EncodePacket round-trip byte-exactly and are fuzzed;
+//   - a packet codec: "$payload#xx" framing, two-hex checksums, '}'
+//     escaping and '*' run-length encoding (this file), with one framer,
+//     readFrame (server.go), that server and client both read through —
+//     EncodePacket/readFrame round-trip byte-exactly and are fuzzed;
 //   - a per-connection command dispatcher (stub.go) translating RSP
 //     packets into timetravel.Command values, including the bs/bc
 //     reverse-execution extensions;
@@ -21,7 +22,6 @@
 package gdbstub
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
@@ -30,13 +30,9 @@ import (
 // strings and bounded memory reads; anything larger is an attack or a bug.
 const maxPacketBytes = 16 << 10
 
-// Packet-stream errors. ErrIncomplete asks the caller for more bytes; the
-// others condemn the current packet (the transport answers '-' or drops
-// it) but never the connection.
-var (
-	ErrIncomplete = errors.New("gdbstub: incomplete packet")
-	ErrChecksum   = errors.New("gdbstub: packet checksum mismatch")
-)
+// ErrChecksum condemns the current packet (the transport answers '-' or
+// drops it) but never the connection.
+var ErrChecksum = errors.New("gdbstub: packet checksum mismatch")
 
 const hexDigits = "0123456789abcdef"
 
@@ -161,41 +157,4 @@ func hexVal(b byte) (byte, bool) {
 		return b - 'A' + 10, true
 	}
 	return 0, false
-}
-
-// ParsePacket extracts the first complete packet from raw, skipping any
-// leading junk (acks, line noise) before the '$'. It returns the decoded
-// payload and how many bytes of raw were consumed. ErrIncomplete means no
-// complete packet has arrived yet (nothing is consumed); ErrChecksum and
-// body-decode errors consume through the bad packet so the caller can NAK
-// and resynchronize.
-func ParsePacket(raw []byte) (payload []byte, consumed int, err error) {
-	start := bytes.IndexByte(raw, '$')
-	if start < 0 {
-		return nil, 0, ErrIncomplete
-	}
-	rel := bytes.IndexByte(raw[start:], '#')
-	if rel < 0 {
-		if len(raw)-start > maxPacketBytes*2 {
-			// An unterminated flood: condemn it rather than buffer forever.
-			return nil, len(raw), fmt.Errorf("gdbstub: unterminated packet exceeds %d bytes", maxPacketBytes*2)
-		}
-		return nil, 0, ErrIncomplete
-	}
-	hash := start + rel
-	if hash+2 >= len(raw) {
-		return nil, 0, ErrIncomplete
-	}
-	body := raw[start+1 : hash]
-	consumed = hash + 3
-	hi, ok1 := hexVal(raw[hash+1])
-	lo, ok2 := hexVal(raw[hash+2])
-	if !ok1 || !ok2 || (hi<<4|lo) != Checksum(body) {
-		return nil, consumed, ErrChecksum
-	}
-	payload, err = decodeBody(body)
-	if err != nil {
-		return nil, consumed, err
-	}
-	return payload, consumed, nil
 }

@@ -1,10 +1,27 @@
 package gdbstub
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
+
+// readPacket reads wire through readFrame, the framer server and client
+// run, up to and including its first packet, and reports how many wire
+// bytes that consumed.
+func readPacket(wire []byte) (f frame, consumed int, err error) {
+	r := bytes.NewReader(wire)
+	br := bufio.NewReader(r)
+	for {
+		f, err = readFrame(br)
+		if err != nil || f.kind == '$' {
+			return f, len(wire) - r.Len() - br.Buffered(), err
+		}
+	}
+}
 
 func TestPacketRoundTrip(t *testing.T) {
 	cases := [][]byte{
@@ -20,15 +37,15 @@ func TestPacketRoundTrip(t *testing.T) {
 	}
 	for _, payload := range cases {
 		wire := EncodePacket(payload)
-		got, n, err := ParsePacket(wire)
-		if err != nil {
-			t.Fatalf("ParsePacket(%q): %v", wire, err)
+		got, n, err := readPacket(wire)
+		if err != nil || got.malformed {
+			t.Fatalf("readFrame(%q): %v (malformed %v)", wire, err, got.malformed)
 		}
 		if n != len(wire) {
 			t.Fatalf("consumed %d of %d for %q", n, len(wire), wire)
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round trip %q -> %q", payload, got)
+		if !bytes.Equal(got.payload, payload) {
+			t.Fatalf("round trip %q -> %q", payload, got.payload)
 		}
 	}
 }
@@ -43,17 +60,18 @@ func TestPacketRLECompresses(t *testing.T) {
 
 func TestParsePacketSkipsJunk(t *testing.T) {
 	wire := append([]byte("+++noise"), EncodePacket([]byte("OK"))...)
-	payload, n, err := ParsePacket(wire)
-	if err != nil || string(payload) != "OK" || n != len(wire) {
-		t.Fatalf("payload=%q n=%d err=%v", payload, n, err)
+	f, n, err := readPacket(wire)
+	if err != nil || string(f.payload) != "OK" || n != len(wire) {
+		t.Fatalf("payload=%q n=%d err=%v", f.payload, n, err)
 	}
 }
 
 func TestParsePacketIncomplete(t *testing.T) {
 	wire := EncodePacket([]byte("qSupported"))
 	for cut := 0; cut < len(wire); cut++ {
-		if _, n, err := ParsePacket(wire[:cut]); err != ErrIncomplete || n != 0 {
-			t.Fatalf("cut=%d: n=%d err=%v, want ErrIncomplete", cut, n, err)
+		_, n, err := readPacket(wire[:cut])
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) || n != cut {
+			t.Fatalf("cut=%d: n=%d err=%v, want the stream's end", cut, n, err)
 		}
 	}
 }
@@ -61,12 +79,12 @@ func TestParsePacketIncomplete(t *testing.T) {
 func TestParsePacketBadChecksum(t *testing.T) {
 	wire := EncodePacket([]byte("OK"))
 	wire[len(wire)-1] ^= 1
-	if _, n, err := ParsePacket(wire); err != ErrChecksum || n != len(wire) {
+	if _, n, err := readPacket(wire); err != ErrChecksum || n != len(wire) {
 		t.Fatalf("n=%d err=%v, want full consume + ErrChecksum", n, err)
 	}
 	// Garbage checksum digits are a checksum failure, not a panic.
 	bad := []byte("$OK#zz")
-	if _, _, err := ParsePacket(bad); err != ErrChecksum {
+	if _, _, err := readPacket(bad); err != ErrChecksum {
 		t.Fatalf("err=%v, want ErrChecksum", err)
 	}
 }

@@ -103,9 +103,3 @@ func (k *KnownSet) Words() []uint32 {
 	})
 	return out
 }
-
-// forEachPage visits every touched page's bitmap in ascending page order
-// (the codec's iteration order).
-func (k *KnownSet) forEachPage(fn func(pageNum uint32, b *knownBits)) {
-	k.tab.forEach(fn)
-}

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -138,94 +137,4 @@ func TestKnownSetVsMapParity(t *testing.T) {
 			check("clone", c.k, c.ref)
 		}
 	}
-}
-
-// TestKnownCodecRoundTrip: Marshal → Unmarshal → Marshal is the identity
-// on bytes and on set contents.
-func TestKnownCodecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		k := NewKnownSet()
-		n := rng.Intn(500)
-		for i := 0; i < n; i++ {
-			k.Add(uint32(rng.Intn(1<<30) * 4))
-		}
-		data := MarshalKnown(k)
-		back, err := UnmarshalKnown(data)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if back.Len() != k.Len() || back.Pages() != k.Pages() {
-			t.Fatalf("trial %d: counts differ", trial)
-		}
-		w1, w2 := k.Words(), back.Words()
-		for i := range w1 {
-			if w1[i] != w2[i] {
-				t.Fatalf("trial %d: word %d differs", trial, i)
-			}
-		}
-		if !bytes.Equal(MarshalKnown(back), data) {
-			t.Fatalf("trial %d: re-marshal not byte-identical", trial)
-		}
-	}
-	// Empty set round-trips too.
-	data := MarshalKnown(NewKnownSet())
-	back, err := UnmarshalKnown(data)
-	if err != nil || back.Len() != 0 {
-		t.Fatalf("empty set: %v, len %d", err, back.Len())
-	}
-}
-
-// TestKnownCodecRejectsCorruption: every single-byte corruption of a
-// valid snapshot must fail decoding (the CRC guarantees it), and
-// structural attacks fail with clear errors.
-func TestKnownCodecRejectsCorruption(t *testing.T) {
-	k := NewKnownSet()
-	for _, a := range []uint32{0, 4, PageSize, 5 * PageSize} {
-		k.Add(a)
-	}
-	data := MarshalKnown(k)
-	for i := range data {
-		bad := append([]byte(nil), data...)
-		bad[i] ^= 0x40
-		if _, err := UnmarshalKnown(bad); err == nil {
-			t.Fatalf("corruption at byte %d accepted", i)
-		}
-	}
-	if _, err := UnmarshalKnown(nil); err == nil {
-		t.Fatal("nil input accepted")
-	}
-	if _, err := UnmarshalKnown(data[:8]); err == nil {
-		t.Fatal("truncated input accepted")
-	}
-}
-
-// FuzzKnownCodecRoundTrip is the codec fuzzer the CI fuzz-smoke job runs:
-// any input the decoder accepts must re-encode byte-identically and
-// describe the same set; every other input must fail cleanly (no panics,
-// no runaway allocation).
-func FuzzKnownCodecRoundTrip(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(MarshalKnown(NewKnownSet()))
-	k := NewKnownSet()
-	k.Add(0x1000)
-	k.Add(PageSize * 3)
-	f.Add(MarshalKnown(k))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		k, err := UnmarshalKnown(data)
-		if err != nil {
-			return
-		}
-		out := MarshalKnown(k)
-		if !bytes.Equal(out, data) {
-			t.Fatalf("accepted input does not re-marshal identically:\n in: %x\nout: %x", data, out)
-		}
-		back, err := UnmarshalKnown(out)
-		if err != nil {
-			t.Fatalf("re-marshal of accepted input rejected: %v", err)
-		}
-		if back.Len() != k.Len() {
-			t.Fatalf("round trip changed Len: %d vs %d", back.Len(), k.Len())
-		}
-	})
 }

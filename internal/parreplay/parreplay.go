@@ -37,20 +37,19 @@
 // vector-clock detector consumes the reconstructed global interleaving,
 // and its verdict depends on that order, so only the sequential schedule
 // reproduces it. ReplayReport routes such reports (any report carrying
-// MRLs) to core.MultiReplayer unchanged. The fleet-scale common case — a
-// single-threaded crash uploaded by thousands of machines — takes the
-// parallel path.
+// MRLs, or asking for race detection) to core.MultiReplayer unchanged;
+// every other report takes the per-interval schedule at every pool width,
+// one worker included, so the schedule is a function of the report alone.
+// The fleet-scale common case, a single-threaded crash uploaded by
+// thousands of machines, takes the per-interval path.
 //
-// One semantic note: the replay page budget (Options.MaxPages) applies
-// per interval on the parallel path, where the sequential path applies it
-// cumulatively over the whole window. A report whose distinct-page
-// footprint exceeds the budget only cumulatively replays clean in
-// parallel and diverges sequentially; both verdicts are valid statements
-// about an over-budget report, and the budget's purpose — bounding one
-// worker's memory — holds either way (peak memory is MaxPages times the
-// pool width, which also bounds what the workers keep between intervals:
-// a worker retains no more pages than its largest interval mapped, and
-// drops them when the call returns).
+// The replay page budget (Options.MaxPages) binds each interval on the
+// per-interval path, where core.Replayer applies it cumulatively over the
+// whole window: a window over budget only cumulatively replays clean here
+// at any width. Peak memory is MaxPages times the pool width, which also
+// bounds what the workers keep between intervals: a worker retains no
+// more pages than its largest interval mapped, and drops them when the
+// call returns.
 package parreplay
 
 import (
@@ -70,9 +69,8 @@ import (
 type Options struct {
 	// Workers bounds the replay worker pool. <= 0 picks GOMAXPROCS; 1
 	// replays interval by interval, each from empty memory, on the
-	// caller's goroutine (useful for parity tests), while callers wanting
-	// the literal sequential code path use core.Replayer /
-	// core.MultiReplayer directly.
+	// caller's goroutine, while callers wanting the literal sequential
+	// code path use core.Replayer / core.MultiReplayer directly.
 	Workers int
 	// TraceDepth is the backtrace ring length (0 = no trace).
 	TraceDepth int
@@ -182,14 +180,15 @@ func threadUnits(units []unit, img *asm.Image, tid int, logs []*fll.Ref) []unit 
 // firstFailure scans (thread, interval)-ordered results for the first
 // divergence or panic — the one the sequential schedule would have hit —
 // and surfaces it: panics re-panic on the caller's goroutine so the
-// caller's recover sees the identical value.
-func firstFailure(results []unitResult) error {
-	for _, r := range results {
-		if r.panicked {
-			panic(r.panicVal)
+// caller's recover sees the identical value, and a divergence returns its
+// unit's result.
+func firstFailure(results []unitResult) *unitResult {
+	for i := range results {
+		if results[i].panicked {
+			panic(results[i].panicVal)
 		}
-		if r.err != nil {
-			return r.err
+		if results[i].err != nil {
+			return &results[i]
 		}
 	}
 	return nil
@@ -197,8 +196,11 @@ func firstFailure(results []unitResult) error {
 
 // mergeThread folds one thread's interval results (already in interval
 // order, all error-free) into the result sequential replay of the full
-// window produces.
+// window produces. A thread with no intervals replays to the zero result.
 func mergeThread(results []unitResult, traceDepth int) *core.ReplayResult {
+	if len(results) == 0 {
+		return &core.ReplayResult{}
+	}
 	last := results[len(results)-1].res
 	merged := &core.ReplayResult{
 		TID:       last.TID,
@@ -229,17 +231,9 @@ func mergeThread(results []unitResult, traceDepth int) *core.ReplayResult {
 // and merges the outcome. The result (and any error) is byte-identical to
 // core.NewReplayer(img, logs).Run() with the same options.
 func ReplayThread(img *asm.Image, logs []*fll.Ref, o Options) (*core.ReplayResult, error) {
-	if len(logs) == 0 {
-		r := core.NewReplayer(img, logs)
-		r.LogCodeLoads = o.LogCodeLoads
-		r.DictOptions = o.DictOptions
-		r.MaxPages = o.MaxPages
-		r.TraceDepth = o.TraceDepth
-		return r.Run()
-	}
 	results := run(threadUnits(nil, img, 0, logs), o)
-	if err := firstFailure(results); err != nil {
-		return nil, err
+	if f := firstFailure(results); f != nil {
+		return nil, f.err
 	}
 	return mergeThread(results, o.TraceDepth), nil
 }
@@ -253,8 +247,8 @@ type ReportOptions struct {
 }
 
 // sequentialFallbacks counts report replays routed to the sequential
-// MultiReplayer (races requested, MRL-carrying report, or a one-worker
-// pool); exported for tests.
+// MultiReplayer (races requested or an MRL-carrying report); exported for
+// tests.
 var sequentialFallbacks atomic.Uint64
 
 // SequentialFallbacks returns how many ReplayReport calls took the
@@ -266,18 +260,17 @@ func SequentialFallbacks() uint64 { return sequentialFallbacks.Load() }
 // replays fanned across the pool. Reports that need the reconstructed
 // global interleaving — race detection requested, or any MRLs present
 // (their constraint accounting is part of the sequential result) — are
-// replayed by core.MultiReplayer unchanged, so the verdict is always
-// byte-identical to the sequential path.
+// replayed by core.MultiReplayer unchanged. Which schedule runs depends on
+// the report and DetectRaces alone, never on the pool width.
 func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core.MultiReplayResult, error) {
-	if o.DetectRaces || len(rep.MRLs) > 0 || o.workers() == 1 {
+	if o.DetectRaces || len(rep.MRLs) > 0 {
 		sequentialFallbacks.Add(1)
 		mSequential.Inc()
 		mr := core.NewMultiReplayer(img, rep)
 		mr.DetectRaces = o.DetectRaces
 		mr.MaxPages = o.MaxPages
 		mr.TraceDepth = o.TraceDepth
-		res, err := mr.Run()
-		return res, err
+		return mr.Run()
 	}
 	if rep.Binary.TextLen != 0 {
 		if err := rep.Binary.Matches(img); err != nil {
@@ -289,9 +282,6 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
-	if len(tids) == 0 {
-		return &core.MultiReplayResult{Threads: map[int]*core.ReplayResult{}}, nil
-	}
 
 	opts := o.Options
 	opts.LogCodeLoads = rep.LogCodeLoads
@@ -307,39 +297,15 @@ func ReplayReport(img *asm.Image, rep *core.CrashReport, o ReportOptions) (*core
 		units = threadUnits(units, img, tid, rep.FLLs[tid])
 	}
 	results := run(units, opts)
-	if err := firstFailure(results); err != nil {
-		// MultiReplayer wraps each thread's failure; match it, using the
-		// failing unit's thread (firstFailure returns the first error in
-		// (thread, interval) order, so re-scan for its owner).
-		for _, r := range results {
-			if r.err != nil {
-				return nil, &threadError{tid: r.tid, err: r.err}
-			}
-		}
+	if f := firstFailure(results); f != nil {
+		// MultiReplayer wraps each thread's failure; match it.
+		return nil, &threadError{tid: f.tid, err: f.err}
 	}
 
 	res := &core.MultiReplayResult{Threads: make(map[int]*core.ReplayResult, len(tids))}
 	at := 0
 	for _, tid := range tids {
 		n := len(rep.FLLs[tid])
-		if n == 0 {
-			// The sequential path still builds a (trivially done) machine
-			// for a thread with no retained logs and records its zero-work
-			// result; an empty sequential run reproduces it.
-			r := core.NewReplayer(img, nil)
-			r.LogCodeLoads = opts.LogCodeLoads
-			r.DictOptions = opts.DictOptions
-			r.MaxPages = opts.MaxPages
-			if tid == opts.traceTID {
-				r.TraceDepth = opts.TraceDepth
-			}
-			rr, err := r.Run()
-			if err != nil {
-				return nil, &threadError{tid: tid, err: err}
-			}
-			res.Threads[tid] = rr
-			continue
-		}
 		// An untraced thread's units carry no ring, and merge to none.
 		res.Threads[tid] = mergeThread(results[at:at+n], opts.TraceDepth)
 		at += n

@@ -327,4 +327,79 @@ func TestEmptyLogs(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("empty replay differs: got %+v want %+v", got, want)
 	}
+
+	// A report thread with no retained logs, here the traced crashing
+	// thread, replays to the result the sequential schedule gives it.
+	rep, img := recordST(t, crashProgram,
+		core.Config{IntervalLength: 50, DictSize: 64, Cache: tinyCache()})
+	rep.FLLs[1] = nil
+	rep.Crash.TID = 1
+	mr := core.NewMultiReplayer(img, rep)
+	mr.TraceDepth = 32
+	wantRep, err := mr.Run()
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	gotRep, err := ReplayReport(img, rep, ReportOptions{Options: Options{Workers: 8, TraceDepth: 32}})
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
+	if !reflect.DeepEqual(gotRep, wantRep) {
+		t.Errorf("report with an empty thread differs\n got: %+v\nwant: %+v", gotRep, wantRep)
+	}
+}
+
+// pageWalkProgram stores one word into each of 16 data pages in turn, so a
+// window of short intervals maps a few new pages per interval and all 16
+// over the whole window.
+const pageWalkProgram = `
+        .data
+buf:    .space 65536
+        .text
+main:   la   t0, buf
+        li   t1, 16
+        li   t2, 4096
+walk:   sw   t1, (t0)
+        add  t0, t0, t2
+        addi t1, t1, -1
+        bnez t1, walk
+        li   a0, 0
+        li   a7, 1
+        syscall
+`
+
+// TestReportVerdictIgnoresWidth: a single-threaded report whose intervals
+// each map fewer pages than MaxPages but whose window maps more replays to
+// the same result, errors included, at every pool width. The verdict is
+// then a function of the report alone, which the triage verdict cache and
+// a cluster's single replayer both rely on.
+func TestReportVerdictIgnoresWidth(t *testing.T) {
+	rep, img := recordST(t, pageWalkProgram,
+		core.Config{IntervalLength: 16, DictSize: 64, Cache: tinyCache()})
+	const maxPages = 8
+	if len(rep.MRLs) != 0 || len(rep.FLLs[0]) < 4 {
+		t.Fatalf("want an MRL-free report of several intervals: %d MRLs, %d intervals", len(rep.MRLs), len(rep.FLLs[0]))
+	}
+	// The report is over budget across its window: a sequential replay
+	// under the same cap fails.
+	if _, err := seqThread(img, rep.FLLs[0], Options{MaxPages: maxPages}); err == nil {
+		t.Fatalf("sequential replay mapped the whole window within %d pages", maxPages)
+	}
+	type outcome struct {
+		res *core.MultiReplayResult
+		err error
+	}
+	replay := func(workers int) outcome {
+		res, err := ReplayReport(img, rep, ReportOptions{Options: Options{Workers: workers, MaxPages: maxPages, TraceDepth: 16}})
+		return outcome{res, err}
+	}
+	want := replay(1)
+	if want.err != nil {
+		t.Fatalf("workers=1: %v (each interval maps fewer than %d pages)", want.err, maxPages)
+	}
+	for _, workers := range []int{2, 4} {
+		if got := replay(workers); !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: %+v, %v\nworkers=1: %+v, %v", workers, got.res, got.err, want.res, want.err)
+		}
+	}
 }

@@ -60,9 +60,8 @@ const maxBuckets = 65536
 // death; exceeding the per-thread share surfaces as a memory fault in the
 // verdict. Replay fans a report's intervals out across GOMAXPROCS workers
 // and the cap binds each interval there, so a report's replay peaks at
-// this cap times the replay width, and a report over the cap only across
-// its whole window diverges at width 1 alone (see package parreplay).
-// Shared with the debug-session layer for the same reason.
+// this cap times the replay width (see package parreplay). Shared with the
+// debug-session layer for the same reason.
 const DefaultMaxReplayPages = 16384
 
 // Verdict states.
@@ -606,9 +605,9 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 		maxPages = 1
 	}
 	// parreplay fans the report's checkpoint intervals across GOMAXPROCS
-	// workers, and routes a width of one and race-detection (MRL-carrying)
-	// reports to the sequential schedule itself, so the verdict is
-	// byte-identical whatever the width.
+	// workers, and routes race-detection (MRL-carrying) reports to the
+	// sequential schedule itself; the report alone picks the schedule, so
+	// the verdict is byte-identical whatever the width.
 	res, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{
 		Options: parreplay.Options{
 			TraceDepth: timetravel.TraceDepth,

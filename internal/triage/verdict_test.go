@@ -258,9 +258,8 @@ func TestVerdictsWithoutArchiveAreBounded(t *testing.T) {
 }
 
 // TestZeroConfigReplaysOnParreplay: a service built with no replay
-// settings replays an MRL-free report on parreplay's interval fan-out
-// whenever GOMAXPROCS leaves room for one, and on the sequential schedule
-// at GOMAXPROCS 1.
+// settings replays an MRL-free report on parreplay's interval fan-out at
+// every GOMAXPROCS, 1 included.
 func TestZeroConfigReplaysOnParreplay(t *testing.T) {
 	img, rep, blob := recordBlob(t)
 	if len(rep.MRLs) != 0 || len(rep.FLLs[0]) < 2 {
@@ -271,7 +270,7 @@ func TestZeroConfigReplaysOnParreplay(t *testing.T) {
 	for _, tc := range []struct {
 		procs     int
 		fallbacks uint64
-	}{{2, 0}, {4, 0}, {1, 1}} {
+	}{{2, 0}, {4, 0}, {1, 0}} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
 			s, err := New(Config{Dir: t.TempDir(), Resolver: reg.Resolve})
