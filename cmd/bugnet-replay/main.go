@@ -43,15 +43,10 @@ func main() {
 	}
 	defer a.Close()
 	rep := a.Report()
-	if rep.Binary.TextLen != 0 {
-		if err := rep.Binary.Matches(img); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 
-	// Replay adopts the recording options the report carries; the report
-	// alone picks the schedule (see parreplay.ReplayReport).
+	// Replay adopts the recording options the report carries and refuses
+	// a report from a different binary before it starts; the report alone
+	// picks the schedule (see parreplay.ReplayReport).
 	out, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{DetectRaces: *races})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "replay:", err)

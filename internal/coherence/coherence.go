@@ -24,19 +24,35 @@ package coherence
 
 import "math/bits"
 
-// Directory tracks the global sharing state of every touched block.
+// Directory tracks the global sharing state of every touched block. It is
+// a flat, pointer-free, open-addressed table: the guest consults it on
+// every loggable operation and every word store, so a lookup is a hash
+// and a probe of a few adjacent slots, and the collector never scans it.
+// The table is allocated in New and doubles when half full; a block that
+// is forgotten (ExternalWrite) keeps its slot with an empty state, so
+// forgetting never inserts and a write over untouched memory adds nothing.
 type Directory struct {
-	blockMask uint32
-	blocks    map[uint32]*blockState
-	replies   []int // scratch behind Load and Store's results
-	stats     Stats
+	blockShift uint   // log2 of the block size
+	hashShift  uint   // 32 - log2(len(slots)): a key's hash keeps the top bits
+	slots      []slot // power-of-two length
+	used       int    // slots holding a key
+	replies    []int  // scratch behind Load and Store's results
+	stats      Stats
 }
 
-type blockState struct {
-	sharers  uint64 // bitmask of nodes holding the block
-	owner    int    // meaningful when modified
+// slot is one block's entry. key is the block number plus one, so the zero
+// slot is empty; a block's state with no sharers is the same as an
+// untouched block's.
+type slot struct {
+	key      uint32
+	owner    uint8 // meaningful when modified
 	modified bool
+	sharers  uint64 // bitmask of nodes holding the block
 }
+
+// initialSlots sizes a new directory's table: 16 KB, room for 512 blocks
+// (32 KB of guest memory at 64-byte blocks) before the first doubling.
+const initialSlots = 1 << 10
 
 // Stats counts protocol events.
 type Stats struct {
@@ -56,9 +72,10 @@ func New(nodes int, blockBytes int) *Directory {
 		panic("coherence: block size must be a power of two >= 4")
 	}
 	return &Directory{
-		blockMask: ^uint32(blockBytes - 1),
-		blocks:    make(map[uint32]*blockState),
-		replies:   make([]int, 0, nodes),
+		blockShift: uint(bits.TrailingZeros32(uint32(blockBytes))),
+		hashShift:  32 - uint(bits.TrailingZeros32(initialSlots)),
+		slots:      make([]slot, initialSlots),
+		replies:    make([]int, 0, nodes),
 	}
 }
 
@@ -73,8 +90,8 @@ func (d *Directory) Load(tid int, addr uint32) []int {
 	d.stats.Loads++
 	b := d.block(addr)
 	d.replies = d.replies[:0]
-	if b.modified && b.owner != tid {
-		d.replies = append(d.replies, b.owner)
+	if b.modified && int(b.owner) != tid {
+		d.replies = append(d.replies, int(b.owner))
 		d.stats.DataReplies++
 		b.modified = false
 	}
@@ -92,7 +109,7 @@ func (d *Directory) Store(tid int, addr uint32) []int {
 	d.replies = appendNodes(d.replies[:0], b.sharers&^(1<<uint(tid)))
 	d.stats.Invalidations += uint64(len(d.replies))
 	b.sharers = 1 << uint(tid)
-	b.owner = tid
+	b.owner = uint8(tid)
 	b.modified = true
 	return d.replies
 }
@@ -114,15 +131,13 @@ func (d *Directory) ExternalWrite(addr uint32) []int {
 	return appendNodes(nil, d.forget(addr))
 }
 
-// forget drops addr's block from the directory and returns its holder mask.
+// forget empties the state of addr's block and returns its holder mask.
+// It only looks the block up: an untouched block stays untouched.
 func (d *Directory) forget(addr uint32) uint64 {
-	key := addr & d.blockMask
-	b, ok := d.blocks[key]
-	if !ok {
-		return 0
-	}
-	delete(d.blocks, key)
-	return b.sharers
+	b := d.find(addr>>d.blockShift + 1)
+	held := b.sharers
+	*b = slot{key: b.key}
+	return held
 }
 
 // ExternalWriteRange applies ExternalWrite to every block overlapping
@@ -131,9 +146,9 @@ func (d *Directory) ExternalWriteRange(addr, size uint32) []int {
 	if size == 0 {
 		return nil
 	}
-	bs := ^d.blockMask + 1
-	first := addr & d.blockMask
-	last := (addr + size - 1) & d.blockMask
+	bs := uint32(1) << d.blockShift
+	first := addr &^ (bs - 1)
+	last := (addr + size - 1) &^ (bs - 1)
 	var held uint64
 	for b := first; ; b += bs {
 		held |= d.forget(b)
@@ -144,12 +159,39 @@ func (d *Directory) ExternalWriteRange(addr, size uint32) []int {
 	return appendNodes(nil, held)
 }
 
-func (d *Directory) block(addr uint32) *blockState {
-	key := addr & d.blockMask
-	b, ok := d.blocks[key]
-	if !ok {
-		b = &blockState{}
-		d.blocks[key] = b
+// block returns addr's slot, inserting the block if it is new.
+func (d *Directory) block(addr uint32) *slot {
+	key := addr>>d.blockShift + 1
+	b := d.find(key)
+	if b.key == 0 {
+		if 2*(d.used+1) > len(d.slots) {
+			d.grow()
+			b = d.find(key)
+		}
+		b.key = key
+		d.used++
 	}
 	return b
+}
+
+// find returns key's slot, or the empty slot where key would go.
+func (d *Directory) find(key uint32) *slot {
+	mask := uint32(len(d.slots) - 1)
+	for i := key * 0x9e3779b9 >> d.hashShift; ; i = (i + 1) & mask {
+		if b := &d.slots[i]; b.key == key || b.key == 0 {
+			return b
+		}
+	}
+}
+
+// grow doubles the table and re-inserts every slot.
+func (d *Directory) grow() {
+	old := d.slots
+	d.slots = make([]slot, 2*len(old))
+	d.hashShift--
+	for _, b := range old {
+		if b.key != 0 {
+			*d.find(b.key) = b
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package coherence
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,4 +177,130 @@ func TestDirectoryDoesNotAllocate(t *testing.T) {
 	if replies < 4000 {
 		t.Errorf("ping-pong drew %d replies; want one on almost every access", replies)
 	}
+}
+
+// pair drives a Directory and the reference model through the same calls
+// and fails the test at the first reply or counter they disagree on.
+type pair struct {
+	t     *testing.T
+	d     *Directory
+	ref   *refDirectory
+	nodes int
+	calls int
+}
+
+func newPair(t *testing.T, nodes, blockBytes int) *pair {
+	return &pair{t: t, d: New(nodes, blockBytes), ref: newRef(nodes, blockBytes), nodes: nodes}
+}
+
+// step applies one call: kind 0 a Load, 1 a Store, 2 an ExternalWriteRange
+// of size bytes (an ExternalWrite when size is 0).
+func (p *pair) step(kind, tid int, addr, size uint32) {
+	p.t.Helper()
+	p.calls++
+	tid %= p.nodes
+	var got, want []int
+	var call string
+	switch kind % 3 {
+	case 0:
+		call = fmt.Sprintf("Load(%d, %#x)", tid, addr)
+		got, want = p.d.Load(tid, addr), p.ref.Load(tid, addr)
+	case 1:
+		call = fmt.Sprintf("Store(%d, %#x)", tid, addr)
+		got, want = p.d.Store(tid, addr), p.ref.Store(tid, addr)
+	default:
+		if size == 0 {
+			call = fmt.Sprintf("ExternalWrite(%#x)", addr)
+			got, want = p.d.ExternalWrite(addr), p.ref.ExternalWrite(addr)
+		} else {
+			call = fmt.Sprintf("ExternalWriteRange(%#x, %d)", addr, size)
+			got, want = p.d.ExternalWriteRange(addr, size), p.ref.ExternalWriteRange(addr, size)
+		}
+	}
+	if !slices.Equal(got, want) {
+		p.t.Fatalf("call %d, %s: replies %v, reference %v", p.calls, call, got, want)
+	}
+	if got, want := p.d.Stats(), p.ref.Stats(); got != want {
+		p.t.Fatalf("call %d, %s: stats %+v, reference %+v", p.calls, call, got, want)
+	}
+}
+
+// TestDirectoryMatchesReference: random Load, Store and external-write
+// streams over 1 to 64 nodes and block sizes 4 to 256 bytes draw the same
+// replies and counters from the flat table as from the map-based
+// directory it replaced. Half the streams stay on a few hot blocks, where
+// replies are frequent; the others spread over thousands, so the table
+// doubles several times, and reach the top of the address space, where an
+// external write's range wraps.
+func TestDirectoryMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nodes := 1 + rng.Intn(64)
+		blockBytes := 4 << rng.Intn(7)
+		p := newPair(t, nodes, blockBytes)
+		span := uint32(16 * blockBytes)
+		if seed%2 == 0 {
+			span = uint32(8192 * blockBytes)
+		}
+		base := []uint32{0, 1 << 30, 2 << 30, -span}[rng.Intn(4)]
+		for i := 0; i < 20_000; i++ {
+			addr := base + uint32(rng.Int63n(int64(span)))&^3
+			var size uint32
+			if rng.Intn(4) != 0 {
+				size = uint32(rng.Intn(4 * blockBytes))
+			}
+			kind := rng.Intn(3)
+			if kind == 2 && rng.Intn(8) != 0 {
+				kind = rng.Intn(2) // external writes are rarer than accesses
+			}
+			p.step(kind, rng.Intn(nodes), addr, size)
+		}
+		if seed%2 == 0 && len(p.d.slots) == initialSlots {
+			t.Fatalf("seed %d: %d blocks touched and the table never grew", seed, p.d.used)
+		}
+	}
+}
+
+// TestExternalWriteRangeDoesNotInsert: a kernel or DMA write over memory no
+// processor has touched looks its blocks up and leaves the table as it was.
+func TestExternalWriteRangeDoesNotInsert(t *testing.T) {
+	d := New(2, 64)
+	d.Load(0, 0x1000)
+	d.Store(1, 0x1040)
+	used, size := d.used, len(d.slots)
+	if held := d.ExternalWriteRange(0x10_0000, 1<<20); len(held) != 0 {
+		t.Fatalf("untouched range had holders %v", held)
+	}
+	d.ExternalWrite(0x20_0000)
+	if d.used != used || len(d.slots) != size {
+		t.Fatalf("external writes over untouched memory: %d keys in %d slots, want %d in %d", d.used, len(d.slots), used, size)
+	}
+	if held := d.ExternalWriteRange(0x1000, 0x80); len(held) != 2 {
+		t.Fatalf("holders %v, want both nodes", held)
+	}
+	if d.used != used {
+		t.Fatalf("forgetting touched blocks changed the key count %d to %d", used, d.used)
+	}
+}
+
+// FuzzDirectoryVsReference is TestDirectoryMatchesReference over call
+// streams the fuzzer writes: every five bytes are a call (kind, node, a
+// 16-bit word index and an external write's size in half blocks), the
+// word counted down from the top of the address space when the kind
+// byte's high bit is set, so ranges wrap.
+func FuzzDirectoryVsReference(f *testing.F) {
+	f.Add(uint8(2), uint8(4), []byte{0, 0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0})
+	f.Add(uint8(64), uint8(6), []byte{1, 63, 0, 2, 0, 0, 5, 0, 2, 0, 2, 0, 0, 0, 9, 130, 0, 255, 255, 3})
+	f.Add(uint8(3), uint8(0), []byte{0, 1, 2, 3, 0, 1, 2, 2, 3, 0, 2, 0, 2, 0, 1, 0, 0, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, nodes, blockLog uint8, data []byte) {
+		blockBytes := 4 << (blockLog % 7)
+		p := newPair(t, 1+int(nodes)%64, blockBytes)
+		for ; len(data) >= 5; data = data[5:] {
+			addr := (uint32(data[2])<<8 | uint32(data[3])) * 4
+			if data[0]&0x80 != 0 {
+				addr = -addr - 4
+			}
+			p.step(int(data[0]&0x7f), int(data[1]), addr, uint32(data[4])*uint32(blockBytes)/2)
+		}
+	})
 }

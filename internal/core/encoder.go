@@ -8,14 +8,17 @@ import (
 	"bugnet/internal/dict"
 	"bugnet/internal/fll"
 	"bugnet/internal/logstore"
+	"bugnet/internal/mrl"
 )
 
 // The recorder's log stage: the dictionary compressor, the FLL packing, the
-// interval close and the append into the FLL region — the structures of the
-// paper's Figure 1 that drain the log beside the pipeline (§4.3.1, §4.7).
-// The guest side (recorder.go) decides what is logged and when an interval
-// ends, and appends one event word per decision to the recorder's stream;
-// the stage turns the stream into FLL bytes in the order it was written.
+// interval close and the appends into the FLL and MRL regions — the
+// structures of the paper's Figure 1 that drain the logs beside the
+// pipeline (§4.3.1, §4.6, §4.7). The guest side (recorder.go) decides what
+// is logged and when an interval ends, and appends one event word per
+// decision to the recorder's stream; the stage turns the stream into FLL
+// bytes in the order it was written, and appends each interval's MRL, which
+// the guest encoded into the chunk, beside its FLL.
 //
 // The stream is cut into chunks. While Machine.Run is executing, a full
 // chunk goes to an encoder goroutine and the guest carries on in an empty
@@ -39,7 +42,7 @@ const (
 
 	evOp     uint64 = 0 << evKindShift
 	evStart  uint64 = 1 << evKindShift // an interval opens; payload in hdrs
-	evEnd    uint64 = 2 << evKindShift // an interval closes; payload in ends
+	evEnd    uint64 = 2 << evKindShift // an interval closes; payload in ends (and mrls)
 	evCommit uint64 = 3 << evKindShift // append the closed intervals as one batch
 )
 
@@ -50,6 +53,15 @@ const (
 	chunkEvents = 4096
 	chunkMarks  = 16 // interval starts (and ends) one chunk carries
 	chunkCount  = 4
+
+	// chunkMRLBytes is the MRL arena a chunk starts with on a machine with
+	// a coherence directory, and mrlCopyBytes the log stage's copy buffer
+	// per thread. An MRL encodes in 45 bytes plus 24 per entry; the
+	// shared-memory workload's 10,000-instruction intervals log about 150
+	// entries, 3.5 KB, and a chunk carries up to four of them. Either
+	// buffer grows to the largest content it meets.
+	chunkMRLBytes = 16 << 10
+	mrlCopyBytes  = 4 << 10
 
 	// A stage with nothing to do polls the other stage's counter. The
 	// encoder looks at the clock and yields its processor to any other
@@ -147,18 +159,25 @@ func (w *waiter) wake() bool {
 	return false
 }
 
-// chunk is one slice of the event stream.
+// chunk is one slice of the event stream. mrls holds the encoded MRLs of
+// the intervals its end events close, in order; the chunk returns to the
+// guest only once it has been encoded, so neither stage locks it.
 type chunk struct {
 	ev   []uint64
 	hdrs []fll.Header
 	ends []intervalEnd
+	mrls []byte
 }
 
-// intervalEnd is the payload of an end event.
+// intervalEnd is the payload of an end event. On a machine with a
+// coherence directory it carries the interval's MRL: its metadata, and
+// where its encoding lies in the chunk's mrls.
 type intervalEnd struct {
-	length uint64
-	kind   fll.EndKind
-	fault  *fll.FaultRecord
+	length        uint64
+	kind          fll.EndKind
+	fault         *fll.FaultRecord
+	mrl           mrl.Meta
+	mrlAt, mrlEnd int
 }
 
 func newChunk() *chunk {
@@ -170,26 +189,32 @@ func newChunk() *chunk {
 }
 
 // fllThread is one thread's share of the log stage: its dictionary and
-// FLL writer, and the buffer a closing interval is encoded into. The
-// writer is w while an interval is open and wPool between intervals, so
-// it (and its grown entry stream) is reused, and enc is reused once the
-// store has copied the bytes: the steady-state wire path allocates
-// nothing.
+// FLL writer, the buffer a closing interval is encoded into, and the one
+// its MRL is copied into out of the chunk. The writer is w while an
+// interval is open and wPool between intervals, so it (and its grown
+// entry stream) is reused, and enc and menc are reused once the stores
+// have copied the bytes: the steady-state wire path allocates nothing.
 type fllThread struct {
 	dict  *dict.Table
 	w     *fll.Writer
 	wPool *fll.Writer
 	enc   []byte
+	menc  []byte
 }
 
-// newFLLThread makes a thread's share of the log stage. The guest side
-// makes it as the thread starts, before any event of the thread is in the
+// newFLLThread makes a thread's share of the log stage, with an MRL copy
+// buffer if the machine has a coherence directory. The guest side makes
+// it as the thread starts, before any event of the thread is in the
 // stream, so the log stage allocates none of it inside Run (and a thread
 // the recorder attached to gets it in NewRecorder).
-func newFLLThread(cfg Config) *fllThread {
+func newFLLThread(cfg Config, mrls bool) *fllThread {
 	d := dict.NewWithOptions(cfg.DictSize, cfg.DictOptions)
 	hdr := fll.Header{IntervalLimit: cfg.IntervalLength, DictSize: uint32(cfg.DictSize)}
-	return &fllThread{dict: d, wPool: fll.NewWriter(hdr, d)}
+	ft := &fllThread{dict: d, wPool: fll.NewWriter(hdr, d)}
+	if mrls {
+		ft.menc = make([]byte, 0, mrlCopyBytes)
+	}
+	return ft
 }
 
 // emitOp appends one loggable operation to the stream.
@@ -339,13 +364,13 @@ func (r *Recorder) encode(c *chunk) {
 			r.openFLL(tid, &hdrs[0])
 			hdrs = hdrs[1:]
 		case evEnd:
-			r.closeFLL(tid, &ends[0])
+			r.closeInterval(tid, &ends[0], c.mrls)
 			ends = ends[1:]
 		case evCommit:
-			r.commitFLL()
+			r.commitStaged()
 		}
 	}
-	c.ev, c.hdrs, c.ends = c.ev[:0], c.hdrs[:0], c.ends[:0]
+	c.ev, c.hdrs, c.ends, c.mrls = c.ev[:0], c.hdrs[:0], c.ends[:0], c.mrls[:0]
 }
 
 // openFLL opens a thread's FLL for the interval hdr describes, with an
@@ -357,12 +382,15 @@ func (r *Recorder) openFLL(tid int, hdr *fll.Header) {
 	ft.w.Reset(*hdr, ft.dict)
 }
 
-// closeFLL finalizes a thread's FLL straight to its wire encoding and
-// stages it for the next commit. Nothing decoded outlives the interval:
-// replay re-materializes a log on demand through the lazy views Report
-// hands out.
-func (r *Recorder) closeFLL(tid int, end *intervalEnd) {
+// closeInterval finalizes a thread's FLL straight to its wire encoding and
+// stages it for the next commit, with the interval's MRL, if it has one,
+// from its chunk's arena. Nothing decoded outlives the interval: replay
+// re-materializes a log on demand through the lazy views Report hands out.
+func (r *Recorder) closeInterval(tid int, end *intervalEnd, arena []byte) {
 	ft := r.fl[tid]
+	if end.mrlEnd > end.mrlAt {
+		r.stageMRL(ft, tid, &end.mrl, arena[end.mrlAt:end.mrlEnd])
+	}
 	meta, data := ft.w.AppendEncoded(ft.enc[:0], end.length, end.kind, end.fault)
 	ft.enc = data
 	ft.wPool, ft.w = ft.w, nil
@@ -379,20 +407,43 @@ func (r *Recorder) closeFLL(tid int, end *intervalEnd) {
 	r.fllPendMeta = append(r.fllPendMeta, meta)
 }
 
-// commitFLL appends the staged FLLs in one batch, records their metadata
-// under the assigned sequence numbers, and prunes the cache entries of
-// everything the store has evicted. Store failures are sticky and surface
-// through Err.
-func (r *Recorder) commitFLL() {
+// stageMRL copies a closing interval's encoded MRL out of its chunk into
+// the thread's buffer and stages it for the next commit. A thread stages
+// at most one interval between two commits, so one buffer suffices.
+func (r *Recorder) stageMRL(ft *fllThread, tid int, meta *mrl.Meta, data []byte) {
+	ft.menc = append(ft.menc[:0], data...)
+	r.mrlPend = append(r.mrlPend, logstore.AppendEntry{
+		Item: logstore.Item{
+			TID:       tid,
+			CID:       meta.CID,
+			Timestamp: meta.Timestamp,
+			Bytes:     meta.SizeBytes(),
+		},
+		Data: ft.menc,
+	})
+	r.mrlPendMeta = append(r.mrlPendMeta, *meta)
+}
+
+// commitStaged appends the staged intervals, one batch per store, and
+// publishes the recorder's counters: the log stage's half of a commit.
+func (r *Recorder) commitStaged() {
 	r.exportCounters()
-	if len(r.fllPend) == 0 {
+	commitBatch(r.flls, &r.fllPend, &r.fllPendMeta, &r.fllMeta)
+	commitBatch(r.mrls, &r.mrlPend, &r.mrlPendMeta, &r.mrlMeta)
+}
+
+// commitBatch appends one store's staged intervals in one batch, records
+// their metadata under the assigned sequence numbers, prunes the cache
+// entries of everything the store has evicted, and empties the stage.
+// Store failures are sticky and surface through Err.
+func commitBatch[M any](store *logstore.Store, pend *[]logstore.AppendEntry, metas *[]M, cache *seqFIFO[M]) {
+	if len(*pend) == 0 {
 		return
 	}
-	n, _ := r.flls.AppendBatch(r.fllPend)
+	n, _ := store.AppendBatch(*pend)
 	for i := 0; i < n; i++ {
-		r.fllMeta.put(r.fllPend[i].Item.Seq, r.fllPendMeta[i])
+		cache.put((*pend)[i].Item.Seq, (*metas)[i])
 	}
-	r.fllPend = r.fllPend[:0]
-	r.fllPendMeta = r.fllPendMeta[:0]
-	r.fllMeta.prune(r.flls.OldestLiveSeq())
+	*pend, *metas = (*pend)[:0], (*metas)[:0]
+	cache.prune(store.OldestLiveSeq())
 }

@@ -245,6 +245,10 @@ func FuzzRecorderStagesVsInline(f *testing.F) {
 	f.Add(uint8(progGzip), uint32(50_000), uint32(10_000), uint8(5), uint8(0), []byte(nil))
 	f.Add(uint8(progGzip), uint32(450_000), uint32(10_000), uint8(5), uint8(0), []byte(nil))
 	f.Add(uint8(progMTShare), uint32(100_000), uint32(5_000), uint8(5), uint8(0), []byte(nil))
+	// Two threads on small disk regions over four Runs: the MRL region
+	// rotates segments and evicts on the log stage across every Run
+	// boundary.
+	f.Add(uint8(progMTShare), uint32(200_000), uint32(5_000), uint8(5), uint8(3<<6|16|8), []byte(nil))
 	for i, seed := range cputest.FuzzSeeds() {
 		f.Add(uint8(progWords), uint32(3_000), uint32(97), uint8(i), uint8(i*37), seed)
 	}

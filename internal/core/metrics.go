@@ -4,9 +4,10 @@ import "bugnet/internal/obs"
 
 // Recorder wire-path counters. All of them are unlabeled, preallocated
 // handles updated in batches: the per-instruction hooks (loggable, fetch)
-// touch only the recorder's plain uint64 tallies, and commit() exports
-// the deltas once per interval batch. Nothing here runs per instruction,
-// so none of it shows in the benchmark's record_ns_per_instr.
+// touch only the recorder's plain uint64 tallies, and the log stage
+// exports the deltas at each commit event, once per interval batch.
+// Nothing here runs per instruction, so none of it shows in the
+// benchmark's record_ns_per_instr.
 var (
 	mRecordIntervals = obs.Default.Counter("bugnet_record_intervals_total",
 		"Checkpoint intervals committed to the log stores.")

@@ -22,13 +22,14 @@ import (
 //
 // It runs in two stages, split along the paper's Figure 1. The guest side
 // — the hooks, on the machine's goroutine — keeps the caches and their
-// first-load bits, coherence, the Memory Race Log and the decision where
-// an interval ends, and appends one event per loggable operation and per
-// interval start and end to an event stream. The log stage (encoder.go) —
-// dictionary, FLL packing, interval close, FLL region append — consumes
-// that stream on an encoder goroutine while Machine.Run executes, and is
-// settled by the time Run returns (OnPause) and by Flush, Report, Err,
-// LoggedOps and DictStats. A Recorder is used from one goroutine at a time.
+// first-load bits, coherence, the Memory Race Log's entries and encoding,
+// and the decision where an interval ends, and appends one event per
+// loggable operation and per interval start and end to an event stream.
+// The log stage (encoder.go) — dictionary, FLL packing, interval close,
+// FLL and MRL region appends — consumes that stream on an encoder
+// goroutine while Machine.Run executes, and is settled by the time Run
+// returns (OnPause) and by Flush, Report, Err, LoggedOps and DictStats. A
+// Recorder is used from one goroutine at a time.
 type Recorder struct {
 	cfg Config
 	m   *kernel.Machine
@@ -37,7 +38,6 @@ type Recorder struct {
 	threads []*threadRec
 	dir     *coherence.Directory // nil on uniprocessors
 	red     *mrl.Reducer
-	mrls    *logstore.Store
 
 	// The event stream (encoder.go): cur is the chunk the guest appends
 	// to; inline (set with a bus model) encodes every event as it is
@@ -48,10 +48,11 @@ type Recorder struct {
 	encodeFn func()
 
 	// Log stage: owned by the encoder goroutine while it runs, by whoever
-	// settled the stage otherwise. The guest side only fills an empty fl
-	// entry as its thread starts (newFLLThread).
+	// settled the stage otherwise, like every field below. The guest side
+	// only fills an empty fl entry as its thread starts (newFLLThread).
 	fl   []*fllThread // by thread id
 	flls *logstore.Store
+	mrls *logstore.Store
 
 	// loggedOps / totalOps give the first-load filter rate for the
 	// experiment harness. exportedLogged/exportedTotal are the watermarks
@@ -70,15 +71,14 @@ type Recorder struct {
 	// bytes. After every commit the caches are pruned against the stores'
 	// eviction frontier (OldestLiveSeq), so recorder memory stays bounded
 	// by the region budget even under continuous recording.
-	// fllMeta belongs to the log stage, mrlMeta to the guest side.
 	fllMeta seqFIFO[fll.Meta]
 	mrlMeta seqFIFO[mrl.Meta]
 
 	// Staged appends: finalized intervals accumulate here and commit in
-	// one AppendBatch per store, so multi-thread flushes and crash
-	// collections pay one lock acquisition and one eviction pass. The
-	// staged bytes sit in their threads' encode buffers until the stores
-	// have copied them. The FLL half belongs to the log stage.
+	// one AppendBatch per store at the next commit event, so multi-thread
+	// flushes and crash collections pay one lock acquisition and one
+	// eviction pass. The staged bytes sit in their threads' log-stage
+	// buffers (fllThread) until the stores have copied them.
 	fllPend     []logstore.AppendEntry
 	mrlPend     []logstore.AppendEntry
 	fllPendMeta []fll.Meta
@@ -103,10 +103,9 @@ type threadRec struct {
 	open    bool // an interval is open: its start is in the stream, its end not yet
 	mw      *mrl.Writer
 	// mwPool recycles the MRL writer (and its grown entry buffer) across
-	// intervals, and menc is the buffer a closing interval's MRL is
-	// encoded into, reused once commit has handed the bytes to the store.
+	// intervals; a closing interval's MRL is encoded into its chunk
+	// (stageInterval).
 	mwPool *mrl.Writer
-	menc   []byte
 	trace  *traceRing
 
 	// bus-model sampling state
@@ -151,6 +150,11 @@ func NewRecorder(m *kernel.Machine, cfg Config) *Recorder {
 	if len(m.Threads) > 1 {
 		r.dir = coherence.New(len(m.Threads), cfg.Cache.L1.BlockBytes)
 		r.red = mrl.NewReducer(len(m.Threads))
+		for _, c := range r.stream.ring {
+			if c != nil {
+				c.mrls = make([]byte, 0, chunkMRLBytes)
+			}
+		}
 	}
 	m.SetHooks(r)
 	// Attaching to a running machine (recording starts mid-execution, as
@@ -262,7 +266,7 @@ func (r *Recorder) OnThreadStart(tid int) {
 		t.c.OnFetch = func(pc uint32) { r.fetch(t, pc) }
 	}
 	if r.fl[tid] == nil {
-		r.fl[tid] = newFLLThread(r.cfg)
+		r.fl[tid] = newFLLThread(r.cfg, r.dir != nil)
 	}
 	r.startInterval(t)
 }
@@ -511,52 +515,32 @@ func (r *Recorder) endInterval(t *threadRec, end fll.EndKind, fault *fll.FaultRe
 }
 
 // stageInterval closes the thread's interval: its end event goes to the
-// log stage, which finalizes the FLL, and its MRL is encoded and staged
-// here. Multi-thread paths (Flush, the crash collection) stage every
-// thread first and commit once, batching the store appends. A thread with
-// no open interval is refused, which makes Flush idempotent.
+// log stage, which finalizes the FLL and stages it with the interval's
+// MRL, encoded here into the chunk beside the event. Multi-thread paths
+// (Flush, the crash collection) stage every thread first and commit once,
+// batching the store appends. A thread with no open interval is refused,
+// which makes Flush idempotent.
 func (r *Recorder) stageInterval(t *threadRec, end fll.EndKind, fault *fll.FaultRecord) {
 	if t == nil || !t.open {
 		return
 	}
 	t.open = false
 	c := r.cur
-	c.ends = append(c.ends, intervalEnd{length: t.c.IC - t.startIC, kind: end, fault: fault})
-	r.emitMark(evEnd | t.tag)
+	e := intervalEnd{length: t.c.IC - t.startIC, kind: end, fault: fault}
 	if t.mw != nil {
-		mm, mdata := t.mw.AppendEncoded(t.menc[:0])
-		t.menc = mdata
+		e.mrlAt = len(c.mrls)
+		e.mrl, c.mrls = t.mw.AppendEncoded(c.mrls)
+		e.mrlEnd = len(c.mrls)
 		t.mwPool, t.mw = t.mw, nil
-		r.mrlPend = append(r.mrlPend, logstore.AppendEntry{
-			Item: logstore.Item{
-				TID:       t.tid,
-				CID:       t.cid,
-				Timestamp: mm.Timestamp,
-				Bytes:     mm.SizeBytes(),
-			},
-			Data: mdata,
-		})
-		r.mrlPendMeta = append(r.mrlPendMeta, mm)
 	}
+	c.ends = append(c.ends, e)
+	r.emitMark(evEnd | t.tag)
 }
 
-// commit appends all staged intervals, one batch per store: the log stage
-// commits the FLLs when the commit event reaches it, and the MRLs are
-// appended here, their metadata recorded under the assigned sequence
-// numbers and the cache entries of everything the store has evicted
-// pruned. Store failures are sticky and surface through Err.
-func (r *Recorder) commit() {
-	r.emitMark(evCommit)
-	if len(r.mrlPend) > 0 {
-		n, _ := r.mrls.AppendBatch(r.mrlPend)
-		for i := 0; i < n; i++ {
-			r.mrlMeta.put(r.mrlPend[i].Item.Seq, r.mrlPendMeta[i])
-		}
-		r.mrlPend = r.mrlPend[:0]
-		r.mrlPendMeta = r.mrlPendMeta[:0]
-		r.mrlMeta.prune(r.mrls.OldestLiveSeq())
-	}
-}
+// commit marks the end of a batch of staged intervals: the log stage
+// appends them, one batch per store, when the mark reaches it
+// (commitStaged).
+func (r *Recorder) commit() { r.emitMark(evCommit) }
 
 // seqFIFO holds one value per consecutive store sequence number, oldest
 // first: a window that slides with the store's.

@@ -297,8 +297,9 @@ func TestZeroConfigReplaysOnParreplay(t *testing.T) {
 // TestParallelReplayVerdictParity is the service-level determinism
 // property: the verdict a service replays on four processors — state,
 // reproduction, races, backtrace, instruction counts — is byte-identical
-// to the one it replays on one, sequentially, for a single-threaded crash
-// and for a multithreaded racy report.
+// to the one it replays on one, for a single-threaded crash, which one
+// worker replays interval by interval, and for a multithreaded racy
+// report, which MultiReplayer replays on either.
 func TestParallelReplayVerdictParity(t *testing.T) {
 	img, _, stBlob := recordBlob(t)
 
