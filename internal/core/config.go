@@ -131,7 +131,15 @@ func (t *traceRing) clone() *traceRing {
 	if t == nil {
 		return nil
 	}
-	return &traceRing{buf: append([]TraceEntry(nil), t.buf...), next: t.next, full: t.full}
+	cp := newTraceRing(len(t.buf))
+	cp.copyFrom(t)
+	return cp
+}
+
+// copyFrom makes t hold what s does; both have the same depth.
+func (t *traceRing) copyFrom(s *traceRing) {
+	copy(t.buf, s.buf)
+	t.next, t.full = s.next, s.full
 }
 
 // entries returns the retained trace oldest-first.

@@ -133,13 +133,15 @@ func lockstep(t *testing.T, label string, img *asm.Image, logs []*fll.Ref, codeL
 // SPEC analogues and both threads of the shared-memory workload, through
 // each one's initialization phase and 100 K steps beyond it. The tiny cache
 // evicts first-load bits constantly, so most loads are re-logged with the
-// value memory already holds.
+// value memory already holds. Under -race it takes the -short window, as
+// the full one runs for minutes there.
 func TestEqualInjectionMatchesAlwaysStoreWorkloads(t *testing.T) {
+	short := testing.Short() || raceEnabled
 	for _, w := range append(workload.SPEC(), workload.MTShare()) {
 		t.Run(w.Name, func(t *testing.T) {
 			kcfg := w.Kernel
 			kcfg.MaxSteps = w.Warmup + 100_000
-			if testing.Short() {
+			if short {
 				kcfg.MaxSteps = w.Warmup/8 + 20_000
 			}
 			m := kernel.New(w.Image, kcfg, nil)
@@ -152,7 +154,7 @@ func TestEqualInjectionMatchesAlwaysStoreWorkloads(t *testing.T) {
 			}
 			for tid, logs := range rep.FLLs {
 				got, _ := lockstep(t, fmt.Sprintf("%s/T%d", w.Name, tid), w.Image, logs, false)
-				if res := got.Result(); !testing.Short() && res.Injected == 0 {
+				if res := got.Result(); !short && res.Injected == 0 {
 					t.Fatalf("T%d: vacuous replay: %+v", tid, res)
 				}
 			}

@@ -381,15 +381,22 @@ func (m *ReplayMachine) Snapshot() *ReplaySnapshot {
 // Restore installs a snapshot, copying out of it (copy-on-write for the
 // memory image and known set) so the snapshot stays reusable. The machine
 // rewinds in place: the pages, known bitmaps and table leaves it owns alone
-// are kept to back its next copy-on-write faults, so a warmed reverse step
-// copies pages without allocating them. The machine must have been built
-// from the same logs the snapshot was taken over.
+// are kept to back its next copy-on-write faults, the dictionary, log
+// reader and trace ring are overwritten in their own storage, and the
+// predecoded blocks stay unless the memory recycled a page they could have
+// come from, so a warmed restore allocates nothing and re-executing from it
+// decodes no block twice. The machine must have been built from the same
+// logs the snapshot was taken over.
 func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	st := m.st
 	st.mem.RestoreFrom(s.mem)
 	// A recycled page can come back at the same page number with other
 	// bytes, which the block cache's Gen and pointer check would accept.
-	st.c.InvalidateFetchCache()
+	// Every other page a block can name is shared with a snapshot and
+	// keeps its bytes, so only the recycled pages' numbers flush.
+	if lo, hi, ok := st.mem.FreedPages(); ok {
+		st.c.InvalidateFetchPages(lo, hi)
+	}
 	st.c.Restore(s.regs)
 	st.c.IC = s.ic
 	st.c.PassLoggable(s.passing)
@@ -409,16 +416,29 @@ func (m *ReplayMachine) Restore(s *ReplaySnapshot) {
 	st.executed = s.executed
 	st.total = s.total
 	st.injected = s.injected
-	st.trace = s.trace.clone()
+	if st.trace == nil || s.trace == nil {
+		st.trace = s.trace.clone()
+	} else {
+		st.trace.copyFrom(s.trace)
+	}
 	st.err = s.err
-	st.d = nil
-	st.reader = nil
-	if s.reader != nil {
+	if s.reader == nil {
+		st.reader = nil
+	} else {
 		// The snapshot's reader refers to the snapshot's frozen dictionary;
-		// clone the pair so the restored cursor updates a private table.
-		d := s.reader.Dict().Clone()
-		st.d = d
-		st.reader = s.reader.Clone(d)
+		// copy the pair so the restored cursor updates the state's own
+		// table, which no snapshot shares.
+		sd := s.reader.Dict()
+		if st.d == nil || st.d.Size() != sd.Size() {
+			st.d = sd.Clone()
+		} else {
+			st.d.CopyFrom(sd)
+		}
+		if st.reader == nil {
+			st.reader = s.reader.Clone(st.d)
+		} else {
+			st.reader.CopyFrom(s.reader, st.d)
+		}
 	}
 	m.pos = s.pos
 	m.done = s.done

@@ -20,8 +20,11 @@ package cpu
 //
 //   - InvalidateFetchCache flushes the whole cache (epoch bump) — the
 //     documented hook for external code mutation, called by the replayer's
-//     LogCodeLoads injection, by snapshot restore, and by the kernel after
-//     it or the DMA engine writes user memory;
+//     LogCodeLoads injection; InvalidateFetchRange and
+//     InvalidateFetchPages flush it only when the range touches a page
+//     blocks were decoded from, called by the kernel after it or the DMA
+//     engine writes user memory and by snapshot restore for the pages its
+//     memory recycled;
 //   - the store path watches the page range blocks were decoded from and
 //     flushes when a guest store lands there (self-modifying code), ending
 //     the current block after the mutating instruction; cores that share
@@ -121,8 +124,7 @@ func (c *CPU) ShareCode(o *CPU) {
 // DMA buffers live in data memory) keep every cached block, so I/O-heavy
 // recorded workloads do not re-predecode their hot loops after each read.
 func (c *CPU) InvalidateFetchRange(addr, n uint32) {
-	bc := c.bc
-	if n == 0 || bc == nil || !bc.haveCode {
+	if n == 0 {
 		return
 	}
 	lo := addr >> mem.PageShift
@@ -131,7 +133,15 @@ func (c *CPU) InvalidateFetchRange(addr, n uint32) {
 		hi = ^uint32(0) >> mem.PageShift
 		lo = 0
 	}
-	if hi >= bc.loPage && lo <= bc.hiPage {
+	c.InvalidateFetchPages(lo, hi)
+}
+
+// InvalidateFetchPages is InvalidateFetchRange over whole pages: it
+// invalidates cached decodes that may come from the page numbers lo..hi,
+// inclusive. A replay machine's restore passes the pages its memory put on
+// the free list (mem.Memory.FreedPages).
+func (c *CPU) InvalidateFetchPages(lo, hi uint32) {
+	if bc := c.bc; bc != nil && bc.haveCode && hi >= bc.loPage && lo <= bc.hiPage {
 		bc.flush()
 	}
 }

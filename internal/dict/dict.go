@@ -80,9 +80,9 @@ type Table struct {
 	vals   []uint32 // values in rank order; vals[:used] are live
 	counts []uint32 // saturating counters, parallel to vals in one backing array
 	// index[bucket(v)] is the number of live values in v's bucket. It and
-	// classes are built at the first search, so a Clone copies values and
-	// counters only and a checkpoint that is never resumed never carries
-	// either.
+	// classes are built at the first search after derived was cleared, so a
+	// Clone copies values and counters only and a checkpoint that is never
+	// resumed never carries either; CopyFrom keeps their storage.
 	index []uint16
 	// classes holds one bitset of ranks per counter value, words words
 	// each: bit i&63 of classes[c*words+i>>6] is set exactly when rank i
@@ -95,6 +95,7 @@ type Table struct {
 	bits       uint
 	counterMax uint32
 	insertTop  bool
+	derived    bool // index and classes describe vals and counts
 	stats      Stats
 }
 
@@ -173,16 +174,24 @@ func (t *Table) IndexBits() uint { return t.bits }
 func (t *Table) Reset() {
 	clear(t.vals)
 	clear(t.counts)
-	clear(t.index)
-	clear(t.classes)
 	t.used = 0
+	t.derived = false
 }
 
-// buildDerived counts the live values into a fresh index and sorts their
-// ranks into fresh counter classes.
+// buildDerived counts the live values into the index and sorts their ranks
+// into the counter classes, reusing their storage when it fits.
 func (t *Table) buildDerived() {
-	t.index = make([]uint16, len(t.vals)<<indexShift)
-	t.classes = make([]uint64, (int(t.counterMax)+1)*t.words)
+	if n := len(t.vals) << indexShift; len(t.index) == n {
+		clear(t.index)
+	} else {
+		t.index = make([]uint16, n)
+	}
+	if n := (int(t.counterMax) + 1) * t.words; len(t.classes) == n {
+		clear(t.classes)
+	} else {
+		t.classes = make([]uint64, n)
+	}
+	t.derived = true
 	for i, x := range t.vals[:t.used] {
 		t.index[t.bucket(x)]++
 		t.flip(t.counts[i], i)
@@ -197,7 +206,7 @@ func (t *Table) flip(c uint32, i int) {
 // find returns v's rank, or -1. The index proves most misses without
 // touching the values.
 func (t *Table) find(v uint32) int {
-	if t.index == nil {
+	if !t.derived {
 		t.buildDerived()
 	}
 	if t.index[t.bucket(v)] == 0 {
@@ -354,10 +363,25 @@ func (t *Table) victim() int {
 // statistics. Replay checkpointing clones the table so a restored replay
 // decodes ranks against the exact mid-interval dictionary state.
 func (t *Table) Clone() *Table {
-	cp := *t
-	cp.setEntries(append([]uint32(nil), t.vals[:2*len(t.vals)]...))
-	cp.index, cp.classes = nil, nil
-	return &cp
+	cp := new(Table)
+	cp.setEntries(make([]uint32, 2*len(t.vals)))
+	cp.CopyFrom(t)
+	return cp
+}
+
+// CopyFrom makes t hold what src.Clone() would, in t's own storage: the
+// values and counters are copied, and the index and counter classes are
+// rebuilt in place at the next search. src must have t's size. Replay
+// restores a checkpoint's table with it and allocates nothing.
+func (t *Table) CopyFrom(src *Table) {
+	if len(src.vals) != len(t.vals) {
+		panic(fmt.Sprintf("dict: copy of a %d-entry table into a %d-entry one", len(src.vals), len(t.vals)))
+	}
+	buf, index, classes := t.vals[:2*len(t.vals)], t.index, t.classes
+	*t = *src
+	copy(buf, src.vals[:2*len(src.vals)])
+	t.setEntries(buf)
+	t.index, t.classes, t.derived = index, classes, false
 }
 
 // Stats returns cumulative lookup statistics.

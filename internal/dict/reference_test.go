@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -86,7 +87,8 @@ func newPair(t testing.TB, size int, opts Options) *diffPair {
 
 // step applies one operation chosen by op to both tables and compares
 // everything observable. Operations: 0 Update, 1 Lookup, 2 LookupUpdate,
-// 3 Reset, 4 continue on a Clone.
+// 3 Reset, 4 continue on a Clone, 5 continue on a used table made to hold
+// this one's contents by CopyFrom.
 func (p *diffPair) step(op int, v uint32) {
 	p.t.Helper()
 	p.n++
@@ -117,6 +119,16 @@ func (p *diffPair) step(op int, v uint32) {
 			p.t.Fatalf("op %d: clone not Equal to its original", p.n)
 		}
 		orig.Update(v ^ 0x5A5A5A5A) // the original must not reach the clone
+	case 5:
+		orig := p.tb
+		cp := NewWithOptions(orig.Size(), Options{CounterBits: bits.Len32(orig.counterMax), InsertAtTop: orig.insertTop})
+		cp.Update(v ^ 0xA5A5A5A5) // derived state built over other contents
+		cp.CopyFrom(orig)
+		p.tb = cp
+		if !orig.Equal(cp) || !cp.Equal(orig) {
+			p.t.Fatalf("op %d: copy not Equal to its original", p.n)
+		}
+		orig.Update(v ^ 0x5A5A5A5A) // the original must not reach the copy
 	}
 	p.check()
 }
@@ -135,10 +147,11 @@ func (p *diffPair) check() {
 		p.t.Fatalf("op %d: stats %+v; reference %+v", p.n, p.tb.Stats(), p.ref.stats)
 	}
 	// The index and the counter classes are derived state: once built (a
-	// fresh clone has neither yet) the index must count exactly the live
-	// values and each class hold exactly the ranks with its counter.
-	// Rebuilding them costs more than the rest of the check, so sample it.
-	if p.n%61 != 0 || p.tb.index == nil {
+	// fresh clone has neither yet, a reset table or a copy only stale ones)
+	// the index must count exactly the live values and each class hold
+	// exactly the ranks with its counter. Rebuilding them costs more than
+	// the rest of the check, so sample it.
+	if p.n%61 != 0 || !p.tb.derived {
 		return
 	}
 	want := make([]uint16, len(p.tb.index))
@@ -156,13 +169,15 @@ func (p *diffPair) check() {
 }
 
 // pickOp draws an operation: mostly updates and lookups, now and then a
-// reset or a clone.
+// reset, a clone or a copy.
 func pickOp(rng *rand.Rand) int {
 	switch x := rng.Intn(200); {
 	case x == 0:
 		return 3
 	case x < 3:
 		return 4
+	case x < 5:
+		return 5
 	default:
 		return x % 3
 	}

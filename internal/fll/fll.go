@@ -474,12 +474,20 @@ func (r *Reader) Pass() uint64 {
 // checkpointing uses Clone to freeze and later restore a log cursor
 // mid-interval.
 func (r *Reader) Clone(d *dict.Table) *Reader {
-	if d == nil || d.Size() != r.dict.Size() {
-		panic("fll: clone dictionary geometry does not match reader")
+	cp := new(Reader)
+	cp.CopyFrom(r, d)
+	return cp
+}
+
+// CopyFrom makes r continue from src's exact position, as src.Clone(d)
+// would, in r's own storage. d must hold dictionary state identical to
+// src's table (typically a CopyFrom of it).
+func (r *Reader) CopyFrom(src *Reader, d *dict.Table) {
+	if d == nil || d.Size() != src.dict.Size() {
+		panic("fll: copy dictionary geometry does not match reader")
 	}
-	cp := *r
-	cp.dict = d
-	return &cp
+	*r = *src
+	r.dict = d
 }
 
 // Dict returns the dictionary table the reader decodes ranks against.

@@ -73,7 +73,7 @@ func (d *Delta) Absorb(o Delta) (both int64) {
 // Parts visits the leaves and payloads of m's table with their Delta keys,
 // ascending: every one m references when all is set, else only those m
 // owns alone — copied or created since its last Snapshot, or since it was
-// itself taken as one — in O(directory + private leaves). part is the
+// itself taken as one — in O(leaves present + private leaves). part is the
 // table's pointer to the leaf or payload, for identity comparison only.
 func (m *Memory) Parts(all bool, fn func(key uint32, part any)) {
 	m.tab.walk(all, fn)

@@ -9,7 +9,7 @@ package mem
 // per touched page — held in the same two-level copy-on-write table as
 // guest memory. Membership tests and inserts are branch-and-bitmap cheap
 // (the per-access cost iReplayer shows in-situ replay needs), and Clone is
-// O(directory) with the page bitmaps shared copy-on-write, which is what
+// O(leaves present) with the page bitmaps shared copy-on-write, which is what
 // lets replay checkpoints stop deep-copying word maps.
 
 import "math/bits"
@@ -58,13 +58,13 @@ func (k *KnownSet) Len() int { return k.words }
 // Pages returns the number of pages with at least one word in the set.
 func (k *KnownSet) Pages() int { return k.tab.count }
 
-// Reset empties the set in O(directory).
+// Reset empties the set in O(leaves present).
 func (k *KnownSet) Reset() {
 	k.tab.reset()
 	k.words = 0
 }
 
-// Clone returns an independent logical copy in O(directory): the page
+// Clone returns an independent logical copy in O(leaves present): the page
 // bitmaps become shared copy-on-write, so neither side's future inserts
 // affect the other. Clone of a nil set returns nil.
 func (k *KnownSet) Clone() *KnownSet {
@@ -77,8 +77,8 @@ func (k *KnownSet) Clone() *KnownSet {
 }
 
 // RestoreFrom makes k an independent logical copy of s, as s.Clone() would
-// return, but in place, recycling the bitmaps k owns alone (see
-// Memory.RestoreFrom). A nil s empties k. s must not be k.
+// return, but in place and in O(leaves present), recycling the bitmaps k
+// owns alone (see Memory.RestoreFrom). A nil s empties k. s must not be k.
 func (k *KnownSet) RestoreFrom(s *KnownSet) {
 	k.tab.recycle()
 	k.words = 0

@@ -3,8 +3,8 @@
 //
 // The address space is 32 bits, backed lazily by 4 KB pages held in a
 // two-level copy-on-write page table (see pagetable.go): accesses cost two
-// array indexes, and Snapshot is O(directory) with page copies deferred to
-// the writes that actually dirty them. Accesses to unmapped pages return an
+// array indexes, and Snapshot copies only the directory entries in use,
+// with page copies deferred to the writes that actually dirty them. Accesses to unmapped pages return an
 // *AccessError, which the CPU turns into the architectural memory fault
 // that makes a buggy guest program crash — the event that triggers BugNet
 // log collection (paper §4.8). All accesses require natural alignment;
@@ -89,18 +89,26 @@ func (m *Memory) Recycle() {
 }
 
 // RestoreFrom makes m an independent logical copy of s, map limit included,
-// as s.Snapshot() would return, but in place: the pages and page-table
-// leaves m owns alone go to its free list first (as Recycle), and later
-// copy-on-write faults copy into them instead of allocating. Gen moves, so
-// page pointers handed out earlier are stale; a recycled page can come back
-// at the same page number with other bytes, so a cache keyed on page
-// pointers must be flushed, not revalidated. A replay machine rewinds to a
-// checkpoint with it. s must not be m.
+// as s.Snapshot() would return, but in place and in O(leaves present): the
+// pages and page-table leaves m owns alone go to its free list first (as
+// Recycle), and later copy-on-write faults copy into them instead of
+// allocating. Gen moves, so page pointers handed out earlier are stale and
+// must be revalidated. A page the free list took can come back at the same
+// page number with other bytes, which a cache keyed on page pointers would
+// accept: FreedPages names the page numbers such a cache must drop. Every
+// other page m held is shared with a snapshot and keeps its bytes. A
+// replay machine rewinds to a checkpoint with it. s must not be m.
 func (m *Memory) RestoreFrom(s *Memory) {
 	m.tab.recycle()
 	s.tab.shareInto(&m.tab)
 	m.MapLimit = s.MapLimit
 }
+
+// FreedPages returns the lowest and highest page number whose page Recycle
+// or RestoreFrom put on the free list since the last call, and whether
+// there was any. Only those page numbers can later map a page pointer
+// handed out earlier to other bytes.
+func (m *Memory) FreedPages() (lo, hi uint32, ok bool) { return m.tab.freed() }
 
 // Map ensures that every page overlapping [addr, addr+size) is mapped,
 // zero-filling newly created pages. Mapping an already-mapped page is a
@@ -358,7 +366,8 @@ func (m *Memory) PageNumbers() []uint32 {
 }
 
 // Snapshot returns an independent logical copy of the address space,
-// including the map limit. The copy is O(directory): pages become shared
+// including the map limit. The copy allocates one directory and fills only
+// the entries in use, O(leaves present): pages become shared
 // copy-on-write between the two images, and each side pays for a page
 // only when it subsequently writes it. FDR's replayer uses snapshots as
 // the core-dump image from which checkpoint state is rebuilt; replay

@@ -12,14 +12,21 @@ package mem
 // cost.
 //
 // Snapshots are copy-on-write at both levels. Sharing a table into a
-// fresh one copies only the directory (1024 pointers) and marks every
-// leaf shared in *both* tables; the first write through either table
-// copies the leaf (1024 pointers) and marks its payloads shared; the
-// first write to a payload copies the payload. A snapshot therefore costs
-// O(directory) up front and each side pays O(1) per page it subsequently
-// dirties — not O(pages) eager deep copies, and never a hash-map clone.
+// fresh one copies only the directory entries in use and marks every leaf
+// shared in *both* tables; the first write through either table copies the
+// leaf (1024 pointers) and marks its payloads shared; the first write to a
+// payload copies the payload. A snapshot therefore costs O(leaves present)
+// up front and each side pays O(1) per page it subsequently dirties — not
+// O(pages) eager deep copies, and never a hash-map clone.
+//
+// A bitmap of the directory entries in use (present) is what every
+// directory-wide pass walks — reset, recycle, shareInto, forEach, walk —
+// so none of them scans the 1024 slots of a directory that holds a
+// handful of leaves.
 //
 // The table is not safe for concurrent use, matching Memory's contract.
+
+import "math/bits"
 
 const (
 	// pageIndexBits is the width of a page number.
@@ -46,8 +53,10 @@ type leaf[T any] struct {
 // table is the two-level COW structure. The zero value is an empty table.
 type table[T any] struct {
 	dir [dirSlots]*leaf[T]
+	// present marks the non-nil entries of dir.
+	present [dirSlots / 64]uint64
 	// dirShared marks leaves that may be referenced by another table and
-	// must be copied before any mutation through them.
+	// must be copied before any mutation through them; a subset of present.
 	dirShared [dirSlots / 64]uint64
 	// count is the total number of non-nil payloads.
 	count int
@@ -60,6 +69,20 @@ type table[T any] struct {
 	// new and copy-on-write parts to reuse; nothing else references them.
 	free       []*T
 	freeLeaves []*leaf[T]
+	// freedLo and freedHi bound the indexes of the payloads recycle put on
+	// free since freed last reported them; freedAny says there are some.
+	freedLo, freedHi uint32
+	freedAny         bool
+}
+
+// leaves calls fn for every present directory index, ascending.
+func (t *table[T]) leaves(fn func(di uint32)) {
+	for w, m := range t.present {
+		for m != 0 {
+			fn(uint32(w)<<6 | uint32(bits.TrailingZeros64(m)))
+			m &= m - 1
+		}
+	}
 }
 
 // load returns the payload at idx for reading, or nil. Callers must not
@@ -145,6 +168,7 @@ func (t *table[T]) ensure(idx uint32) *T {
 	si := idx & leafMask
 	if t.dir[di] == nil {
 		t.dir[di] = t.newLeaf()
+		t.present[di>>6] |= 1 << (di & 63)
 	}
 	l := t.dir[di]
 	if t.dirShared[di>>6]&(1<<(di&63)) != 0 {
@@ -216,14 +240,16 @@ func (t *table[T]) remove(idx uint32) {
 	t.gen++
 	if l.used == 0 {
 		t.dir[di] = nil
+		t.present[di>>6] &^= 1 << (di & 63)
 		t.dirShared[di>>6] &^= 1 << (di & 63)
 	}
 }
 
-// reset empties the table in O(directory), leaving shared structure to
-// the tables it was shared with.
+// reset empties the table in O(leaves present), leaving shared structure
+// to the tables it was shared with.
 func (t *table[T]) reset() {
-	t.dir = [dirSlots]*leaf[T]{}
+	t.leaves(func(di uint32) { t.dir[di] = nil })
+	t.present = [dirSlots / 64]uint64{}
 	t.dirShared = [dirSlots / 64]uint64{}
 	t.count = 0
 	t.gen++
@@ -234,72 +260,95 @@ func (t *table[T]) reset() {
 // privatize to hand out again (a leaf emptied here, a payload zeroed or
 // overwritten there). Whatever is shared with another table stays with that
 // table, untouched: a snapshot taken before a recycle never sees a later
-// write.
+// write. A leaf is emptied slot by slot, up to its last payload, not
+// zeroed whole.
 func (t *table[T]) recycle() {
-	for di, l := range t.dir {
-		if l == nil || t.dirShared[di>>6]&(1<<(di&63)) != 0 {
-			continue
+	t.leaves(func(di uint32) {
+		l := t.dir[di]
+		if t.dirShared[di>>6]&(1<<(di&63)) != 0 {
+			return
 		}
-		for si, p := range l.slots {
-			if p != nil && l.shared[si>>6]&(1<<(si&63)) == 0 {
-				t.free = append(t.free, p)
+		for si, seen := 0, 0; seen < l.used; si++ {
+			p := l.slots[si]
+			if p == nil {
+				continue
 			}
+			seen++
+			if l.shared[si>>6]&(1<<(si&63)) == 0 {
+				t.free = append(t.free, p)
+				t.noteFreed(di<<leafBits | uint32(si))
+			}
+			l.slots[si] = nil
 		}
-		*l = leaf[T]{}
+		l.shared, l.used = [leafSlots / 64]uint64{}, 0
 		t.freeLeaves = append(t.freeLeaves, l)
-	}
+	})
 	t.reset()
 }
 
-// shareInto makes dst an independent logical copy of t in O(directory):
-// dst adopts t's directory and every existing leaf becomes shared in both
-// tables, deferring all data copying to future writes. dst must be empty.
+// noteFreed widens the freed range to idx.
+func (t *table[T]) noteFreed(idx uint32) {
+	switch {
+	case !t.freedAny:
+		t.freedLo, t.freedHi, t.freedAny = idx, idx, true
+	case idx < t.freedLo:
+		t.freedLo = idx
+	case idx > t.freedHi:
+		t.freedHi = idx
+	}
+}
+
+// freed returns the lowest and highest index of the payloads recycle put on
+// the free list since the last call, and whether there were any. Only such
+// a payload can come back at an index it held before with other contents.
+func (t *table[T]) freed() (lo, hi uint32, ok bool) {
+	lo, hi, ok = t.freedLo, t.freedHi, t.freedAny
+	t.freedLo, t.freedHi, t.freedAny = 0, 0, false
+	return lo, hi, ok
+}
+
+// shareInto makes dst an independent logical copy of t in O(leaves
+// present): dst adopts t's directory entries and every existing leaf
+// becomes shared in both tables, deferring all data copying to future
+// writes. dst must be empty.
 func (t *table[T]) shareInto(dst *table[T]) {
-	dst.dir = t.dir
+	t.leaves(func(di uint32) { dst.dir[di] = t.dir[di] })
 	dst.count = t.count
-	var mask [dirSlots / 64]uint64
-	for i, l := range t.dir {
-		if l != nil {
-			mask[i>>6] |= 1 << (i & 63)
-		}
-	}
-	dst.dirShared = mask
-	for i := range mask {
-		t.dirShared[i] |= mask[i]
-	}
+	dst.present = t.present
+	dst.dirShared = t.present
+	t.dirShared = t.present
 }
 
 // forEach visits every present payload in ascending idx order.
 func (t *table[T]) forEach(fn func(idx uint32, p *T)) {
-	for di, l := range t.dir {
-		if l == nil {
-			continue
-		}
+	t.leaves(func(di uint32) {
+		l := t.dir[di]
 		for si := 0; si < leafSlots; si++ {
 			if p := l.slots[si]; p != nil {
-				fn(uint32(di)<<leafBits|uint32(si), p)
+				fn(di<<leafBits|uint32(si), p)
 			}
 		}
-	}
+	})
 }
 
 // walk visits t's leaves and payloads in ascending key order (see Delta
 // for the key layout), a leaf before its payloads. With all unset it
 // visits only what t owns alone: the leaves, and within them the payloads,
 // it copied or created since it last shared (shareInto, in either
-// direction) — O(directory + private leaves), so a snapshot can afford it.
+// direction) — O(leaves present + private leaves), so a snapshot can
+// afford it.
 func (t *table[T]) walk(all bool, fn func(key uint32, part any)) {
-	for di, l := range t.dir {
-		own := t.dirShared[di>>6]&(1<<(di&63)) == 0
-		if l == nil || !(all || own) {
-			continue
+	t.leaves(func(di uint32) {
+		l := t.dir[di]
+		if !all && t.dirShared[di>>6]&(1<<(di&63)) != 0 {
+			return
 		}
-		base := uint32(di) << deltaLeafShift
+		base := di << deltaLeafShift
 		fn(base, l)
 		for si, p := range l.slots {
 			if p != nil && (all || l.shared[si>>6]&(1<<(si&63)) == 0) {
 				fn(base|uint32(si+1), p)
 			}
 		}
-	}
+	})
 }

@@ -41,11 +41,70 @@ func sameImage(t *testing.T, what string, got *Memory, want map[uint32]Page) {
 	}
 }
 
+// presentExact fails unless tab's present bits are set exactly where its
+// directory holds a leaf, and its shared bits only where a present one is.
+func presentExact[T any](t *testing.T, what string, tab *table[T]) {
+	t.Helper()
+	for di, l := range tab.dir {
+		bit := uint64(1) << (di & 63)
+		if on := tab.present[di>>6]&bit != 0; on != (l != nil) {
+			t.Fatalf("%s: directory slot %d holds a leaf: %v, present bit: %v", what, di, l != nil, on)
+		}
+		if l == nil && tab.dirShared[di>>6]&bit != 0 {
+			t.Fatalf("%s: empty directory slot %d is marked shared", what, di)
+		}
+	}
+}
+
+// freedProbe is what a table held before one operation, so that afterwards
+// freedExact can name the payloads the operation put on the free list.
+type freedProbe[T any] struct {
+	at   map[*T]uint32 // payload → index
+	free int           // length of the free list
+}
+
+func probeFreed[T any](tab *table[T]) freedProbe[T] {
+	at := make(map[*T]uint32)
+	tab.forEach(func(idx uint32, p *T) { at[p] = idx })
+	return freedProbe[T]{at, len(tab.free)}
+}
+
+// freedExact fails unless the freed range tab reports is exactly the
+// lowest and highest index of the payloads the operation since probe put on
+// the free list, and nothing when it put none. It consumes the report.
+func (f freedProbe[T]) freedExact(t *testing.T, what string, tab *table[T]) {
+	t.Helper()
+	var lo, hi uint32
+	some := false
+	if len(tab.free) > f.free { // only recycle lengthens the free list
+		for _, p := range tab.free[f.free:] {
+			idx, ok := f.at[p]
+			if !ok {
+				t.Fatalf("%s: a payload the table did not hold went on the free list", what)
+			}
+			if !some || idx < lo {
+				lo = idx
+			}
+			if !some || idx > hi {
+				hi = idx
+			}
+			some = true
+		}
+	}
+	gLo, gHi, gOK := tab.freed()
+	if gOK != some || some && (gLo != lo || gHi != hi) {
+		t.Fatalf("%s: freed range reports %#x..%#x (%v), the free list took %#x..%#x (%v)", what, gLo, gHi, gOK, lo, hi, some)
+	}
+}
+
 // runRecycleSchedule drives two memories through one schedule, four bytes
 // an operation (op, page, offset, value). Where the schedule says recycle,
 // one is recycled and the other is replaced by New(): from then on every
 // result, every fault and every byte must agree. Snapshots are taken of the
 // recycled one only, and each must read for ever as it did when taken.
+// After every operation the directory's present bits match its leaves, and
+// the freed range names exactly the payloads the operation put on the free
+// list.
 func runRecycleSchedule(t *testing.T, data []byte) {
 	t.Helper()
 	rec, fresh := New(), New()
@@ -63,6 +122,7 @@ func runRecycleSchedule(t *testing.T, data []byte) {
 
 		// A page pointer is good for as long as Gen stands still.
 		seen, seenGen := rec.Page(page), rec.Gen()
+		probe := probeFreed(&rec.tab)
 		switch op % 10 {
 		case 0:
 			rec.Map(addr, span+4)
@@ -120,6 +180,8 @@ func runRecycleSchedule(t *testing.T, data []byte) {
 		if seen != nil && rec.Gen() == seenGen && rec.Page(page) != seen {
 			t.Fatalf("step %d (op %d): page %#x moved while Gen stood at %d", step, op%10, page, seenGen)
 		}
+		presentExact(t, "memory", &rec.tab)
+		probe.freedExact(t, "memory", &rec.tab)
 	}
 	sameImage(t, "recycled memory against a new one", rec, dump(fresh))
 	for _, s := range snaps {

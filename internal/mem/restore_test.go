@@ -45,7 +45,9 @@ func unreachable[T any](t *testing.T, what string, tab *table[T], live func(func
 // image with the snapshot's Snapshot() or Clone(); where it recycles, one
 // side recycles and the other starts anew. From then on every result and
 // every byte must agree, Gen must have moved, and no part the in-place side
-// may write is one a snapshot still holds.
+// may write is one a snapshot still holds. After every operation the
+// directory's present bits match its leaves, and the freed range names
+// exactly the payloads the operation put on the free list.
 func runRestoreSchedule(t *testing.T, data []byte) {
 	t.Helper()
 	m, mRef := New(), New()
@@ -69,6 +71,7 @@ func runRestoreSchedule(t *testing.T, data []byte) {
 		}
 
 		seen, seenGen := m.Page(page), m.Gen()
+		probe, kProbe := probeFreed(&m.tab), probeFreed(&k.tab)
 		switch op % 11 {
 		case 0:
 			m.Map(addr, span+4)
@@ -145,6 +148,10 @@ func runRestoreSchedule(t *testing.T, data []byte) {
 		}
 		unreachable(t, "memory", &m.tab, live)
 		unreachable(t, "known set", &k.tab, live)
+		presentExact(t, "memory", &m.tab)
+		presentExact(t, "known set", &k.tab)
+		probe.freedExact(t, "memory", &m.tab)
+		kProbe.freedExact(t, "known set", &k.tab)
 	}
 	sameImage(t, "in-place memory against the reference", m, dump(mRef))
 	if !slices.Equal(k.Words(), kRef.Words()) {

@@ -11,10 +11,11 @@ import (
 // storage its previous restore handed back instead of allocating them.
 // Before restores rewound in place, the step allocated about 374 KB on the
 // 400 K-instruction window and 148 KB on the 2.1 M one, nearly all of it
-// 4 KB page copies; what remains is the per-restore cursor state, the
-// blocks decoded after the block-cache flush and, now that the step
-// restores the near checkpoint its seek left δ short of the target, little
-// else: about 2 KB on either window.
+// 4 KB page copies. Now that the step restores the near checkpoint its
+// seek left δ short of the target, copies the cursor state into the
+// machine's own and keeps the decoded blocks, it allocates under 1 KB on
+// either window (about 2 KB while every restore cloned the cursor state
+// and re-decoded the blocks after a block-cache flush).
 //
 // The seek pays instead. The near checkpoint it plants pins the pages its
 // re-execution copied since the grid checkpoint it restored, which the next
