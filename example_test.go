@@ -159,8 +159,8 @@ wloop:   la   t0, counter
 	// Output:
 	// counter after 400 increments: 342
 	// threads replayed: 2
-	// T1 amoadd t2, t1, (t0)  vs  T0 lw t1, 0(t0)
-	// T1 amoadd t2, t1, (t0)  vs  T0 sw t1, 0(t0)
+	// T0 lw t1, 0(t0)  vs  T1 amoadd t2, t1, (t0)
+	// T0 sw t1, 0(t0)  vs  T1 amoadd t2, t1, (t0)
 }
 
 // ExampleNewDebugger drives the replay debugger over the tar analogue's

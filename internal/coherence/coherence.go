@@ -29,7 +29,7 @@ import "math/bits"
 // every loggable operation and every word store, so a lookup is a hash
 // and a probe of a few adjacent slots, and the collector never scans it.
 // The table is allocated in New and doubles when half full; a block that
-// is forgotten (ExternalWrite) keeps its slot with an empty state, so
+// is forgotten (ExternalWriteRange) keeps its slot with an empty state, so
 // forgetting never inserts and a write over untouched memory adds nothing.
 type Directory struct {
 	blockShift uint   // log2 of the block size
@@ -122,15 +122,6 @@ func appendNodes(out []int, mask uint64) []int {
 	return out
 }
 
-// ExternalWrite records a non-processor write (kernel copy-in or DMA) to
-// addr: all cached copies are invalidated and the directory forgets the
-// block. It returns the nodes that held the block so the caller can
-// invalidate their caches (no MRL entries result — the writer is not a
-// thread).
-func (d *Directory) ExternalWrite(addr uint32) []int {
-	return appendNodes(nil, d.forget(addr))
-}
-
 // forget empties the state of addr's block and returns its holder mask.
 // It only looks the block up: an untouched block stays untouched.
 func (d *Directory) forget(addr uint32) uint64 {
@@ -140,8 +131,11 @@ func (d *Directory) forget(addr uint32) uint64 {
 	return held
 }
 
-// ExternalWriteRange applies ExternalWrite to every block overlapping
-// [addr, addr+size) and returns the union of holders.
+// ExternalWriteRange records a non-processor write (kernel copy-in or DMA)
+// to [addr, addr+size): the directory forgets every block the range
+// overlaps. It returns the union of the nodes that held them, so the
+// caller can invalidate their caches (no MRL entries result — the writer
+// is not a thread).
 func (d *Directory) ExternalWriteRange(addr, size uint32) []int {
 	if size == 0 {
 		return nil

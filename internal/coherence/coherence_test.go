@@ -70,7 +70,7 @@ func TestExternalWrite(t *testing.T) {
 	d := New(4, 64)
 	d.Load(0, 0x400)
 	d.Load(1, 0x400)
-	held := d.ExternalWrite(0x400)
+	held := d.ExternalWriteRange(0x400, 4)
 	if len(held) != 2 {
 		t.Fatalf("holders = %v", held)
 	}
@@ -194,7 +194,8 @@ func newPair(t *testing.T, nodes, blockBytes int) *pair {
 }
 
 // step applies one call: kind 0 a Load, 1 a Store, 2 an ExternalWriteRange
-// of size bytes (an ExternalWrite when size is 0).
+// of size bytes (one word, against the reference's ExternalWrite, when size
+// is 0).
 func (p *pair) step(kind, tid int, addr, size uint32) {
 	p.t.Helper()
 	p.calls++
@@ -210,8 +211,8 @@ func (p *pair) step(kind, tid int, addr, size uint32) {
 		got, want = p.d.Store(tid, addr), p.ref.Store(tid, addr)
 	default:
 		if size == 0 {
-			call = fmt.Sprintf("ExternalWrite(%#x)", addr)
-			got, want = p.d.ExternalWrite(addr), p.ref.ExternalWrite(addr)
+			call = fmt.Sprintf("ExternalWriteRange(%#x, 4)", addr)
+			got, want = p.d.ExternalWriteRange(addr, 4), p.ref.ExternalWrite(addr)
 		} else {
 			call = fmt.Sprintf("ExternalWriteRange(%#x, %d)", addr, size)
 			got, want = p.d.ExternalWriteRange(addr, size), p.ref.ExternalWriteRange(addr, size)
@@ -271,7 +272,7 @@ func TestExternalWriteRangeDoesNotInsert(t *testing.T) {
 	if held := d.ExternalWriteRange(0x10_0000, 1<<20); len(held) != 0 {
 		t.Fatalf("untouched range had holders %v", held)
 	}
-	d.ExternalWrite(0x20_0000)
+	d.ExternalWriteRange(0x20_0000, 4)
 	if d.used != used || len(d.slots) != size {
 		t.Fatalf("external writes over untouched memory: %d keys in %d slots, want %d in %d", d.used, len(d.slots), used, size)
 	}

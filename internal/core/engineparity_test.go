@@ -1,9 +1,9 @@
 package core
 
 // engineparity_test.go pins the block-engine rollout at the system level:
-// batched multithreaded replay must produce the same per-thread results
-// as the per-instruction schedule, and batched kernel execution must
-// record byte-identical logs regardless of how execution is chunked.
+// batched kernel execution must record byte-identical logs regardless of
+// how execution is chunked (mtschedule_test.go does the same for
+// multithreaded replay).
 
 import (
 	"bytes"
@@ -12,54 +12,6 @@ import (
 	"bugnet/internal/kernel"
 	"bugnet/internal/workload"
 )
-
-// TestMTBatchedMatchesStepped replays the same multithreaded report twice:
-// once on the batched triage hot path (default) and once with
-// CollectOrder forcing the historical one-instruction-per-turn schedule.
-// Every per-thread result must be identical — each thread's replay is
-// independently deterministic, and batching may only change the
-// interleaving, never a thread's own execution.
-func TestMTBatchedMatchesStepped(t *testing.T) {
-	res, rep, _, img := recordMT(t, lockedCounterProgram, 2,
-		Config{IntervalLength: 4096, Cache: tinyCache()})
-	if res.Crash != nil {
-		t.Fatal(res.Crash)
-	}
-
-	batched, err := NewMultiReplayer(img, rep).Run()
-	if err != nil {
-		t.Fatalf("batched replay: %v", err)
-	}
-	stepped := NewMultiReplayer(img, rep)
-	stepped.CollectOrder = true // forces the per-instruction schedule
-	steppedRes, err := stepped.Run()
-	if err != nil {
-		t.Fatalf("stepped replay: %v", err)
-	}
-
-	if len(batched.Threads) != len(steppedRes.Threads) {
-		t.Fatalf("thread counts: batched %d, stepped %d", len(batched.Threads), len(steppedRes.Threads))
-	}
-	for tid, b := range batched.Threads {
-		s := steppedRes.Threads[tid]
-		if s == nil {
-			t.Fatalf("thread %d missing from stepped result", tid)
-		}
-		if b.Final != s.Final {
-			t.Errorf("thread %d final state diverged:\nbatched %+v\nstepped %+v", tid, b.Final, s.Final)
-		}
-		if b.Instructions != s.Instructions || b.Intervals != s.Intervals || b.Injected != s.Injected {
-			t.Errorf("thread %d counters diverged: batched (%d,%d,%d), stepped (%d,%d,%d)",
-				tid, b.Instructions, b.Intervals, b.Injected, s.Instructions, s.Intervals, s.Injected)
-		}
-	}
-	if batched.Constraints != steppedRes.Constraints {
-		t.Errorf("constraints: batched %d, stepped %d", batched.Constraints, steppedRes.Constraints)
-	}
-	if got := uint64(len(steppedRes.Order)); got != batched.Threads[0].Instructions+batched.Threads[1].Instructions {
-		t.Errorf("stepped order length %d does not cover both windows", got)
-	}
-}
 
 // TestQuantumInvariantRecording records the same single-thread window
 // under different scheduler quanta. The quantum only chunks the batched

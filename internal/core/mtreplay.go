@@ -20,10 +20,6 @@ type constraint struct {
 type MultiReplayResult struct {
 	// Threads holds each thread's single-thread replay result.
 	Threads map[int]*ReplayResult
-	// Order is the reconstructed valid sequential interleaving, as
-	// (thread id) per executed instruction, retained only when
-	// CollectOrder was set (it is O(total instructions)).
-	Order []int
 	// Constraints is the number of ordering constraints applied.
 	Constraints int
 	// DroppedConstraints counts constraints referencing checkpoints that
@@ -45,8 +41,6 @@ type MultiReplayer struct {
 	img    *asm.Image
 	report *CrashReport
 
-	// CollectOrder retains the full interleaving in the result.
-	CollectOrder bool
 	// DetectRaces runs the synchronization-aware race analysis during
 	// replay (see racedetect.go).
 	DetectRaces bool
@@ -61,6 +55,13 @@ type MultiReplayer struct {
 	// over multithreaded reports (and the map-vs-bitmap parity tests) use
 	// it; the triage hot path leaves it off.
 	TrackKnown bool
+
+	// turn, when set, picks how far a ready thread runs this turn: at
+	// least one and at most gate instructions, gate being the distance to
+	// its next constraint or the end of its window (gate > 0). Tests set
+	// it to replay other admitted interleavings and to count turns; nil
+	// runs every thread to its gate.
+	turn func(tid int, gate uint64) uint64
 }
 
 // NewMultiReplayer builds a replayer over all threads in the report,
@@ -70,10 +71,8 @@ func NewMultiReplayer(img *asm.Image, report *CrashReport) *MultiReplayer {
 }
 
 // threadCtx is one thread's replay machine plus its constraint queue. The
-// machine's Pos is the thread's replay-local progress; its snapshot/restore
-// capability is what a future parallel interval replay would checkpoint.
+// machine's Pos is the thread's replay-local progress.
 type threadCtx struct {
-	tid         int
 	m           *ReplayMachine
 	constraints []constraint
 	nextCon     int
@@ -118,7 +117,7 @@ func (m *MultiReplayer) Run() (*MultiReplayResult, error) {
 	// materialized once here (the constraints are compact) and dropped; a
 	// log whose paired FLL fell out of the window is never decoded at all.
 	for _, tid := range tids {
-		tc := &threadCtx{tid: tid}
+		tc := &threadCtx{}
 		ctxs[tid] = tc
 		for _, mref := range m.report.MRLs[tid] {
 			localBase, ok := base[tid][mref.CID]
@@ -168,26 +167,23 @@ func (m *MultiReplayer) Run() (*MultiReplayResult, error) {
 			r.TraceDepth = m.TraceDepth
 		}
 		if det != nil {
-			tcc := tc
+			// Pos stands still inside a turn; the core's IC counts the
+			// instructions committed before this access.
 			r.OnAccess = func(pc uint32, wordAddr uint32, isWrite bool) {
-				det.access(tcc.tid, tcc.m.Pos(), pc, wordAddr, isWrite)
+				det.access(tid, tc.m.st.c.IC, pc, wordAddr, isWrite)
 			}
 		}
 		tc.m = r.Machine(MachineOptions{TrackKnown: m.TrackKnown})
 	}
 
-	// Interleave, honoring constraints.
-	//
-	// On the triage hot path (no order collection, no race detection) each
-	// scheduling turn batches a thread through the block engine up to its
-	// next constraint gate or the end of its window: every thread's replay
-	// is independently deterministic (its FLLs are self-contained), and
-	// batching only ever runs a thread *further* before others resume, so
-	// any interleaving the batched schedule produces is one the MRL
-	// constraints admit. Order collection and race detection observe every
-	// access in a single global interleaving, so they keep the historical
-	// one-instruction-per-turn schedule.
-	batched := !m.CollectOrder && det == nil
+	// Interleave, honoring constraints. Each scheduling turn runs a ready
+	// thread through the block engine up to its next constraint gate or
+	// the end of its window: every thread's replay is independently
+	// deterministic (its FLLs are self-contained), and running a thread
+	// further before others resume never crosses a gate, so the
+	// interleaving is one the MRL constraints admit. The race detector
+	// sees the accesses in that interleaving; its report is the same under
+	// every admitted one (see racedetect.go).
 	active := 0
 	for _, tid := range tids {
 		if !ctxs[tid].m.Done() {
@@ -201,31 +197,21 @@ func (m *MultiReplayer) Run() (*MultiReplayResult, error) {
 			if tc.m.Done() || !m.satisfied(tc, ctxs) {
 				continue
 			}
-			var executed uint64
-			var err error
-			if batched {
-				limit := tc.m.Window() - tc.m.Pos()
-				if tc.nextCon < len(tc.constraints) {
-					// satisfied consumed every constraint at the current
-					// position, so the next gate is strictly ahead.
-					if d := tc.constraints[tc.nextCon].local - tc.m.Pos(); d < limit {
-						limit = d
-					}
-				}
-				executed, err = tc.m.StepN(limit)
-			} else {
-				executed, err = m.stepThread(tc)
+			n := tc.m.Window() - tc.m.Pos()
+			if tc.nextCon < len(tc.constraints) {
+				// satisfied consumed every constraint at the current
+				// position, so the next gate is strictly ahead.
+				n = min(n, tc.constraints[tc.nextCon].local-tc.m.Pos())
 			}
+			if m.turn != nil && n > 0 {
+				n = m.turn(tid, n)
+			}
+			executed, err := tc.m.StepN(n)
 			if err != nil {
 				return nil, fmt.Errorf("thread %d: %w", tid, err)
 			}
 			if executed > 0 {
 				progressed = true
-				if m.CollectOrder {
-					for i := uint64(0); i < executed; i++ {
-						res.Order = append(res.Order, tid)
-					}
-				}
 			}
 			if tc.m.Done() {
 				active--
@@ -258,24 +244,10 @@ func (m *MultiReplayer) Run() (*MultiReplayResult, error) {
 func (m *MultiReplayer) satisfied(tc *threadCtx, ctxs []*threadCtx) bool {
 	for tc.nextCon < len(tc.constraints) && tc.constraints[tc.nextCon].local == tc.m.Pos() {
 		c := tc.constraints[tc.nextCon]
-		rc := ctxs[c.remote]
-		if rc == nil {
-			tc.nextCon++ // remote thread left no logs at all: vacuous
-			continue
-		}
-		if rc.m.Pos() < c.rIC {
+		if ctxs[c.remote].m.Pos() < c.rIC {
 			return false // must wait for the remote thread
 		}
 		tc.nextCon++
 	}
 	return true
-}
-
-// stepThread advances one thread by at most one instruction (the machine
-// handles interval transitions). It reports how many instructions
-// executed — crossing into end-of-window executes nothing.
-func (m *MultiReplayer) stepThread(tc *threadCtx) (uint64, error) {
-	before := tc.m.Pos()
-	err := tc.m.StepOne()
-	return tc.m.Pos() - before, err
 }

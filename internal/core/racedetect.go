@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -14,8 +15,8 @@ import (
 //
 // Paper §5.2 explains that the replayed sequential order plus the MRLs let
 // the developer infer data races; this detector automates the analysis in
-// the style of RecPlay (cited by the paper). Coherence replies order
-// *every* conflicting access — including the races themselves — so
+// the style of RecPlay (cited by the paper). Coherence replies order the
+// conflicting accesses — including the races themselves — so
 // happens-before cannot come from the MRL edges; it comes from the
 // program's synchronization operations instead:
 //
@@ -31,6 +32,20 @@ import (
 // atomic store and flags must be read atomically, or the detector calls
 // out the plain access — which is exactly the class of bug it exists to
 // find.
+//
+// The report is a function of the recording. A load draws an MRL reply
+// from the block's modified owner and a store from every other sharer,
+// each logging where that thread stood. With two threads this orders every
+// conflicting pair of accesses to a word; only reads, which never race
+// with reads, may swap. An instance depends on that order, on each
+// thread's instruction count and on the clocks its atomics acquired, so
+// every interleaving the MRLs admit flags the same instances. Per
+// unordered PC pair the report keeps the least instance by (Addr, TID1,
+// PC1, IsWrite1, TID2, PC2, IsWrite2), not the first to arrive. Outside
+// the argument: with three or more threads, a load of a block another
+// reader already took from its owner draws no reply; and an external
+// write (kernel copy-in, DMA) clears a block's state. Either leaves a pair
+// the detector may see in either order.
 type Race struct {
 	Addr uint32 // conflicting word
 	// First access (earlier in the replayed order).
@@ -191,17 +206,32 @@ func (d *raceDetector) report(addr uint32, tid1 int, a1 accessInfo, w1 bool,
 	if !w1 && !w2 {
 		return // read-read never races
 	}
-	// One static race is one unordered PC pair: the roles can come in
-	// either order, and the pair keeps the order it was first seen in.
+	// One static race is one unordered PC pair, the roles in either order;
+	// it keeps its least instance (see Race).
 	key := [2]uint32{min(a1.pc, pc2), max(a1.pc, pc2)}
-	if _, dup := d.found[key]; dup {
-		return
-	}
-	d.found[key] = Race{
+	r := Race{
 		Addr: addr,
 		TID1: tid1, PC1: a1.pc, IsWrite1: w1,
 		TID2: tid2, PC2: pc2, IsWrite2: w2,
 	}
+	if old, dup := d.found[key]; !dup || r.less(old) {
+		d.found[key] = r
+	}
+}
+
+// less orders instances by (Addr, TID1, PC1, IsWrite1, TID2, PC2, IsWrite2),
+// a read before a write.
+func (r Race) less(o Race) bool {
+	bit := func(w bool) int {
+		if w {
+			return 1
+		}
+		return 0
+	}
+	return cmp.Or(cmp.Compare(r.Addr, o.Addr), cmp.Compare(r.TID1, o.TID1),
+		cmp.Compare(r.PC1, o.PC1), cmp.Compare(bit(r.IsWrite1), bit(o.IsWrite1)),
+		cmp.Compare(r.TID2, o.TID2), cmp.Compare(r.PC2, o.PC2),
+		cmp.Compare(bit(r.IsWrite2), bit(o.IsWrite2))) < 0
 }
 
 // races returns the deduplicated findings in a stable order.

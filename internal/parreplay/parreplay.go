@@ -241,8 +241,8 @@ func ReplayThread(img *asm.Image, logs []*fll.Ref, o Options) (*core.ReplayResul
 // ReportOptions tunes ReplayReport.
 type ReportOptions struct {
 	Options
-	// DetectRaces requests the race analysis; it forces the sequential
-	// schedule (the vector-clock detector is interleaving-sensitive).
+	// DetectRaces requests the race analysis, which runs on
+	// core.MultiReplayer's schedule.
 	DetectRaces bool
 }
 

@@ -605,9 +605,10 @@ func (s *Service) replay(rep *core.CrashReport) (v *Verdict) {
 		maxPages = 1
 	}
 	// parreplay fans the report's checkpoint intervals across GOMAXPROCS
-	// workers, and routes race-detection (MRL-carrying) reports to the
-	// sequential schedule itself; the report alone picks the schedule, so
-	// the verdict is byte-identical whatever the width.
+	// workers, and hands an MRL-carrying report, whose races are wanted,
+	// to core.MultiReplayer, which runs each thread to its next MRL gate
+	// and detects races on that schedule. The report alone picks the
+	// schedule, so the verdict is byte-identical whatever the width.
 	res, err := parreplay.ReplayReport(img, rep, parreplay.ReportOptions{
 		Options: parreplay.Options{
 			TraceDepth: timetravel.TraceDepth,
