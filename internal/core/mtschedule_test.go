@@ -78,6 +78,59 @@ reader: lw   t0, (a0)       # a0: this reader's flag
         syscall
 `
 
+// lateReaderProgram: the main thread writes x with a plain store after a
+// 300-instruction delay; two readers running different code read it about
+// 60 and 70 instructions later. The first read draws an MRL reply from the
+// writer, but the second finds the block already shared with the first
+// reader and draws none, so nothing orders it against the write: the race
+// between them reaches the detector with its sides in either order.
+const lateReaderProgram = `
+        .data
+x:      .word 0
+        .space 252
+done:   .word 0
+        .text
+main:   la   a0, early
+        li   a7, 8
+        syscall
+        la   a0, late
+        li   a7, 8
+        syscall
+        li   t0, 150
+mdelay: addi t0, t0, -1
+        bnez t0, mdelay
+        li   t1, 1
+        la   t0, x
+        sw   t1, (t0)       # racy write
+        la   t0, done
+        li   t2, 2
+mwait:  amoadd t1, zero, (t0)
+        blt  t1, t2, mwait
+        li   a0, 0
+        li   a7, 1
+        syscall
+
+early:  li   t0, 180
+edelay: addi t0, t0, -1
+        bnez t0, edelay
+        la   t0, x
+        lw   t1, (t0)       # racy read, ordered by an MRL reply
+        j    leave
+
+late:   li   t2, 0
+        li   t3, 185
+ldelay: addi t2, t2, 1
+        blt  t2, t3, ldelay
+        la   t0, x
+        lw   t1, (t0)       # racy read, ordered by nothing
+leave:  la   t0, done
+        li   t1, 1
+        amoadd t2, t1, (t0)
+        li   a0, 0
+        li   a7, 1
+        syscall
+`
+
 // mtScheduleRecordings records the programs the schedule property covers:
 // the hand-written race programs, the five multithreaded Table 1
 // analogues, mtshare, and an mtshare window whose oldest checkpoints and
@@ -90,6 +143,7 @@ func mtScheduleRecordings(t *testing.T) []mtRecording {
 		cores     int
 	}{
 		{"racy", racyProgram, 2}, {"locked", lockedCounterProgram, 2}, {"fanout", fanoutProgram, 3},
+		{"late-reader", lateReaderProgram, 3},
 	} {
 		_, rep, _, img := recordMT(t, p.src, p.cores, Config{IntervalLength: 1_000, Cache: tinyCache()})
 		out = append(out, mtRecording{p.name, img, rep})

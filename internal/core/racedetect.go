@@ -39,20 +39,22 @@ import (
 // conflicting pair of accesses to a word; only reads, which never race
 // with reads, may swap. An instance depends on that order, on each
 // thread's instruction count and on the clocks its atomics acquired, so
-// every interleaving the MRLs admit flags the same instances. Per
-// unordered PC pair the report keeps the least instance by (Addr, TID1,
-// PC1, IsWrite1, TID2, PC2, IsWrite2), not the first to arrive. Outside
-// the argument: with three or more threads, a load of a block another
-// reader already took from its owner draws no reply; and an external
-// write (kernel copy-in, DMA) clears a block's state. Either leaves a pair
-// the detector may see in either order.
+// every interleaving the MRLs admit flags the same instances. Outside the
+// argument: with three or more threads, a load of a block another reader
+// already took from its owner draws no reply; and an external write
+// (kernel copy-in, DMA) clears a block's state. Either leaves a pair the
+// detector may see in either order, so a race's two sides are unordered:
+// side 1 is the lesser by (TID, PC, IsWrite), whichever access the replay
+// met first. Per unordered PC pair the report keeps the least instance by
+// (Addr, TID1, PC1, IsWrite1, TID2, PC2, IsWrite2), not the first to
+// arrive.
 type Race struct {
 	Addr uint32 // conflicting word
-	// First access (earlier in the replayed order).
+	// One access, the lesser side by (TID, PC, IsWrite).
 	TID1     int
 	PC1      uint32
 	IsWrite1 bool
-	// Second access.
+	// The other access.
 	TID2     int
 	PC2      uint32
 	IsWrite2 bool
@@ -207,12 +209,11 @@ func (d *raceDetector) report(addr uint32, tid1 int, a1 accessInfo, w1 bool,
 		return // read-read never races
 	}
 	// One static race is one unordered PC pair, the roles in either order;
-	// it keeps its least instance (see Race).
+	// it keeps its least instance, the lesser side first (see Race).
 	key := [2]uint32{min(a1.pc, pc2), max(a1.pc, pc2)}
-	r := Race{
-		Addr: addr,
-		TID1: tid1, PC1: a1.pc, IsWrite1: w1,
-		TID2: tid2, PC2: pc2, IsWrite2: w2,
+	r := Race{addr, tid1, a1.pc, w1, tid2, pc2, w2}
+	if flipped := (Race{addr, tid2, pc2, w2, tid1, a1.pc, w1}); flipped.less(r) {
+		r = flipped
 	}
 	if old, dup := d.found[key]; !dup || r.less(old) {
 		d.found[key] = r

@@ -39,7 +39,9 @@ func startServer(t *testing.T, maxSessions int, defaultReport string) (addr stri
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 
-	js := httptest.NewServer(timetravel.NewHandler(mgr))
+	mux := http.NewServeMux()
+	timetravel.RegisterRoutes(mux, mgr)
+	js := httptest.NewServer(mux)
 	t.Cleanup(js.Close)
 	return l.Addr().String(), mgr, js.URL, img
 }

@@ -44,7 +44,7 @@ func retained(e *Engine) (all, onlyCkpts int64) {
 	live := make(map[any]bool)
 	e.m.Parts(func(_ uint32, part any) { live[part] = true })
 	seen := make(map[any]bool)
-	for _, c := range e.ckpts {
+	for _, c := range e.store.list {
 		fixed := c.snap.SizeBytes() - c.snap.Added().Bytes()
 		all += fixed
 		onlyCkpts += fixed
@@ -132,7 +132,7 @@ func TestAccountingNeverUndercharges(t *testing.T) {
 func accountingStorm(t *testing.T, e *Engine, seed int64, rsteps bool) {
 	rng := rand.New(rand.NewSource(seed))
 	e.AddBreak(e.img.MustSymbol("main"))
-	window, delta := e.Window(), e.nearDistance()
+	window, delta := e.Window(), e.store.nearDistance()
 	ops, kinds := 120, 10
 	if testing.Short() {
 		ops = 40
@@ -183,16 +183,18 @@ func mustCover(t *testing.T, e *Engine, when string) {
 	}
 }
 
-// mustKeepGrid fails unless every checkpoint but the near one stands on
-// the K grid, and the near one, if any, is among the checkpoints: one
-// outside would hold a snapshot alive that no budget charges.
+// mustKeepGrid fails unless every checkpoint but the anchor, where the
+// engine's history starts (0 unless it holds the tail alone), and the near
+// one stands on the K grid, and the near one, if any, is among the
+// checkpoints: one outside would hold a snapshot alive that no budget
+// charges.
 func mustKeepGrid(t *testing.T, e *Engine, when string) {
 	t.Helper()
-	if e.near != nil && !slices.Contains(e.ckpts, e.near) {
-		t.Fatalf("%s: the near checkpoint at %d is not among the checkpoints", when, e.near.pos)
+	if e.store.near != nil && !slices.Contains(e.store.list, e.store.near) {
+		t.Fatalf("%s: the near checkpoint at %d is not among the checkpoints", when, e.store.near.pos)
 	}
-	for _, c := range e.ckpts {
-		if c != e.near && c.pos%e.cfg.CheckpointEvery != 0 {
+	for _, c := range e.store.list[1:] {
+		if c != e.store.near && c.pos%e.cfg.CheckpointEvery != 0 {
 			t.Fatalf("%s: a checkpoint at %d, off the %d grid", when, c.pos, e.cfg.CheckpointEvery)
 		}
 	}
@@ -214,11 +216,11 @@ func TestAccountingReexecutionPastSurvivor(t *testing.T) {
 	const posA, posB, posC, posD, posE = 1000, 1500, 2000, 2500, 3000
 	drop := func(pos uint64) {
 		t.Helper()
-		i := e.ckptIndexAtOrBefore(pos)
-		if e.ckpts[i].pos != pos {
+		i := e.store.at(pos)
+		if e.store.list[i].pos != pos {
 			t.Fatalf("no checkpoint at %d", pos)
 		}
-		e.drop(i)
+		e.store.drop(i)
 	}
 	drop(posD)
 	drop(posB)
@@ -255,19 +257,19 @@ func TestAccountingReexecutionPastNear(t *testing.T) {
 		t.Fatal(err)
 	}
 	const posA, posB, posN, posD = 1000, 1500, 1800, 2000
-	if err := e.SeekTo(posN + e.nearDistance()); err != nil {
+	if err := e.SeekTo(posN + e.store.nearDistance()); err != nil {
 		t.Fatal(err)
 	}
-	if e.near == nil || e.near.pos != posN {
-		t.Fatalf("near checkpoint %+v, want one at %d", e.near, posN)
+	if e.store.near == nil || e.store.near.pos != posN {
+		t.Fatalf("near checkpoint %+v, want one at %d", e.store.near, posN)
 	}
 	drop := func(pos uint64) {
 		t.Helper()
-		i := e.ckptIndexAtOrBefore(pos)
-		if e.ckpts[i].pos != pos {
+		i := e.store.at(pos)
+		if e.store.list[i].pos != pos {
 			t.Fatalf("no checkpoint at %d", pos)
 		}
-		e.drop(i)
+		e.store.drop(i)
 	}
 	drop(posD)
 	drop(posB)
@@ -302,15 +304,15 @@ func TestAccountingNewestNearReplaced(t *testing.T) {
 	if err := e.SeekTo(5100); err != nil {
 		t.Fatal(err)
 	}
-	if last := e.ckpts[len(e.ckpts)-1]; last != e.near {
-		t.Fatalf("newest checkpoint at %d, near %+v", last.pos, e.near)
+	if last := e.store.list[len(e.store.list)-1]; last != e.store.near {
+		t.Fatalf("newest checkpoint at %d, near %+v", last.pos, e.store.near)
 	}
 	exact("after the seek")
 	if _, err := e.ReverseStep(200); err != nil {
 		t.Fatal(err)
 	}
-	if want := 4900 - e.nearDistance(); e.near == nil || e.near.pos != want {
-		t.Fatalf("near checkpoint %+v, want one at %d", e.near, want)
+	if want := 4900 - e.store.nearDistance(); e.store.near == nil || e.store.near.pos != want {
+		t.Fatalf("near checkpoint %+v, want one at %d", e.store.near, want)
 	}
 	exact("after the reverse step")
 }
@@ -327,9 +329,9 @@ func TestAccountingInsertBeforeSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 	const posA, posB, posC = 500, 1000, 3000
-	for i := len(e.ckpts) - 2; i > 0; i-- {
-		if p := e.ckpts[i].pos; p != posA && p != posC {
-			e.drop(i)
+	for i := len(e.store.list) - 2; i > 0; i-- {
+		if p := e.store.list[i].pos; p != posA && p != posC {
+			e.store.drop(i)
 		}
 	}
 	mustCover(t, e, "after thinning")
@@ -339,12 +341,12 @@ func TestAccountingInsertBeforeSurvivor(t *testing.T) {
 	if _, err := e.Step(posB + 7); err != nil {
 		t.Fatal(err)
 	}
-	i := e.ckptIndexAtOrBefore(posA)
-	if e.ckpts[i].pos != posA || e.ckpts[i+1].pos != posB || e.ckpts[i+2].pos != posC {
-		t.Fatalf("checkpoints around A: %d, %d, %d", e.ckpts[i].pos, e.ckpts[i+1].pos, e.ckpts[i+2].pos)
+	i := e.store.at(posA)
+	if e.store.list[i].pos != posA || e.store.list[i+1].pos != posB || e.store.list[i+2].pos != posC {
+		t.Fatalf("checkpoints around A: %d, %d, %d", e.store.list[i].pos, e.store.list[i+1].pos, e.store.list[i+2].pos)
 	}
 	mustCover(t, e, "after the second pass")
-	e.drop(i)
+	e.store.drop(i)
 	mustCover(t, e, "after dropping A")
 }
 
@@ -379,8 +381,8 @@ func TestAccountingSeekStepPairs(t *testing.T) {
 		mustKeepGrid(t, e, fmt.Sprintf("pair %d", i))
 		count, bytes := e.Checkpoints()
 		var near int64
-		if e.near != nil {
-			near = e.near.fixed + e.near.added.Bytes()
+		if e.store.near != nil {
+			near = e.store.near.fixed + e.store.near.added.Bytes()
 		}
 		if count > grid+1 || bytes > gridBytes+near {
 			t.Fatalf("pair %d: %d checkpoints charged %d bytes; the forward pass left %d charged %d, the near one is charged %d",

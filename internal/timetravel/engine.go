@@ -2,26 +2,22 @@
 // checkpointed reverse execution over a recorded replay window, plus the
 // session layer that exposes it to remote developers over HTTP.
 //
-// The paper's whole point is developer-side deterministic replay debugging
-// (§1, §5), but naive "back in time" is re-execution from the window start
-// — O(window) per reverse step. This package wraps core.ReplayMachine with
-// periodic full-state checkpoints (CPU snapshot, known-memory bitmap, log
-// cursors, backtrace ring — captured copy-on-write, so taking one costs
-// O(page-table directory), not a deep copy) taken every CheckpointEvery
-// instructions under a byte budget, so any backward motion becomes
-// "restore the nearest checkpoint + bounded forward re-execution": a seek
-// costs one restore plus at most the checkpoint spacing K, independent of
-// how long the recorded window is. A reverse step that re-executes more
-// than 2δ instructions, δ = ⌈√(2K)⌉, also leaves one near checkpoint δ
-// short of its target, as does a long seek once reverse steps have come
-// since the seek before it, so the reverse steps that follow re-execute
-// the distance they move: consecutive single reverse steps cost
-// K/δ + δ/2 instructions each on average (about 141 at the default K)
-// instead of K/2. Data
-// watchpoints honor the paper's §7.1 unknown-memory semantics: a watch
-// fires when the watched word's *known* value changes — a replayed store
-// rewriting it, or a logged first-load injection making it known in the
-// first place.
+// The paper's point is developer-side deterministic replay debugging (§1,
+// §5), but naive "back in time" re-executes from the window start:
+// O(window) per reverse step. An Engine wraps core.ReplayMachine with a
+// store of full-state checkpoints (CPU snapshot, known-memory bitmap, log
+// cursors, backtrace ring), each captured copy-on-write for the cost of its
+// page-table directory. Every motion asks the store where to restore for
+// its target, re-executes forward from there, and asks it at each grid
+// position whether to lay a checkpoint. The store keeps a grid every K =
+// CheckpointEvery instructions under a byte budget, plus one near
+// checkpoint δ = ⌈√(2K)⌉ short of a long reverse step's target, so a seek
+// costs one restore plus at most K whatever the window's length, and
+// consecutive single reverse steps K/δ + δ/2 instructions each on average
+// (about 141 at the default K) instead of K/2. Data watchpoints honor the
+// paper's §7.1 unknown-memory semantics: a watch fires when the watched
+// word's *known* value changes — a replayed store rewriting it, or a
+// logged first-load injection making it known in the first place.
 //
 // Breakpoints and watchpoints stop the replay machine's block engine
 // itself (see core.ReplayMachine.StepN): Step, Continue and the reverse
@@ -30,30 +26,25 @@
 //
 // An engine opens on the window's tail. Every FLL interval replays alone
 // from its header's registers and empty memory (BugNet §4), so the first
-// motion of a fresh engine — typically Continue to the crash — replays only
-// the last interval (or the last few, enough for a full backtrace),
-// provided no breakpoint or watch is set. Besides the anchor at the tail's
-// start, which the header gives for free, it lays only the last grid
-// checkpoint before its target, so a reverse step from there re-executes
-// less than K. The grid between the two waits for the backward motions
-// into that stretch: each re-executes from the latest checkpoint before
-// its target, at first the anchor, and lays the grid on its way.
-// Registers, PC, backtrace, fault and every word the tail touched are then
-// exactly what a replay of the whole window gives. The first command that
-// needs older history — a target before the tail's start plus TraceDepth,
-// a ReadWord or AddWatch of a word the tail has not touched (program text
-// included), a ReverseContinue with stops set — fills it in: one forward
-// pass from the window start to the current position lays the grid over
-// the whole window, and the engine is from then on the one it would have
-// been had it replayed the whole window from the start.
+// motion — typically Continue to the crash — replays only the last
+// interval (or the last few, enough for a full backtrace) when no stop is
+// set. The store's anchor stands at the tail's start, which the header
+// gives for free, and of the tail's grid the open lays only the last
+// checkpoint before its target; the backward motions below it lay the
+// rest. Registers, PC, backtrace, fault and every word the tail touched
+// are exactly what a replay of the whole window gives. The first command
+// that needs older history — a target before the tail's start plus
+// TraceDepth, a ReadWord or AddWatch of a word the tail has not touched
+// (program text included), a ReverseContinue with stops set — fills it
+// in: one forward pass from the window start to the current position,
+// after which the engine is the one it would have been had it replayed
+// the whole window from the start.
 package timetravel
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,30 +53,26 @@ import (
 	"bugnet/internal/core"
 	"bugnet/internal/cpu"
 	"bugnet/internal/fll"
-	"bugnet/internal/mem"
 	"bugnet/internal/obs"
 )
 
 // Config parameterizes an Engine.
 type Config struct {
-	// CheckpointEvery is the checkpoint interval K in replayed
-	// instructions; a seek costs at most one checkpoint restore plus K
-	// forward steps, and a reverse step of n ≤ δ = ⌈√(2K)⌉ off the near
-	// checkpoint re-executes fewer than δ (see SeekTo). Default 10_000.
+	// CheckpointEvery is the store's grid spacing K in replayed
+	// instructions: a seek costs at most one restore plus K forward steps,
+	// and a reverse step of n ≤ δ = ⌈√(2K)⌉ off the near checkpoint
+	// re-executes fewer than δ (see SeekTo). Default 10_000.
 	CheckpointEvery uint64
-	// CheckpointBudget bounds the bytes retained across all checkpoints.
-	// When exceeded, the checkpoint whose removal creates the smallest
-	// coverage gap is evicted (never the window-start anchor, never the
-	// newest), so dense recent history thins toward sparse old history and
-	// the seek bound degrades gracefully to the widest surviving gap. The
-	// one near checkpoint (see SeekTo) is charged like any other and
-	// evicted only when nothing else is left to evict. Checkpoints are
-	// copy-on-write (see core.ReplaySnapshot) and each is charged what it
-	// adds to the heap: the pages, known bitmaps and table leaves the
-	// replay copied or created since the checkpoint before it, plus its
-	// own directories and cursor. The occupancy is never less than the
-	// bytes the checkpoints retain, and exactly those bytes on a forward
-	// pass over the window. Default 64 MB.
+	// CheckpointBudget bounds the bytes the store charges its checkpoints:
+	// what each adds to the heap copy-on-write (see core.ReplaySnapshot),
+	// the pages, known bitmaps and table leaves the replay copied or
+	// created since the checkpoint before it, plus its own directories and
+	// cursor. The charge is never less than the bytes the checkpoints
+	// retain, and exactly those on a forward pass over the window. Over
+	// budget the store evicts the checkpoint whose removal leaves the
+	// smallest gap, sparing the anchor, the newest and, while anything
+	// else is left, the near checkpoint: the seek bound degrades to the
+	// widest surviving gap. Default 64 MB.
 	CheckpointBudget int64
 	// MaxPages caps replay memory in 4 KB pages (see
 	// core.Replayer.MaxPages); sessions over untrusted stored reports set
@@ -150,18 +137,6 @@ type watchVal struct {
 	val   uint32
 }
 
-// checkpoint is one restore point.
-type checkpoint struct {
-	pos  uint64
-	snap *core.ReplaySnapshot
-	// added names the table parts this checkpoint may hold in a version
-	// the checkpoint before it does not: every other part the two share.
-	// It starts as snap.Added and grows by inheritance as predecessors are
-	// evicted. The checkpoint is charged fixed + added.Bytes().
-	added mem.Delta
-	fixed int64
-}
-
 // Engine is a time-travel debugger over one thread's retained logs:
 // forward and reverse stepping, breakpoints, data watchpoints, absolute
 // seeks, register/memory inspection and a rolling backtrace. Like the
@@ -177,28 +152,10 @@ type Engine struct {
 	logs []*fll.Ref
 	m    *core.ReplayMachine
 
-	ckpts      []*checkpoint // ascending by pos; ckpts[0] is the anchor at tailStart
-	ckptBytes  int64
-	nextCkptAt uint64 // the next multiple of CheckpointEvery
-	// bare is the grid checkpoint an open on the tail laid before its
-	// target, with no grid between it and the anchor (see reach); 0 when
-	// the open skipped no grid position, or once a backward motion has
-	// gone below it.
-	bare uint64
-	// near is the checkpoint the last planting seek left δ short of its
-	// target (see SeekTo), nil once dropped. It is one of ckpts, off the
-	// grid as a rule, and at most one lives at a time.
-	near *checkpoint
-	// seeking is set by SeekTo and cleared by ReverseStep: while it is
-	// set, no reverse step has come since the last SeekTo, and a long
-	// SeekTo plants no near checkpoint.
-	seeking bool
-	// carry names the parts in which the machine's shared state may differ
-	// from the checkpoint at or before its position, beyond what it has
-	// copied since: the machine re-executed past that checkpoint sharing
-	// with an older one, or the one it shared with was evicted. The next
-	// checkpoint answers for them; a restore clears them.
-	carry mem.Delta
+	// store holds the engine's restore points; it is empty until the
+	// engine's first motion, which decides whether its anchor stands at the
+	// tail's start (see reach) or at the window's.
+	store checkpointStore
 
 	// The breakpoints and watched words live in the machines (see
 	// machines); watchVals holds each watched word's last observed state.
@@ -216,14 +173,6 @@ type Engine struct {
 	// call.
 	reexecuted uint64
 
-	// fresh is set until the engine's first motion, which decides whether
-	// it opens on the tail (see reach), or until a command commits it to
-	// the whole window.
-	fresh bool
-	// tailStart is the window position the engine's history starts at: the
-	// tail's first interval while the engine holds only the tail, 0 once it
-	// holds the whole window. ckpts[0] stands there.
-	tailStart uint64
 	// fillErr is the error the fill of older history failed with; every
 	// command that needs that history returns it again.
 	fillErr error
@@ -261,31 +210,25 @@ func NewEngineForThread(img *asm.Image, rep *core.CrashReport, tid int, cfg Conf
 		rep:       rep,
 		logs:      logs,
 		watchVals: make(map[uint32]watchVal),
-		fresh:     true,
+		store:     checkpointStore{k: cfg.CheckpointEvery, budget: cfg.CheckpointBudget},
 	}
-	e.start(0, 0)
+	e.m = e.newMachine(TraceDepth, 0)
 	return e, tid, nil
 }
 
-// start puts the engine at the start of interval first, window position
-// pos, on a new machine and one anchor checkpoint there: every backward
-// seek has somewhere to land. The breakpoints and watched words carry over.
-func (e *Engine) start(first int, pos uint64) {
+// start puts the engine at the start of interval first on a new machine,
+// and anchors the store there: every backward seek has somewhere to land.
+// The breakpoints and watched words carry over.
+func (e *Engine) start(first int) {
 	old := e.m
 	e.m = e.newMachine(TraceDepth, first)
-	if old != nil {
-		for _, pc := range old.Breakpoints() {
-			e.m.SetBreak(pc, true)
-		}
-		for _, a := range old.Watches() {
-			e.m.SetWatch(a, true)
-		}
+	for _, pc := range old.Breakpoints() {
+		e.m.SetBreak(pc, true)
 	}
-	e.ckpts, e.ckptBytes, e.near, e.carry, e.bare = nil, 0, nil, nil, 0
-	e.ckpts = append(e.ckpts, e.snapshot())
-	e.tailStart = pos
-	k := e.cfg.CheckpointEvery
-	e.nextCkptAt = (pos/k + 1) * k
+	for _, a := range old.Watches() {
+		e.m.SetWatch(a, true)
+	}
+	e.store.reset(e.m)
 }
 
 // newMachine builds a replay machine over the engine's logs from interval
@@ -316,30 +259,22 @@ func (e *Engine) tail() (first int, pos uint64) {
 }
 
 // reach readies the engine's history for a motion to target. The first
-// motion of a fresh engine opens on the tail when no stop is set and the
-// target lies at least TraceDepth instructions into the tail; any other
-// first motion commits the engine to the whole window. An engine on the
-// tail fills in older history when the target lies before that point or a
-// watched word is one the tail has not touched; why counts that fill.
+// motion, while the store is empty, opens on the tail when no stop is set
+// and the target lies at least TraceDepth instructions into the tail; any
+// other first motion commits the engine to the whole window. An engine on
+// the tail fills in older history when the target lies before that point
+// or a watched word is one the tail has not touched; why counts that fill.
 func (e *Engine) reach(target uint64, why *obs.Counter) error {
-	if e.fresh && len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
+	fresh := len(e.store.list) == 0
+	if fresh && len(e.m.Breakpoints()) == 0 && len(e.m.Watches()) == 0 {
 		if first, pos := e.tail(); first > 0 && target >= pos+TraceDepth {
-			e.fresh = false
 			mOpenTail.Inc()
-			e.start(first, pos)
-			// Of the grid over the tail, the open lays only the last
-			// checkpoint before its target, where a reverse step from the
-			// target restores. The grid below it is laid by the backward
-			// motions into that stretch: restore re-aligns nextCkptAt to
-			// the grid.
-			k := e.cfg.CheckpointEvery
-			if last := (target - 1) / k * k; last > e.nextCkptAt {
-				e.nextCkptAt, e.bare = last, last
-			}
+			e.start(first)
+			e.store.open(target)
 			return nil
 		}
 	}
-	if e.fresh || e.tailStart > 0 && (target < e.tailStart+TraceDepth || !e.watchesKnown()) {
+	if a := e.store.anchor(); fresh || a > 0 && (target < a+TraceDepth || !e.watchesKnown()) {
 		return e.fill(why)
 	}
 	return nil
@@ -364,11 +299,12 @@ func (e *Engine) watchesKnown() bool {
 // returns the error, now and from every later fill. why counts the pass,
 // by the kind of command that needed it.
 func (e *Engine) fill(why *obs.Counter) error {
-	if e.fresh {
-		e.fresh = false
+	if len(e.store.list) == 0 {
 		mOpenEager.Inc()
+		e.store.reset(e.m)
+		return nil
 	}
-	if e.tailStart == 0 {
+	if e.store.anchor() == 0 {
 		return nil
 	}
 	if e.fillErr != nil {
@@ -377,17 +313,16 @@ func (e *Engine) fill(why *obs.Counter) error {
 	why.Inc()
 	defer mFillSeconds.Since(time.Now())
 	pos := e.m.Pos()
-	first, tailPos := e.tail()
-	e.start(0, 0)
-	if _, err := e.forwardTo(pos, false); err != nil {
-		e.start(first, tailPos)
+	first, _ := e.tail()
+	e.start(0)
+	_, err := e.forwardTo(pos, false)
+	if err != nil {
+		e.start(first)
 		e.forwardTo(pos, false) // as far as it went before
-		e.primeWatches()
 		e.fillErr = err
-		return err
 	}
 	e.primeWatches()
-	return nil
+	return err
 }
 
 // machines returns the engine's own machine and its scan machines, which
@@ -434,7 +369,7 @@ func (e *Engine) read(addr uint32, why *obs.Counter) (value uint32, known bool) 
 // not touched needs older history, which it fills in, counted in why. It
 // returns the fill's error.
 func (e *Engine) derive(addr uint32, why *obs.Counter) error {
-	if e.tailStart > 0 && !e.m.Known(addr&^3) {
+	if e.store.anchor() > 0 && !e.m.Known(addr&^3) {
 		return e.fill(why)
 	}
 	return nil
@@ -504,7 +439,7 @@ func (e *Engine) Watches() []uint32 { return slices.Clone(e.m.Watches()) }
 // Checkpoints reports the live checkpoint count and the bytes they are
 // charged: what they retain on the heap (see Config.CheckpointBudget).
 func (e *Engine) Checkpoints() (count int, bytes int64) {
-	return len(e.ckpts), e.ckptBytes
+	return len(e.store.list), e.store.bytes
 }
 
 // primeWatchVals (re-)reads every word m watches into vals, so motion that
@@ -538,160 +473,19 @@ func checkWatchVals(m *core.ReplayMachine, vals map[uint32]watchVal) *WatchHit {
 // primeWatches re-primes the engine's watch state from its own machine.
 func (e *Engine) primeWatches() { primeWatchVals(e.m, e.watchVals) }
 
-// ckptIndexAtOrBefore returns the index of the latest checkpoint with
-// pos <= target. The pos-0 anchor guarantees one exists.
-func (e *Engine) ckptIndexAtOrBefore(target uint64) int {
-	i := sort.Search(len(e.ckpts), func(i int) bool { return e.ckpts[i].pos > target })
-	return i - 1
-}
-
-// maybeCheckpoint runs after the machine executed forward from position
-// from. It takes a checkpoint when the machine crosses the next scheduled
-// position, then enforces the byte budget. Restores re-align nextCkptAt,
-// so checkpoint positions stay on the K grid and re-executed stretches
-// find their old checkpoints instead of duplicating them.
-func (e *Engine) maybeCheckpoint(from uint64) {
-	pos := e.m.Pos()
-	if n := e.near; n != nil && from < n.pos && n.pos <= pos {
-		// Ran onto or past the near checkpoint from before it: as with a
-		// grid checkpoint already there (below), the machine still shares
-		// with an older one, which differs from it wherever its gap
-		// changed state.
-		e.carry.Absorb(n.added)
-	}
-	if pos < e.nextCkptAt {
-		return
-	}
-	e.nextCkptAt = pos + e.cfg.CheckpointEvery
-	i := e.ckptIndexAtOrBefore(pos)
-	if c := e.ckpts[i]; c.pos == pos {
-		// Already have one here (re-execution after a restore). The machine
-		// still shares with the checkpoint it was restored from, which
-		// differs from this one wherever this one's gap changed state.
-		e.carry.Absorb(c.added)
-		return
-	}
-	e.insert(i)
-	e.evict()
-}
-
-// insert checkpoints the machine where it stands, right after ckpts[i].
-func (e *Engine) insert(i int) *checkpoint {
-	c := e.snapshot()
-	e.ckpts = slices.Insert(e.ckpts, i+1, c)
-	if i+2 < len(e.ckpts) {
-		// Inserted before a checkpoint another pass took: the successor
-		// shares with the checkpoint before c, not with c, so it holds
-		// that checkpoint's versions of the parts c copied. It answers for
-		// them from now on, or they would leave the occupancy with the
-		// checkpoint before c while the successor still holds them.
-		next := e.ckpts[i+2]
-		e.ckptBytes += c.added.Bytes() - next.added.Absorb(c.added)
-	}
-	return c
-}
-
-// plantNear makes the machine's position the near checkpoint, dropping the
-// previous one, unless a checkpoint already stands there.
-func (e *Engine) plantNear() {
-	pos := e.m.Pos()
-	if e.ckpts[e.ckptIndexAtOrBefore(pos)].pos == pos {
-		return
-	}
-	if e.near != nil {
-		e.drop(e.ckptIndexAtOrBefore(e.near.pos))
-	}
-	e.near = e.insert(e.ckptIndexAtOrBefore(pos))
-	e.evict()
-}
-
-// snapshot checkpoints the machine where it stands and charges the
-// occupancy what that adds.
-func (e *Engine) snapshot() *checkpoint {
-	snap := e.m.Snapshot()
-	c := &checkpoint{pos: e.m.Pos(), snap: snap, added: snap.Added()}
-	c.fixed = snap.SizeBytes() - c.added.Bytes()
-	c.added.Absorb(e.carry)
-	e.carry = nil
-	e.ckptBytes += c.fixed + c.added.Bytes()
-	return c
-}
-
-// restore rewinds the machine to c and re-aligns the checkpoint grid: the
-// next checkpoint is due at the next multiple of K, whether c is on the
-// grid or the near checkpoint.
-func (e *Engine) restore(c *checkpoint) {
-	e.m.Restore(c.snap)
-	e.carry = nil
-	k := e.cfg.CheckpointEvery
-	e.nextCkptAt = (c.pos/k + 1) * k
-}
-
-// evict thins checkpoints until the byte budget is met: repeatedly drop
-// the interior checkpoint whose removal creates the smallest gap, sparing
-// the pos-0 anchor and the newest. Old dense history decays toward
-// exponential spacing; the seek bound becomes the widest gap. The near
-// checkpoint goes last: its neighbours stand at most K apart, so by gap
-// it would always go first, and the reverse steps it serves with it.
-func (e *Engine) evict() {
-	for e.ckptBytes > e.cfg.CheckpointBudget && len(e.ckpts) > 2 {
-		best, bestGap := -1, uint64(0)
-		for i := 1; i < len(e.ckpts)-1; i++ {
-			gap := e.ckpts[i+1].pos - e.ckpts[i-1].pos
-			if e.ckpts[i] == e.near {
-				gap = math.MaxUint64
-			}
-			if best == -1 || gap < bestGap {
-				best, bestGap = i, gap
-			}
-		}
-		e.drop(best)
-	}
-}
-
-// drop removes the checkpoint at index i > 0. Its successor inherits its
-// added set: parts named by both are versions only the dropped checkpoint
-// held (the successor's gap replaced them) and leave the occupancy with
-// its fixed cost; the rest the successor still shares and now answers
-// for. The newest checkpoint has no successor, so its whole added set
-// leaves. The machine answers for the set too, when the checkpoint it
-// shares with is the one dropped.
-func (e *Engine) drop(i int) {
-	c := e.ckpts[i]
-	freed := c.fixed + c.added.Bytes()
-	if i+1 < len(e.ckpts) {
-		freed = c.fixed + e.ckpts[i+1].added.Absorb(c.added)
-	}
-	e.ckptBytes -= freed
-	if i == e.ckptIndexAtOrBefore(e.m.Pos()) {
-		e.carry.Absorb(c.added)
-	}
-	if c == e.near {
-		e.near = nil
-	}
-	e.ckpts = slices.Delete(e.ckpts, i, i+1)
-}
-
 // forwardTo runs the machine toward target through the block engine,
 // pausing on the checkpoint grid. With stops set it returns at the first
 // watch change or breakpoint; a seek runs past every stop.
 func (e *Engine) forwardTo(target uint64, stops bool) (StopReason, error) {
 	for e.m.Pos() < target && !e.m.Done() {
-		stop := target
-		if e.nextCkptAt < stop {
-			stop = e.nextCkptAt
-		}
-		n := stop - e.m.Pos()
-		if n == 0 {
-			n = 1 // defensive: always make progress
-		}
 		from := e.m.Pos()
-		done, err := e.m.StepN(n)
+		// At least one instruction, defensively: always make progress.
+		done, err := e.m.StepN(max(min(target, e.store.next)-from, 1))
 		e.reexecuted += done
 		if err != nil {
 			return StopStep, err
 		}
-		e.maybeCheckpoint(from)
+		e.store.ran(from)
 		if !stops {
 			continue
 		}
@@ -743,54 +537,38 @@ func (e *Engine) Continue() (StopReason, error) {
 	return e.Step(^uint64(0)) // the window is far shorter than 2^64
 }
 
-// SeekTo travels to an absolute position: it restores the nearest
+// SeekTo travels to an absolute position: it restores the latest
 // checkpoint at or before the target whenever that lands closer than the
 // current position — backward always, forward when a checkpoint lets the
 // seek skip ahead — then re-executes to the target, so on a warmed window
 // the cost is bounded by the checkpoint spacing, not the distance.
 //
 // A reverse step that has more than 2δ instructions to re-execute,
-// δ = ⌈√(2K)⌉, stops δ short of its target on the way and plants the near
-// checkpoint there, replacing the previous one. The reverse steps that
-// follow restore it and re-execute less than δ, until one moves past it
-// and plants the next: δ steps of one instruction then cost one long seek
-// plus δ²/2 instructions, and δ minimises that, K/δ + δ/2 a step.
-//
-// A long SeekTo plants too, so that a reverse step right after it is
-// short, but only when a reverse step came since the SeekTo before it
-// (or it is the first): a run of seeks, or reverse-continue landings, with
-// no reverse step between them plants at its first and then pays nothing
-// for the near checkpoint. The reverse step that breaks such a run
-// re-executes from the grid and plants, and the seeks after it plant
-// again. Continue and Step plant nothing. Breakpoints and watchpoints do
-// not fire during a seek.
-func (e *Engine) SeekTo(target uint64) error {
-	plant := !e.seeking
-	e.seeking = true
-	return e.seek(target, plant)
-}
+// δ = ⌈√(2K)⌉, plants the near checkpoint δ short of its target on the
+// way, replacing the previous one. The reverse steps that follow restore
+// it and re-execute less than δ, until one moves past it and plants the
+// next: δ steps of one instruction cost one long seek plus δ²/2
+// instructions, which δ minimises at K/δ + δ/2 a step. A long SeekTo
+// plants too, so that a reverse step right after it is short, but only
+// when a reverse step came since the SeekTo before it (or it is the
+// first): a run of seeks or reverse-continue landings with no reverse step
+// between them pays for one near checkpoint. Continue and Step plant
+// nothing. Breakpoints and watchpoints do not fire during a seek.
+func (e *Engine) SeekTo(target uint64) error { return e.seek(target, false) }
 
-// seek is SeekTo, planting the near checkpoint on a long re-execution
-// when plant is set.
-func (e *Engine) seek(target uint64, plant bool) error {
-	if target > e.m.Window() {
-		target = e.m.Window()
-	}
+// seek is SeekTo, back telling a reverse step's motion from a seek's.
+func (e *Engine) seek(target uint64, back bool) error {
+	plant := e.store.plants(back)
+	target = min(target, e.m.Window())
 	if err := e.reach(target, mFillSeek); err != nil {
 		return err
 	}
-	if target < e.bare {
-		mTailGrids.Inc()
-		e.bare = 0
-	}
-	if c := e.ckpts[e.ckptIndexAtOrBefore(target)]; target < e.m.Pos() || c.pos > e.m.Pos() {
-		e.restore(c)
-	}
-	if d := e.nearDistance(); plant && target-e.m.Pos() > 2*d {
-		if _, err := e.forwardTo(target-d, false); err != nil {
+	e.store.restore(target)
+	if near, ok := e.store.nearAt(target, plant); ok {
+		if _, err := e.forwardTo(near, false); err != nil {
 			return err
 		}
-		e.plantNear()
+		e.store.lay(true)
 	}
 	if _, err := e.forwardTo(target, false); err != nil {
 		return err
@@ -799,30 +577,15 @@ func (e *Engine) seek(target uint64, plant bool) error {
 	return nil
 }
 
-// nearDistance is δ = ⌈√(2K)⌉, how far short of a long seek's target the
-// near checkpoint stands.
-func (e *Engine) nearDistance() uint64 {
-	return uint64(math.Ceil(math.Sqrt(float64(2 * e.cfg.CheckpointEvery))))
-}
-
 // ReverseStep travels n instructions backward. It reports StopStart when
 // the request was clamped at the window start.
 func (e *Engine) ReverseStep(n uint64) (StopReason, error) {
-	e.seeking = false
 	pos := e.m.Pos()
-	if n >= pos {
-		if err := e.seek(0, true); err != nil {
-			return StopStart, err
-		}
-		if n > pos {
-			return StopStart, nil
-		}
-		return StopStep, nil
+	err := e.seek(pos-min(n, pos), true)
+	if n > pos || n == pos && err != nil {
+		return StopStart, err
 	}
-	if err := e.seek(pos-n, true); err != nil {
-		return StopStep, err
-	}
-	return StopStep, nil
+	return StopStep, err
 }
 
 // ReverseContinue runs backward to the most recent earlier position where
@@ -921,23 +684,7 @@ func scanGap(m *core.ReplayMachine, vals map[uint32]watchVal, limit uint64, canc
 // if a gap fails before any newer gap stops — is the one a newest-first
 // walk of one gap at a time finds, whatever the width.
 func (e *Engine) reverseScan(width int) (StopReason, error) {
-	limit := e.m.Pos()
-	i := e.ckptIndexAtOrBefore(limit)
-	if e.ckpts[i].pos == limit && limit > 0 {
-		// The checkpoint sits exactly at the scan limit; the newest gap
-		// to scan is the one before it.
-		i--
-	}
-	// gaps[k] spans [gaps[k].ck.pos, gaps[k].limit), newest first.
-	type gap struct {
-		ck    *checkpoint
-		limit uint64
-	}
-	gaps := make([]gap, 0, i+1)
-	for up := limit; i >= 0; i-- {
-		gaps = append(gaps, gap{e.ckpts[i], up})
-		up = e.ckpts[i].pos
-	}
+	gaps := e.store.gaps(e.m.Pos())
 
 	// The scan machines stay with the engine, their free pages warm for the
 	// next call; what they share with the checkpoints they restored is

@@ -296,7 +296,7 @@ func TestEngineCheckpointEviction(t *testing.T) {
 	if eng.Pos() != end-3 {
 		t.Fatalf("pos = %d, want %d", eng.Pos(), end-3)
 	}
-	if eng.ckpts[0].pos != 0 {
+	if eng.store.list[0].pos != 0 {
 		t.Fatal("the pos-0 anchor must never evict")
 	}
 }
@@ -304,7 +304,8 @@ func TestEngineCheckpointEviction(t *testing.T) {
 // sameAsFresh fails unless the engine's registers, backtrace, known words
 // and watched words equal those of a fresh replay of its logs stepped one
 // instruction at a time to its position, not through the batches the
-// engine's seeks run on.
+// engine's seeks run on. An engine on the tail is held to a fresh replay
+// of the tail.
 func sameAsFresh(t *testing.T, eng *Engine, when string) {
 	t.Helper()
 	p := eng.Pos()
@@ -312,7 +313,11 @@ func sameAsFresh(t *testing.T, eng *Engine, when string) {
 	r.LogCodeLoads = eng.rep.LogCodeLoads
 	r.DictOptions = eng.rep.DictOptions
 	r.TraceDepth = TraceDepth
-	ref := r.Machine(core.MachineOptions{TrackKnown: true})
+	first := 0
+	if eng.store.anchor() > 0 {
+		first, _ = eng.tail()
+	}
+	ref := r.Intervals(first, len(eng.logs)).Machine(core.MachineOptions{TrackKnown: true})
 	for ref.Pos() < p && !ref.Done() {
 		if err := ref.StepOne(); err != nil {
 			t.Fatalf("%s: fresh replay to %d: %v", when, p, err)
@@ -437,35 +442,73 @@ boom:   lw   a0, (zero)
 	for _, b := range []struct {
 		name  string
 		bytes int64
-	}{{"1B", 1}, {"64KB", 64 << 10}, {"unlimited", 1 << 62}} {
+	}{{"1B", 1}, {"64KB", 64 << 10}, {"unlimited", unlimited}} {
 		t.Run("schedule/"+b.name, func(t *testing.T) {
-			seekSchedule(t, rep, img, b.bytes)
+			seekSchedule(t, rep, img, b.bytes, false)
 		})
 	}
+	t.Run("schedule/tail", func(t *testing.T) {
+		seekSchedule(t, rep, img, unlimited, true)
+	})
 }
+
+// unlimited is a checkpoint budget no window of the tests reaches.
+const unlimited = 1 << 62
 
 // seekSchedule runs a seeded random schedule of 150 commands — seeks,
 // reverse steps of 1 to 3δ, steps, continues and reverse-continues, with a
 // breakpoint and a watchpoint toggled on and off — on an engine at K = 100
-// under budget, and holds the engine to a fresh replay after every
-// command. The engine starts cold, so early seeks run past its newest
-// checkpoint and plant the near checkpoint there; the budgets range from
-// one that evicts every checkpoint it can, the near one last but as soon
-// as it is planted, to one that evicts none.
-func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64) {
-	eng, _, err := openFilled(img, rep, -1, Config{CheckpointEvery: 100, CheckpointBudget: budget})
+// under budget, and holds the engine to a fresh replay and to the store's
+// reach bound after every command (see mustReach). The engine starts cold,
+// so early seeks run past its newest checkpoint and plant the near
+// checkpoint there; the budgets range from one that evicts every
+// checkpoint it can, the near one last but as soon as it is planted, to
+// one that evicts none. With tail set the engine opens on the tail, by a
+// Continue before the stops are set, and holds the tail alone until a
+// command needs older history.
+func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget int64, tail bool) {
+	cfg := Config{CheckpointEvery: 100, CheckpointBudget: budget}
+	open := openFilled
+	if tail {
+		open = NewEngineForThread
+	}
+	eng, _, err := open(img, rep, -1, cfg)
+	if err == nil && tail {
+		_, err = eng.Continue()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	loop, word := img.MustSymbol("loop"), img.MustSymbol("pool")+8
+	// skipped is the grid checkpoint a tail open laid, over the hole below
+	// it; 0 on an engine that holds the whole window from the start.
+	var skipped uint64
+	if tail {
+		if eng.store.anchor() == 0 {
+			t.Fatal("the Continue did not open the engine on the tail")
+		}
+		skipped = eng.store.list[1].pos
+	}
+	loop, pool := img.MustSymbol("loop"), img.MustSymbol("pool")
+	word := pool + 8
+	if tail {
+		// A word the tail touched, so watching it needs no older history.
+		for _, a := range eng.m.KnownWords() {
+			if a > pool && (a-pool)%4096 == 8 {
+				word = a
+				break
+			}
+		}
+	}
 	eng.AddBreak(loop)
 	eng.AddWatch(word)
-	delta, window := eng.nearDistance(), eng.Window()
+	delta, window := eng.store.nearDistance(), eng.Window()
 	rng := rand.New(rand.NewSource(budget))
 	for i := 0; i < 150; i++ {
 		var op string
 		var err error
-		switch k := rng.Intn(12); {
+		before := reachOf(eng)
+		k := rng.Intn(12)
+		switch {
 		case k < 3:
 			p := uint64(rng.Int63n(int64(window) + 1))
 			op = fmt.Sprintf("seek %d", p)
@@ -505,6 +548,68 @@ func seekSchedule(t *testing.T, rep *core.CrashReport, img *asm.Image, budget in
 		when := fmt.Sprintf("op %d %s", i, op)
 		mustKeepGrid(t, eng, when)
 		sameAsFresh(t, eng, when)
+		mustReach(t, eng, before, k < 7 || k == 9, k == 7 || k == 8, when)
+		if budget == unlimited {
+			mustSpanK(t, eng, skipped, when)
+		}
+	}
+}
+
+// reach is what a command's reach bound is measured against: the engine's
+// position, re-execution count, and checkpoints before it.
+type reach struct {
+	pos, reexecuted uint64
+	ckpts           []uint64
+}
+
+func reachOf(e *Engine) reach {
+	r := reach{pos: e.Pos(), reexecuted: e.reexecuted}
+	for _, c := range e.store.list {
+		r.ckpts = append(r.ckpts, c.pos)
+	}
+	return r
+}
+
+// mustReach holds a command to the store's reach bound (see
+// checkpointStore): a jump — a seek, a reverse step, a reverse-continue's
+// landing — re-executes at most from the latest checkpoint at or before
+// where it lands, or from where it started when that is closer; a forward
+// motion exactly the distance it moves; any other command nothing. A
+// command that fills in older history first replays the window up to
+// where the engine stood, so it is held to no bound.
+func mustReach(t *testing.T, e *Engine, was reach, jump, forward bool, when string) {
+	t.Helper()
+	pos, reexecuted := e.Pos(), e.reexecuted-was.reexecuted
+	switch from := was.pos; {
+	case e.store.anchor() != was.ckpts[0]: // the command filled
+	case jump:
+		if i, _ := slices.BinarySearch(was.ckpts, pos+1); from > pos || was.ckpts[i-1] > from {
+			from = was.ckpts[i-1]
+		}
+		if reexecuted > pos-from {
+			t.Fatalf("%s: landed on %d re-executing %d instructions; the store before it could from %d", when, pos, reexecuted, from)
+		}
+	case forward:
+		if reexecuted != pos-from {
+			t.Fatalf("%s: moved from %d to %d re-executing %d instructions", when, from, pos, reexecuted)
+		}
+	default:
+		if reexecuted != 0 {
+			t.Fatalf("%s: re-executed %d instructions", when, reexecuted)
+		}
+	}
+}
+
+// mustSpanK fails unless no two consecutive checkpoints stand more than K
+// apart, as under an unlimited budget, but on the tail below skipped, the
+// grid checkpoint its open laid.
+func mustSpanK(t *testing.T, e *Engine, skipped uint64, when string) {
+	t.Helper()
+	k, tail, list := e.cfg.CheckpointEvery, e.store.anchor() > 0, e.store.list
+	for i := 1; i < len(list); i++ {
+		if lo, hi := list[i-1].pos, list[i].pos; hi-lo > k && !(tail && hi <= skipped) {
+			t.Fatalf("%s: checkpoints at %d and %d, more than K = %d apart", when, lo, hi, k)
+		}
 	}
 }
 
@@ -535,15 +640,15 @@ func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
 	}{{"fits", 0}, {"over_budget", fits / 2}} {
 		t.Run(b.name, func(t *testing.T) {
 			e := open(b.bytes)
-			k, delta := e.cfg.CheckpointEvery, e.nearDistance()
+			k, delta := e.cfg.CheckpointEvery, e.store.nearDistance()
 			const steps = 1000
 			end, before := e.Pos(), e.reexecuted
 			// widest is the widest gap, the near checkpoint aside, that
 			// holds a target of the steps.
 			widest := func() (g uint64) {
-				prev := e.ckpts[0]
-				for _, c := range append(e.ckpts[1:], &checkpoint{pos: end}) {
-					if c != e.near {
+				prev := e.store.list[0]
+				for _, c := range append(e.store.list[1:], &checkpoint{pos: end}) {
+					if c != e.store.near {
 						if c.pos > end-steps {
 							g = max(g, c.pos-prev.pos)
 						}
@@ -560,7 +665,7 @@ func TestReverseStepsReexecuteTheDistanceMoved(t *testing.T) {
 				}
 				// No slack left: every near checkpoint puts the engine
 				// over budget.
-				e.cfg.CheckpointBudget = bytes
+				e.store.budget = bytes
 			}
 			for i := uint64(1); i <= steps; i++ {
 				if _, err := e.ReverseStep(1); err != nil || e.Pos() != end-i {
@@ -592,16 +697,16 @@ func TestSeeksPlantOnlyAfterReverseSteps(t *testing.T) {
 	if _, err := e.Continue(); err != nil {
 		t.Fatal(err)
 	}
-	k, delta := e.cfg.CheckpointEvery, e.nearDistance()
+	k, delta := e.cfg.CheckpointEvery, e.store.nearDistance()
 	// Every target lies K/2 past a grid checkpoint, so every seek is long.
 	at := func(i uint64) uint64 { return (i%(e.Window()/k-1)+1)*k + k/2 }
 	mustNear := func(when string, want uint64) {
 		t.Helper()
-		if e.near == nil {
+		if e.store.near == nil {
 			t.Fatalf("%s: no near checkpoint, want one at %d", when, want)
 		}
-		if e.near.pos != want {
-			t.Fatalf("%s: near checkpoint at %d, want one at %d", when, e.near.pos, want)
+		if e.store.near.pos != want {
+			t.Fatalf("%s: near checkpoint at %d, want one at %d", when, e.store.near.pos, want)
 		}
 	}
 	if err := e.SeekTo(at(0)); err != nil {
@@ -629,7 +734,7 @@ func TestSeeksPlantOnlyAfterReverseSteps(t *testing.T) {
 	if _, err := e.ReverseStep(1); err != nil {
 		t.Fatal(err)
 	}
-	if pos-1-e.ckpts[e.ckptIndexAtOrBefore(pos-1)].pos > 2*delta {
+	if pos-1-e.store.list[e.store.at(pos-1)].pos > 2*delta {
 		mustNear("reverse step", pos-1-delta)
 	}
 	if err := e.SeekTo(at(3)); err != nil {

@@ -105,13 +105,6 @@ func RegisterRoutes(mux *http.ServeMux, m *Manager) {
 	})
 }
 
-// NewHandler returns a standalone handler serving only the debug API.
-func NewHandler(m *Manager) http.Handler {
-	mux := http.NewServeMux()
-	RegisterRoutes(mux, m)
-	return mux
-}
-
 func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {

@@ -174,7 +174,7 @@ func probes(img *asm.Image) []uint32 {
 func (p *lazyPair) same(when string, all bool) {
 	p.t.Helper()
 	l, e := p.lazy, p.eager
-	if l.tailStart > 0 {
+	if l.store.anchor() > 0 {
 		p.onTail++
 	}
 	if l.Pos() != e.Pos() || l.Done() != e.Done() || l.Window() != e.Window() {
@@ -201,7 +201,7 @@ func (p *lazyPair) same(when string, all bool) {
 	}
 	words = append(words, probes(l.img)...)
 	for _, a := range words {
-		if !all && p.deferReads && l.tailStart > 0 && !l.m.Known(a) {
+		if !all && p.deferReads && l.store.anchor() > 0 && !l.m.Known(a) {
 			continue
 		}
 		lv, lk := l.ReadWord(a)
@@ -577,7 +577,7 @@ func TestTailGridLaidByBackwardMotion(t *testing.T) {
 		t.Run(open, func(t *testing.T) {
 			p := newLazyPair(t, lazyInput{img: img, rep: rep, cfg: Config{}}, true)
 			l := p.lazy
-			k, d := l.cfg.CheckpointEvery, l.nearDistance()
+			k, d := l.cfg.CheckpointEvery, l.store.nearDistance()
 			_, tailStart := l.tail()
 			to := l.Window()
 			if open == "seek" {
@@ -599,7 +599,7 @@ func TestTailGridLaidByBackwardMotion(t *testing.T) {
 				t.Helper()
 				w := slices.Sorted(slices.Values(slices.Concat(append(want, []uint64{tailStart})...)))
 				var got []uint64
-				for _, c := range l.ckpts {
+				for _, c := range l.store.list {
 					got = append(got, c.pos)
 				}
 				if !slices.Equal(got, slices.Compact(w)) {
@@ -613,8 +613,8 @@ func TestTailGridLaidByBackwardMotion(t *testing.T) {
 				t.Helper()
 				before := l.reexecuted
 				p.do(what, run)
-				if l.tailStart != tailStart {
-					t.Fatalf("%s: the engine's history starts at %d; want the tail's %d", what, l.tailStart, tailStart)
+				if l.store.anchor() != tailStart {
+					t.Fatalf("%s: the engine's history starts at %d; want the tail's %d", what, l.store.anchor(), tailStart)
 				}
 				if got := l.reexecuted - before; got != reexec {
 					t.Fatalf("%s: re-executed %d instructions; want %d", what, got, reexec)
@@ -656,8 +656,8 @@ func TestTailGridLaidByBackwardMotion(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p.do(fmt.Sprintf("rstep 1 (%d)", i), rstep(1))
 			}
-			if l.tailStart != tailStart || mTailGrids.Value()-grids != 1 {
-				t.Fatalf("the engine left the tail (start %d) or counted again (%v)", l.tailStart, mTailGrids.Value()-grids)
+			if l.store.anchor() != tailStart || mTailGrids.Value()-grids != 1 {
+				t.Fatalf("the engine left the tail (start %d) or counted again (%v)", l.store.anchor(), mTailGrids.Value()-grids)
 			}
 			p.same("end", true)
 		})

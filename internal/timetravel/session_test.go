@@ -136,7 +136,9 @@ func TestHTTPDebugAPI(t *testing.T) {
 	src := newFakeSource(t)
 	m := NewManager(src, ManagerConfig{MaxSessions: 2, IdleTimeout: time.Hour})
 	defer m.Close()
-	srv := httptest.NewServer(NewHandler(m))
+	mux := http.NewServeMux()
+	RegisterRoutes(mux, m)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	post := func(path string, body any, want int) *http.Response {
